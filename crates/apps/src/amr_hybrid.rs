@@ -26,7 +26,7 @@ use std::sync::Arc;
 use machine::Machine;
 use mesh::dual::dual_graph;
 use mp::{MpWorld, RecvSpec};
-use parallel::{Ctx, SchedPolicy, Team};
+use parallel::{Ctx, Team};
 use sas::{SasSlice, SasWorld};
 
 use crate::amr_common::{partition_active, AmrConfig, ReplicatedMesh};
@@ -39,17 +39,7 @@ const TAG_GHOST: u32 = 11;
 const TAG_MIGRATE: u32 = 12;
 
 /// Run the hybrid AMR application; returns uniform metrics.
-pub fn run(machine: Arc<Machine>, cfg: &AmrConfig) -> RunMetrics {
-    run_sched(machine, cfg, None)
-}
-
-/// [`run`] with an explicit scheduling policy. `None` keeps the process
-/// default ([`parallel::sched::default_policy`]).
-pub fn run_sched(machine: Arc<Machine>, cfg: &AmrConfig, sched: Option<SchedPolicy>) -> RunMetrics {
-    run_opts(machine, cfg, crate::RunOpts::with_sched(sched))
-}
-
-/// [`run`] with full execution options (see [`crate::RunOpts`]).
+/// `opts` overrides the process defaults (see [`crate::RunOpts`]).
 pub fn run_opts(machine: Arc<Machine>, cfg: &AmrConfig, opts: crate::RunOpts) -> RunMetrics {
     let mp = MpWorld::new(Arc::clone(&machine));
     let sas = SasWorld::new(Arc::clone(&machine));
@@ -339,7 +329,9 @@ fn pe_main(ctx: &mut Ctx, mp: &MpWorld, sas: &SasWorld, cfg: &AmrConfig) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RunOpts;
     use machine::MachineConfig;
+    use sas::PagePolicy;
 
     fn machine(pes: usize) -> Arc<Machine> {
         Arc::new(Machine::new(pes, MachineConfig::origin2000()))
@@ -348,7 +340,7 @@ mod tests {
     #[test]
     fn runs_with_mixed_traffic() {
         let cfg = AmrConfig::small();
-        let m = run(machine(8), &cfg);
+        let m = run_opts(machine(8), &cfg, RunOpts::default());
         assert!(m.sim_time > 0);
         assert!(m.counters.msgs_sent > 0, "leaders must exchange messages");
         assert!(
@@ -356,7 +348,7 @@ mod tests {
             "node peers share through coherence"
         );
         // Far fewer messages than the pure MP version.
-        let mp = crate::amr_mp::run(machine(8), &cfg);
+        let mp = crate::amr_mp::run_opts(machine(8), &cfg, RunOpts::default());
         assert!(
             m.counters.msgs_sent < mp.counters.msgs_sent / 2,
             "hybrid ({}) should need far fewer messages than MP ({})",
@@ -368,8 +360,14 @@ mod tests {
     #[test]
     fn matches_other_models_bitwise() {
         let cfg = AmrConfig::small();
-        let hy = run(machine(6), &cfg).checksum;
-        let sas = crate::amr_sas::run(machine(4), &cfg).checksum;
+        let hy = run_opts(machine(6), &cfg, RunOpts::default()).checksum;
+        let sas = crate::amr_sas::run_with_opts(
+            machine(4),
+            &cfg,
+            PagePolicy::FirstTouch,
+            RunOpts::default(),
+        )
+        .checksum;
         assert_eq!(hy, sas, "hybrid must compute the same Jacobi values");
     }
 
@@ -377,8 +375,8 @@ mod tests {
     fn checksum_independent_of_pe_count() {
         let cfg = AmrConfig::small();
         assert_eq!(
-            run(machine(2), &cfg).checksum,
-            run(machine(8), &cfg).checksum
+            run_opts(machine(2), &cfg, RunOpts::default()).checksum,
+            run_opts(machine(8), &cfg, RunOpts::default()).checksum
         );
     }
 
@@ -391,8 +389,8 @@ mod tests {
             sweeps: 3,
             ..AmrConfig::default()
         };
-        let t1 = run(machine(1), &cfg).sim_time;
-        let t8 = run(machine(8), &cfg).sim_time;
+        let t1 = run_opts(machine(1), &cfg, RunOpts::default()).sim_time;
+        let t8 = run_opts(machine(8), &cfg, RunOpts::default()).sim_time;
         assert!(t8 < t1);
     }
 }

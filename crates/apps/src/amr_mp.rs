@@ -13,7 +13,7 @@ use std::sync::Arc;
 use machine::Machine;
 use mesh::dual::dual_graph;
 use mp::MpWorld;
-use parallel::{Ctx, SchedPolicy, Team};
+use parallel::{Ctx, Team};
 use partition::rcb_partition;
 use partition::WeightedPoint;
 
@@ -27,17 +27,7 @@ use crate::snapshot::Snapshotter;
 use crate::workcost as W;
 
 /// Run the MP AMR application; returns uniform metrics.
-pub fn run(machine: Arc<Machine>, cfg: &AmrConfig) -> RunMetrics {
-    run_sched(machine, cfg, None)
-}
-
-/// [`run`] with an explicit scheduling policy. `None` keeps the process
-/// default ([`parallel::sched::default_policy`]).
-pub fn run_sched(machine: Arc<Machine>, cfg: &AmrConfig, sched: Option<SchedPolicy>) -> RunMetrics {
-    run_opts(machine, cfg, crate::RunOpts::with_sched(sched))
-}
-
-/// [`run`] with full execution options (see [`crate::RunOpts`]).
+/// `opts` overrides the process defaults (see [`crate::RunOpts`]).
 pub fn run_opts(machine: Arc<Machine>, cfg: &AmrConfig, opts: crate::RunOpts) -> RunMetrics {
     let world = MpWorld::new(Arc::clone(&machine));
     // snap:begin — checkpoint plumbing, shared by every model
@@ -263,7 +253,9 @@ fn sync_field(ctx: &mut Ctx, w: &MpWorld, state: &mut ReplicatedMesh, owner: &[u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RunOpts;
     use machine::MachineConfig;
+    use parallel::SchedPolicy;
 
     fn machine(pes: usize) -> Arc<Machine> {
         Arc::new(Machine::new(pes, MachineConfig::origin2000()))
@@ -272,7 +264,7 @@ mod tests {
     #[test]
     fn runs_and_communicates() {
         let cfg = AmrConfig::small();
-        let m = run(machine(4), &cfg);
+        let m = run_opts(machine(4), &cfg, RunOpts::default());
         assert!(m.sim_time > 0);
         assert!(m.counters.msgs_sent > 0);
         assert_eq!(m.counters.puts, 0);
@@ -284,8 +276,8 @@ mod tests {
         // Jacobi on the same graph with the same schedule: the distributed
         // runs must agree bitwise with the P=1 run.
         let cfg = AmrConfig::small();
-        let c1 = run(machine(1), &cfg).checksum;
-        let c4 = run(machine(4), &cfg).checksum;
+        let c1 = run_opts(machine(1), &cfg, RunOpts::default()).checksum;
+        let c4 = run_opts(machine(4), &cfg, RunOpts::default()).checksum;
         assert_eq!(c1, c4);
     }
 
@@ -293,8 +285,8 @@ mod tests {
     fn deterministic() {
         let cfg = AmrConfig::small();
         assert_eq!(
-            run(machine(3), &cfg).checksum,
-            run(machine(3), &cfg).checksum
+            run_opts(machine(3), &cfg, RunOpts::default()).checksum,
+            run_opts(machine(3), &cfg, RunOpts::default()).checksum
         );
     }
 
@@ -303,12 +295,12 @@ mod tests {
         use o2k_snap::{SnapPoint, SnapSpec};
         let cfg = AmrConfig::small();
         let dir = crate::snapshot::testutil::scratch("amr-mp");
-        let det = crate::RunOpts::with_sched(Some(SchedPolicy::Det));
+        let det = RunOpts::with_sched(Some(SchedPolicy::Det));
         let straight = run_opts(machine(4), &cfg, det.clone());
         let captured = run_opts(
             machine(4),
             &cfg,
-            crate::RunOpts {
+            RunOpts {
                 snap: Some(SnapSpec::Capture {
                     dir: dir.clone(),
                     point: SnapPoint {
@@ -322,7 +314,7 @@ mod tests {
         let restored = run_opts(
             machine(4),
             &cfg,
-            crate::RunOpts {
+            RunOpts {
                 snap: Some(SnapSpec::Restore { dir: dir.clone() }),
                 ..det
             },
@@ -355,8 +347,8 @@ mod tests {
             sweeps: 3,
             ..AmrConfig::default()
         };
-        let t1 = run(machine(1), &cfg).sim_time;
-        let t8 = run(machine(8), &cfg).sim_time;
+        let t1 = run_opts(machine(1), &cfg, RunOpts::default()).sim_time;
+        let t8 = run_opts(machine(8), &cfg, RunOpts::default()).sim_time;
         assert!(t8 < t1, "P=8 ({t8}) should beat P=1 ({t1})");
     }
 }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use machine::Machine;
 use mesh::dual::dual_graph;
-use parallel::{Ctx, SchedPolicy, Team};
+use parallel::{Ctx, Team};
 use sas::{PagePolicy, SasSlice, SasWorld};
 
 use crate::amr_common::{AmrConfig, ReplicatedMesh};
@@ -44,28 +44,9 @@ fn decode_sas_state(bytes: &[u8], step: u64) -> Vec<u64> {
 }
 // snap:end
 
-/// Run the CC-SAS AMR application with first-touch paging.
-pub fn run(machine: Arc<Machine>, cfg: &AmrConfig) -> RunMetrics {
-    run_with(machine, cfg, PagePolicy::FirstTouch, None)
-}
-
-/// Run with an explicit paging policy (ablation A1).
-pub fn run_with_paging(machine: Arc<Machine>, cfg: &AmrConfig, policy: PagePolicy) -> RunMetrics {
-    run_with(machine, cfg, policy, None)
-}
-
-/// Run with an explicit paging policy and scheduling policy. `None` keeps
-/// the process default ([`parallel::sched::default_policy`]).
-pub fn run_with(
-    machine: Arc<Machine>,
-    cfg: &AmrConfig,
-    policy: PagePolicy,
-    sched: Option<SchedPolicy>,
-) -> RunMetrics {
-    run_with_opts(machine, cfg, policy, crate::RunOpts::with_sched(sched))
-}
-
-/// [`run_with`] with full execution options (see [`crate::RunOpts`]).
+/// Run the CC-SAS AMR application under paging `policy` (ablation A1
+/// sweeps it; everything else uses first touch).
+/// `opts` overrides the process defaults (see [`crate::RunOpts`]).
 pub fn run_with_opts(
     machine: Arc<Machine>,
     cfg: &AmrConfig,
@@ -262,7 +243,9 @@ fn pe_main(ctx: &mut Ctx, w: &SasWorld, cfg: &AmrConfig, snap: &Snapshotter) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RunOpts;
     use machine::MachineConfig;
+    use parallel::SchedPolicy;
 
     fn machine(pes: usize) -> Arc<Machine> {
         Arc::new(Machine::new(pes, MachineConfig::origin2000()))
@@ -271,7 +254,7 @@ mod tests {
     #[test]
     fn runs_with_implicit_communication_only() {
         let cfg = AmrConfig::small();
-        let m = run(machine(4), &cfg);
+        let m = run_with_opts(machine(4), &cfg, PagePolicy::FirstTouch, RunOpts::default());
         assert!(m.sim_time > 0);
         assert_eq!(m.counters.msgs_sent, 0);
         assert_eq!(m.counters.puts, 0);
@@ -287,8 +270,9 @@ mod tests {
         // Same Jacobi, same schedule, same inheritance rules: the shared
         // array must hold exactly the values the MP version computes.
         let cfg = AmrConfig::small();
-        let sas = run(machine(4), &cfg).checksum;
-        let mpv = crate::amr_mp::run(machine(4), &cfg).checksum;
+        let sas =
+            run_with_opts(machine(4), &cfg, PagePolicy::FirstTouch, RunOpts::default()).checksum;
+        let mpv = crate::amr_mp::run_opts(machine(4), &cfg, RunOpts::default()).checksum;
         assert_eq!(sas, mpv);
     }
 
@@ -296,8 +280,8 @@ mod tests {
     fn checksum_independent_of_pe_count() {
         let cfg = AmrConfig::small();
         assert_eq!(
-            run(machine(1), &cfg).checksum,
-            run(machine(8), &cfg).checksum
+            run_with_opts(machine(1), &cfg, PagePolicy::FirstTouch, RunOpts::default()).checksum,
+            run_with_opts(machine(8), &cfg, PagePolicy::FirstTouch, RunOpts::default()).checksum
         );
     }
 
@@ -311,8 +295,18 @@ mod tests {
         // placement has room to matter at this problem size.
         let cfg = AmrConfig::small();
         let m = || Arc::new(Machine::new(8, MachineConfig::test_tiny()));
-        let ft = run_with(m(), &cfg, PagePolicy::FirstTouch, Some(SchedPolicy::Det));
-        let rr = run_with(m(), &cfg, PagePolicy::RoundRobin, Some(SchedPolicy::Det));
+        let ft = run_with_opts(
+            m(),
+            &cfg,
+            PagePolicy::FirstTouch,
+            RunOpts::with_sched(Some(SchedPolicy::Det)),
+        );
+        let rr = run_with_opts(
+            m(),
+            &cfg,
+            PagePolicy::RoundRobin,
+            RunOpts::with_sched(Some(SchedPolicy::Det)),
+        );
         assert!(
             ft.counters.remote_miss_fraction() < rr.counters.remote_miss_fraction(),
             "first touch should reduce remote misses: {} vs {}",
@@ -330,8 +324,10 @@ mod tests {
             sweeps: 3,
             ..AmrConfig::default()
         };
-        let t1 = run(machine(1), &cfg).sim_time;
-        let t8 = run(machine(8), &cfg).sim_time;
+        let t1 =
+            run_with_opts(machine(1), &cfg, PagePolicy::FirstTouch, RunOpts::default()).sim_time;
+        let t8 =
+            run_with_opts(machine(8), &cfg, PagePolicy::FirstTouch, RunOpts::default()).sim_time;
         assert!(t8 < t1);
     }
 
@@ -350,10 +346,10 @@ mod tests {
                 machine(4),
                 &cfg,
                 PagePolicy::FirstTouch,
-                crate::RunOpts {
+                RunOpts {
                     sched: Some(SchedPolicy::Det),
                     snap,
-                    ..crate::RunOpts::default()
+                    ..RunOpts::default()
                 },
             )
         };
@@ -382,7 +378,9 @@ mod tests {
 #[cfg(test)]
 mod self_schedule_tests {
     use super::*;
+    use crate::RunOpts;
     use machine::MachineConfig;
+    use parallel::SchedPolicy;
 
     fn machine(pes: usize) -> Arc<Machine> {
         Arc::new(Machine::new(pes, MachineConfig::origin2000()))
@@ -397,8 +395,20 @@ mod self_schedule_tests {
             sas_self_schedule: true,
             ..AmrConfig::small()
         };
-        let a = run(machine(6), &static_cfg).checksum;
-        let b = run(machine(6), &dyn_cfg).checksum;
+        let a = run_with_opts(
+            machine(6),
+            &static_cfg,
+            PagePolicy::FirstTouch,
+            RunOpts::default(),
+        )
+        .checksum;
+        let b = run_with_opts(
+            machine(6),
+            &dyn_cfg,
+            PagePolicy::FirstTouch,
+            RunOpts::default(),
+        )
+        .checksum;
         assert_eq!(a, b);
     }
 
@@ -409,17 +419,17 @@ mod self_schedule_tests {
             ..AmrConfig::small()
         };
         // Pin the schedule so the bound is stable run to run.
-        let r = run_with(
+        let r = run_with_opts(
             machine(4),
             &dyn_cfg,
             PagePolicy::FirstTouch,
-            Some(SchedPolicy::Det),
+            RunOpts::with_sched(Some(SchedPolicy::Det)),
         );
-        let baseline = run_with(
+        let baseline = run_with_opts(
             machine(4),
             &AmrConfig::small(),
             PagePolicy::FirstTouch,
-            Some(SchedPolicy::Det),
+            RunOpts::with_sched(Some(SchedPolicy::Det)),
         );
         // Claim traffic and lost affinity make it slower, but the same
         // order of magnitude.
@@ -442,11 +452,11 @@ mod self_schedule_tests {
             ..AmrConfig::small()
         };
         let go = || {
-            run_with(
+            run_with_opts(
                 machine(4),
                 &dyn_cfg,
                 PagePolicy::FirstTouch,
-                Some(SchedPolicy::Det),
+                RunOpts::with_sched(Some(SchedPolicy::Det)),
             )
         };
         let (a, b) = (go(), go());
@@ -464,17 +474,17 @@ mod self_schedule_tests {
             sas_self_schedule: true,
             ..AmrConfig::small()
         };
-        let det = run_with(
+        let det = run_with_opts(
             machine(4),
             &dyn_cfg,
             PagePolicy::FirstTouch,
-            Some(SchedPolicy::Det),
+            RunOpts::with_sched(Some(SchedPolicy::Det)),
         );
-        let e7 = run_with(
+        let e7 = run_with_opts(
             machine(4),
             &dyn_cfg,
             PagePolicy::FirstTouch,
-            Some(SchedPolicy::Explore { seed: 7 }),
+            RunOpts::with_sched(Some(SchedPolicy::Explore { seed: 7 })),
         );
         assert_eq!(det.checksum, e7.checksum, "answer is schedule-independent");
         assert_ne!(

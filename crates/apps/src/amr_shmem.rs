@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use machine::Machine;
 use mesh::dual::dual_graph;
-use parallel::{Ctx, SchedPolicy, Team};
+use parallel::{Ctx, Team};
 use partition::rcb_partition;
 use partition::WeightedPoint;
 use shmem::{SymSlice, SymWorld};
@@ -30,17 +30,7 @@ use crate::snapshot::Snapshotter;
 use crate::workcost as W;
 
 /// Run the SHMEM AMR application; returns uniform metrics.
-pub fn run(machine: Arc<Machine>, cfg: &AmrConfig) -> RunMetrics {
-    run_sched(machine, cfg, None)
-}
-
-/// [`run`] with an explicit scheduling policy. `None` keeps the process
-/// default ([`parallel::sched::default_policy`]).
-pub fn run_sched(machine: Arc<Machine>, cfg: &AmrConfig, sched: Option<SchedPolicy>) -> RunMetrics {
-    run_opts(machine, cfg, crate::RunOpts::with_sched(sched))
-}
-
-/// [`run`] with full execution options (see [`crate::RunOpts`]).
+/// `opts` overrides the process defaults (see [`crate::RunOpts`]).
 pub fn run_opts(machine: Arc<Machine>, cfg: &AmrConfig, opts: crate::RunOpts) -> RunMetrics {
     let world = SymWorld::new(Arc::clone(&machine));
     // snap:begin — checkpoint plumbing, shared by every model
@@ -263,7 +253,9 @@ fn sync_field(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RunOpts;
     use machine::MachineConfig;
+    use parallel::SchedPolicy;
 
     fn machine(pes: usize) -> Arc<Machine> {
         Arc::new(Machine::new(pes, MachineConfig::origin2000()))
@@ -272,7 +264,7 @@ mod tests {
     #[test]
     fn runs_with_one_sided_traffic() {
         let cfg = AmrConfig::small();
-        let m = run(machine(4), &cfg);
+        let m = run_opts(machine(4), &cfg, RunOpts::default());
         assert!(m.sim_time > 0);
         assert!(m.counters.puts > 0);
         assert_eq!(m.counters.msgs_sent, 0);
@@ -281,8 +273,8 @@ mod tests {
     #[test]
     fn matches_mp_checksum_bitwise() {
         let cfg = AmrConfig::small();
-        let sh = run(machine(4), &cfg).checksum;
-        let mpv = crate::amr_mp::run(machine(4), &cfg).checksum;
+        let sh = run_opts(machine(4), &cfg, RunOpts::default()).checksum;
+        let mpv = crate::amr_mp::run_opts(machine(4), &cfg, RunOpts::default()).checksum;
         assert_eq!(sh, mpv);
     }
 
@@ -290,8 +282,8 @@ mod tests {
     fn checksum_independent_of_pe_count() {
         let cfg = AmrConfig::small();
         assert_eq!(
-            run(machine(1), &cfg).checksum,
-            run(machine(6), &cfg).checksum
+            run_opts(machine(1), &cfg, RunOpts::default()).checksum,
+            run_opts(machine(6), &cfg, RunOpts::default()).checksum
         );
     }
 
@@ -304,8 +296,8 @@ mod tests {
             sweeps: 3,
             ..AmrConfig::default()
         };
-        let t1 = run(machine(1), &cfg).sim_time;
-        let t8 = run(machine(8), &cfg).sim_time;
+        let t1 = run_opts(machine(1), &cfg, RunOpts::default()).sim_time;
+        let t8 = run_opts(machine(8), &cfg, RunOpts::default()).sim_time;
         assert!(t8 < t1);
     }
 
@@ -314,12 +306,12 @@ mod tests {
         use o2k_snap::{SnapPoint, SnapSpec};
         let cfg = AmrConfig::small();
         let dir = crate::snapshot::testutil::scratch("amr-shmem");
-        let det = crate::RunOpts::with_sched(Some(SchedPolicy::Det));
+        let det = RunOpts::with_sched(Some(SchedPolicy::Det));
         let straight = run_opts(machine(4), &cfg, det.clone());
         let captured = run_opts(
             machine(4),
             &cfg,
-            crate::RunOpts {
+            RunOpts {
                 snap: Some(SnapSpec::Capture {
                     dir: dir.clone(),
                     point: SnapPoint {
@@ -333,7 +325,7 @@ mod tests {
         let restored = run_opts(
             machine(4),
             &cfg,
-            crate::RunOpts {
+            RunOpts {
                 snap: Some(SnapSpec::Restore { dir: dir.clone() }),
                 ..det
             },

@@ -59,7 +59,7 @@ pub struct RunOpts {
 }
 
 impl RunOpts {
-    /// Only a scheduling policy — the legacy `run_sched` surface.
+    /// Only a scheduling policy; `None` keeps the process default.
     pub fn with_sched(sched: Option<SchedPolicy>) -> Self {
         RunOpts {
             sched,
@@ -90,8 +90,8 @@ impl RunOpts {
     }
 }
 
-/// Run an application under a model on a machine. The uniform entry point
-/// the experiment driver uses.
+/// Run an application under a model on a machine with the process-default
+/// execution options. The uniform entry point the experiment driver uses.
 pub fn run_app(
     machine: Arc<Machine>,
     app: App,
@@ -99,33 +99,13 @@ pub fn run_app(
     nbody_cfg: &NBodyConfig,
     amr_cfg: &AmrConfig,
 ) -> RunMetrics {
-    run_app_sched(machine, app, model, nbody_cfg, amr_cfg, None)
+    run_app_opts(machine, app, model, nbody_cfg, amr_cfg, RunOpts::default())
 }
 
-/// [`run_app`] with an explicit scheduling policy. `None` keeps the
-/// process default ([`parallel::sched::default_policy`]); experiments that
-/// compare timing across machine configurations pin [`SchedPolicy::Det`]
-/// so the comparison is not confounded by OS thread interleaving.
-pub fn run_app_sched(
-    machine: Arc<Machine>,
-    app: App,
-    model: Model,
-    nbody_cfg: &NBodyConfig,
-    amr_cfg: &AmrConfig,
-    sched: Option<SchedPolicy>,
-) -> RunMetrics {
-    run_app_opts(
-        machine,
-        app,
-        model,
-        nbody_cfg,
-        amr_cfg,
-        RunOpts::with_sched(sched),
-    )
-}
-
-/// [`run_app`] with full execution options (scheduling policy *and*
-/// execution backend — see [`RunOpts`]).
+/// [`run_app`] with explicit execution options (see [`RunOpts`]).
+/// Experiments that compare timing across machine configurations pin
+/// [`SchedPolicy::Det`] so the comparison is not confounded by OS thread
+/// interleaving.
 pub fn run_app_opts(
     machine: Arc<Machine>,
     app: App,

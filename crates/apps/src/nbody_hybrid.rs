@@ -16,7 +16,7 @@ use mp::{MpWorld, RecvSpec};
 use nbody::lett::essential_for;
 use nbody::orb::{orb_partition, BBox};
 use nbody::{Octree, Vec3};
-use parallel::{Ctx, SchedPolicy, Team};
+use parallel::{Ctx, Team};
 use sas::{SasSlice, SasWorld};
 
 use crate::metrics::{App, Model, RunMetrics};
@@ -31,21 +31,7 @@ const TAG_GATHER: u32 = 23;
 const TAG_SCATTER: u32 = 24;
 
 /// Run the hybrid N-body application; returns uniform metrics.
-pub fn run(machine: Arc<Machine>, cfg: &NBodyConfig) -> RunMetrics {
-    run_sched(machine, cfg, None)
-}
-
-/// [`run`] with an explicit scheduling policy. `None` keeps the process
-/// default ([`parallel::sched::default_policy`]).
-pub fn run_sched(
-    machine: Arc<Machine>,
-    cfg: &NBodyConfig,
-    sched: Option<SchedPolicy>,
-) -> RunMetrics {
-    run_opts(machine, cfg, crate::RunOpts::with_sched(sched))
-}
-
-/// [`run`] with full execution options (see [`crate::RunOpts`]).
+/// `opts` overrides the process defaults (see [`crate::RunOpts`]).
 pub fn run_opts(machine: Arc<Machine>, cfg: &NBodyConfig, opts: crate::RunOpts) -> RunMetrics {
     assert!(
         cfg.n >= machine.topology.nodes(),
@@ -435,7 +421,9 @@ fn walk_at(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RunOpts;
     use machine::MachineConfig;
+    use sas::PagePolicy;
 
     fn machine(pes: usize) -> Arc<Machine> {
         Arc::new(Machine::new(pes, MachineConfig::origin2000()))
@@ -444,7 +432,7 @@ mod tests {
     #[test]
     fn runs_with_mixed_traffic() {
         let cfg = NBodyConfig::small();
-        let m = run(machine(8), &cfg);
+        let m = run_opts(machine(8), &cfg, RunOpts::default());
         assert!(m.sim_time > 0);
         assert!(
             m.counters.msgs_sent > 0,
@@ -460,8 +448,14 @@ mod tests {
     #[test]
     fn physics_close_to_other_models() {
         let cfg = NBodyConfig::small();
-        let hy = run(machine(8), &cfg).checksum;
-        let sas = crate::nbody_sas::run(machine(8), &cfg).checksum;
+        let hy = run_opts(machine(8), &cfg, RunOpts::default()).checksum;
+        let sas = crate::nbody_sas::run_with_opts(
+            machine(8),
+            &cfg,
+            PagePolicy::FirstTouch,
+            RunOpts::default(),
+        )
+        .checksum;
         let rel = (hy - sas).abs() / sas;
         assert!(rel < 0.02, "hybrid physics off by {rel}");
     }
@@ -469,8 +463,8 @@ mod tests {
     #[test]
     fn fewer_messages_than_pure_mp() {
         let cfg = NBodyConfig::small();
-        let hy = run(machine(8), &cfg);
-        let mpv = crate::nbody_mp::run(machine(8), &cfg);
+        let hy = run_opts(machine(8), &cfg, RunOpts::default());
+        let mpv = crate::nbody_mp::run_opts(machine(8), &cfg, RunOpts::default());
         assert!(
             hy.counters.msgs_sent < mpv.counters.msgs_sent,
             "node-granularity exchanges must reduce message count: {} vs {}",
@@ -486,8 +480,8 @@ mod tests {
             steps: 2,
             ..NBodyConfig::default()
         };
-        let t2 = run(machine(2), &cfg).sim_time;
-        let t8 = run(machine(8), &cfg).sim_time;
+        let t2 = run_opts(machine(2), &cfg, RunOpts::default()).sim_time;
+        let t8 = run_opts(machine(8), &cfg, RunOpts::default()).sim_time;
         assert!(t8 < t2);
     }
 }

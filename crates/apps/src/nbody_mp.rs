@@ -20,7 +20,7 @@ use nbody::force::accel_at;
 use nbody::lett::essential_for;
 use nbody::orb::{orb_partition, BBox};
 use nbody::{Octree, Vec3};
-use parallel::{Ctx, SchedPolicy, Team};
+use parallel::{Ctx, Team};
 
 use crate::metrics::{App, Model, RunMetrics};
 use crate::nbody_common::{
@@ -35,21 +35,7 @@ use crate::workcost as W;
 const TAG_REBALANCE: u32 = 7;
 
 /// Run the MP N-body application; returns uniform metrics.
-pub fn run(machine: Arc<Machine>, cfg: &NBodyConfig) -> RunMetrics {
-    run_sched(machine, cfg, None)
-}
-
-/// [`run`] with an explicit scheduling policy. `None` keeps the process
-/// default ([`parallel::sched::default_policy`]).
-pub fn run_sched(
-    machine: Arc<Machine>,
-    cfg: &NBodyConfig,
-    sched: Option<SchedPolicy>,
-) -> RunMetrics {
-    run_opts(machine, cfg, crate::RunOpts::with_sched(sched))
-}
-
-/// [`run`] with full execution options (see [`crate::RunOpts`]).
+/// `opts` overrides the process defaults (see [`crate::RunOpts`]).
 pub fn run_opts(machine: Arc<Machine>, cfg: &NBodyConfig, opts: crate::RunOpts) -> RunMetrics {
     assert!(cfg.n >= machine.pes(), "need at least one body per rank");
     let world = MpWorld::new(Arc::clone(&machine));
@@ -223,7 +209,9 @@ fn local_arrays(mine: &[BodyCost]) -> (Vec<Vec3>, Vec<f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RunOpts;
     use machine::MachineConfig;
+    use parallel::SchedPolicy;
 
     fn machine(pes: usize) -> Arc<Machine> {
         Arc::new(Machine::new(pes, MachineConfig::origin2000()))
@@ -232,7 +220,7 @@ mod tests {
     #[test]
     fn runs_and_reports() {
         let cfg = NBodyConfig::small();
-        let m = run(machine(4), &cfg);
+        let m = run_opts(machine(4), &cfg, RunOpts::default());
         assert_eq!(m.pes, 4);
         assert!(m.sim_time > 0);
         assert!(m.checksum > 0.0);
@@ -243,8 +231,8 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let cfg = NBodyConfig::small();
-        let a = run(machine(2), &cfg);
-        let b = run(machine(2), &cfg);
+        let a = run_opts(machine(2), &cfg, RunOpts::default());
+        let b = run_opts(machine(2), &cfg, RunOpts::default());
         assert_eq!(a.checksum, b.checksum);
         assert_eq!(a.sim_time, b.sim_time);
     }
@@ -252,8 +240,8 @@ mod tests {
     #[test]
     fn single_pe_matches_physics_of_two_pes() {
         let cfg = NBodyConfig::small();
-        let a = run(machine(1), &cfg);
-        let b = run(machine(2), &cfg);
+        let a = run_opts(machine(1), &cfg, RunOpts::default());
+        let b = run_opts(machine(2), &cfg, RunOpts::default());
         let rel = (a.checksum - b.checksum).abs() / a.checksum;
         assert!(rel < 0.02, "decomposition changed physics too much: {rel}");
     }
@@ -263,12 +251,12 @@ mod tests {
         use o2k_snap::{SnapPoint, SnapSpec};
         let cfg = NBodyConfig::small();
         let dir = crate::snapshot::testutil::scratch("nbody-mp");
-        let det = crate::RunOpts::with_sched(Some(SchedPolicy::Det));
+        let det = RunOpts::with_sched(Some(SchedPolicy::Det));
         let straight = run_opts(machine(4), &cfg, det.clone());
         let captured = run_opts(
             machine(4),
             &cfg,
-            crate::RunOpts {
+            RunOpts {
                 snap: Some(SnapSpec::Capture {
                     dir: dir.clone(),
                     point: SnapPoint {
@@ -282,7 +270,7 @@ mod tests {
         let restored = run_opts(
             machine(4),
             &cfg,
-            crate::RunOpts {
+            RunOpts {
                 snap: Some(SnapSpec::Restore { dir: dir.clone() }),
                 ..det
             },
@@ -306,8 +294,8 @@ mod tests {
             steps: 2,
             ..NBodyConfig::default()
         };
-        let t1 = run(machine(1), &cfg).sim_time;
-        let t4 = run(machine(4), &cfg).sim_time;
+        let t1 = run_opts(machine(1), &cfg, RunOpts::default()).sim_time;
+        let t4 = run_opts(machine(4), &cfg, RunOpts::default()).sim_time;
         assert!(t4 < t1, "P=4 ({t4}) should beat P=1 ({t1})");
     }
 }

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use machine::Machine;
 use nbody::costzones::zones_on_order;
 use nbody::{Octree, Vec3};
-use parallel::{Ctx, SchedPolicy, Team};
+use parallel::{Ctx, Team};
 use sas::{PagePolicy, SasSlice, SasWorld};
 
 use crate::metrics::{App, Model, RunMetrics};
@@ -49,28 +49,9 @@ fn decode_sas_state(bytes: &[u8], step: u64) -> Vec<u64> {
 }
 // snap:end
 
-/// Run the CC-SAS N-body application with first-touch paging.
-pub fn run(machine: Arc<Machine>, cfg: &NBodyConfig) -> RunMetrics {
-    run_with(machine, cfg, PagePolicy::FirstTouch, None)
-}
-
-/// Run with an explicit paging policy (ablation A1).
-pub fn run_with_paging(machine: Arc<Machine>, cfg: &NBodyConfig, policy: PagePolicy) -> RunMetrics {
-    run_with(machine, cfg, policy, None)
-}
-
-/// Run with an explicit paging policy and scheduling policy. `None` keeps
-/// the process default ([`parallel::sched::default_policy`]).
-pub fn run_with(
-    machine: Arc<Machine>,
-    cfg: &NBodyConfig,
-    policy: PagePolicy,
-    sched: Option<SchedPolicy>,
-) -> RunMetrics {
-    run_with_opts(machine, cfg, policy, crate::RunOpts::with_sched(sched))
-}
-
-/// [`run_with`] with full execution options (see [`crate::RunOpts`]).
+/// Run the CC-SAS N-body application under paging `policy` (ablation A1
+/// sweeps it; everything else uses first touch).
+/// `opts` overrides the process defaults (see [`crate::RunOpts`]).
 pub fn run_with_opts(
     machine: Arc<Machine>,
     cfg: &NBodyConfig,
@@ -296,7 +277,9 @@ fn pe_main(ctx: &mut Ctx, w: &SasWorld, cfg: &NBodyConfig, snap: &Snapshotter) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RunOpts;
     use machine::MachineConfig;
+    use parallel::SchedPolicy;
 
     fn machine(pes: usize) -> Arc<Machine> {
         Arc::new(Machine::new(pes, MachineConfig::origin2000()))
@@ -305,7 +288,7 @@ mod tests {
     #[test]
     fn runs_with_implicit_communication_only() {
         let cfg = NBodyConfig::small();
-        let m = run(machine(4), &cfg);
+        let m = run_with_opts(machine(4), &cfg, PagePolicy::FirstTouch, RunOpts::default());
         assert!(m.sim_time > 0);
         assert_eq!(m.counters.msgs_sent, 0);
         assert_eq!(m.counters.puts, 0);
@@ -321,16 +304,19 @@ mod tests {
         // The SAS version always walks the same global tree: physics is
         // bitwise identical at any P.
         let cfg = NBodyConfig::small();
-        let c1 = run(machine(1), &cfg).checksum;
-        let c4 = run(machine(4), &cfg).checksum;
+        let c1 =
+            run_with_opts(machine(1), &cfg, PagePolicy::FirstTouch, RunOpts::default()).checksum;
+        let c4 =
+            run_with_opts(machine(4), &cfg, PagePolicy::FirstTouch, RunOpts::default()).checksum;
         assert_eq!(c1, c4);
     }
 
     #[test]
     fn physics_close_to_mp() {
         let cfg = NBodyConfig::small();
-        let sas = run(machine(4), &cfg).checksum;
-        let mpv = crate::nbody_mp::run(machine(1), &cfg).checksum;
+        let sas =
+            run_with_opts(machine(4), &cfg, PagePolicy::FirstTouch, RunOpts::default()).checksum;
+        let mpv = crate::nbody_mp::run_opts(machine(1), &cfg, RunOpts::default()).checksum;
         let rel = (sas - mpv).abs() / mpv;
         assert!(rel < 1e-9, "global tree vs P=1 MP: {rel}");
     }
@@ -345,10 +331,10 @@ mod tests {
                 machine(4),
                 &cfg,
                 PagePolicy::FirstTouch,
-                crate::RunOpts {
+                RunOpts {
                     sched: Some(SchedPolicy::Det),
                     snap,
-                    ..crate::RunOpts::default()
+                    ..RunOpts::default()
                 },
             )
         };
@@ -381,8 +367,8 @@ mod tests {
         // (Contrast with AMR, where ownership is address-contiguous and
         // the paging policy shows up clearly.)
         let cfg = NBodyConfig::small();
-        let ft = run_with_paging(machine(8), &cfg, PagePolicy::FirstTouch);
-        let rr = run_with_paging(machine(8), &cfg, PagePolicy::RoundRobin);
+        let ft = run_with_opts(machine(8), &cfg, PagePolicy::FirstTouch, RunOpts::default());
+        let rr = run_with_opts(machine(8), &cfg, PagePolicy::RoundRobin, RunOpts::default());
         let ft_frac = ft.counters.remote_miss_fraction();
         let rr_frac = rr.counters.remote_miss_fraction();
         assert!(
@@ -400,8 +386,10 @@ mod tests {
             steps: 2,
             ..NBodyConfig::default()
         };
-        let t1 = run(machine(1), &cfg).sim_time;
-        let t4 = run(machine(4), &cfg).sim_time;
+        let t1 =
+            run_with_opts(machine(1), &cfg, PagePolicy::FirstTouch, RunOpts::default()).sim_time;
+        let t4 =
+            run_with_opts(machine(4), &cfg, PagePolicy::FirstTouch, RunOpts::default()).sim_time;
         assert!(t4 < t1);
     }
 }

@@ -22,7 +22,7 @@ use nbody::force::accel_at;
 use nbody::lett::essential_for;
 use nbody::orb::{orb_partition, BBox};
 use nbody::{Octree, Vec3};
-use parallel::{Ctx, SchedPolicy, Team};
+use parallel::{Ctx, Team};
 use shmem::{SymSlice, SymWorld};
 
 use crate::metrics::{App, Model, RunMetrics};
@@ -36,21 +36,7 @@ use crate::snapshot::Snapshotter;
 use crate::workcost as W;
 
 /// Run the SHMEM N-body application; returns uniform metrics.
-pub fn run(machine: Arc<Machine>, cfg: &NBodyConfig) -> RunMetrics {
-    run_sched(machine, cfg, None)
-}
-
-/// [`run`] with an explicit scheduling policy. `None` keeps the process
-/// default ([`parallel::sched::default_policy`]).
-pub fn run_sched(
-    machine: Arc<Machine>,
-    cfg: &NBodyConfig,
-    sched: Option<SchedPolicy>,
-) -> RunMetrics {
-    run_opts(machine, cfg, crate::RunOpts::with_sched(sched))
-}
-
-/// [`run`] with full execution options (see [`crate::RunOpts`]).
+/// `opts` overrides the process defaults (see [`crate::RunOpts`]).
 pub fn run_opts(machine: Arc<Machine>, cfg: &NBodyConfig, opts: crate::RunOpts) -> RunMetrics {
     assert!(cfg.n >= machine.pes(), "need at least one body per PE");
     let world = SymWorld::new(Arc::clone(&machine));
@@ -332,7 +318,9 @@ fn local_arrays(mine: &[BodyCost]) -> (Vec<Vec3>, Vec<f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RunOpts;
     use machine::MachineConfig;
+    use parallel::SchedPolicy;
 
     fn machine(pes: usize) -> Arc<Machine> {
         Arc::new(Machine::new(pes, MachineConfig::origin2000()))
@@ -341,7 +329,7 @@ mod tests {
     #[test]
     fn runs_with_one_sided_traffic_only() {
         let cfg = NBodyConfig::small();
-        let m = run(machine(4), &cfg);
+        let m = run_opts(machine(4), &cfg, RunOpts::default());
         assert!(m.sim_time > 0);
         assert!(m.counters.puts > 0, "SHMEM must put");
         assert!(m.counters.amos > 0, "ticket reservation uses fetch-add");
@@ -352,8 +340,8 @@ mod tests {
     fn deterministic() {
         let cfg = NBodyConfig::small();
         assert_eq!(
-            run(machine(2), &cfg).checksum,
-            run(machine(2), &cfg).checksum
+            run_opts(machine(2), &cfg, RunOpts::default()).checksum,
+            run_opts(machine(2), &cfg, RunOpts::default()).checksum
         );
     }
 
@@ -362,12 +350,12 @@ mod tests {
         use o2k_snap::{SnapPoint, SnapSpec};
         let cfg = NBodyConfig::small();
         let dir = crate::snapshot::testutil::scratch("nbody-shmem");
-        let det = crate::RunOpts::with_sched(Some(SchedPolicy::Det));
+        let det = RunOpts::with_sched(Some(SchedPolicy::Det));
         let straight = run_opts(machine(4), &cfg, det.clone());
         let captured = run_opts(
             machine(4),
             &cfg,
-            crate::RunOpts {
+            RunOpts {
                 snap: Some(SnapSpec::Capture {
                     dir: dir.clone(),
                     point: SnapPoint {
@@ -381,7 +369,7 @@ mod tests {
         let restored = run_opts(
             machine(4),
             &cfg,
-            crate::RunOpts {
+            RunOpts {
                 snap: Some(SnapSpec::Restore { dir: dir.clone() }),
                 ..det
             },
@@ -401,8 +389,8 @@ mod tests {
     #[test]
     fn physics_close_to_mp_version() {
         let cfg = NBodyConfig::small();
-        let sh = run(machine(4), &cfg).checksum;
-        let mp = crate::nbody_mp::run(machine(4), &cfg).checksum;
+        let sh = run_opts(machine(4), &cfg, RunOpts::default()).checksum;
+        let mp = crate::nbody_mp::run_opts(machine(4), &cfg, RunOpts::default()).checksum;
         let rel = (sh - mp).abs() / mp;
         assert!(rel < 1e-6, "same decomposition → same physics: {rel}");
     }
@@ -414,8 +402,8 @@ mod tests {
             steps: 2,
             ..NBodyConfig::default()
         };
-        let t1 = run(machine(1), &cfg).sim_time;
-        let t4 = run(machine(4), &cfg).sim_time;
+        let t1 = run_opts(machine(1), &cfg, RunOpts::default()).sim_time;
+        let t4 = run_opts(machine(4), &cfg, RunOpts::default()).sim_time;
         assert!(t4 < t1);
     }
 }

@@ -47,20 +47,27 @@ use std::time::Instant;
 
 use o2k_bench::{run_experiment, EXPERIMENT_IDS};
 
+/// Unwrap an `O2K_*` environment setting, or print its diagnostic and
+/// exit with the usage-error status.
+fn env_or_exit<T>(setting: Result<Option<T>, String>) -> Option<T> {
+    setting.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let mut trace_dir: Option<String> = std::env::var("O2K_TRACE").ok();
     // Default to the deterministic scheduler so regenerated tables are
     // bitwise reproducible; `--sched os` restores free-running threads.
-    let mut sched = std::env::var("O2K_SCHED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(o2k_sched::SchedPolicy::Det);
-    let mut exec = std::env::var("O2K_EXEC")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(o2k_sched::ExecMode::Thread);
+    let mut sched = env_or_exit(o2k_sched::env_policy()).unwrap_or(o2k_sched::SchedPolicy::Det);
+    let mut exec = env_or_exit(o2k_sched::env_exec()).unwrap_or(o2k_sched::ExecMode::Thread);
+    // Checked here so a typo exits with a usage error; the libraries read
+    // these two themselves, at first use.
+    env_or_exit(machine::fault::env_fault());
+    env_or_exit(o2k_sched::coro::env_stack_kb());
     // `None` leaves the `O2K_FAULT` / healthy default in place.
     let mut fault: Option<machine::FaultMode> = None;
     let mut snap: Option<o2k_snap::SnapSpec> = None;

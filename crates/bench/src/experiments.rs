@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use apps::{AmrConfig, NBodyConfig};
+use apps::{AmrConfig, NBodyConfig, RunOpts};
 use apps::{App, Model};
 use machine::{Machine, MachineConfig};
 use mesh::adaptive::AdaptiveMesh;
@@ -660,7 +660,7 @@ fn f9_critical_path(quick: bool) -> String {
             steps: k,
             ..am.clone()
         };
-        let r = apps::amr_mp::run(machine_queued(p), &cfg);
+        let r = apps::amr_mp::run_opts(machine_queued(p), &cfg, RunOpts::default());
         // These are totals from *separate* runs, not snapshots of one run:
         // the k-step run's final sync moves different-sized messages than
         // the (k-1)-step run's, so only the aggregate fields printed here
@@ -721,8 +721,8 @@ fn a1_paging(quick: bool) -> String {
         ("first-touch", PagePolicy::FirstTouch),
         ("round-robin", PagePolicy::RoundRobin),
     ] {
-        let n = apps::nbody_sas::run_with_paging(machine(p), &nb, policy);
-        let a = apps::amr_sas::run_with_paging(machine(p), &am, policy);
+        let n = apps::nbody_sas::run_with_opts(machine(p), &nb, policy, RunOpts::default());
+        let a = apps::amr_sas::run_with_opts(machine(p), &am, policy, RunOpts::default());
         rows.push(vec![
             name.to_string(),
             ms(n.sim_time),
@@ -749,7 +749,7 @@ fn a2_remap(quick: bool) -> String {
             use_remap,
             ..base.clone()
         };
-        let r = apps::amr_mp::run(machine(p), &cfg);
+        let r = apps::amr_mp::run_opts(machine(p), &cfg, RunOpts::default());
         let moved: f64 = apps::amr_common::balance_series(&cfg, p)
             .iter()
             .map(|s| s.2)
@@ -915,11 +915,11 @@ fn a6_self_schedule(quick: bool) -> String {
         // Pin the claim order with the deterministic scheduler so the row
         // is exactly reproducible (claiming is a genuine fetch-add race;
         // see `apps::amr_sas`).
-        let r = apps::amr_sas::run_with(
+        let r = apps::amr_sas::run_with_opts(
             machine(p),
             &cfg,
             PagePolicy::FirstTouch,
-            Some(parallel::SchedPolicy::Det),
+            RunOpts::with_sched(Some(parallel::SchedPolicy::Det)),
         );
         let busy: Vec<f64> = r.per_pe.iter().map(|b| b.busy as f64).collect();
         let max = busy.iter().cloned().fold(0.0f64, f64::max);
@@ -953,7 +953,12 @@ fn s1_scheduler_policies(quick: bool) -> String {
         ..AmrConfig::small()
     };
     let go = |policy: SchedPolicy| {
-        apps::amr_sas::run_with(machine(p), &cfg, PagePolicy::FirstTouch, Some(policy))
+        apps::amr_sas::run_with_opts(
+            machine(p),
+            &cfg,
+            PagePolicy::FirstTouch,
+            RunOpts::with_sched(Some(policy)),
+        )
     };
     let det_a = go(SchedPolicy::Det);
     let det_b = go(SchedPolicy::Det);
@@ -1257,12 +1262,14 @@ fn n2_fault(quick: bool) -> String {
     let mut amr_mp_checksum = 0.0f64;
     // Pin the deterministic schedule: a fault comparison under free OS
     // interleaving confounds the fault's cost with schedule noise.
-    let det = Some(SchedPolicy::Det);
+    let det = RunOpts::with_sched(Some(SchedPolicy::Det));
     for app in [App::Amr, App::NBody] {
         for (mi, &model) in Model::ALL.iter().enumerate() {
-            let healthy = apps::run_app_sched(machine_queued(p), app, model, &nb, &am, det);
-            let deg = apps::run_app_sched(faulty(p, degraded_spec), app, model, &nb, &am, det);
-            let dead = apps::run_app_sched(faulty(p, faulted_spec), app, model, &nb, &am, det);
+            let healthy = apps::run_app_opts(machine_queued(p), app, model, &nb, &am, det.clone());
+            let deg =
+                apps::run_app_opts(faulty(p, degraded_spec), app, model, &nb, &am, det.clone());
+            let dead =
+                apps::run_app_opts(faulty(p, faulted_spec), app, model, &nb, &am, det.clone());
             // Graceful degradation: faults move time and traffic, never
             // the physics.
             assert_eq!(deg.checksum, healthy.checksum, "degrade changed physics");
@@ -1337,7 +1344,14 @@ fn n2_fault(quick: bool) -> String {
     let (healthy_t, deg_t) = amr_mp_times;
     let heal_at = deg_t / 4;
     let healed_spec = format!("plan:down0:deg8;down0:heal@{heal_at}");
-    let healed = apps::run_app_sched(faulty(p, &healed_spec), App::Amr, Model::Mp, &nb, &am, det);
+    let healed = apps::run_app_opts(
+        faulty(p, &healed_spec),
+        App::Amr,
+        Model::Mp,
+        &nb,
+        &am,
+        det.clone(),
+    );
     assert_eq!(healed.checksum, amr_mp_checksum, "heal changed physics");
     let hs = healed.net.as_ref().expect("queued run reports NetStats");
     assert_eq!(
@@ -1379,7 +1393,7 @@ fn n3_bus_saturation(quick: bool) -> String {
     let cpns: &[usize] = if quick { &[2, 4, 8] } else { &[2, 4, 8, 16] };
     let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
     // Pin the deterministic schedule so the sweep is bitwise reproducible.
-    let det = Some(SchedPolicy::Det);
+    let det = RunOpts::with_sched(Some(SchedPolicy::Det));
     let mach = |cpn: usize, mode: ContentionMode| -> Arc<Machine> {
         Arc::new(Machine::new(
             p,
@@ -1408,15 +1422,21 @@ fn n3_bus_saturation(quick: bool) -> String {
             let mut row = vec![cpn.to_string()];
             let mut by_kind = String::new();
             for (mi, &model) in Model::ALL.iter().enumerate() {
-                let off =
-                    apps::run_app_sched(mach(cpn, ContentionMode::Off), app, model, &nb, &am, det);
-                let fab = apps::run_app_sched(
+                let off = apps::run_app_opts(
+                    mach(cpn, ContentionMode::Off),
+                    app,
+                    model,
+                    &nb,
+                    &am,
+                    det.clone(),
+                );
+                let fab = apps::run_app_opts(
                     mach(cpn, ContentionMode::Fabric),
                     app,
                     model,
                     &nb,
                     &am,
-                    det,
+                    det.clone(),
                 );
                 assert_eq!(fab.checksum, off.checksum, "fabric changed physics");
                 let s = fab.net.as_ref().expect("fabric run reports NetStats");
@@ -1518,7 +1538,7 @@ fn q1_serving(quick: bool) -> String {
         start_ns: 0,
     };
     let sick_spec = "plan:down0:deg8;r0d0:kill";
-    let det = Some(SchedPolicy::Det);
+    let det = RunOpts::with_sched(Some(SchedPolicy::Det));
     let scenarios: [(&str, &str); 4] = [
         ("healthy", "queued fabric, uniform keys"),
         ("skewed", "queued fabric, key skew 3.0 piles onto shard 0"),
@@ -1569,7 +1589,7 @@ fn q1_serving(quick: bool) -> String {
         let cfg = serve_cfg(scen);
         let mut checksums = [0.0f64; 3];
         for (mi, &model) in Model::ALL.iter().enumerate() {
-            let r: RunMetrics = o2k_serve::run_sched(mach(scen), model, &cfg, det);
+            let r: RunMetrics = o2k_serve::run_opts(mach(scen), model, &cfg, det.clone());
             let s = r.serve.as_ref().expect("serving run carries ServeStats");
             assert_eq!(s.issued, cfg.requests, "every request admitted");
             assert_eq!(s.completed, cfg.requests, "no shedding without deadline");
@@ -1671,7 +1691,7 @@ fn q1_serving(quick: bool) -> String {
 }
 
 fn q2_mitigation(quick: bool) -> String {
-    use apps::{RunMetrics, RunOpts};
+    use apps::RunMetrics;
     use o2k_serve::{Mitigation, ServeConfig};
 
     // Q2: hot-shard mitigation at scale. The Q1 skew scenario rerun on
@@ -1847,17 +1867,15 @@ fn q2_mitigation(quick: bool) -> String {
 }
 
 fn e1_scale(quick: bool) -> String {
-    use apps::{RunMetrics, RunOpts};
+    use apps::RunMetrics;
     use o2k_serve::ServeConfig;
-    use parallel::{thread_pe_cap, ExecMode, SchedPolicy};
+    use parallel::{ExecMode, SchedPolicy, THREAD_PE_CAP};
 
     // E1: event-core scaling. The thread backend stops at the OS-thread
-    // cap ([`parallel::thread_pe_cap`], 512 by default); the event core
-    // runs every PE as a coroutine on one thread and carries the same
-    // deterministic schedules to P = 1024. This table is simulated time
-    // only, so it replays bitwise — the wall-clock trajectory of thread
-    // vs event lives in BENCH_exec.json, which is allowed to vary by
-    // host.
+    // cap ([`parallel::THREAD_PE_CAP`]); the event core runs every PE as
+    // a coroutine on one thread and carries the same deterministic
+    // schedules to P = 1024. This table is simulated time only, so it
+    // replays bitwise.
     let pes: Vec<usize> = if quick {
         vec![16, 64, 256]
     } else {
@@ -1909,7 +1927,7 @@ fn e1_scale(quick: bool) -> String {
          time; the thread backend is capped at {cap} OS threads, so past that\n\
          only the event core can run the team)\n\n",
         top = pes.last().unwrap(),
-        cap = thread_pe_cap(),
+        cap = THREAD_PE_CAP,
     );
 
     let p0 = pes[0];
@@ -1961,7 +1979,7 @@ fn e1_scale(quick: bool) -> String {
         ]),
         &rows,
     ));
-    if pes.last().copied().unwrap_or(0) > thread_pe_cap() {
+    if pes.last().copied().unwrap_or(0) > THREAD_PE_CAP {
         out.push_str(&format!(
             "\nP={} exceeds the thread cap; those rows ran on the event core\n\
              alone (one OS thread, {} coroutine stacks).\n",
@@ -1975,7 +1993,7 @@ fn e1_scale(quick: bool) -> String {
 fn c1_warm_start(quick: bool) -> String {
     use std::time::Instant;
 
-    use apps::{RunMetrics, RunOpts};
+    use apps::RunMetrics;
     use machine::{ContentionMode, FaultMode};
     use o2k_serve::{Mitigation, ServeConfig};
     use o2k_snap::{SnapPoint, SnapSpec};

@@ -5,6 +5,5 @@
 //! archives it under `results/`.
 
 pub mod experiments;
-pub mod trajectory;
 
 pub use experiments::{run_experiment, EXPERIMENT_IDS};

@@ -138,11 +138,10 @@ mod tests {
             sas < sh && sas < mp,
             "AMR: SAS ({sas}) vs SHMEM ({sh}) / MP ({mp})"
         );
-        // (1.2x rather than the earlier 1.6x: the SAS source now also
-        // carries the A6 self-scheduling machinery — a real fetch-add
-        // claim loop plus the scheduling-policy entry point.)
+        // (1.3x rather than the earlier 1.6x: the SAS source also carries
+        // the A6 self-scheduling machinery — a real fetch-add claim loop.)
         assert!(
-            (mp as f64) > 1.2 * sas as f64,
+            (mp as f64) > 1.3 * sas as f64,
             "AMR MP should need substantially more code: {mp} vs {sas}"
         );
         // N-body: SAS still at or below SHMEM.

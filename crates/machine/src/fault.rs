@@ -181,23 +181,32 @@ impl fmt::Display for FaultMode {
 
 static OVERRIDE: Mutex<Option<FaultMode>> = Mutex::new(None);
 
-fn env_fault() -> FaultMode {
-    static ENV: OnceLock<FaultMode> = OnceLock::new();
-    ENV.get_or_init(|| {
-        std::env::var("O2K_FAULT")
-            .ok()
-            .and_then(|s| FaultMode::parse(&s))
-            .unwrap_or(FaultMode::Off)
-    })
-    .clone()
+/// `O2K_FAULT` from the environment: `Ok(None)` when unset, a diagnostic
+/// when malformed (see [`crate::env_setting`]).
+pub fn env_fault() -> Result<Option<FaultMode>, String> {
+    crate::env_setting(
+        "O2K_FAULT",
+        "off or plan:<link>:<action>[@<ns>][;...] with links up<N>/down<N>/r<R>d<D> \
+         and actions kill/deg<F>/heal",
+        FaultMode::parse,
+    )
 }
 
 /// The fault mode a fresh [`crate::MachineConfig`] preset carries: the last
 /// [`set_default_fault`] value, else `O2K_FAULT` from the environment, else
-/// [`FaultMode::Off`].
+/// [`FaultMode::Off`]. Panics with [`env_fault`]'s diagnostic on a
+/// malformed `O2K_FAULT`.
 pub fn default_fault() -> FaultMode {
+    static ENV: OnceLock<FaultMode> = OnceLock::new();
     let g = OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
-    g.clone().unwrap_or_else(env_fault)
+    g.clone().unwrap_or_else(|| {
+        ENV.get_or_init(|| {
+            env_fault()
+                .unwrap_or_else(|e| panic!("{e}"))
+                .unwrap_or(FaultMode::Off)
+        })
+        .clone()
+    })
 }
 
 /// Override the process-wide default fault mode (used by the `repro`

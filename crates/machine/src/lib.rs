@@ -79,9 +79,46 @@ impl Machine {
     }
 }
 
+/// Check one `O2K_*` setting: `raw` parsed by `parse`, or a diagnostic
+/// naming the variable, the offending value and the `accepted` forms. A
+/// typo such as `O2K_EXEC=evnt` must fail loudly rather than silently
+/// select the default.
+pub fn check_setting<T>(
+    var: &str,
+    raw: &str,
+    accepted: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, String> {
+    parse(raw).ok_or_else(|| format!("{var}={raw:?} is not valid (accepted: {accepted})"))
+}
+
+/// Read setting `var` from the environment through [`check_setting`]:
+/// `Ok(None)` when unset, `Err` when set to something `parse` rejects.
+pub fn env_setting<T>(
+    var: &str,
+    accepted: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match std::env::var_os(var) {
+        None => Ok(None),
+        Some(raw) => check_setting(var, &raw.to_string_lossy(), accepted, parse).map(Some),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bad_settings_are_diagnosed_with_variable_value_and_accepted_forms() {
+        let parse = |s: &str| s.parse::<u32>().ok();
+        assert_eq!(check_setting("O2K_X", "42", "a number", parse), Ok(42));
+        let err = check_setting("O2K_X", "4o2", "a number", parse).unwrap_err();
+        for needle in ["O2K_X", "\"4o2\"", "a number"] {
+            assert!(err.contains(needle), "{err:?} must mention {needle}");
+        }
+        assert!(check_setting("O2K_X", "", "a number", parse).is_err());
+    }
 
     #[test]
     fn machine_construction_matches_topology() {

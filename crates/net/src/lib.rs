@@ -267,73 +267,6 @@ impl ResTable {
     }
 }
 
-/// Spans per arena chunk: 16 Ki spans ≈ 256 KiB, small enough to keep in
-/// cache while filling, large enough that chunk turnover is rare.
-pub const SPAN_CHUNK: usize = 1 << 14;
-
-/// Chunked arena for recorded occupancy spans. A flat `Vec` doubles its
-/// allocation as a trace grows, copying up to tens of megabytes of spans
-/// mid-`route` with the state lock held; the arena instead pushes into
-/// fixed-size chunks that never move once allocated, and `clear` recycles
-/// exhausted chunks for the next recording session instead of returning
-/// them to the allocator. Per-transfer span recording therefore allocates
-/// only once every [`SPAN_CHUNK`] pushes, and never copies.
-///
-/// Public so the criterion suite (`benches/net.rs`) can measure the real
-/// structure against a flat-`Vec` baseline.
-#[derive(Debug, Default)]
-pub struct SpanArena {
-    chunks: Vec<Vec<LinkSpan>>,
-    /// Emptied chunks with their capacity intact, awaiting reuse.
-    free: Vec<Vec<LinkSpan>>,
-    len: usize,
-}
-
-impl SpanArena {
-    /// Spans currently stored.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no spans are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Append one span; amortises to one allocation per [`SPAN_CHUNK`].
-    #[inline]
-    pub fn push(&mut self, s: LinkSpan) {
-        if self.chunks.last().is_none_or(|c| c.len() == SPAN_CHUNK) {
-            let chunk = self
-                .free
-                .pop()
-                .unwrap_or_else(|| Vec::with_capacity(SPAN_CHUNK));
-            self.chunks.push(chunk);
-        }
-        self.chunks.last_mut().expect("chunk just ensured").push(s);
-        self.len += 1;
-    }
-
-    /// Flatten into one contiguous `Vec` (the export path).
-    pub fn to_vec(&self) -> Vec<LinkSpan> {
-        let mut out = Vec::with_capacity(self.len);
-        for c in &self.chunks {
-            out.extend_from_slice(c);
-        }
-        out
-    }
-
-    /// Drop all spans, recycling chunk capacity for the next session.
-    pub fn clear(&mut self) {
-        let mut drained = std::mem::take(&mut self.chunks);
-        for c in &mut drained {
-            c.clear();
-        }
-        self.free.append(&mut drained);
-        self.len = 0;
-    }
-}
-
 /// Per-resource (queued_ns, bytes, transfers) snapshot at a phase boundary.
 type LinkSnap = (u64, u64, u64);
 
@@ -348,7 +281,7 @@ struct Phase {
 
 struct NetState {
     res: ResTable,
-    spans: SpanArena,
+    spans: Vec<LinkSpan>,
     spans_dropped: u64,
     phases: Vec<Phase>,
     detoured: u64,
@@ -469,7 +402,7 @@ impl NetSim {
             hot_names: OnceLock::new(),
             state: Mutex::new(NetState {
                 res: ResTable::new(nres),
-                spans: SpanArena::default(),
+                spans: Vec::new(),
                 spans_dropped: 0,
                 phases: Vec::new(),
                 detoured: 0,
@@ -1162,7 +1095,7 @@ impl NetSim {
             return (Vec::new(), Vec::new());
         }
         let names = (0..st.res.len()).map(|id| self.link_name(id)).collect();
-        (names, st.spans.to_vec())
+        (names, st.spans.clone())
     }
 
     /// Spans dropped after [`MAX_SPANS`] (0 in any reasonable run).
@@ -2067,20 +2000,37 @@ mod tests {
     }
 
     #[test]
-    fn span_arena_survives_chunk_turnover() {
+    fn spans_keep_push_order_as_the_store_grows() {
         let net = sim(8);
         net.set_record_spans(true);
-        // More routed spans than one SPAN_CHUNK holds (each route crosses
-        // several links), exercising chunk turnover without reallocation.
+        // Enough routed spans (each route crosses several links) that the
+        // store reallocates many times while filling.
         let per_route = net.route(0, 0, 3, 64, 0).links as usize;
-        let routes = SPAN_CHUNK / per_route + 10;
+        let routes = (1 << 14) / per_route + 10;
         for i in 1..routes {
             net.route(0, 0, 3, 64, i as SimTime * 1000);
         }
         let (_, spans) = net.spans();
         assert_eq!(spans.len(), routes * per_route);
         assert_eq!(net.spans_dropped(), 0);
-        // Spans arrive in push order across the chunk boundary.
         assert!(spans.windows(2).all(|w| w[0].t0 <= w[1].t0));
+    }
+
+    #[test]
+    fn spans_past_the_cap_are_dropped_and_counted_but_counters_stay_exact() {
+        let net = sim(8);
+        net.set_record_spans(true);
+        let per_route = net.route(0, 0, 3, 64, 0).links as usize;
+        let routes = MAX_SPANS / per_route + 10;
+        for i in 1..routes {
+            net.route(0, 0, 3, 64, i as SimTime * 1000);
+        }
+        let total = (routes * per_route) as u64;
+        assert_eq!(net.spans().1.len(), MAX_SPANS);
+        assert_eq!(net.spans_dropped(), total - MAX_SPANS as u64);
+        // The resource tables charge every hop, recorded or not.
+        let stats = net.stats();
+        assert_eq!(stats.transfers, total);
+        assert_eq!(stats.link_bytes, total * 64);
     }
 }

@@ -36,7 +36,7 @@ mod team;
 pub use ctx::{charge_batching, set_charge_batching, ChargeRun, Ctx};
 pub use element::{Element, IntElement};
 pub use lock::{SimLock, SimLockGuard};
-pub use team::{thread_pe_cap, PeReport, Team, TeamResume, TeamRun};
+pub use team::{PeReport, Team, TeamResume, TeamRun, THREAD_PE_CAP};
 
 // Re-export the tracing vocabulary so model runtimes built on `Ctx` can
 // name event kinds and dependency edges without a separate dependency.

@@ -15,16 +15,7 @@ use crate::ctx::Ctx;
 /// fine at the paper's 64 CPUs but a P=1024 team would commit a thousand
 /// thread stacks and crawl through kernel handoffs — refuse it with a
 /// pointer at the event backend instead of fork-bombing the host.
-/// Override with `O2K_THREAD_PE_CAP` (for hosts that genuinely want it).
-pub fn thread_pe_cap() -> usize {
-    static CAP: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("O2K_THREAD_PE_CAP")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .unwrap_or(512)
-    })
-}
+pub const THREAD_PE_CAP: usize = 512;
 
 /// Per-PE outcome of a team run: final virtual time, its breakdown, the
 /// PE's event counters, and (when tracing) its recorded events.
@@ -242,7 +233,7 @@ impl Team {
 
     /// Set the execution backend (see [`ExecMode`]). `Event` runs every
     /// PE as a coroutine on one OS thread — the only way past
-    /// [`thread_pe_cap`] PEs — and produces bitwise-identical `det` runs
+    /// [`THREAD_PE_CAP`] PEs — and produces bitwise-identical `det` runs
     /// to `Thread`. Ignored (thread backend used) under
     /// [`SchedPolicy::Os`], which *means* free-running OS threads.
     pub fn exec(mut self, exec: ExecMode) -> Self {
@@ -302,11 +293,9 @@ impl Team {
         };
         if exec == ExecMode::Thread {
             assert!(
-                pes <= thread_pe_cap(),
-                "a {pes}-PE team exceeds the {}-thread cap of ExecMode::Thread; \
-                 run it on the event backend (--exec event / O2K_EXEC=event) \
-                 or raise O2K_THREAD_PE_CAP if you really want {pes} OS threads",
-                thread_pe_cap()
+                pes <= THREAD_PE_CAP,
+                "a {pes}-PE team exceeds the {THREAD_PE_CAP}-thread cap of ExecMode::Thread; \
+                 run it on the event backend (--exec event / O2K_EXEC=event)"
             );
         }
         let coop = match self.sched {

@@ -49,16 +49,30 @@ pub const STACK_BYTES: usize = if cfg!(debug_assertions) {
     4 * 1024 * 1024
 };
 
+/// `O2K_STACK_KB` from the environment: `Ok(None)` when unset, a
+/// diagnostic when malformed (see [`machine::env_setting`]).
+pub fn env_stack_kb() -> Result<Option<usize>, String> {
+    machine::env_setting(
+        "O2K_STACK_KB",
+        "a per-task stack size in KiB, raised to at least 64",
+        |s| {
+            s.trim()
+                .parse::<usize>()
+                .ok()
+                .filter(|kb| kb.checked_mul(1024).is_some())
+        },
+    )
+}
+
 /// Per-task stack size: `O2K_STACK_KB` (in KiB, min 64) or
-/// [`STACK_BYTES`].
+/// [`STACK_BYTES`]. Panics with [`env_stack_kb`]'s diagnostic on a
+/// malformed `O2K_STACK_KB`.
 pub fn stack_bytes() -> usize {
     static SIZE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *SIZE.get_or_init(|| {
-        std::env::var("O2K_STACK_KB")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .map(|kb| kb.max(64) * 1024)
-            .unwrap_or(STACK_BYTES)
+        env_stack_kb()
+            .unwrap_or_else(|e| panic!("{e}"))
+            .map_or(STACK_BYTES, |kb| kb.max(64) * 1024)
     })
 }
 

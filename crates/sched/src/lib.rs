@@ -204,22 +204,26 @@ impl std::fmt::Display for ExecMode {
 
 static EXEC_OVERRIDE: std::sync::Mutex<Option<ExecMode>> = std::sync::Mutex::new(None);
 
-fn env_exec() -> ExecMode {
-    static ENV: OnceLock<ExecMode> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("O2K_EXEC")
-            .ok()
-            .and_then(|s| ExecMode::parse(&s).ok())
-            .unwrap_or(ExecMode::Thread)
-    })
+/// `O2K_EXEC` from the environment: `Ok(None)` when unset, a diagnostic
+/// when malformed (see [`machine::env_setting`]).
+pub fn env_exec() -> Result<Option<ExecMode>, String> {
+    machine::env_setting("O2K_EXEC", "thread or event", |s| ExecMode::parse(s).ok())
 }
 
 /// The exec mode a `Team` uses when none is set explicitly: the last
 /// [`set_default_exec`] value, else `O2K_EXEC` from the environment, else
-/// [`ExecMode::Thread`].
+/// [`ExecMode::Thread`]. Panics with [`env_exec`]'s diagnostic on a
+/// malformed `O2K_EXEC`.
 pub fn default_exec() -> ExecMode {
+    static ENV: OnceLock<ExecMode> = OnceLock::new();
     let g = EXEC_OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
-    g.unwrap_or_else(env_exec)
+    g.unwrap_or_else(|| {
+        *ENV.get_or_init(|| {
+            env_exec()
+                .unwrap_or_else(|e| panic!("{e}"))
+                .unwrap_or(ExecMode::Thread)
+        })
+    })
 }
 
 /// Override the process-wide default exec mode (the `repro` binary's
@@ -234,22 +238,30 @@ pub fn set_default_exec(e: ExecMode) {
 
 static OVERRIDE: std::sync::Mutex<Option<SchedPolicy>> = std::sync::Mutex::new(None);
 
-fn env_policy() -> SchedPolicy {
-    static ENV: OnceLock<SchedPolicy> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("O2K_SCHED")
-            .ok()
-            .and_then(|s| SchedPolicy::parse(&s).ok())
-            .unwrap_or(SchedPolicy::Os)
-    })
+/// `O2K_SCHED` from the environment: `Ok(None)` when unset, a diagnostic
+/// when malformed (see [`machine::env_setting`]).
+pub fn env_policy() -> Result<Option<SchedPolicy>, String> {
+    machine::env_setting(
+        "O2K_SCHED",
+        "os, det, explore:<seed>, bp:<seed>:<budget>",
+        |s| SchedPolicy::parse(s).ok(),
+    )
 }
 
 /// The policy a `Team` uses when none is set explicitly: the last
 /// [`set_default_policy`] value, else `O2K_SCHED` from the environment,
-/// else [`SchedPolicy::Os`] (the seed's behaviour).
+/// else [`SchedPolicy::Os`] (the seed's behaviour). Panics with
+/// [`env_policy`]'s diagnostic on a malformed `O2K_SCHED`.
 pub fn default_policy() -> SchedPolicy {
+    static ENV: OnceLock<SchedPolicy> = OnceLock::new();
     let g = OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
-    g.unwrap_or_else(env_policy)
+    g.unwrap_or_else(|| {
+        *ENV.get_or_init(|| {
+            env_policy()
+                .unwrap_or_else(|e| panic!("{e}"))
+                .unwrap_or(SchedPolicy::Os)
+        })
+    })
 }
 
 /// Override the process-wide default policy (used by the `repro` binary's

@@ -42,7 +42,7 @@ use std::sync::Arc;
 
 use apps::{App, Model, RunMetrics, ServeStats};
 use machine::{Machine, SimTime, TimeCat};
-use parallel::{Ctx, EventKind, SchedPolicy, TeamRun};
+use parallel::{Ctx, EventKind, TeamRun};
 
 use clients::Request;
 use hist::LatencyHist;
@@ -236,25 +236,15 @@ pub(crate) fn serve_cost(ctx: &mut Ctx, cfg: &ServeConfig, owner: usize) {
 }
 
 /// Run the serving workload under `model` with the process-default
-/// scheduling policy.
+/// execution options.
 pub fn run(machine: Arc<Machine>, model: Model, cfg: &ServeConfig) -> RunMetrics {
-    run_sched(machine, model, cfg, None)
+    run_opts(machine, model, cfg, apps::RunOpts::default())
 }
 
-/// [`run`] with an explicit scheduling policy (experiments pin
-/// [`SchedPolicy::Det`] so latency comparisons replay bitwise).
-pub fn run_sched(
-    machine: Arc<Machine>,
-    model: Model,
-    cfg: &ServeConfig,
-    sched: Option<SchedPolicy>,
-) -> RunMetrics {
-    run_opts(machine, model, cfg, apps::RunOpts::with_sched(sched))
-}
-
-/// [`run`] with full execution options (scheduling policy *and* execution
-/// backend — see [`apps::RunOpts`]). The event backend is how serving
-/// scales past the thread cap to P = 1024 shards.
+/// [`run`] with explicit execution options (see [`apps::RunOpts`]).
+/// Experiments pin [`parallel::SchedPolicy::Det`] so latency comparisons
+/// replay bitwise; the event backend is how serving scales past the
+/// thread cap to P = 1024 shards.
 pub fn run_opts(
     machine: Arc<Machine>,
     model: Model,
@@ -319,6 +309,7 @@ pub(crate) fn finish(model: Model, cfg: &ServeConfig, run: &TeamRun<PeOut>) -> R
 mod tests {
     use super::*;
     use machine::{ContentionMode, MachineConfig};
+    use parallel::SchedPolicy;
     use proptest::prelude::*;
 
     fn queued_machine(p: usize) -> Arc<Machine> {
@@ -331,8 +322,8 @@ mod tests {
         ))
     }
 
-    fn det() -> Option<SchedPolicy> {
-        Some(SchedPolicy::Det)
+    fn det() -> apps::RunOpts {
+        apps::RunOpts::with_sched(Some(SchedPolicy::Det))
     }
 
     #[test]
@@ -340,7 +331,7 @@ mod tests {
         let cfg = ServeConfig::small();
         let runs: Vec<RunMetrics> = Model::ALL
             .iter()
-            .map(|&m| run_sched(queued_machine(8), m, &cfg, det()))
+            .map(|&m| run_opts(queued_machine(8), m, &cfg, det()))
             .collect();
         for m in &runs {
             let s = m.serve.as_ref().expect("serve stats present");
@@ -364,8 +355,8 @@ mod tests {
     #[test]
     fn mp_replays_bitwise_under_det() {
         let cfg = ServeConfig::small();
-        let a = run_sched(queued_machine(8), Model::Mp, &cfg, det());
-        let b = run_sched(queued_machine(8), Model::Mp, &cfg, det());
+        let a = run_opts(queued_machine(8), Model::Mp, &cfg, det());
+        let b = run_opts(queued_machine(8), Model::Mp, &cfg, det());
         assert_eq!(a.sim_time, b.sim_time);
         assert_eq!(a.checksum, b.checksum);
         assert_eq!(a.counters, b.counters);
@@ -394,11 +385,7 @@ mod tests {
                     queued_machine(8),
                     model,
                     &cfg,
-                    apps::RunOpts {
-                        sched: det(),
-                        snap,
-                        ..apps::RunOpts::default()
-                    },
+                    apps::RunOpts { snap, ..det() },
                 )
             };
             let straight = go(None);
@@ -441,7 +428,7 @@ mod tests {
             requests: 1_500,
             ..ServeConfig::small()
         };
-        let m = run_sched(queued_machine(4), Model::Mp, &cfg, det());
+        let m = run_opts(queued_machine(4), Model::Mp, &cfg, det());
         let s = m.serve.as_ref().unwrap();
         assert_eq!(s.issued, cfg.requests);
         assert_eq!(s.issued, s.completed + s.failed, "conservation");
@@ -455,7 +442,7 @@ mod tests {
             skew: 3.0,
             ..ServeConfig::small()
         };
-        let m = run_sched(queued_machine(8), Model::Shmem, &cfg, det());
+        let m = run_opts(queued_machine(8), Model::Shmem, &cfg, det());
         let counts = m.serve.unwrap().shard_counts;
         let hot = counts[0];
         let mean = cfg.requests / counts.len() as u64;
@@ -480,7 +467,7 @@ mod tests {
             mitigation,
             ..ServeConfig::small()
         };
-        let baseline = run_sched(
+        let baseline = run_opts(
             queued_machine(8),
             Model::Mp,
             &cfg_with(Mitigation::Off),
@@ -493,7 +480,7 @@ mod tests {
                 Mitigation::Replicate { replicas: 2 },
                 Mitigation::Steal,
             ] {
-                let m = run_sched(queued_machine(8), model, &cfg_with(mitigation), det());
+                let m = run_opts(queued_machine(8), model, &cfg_with(mitigation), det());
                 let s = m.serve.as_ref().unwrap();
                 assert_eq!(s.issued, s.completed + s.failed, "{model:?} {mitigation:?}");
                 assert_eq!(m.checksum, baseline.checksum, "{model:?} {mitigation:?}");
@@ -548,11 +535,7 @@ mod tests {
                     queued_machine(8),
                     model,
                     &cfg,
-                    apps::RunOpts {
-                        sched: det(),
-                        snap,
-                        ..apps::RunOpts::default()
-                    },
+                    apps::RunOpts { snap, ..det() },
                 )
             };
             let straight = go(None);
@@ -608,7 +591,7 @@ mod tests {
                 seed,
                 ..ServeConfig::small()
             };
-            let m = run_sched(queued_machine(4), Model::Shmem, &cfg, det());
+            let m = run_opts(queued_machine(4), Model::Shmem, &cfg, det());
             let s = m.serve.as_ref().unwrap();
             prop_assert_eq!(s.issued, cfg.requests);
             prop_assert_eq!(s.issued, s.completed + s.failed);
@@ -646,7 +629,7 @@ mod tests {
             };
             let thread = run_opts(
                 queued_machine(4), Model::Mp, &cfg,
-                apps::RunOpts::with_sched(det()),
+                det(),
             );
             let event = run_opts(
                 queued_machine(4), Model::Mp, &cfg,

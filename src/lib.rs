@@ -16,7 +16,12 @@
 //!
 //! let machine = Machine::origin2000(4);
 //! let cfg = NBodyConfig::small();
-//! let result = origin2k::apps::nbody_sas::run(machine, &cfg);
+//! let result = origin2k::apps::nbody_sas::run_with_opts(
+//!     machine,
+//!     &cfg,
+//!     origin2k::sas::PagePolicy::FirstTouch,
+//!     RunOpts::default(),
+//! );
 //! assert!(result.sim_time > 0);
 //! ```
 //!

@@ -130,17 +130,17 @@ fn deterministic_end_to_end() {
 fn sas_det_pair(app: App, nb: &NBodyConfig, am: &AmrConfig) -> (RunMetrics, RunMetrics) {
     use origin2k::sas::PagePolicy;
     let go = || match app {
-        App::NBody => origin2k::apps::nbody_sas::run_with(
+        App::NBody => origin2k::apps::nbody_sas::run_with_opts(
             machine(4),
             nb,
             PagePolicy::FirstTouch,
-            Some(SchedPolicy::Det),
+            RunOpts::with_sched(Some(SchedPolicy::Det)),
         ),
-        App::Amr => origin2k::apps::amr_sas::run_with(
+        App::Amr => origin2k::apps::amr_sas::run_with_opts(
             machine(4),
             am,
             PagePolicy::FirstTouch,
-            Some(SchedPolicy::Det),
+            RunOpts::with_sched(Some(SchedPolicy::Det)),
         ),
         App::Serve => unreachable!("the serving workload has its own det tests"),
     };

@@ -38,12 +38,12 @@ const T2_LOC: [(&str, &str, usize); 6] = [
     ("AMR", "SHMEM", T2_AMR_SHMEM),
     ("AMR", "CC-SAS", T2_AMR_SAS),
 ];
-const T2_NBODY_MP: usize = 141;
-const T2_NBODY_SHMEM: usize = 213;
-const T2_NBODY_SAS: usize = 163;
-const T2_AMR_MP: usize = 174;
-const T2_AMR_SHMEM: usize = 171;
-const T2_AMR_SAS: usize = 138;
+const T2_NBODY_MP: usize = 131;
+const T2_NBODY_SHMEM: usize = 203;
+const T2_NBODY_SAS: usize = 149;
+const T2_AMR_MP: usize = 168;
+const T2_AMR_SHMEM: usize = 165;
+const T2_AMR_SAS: usize = 124;
 
 #[test]
 fn t2_effort_line_counts_are_pinned() {
@@ -279,8 +279,14 @@ fn serve_results_are_bitwise_reproducible_under_det() {
     pin_det();
     let cfg = origin2k::serve::ServeConfig::small();
     for model in Model::ALL {
-        let go =
-            || origin2k::serve::run_sched(queued_machine(8), model, &cfg, Some(SchedPolicy::Det));
+        let go = || {
+            origin2k::serve::run_opts(
+                queued_machine(8),
+                model,
+                &cfg,
+                RunOpts::with_sched(Some(SchedPolicy::Det)),
+            )
+        };
         let (a, b) = (go(), go());
         assert_eq!(a.sim_time, b.sim_time, "{model:?} sim time");
         assert_eq!(a.checksum, b.checksum, "{model:?} checksum");

@@ -50,11 +50,11 @@ fn amr_step_cfg() -> AmrConfig {
 fn amr_sas_step_invariant_over_100_explored_schedules() {
     let cfg = amr_step_cfg();
     let run = |policy| {
-        origin2k::apps::amr_sas::run_with(
+        origin2k::apps::amr_sas::run_with_opts(
             Machine::origin2000(4),
             &cfg,
             PagePolicy::FirstTouch,
-            Some(policy),
+            RunOpts::with_sched(Some(policy)),
         )
     };
     let reference = run(SchedPolicy::Det);
@@ -81,11 +81,11 @@ fn amr_sas_step_invariant_over_100_explored_schedules() {
 fn explored_schedules_replay_bitwise() {
     let cfg = amr_step_cfg();
     let run = || {
-        origin2k::apps::amr_sas::run_with(
+        origin2k::apps::amr_sas::run_with_opts(
             Machine::origin2000(4),
             &cfg,
             PagePolicy::FirstTouch,
-            Some(SchedPolicy::Explore { seed: 42 }),
+            RunOpts::with_sched(Some(SchedPolicy::Explore { seed: 42 })),
         )
     };
     let (a, b) = (run(), run());
@@ -298,7 +298,12 @@ fn queued_contention_replays_and_keeps_physics_under_exploration() {
         ))
     };
     let run = |policy| {
-        origin2k::apps::amr_sas::run_with(qm(), &cfg, PagePolicy::FirstTouch, Some(policy))
+        origin2k::apps::amr_sas::run_with_opts(
+            qm(),
+            &cfg,
+            PagePolicy::FirstTouch,
+            RunOpts::with_sched(Some(policy)),
+        )
     };
     let reference = run(SchedPolicy::Det);
     let again = run(SchedPolicy::Det);
@@ -401,18 +406,18 @@ mod charge_batching_properties {
 fn bounded_preemption_preserves_invariants() {
     let cfg = amr_step_cfg();
     let run = |seed, budget| {
-        origin2k::apps::amr_sas::run_with(
+        origin2k::apps::amr_sas::run_with_opts(
             Machine::origin2000(4),
             &cfg,
             PagePolicy::FirstTouch,
-            Some(SchedPolicy::BoundedPreempt { seed, budget }),
+            RunOpts::with_sched(Some(SchedPolicy::BoundedPreempt { seed, budget })),
         )
     };
-    let det = origin2k::apps::amr_sas::run_with(
+    let det = origin2k::apps::amr_sas::run_with_opts(
         Machine::origin2000(4),
         &cfg,
         PagePolicy::FirstTouch,
-        Some(SchedPolicy::Det),
+        RunOpts::with_sched(Some(SchedPolicy::Det)),
     );
     for seed in 0..8u64 {
         let r = run(seed, 32);

@@ -4,7 +4,7 @@
 
 use std::sync::{Arc, Mutex, OnceLock};
 
-use apps::{AmrConfig, App, Model, NBodyConfig};
+use apps::{AmrConfig, App, Model, NBodyConfig, RunOpts};
 use machine::{Machine, MachineConfig};
 
 /// The tracing flag and sink are process-global; tests that toggle them
@@ -73,17 +73,22 @@ fn trace_conserves_clock_breakdown() {
 /// Tracing must be a pure observer: enabling it cannot change any
 /// simulated time or physics result.
 ///
-/// MP and SHMEM runs are fully deterministic, so traced and untraced
-/// runs must be bit-identical (sim_time, checksum, every counter). The
-/// CC-SAS directory resolves first-touch homing and sharer-list order by
-/// real thread interleaving, so its local/remote miss *split* varies
-/// between any two runs — traced or not (verified against the seed by
-/// running f8 twice). For SAS we therefore assert what the protocol
-/// does guarantee: identical physics and conserved access totals.
+/// MP and SHMEM runs are deterministic under every scheduling policy, so
+/// traced and untraced runs must be bit-identical (sim_time, checksum,
+/// every counter). Under free-running OS threads the CC-SAS runs differ
+/// between any two runs, traced or not — first-touch homing, sharer-list
+/// order and (N-body) the shared tree's insertion order all follow the
+/// real interleaving, so even the access *total* moves. The SAS leg is
+/// therefore pinned to the deterministic scheduler, where the access
+/// stream is program-determined.
 #[test]
 fn tracing_does_not_perturb_results() {
     let _g = global_trace_lock().lock().unwrap();
     let run = |app, model| apps::run_app(machine(4), app, model, &nbody_cfg(), &amr_cfg());
+    let run_sas = |app| {
+        let det = RunOpts::with_sched(Some(parallel::SchedPolicy::Det));
+        apps::run_app_opts(machine(4), app, Model::Sas, &nbody_cfg(), &amr_cfg(), det)
+    };
     for app in [App::Amr, App::NBody] {
         for model in [Model::Mp, Model::Shmem] {
             let base = run(app, model);
@@ -99,9 +104,9 @@ fn tracing_does_not_perturb_results() {
             );
             assert!(base.trace.is_none() && traced.trace.is_some());
         }
-        let base = run(app, Model::Sas);
+        let base = run_sas(app);
         o2k_trace::set_enabled(true);
-        let traced = run(app, Model::Sas);
+        let traced = run_sas(app);
         o2k_trace::set_enabled(false);
         let (b, t) = (&base.counters, &traced.counters);
         assert_eq!(base.checksum.to_bits(), traced.checksum.to_bits());
