@@ -189,12 +189,6 @@ impl RunMetrics {
             .fold(TimeBreakdown::default(), |acc, b| acc.merged(b))
     }
 
-    /// Speedup of this run relative to a baseline (usually the same model
-    /// at P = 1).
-    pub fn speedup_vs(&self, baseline: &RunMetrics) -> f64 {
-        baseline.sim_time as f64 / self.sim_time.max(1) as f64
-    }
-
     /// Queueing delay broken down by resource kind — where the contended
     /// time accrued ("link 12 / bus 3 / hub 1 µs"). `None` when the
     /// contention model was off; the bus and hub components are zero

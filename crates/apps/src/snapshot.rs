@@ -171,12 +171,6 @@ impl Snapshotter {
         Snapshotter { mode }
     }
 
-    /// A snapshotter that never captures or restores (helper for entry
-    /// points that predate snapshot support).
-    pub fn off() -> Self {
-        Snapshotter { mode: Mode::Off }
-    }
-
     fn load_resume(
         path: &std::path::Path,
         app: App,
@@ -224,11 +218,6 @@ impl Snapshotter {
                 fabric,
             })),
         })
-    }
-
-    /// True when the run starts from a snapshot.
-    pub fn is_resuming(&self) -> bool {
-        matches!(self.mode, Mode::Resume(_))
     }
 
     /// When resuming at a gate of family `name`, its index — the app jumps

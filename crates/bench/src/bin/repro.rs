@@ -70,7 +70,8 @@ fn main() {
     env_or_exit(o2k_sched::coro::env_stack_kb());
     // `None` leaves the `O2K_FAULT` / healthy default in place.
     let mut fault: Option<machine::FaultMode> = None;
-    let mut snap: Option<o2k_snap::SnapSpec> = None;
+    let mut capture: Option<o2k_snap::SnapSpec> = None;
+    let mut restore: Option<o2k_snap::SnapSpec> = None;
     let mut ids: Vec<String> = Vec::new();
     let mut it = args.iter().filter(|a| *a != "--quick");
     while let Some(a) = it.next() {
@@ -113,7 +114,7 @@ fn main() {
             }
         } else if a == "--snapshot" {
             match it.next().map(|s| o2k_snap::SnapSpec::parse_capture(s)) {
-                Some(Ok(s)) => snap = Some(s),
+                Some(Ok(s)) => capture = Some(s),
                 Some(Err(e)) => {
                     eprintln!("--snapshot: {e}");
                     std::process::exit(2);
@@ -125,7 +126,7 @@ fn main() {
             }
         } else if a == "--restore" {
             match it.next().map(|s| o2k_snap::SnapSpec::parse_restore(s)) {
-                Some(Ok(s)) => snap = Some(s),
+                Some(Ok(s)) => restore = Some(s),
                 _ => {
                     eprintln!("--restore requires a snapshot directory");
                     std::process::exit(2);
@@ -135,11 +136,25 @@ fn main() {
             ids.push(a.to_lowercase());
         }
     }
+    let known = format!("{} all", EXPERIMENT_IDS.join(" "));
     if ids.is_empty() {
         eprintln!(
-            "usage: repro <id>... [--quick] [--sched <policy>] [--exec <mode>] [--fault <spec>] [--snapshot <dir>@<gate>[:index] | --restore <dir>] [--trace <dir>]   ids: {} all",
-            EXPERIMENT_IDS.join(" ")
+            "usage: repro <id>... [--quick] [--sched <policy>] [--exec <mode>] [--fault <spec>] [--snapshot <dir>@<gate>[:index] | --restore <dir>] [--trace <dir>]   ids: {known}"
         );
+        std::process::exit(2);
+    }
+    // Everything below has side effects (process-wide defaults, result
+    // files), so the rest of the command line is checked first.
+    let unknown = |id: &&String| *id != "all" && !EXPERIMENT_IDS.contains(&id.as_str());
+    if let Some(id) = ids.iter().find(unknown) {
+        eprintln!("unknown experiment {id}; ids: {known}");
+        std::process::exit(2);
+    }
+    if ids.iter().any(|i| i == "all") {
+        ids = EXPERIMENT_IDS.iter().map(|s| s.to_string()).collect();
+    }
+    if capture.is_some() && restore.is_some() {
+        eprintln!("--snapshot and --restore are mutually exclusive");
         std::process::exit(2);
     }
     o2k_sched::set_default_policy(sched);
@@ -147,10 +162,7 @@ fn main() {
     if let Some(f) = fault {
         machine::fault::set_default_fault(f);
     }
-    o2k_snap::set_spec(snap);
-    if ids.iter().any(|i| i == "all") {
-        ids = EXPERIMENT_IDS.iter().map(|s| s.to_string()).collect();
-    }
+    o2k_snap::set_spec(capture.or(restore));
     if let Some(dir) = &trace_dir {
         fs::create_dir_all(dir).expect("create trace dir");
         o2k_trace::set_enabled(true);
@@ -158,10 +170,6 @@ fn main() {
     fs::create_dir_all("results").expect("create results dir");
     let mut sections = Vec::new();
     for id in &ids {
-        if !EXPERIMENT_IDS.contains(&id.as_str()) {
-            eprintln!("unknown experiment {id}; ids: {}", EXPERIMENT_IDS.join(" "));
-            std::process::exit(2);
-        }
         let start = Instant::now();
         let out = run_experiment(id, quick);
         let elapsed = start.elapsed();

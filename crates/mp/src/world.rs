@@ -141,11 +141,8 @@ impl MpWorld {
         // Under ContentionMode::Queued the message additionally queues on
         // occupied fabric links, pushing its arrival out; under Fabric it
         // also arbitrates for the node buses and router hub ports (and a
-        // node-local send still crosses the shared bus); 0 when off. The
-        // charge goes through the shared engine as a one-item run.
-        let mut run = ctx.charge_run();
-        ctx.charge_to_pe(&mut run, dst, bytes);
-        let net_delay = ctx.flush_charge(run);
+        // node-local send still crosses the shared bus); 0 when off.
+        let net_delay = ctx.net_delay_to_pe(dst, bytes);
         let env = Envelope {
             src: ctx.pe(),
             tag,
@@ -304,9 +301,8 @@ impl MpWorld {
         let claim = cost::msg(&self.machine.config, 8, hops);
         let batch_bytes: usize = stolen.iter().map(|e| e.bytes).sum();
         let transfer = if batch_bytes > 0 {
-            let mut run = ctx.charge_run();
-            ctx.charge_to_pe(&mut run, victim, batch_bytes);
-            cost::msg(&self.machine.config, batch_bytes, hops).network + ctx.flush_charge(run)
+            cost::msg(&self.machine.config, batch_bytes, hops).network
+                + ctx.net_delay_to_pe(victim, batch_bytes)
         } else {
             0
         };

@@ -114,9 +114,8 @@ pub struct Route {
     pub links: u32,
 }
 
-/// Outcome of one vectored charge ([`NetSim::try_route_many`]): the sums
-/// a scalar loop over [`NetSim::try_route`] would have accumulated, plus
-/// the evolved serialization backlog.
+/// Outcome of one [`NetSim::try_route_many`] charge: the per-item
+/// [`Route`]s summed, plus the evolved serialization backlog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchRoute {
     /// Total queueing delay across the batch (ns).
@@ -727,29 +726,18 @@ impl NetSim {
         bytes: usize,
         depart: SimTime,
     ) -> Result<Route, Unreachable> {
-        if src_node == dst_node && !self.fabric {
-            return Ok(Route::default());
-        }
-        // Resolve the resource path through the memo: healthy machines hit
-        // the per-pair cache (the path never depends on time), faulted
-        // machines hit the per-(pair, fault-epoch) cache.
-        let (path, detoured) = if self.any_faults {
-            self.fault_path(src_node, dst_node, depart)?
-        } else {
-            (Arc::clone(self.healthy_path(src_node, dst_node)), false)
-        };
-        let record = self.record_spans.load(Ordering::Relaxed);
-        let mut st = self.lock();
-        if detoured {
-            st.detoured += 1;
-        }
-        Ok(self.charge_path(&mut st, pe, &path, bytes, depart, record))
+        let b = self.try_route_many(pe, src_node, &[(dst_node, bytes)], depart, false, 0)?;
+        Ok(Route {
+            delay: b.delay,
+            bus_delay: b.bus_delay,
+            hub_delay: b.hub_delay,
+            links: b.links as u32,
+        })
     }
 
     /// Walk one resolved path, waiting out and extending each resource's
-    /// busy-until queue. The innermost charge loop, shared by the scalar
-    /// [`NetSim::try_route`] and the vectored [`NetSim::try_route_many`];
-    /// the caller holds the state lock.
+    /// busy-until queue. The innermost charge loop of
+    /// [`NetSim::try_route_many`]; the caller holds the state lock.
     fn charge_path(
         &self,
         st: &mut NetState,
@@ -819,20 +807,21 @@ impl NetSim {
         route
     }
 
-    /// Vectored [`NetSim::try_route`]: charge a whole run of transfers —
-    /// `(dst_node, bytes)` per item, all departing from `src_node` on
-    /// behalf of `pe` — under **one** state-lock acquisition.
+    /// Charge a whole run of transfers — `(dst_node, bytes)` per item, all
+    /// departing from `src_node` on behalf of `pe` — under **one**
+    /// state-lock acquisition. [`NetSim::try_route`] is its one-item
+    /// spelling.
     ///
-    /// The arithmetic is item-for-item identical to calling `try_route` in
-    /// a loop: items are walked in order; when `serialize` is set, each
-    /// item departs at `now` plus the backlog the earlier items accrued
-    /// (the `net_pending` serialization the runtimes apply between
-    /// scheduling points), starting from `pending`. Node-local items
-    /// outside `fabric` charge nothing, exactly as the scalar early-out.
+    /// The arithmetic is item-for-item identical to one call per item with
+    /// `pending` threaded through: items are walked in order; when
+    /// `serialize` is set, each item departs at `now` plus the backlog the
+    /// earlier items accrued (the `net_pending` serialization the runtimes
+    /// apply between scheduling points), starting from `pending`.
+    /// Node-local items outside `fabric` charge nothing.
     ///
     /// On [`Unreachable`] the items before the failing one stay committed
-    /// — the same table state a scalar loop would leave behind when its
-    /// N-th call fails.
+    /// — the same table state one-item calls leave behind when the N-th
+    /// fails.
     pub fn try_route_many(
         &self,
         pe: u32,
@@ -853,6 +842,8 @@ impl NetSim {
                 continue;
             }
             let depart = now + if serialize { out.pending } else { 0 };
+            // Healthy machines hit the per-pair path memo (the path never
+            // depends on time), faulted ones the per-(pair, fault-epoch) one.
             let (path, detoured) = if self.any_faults {
                 self.fault_path(src_node, dst_node, depart)?
             } else {
@@ -1185,36 +1176,39 @@ impl NetSim {
     /// falls back to a cold fabric, which is the correct model for "same
     /// computation, different machine").
     pub fn import_state_bytes(&self, bytes: &[u8]) -> Result<(), String> {
-        struct Rd<'a>(&'a [u8], usize);
-        impl Rd<'_> {
-            fn u64(&mut self) -> Result<u64, String> {
-                let end = self.1 + 8;
-                if end > self.0.len() {
+        struct Rd<'a>(&'a [u8]);
+        impl<'a> Rd<'a> {
+            fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+                if n > self.0.len() {
                     return Err("truncated fabric state".into());
                 }
-                let v = u64::from_le_bytes(self.0[self.1..end].try_into().expect("8 bytes"));
-                self.1 = end;
-                Ok(v)
+                let (head, rest) = self.0.split_at(n);
+                self.0 = rest;
+                Ok(head)
             }
-            fn str(&mut self, n: usize) -> Result<String, String> {
-                let end = self.1 + n;
-                if end > self.0.len() {
+            fn u64(&mut self) -> Result<u64, String> {
+                let b = self.take(8)?;
+                Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+            }
+            /// A count of elements at least `elem_bytes` each, refused when
+            /// the bytes remaining cannot hold it: a length prefix comes
+            /// from the file and must not size an allocation unchecked.
+            fn count(&mut self, elem_bytes: usize) -> Result<usize, String> {
+                let n = self.u64()?;
+                if n > (self.0.len() / elem_bytes) as u64 {
                     return Err("truncated fabric state".into());
                 }
-                let s = String::from_utf8(self.0[self.1..end].to_vec())
-                    .map_err(|e| format!("bad fabric phase name: {e}"))?;
-                self.1 = end;
-                Ok(s)
+                Ok(n as usize)
             }
         }
-        let mut r = Rd(bytes, 0);
+        let mut r = Rd(bytes);
         let version = r.u64()?;
         if version != Self::STATE_VERSION {
             return Err(format!("fabric state v{version} unsupported"));
         }
         let detoured = r.u64()?;
         let spans_dropped = r.u64()?;
-        let n = r.u64()? as usize;
+        let n = r.count(48)?;
         let mut kinds = Vec::with_capacity(n);
         let mut res = ResTable::new(0);
         for i in 0..n {
@@ -1231,11 +1225,12 @@ impl NetSim {
             res.transfers.push(r.u64()?);
             debug_assert_eq!(res.len(), i + 1);
         }
-        let nphases = r.u64()? as usize;
+        let nphases = r.count(16)?;
         let mut phases = Vec::with_capacity(nphases);
         for _ in 0..nphases {
-            let name_len = r.u64()? as usize;
-            let name = r.str(name_len)?;
+            let name_len = r.count(1)?;
+            let name = String::from_utf8(r.take(name_len)?.to_vec())
+                .map_err(|e| format!("bad fabric phase name: {e}"))?;
             let nsnap = r.u64()? as usize;
             if nsnap != n {
                 return Err("fabric phase snapshot size mismatch".into());
@@ -1905,6 +1900,94 @@ mod tests {
                 prop_assert_eq!(queued, s.total_queued_ns());
             }
         }
+    }
+
+    // --- one charge path ---
+
+    /// What a window leaves behind: its sums or the partition, the
+    /// statistics, the table bytes.
+    type Outcome = (Result<BatchRoute, Unreachable>, NetStats, Vec<u8>);
+
+    /// `items` charged as one window, and as one-item windows on a twin
+    /// fabric with the backlog threaded through by hand. Both twins saw the
+    /// same cross traffic first, so the queues the windows meet are busy.
+    fn window_and_fold(
+        cfg: &MachineConfig,
+        items: &[(usize, usize)],
+        serialize: bool,
+    ) -> [Outcome; 2] {
+        let (src, now, pending) = (1, 2_000, 300);
+        let twin = || {
+            let net = NetSim::new(&Topology::new(32, 4), cfg);
+            for i in 0..40usize {
+                let _ = net.try_route(9, i % 8, (i * 3 + 1) % 8, 2048, 40 * i as u64);
+            }
+            net
+        };
+        let (whole, folded) = (twin(), twin());
+        let one = whole.try_route_many(4, src, items, now, serialize, pending);
+        let start = BatchRoute {
+            pending,
+            ..BatchRoute::default()
+        };
+        let sum = items.iter().try_fold(start, |acc, &item| {
+            let b = folded.try_route_many(4, src, &[item], now, serialize, acc.pending)?;
+            Ok(BatchRoute {
+                delay: acc.delay + b.delay,
+                bus_delay: acc.bus_delay + b.bus_delay,
+                hub_delay: acc.hub_delay + b.hub_delay,
+                links: acc.links + b.links,
+                transfers: acc.transfers + b.transfers,
+                pending: b.pending,
+            })
+        });
+        [(whole, one), (folded, sum)].map(|(net, r)| (r, net.stats(), net.export_state_bytes()))
+    }
+
+    mod charge_windows {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// A multi-item window is nothing but its one-item windows in
+            /// order — so the runtimes' single charge path prices a CC-SAS
+            /// coherence window exactly as per-transfer calls would.
+            #[test]
+            fn a_window_is_the_fold_of_its_items(
+                items in proptest::collection::vec((0usize..8, 1usize..4097), 1..9),
+                fabric in 0usize..2,
+                plan in 0usize..3,
+                serialize in 0usize..2,
+            ) {
+                let mut cfg = MachineConfig::origin2000();
+                cfg.cpus_per_node = 4;
+                if fabric == 1 {
+                    cfg.contention = ContentionMode::Fabric;
+                }
+                // No plan, a degraded port, a killed router edge (detoured).
+                let plans = ["off", "plan:down2:deg8", "plan:r0d1:kill"];
+                cfg.fault = FaultMode::parse(plans[plan]).unwrap();
+                let [whole, folded] = window_and_fold(&cfg, &items, serialize == 1);
+                prop_assert!(whole.0.is_ok(), "these plans partition nothing");
+                prop_assert_eq!(whole, folded);
+            }
+        }
+    }
+
+    #[test]
+    fn a_partition_mid_window_keeps_the_items_before_it() {
+        // Node 0's only attachment is dead: the third item fails, the first
+        // two stay charged — whichever way the window is issued.
+        let mut cfg = MachineConfig::origin2000();
+        cfg.cpus_per_node = 4;
+        cfg.fault = FaultMode::parse("plan:down0:kill").unwrap();
+        let [whole, folded] = window_and_fold(&cfg, &[(3, 512), (5, 64), (0, 64), (6, 64)], true);
+        assert_eq!(whole.0.as_ref().unwrap_err().dst_node, 0);
+        assert_eq!(whole, folded);
+        let [idle, _] = window_and_fold(&cfg, &[], true);
+        assert!(whole.1.transfers > idle.1.transfers);
     }
 
     // --- path memoisation ---

@@ -45,70 +45,6 @@ pub struct Ctx {
     /// same-departure semantics so pre-fabric archives stay
     /// bitwise-identical. Reset whenever the clock is advanced.
     net_pending: SimTime,
-    /// Recycled item buffer for [`ChargeRun`]s: taken by
-    /// [`Ctx::charge_run`], returned by [`Ctx::flush_charge`], so the hot
-    /// paths batch without allocating per run. Always empty between runs —
-    /// never part of a snapshot (runs may not span a snap gate).
-    charge_pool: Vec<(usize, usize)>,
-}
-
-/// A batched run of fabric charges — the accesses a runtime issues between
-/// two consecutive scheduling points, coalesced into **one** vectored
-/// charge ([`o2k_net::NetSim::try_route_many`]) instead of N independent
-/// lock round-trips.
-///
-/// Rules (what keeps `det` fingerprints and pinned archives bitwise
-/// identical):
-///
-/// * a run may only span accesses between two consecutive scheduling
-///   points — queue nothing across a [`Ctx::sched_point`], a clock
-///   advance, a block point, a phase marker, or a snap gate;
-/// * every run must be flushed (its delay charged) before the next such
-///   point; [`Ctx::flush_charge`] returns the summed queueing delay the
-///   scalar calls would have returned, with identical arithmetic — items
-///   are walked in queue order, each departing after the backlog the
-///   earlier ones accrued, exactly as [`Ctx::net_delay_to_node`] composes.
-///
-/// Batching changes *where* the work is accounted (one fabric-lock
-/// acquisition, one counters update), never *when* the scheduler can
-/// preempt.
-#[derive(Debug, Default)]
-pub struct ChargeRun {
-    items: Vec<(usize, usize)>,
-}
-
-impl ChargeRun {
-    /// Queue a charge of `bytes` from this PE's node to `dst_node`.
-    #[inline]
-    pub fn to_node(&mut self, dst_node: usize, bytes: usize) {
-        self.items.push((dst_node, bytes));
-    }
-
-    /// Charges queued so far.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-}
-
-/// Process-wide switch for the vectored charge path (on by default).
-/// Exists for the equivalence harness: with batching disabled,
-/// [`Ctx::flush_charge`] degenerates to one [`Ctx::net_delay_to_node`]
-/// call per item, and both paths must produce bitwise-identical runs.
-static CHARGE_BATCHING: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
-
-/// Enable or disable the vectored charge path (tests only; on by default).
-pub fn set_charge_batching(on: bool) {
-    CHARGE_BATCHING.store(on, Ordering::SeqCst);
-}
-
-/// Whether [`Ctx::flush_charge`] uses the vectored fabric charge.
-pub fn charge_batching() -> bool {
-    CHARGE_BATCHING.load(Ordering::SeqCst)
 }
 
 impl Ctx {
@@ -133,7 +69,6 @@ impl Ctx {
             node_epoch: 0,
             locks_held: Vec::new(),
             net_pending: 0,
-            charge_pool: Vec::new(),
         }
     }
 
@@ -197,60 +132,15 @@ impl Ctx {
     /// so off-mode arithmetic is bitwise unchanged.
     #[inline]
     pub fn net_delay_to_pe(&mut self, dst_pe: usize, bytes: usize) -> SimTime {
-        if self.shared.net.is_none() {
-            return 0;
-        }
-        let dst_node = self.machine.topology.node_of(dst_pe);
-        self.net_delay_to_node(dst_node, bytes)
+        self.net_delay_to_node(self.machine.topology.node_of(dst_pe), bytes)
     }
 
     /// As [`Ctx::net_delay_to_pe`], but to an explicit node (cache-line
-    /// homes, tree roots).
-    ///
-    /// If a fault plan has partitioned the machine (the transfer's every
-    /// route crosses a dead link), the PE cannot make progress: under a
-    /// cooperative policy it parks as [`BlockReason::DeadLink`] so the
-    /// scheduler's deadlock detector reports a *network partition*; under
-    /// the free-running OS policy it panics with the same diagnostic.
-    ///
-    /// [`BlockReason::DeadLink`]: o2k_sched::BlockReason::DeadLink
+    /// homes, tree roots): the one-item spelling of
+    /// [`Ctx::net_delay_many`].
+    #[inline]
     pub fn net_delay_to_node(&mut self, dst_node: usize, bytes: usize) -> SimTime {
-        let Some(net) = self.shared.net.as_ref().map(Arc::clone) else {
-            return 0;
-        };
-        let src_node = self.machine.topology.node_of(self.pe);
-        // Back-to-back transfers from one PE must each depart after the
-        // delays the earlier ones already accrued, even though the runtime
-        // commits the whole batch to the clock in one advance — otherwise
-        // the batch double-charges the same backlog (see `net_pending`).
-        // Queued mode under the cooperative schedulers keeps the original
-        // same-departure semantics so its archives stay bitwise-identical.
-        let serialize = self.machine.config.contention == machine::ContentionMode::Fabric
-            || self.shared.coop.is_none();
-        let depart = self.clock.now() + if serialize { self.net_pending } else { 0 };
-        let r = match net.try_route(self.pe as u32, src_node, dst_node, bytes, depart) {
-            Ok(r) => r,
-            Err(u) => match self.shared.coop.as_ref() {
-                Some(cs) => {
-                    // Nothing will ever unblock a partitioned PE; the
-                    // scheduler classifies the resulting global stall.
-                    cs.block(self.pe, self.clock.now(), o2k_sched::BlockReason::DeadLink);
-                    unreachable!("woken while parked on a dead link: {u}");
-                }
-                None => panic!("{u}"),
-            },
-        };
-        if r.links > 0 {
-            self.counters.net_transfers += 1;
-            self.counters.net_links += u64::from(r.links);
-            self.counters.net_queued_ns += r.delay;
-            self.counters.net_bus_queued_ns += r.bus_delay;
-            self.counters.net_hub_queued_ns += r.hub_delay;
-        }
-        if serialize {
-            self.net_pending += r.delay;
-        }
-        r.delay
+        self.net_delay_many(&[(dst_node, bytes)])
     }
 
     /// Queueing delay for a transfer that stays on this PE's node — a
@@ -262,78 +152,45 @@ impl Ctx {
     /// unchanged.
     #[inline]
     pub fn net_delay_local(&mut self, bytes: usize) -> SimTime {
-        if self.shared.net.is_none() {
-            return 0;
-        }
-        let node = self.machine.topology.node_of(self.pe);
-        self.net_delay_to_node(node, bytes)
+        self.net_delay_to_node(self.node(), bytes)
     }
 
-    /// Start a [`ChargeRun`] using this PE's pooled item buffer. The run
-    /// must be returned through [`Ctx::flush_charge`] before the next
-    /// scheduling point (see the [`ChargeRun`] batching rules).
-    #[inline]
-    pub fn charge_run(&mut self) -> ChargeRun {
-        debug_assert!(self.charge_pool.is_empty(), "pooled run not flushed");
-        ChargeRun {
-            items: std::mem::take(&mut self.charge_pool),
-        }
-    }
-
-    /// Queue a charge of `bytes` to the node hosting `dst_pe`.
-    #[inline]
-    pub fn charge_to_pe(&self, run: &mut ChargeRun, dst_pe: usize, bytes: usize) {
-        run.to_node(self.machine.topology.node_of(dst_pe), bytes);
-    }
-
-    /// Queue a charge of `bytes` that stays on this PE's node.
-    #[inline]
-    pub fn charge_local(&self, run: &mut ChargeRun, bytes: usize) {
-        run.to_node(self.machine.topology.node_of(self.pe), bytes);
-    }
-
-    /// Charge the whole run against the fabric in one vectored call and
-    /// return the summed queueing delay — item-for-item the delays (and
-    /// counter updates, and `net_pending` evolution) that calling
-    /// [`Ctx::net_delay_to_node`] per item would have produced. Returns 0
-    /// (routing nothing) under [`machine::ContentionMode::Off`]. The run's
-    /// buffer goes back to the pool either way.
+    /// Price the `(dst_node, bytes)` transfers this PE issues inside one
+    /// scheduling window and return their summed queueing delay — the only
+    /// place the runtimes talk to [`o2k_net::NetSim`]. Returns 0 (routing
+    /// nothing) under [`machine::ContentionMode::Off`].
     ///
-    /// On a network partition the behaviour is the scalar path's: items
-    /// before the doomed one stay committed, then this PE parks as
-    /// [`BlockReason::DeadLink`] under a cooperative policy or panics with
-    /// the partition diagnostic when free-running.
+    /// Rules (what keeps `det` fingerprints and pinned archives bitwise
+    /// identical):
+    ///
+    /// * one call covers one scheduling window — pass nothing that spans a
+    ///   [`Ctx::sched_point`], a clock advance, a block point, a phase
+    ///   marker or a snap gate, and charge the returned delay before the
+    ///   next such point;
+    /// * items are walked in order under one fabric-lock acquisition, each
+    ///   departing after the backlog the earlier ones accrued wherever the
+    ///   `net_pending` rule serializes;
+    /// * if a fault plan has partitioned the machine (an item's every
+    ///   route crosses a dead link), the items before it stay committed
+    ///   and the PE cannot make progress: under a cooperative policy it
+    ///   parks as [`BlockReason::DeadLink`] so the scheduler's deadlock
+    ///   detector reports a *network partition*; under the free-running OS
+    ///   policy it panics with the same diagnostic.
     ///
     /// [`BlockReason::DeadLink`]: o2k_sched::BlockReason::DeadLink
-    pub fn flush_charge(&mut self, mut run: ChargeRun) -> SimTime {
-        if run.items.is_empty() || self.shared.net.is_none() {
-            run.items.clear();
-            self.charge_pool = run.items;
+    pub fn net_delay_many(&mut self, items: &[(usize, usize)]) -> SimTime {
+        let Some(net) = self.shared.net.as_ref() else {
+            return 0;
+        };
+        if items.is_empty() {
             return 0;
         }
-        if !charge_batching() {
-            // Equivalence mode: the scalar path, one call per item.
-            let mut total = 0;
-            for &(dst_node, bytes) in &run.items {
-                total += self.net_delay_to_node(dst_node, bytes);
-            }
-            run.items.clear();
-            self.charge_pool = run.items;
-            return total;
-        }
-        let net = self
-            .shared
-            .net
-            .as_ref()
-            .map(Arc::clone)
-            .expect("checked above");
-        let src_node = self.machine.topology.node_of(self.pe);
         let serialize = self.machine.config.contention == machine::ContentionMode::Fabric
             || self.shared.coop.is_none();
         let b = match net.try_route_many(
             self.pe as u32,
-            src_node,
-            &run.items,
+            self.node(),
+            items,
             self.clock.now(),
             serialize,
             self.net_pending,
@@ -341,14 +198,14 @@ impl Ctx {
             Ok(b) => b,
             Err(u) => match self.shared.coop.as_ref() {
                 Some(cs) => {
+                    // Nothing will ever unblock a partitioned PE; the
+                    // scheduler classifies the resulting global stall.
                     cs.block(self.pe, self.clock.now(), o2k_sched::BlockReason::DeadLink);
                     unreachable!("woken while parked on a dead link: {u}");
                 }
                 None => panic!("{u}"),
             },
         };
-        run.items.clear();
-        self.charge_pool = run.items;
         if b.transfers > 0 {
             self.counters.net_transfers += b.transfers;
             self.counters.net_links += b.links;
@@ -397,18 +254,6 @@ impl Ctx {
         };
         if switched {
             self.counters.sched_handoffs += 1;
-            if self.recorder.is_on() && o2k_trace::sched_events() {
-                self.recorder.record_instant(Event {
-                    pe: self.pe as u32,
-                    t0: now,
-                    t1: now,
-                    kind: EventKind::SchedHandoff,
-                    cat: TimeCat::Sync,
-                    bytes: 0,
-                    peer: None,
-                    dep: None,
-                });
-            }
         }
     }
 
@@ -487,13 +332,6 @@ impl Ctx {
         self.clock.now()
     }
 
-    /// Mutable access to the virtual clock (used by model runtimes to charge
-    /// operation costs).
-    #[inline]
-    pub fn clock_mut(&mut self) -> &mut Clock {
-        &mut self.clock
-    }
-
     /// Mutable access to the event counters.
     #[inline]
     pub fn counters_mut(&mut self) -> &mut Counters {
@@ -504,12 +342,6 @@ impl Ctx {
     #[inline]
     pub fn counters(&self) -> &Counters {
         &self.counters
-    }
-
-    /// Whether this PE is recording trace events.
-    #[inline]
-    pub fn trace_on(&self) -> bool {
-        self.recorder.is_on()
     }
 
     /// Record the span from `t0` to the current clock as an event.
@@ -547,13 +379,6 @@ impl Ctx {
             self.record_span(t0, EventKind::Compute, TimeCat::Busy, 0, None, None);
         }
         self.sched_point();
-    }
-
-    /// Charge `cycles` CPU cycles of computation.
-    #[inline]
-    pub fn compute_cycles(&mut self, cycles: u64) {
-        let ns = self.machine.config.cycles_ns(cycles);
-        self.compute(ns);
     }
 
     /// Charge `units` work items at `ns_per_unit` each (rounded).

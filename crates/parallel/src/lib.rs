@@ -33,7 +33,7 @@ mod element;
 mod lock;
 mod team;
 
-pub use ctx::{charge_batching, set_charge_batching, ChargeRun, Ctx};
+pub use ctx::Ctx;
 pub use element::{Element, IntElement};
 pub use lock::{SimLock, SimLockGuard};
 pub use team::{PeReport, Team, TeamResume, TeamRun, THREAD_PE_CAP};

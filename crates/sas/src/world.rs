@@ -289,6 +289,7 @@ impl SasWorld {
         SasPe {
             machine: Arc::clone(&self.machine),
             cache: CacheSim::new(cfg.cache_bytes, cfg.line_bytes, cfg.cache_assoc),
+            net_items: Vec::new(),
         }
     }
 
@@ -299,8 +300,7 @@ impl SasWorld {
 
     /// Wire-format version of [`SasWorld::export_state_bytes`]. Version 2
     /// widened the per-line sharer field from one `u64` to
-    /// `ceil(pes / 64)` words; version-1 sections (single word, teams of
-    /// ≤ 64 PEs) are still read.
+    /// `ceil(pes / 64)` words; version-1 sections are refused.
     pub const STATE_VERSION: u64 = 2;
 
     /// Serialise every shared region — storage bits, page homes, and the
@@ -352,9 +352,9 @@ impl SasWorld {
     pub fn import_state_bytes(&self, bytes: &[u8]) -> Result<(), String> {
         let mut rd = o2k_snap::wire::WireReader::new(bytes);
         let ver = rd.u64()?;
-        if ver != 1 && ver != Self::STATE_VERSION {
+        if ver != Self::STATE_VERSION {
             return Err(format!(
-                "sas snapshot version {ver}, expected 1 or {}",
+                "sas snapshot version {ver}, expected {}",
                 Self::STATE_VERSION
             ));
         }
@@ -375,10 +375,12 @@ impl SasWorld {
                 "sas snapshot paging policy {policy} != world's {my_policy}"
             ));
         }
-        let n_regions = rd.u64()? as usize;
+        // A region is at least its five header/count words, and `len`
+        // storage words follow `len`'s own header.
+        let n_regions = rd.count(40)?;
         let mut imported = Vec::with_capacity(n_regions);
         for idx in 0..n_regions {
-            let len = rd.u64()? as usize;
+            let len = rd.count(8)?;
             let wpl = rd.u64()? as usize;
             let wpp = rd.u64()? as usize;
             let region = self.build_region(idx as u32, TypeId::of::<Imported>(), len);
@@ -408,9 +410,7 @@ impl SasWorld {
                     region.lines.len()
                 ));
             }
-            // Version 1 stored one sharer word per line; version 2 stores
-            // ceil(pes / 64) words (identical bytes for teams of ≤ 64).
-            let swords = if ver == 1 { 1 } else { pes.div_ceil(64).max(1) };
+            let swords = pes.div_ceil(64).max(1);
             let mut ws = vec![0u64; swords];
             for line in region.lines.iter() {
                 let mut d = line.dir.lock();
@@ -537,6 +537,10 @@ impl<T: Element> SasSlice<T> {
 pub struct SasPe {
     machine: Arc<Machine>,
     cache: CacheSim,
+    /// Scratch for the `(dst_node, bytes)` transfers of the access in
+    /// flight (see `access_line`); empty between accesses, so never part
+    /// of a snapshot.
+    net_items: Vec<(usize, usize)>,
 }
 
 impl SasPe {
@@ -728,10 +732,10 @@ impl SasPe {
         let mut fill_home: Option<u32> = None;
         // Everything from the sched_point above to the advances below is
         // one scheduling window: the fill, the owner forward and the whole
-        // invalidation sweep queue onto a single ChargeRun and hit the
-        // fabric in one vectored charge (in queue order, so the arithmetic
-        // is bitwise the per-access calls').
-        let mut net = ctx.charge_run();
+        // invalidation sweep collect in `net_items` and hit the fabric in
+        // one `net_delay_many` call (in queue order, so the arithmetic is
+        // bitwise the per-transfer calls').
+        debug_assert!(self.net_items.is_empty());
 
         if !cached {
             // Fill from home (or forward from a dirty owner).
@@ -750,7 +754,7 @@ impl SasPe {
                 // Under ContentionMode::Queued the line payload also queues
                 // on the fabric links between home and requester.
                 charge_remote += fill;
-                net.to_node(home, cfg.line_bytes);
+                self.net_items.push((home, cfg.line_bytes));
                 ctx.counters_mut().misses_remote += 1;
             }
             if d.dirty && d.owner != pe as u32 {
@@ -758,7 +762,7 @@ impl SasPe {
                 let owner_node = topo.node_of(d.owner as usize % topo.pes());
                 charge_remote +=
                     u64::from(topo.hops(my_node, owner_node)) * cfg.lat_hop + cfg.lat_directory;
-                net.to_node(owner_node, cfg.line_bytes);
+                self.net_items.push((owner_node, cfg.line_bytes));
                 d.dirty = false; // home copy now clean
             }
         }
@@ -775,7 +779,7 @@ impl SasPe {
                 // ones traverse (and queue on) the same fabric links.
                 charge_remote +=
                     cfg.lat_invalidate + u64::from(topo.hops(my_node, qn)) * cfg.lat_hop;
-                net.to_node(qn, 8);
+                self.net_items.push((qn, 8));
                 invalidated += 1;
             });
             ctx.counters_mut().invalidations += u64::from(invalidated);
@@ -795,7 +799,8 @@ impl SasPe {
             .store(pack_meta(d.version, d.owner, d.dirty), Ordering::Release);
         let version = d.version;
         drop(d);
-        charge_remote += ctx.flush_charge(net);
+        charge_remote += ctx.net_delay_many(&self.net_items);
+        self.net_items.clear();
 
         let line_bytes = cfg.line_bytes.min(u32::MAX as usize) as u32;
         if charge_local > 0 {
@@ -1146,35 +1151,17 @@ mod tests {
         assert!(fresh.import_state_bytes(&bytes).is_ok());
     }
 
-    /// A version-1 section (pre sharer-widening) differs from version 2
-    /// only in the header word for teams of ≤ 64 PEs, so rewriting the
-    /// version field of a fresh export yields a faithful v1 byte stream —
-    /// which the importer must still accept.
+    /// Version-1 sections (one sharer word per line, before the widening)
+    /// were never archived and the container refuses the files that could
+    /// hold one, so the importer names the version instead of guessing.
     #[test]
-    fn import_accepts_version1_sections() {
-        let (w, t) = setup(2);
-        let run = t.run(|ctx| {
-            let s = w.alloc::<u64>(ctx, 16);
-            let mut pe = w.pe();
-            if ctx.pe() == 0 {
-                pe.write(ctx, &s, 3, 77);
-            }
-            w.barrier(ctx);
-            pe.read(ctx, &s, 3)
-        });
-        assert!(run.results.iter().all(|&v| v == 77));
+    fn import_rejects_version1_sections() {
+        let (w, _) = setup(2);
         let mut bytes = w.export_state_bytes();
         assert_eq!(bytes[..8], 2u64.to_le_bytes(), "export is version 2");
         bytes[..8].copy_from_slice(&1u64.to_le_bytes());
-
-        let m2 = Arc::new(Machine::new(2, MachineConfig::test_tiny()));
-        let w2 = Arc::new(SasWorld::new(Arc::clone(&m2)));
-        w2.import_state_bytes(&bytes).unwrap();
-        let run2 = Team::new(m2).run(|ctx| {
-            let s = w2.attach::<u64>(ctx, 16);
-            w2.pe().read(ctx, &s, 3)
-        });
-        assert!(run2.results.iter().all(|&v| v == 77));
+        let err = w.import_state_bytes(&bytes).unwrap_err();
+        assert_eq!(err, "sas snapshot version 1, expected 2");
     }
 
     /// The old single-word sharer bitmask capped CC-SAS teams at 64 PEs;

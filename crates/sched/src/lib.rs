@@ -512,9 +512,8 @@ struct Inner {
     gates: Vec<Gate>,
     switches: u64,
     fingerprint: u64,
-    /// Event backend only — the heap-based det picker and the pending
-    /// resume the single-threaded driver consumes. Unused (empty/None)
-    /// under the thread backend, whose det picker is the linear scan.
+    /// Event backend: a floor grant is queued in `next_resume` for the
+    /// single-threaded driver instead of waking the winner's condvar.
     event: bool,
     /// Pending PEs keyed `(clock, pe)`, exactly the `Runnable` set: PEs
     /// are inserted on wake and removed *exactly* when they leave
@@ -541,34 +540,26 @@ impl Inner {
             .map(|(p, _)| p)
     }
 
-    /// Transition `pe` to `Runnable` with its clock already final,
-    /// scheduling it in the event heap when that backend is active.
+    /// Transition `pe` to `Runnable` with its clock already final.
     fn make_runnable(&mut self, pe: usize) {
         self.status[pe] = Status::Runnable;
-        if self.event {
-            self.heap.insert_or_update(pe, self.clock[pe]);
-        }
+        self.heap.insert_or_update(pe, self.clock[pe]);
     }
 
     /// Drop `pe`'s heap entry as it leaves `Runnable` (picked to run, or
     /// force-finished by poison — the latter may find no entry).
     fn leave_runnable(&mut self, pe: usize) {
-        if self.event {
-            self.heap.remove(pe);
-        }
+        self.heap.remove(pe);
     }
 
     /// Virtual-time order: lowest clock, ties to the lowest PE id.
     ///
-    /// The thread backend scans the status table (P ≤ a few dozen). The
-    /// event backend peeks the indexed heap — O(1), since exact removal
-    /// keeps every entry live — without consuming the winner:
-    /// `BoundedPreempt` may overrule the det base pick, and the chosen
-    /// PE's entry is removed when it leaves `Runnable`.
+    /// Peeks the indexed heap — O(1), since exact removal keeps every
+    /// entry live — without consuming the winner: `BoundedPreempt` may
+    /// overrule the det base pick, and the chosen PE's entry is removed
+    /// when it leaves `Runnable`. Debug builds check the pick against a
+    /// linear scan of the status table.
     fn pick_det(&mut self) -> Option<usize> {
-        if !self.event {
-            return self.runnable().min_by_key(|&p| (self.clock[p], p));
-        }
         let picked = self.heap.peek().map(|(c, p)| {
             debug_assert_eq!(self.status[p], Status::Runnable, "heap entry left behind");
             debug_assert_eq!(c, self.clock[p], "heap entry with stale clock");
@@ -725,7 +716,7 @@ impl CoopSched {
                 switches: 0,
                 fingerprint: 0xcbf2_9ce4_8422_2325,
                 event,
-                heap: PeHeap::new(if event { npes } else { 0 }),
+                heap: PeHeap::new(npes),
                 next_resume: None,
                 resume_grant: None,
             }),

@@ -306,10 +306,8 @@ fn steal_sweep(ctx: &mut Ctx, world: &MpWorld, cfg: &ServeConfig, victims: &[usi
             // pull to the helper before answering from the generator.
             let bytes = cfg.val_words * 8;
             let hops = ctx.machine().hops_between(ctx.pe(), victim);
-            let mut run = ctx.charge_run();
-            ctx.charge_to_pe(&mut run, victim, bytes);
-            let pull =
-                cost::msg(&ctx.machine().config, bytes, hops).network + ctx.flush_charge(run);
+            let pull = cost::msg(&ctx.machine().config, bytes, hops).network
+                + ctx.net_delay_to_pe(victim, bytes);
             ctx.advance_traced(
                 pull,
                 TimeCat::Remote,

@@ -147,10 +147,11 @@ impl SymWorld {
                 self.size()
             ));
         }
-        let n_regions = rd.u64()? as usize;
+        let n_regions = rd.count(8)?;
         let mut imported = Vec::with_capacity(n_regions);
         for _ in 0..n_regions {
-            let len = rd.u64()? as usize;
+            // `len` words follow for each of the `pes` PEs.
+            let len = rd.count(8 * pes)?;
             let mem: Vec<Box<[AtomicU64]>> = (0..pes)
                 .map(|_| {
                     (0..len)
@@ -248,9 +249,7 @@ impl<T: Element> SymSlice<T> {
         }
         let bytes = data.len() * T::BYTES;
         let hops = self.machine.hops_between(ctx.pe(), target_pe);
-        let mut run = ctx.charge_run();
-        ctx.charge_to_pe(&mut run, target_pe, bytes);
-        let net_delay = ctx.flush_charge(run);
+        let net_delay = ctx.net_delay_to_pe(target_pe, bytes);
         ctx.advance_traced(
             cost::put(&self.machine.config, bytes, hops) + net_delay,
             TimeCat::Remote,
@@ -276,9 +275,7 @@ impl<T: Element> SymSlice<T> {
         // in that direction (the request hop rides the same links). Under
         // ContentionMode::Fabric the remote hub — where SHMEM pays its
         // contention in the paper — arbitrates the transfer too.
-        let mut run = ctx.charge_run();
-        ctx.charge_to_pe(&mut run, source_pe, bytes);
-        let net_delay = ctx.flush_charge(run);
+        let net_delay = ctx.net_delay_to_pe(source_pe, bytes);
         ctx.advance_traced(
             cost::get(&self.machine.config, bytes, hops) + net_delay,
             TimeCat::Remote,
@@ -361,9 +358,7 @@ impl<T: Element> SymSlice<T> {
         let depth = u64::from(self.machine.topology.tree_depth());
         // The binomial tree is rooted at the root PE's node: model the
         // fan-out contention at that funnel.
-        let mut run = ctx.charge_run();
-        run.to_node(self.machine.topology.node_of(root), bytes);
-        let net_delay = ctx.flush_charge(run);
+        let net_delay = ctx.net_delay_to_node(self.machine.topology.node_of(root), bytes);
         ctx.advance_traced(
             depth * per_level + net_delay,
             TimeCat::Remote,
@@ -412,9 +407,7 @@ impl<T: IntElement> SymSlice<T> {
 
     fn charge_amo(&self, ctx: &mut Ctx, target_pe: usize) {
         let hops = self.machine.hops_between(ctx.pe(), target_pe);
-        let mut run = ctx.charge_run();
-        ctx.charge_to_pe(&mut run, target_pe, T::BYTES);
-        let net_delay = ctx.flush_charge(run);
+        let net_delay = ctx.net_delay_to_pe(target_pe, T::BYTES);
         ctx.advance_traced(
             cost::amo(&self.machine.config, hops) + net_delay,
             TimeCat::Remote,
@@ -733,9 +726,7 @@ impl<T: Element> SymSlice<T> {
         let per_round = cost::put(&self.machine.config, bytes, hops);
         // All-to-all reduction trees funnel through node 0 in our cost
         // model; charge that link's queueing under contention.
-        let mut run = ctx.charge_run();
-        run.to_node(0, bytes);
-        let net_delay = ctx.flush_charge(run);
+        let net_delay = ctx.net_delay_to_node(0, bytes);
         ctx.advance_traced(
             depth * per_round + net_delay,
             TimeCat::Remote,

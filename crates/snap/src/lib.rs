@@ -231,11 +231,6 @@ impl Snapshot {
             .ok_or_else(|| format!("snapshot missing section {name:?}"))
     }
 
-    /// Section names in insertion order.
-    pub fn section_names(&self) -> impl Iterator<Item = &str> {
-        self.sections.iter().map(|(n, _)| n.as_str())
-    }
-
     /// Serialise to the container byte format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
@@ -262,7 +257,8 @@ impl Snapshot {
                 "snapshot format v{version} unsupported (this build reads v{FORMAT_VERSION})"
             ));
         }
-        let n = r.u64()? as usize;
+        // A section is at least its two length prefixes.
+        let n = r.count(16)?;
         let mut sections = Vec::with_capacity(n);
         for _ in 0..n {
             let name = r.str()?;
@@ -423,10 +419,7 @@ impl PeCore {
 pub fn encode_sched(r: &SchedResume) -> Vec<u8> {
     let mut w = WireWriter::new();
     w.str(&r.policy.to_string());
-    w.u64(r.clocks.len() as u64);
-    for &c in &r.clocks {
-        w.u64(c);
-    }
+    w.u64s(&r.clocks);
     w.u64(r.fingerprint);
     w.u64(r.switches);
     w.u64(r.current as u64);
@@ -439,11 +432,7 @@ pub fn encode_sched(r: &SchedResume) -> Vec<u8> {
 pub fn decode_sched(bytes: &[u8]) -> Result<SchedResume, String> {
     let mut r = WireReader::new(bytes);
     let policy = SchedPolicy::parse(&r.str()?)?;
-    let n = r.u64()? as usize;
-    let mut clocks = Vec::with_capacity(n);
-    for _ in 0..n {
-        clocks.push(r.u64()?);
-    }
+    let clocks = r.u64s()?;
     Ok(SchedResume {
         policy,
         clocks,

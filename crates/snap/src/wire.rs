@@ -141,10 +141,26 @@ impl<'a> WireReader<'a> {
         String::from_utf8(b.to_vec()).map_err(|e| format!("bad utf-8 in snapshot string: {e}"))
     }
 
+    /// Read an element count whose elements occupy at least `elem_bytes`
+    /// each, refusing one the bytes remaining cannot hold. A length prefix
+    /// comes from the file, so decoders size allocations only from counts
+    /// read here.
+    pub fn count(&mut self, elem_bytes: usize) -> Result<usize, String> {
+        let at = self.pos;
+        let n = self.u64()?;
+        if n > (self.remaining() / elem_bytes) as u64 {
+            return Err(format!(
+                "truncated snapshot: count {n} at offset {at} wants {elem_bytes} bytes each, have {}",
+                self.remaining()
+            ));
+        }
+        Ok(n as usize)
+    }
+
     /// Read a length-prefixed slice of u64s.
     pub fn u64s(&mut self) -> Result<Vec<u64>, String> {
-        let n = self.u64()? as usize;
-        let mut out = Vec::with_capacity(n.min(1 << 20));
+        let n = self.count(8)?;
+        let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(self.u64()?);
         }
@@ -153,8 +169,8 @@ impl<'a> WireReader<'a> {
 
     /// Read a length-prefixed slice of f64s.
     pub fn f64s(&mut self) -> Result<Vec<f64>, String> {
-        let n = self.u64()? as usize;
-        let mut out = Vec::with_capacity(n.min(1 << 20));
+        let n = self.count(8)?;
+        let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(self.f64()?);
         }

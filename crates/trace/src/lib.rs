@@ -72,8 +72,9 @@ pub enum EventKind {
     /// Dirty-line writeback on eviction.
     Writeback,
     /// Cooperative-scheduler floor handoff (instant marker, `t1 == t0`):
-    /// the PE yielded here and another PE ran before it resumed. Only
-    /// recorded when [`set_sched_events`] is on.
+    /// the PE yielded here and another PE ran before it resumed. No
+    /// runtime records it yet (a deterministic CC-SAS run can switch at
+    /// nearly every miss); the exporters and critical-path code accept it.
     SchedHandoff,
     /// One served client request of the `o2k-serve` workload: the span is
     /// the server-side service time, `bytes` the value payload, and `peer`
@@ -412,7 +413,6 @@ impl Trace {
 // per-experiment code changes needed.
 
 static GLOBAL_ENABLED: AtomicBool = AtomicBool::new(false);
-static SCHED_EVENTS: AtomicBool = AtomicBool::new(false);
 static SINK: Mutex<Vec<Trace>> = Mutex::new(Vec::new());
 
 /// Enable or disable tracing process-wide (in addition to any per-`Team`
@@ -424,18 +424,6 @@ pub fn set_enabled(on: bool) {
 /// Whether process-wide tracing is on.
 pub fn enabled() -> bool {
     GLOBAL_ENABLED.load(Ordering::SeqCst)
-}
-
-/// Also record [`EventKind::SchedHandoff`] instants at cooperative
-/// scheduler switches. Off by default: a deterministic CC-SAS run can
-/// switch at nearly every miss, which would dominate exported traces.
-pub fn set_sched_events(on: bool) {
-    SCHED_EVENTS.store(on, Ordering::SeqCst);
-}
-
-/// Whether scheduler handoff instants are being recorded.
-pub fn sched_events() -> bool {
-    SCHED_EVENTS.load(Ordering::SeqCst)
 }
 
 /// Deposit a finished trace for later collection (called by the team

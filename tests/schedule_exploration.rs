@@ -331,75 +331,6 @@ fn queued_contention_replays_and_keeps_physics_under_exploration() {
     }
 }
 
-/// The `ChargeRun` engine must be *bitwise invisible*: coalescing a
-/// coherence window's charges into one vectored `try_route_many` walk may
-/// only change wall-clock cost, never a pick, a counter, a delay, or a
-/// byte of physics. Sweep team size × policy × execution backend on a
-/// contended machine (where the fabric queues actually move) and compare
-/// a batched run against the scalar per-charge reference path.
-mod charge_batching_properties {
-    use super::*;
-    use origin2k::machine::ContentionMode;
-    use origin2k::parallel::set_charge_batching;
-    use proptest::prelude::*;
-
-    fn queued(p: usize) -> Arc<Machine> {
-        Arc::new(Machine::new(
-            p,
-            MachineConfig {
-                contention: ContentionMode::Queued,
-                ..MachineConfig::origin2000()
-            },
-        ))
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(10))]
-
-        #[test]
-        fn batched_charging_is_bitwise_invisible(
-            p_idx in 0usize..3,
-            use_det in 0usize..2,
-            event in 0usize..2,
-            seed in 0u64..8,
-        ) {
-            let p = [2usize, 4, 8][p_idx];
-            let policy = if use_det == 1 {
-                SchedPolicy::Det
-            } else {
-                SchedPolicy::Explore { seed }
-            };
-            let exec = if event == 1 { ExecMode::Event } else { ExecMode::Thread };
-            let cfg = super::amr_step_cfg();
-            let run = |batched: bool| {
-                set_charge_batching(batched);
-                let r = run_app_opts(
-                    queued(p),
-                    App::Amr,
-                    Model::Sas,
-                    &NBodyConfig::small(),
-                    &cfg,
-                    RunOpts {
-                        sched: Some(policy),
-                        exec: Some(exec),
-                        snap: None,
-                    },
-                );
-                set_charge_batching(true);
-                r
-            };
-            let a = run(true);
-            let b = run(false);
-            let tag = format!("P={p} {policy} {exec}");
-            assert_eq!(a.checksum.to_bits(), b.checksum.to_bits(), "{tag}: checksum");
-            assert_eq!(a.sim_time, b.sim_time, "{tag}: sim time");
-            assert_eq!(a.counters, b.counters, "{tag}: counters");
-            assert_eq!(a.net, b.net, "{tag}: NetStats");
-            assert_eq!(a.sched, b.sched, "{tag}: schedule fingerprint");
-        }
-    }
-}
-
 /// Bounded-preemption schedules: mostly-deterministic with a seeded budget
 /// of preemptions — still invariant-preserving, still reproducible.
 #[test]

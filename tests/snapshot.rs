@@ -249,6 +249,66 @@ fn soa_fabric_state_round_trips_bitwise_mid_run() {
     assert_eq!(a, b, "post-restore charging must continue bitwise");
 }
 
+/// A snapshot's length prefixes come from the file. A count the bytes
+/// after it cannot hold — `u64::MAX / 64` overflows `Vec`'s capacity, 2³⁴
+/// asks for hundreds of GiB — must be an `Err` from every decoder (so
+/// `Snapshotter` can warn and run from scratch), never a panic or an
+/// allocator abort; and cutting a valid file short still says so.
+#[test]
+fn hostile_length_prefixes_are_errors_in_every_decoder() {
+    use origin2k::sched::SchedResume;
+    use origin2k::snap::{decode_sched, encode_sched, Snapshot};
+    let words = |ws: &[u64]| ws.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
+    let m = Machine::origin2000(2);
+    let sas = origin2k::sas::SasWorld::new(Arc::clone(&m));
+    let sym = origin2k::shmem::SymWorld::new(Arc::clone(&m));
+    let net = origin2k::parallel::NetSim::new(&m.topology, &m.config);
+    let fabric = net.export_state_bytes();
+    let sched = encode_sched(&SchedResume {
+        policy: SchedPolicy::Det,
+        clocks: vec![1, 2],
+        fingerprint: 3,
+        switches: 4,
+        current: 0,
+        rng_state: 5,
+        budget: 0,
+    });
+    let mut snap = Snapshot::new();
+    snap.put("sched", sched.clone());
+    snap.put("fabric", fabric.clone());
+    let container = snap.to_bytes();
+
+    for n in [u64::MAX / 64, 1 << 34] {
+        // Container: magic, format version, section count.
+        let c = [&container[..16], &words(&[n])].concat();
+        assert!(Snapshot::from_bytes(&c).is_err(), "container count {n}");
+        // `sched`: the clock count follows the 8 + 3 bytes of "det".
+        let s = [&sched[..11], &words(&[n]), &sched[19..]].concat();
+        assert!(decode_sched(&s).is_err(), "sched clocks {n}");
+        // CC-SAS: version, PEs, paging policy, region count, region length.
+        assert!(sas.import_state_bytes(&words(&[2, 2, 0, n])).is_err());
+        assert!(sas.import_state_bytes(&words(&[2, 2, 0, 1, n])).is_err());
+        // SHMEM: version, PEs, region count, region length.
+        assert!(sym.import_state_bytes(&words(&[1, 2, n])).is_err());
+        assert!(sym.import_state_bytes(&words(&[1, 2, 1, n])).is_err());
+        // Fabric: version, detoured, spans dropped, resource count; the
+        // phase count is the last word of a phase-less export.
+        assert!(net.import_state_bytes(&words(&[1, 0, 0, n])).is_err());
+        let f = [&fabric[..fabric.len() - 8], &words(&[n])].concat();
+        assert!(net.import_state_bytes(&f).is_err(), "fabric phases {n}");
+    }
+
+    net.import_state_bytes(&fabric).expect("untouched export");
+    for cut in [1, 9, container.len() / 2] {
+        let err = Snapshot::from_bytes(&container[..container.len() - cut]).unwrap_err();
+        assert!(err.contains("truncated"), "{err}");
+    }
+    let err = decode_sched(&sched[..sched.len() - 8]).unwrap_err();
+    assert!(err.contains("truncated"), "{err}");
+    let err = net.import_state_bytes(&fabric[..fabric.len() - 8]);
+    assert!(err.unwrap_err().contains("truncated"));
+}
+
 // ------------------------------------------------- property tests
 
 mod properties {
