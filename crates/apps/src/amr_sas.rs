@@ -299,13 +299,13 @@ mod tests {
             m(),
             &cfg,
             PagePolicy::FirstTouch,
-            RunOpts::with_sched(Some(SchedPolicy::Det)),
+            RunOpts::with_sched(SchedPolicy::Det),
         );
         let rr = run_with_opts(
             m(),
             &cfg,
             PagePolicy::RoundRobin,
-            RunOpts::with_sched(Some(SchedPolicy::Det)),
+            RunOpts::with_sched(SchedPolicy::Det),
         );
         assert!(
             ft.counters.remote_miss_fraction() < rr.counters.remote_miss_fraction(),
@@ -423,13 +423,13 @@ mod self_schedule_tests {
             machine(4),
             &dyn_cfg,
             PagePolicy::FirstTouch,
-            RunOpts::with_sched(Some(SchedPolicy::Det)),
+            RunOpts::with_sched(SchedPolicy::Det),
         );
         let baseline = run_with_opts(
             machine(4),
             &AmrConfig::small(),
             PagePolicy::FirstTouch,
-            RunOpts::with_sched(Some(SchedPolicy::Det)),
+            RunOpts::with_sched(SchedPolicy::Det),
         );
         // Claim traffic and lost affinity make it slower, but the same
         // order of magnitude.
@@ -456,7 +456,7 @@ mod self_schedule_tests {
                 machine(4),
                 &dyn_cfg,
                 PagePolicy::FirstTouch,
-                RunOpts::with_sched(Some(SchedPolicy::Det)),
+                RunOpts::with_sched(SchedPolicy::Det),
             )
         };
         let (a, b) = (go(), go());
@@ -478,13 +478,13 @@ mod self_schedule_tests {
             machine(4),
             &dyn_cfg,
             PagePolicy::FirstTouch,
-            RunOpts::with_sched(Some(SchedPolicy::Det)),
+            RunOpts::with_sched(SchedPolicy::Det),
         );
         let e7 = run_with_opts(
             machine(4),
             &dyn_cfg,
             PagePolicy::FirstTouch,
-            RunOpts::with_sched(Some(SchedPolicy::Explore { seed: 7 })),
+            RunOpts::with_sched(SchedPolicy::Explore { seed: 7 }),
         );
         assert_eq!(det.checksum, e7.checksum, "answer is schedule-independent");
         assert_ne!(

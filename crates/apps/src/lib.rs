@@ -43,11 +43,11 @@ use std::sync::Arc;
 use machine::Machine;
 use parallel::{ExecMode, SchedPolicy, Team};
 
-/// Per-run execution options every model entry point honours: an optional
-/// scheduling-policy override, an optional execution-backend override, and
-/// an optional snapshot capture/restore request. `None` keeps the process
-/// defaults ([`parallel::sched::default_policy`] /
-/// [`parallel::sched::default_exec`] / [`o2k_snap::current_spec`]).
+/// Per-run execution options every model entry point honours. A `None`
+/// scheduling policy or execution backend follows `o2k_sched`'s defaults
+/// ([`parallel::sched::default_policy`] / [`parallel::sched::default_exec`]);
+/// a `None` snapshot spec or trace sink means no snapshots and no tracing —
+/// nothing else in the process can turn them on.
 #[derive(Debug, Clone, Default)]
 pub struct RunOpts {
     /// Scheduling policy (which PE runs next).
@@ -56,13 +56,16 @@ pub struct RunOpts {
     pub exec: Option<ExecMode>,
     /// Snapshot capture/restore for this run (see [`snapshot`]).
     pub snap: Option<o2k_snap::SnapSpec>,
+    /// Trace the run's teams and collect their traces here (the run's own
+    /// trace also comes back on [`RunMetrics::trace`]).
+    pub trace: Option<o2k_trace::TraceSink>,
 }
 
 impl RunOpts {
-    /// Only a scheduling policy; `None` keeps the process default.
-    pub fn with_sched(sched: Option<SchedPolicy>) -> Self {
+    /// Only a scheduling policy.
+    pub fn with_sched(sched: SchedPolicy) -> Self {
         RunOpts {
-            sched,
+            sched: Some(sched),
             ..Self::default()
         }
     }
@@ -85,6 +88,9 @@ impl RunOpts {
         }
         if let Some(e) = self.exec {
             team = team.exec(e);
+        }
+        if let Some(sink) = &self.trace {
+            team = team.trace_into(sink.clone());
         }
         team
     }
@@ -130,7 +136,7 @@ pub fn run_app_opts(
         // The serving workload lives above this crate (it reuses all three
         // substrates *and* these metrics), so it has its own entry point.
         (App::Serve, _) => {
-            unreachable!("the serving workload is driven through o2k_serve::run, not run_app")
+            unreachable!("the serving workload is driven through o2k_serve::run_opts, not run_app")
         }
     }
 }

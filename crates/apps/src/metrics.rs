@@ -45,7 +45,7 @@ pub enum App {
     Amr,
     /// Extension: sharded key-value serving under open-loop client load
     /// (the `o2k-serve` crate; not part of the paper's application suite,
-    /// so [`run_app`](crate::run_app) directs callers to `o2k_serve::run`).
+    /// so [`run_app`](crate::run_app) directs callers to `o2k_serve::run_opts`).
     Serve,
 }
 

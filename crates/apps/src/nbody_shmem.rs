@@ -350,7 +350,7 @@ mod tests {
         use o2k_snap::{SnapPoint, SnapSpec};
         let cfg = NBodyConfig::small();
         let dir = crate::snapshot::testutil::scratch("nbody-shmem");
-        let det = RunOpts::with_sched(Some(SchedPolicy::Det));
+        let det = RunOpts::with_sched(SchedPolicy::Det);
         let straight = run_opts(machine(4), &cfg, det.clone());
         let captured = run_opts(
             machine(4),

@@ -88,8 +88,8 @@ pub struct Snapshotter {
 }
 
 impl Snapshotter {
-    /// Decide this run's snapshot behaviour from its options (falling back
-    /// to the process-wide spec set by the `repro` flags). `cfg_debug` is
+    /// Decide this run's snapshot behaviour from `opts.snap` and nothing
+    /// else (no spec, no snapshots). `cfg_debug` is
     /// a canonical rendering of the app config — its digest keys the
     /// snapshot filename, so a restore under a different problem size
     /// cleanly misses and runs from scratch. The machine config keys the
@@ -105,8 +105,7 @@ impl Snapshotter {
     ) -> Self {
         let pes = machine.pes();
         let mach = fnv1a(format!("{:?}", machine.config).as_bytes());
-        let spec = opts.snap.clone().or_else(o2k_snap::current_spec);
-        let mode = match spec {
+        let mode = match opts.snap.clone() {
             None => Mode::Off,
             Some(SnapSpec::Capture { dir, point }) => {
                 let digest = fnv1a(cfg_debug.as_bytes());

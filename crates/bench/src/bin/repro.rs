@@ -6,13 +6,16 @@
 //! repro all [--quick]                       run the whole suite
 //! ```
 //!
-//! Output goes to stdout and to `results/<id>.txt`. With `--trace <dir>`
-//! (or the `O2K_TRACE=<dir>` environment variable), event tracing is
-//! enabled globally: every team run any experiment performs is recorded,
-//! and its trace written to `<dir>/<id>_runN.trace.json` in Chrome
-//! `trace_event` format (loadable at <https://ui.perfetto.dev>). Tracing
-//! never perturbs simulated times, so f1–f8/a1–a6 outputs are identical
-//! with it on.
+//! Output goes to stdout and to `results/<id>.txt`. Flags and `O2K_*`
+//! variables are parsed here, once, into one [`Env`] that every experiment
+//! builds its machines, run options and teams from; nothing below `main`
+//! consults process-wide state for them.
+//!
+//! With `--trace <dir>` (or the `O2K_TRACE=<dir>` environment variable)
+//! every team run any experiment performs is recorded, and its trace
+//! written to `<dir>/<id>_runN.trace.json` in Chrome `trace_event` format
+//! (loadable at <https://ui.perfetto.dev>). Tracing never perturbs
+//! simulated times, so every archive is identical with it on.
 //!
 //! `--sched <policy>` (or `O2K_SCHED=<policy>`) picks the team scheduling
 //! policy: `det` (default here — every table is bitwise reproducible),
@@ -30,8 +33,8 @@
 //! machine the experiments build: `off` or
 //! `plan:<link>:<action>[@<ns>][;…]` with links `up<N>` / `down<N>` /
 //! `r<R>d<D>` and actions `kill` / `deg<F>` / `heal` (see DESIGN.md §4c).
-//! Faults only bite when the contention model is on; N2 carries its own
-//! plans and ignores this default.
+//! Faults only bite when the contention model is on; cells that study
+//! faults (N2, Q1's sick fabric, C1) set their own plan on top.
 //!
 //! `--snapshot <dir>@<gate>[:index]` writes a checkpoint of every team
 //! run into `<dir>` when execution reaches the named snap gate (`step:4`,
@@ -45,7 +48,7 @@
 use std::fs;
 use std::time::Instant;
 
-use o2k_bench::{run_experiment, EXPERIMENT_IDS};
+use o2k_bench::{run_experiment_in, Env, EXPERIMENTS, EXPERIMENT_IDS};
 
 /// Unwrap an `O2K_*` environment setting, or print its diagnostic and
 /// exit with the usage-error status.
@@ -64,12 +67,10 @@ fn main() {
     // bitwise reproducible; `--sched os` restores free-running threads.
     let mut sched = env_or_exit(o2k_sched::env_policy()).unwrap_or(o2k_sched::SchedPolicy::Det);
     let mut exec = env_or_exit(o2k_sched::env_exec()).unwrap_or(o2k_sched::ExecMode::Thread);
-    // Checked here so a typo exits with a usage error; the libraries read
-    // these two themselves, at first use.
-    env_or_exit(machine::fault::env_fault());
+    let mut fault = env_or_exit(machine::fault::env_fault()).unwrap_or(machine::FaultMode::Off);
+    // Checked here so a typo exits with a usage error; `o2k_sched` reads
+    // this one itself, at first use.
     env_or_exit(o2k_sched::coro::env_stack_kb());
-    // `None` leaves the `O2K_FAULT` / healthy default in place.
-    let mut fault: Option<machine::FaultMode> = None;
     let mut capture: Option<o2k_snap::SnapSpec> = None;
     let mut restore: Option<o2k_snap::SnapSpec> = None;
     let mut ids: Vec<String> = Vec::new();
@@ -103,7 +104,7 @@ fn main() {
             }
         } else if a == "--fault" {
             match it.next().map(|s| machine::FaultMode::parse(s)) {
-                Some(Some(f)) => fault = Some(f),
+                Some(Some(f)) => fault = f,
                 _ => {
                     eprintln!(
                         "--fault requires a spec: off or plan:<link>:<action>[@<ns>][;...] \
@@ -143,8 +144,8 @@ fn main() {
         );
         std::process::exit(2);
     }
-    // Everything below has side effects (process-wide defaults, result
-    // files), so the rest of the command line is checked first.
+    // Everything below writes result files, so the rest of the command
+    // line is checked first.
     let unknown = |id: &&String| *id != "all" && !EXPERIMENT_IDS.contains(&id.as_str());
     if let Some(id) = ids.iter().find(unknown) {
         eprintln!("unknown experiment {id}; ids: {known}");
@@ -157,45 +158,52 @@ fn main() {
         eprintln!("--snapshot and --restore are mutually exclusive");
         std::process::exit(2);
     }
-    o2k_sched::set_default_policy(sched);
-    o2k_sched::set_default_exec(exec);
-    if let Some(f) = fault {
-        machine::fault::set_default_fault(f);
-    }
-    o2k_snap::set_spec(capture.or(restore));
-    if let Some(dir) = &trace_dir {
+    let tracing = trace_dir.map(|dir| (dir, o2k_trace::TraceSink::default()));
+    let env = Env {
+        sched: Some(sched),
+        exec: Some(exec),
+        fault,
+        snap: capture.or(restore),
+        trace: tracing.as_ref().map(|(_, sink)| sink.clone()),
+        ..Env::new(quick)
+    };
+    if let Some((dir, _)) = &tracing {
         fs::create_dir_all(dir).expect("create trace dir");
-        o2k_trace::set_enabled(true);
     }
-    fs::create_dir_all("results").expect("create results dir");
-    let mut sections = Vec::new();
-    for id in &ids {
+    fs::create_dir_all(&env.out_dir).expect("create results dir");
+    let mut bodies: Vec<(String, String)> = Vec::new();
+    for id in ids {
         let start = Instant::now();
-        let out = run_experiment(id, quick);
+        let out = run_experiment_in(&id, &env);
         let elapsed = start.elapsed();
         println!("{out}");
         println!("[{id} regenerated in {elapsed:.2?}]\n");
-        fs::write(format!("results/{id}.txt"), &out).expect("write result file");
-        if let Some(dir) = &trace_dir {
-            for (n, trace) in o2k_trace::sink_drain().iter().enumerate() {
+        fs::write(env.out_dir.join(format!("{id}.txt")), &out).expect("write result file");
+        if let Some((dir, sink)) = &tracing {
+            for (n, trace) in sink.drain().iter().enumerate() {
                 let path = format!("{dir}/{id}_run{n}.trace.json");
                 fs::write(&path, o2k_trace::chrome::to_chrome_json(trace))
                     .expect("write trace json");
                 println!("[trace archived: {path}]");
             }
         }
-        sections.push(o2k_core::report::Section {
-            id: id.clone(),
-            body: out,
-        });
+        bodies.push((id, out));
     }
-    if sections.len() == EXPERIMENT_IDS.len() {
+    // A full suite is stitched into one report, in the table's order.
+    let sections: Option<Vec<_>> = EXPERIMENTS
+        .iter()
+        .map(|&(id, title, _)| {
+            let (_, body) = bodies.iter().rev().find(|(ran, _)| ran == id)?;
+            Some(o2k_core::report::Section { id, title, body })
+        })
+        .collect();
+    if let Some(sections) = sections {
         let header = format!(
             "Generated by `repro all{}` — every table, figure and ablation of the\nreconstructed evaluation suite (see DESIGN.md §3 and EXPERIMENTS.md).",
             if quick { " --quick" } else { "" }
         );
         let report = o2k_core::report::assemble(&header, &sections);
-        fs::write("results/REPORT.md", report).expect("write REPORT.md");
+        fs::write(env.out_dir.join("REPORT.md"), report).expect("write REPORT.md");
         println!("[full suite stitched into results/REPORT.md]");
     }
 }

@@ -1,27 +1,156 @@
 //! The reconstructed evaluation suite (DESIGN.md §3): tables T1–T3,
 //! figures F1–F8, ablations A1–A6, scheduler study S1.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use apps::{AmrConfig, NBodyConfig, RunOpts};
 use apps::{App, Model};
-use machine::{Machine, MachineConfig};
+use machine::{ContentionMode, FaultMode, Machine, MachineConfig};
 use mesh::adaptive::AdaptiveMesh;
 use mesh::dual::dual_graph;
 use o2k_core::figure::{line_chart, stacked_bars};
 use o2k_core::table::{cells, ms, render, x2};
 use o2k_core::{effort_table, sweep_models, SweepResult};
+use o2k_snap::SnapSpec;
+use o2k_trace::TraceSink;
+use parallel::{ExecMode, SchedPolicy, Team};
 use partition::{
     diffusion::diffuse, edge_cut, hilbert_partition, imbalance, morton_partition,
     multilevel_partition, rcb_partition, CsrGraph, WeightedPoint,
 };
 use sas::PagePolicy;
 
-/// All experiment ids, in suite order.
-pub const EXPERIMENT_IDS: [&str; 27] = [
-    "t1", "t2", "t3", "t4", "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "f9", "a1", "a2", "a3",
-    "a4", "a5", "a6", "s1", "n1", "n2", "n3", "q1", "q2", "e1", "c1",
+/// Everything a run of the suite is configured by, as one value. `repro`
+/// fills it from its flags and the `O2K_*` variables; an experiment builds
+/// every machine, every [`RunOpts`] and every bare [`Team`] from it, so no
+/// cell can ignore a flag and nothing is read from process-wide state
+/// (except that a `None` policy / backend follows `o2k_sched`'s defaults).
+#[derive(Debug, Clone)]
+pub struct Env {
+    /// Shrink problem sizes and sweeps.
+    pub quick: bool,
+    /// Scheduling policy for every team (`--sched`).
+    pub sched: Option<SchedPolicy>,
+    /// Execution backend for every team (`--exec`).
+    pub exec: Option<ExecMode>,
+    /// Link faults injected into every machine (`--fault`); cells that
+    /// study faults set their own plan on top.
+    pub fault: FaultMode,
+    /// Snapshot capture / restore for every run (`--snapshot`, `--restore`).
+    pub snap: Option<SnapSpec>,
+    /// Trace every team run and collect the traces here (`--trace`).
+    pub trace: Option<TraceSink>,
+    /// Where archives go: the caller's `<id>.txt` and F9's trace JSONs.
+    pub out_dir: PathBuf,
+}
+
+impl Env {
+    /// Ambient defaults: healthy machines, no snapshots, no tracing,
+    /// archives under `results/`.
+    pub fn new(quick: bool) -> Self {
+        Env {
+            quick,
+            sched: None,
+            exec: None,
+            fault: FaultMode::Off,
+            snap: None,
+            trace: None,
+            out_dir: PathBuf::from("results"),
+        }
+    }
+
+    /// The Origin2000 preset at `p` PEs, carrying this environment's faults.
+    pub fn machine(&self, p: usize) -> Arc<Machine> {
+        self.machine_with(p, |_| {})
+    }
+
+    /// [`Env::machine`] with per-cell changes applied on top (contention
+    /// mode, node width, a cell's own fault plan, …).
+    pub fn machine_with(&self, p: usize, cell: impl FnOnce(&mut MachineConfig)) -> Arc<Machine> {
+        let mut cfg = MachineConfig {
+            fault: self.fault.clone(),
+            ..MachineConfig::origin2000()
+        };
+        cell(&mut cfg);
+        Arc::new(Machine::new(p, cfg))
+    }
+
+    /// Run options for an app or serve entry point. A cell that pins
+    /// something writes `RunOpts { sched: .., ..env.opts() }`.
+    pub fn opts(&self) -> RunOpts {
+        RunOpts {
+            sched: self.sched,
+            exec: self.exec,
+            snap: self.snap.clone(),
+            trace: self.trace.clone(),
+        }
+    }
+
+    /// A bare team (microbenchmarks that drive a runtime directly),
+    /// configured exactly as [`Env::opts`] configures the apps' teams.
+    pub fn team(&self, machine: Arc<Machine>) -> Team {
+        self.opts().configure(Team::new(machine))
+    }
+}
+
+/// One experiment: id, report title, and the function rendering it.
+pub type Experiment = (&'static str, &'static str, fn(&Env) -> String);
+
+/// The suite, in presentation order. Ids, dispatch and the report's titles
+/// and order all come from this one table.
+pub const EXPERIMENTS: [Experiment; 27] = [
+    ("t1", "Machine parameters", t1_machine),
+    ("t2", "Programming effort", t2_effort),
+    ("t3", "Partitioner quality", t3_partitioners),
+    ("t4", "Communication microbenchmarks", t4_microbench),
+    ("f1", "N-body: time and speedup", |env| {
+        f_speedup(App::NBody, env)
+    }),
+    ("f2", "N-body: execution-time breakdown", |env| {
+        f_breakdown(App::NBody, env)
+    }),
+    ("f3", "AMR: time and speedup", |env| {
+        f_speedup(App::Amr, env)
+    }),
+    ("f4", "AMR: execution-time breakdown", |env| {
+        f_breakdown(App::Amr, env)
+    }),
+    ("f5", "Communication volume", f5_comm_volume),
+    ("f6", "Load balance and data movement", f6_balance),
+    ("f7", "Traffic structure", f7_traffic_structure),
+    ("f8", "CC-SAS cache behaviour", f8_cache),
+    ("f9", "Event tracing and critical path", f9_critical_path),
+    ("a1", "Ablation: page placement", a1_paging),
+    ("a2", "Ablation: PLUM remapping", a2_remap),
+    ("a3", "Ablation: costzones vs ORB", a3_partitioning),
+    (
+        "a4",
+        "Extension: NUMA remoteness sweep",
+        a4_numa_sensitivity,
+    ),
+    ("a5", "Extension: hybrid MPI+SAS", a5_hybrid),
+    ("a6", "Ablation: SAS sweep scheduling", a6_self_schedule),
+    ("s1", "Scheduling policies", s1_scheduler_policies),
+    ("n1", "Interconnect contention", n1_contention),
+    ("n2", "Degradation under link faults", n2_fault),
+    ("n3", "Shared-bus saturation", n3_bus_saturation),
+    ("q1", "KV-serving tail latency", q1_serving),
+    ("q2", "Hot-shard mitigation at scale", q2_mitigation),
+    ("e1", "Event-core scaling", e1_scale),
+    ("c1", "Warm-starting a sweep from snapshots", c1_warm_start),
 ];
+
+/// All experiment ids, in suite order.
+pub const EXPERIMENT_IDS: [&str; 27] = {
+    let mut ids = [""; 27];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = EXPERIMENTS[i].0;
+        i += 1;
+    }
+    ids
+};
 
 /// Processor sweep used by the figure experiments.
 fn sweep_pes(quick: bool) -> Vec<usize> {
@@ -62,73 +191,30 @@ fn amr_cfg(quick: bool) -> AmrConfig {
     }
 }
 
-fn machine(p: usize) -> Arc<Machine> {
-    Arc::new(Machine::new(p, MachineConfig::origin2000()))
-}
-
-/// Same machine, but with the interconnect contention model switched on.
-fn machine_queued(p: usize) -> Arc<Machine> {
-    Arc::new(Machine::new(
-        p,
-        MachineConfig {
-            contention: machine::ContentionMode::Queued,
-            ..MachineConfig::origin2000()
-        },
-    ))
-}
-
-/// Same machine, but with the full contended-resource fabric: links plus
-/// per-node SysAD buses and per-router hub arbitration ports.
-fn machine_fabric(p: usize) -> Arc<Machine> {
-    Arc::new(Machine::new(
-        p,
-        MachineConfig {
-            contention: machine::ContentionMode::Fabric,
-            ..MachineConfig::origin2000()
-        },
-    ))
-}
-
-/// Run one experiment by id; `quick` shrinks problem sizes and sweeps.
+/// Run one experiment by id on ambient defaults; `quick` shrinks problem
+/// sizes and sweeps.
 ///
 /// # Panics
 /// Panics on an unknown id.
 pub fn run_experiment(id: &str, quick: bool) -> String {
-    match id {
-        "t1" => t1_machine(),
-        "t2" => t2_effort(),
-        "t3" => t3_partitioners(),
-        "t4" => t4_microbench(),
-        "f1" => f_speedup(App::NBody, quick),
-        "f2" => f_breakdown(App::NBody, quick),
-        "f3" => f_speedup(App::Amr, quick),
-        "f4" => f_breakdown(App::Amr, quick),
-        "f5" => f5_comm_volume(quick),
-        "f6" => f6_balance(quick),
-        "f7" => f7_traffic_structure(quick),
-        "f8" => f8_cache(quick),
-        "f9" => f9_critical_path(quick),
-        "a1" => a1_paging(quick),
-        "a2" => a2_remap(quick),
-        "a3" => a3_partitioning(quick),
-        "a4" => a4_numa_sensitivity(quick),
-        "a5" => a5_hybrid(quick),
-        "a6" => a6_self_schedule(quick),
-        "s1" => s1_scheduler_policies(quick),
-        "n1" => n1_contention(quick),
-        "n2" => n2_fault(quick),
-        "n3" => n3_bus_saturation(quick),
-        "q1" => q1_serving(quick),
-        "q2" => q2_mitigation(quick),
-        "e1" => e1_scale(quick),
-        "c1" => c1_warm_start(quick),
-        other => panic!("unknown experiment id {other:?}"),
-    }
+    run_experiment_in(id, &Env::new(quick))
+}
+
+/// Run one experiment by id under `env`.
+///
+/// # Panics
+/// Panics on an unknown id.
+pub fn run_experiment_in(id: &str, env: &Env) -> String {
+    let (_, _, run) = EXPERIMENTS
+        .iter()
+        .find(|e| e.0 == id)
+        .unwrap_or_else(|| panic!("unknown experiment id {id:?}"));
+    run(env)
 }
 
 // ---------------------------------------------------------------- tables
 
-fn t1_machine() -> String {
+fn t1_machine(_env: &Env) -> String {
     let c = MachineConfig::origin2000();
     let rows = vec![
         vec!["CPUs per node".into(), format!("{}", c.cpus_per_node)],
@@ -169,7 +255,7 @@ fn t1_machine() -> String {
     )
 }
 
-fn t2_effort() -> String {
+fn t2_effort(_env: &Env) -> String {
     let t = effort_table();
     let rows: Vec<Vec<String>> = t
         .iter()
@@ -186,7 +272,7 @@ fn t2_effort() -> String {
     )
 }
 
-fn t3_partitioners() -> String {
+fn t3_partitioners(_env: &Env) -> String {
     // Partition an adapted mesh (shock mid-domain) with every partitioner.
     let mut mesh = AdaptiveMesh::structured(32, 32, 1.0, 1.0);
     let cfg = AmrConfig {
@@ -267,24 +353,23 @@ fn t3_partitioners() -> String {
     )
 }
 
-fn t4_microbench() -> String {
+fn t4_microbench(env: &Env) -> String {
     // The communication-parameter table every paper of the era includes,
     // *measured* on the simulated machine by running the primitives —
     // a self-validation that the runtimes charge what the model says.
     use mp::{MpWorld, RecvSpec};
-    use parallel::Team;
     use sas::SasWorld;
     use shmem::SymWorld;
 
     let p = 16;
-    let m = machine(p);
+    let m = env.machine(p);
     let mut rows = Vec::new();
 
     // Two-sided round trip / 2 for varying sizes, ranks 0 <-> p-1.
     let mpw = MpWorld::new(Arc::clone(&m));
     for bytes in [8usize, 1024, 65_536] {
         let words = bytes / 8;
-        let run = Team::new(Arc::clone(&m)).run(|ctx| {
+        let run = env.team(Arc::clone(&m)).run(|ctx| {
             let reps = 10u64;
             let t0 = ctx.now();
             for _ in 0..reps {
@@ -308,7 +393,7 @@ fn t4_microbench() -> String {
     let shw = SymWorld::new(Arc::clone(&m));
     for bytes in [8usize, 1024, 65_536] {
         let words = bytes / 8;
-        let run = Team::new(Arc::clone(&m)).run(|ctx| {
+        let run = env.team(Arc::clone(&m)).run(|ctx| {
             let sym = shw.alloc::<u64>(ctx, words.max(1));
             let reps = 10u64;
             let data = vec![0u64; words];
@@ -336,7 +421,7 @@ fn t4_microbench() -> String {
 
     // SAS remote line fetch: PE p-1 reads a line homed on node 0.
     let sasw = SasWorld::new(Arc::clone(&m));
-    let run = Team::new(Arc::clone(&m)).run(|ctx| {
+    let run = env.team(Arc::clone(&m)).run(|ctx| {
         let sh = sasw.alloc::<u64>(ctx, 1024);
         let mut pe = sasw.pe();
         if ctx.pe() == 0 {
@@ -355,8 +440,7 @@ fn t4_microbench() -> String {
 
     // Barrier costs vs team size.
     for pes in [4usize, 16, 64] {
-        let mb = machine(pes);
-        let run = Team::new(mb).run(|ctx| {
+        let run = env.team(env.machine(pes)).run(|ctx| {
             let reps = 10u64;
             let t0 = ctx.now();
             for _ in 0..reps {
@@ -386,18 +470,15 @@ microbenchmark table of the era, doubling as a model self-check.
 
 // ---------------------------------------------------------------- figures
 
-fn do_sweep(app: App, quick: bool) -> SweepResult {
-    sweep_models(
-        app,
-        &Model::ALL,
-        &sweep_pes(quick),
-        &nbody_cfg(quick),
-        &amr_cfg(quick),
-    )
+fn do_sweep(app: App, env: &Env) -> SweepResult {
+    let (nb, am) = (nbody_cfg(env.quick), amr_cfg(env.quick));
+    sweep_models(app, &Model::ALL, &sweep_pes(env.quick), |model, p| {
+        apps::run_app_opts(env.machine(p), app, model, &nb, &am, env.opts())
+    })
 }
 
-fn f_speedup(app: App, quick: bool) -> String {
-    let sweep = do_sweep(app, quick);
+fn f_speedup(app: App, env: &Env) -> String {
+    let sweep = do_sweep(app, env);
     let id = if app == App::NBody { "F1" } else { "F3" };
     let mut rows = Vec::new();
     for (pi, &p) in sweep.pes.iter().enumerate() {
@@ -437,14 +518,15 @@ fn f_speedup(app: App, quick: bool) -> String {
     )
 }
 
-fn f_breakdown(app: App, quick: bool) -> String {
+fn f_breakdown(app: App, env: &Env) -> String {
+    let quick = env.quick;
     let id = if app == App::NBody { "F2" } else { "F4" };
     let p = if quick { 8 } else { 32 };
-    let m = machine(p);
+    let m = env.machine(p);
     let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
     let runs: Vec<_> = Model::ALL
         .iter()
-        .map(|&model| apps::run_app(Arc::clone(&m), app, model, &nb, &am))
+        .map(|&model| apps::run_app_opts(Arc::clone(&m), app, model, &nb, &am, env.opts()))
         .collect();
     let labels: Vec<&str> = Model::ALL.iter().map(|m| m.name()).collect();
     let fractions: Vec<Vec<f64>> = runs
@@ -483,10 +565,10 @@ fn f_breakdown(app: App, quick: bool) -> String {
     )
 }
 
-fn f5_comm_volume(quick: bool) -> String {
+fn f5_comm_volume(env: &Env) -> String {
     let mut out = String::from("F5: communication volume vs processors (KB total)\n");
     for app in [App::NBody, App::Amr] {
-        let sweep = do_sweep(app, quick);
+        let sweep = do_sweep(app, env);
         out.push('\n');
         out.push_str(&format!("{}:\n", app.name()));
         let mut rows = Vec::new();
@@ -508,7 +590,8 @@ fn f5_comm_volume(quick: bool) -> String {
     out
 }
 
-fn f6_balance(quick: bool) -> String {
+fn f6_balance(env: &Env) -> String {
+    let quick = env.quick;
     let cfg = amr_cfg(quick);
     let p = if quick { 8 } else { 16 };
     let with = apps::amr_common::balance_series(&cfg, p);
@@ -546,16 +629,17 @@ fn f6_balance(quick: bool) -> String {
     )
 }
 
-fn f7_traffic_structure(quick: bool) -> String {
+fn f7_traffic_structure(env: &Env) -> String {
+    let quick = env.quick;
     let p = if quick { 8 } else { 16 };
-    let m = machine(p);
+    let m = env.machine(p);
     let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
     let mut out = String::from(
         "F7: traffic structure at P=16 — message-size histogram (MPI) and\none-sided operation counts (SHMEM)\n",
     );
     for app in [App::NBody, App::Amr] {
-        let mp = apps::run_app(Arc::clone(&m), app, Model::Mp, &nb, &am);
-        let sh = apps::run_app(Arc::clone(&m), app, Model::Shmem, &nb, &am);
+        let mp = apps::run_app_opts(Arc::clone(&m), app, Model::Mp, &nb, &am, env.opts());
+        let sh = apps::run_app_opts(Arc::clone(&m), app, Model::Shmem, &nb, &am, env.opts());
         out.push('\n');
         out.push_str(&format!("{}:\n", app.name()));
         let h = mp.counters.msg_size_hist;
@@ -575,7 +659,8 @@ fn f7_traffic_structure(quick: bool) -> String {
     out
 }
 
-fn f8_cache(quick: bool) -> String {
+fn f8_cache(env: &Env) -> String {
+    let quick = env.quick;
     let mut out = String::from("F8: CC-SAS cache behaviour vs processors\n");
     for app in [App::NBody, App::Amr] {
         let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
@@ -583,7 +668,7 @@ fn f8_cache(quick: bool) -> String {
         out.push_str(&format!("{}:\n", app.name()));
         let mut rows = Vec::new();
         for &p in &sweep_pes(quick) {
-            let r = apps::run_app(machine(p), app, Model::Sas, &nb, &am);
+            let r = apps::run_app_opts(env.machine(p), app, Model::Sas, &nb, &am, env.opts());
             rows.push(vec![
                 p.to_string(),
                 format!("{:.4}", r.counters.miss_ratio()),
@@ -599,18 +684,21 @@ fn f8_cache(quick: bool) -> String {
     out
 }
 
-fn f9_critical_path(quick: bool) -> String {
+fn f9_critical_path(env: &Env) -> String {
+    let quick = env.quick;
     // Event tracing plus critical-path analysis: where does the end-to-end
     // simulated time actually go, for each application under each model?
     // Traces are archived as Perfetto-loadable Chrome JSON next to the
     // text outputs.
     let p = if quick { 8 } else { 32 };
     let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
-    let out_dir = std::env::var("O2K_RESULTS_DIR").unwrap_or_else(|_| "results".into());
-    let _ = std::fs::create_dir_all(&out_dir);
-
-    let was_enabled = o2k_trace::enabled();
-    o2k_trace::set_enabled(true);
+    let _ = std::fs::create_dir_all(&env.out_dir);
+    // These runs are traced whether or not the caller asked for traces;
+    // under `--trace` they land in the caller's sink like any other run.
+    let traced = RunOpts {
+        trace: Some(env.trace.clone().unwrap_or_default()),
+        ..env.opts()
+    };
 
     let mut out = format!(
         "F9: event traces and critical-path analysis at P={p}\n\
@@ -618,16 +706,17 @@ fn f9_critical_path(quick: bool) -> String {
     );
     for app in [App::Amr, App::NBody] {
         for model in Model::ALL {
-            let r = apps::run_app(machine(p), app, model, &nb, &am);
+            let r = apps::run_app_opts(env.machine(p), app, model, &nb, &am, traced.clone());
             let trace = r.trace.as_ref().expect("tracing was enabled");
             let slug = format!(
                 "f9_{}_{}",
                 app.name().to_lowercase().replace('-', ""),
                 model.name().to_lowercase().replace(['-', '+'], "")
             );
-            let path = format!("{out_dir}/{slug}.trace.json");
+            let path = env.out_dir.join(format!("{slug}.trace.json"));
             std::fs::write(&path, o2k_trace::chrome::to_chrome_json(trace))
                 .expect("write trace json");
+            let path = path.display();
             let stats = o2k_trace::critpath::critical_path(trace);
             out.push_str(&format!(
                 "\n--- {} / {} — {} events across {} PEs, archived to {path}\n",
@@ -660,7 +749,8 @@ fn f9_critical_path(quick: bool) -> String {
             steps: k,
             ..am.clone()
         };
-        let r = apps::amr_mp::run_opts(machine_queued(p), &cfg, RunOpts::default());
+        let queued = env.machine_with(p, |c| c.contention = ContentionMode::Queued);
+        let r = apps::amr_mp::run_opts(queued, &cfg, env.opts());
         // These are totals from *separate* runs, not snapshots of one run:
         // the k-step run's final sync moves different-sized messages than
         // the (k-1)-step run's, so only the aggregate fields printed here
@@ -701,19 +791,13 @@ fn f9_critical_path(quick: bool) -> String {
         "\nAMR / MPI link hotspots by phase ({}-step run):\n{phase_report}",
         am.steps
     ));
-
-    if !was_enabled {
-        o2k_trace::set_enabled(false);
-    }
-    // The runs above also pushed their traces to the process-wide sink;
-    // they are archived already, so drop them.
-    let _ = o2k_trace::sink_drain();
     out
 }
 
 // -------------------------------------------------------------- ablations
 
-fn a1_paging(quick: bool) -> String {
+fn a1_paging(env: &Env) -> String {
+    let quick = env.quick;
     let p = if quick { 8 } else { 16 };
     let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
     let mut rows = Vec::new();
@@ -721,8 +805,8 @@ fn a1_paging(quick: bool) -> String {
         ("first-touch", PagePolicy::FirstTouch),
         ("round-robin", PagePolicy::RoundRobin),
     ] {
-        let n = apps::nbody_sas::run_with_opts(machine(p), &nb, policy, RunOpts::default());
-        let a = apps::amr_sas::run_with_opts(machine(p), &am, policy, RunOpts::default());
+        let n = apps::nbody_sas::run_with_opts(env.machine(p), &nb, policy, env.opts());
+        let a = apps::amr_sas::run_with_opts(env.machine(p), &am, policy, env.opts());
         rows.push(vec![
             name.to_string(),
             ms(n.sim_time),
@@ -740,7 +824,8 @@ fn a1_paging(quick: bool) -> String {
     )
 }
 
-fn a2_remap(quick: bool) -> String {
+fn a2_remap(env: &Env) -> String {
+    let quick = env.quick;
     let p = if quick { 8 } else { 16 };
     let base = amr_cfg(quick);
     let mut rows = Vec::new();
@@ -749,7 +834,7 @@ fn a2_remap(quick: bool) -> String {
             use_remap,
             ..base.clone()
         };
-        let r = apps::amr_mp::run_opts(machine(p), &cfg, RunOpts::default());
+        let r = apps::amr_mp::run_opts(env.machine(p), &cfg, env.opts());
         let moved: f64 = apps::amr_common::balance_series(&cfg, p)
             .iter()
             .map(|s| s.2)
@@ -769,7 +854,8 @@ fn a2_remap(quick: bool) -> String {
     )
 }
 
-fn a3_partitioning(quick: bool) -> String {
+fn a3_partitioning(env: &Env) -> String {
+    let quick = env.quick;
     // Load-balance quality of costzones (SAS) vs ORB (MP): spread of busy
     // time across PEs.
     let p = if quick { 8 } else { 16 };
@@ -777,7 +863,7 @@ fn a3_partitioning(quick: bool) -> String {
     let am = amr_cfg(quick);
     let mut rows = Vec::new();
     for model in [Model::Sas, Model::Mp] {
-        let r = apps::run_app(machine(p), App::NBody, model, &nb, &am);
+        let r = apps::run_app_opts(env.machine(p), App::NBody, model, &nb, &am, env.opts());
         let busy: Vec<f64> = r.per_pe.iter().map(|b| b.busy as f64).collect();
         let max = busy.iter().cloned().fold(0.0f64, f64::max);
         let mean = busy.iter().sum::<f64>() / busy.len() as f64;
@@ -798,23 +884,19 @@ fn a3_partitioning(quick: bool) -> String {
     )
 }
 
-fn a4_numa_sensitivity(quick: bool) -> String {
+fn a4_numa_sensitivity(env: &Env) -> String {
+    let quick = env.quick;
     // Extension beyond the paper: how does the model ranking depend on the
     // machine's NUMA remoteness? Scale the per-hop latency and re-run the
     // AMR comparison at fixed P.
     let p = if quick { 8 } else { 16 };
     let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
-    let base = MachineConfig::origin2000();
     let mut rows = Vec::new();
     for factor in [0u64, 1, 4, 16] {
-        let cfg = MachineConfig {
-            lat_hop: base.lat_hop * factor,
-            ..base.clone()
-        };
-        let m = Arc::new(Machine::new(p, cfg));
-        let mut row = vec![format!("{}x ({} ns/hop)", factor, base.lat_hop * factor)];
+        let m = env.machine_with(p, |c| c.lat_hop *= factor);
+        let mut row = vec![format!("{}x ({} ns/hop)", factor, m.config.lat_hop)];
         for model in Model::ALL {
-            let r = apps::run_app(Arc::clone(&m), App::Amr, model, &nb, &am);
+            let r = apps::run_app_opts(Arc::clone(&m), App::Amr, model, &nb, &am, env.opts());
             row.push(ms(r.sim_time));
         }
         rows.push(row);
@@ -839,66 +921,58 @@ fine-grained access and MPI becomes competitive again.
     )
 }
 
-fn a5_hybrid(quick: bool) -> String {
+fn a5_hybrid(env: &Env) -> String {
     // Extension: the follow-up papers' hybrid (MP between nodes, SAS
     // within) against the three pure models, on the stock machine and on a
     // deep-NUMA variant where fine-grained remote access is expensive.
+    let quick = env.quick;
     let p = if quick { 8 } else { 16 };
     let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
-    let mut rows = Vec::new();
-    for app in [App::NBody, App::Amr] {
-        for (label, cfg) in [
-            ("Origin2000", MachineConfig::origin2000()),
-            ("cluster of SMPs", MachineConfig::cluster_of_smps()),
-        ] {
-            let m = Arc::new(Machine::new(p, cfg));
-            let mut row = vec![format!("{} / {}", app.name(), label)];
-            for model in Model::WITH_HYBRID {
-                let r = apps::run_app(Arc::clone(&m), app, model, &nb, &am);
-                row.push(ms(r.sim_time));
+    let table = |contention: ContentionMode| {
+        let mut rows = Vec::new();
+        for app in [App::NBody, App::Amr] {
+            for (label, cluster) in [("Origin2000", false), ("cluster of SMPs", true)] {
+                let m = env.machine_with(p, |c| {
+                    if cluster {
+                        *c = MachineConfig {
+                            fault: c.fault.clone(),
+                            ..MachineConfig::cluster_of_smps()
+                        };
+                    }
+                    c.contention = contention;
+                });
+                let mut row = vec![format!("{} / {}", app.name(), label)];
+                for model in Model::WITH_HYBRID {
+                    let r = apps::run_app_opts(Arc::clone(&m), app, model, &nb, &am, env.opts());
+                    row.push(ms(r.sim_time));
+                }
+                rows.push(row);
             }
-            rows.push(row);
         }
-    }
-    // Re-run the same four cells on the contended-resource fabric: every
-    // transfer now also arbitrates for its node buses and hub ports, which
-    // penalises the fine-grained models' many small transfers more than the
-    // hybrid's batched leader messages.
-    let mut frows = Vec::new();
-    for app in [App::NBody, App::Amr] {
-        for (label, cfg) in [
-            ("Origin2000", MachineConfig::origin2000()),
-            ("cluster of SMPs", MachineConfig::cluster_of_smps()),
-        ] {
-            let m = Arc::new(Machine::new(
-                p,
-                MachineConfig {
-                    contention: machine::ContentionMode::Fabric,
-                    ..cfg
-                },
-            ));
-            let mut row = vec![format!("{} / {}", app.name(), label)];
-            for model in Model::WITH_HYBRID {
-                let r = apps::run_app(Arc::clone(&m), app, model, &nb, &am);
-                row.push(ms(r.sim_time));
-            }
-            frows.push(row);
-        }
-    }
+        render(
+            &cells(&[
+                "workload / machine",
+                "MPI ms",
+                "SHMEM ms",
+                "CC-SAS ms",
+                "MPI+SAS ms",
+            ]),
+            &rows,
+        )
+    };
+    // The second table re-runs the same four cells on the contended-resource
+    // fabric: every transfer now also arbitrates for its node buses and hub
+    // ports, which penalises the fine-grained models' many small transfers
+    // more than the hybrid's batched leader messages.
     format!(
         "A5 (extension): hybrid MPI+SAS vs the pure models at P={p}\n\n{}\nThe hybrid keeps all data in per-node (page-aligned) shared segments and\nbatches every cross-node byte into leader messages — zero cross-node\ncoherence by construction. It is the fastest model in three of the four\ncells: both applications on the Origin2000, and AMR on the cluster, where\nthe pure fine-grained models are 2-4x slower. Only cluster N-body goes to\npure MPI, whose per-PE essential-tree exchange avoids the hybrid's\nnode-leader serialisation — the intra-node Amdahl effect the follow-up\npapers also observed.\n\nSame cells on the contended-resource fabric (links + node buses + hub\nports, ContentionMode::Fabric):\n\n{}\nBus and hub arbitration taxes per-transfer models hardest; the ranking\nabove is unchanged, but the fine-grained columns move more than the\nhybrid's, widening its margin.\n",
-        render(
-            &cells(&["workload / machine", "MPI ms", "SHMEM ms", "CC-SAS ms", "MPI+SAS ms"]),
-            &rows
-        ),
-        render(
-            &cells(&["workload / machine", "MPI ms", "SHMEM ms", "CC-SAS ms", "MPI+SAS ms"]),
-            &frows
-        )
+        table(ContentionMode::Off),
+        table(ContentionMode::Fabric),
     )
 }
 
-fn a6_self_schedule(quick: bool) -> String {
+fn a6_self_schedule(env: &Env) -> String {
+    let quick = env.quick;
     // Ablation: the classic SAS self-scheduled loop (chunks claimed from a
     // shared counter) vs the static block schedule, for the CC-SAS AMR.
     let p = if quick { 8 } else { 16 };
@@ -916,10 +990,13 @@ fn a6_self_schedule(quick: bool) -> String {
         // is exactly reproducible (claiming is a genuine fetch-add race;
         // see `apps::amr_sas`).
         let r = apps::amr_sas::run_with_opts(
-            machine(p),
+            env.machine(p),
             &cfg,
             PagePolicy::FirstTouch,
-            RunOpts::with_sched(Some(parallel::SchedPolicy::Det)),
+            RunOpts {
+                sched: Some(SchedPolicy::Det),
+                ..env.opts()
+            },
         );
         let busy: Vec<f64> = r.per_pe.iter().map(|b| b.busy as f64).collect();
         let max = busy.iter().cloned().fold(0.0f64, f64::max);
@@ -941,8 +1018,8 @@ fn a6_self_schedule(quick: bool) -> String {
     )
 }
 
-fn s1_scheduler_policies(quick: bool) -> String {
-    use parallel::SchedPolicy;
+fn s1_scheduler_policies(env: &Env) -> String {
+    let quick = env.quick;
     // Scheduler study: the same self-scheduled CC-SAS AMR under every
     // scheduling policy. Deterministic runs repeat bitwise (same schedule
     // fingerprint, same times); exploration seeds pick distinct
@@ -954,10 +1031,13 @@ fn s1_scheduler_policies(quick: bool) -> String {
     };
     let go = |policy: SchedPolicy| {
         apps::amr_sas::run_with_opts(
-            machine(p),
+            env.machine(p),
             &cfg,
             PagePolicy::FirstTouch,
-            RunOpts::with_sched(Some(policy)),
+            RunOpts {
+                sched: Some(policy),
+                ..env.opts()
+            },
         )
     };
     let det_a = go(SchedPolicy::Det);
@@ -1010,12 +1090,11 @@ fn s1_scheduler_policies(quick: bool) -> String {
     )
 }
 
-fn n1_contention(quick: bool) -> String {
-    use machine::ContentionMode;
+fn n1_contention(env: &Env) -> String {
     use mp::MpWorld;
-    use parallel::Team;
     use sas::SasWorld;
 
+    let quick = env.quick;
     // Contention sweep: the same traffic on the analytic (uncontended)
     // machine and on the queueing interconnect model. Each transfer is
     // routed hop-by-hop over the hypercube; a busy link delays it, so
@@ -1026,13 +1105,7 @@ fn n1_contention(quick: bool) -> String {
     } else {
         vec![4, 8, 16, 32, 64]
     };
-    let mach = |p: usize, mode: ContentionMode| -> Arc<Machine> {
-        match mode {
-            ContentionMode::Off => machine(p),
-            ContentionMode::Queued => machine_queued(p),
-            ContentionMode::Fabric => machine_fabric(p),
-        }
-    };
+    let mach = |p: usize, mode: ContentionMode| env.machine_with(p, |c| c.contention = mode);
 
     // (a) MPI personalised all-to-all: every PE sends a chunk to every
     // other PE — the bisection-stressing pattern.
@@ -1040,7 +1113,7 @@ fn n1_contention(quick: bool) -> String {
     let alltoall = |p: usize, mode: ContentionMode| {
         let m = mach(p, mode);
         let mpw = MpWorld::new(Arc::clone(&m));
-        Team::new(Arc::clone(&m)).run(move |ctx| {
+        env.team(Arc::clone(&m)).run(move |ctx| {
             let sends: Vec<Vec<u64>> = (0..p).map(|_| vec![7u64; words]).collect();
             let r = mpw.alltoallv(ctx, sends);
             r.len() as u64
@@ -1053,7 +1126,7 @@ fn n1_contention(quick: bool) -> String {
     let hotspot = |p: usize, mode: ContentionMode| {
         let m = mach(p, mode);
         let sasw = SasWorld::new(Arc::clone(&m));
-        Team::new(Arc::clone(&m)).run(move |ctx| {
+        env.team(Arc::clone(&m)).run(move |ctx| {
             let sh = sasw.alloc::<u64>(ctx, lines * 16);
             let mut pe = sasw.pe();
             if ctx.pe() == 0 {
@@ -1145,8 +1218,9 @@ fn n1_contention(quick: bool) -> String {
     let mut rows = Vec::new();
     for app in [App::NBody, App::Amr] {
         for model in Model::ALL {
-            let off = apps::run_app(machine(p), app, model, &nb, &am);
-            let q = apps::run_app(machine_queued(p), app, model, &nb, &am);
+            let run = |mode| apps::run_app_opts(mach(p, mode), app, model, &nb, &am, env.opts());
+            let off = run(ContentionMode::Off);
+            let q = run(ContentionMode::Queued);
             let s = q.net.expect("queued run reports NetStats");
             rows.push(vec![
                 format!("{} / {}", app.name(), model.name()),
@@ -1185,8 +1259,9 @@ fn n1_contention(quick: bool) -> String {
     let mut rows = Vec::new();
     for app in [App::NBody, App::Amr] {
         for model in Model::ALL {
-            let q = apps::run_app(machine_queued(p), app, model, &nb, &am);
-            let f = apps::run_app(machine_fabric(p), app, model, &nb, &am);
+            let run = |mode| apps::run_app_opts(mach(p, mode), app, model, &nb, &am, env.opts());
+            let q = run(ContentionMode::Queued);
+            let f = run(ContentionMode::Fabric);
             assert_eq!(f.checksum, q.checksum, "fabric changed physics");
             let s = f.net.as_ref().expect("fabric run reports NetStats");
             assert!(
@@ -1223,10 +1298,8 @@ fn n1_contention(quick: bool) -> String {
     out
 }
 
-fn n2_fault(quick: bool) -> String {
-    use machine::{ContentionMode, FaultMode};
-    use parallel::SchedPolicy;
-
+fn n2_fault(env: &Env) -> String {
+    let quick = env.quick;
     // Fault-injection sweep: the same workloads on the queueing
     // interconnect, healthy vs one degraded link vs one killed router
     // port. Degrade multiplies a link's service time; kill removes a
@@ -1237,15 +1310,11 @@ fn n2_fault(quick: bool) -> String {
     let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
     let degraded_spec = "plan:down0:deg8";
     let faulted_spec = "plan:down0:deg8;r0d0:kill";
-    let faulty = |p: usize, spec: &str| -> Arc<Machine> {
-        Arc::new(Machine::new(
-            p,
-            MachineConfig {
-                contention: ContentionMode::Queued,
-                fault: FaultMode::parse(spec).expect("valid fault spec"),
-                ..MachineConfig::origin2000()
-            },
-        ))
+    let faulty = |p: usize, spec: &str| {
+        env.machine_with(p, |c| {
+            c.contention = ContentionMode::Queued;
+            c.fault = FaultMode::parse(spec).expect("valid fault spec");
+        })
     };
 
     let mut out = format!(
@@ -1262,10 +1331,14 @@ fn n2_fault(quick: bool) -> String {
     let mut amr_mp_checksum = 0.0f64;
     // Pin the deterministic schedule: a fault comparison under free OS
     // interleaving confounds the fault's cost with schedule noise.
-    let det = RunOpts::with_sched(Some(SchedPolicy::Det));
+    let det = RunOpts {
+        sched: Some(SchedPolicy::Det),
+        ..env.opts()
+    };
     for app in [App::Amr, App::NBody] {
         for (mi, &model) in Model::ALL.iter().enumerate() {
-            let healthy = apps::run_app_opts(machine_queued(p), app, model, &nb, &am, det.clone());
+            let queued = env.machine_with(p, |c| c.contention = ContentionMode::Queued);
+            let healthy = apps::run_app_opts(queued, app, model, &nb, &am, det.clone());
             let deg =
                 apps::run_app_opts(faulty(p, degraded_spec), app, model, &nb, &am, det.clone());
             let dead =
@@ -1379,10 +1452,8 @@ fn n2_fault(quick: bool) -> String {
     out
 }
 
-fn n3_bus_saturation(quick: bool) -> String {
-    use machine::ContentionMode;
-    use parallel::SchedPolicy;
-
+fn n3_bus_saturation(env: &Env) -> String {
+    let quick = env.quick;
     // Bus-saturation sweep: fix the PE count and fatten the nodes. More
     // CPUs per node means more PEs arbitrating for each node's shared
     // SysAD bus and each router's hub port — the cluster-of-SMPs failure
@@ -1393,16 +1464,15 @@ fn n3_bus_saturation(quick: bool) -> String {
     let cpns: &[usize] = if quick { &[2, 4, 8] } else { &[2, 4, 8, 16] };
     let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
     // Pin the deterministic schedule so the sweep is bitwise reproducible.
-    let det = RunOpts::with_sched(Some(SchedPolicy::Det));
-    let mach = |cpn: usize, mode: ContentionMode| -> Arc<Machine> {
-        Arc::new(Machine::new(
-            p,
-            MachineConfig {
-                cpus_per_node: cpn,
-                contention: mode,
-                ..MachineConfig::origin2000()
-            },
-        ))
+    let det = RunOpts {
+        sched: Some(SchedPolicy::Det),
+        ..env.opts()
+    };
+    let mach = |cpn: usize, mode: ContentionMode| {
+        env.machine_with(p, |c| {
+            c.cpus_per_node = cpn;
+            c.contention = mode;
+        })
     };
 
     let mut out = format!(
@@ -1512,12 +1582,11 @@ fn n3_bus_saturation(quick: bool) -> String {
     out
 }
 
-fn q1_serving(quick: bool) -> String {
+fn q1_serving(env: &Env) -> String {
     use apps::RunMetrics;
-    use machine::{ContentionMode, FaultMode};
     use o2k_serve::{Mitigation, ServeConfig};
-    use parallel::SchedPolicy;
 
+    let quick = env.quick;
     // Tail latency of the sharded key-value service under the three
     // models, across four fabric conditions. Clients are open-loop
     // virtual-time event sources, so a million requests are a million
@@ -1538,31 +1607,28 @@ fn q1_serving(quick: bool) -> String {
         start_ns: 0,
     };
     let sick_spec = "plan:down0:deg8;r0d0:kill";
-    let det = RunOpts::with_sched(Some(SchedPolicy::Det));
+    let det = RunOpts {
+        sched: Some(SchedPolicy::Det),
+        ..env.opts()
+    };
     let scenarios: [(&str, &str); 4] = [
         ("healthy", "queued fabric, uniform keys"),
         ("skewed", "queued fabric, key skew 3.0 piles onto shard 0"),
         ("sick", "queued fabric with plan:down0:deg8;r0d0:kill"),
         ("fat-nodes", "full fabric (buses+hubs), 8 CPUs per node"),
     ];
-    let mach = |scen: &str| -> Arc<Machine> {
-        let cfg = match scen {
-            "sick" => MachineConfig {
-                contention: ContentionMode::Queued,
-                fault: FaultMode::parse(sick_spec).expect("valid fault spec"),
-                ..MachineConfig::origin2000()
-            },
-            "fat-nodes" => MachineConfig {
-                contention: ContentionMode::Fabric,
-                cpus_per_node: 8,
-                ..MachineConfig::origin2000()
-            },
-            _ => MachineConfig {
-                contention: ContentionMode::Queued,
-                ..MachineConfig::origin2000()
-            },
-        };
-        Arc::new(Machine::new(p, cfg))
+    let mach = |scen: &str| {
+        env.machine_with(p, |c| {
+            c.contention = ContentionMode::Queued;
+            match scen {
+                "sick" => c.fault = FaultMode::parse(sick_spec).expect("valid fault spec"),
+                "fat-nodes" => {
+                    c.contention = ContentionMode::Fabric;
+                    c.cpus_per_node = 8;
+                }
+                _ => {}
+            }
+        })
     };
     let serve_cfg = |scen: &str| -> ServeConfig {
         ServeConfig {
@@ -1690,10 +1756,11 @@ fn q1_serving(quick: bool) -> String {
     out
 }
 
-fn q2_mitigation(quick: bool) -> String {
+fn q2_mitigation(env: &Env) -> String {
     use apps::RunMetrics;
     use o2k_serve::{Mitigation, ServeConfig};
 
+    let quick = env.quick;
     // Q2: hot-shard mitigation at scale. The Q1 skew scenario rerun on
     // the event core at P up to 1024, crossing skew x mitigation x model.
     // Replicated reads fan a hot shard's lookups over R deterministic
@@ -1722,6 +1789,11 @@ fn q2_mitigation(quick: bool) -> String {
         start_ns: 600_000,
     };
     const REPL: Mitigation = Mitigation::Replicate { replicas: 3 };
+    let det_event = RunOpts {
+        sched: Some(SchedPolicy::Det),
+        exec: Some(ExecMode::Event),
+        ..env.opts()
+    };
     let grid: [(Model, Mitigation, &str); 7] = [
         (Model::Mp, Mitigation::Off, "MPI / off"),
         (Model::Mp, REPL, "MPI / replicate"),
@@ -1750,7 +1822,8 @@ fn q2_mitigation(quick: bool) -> String {
             let mut off: Vec<(Model, RunMetrics)> = Vec::new();
             for &(model, mit, label) in &grid {
                 let cfg = mk_cfg(p, skew, mit);
-                let r = o2k_serve::run_opts(machine_queued(p), model, &cfg, RunOpts::det_event());
+                let queued = env.machine_with(p, |c| c.contention = ContentionMode::Queued);
+                let r = o2k_serve::run_opts(queued, model, &cfg, det_event.clone());
                 let s = r.serve.as_ref().expect("serving run carries ServeStats");
                 assert_eq!(s.issued, cfg.requests, "{label}: every request admitted");
                 assert_eq!(
@@ -1866,11 +1939,12 @@ fn q2_mitigation(quick: bool) -> String {
     out
 }
 
-fn e1_scale(quick: bool) -> String {
+fn e1_scale(env: &Env) -> String {
     use apps::RunMetrics;
     use o2k_serve::ServeConfig;
-    use parallel::{ExecMode, SchedPolicy, THREAD_PE_CAP};
+    use parallel::THREAD_PE_CAP;
 
+    let quick = env.quick;
     // E1: event-core scaling. The thread backend stops at the OS-thread
     // cap ([`parallel::THREAD_PE_CAP`]); the event core runs every PE as
     // a coroutine on one thread and carries the same deterministic
@@ -1901,12 +1975,12 @@ fn e1_scale(quick: bool) -> String {
         seed: 0x00C0_FFEE,
         ..ServeConfig::default()
     };
-    let event = RunOpts::det_event();
-    let thread = RunOpts {
+    let on = |exec: ExecMode| RunOpts {
         sched: Some(SchedPolicy::Det),
-        exec: Some(ExecMode::Thread),
-        ..RunOpts::default()
+        exec: Some(exec),
+        ..env.opts()
     };
+    let (event, thread) = (on(ExecMode::Event), on(ExecMode::Thread));
 
     let workloads: [(&str, &str); 3] = [
         ("nbody", "N-body / MPI"),
@@ -1915,9 +1989,9 @@ fn e1_scale(quick: bool) -> String {
     ];
     let run = |p: usize, wl: &str, opts: RunOpts| -> RunMetrics {
         match wl {
-            "nbody" => apps::run_app_opts(machine(p), App::NBody, Model::Mp, &nb, &am, opts),
-            "amr" => apps::run_app_opts(machine(p), App::Amr, Model::Mp, &nb, &am, opts),
-            "serve" => o2k_serve::run_opts(machine(p), Model::Shmem, &sv, opts),
+            "nbody" => apps::run_app_opts(env.machine(p), App::NBody, Model::Mp, &nb, &am, opts),
+            "amr" => apps::run_app_opts(env.machine(p), App::Amr, Model::Mp, &nb, &am, opts),
+            "serve" => o2k_serve::run_opts(env.machine(p), Model::Shmem, &sv, opts),
             other => unreachable!("unknown workload {other}"),
         }
     };
@@ -1990,15 +2064,14 @@ fn e1_scale(quick: bool) -> String {
     out
 }
 
-fn c1_warm_start(quick: bool) -> String {
+fn c1_warm_start(env: &Env) -> String {
     use std::time::Instant;
 
     use apps::RunMetrics;
-    use machine::{ContentionMode, FaultMode};
     use o2k_serve::{Mitigation, ServeConfig};
-    use o2k_snap::{SnapPoint, SnapSpec};
-    use parallel::SchedPolicy;
+    use o2k_snap::SnapPoint;
 
+    let quick = env.quick;
     // C1: warm-starting a scenario sweep from a snapshot. Two prologues
     // are paid once and captured — the AMR mesh converged to its last
     // adaptation step, and the Q1 KV table fully built — then a fault ×
@@ -2007,11 +2080,9 @@ fn c1_warm_start(quick: bool) -> String {
     // re-pays the prologue in every cell; the difference is host
     // wall-clock, since a restored run replays the same virtual-time tail.
     //
-    // C1 manages its own snapshot directory, so the process-wide
-    // `--snapshot` / `--restore` spec is parked for the duration (a
-    // global restore would warm-start the from-scratch half too).
-    let parked_spec = o2k_snap::current_spec();
-    o2k_snap::set_spec(None);
+    // C1 manages its own snapshot directory: every cell sets `snap`
+    // itself, so `--snapshot` / `--restore` do not apply here (a restore
+    // would warm-start the from-scratch half too).
 
     let p = 16;
     // Heavy on sweeps: the smoothing sweeps (and their halo exchanges) are
@@ -2106,22 +2177,18 @@ fn c1_warm_start(quick: bool) -> String {
         }
     }
 
-    let mach = |cont: ContentionMode, fault: &str| -> Arc<Machine> {
-        Arc::new(Machine::new(
-            p,
-            MachineConfig {
-                contention: cont,
-                fault: FaultMode::parse(fault).expect("valid fault spec"),
-                ..MachineConfig::origin2000()
-            },
-        ))
+    let mach = |cont: ContentionMode, fault: &str| {
+        env.machine_with(p, |c| {
+            c.contention = cont;
+            c.fault = FaultMode::parse(fault).expect("valid fault spec");
+        })
     };
     let run = |c: &Cell, snap: Option<SnapSpec>| -> RunMetrics {
         let m = mach(c.cont.1, c.fault.1);
         let opts = RunOpts {
             sched: Some(c.policy.1),
             snap,
-            ..RunOpts::default()
+            ..env.opts()
         };
         match c.wl {
             "amr" => apps::run_app_opts(m, App::Amr, Model::Shmem, &nb, &am, opts),
@@ -2191,7 +2258,6 @@ fn c1_warm_start(quick: bool) -> String {
     }
     let warm_total = warm_start.elapsed();
     let _ = std::fs::remove_dir_all(&snap_dir);
-    o2k_snap::set_spec(parked_spec);
 
     // Correctness before speed. Faults, contention modes and cooperative
     // schedules move virtual time, never the physics — so every cell's
@@ -2314,6 +2380,90 @@ mod tests {
             let out = run_experiment(id, true);
             assert!(out.len() > 80, "{id} too short");
         }
+    }
+
+    #[test]
+    fn ids_follow_the_experiment_table() {
+        for (i, (id, title, _)) in EXPERIMENTS.iter().enumerate() {
+            assert_eq!(EXPERIMENT_IDS[i], *id);
+            assert!(
+                !title.is_empty() && title != id,
+                "{id} needs a report title"
+            );
+        }
+    }
+
+    /// File names (minus extension) of the snapshots in `dir`.
+    fn snapshot_tags(dir: &std::path::Path) -> Vec<String> {
+        let mut tags: Vec<String> = std::fs::read_dir(dir)
+            .expect("snapshot dir exists")
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == o2k_snap::EXT))
+            .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+            .collect();
+        tags.sort();
+        tags
+    }
+
+    fn capture_into(name: &str) -> (PathBuf, Option<SnapSpec>) {
+        let dir = std::env::temp_dir().join(format!("o2k-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = SnapSpec::Capture {
+            dir: dir.clone(),
+            point: o2k_snap::SnapPoint::parse("step:1").unwrap(),
+        };
+        (dir, Some(spec))
+    }
+
+    #[test]
+    fn a_snapshot_env_reaches_the_runs_behind_f1() {
+        // F1's runs happen inside `sweep_models`; the spec travels there in
+        // `env.opts()`, with no process-wide spec to fall back on.
+        let (dir, snap) = capture_into("f1-snap");
+        let env = Env {
+            sched: Some(SchedPolicy::Det),
+            snap,
+            ..Env::new(true)
+        };
+        run_experiment_in("f1", &env);
+        let tags = snapshot_tags(&dir);
+        assert_eq!(tags.len(), 12, "3 models x 4 team sizes: {tags:?}");
+        assert!(tags.iter().all(|t| t.starts_with("nbody-")));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_fault_env_reaches_the_machines_f5_builds() {
+        // Snapshot names are keyed by a digest of the machine config, fault
+        // plan included — so they show which machines F5 really ran on.
+        let (dir, snap) = capture_into("f5-fault");
+        let env = Env {
+            sched: Some(SchedPolicy::Det),
+            fault: FaultMode::parse("plan:down0:deg8").unwrap(),
+            snap,
+            ..Env::new(true)
+        };
+        run_experiment_in("f5", &env);
+        let digest = |m: &Machine| o2k_snap::fnv1a(format!("{:?}", m.config).as_bytes());
+        let tags = snapshot_tags(&dir);
+        assert_eq!(tags.len(), 24, "2 apps x 3 models x 4 team sizes: {tags:?}");
+        for tag in &tags {
+            let p = sweep_pes(true)
+                .into_iter()
+                .find(|p| tag.contains(&format!("-p{p}-")))
+                .expect("a tag names its team size");
+            assert!(
+                tag.ends_with(&format!("-m{:016x}", digest(&env.machine(p)))),
+                "{tag} was not captured on a machine carrying the env's fault plan"
+            );
+        }
+        let healthy = digest(&Env::new(true).machine(4));
+        assert_ne!(
+            healthy,
+            digest(&env.machine(4)),
+            "the plan is in the digest"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

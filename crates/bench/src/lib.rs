@@ -6,4 +6,4 @@
 
 pub mod experiments;
 
-pub use experiments::{run_experiment, EXPERIMENT_IDS};
+pub use experiments::{run_experiment, run_experiment_in, Env, EXPERIMENTS, EXPERIMENT_IDS};

@@ -7,76 +7,28 @@
 
 use std::fmt::Write as _;
 
-/// One section of the report: experiment id and its rendered text block.
-#[derive(Debug, Clone)]
-pub struct Section {
-    pub id: String,
-    pub body: String,
+/// One section of the report: experiment id, its human title and its
+/// rendered text block.
+#[derive(Debug, Clone, Copy)]
+pub struct Section<'a> {
+    pub id: &'a str,
+    pub title: &'a str,
+    pub body: &'a str,
 }
 
-/// Human titles for the suite, in presentation order.
-pub const SECTION_TITLES: [(&str, &str); 19] = [
-    ("t1", "Machine parameters"),
-    ("t2", "Programming effort"),
-    ("t3", "Partitioner quality"),
-    ("t4", "Communication microbenchmarks"),
-    ("f1", "N-body: time and speedup"),
-    ("f2", "N-body: execution-time breakdown"),
-    ("f3", "AMR: time and speedup"),
-    ("f4", "AMR: execution-time breakdown"),
-    ("f5", "Communication volume"),
-    ("f6", "Load balance and data movement"),
-    ("f7", "Traffic structure"),
-    ("f8", "CC-SAS cache behaviour"),
-    ("f9", "Event tracing and critical path"),
-    ("a1", "Ablation: page placement"),
-    ("a2", "Ablation: PLUM remapping"),
-    ("a3", "Ablation: costzones vs ORB"),
-    ("a4", "Extension: NUMA remoteness sweep"),
-    ("a5", "Extension: hybrid MPI+SAS"),
-    ("a6", "Ablation: SAS sweep scheduling"),
-];
-
-/// Title for an experiment id (falls back to the id itself).
-pub fn title_of(id: &str) -> &str {
-    SECTION_TITLES
-        .iter()
-        .find(|(i, _)| *i == id)
-        .map(|(_, t)| *t)
-        .unwrap_or(id)
-}
-
-/// Stitch sections into a markdown report. Sections are emitted in
-/// canonical suite order; unknown ids go last in input order.
-pub fn assemble(header: &str, sections: &[Section]) -> String {
-    let mut ordered: Vec<&Section> = Vec::with_capacity(sections.len());
-    for (id, _) in SECTION_TITLES {
-        if let Some(s) = sections.iter().find(|s| s.id == id) {
-            ordered.push(s);
-        }
-    }
-    for s in sections {
-        if !SECTION_TITLES.iter().any(|(id, _)| *id == s.id) {
-            ordered.push(s);
-        }
-    }
-
+/// Stitch sections into a markdown report, in the order given (the
+/// caller's experiment table is the one place that fixes suite order).
+pub fn assemble(header: &str, sections: &[Section<'_>]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "# origin2k reproduction report\n");
     let _ = writeln!(out, "{header}\n");
     let _ = writeln!(out, "## Contents\n");
-    for s in &ordered {
-        let _ = writeln!(
-            out,
-            "* [{} — {}](#{})",
-            s.id.to_uppercase(),
-            title_of(&s.id),
-            s.id
-        );
+    for s in sections {
+        let _ = writeln!(out, "* [{} — {}](#{})", s.id.to_uppercase(), s.title, s.id);
     }
-    for s in &ordered {
+    for s in sections {
         let _ = writeln!(out, "\n<a name=\"{}\"></a>\n", s.id);
-        let _ = writeln!(out, "## {} — {}\n", s.id.to_uppercase(), title_of(&s.id));
+        let _ = writeln!(out, "## {} — {}\n", s.id.to_uppercase(), s.title);
         let _ = writeln!(out, "```text\n{}\n```", s.body.trim_end());
     }
     out
@@ -87,36 +39,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn titles_cover_the_suite() {
-        assert_eq!(title_of("f3"), "AMR: time and speedup");
-        assert_eq!(title_of("zz"), "zz");
-        assert_eq!(SECTION_TITLES.len(), 19);
-    }
-
-    #[test]
-    fn assemble_orders_canonically() {
-        let sections = vec![
-            Section {
-                id: "f1".into(),
-                body: "FIG1".into(),
-            },
-            Section {
-                id: "t1".into(),
-                body: "TAB1".into(),
-            },
-            Section {
-                id: "weird".into(),
-                body: "X".into(),
-            },
-        ];
-        let r = assemble("hdr", &sections);
-        let t1 = r.find("TAB1").unwrap();
-        let f1 = r.find("FIG1").unwrap();
-        let x = r.find("```text\nX").unwrap();
-        assert!(
-            t1 < f1 && f1 < x,
-            "canonical order: t1 before f1 before extras"
+    fn assemble_keeps_order_and_titles() {
+        let section = |id, title, body| Section { id, title, body };
+        let r = assemble(
+            "hdr",
+            &[
+                section("t1", "Machine parameters", "TAB1"),
+                section("f1", "N-body: time and speedup", "FIG1"),
+            ],
         );
+        assert!(r.find("TAB1").unwrap() < r.find("FIG1").unwrap());
+        assert!(r.contains("* [F1 — N-body: time and speedup](#f1)"));
+        assert!(r.contains("## T1 — Machine parameters"));
         assert!(r.contains("## Contents"));
         assert!(r.contains("# origin2k reproduction report"));
     }

@@ -1,9 +1,6 @@
 //! Processor sweeps across the three models.
 
-use std::sync::Arc;
-
-use apps::{run_app, AmrConfig, App, Model, NBodyConfig, RunMetrics};
-use machine::{Machine, MachineConfig};
+use apps::{App, Model, RunMetrics};
 
 /// One model's results across the processor sweep.
 #[derive(Debug, Clone)]
@@ -45,26 +42,20 @@ impl SweepResult {
     }
 }
 
-/// Run `app` under every model in `models` for each processor count in
-/// `pes`, on Origin2000-preset machines.
+/// Cross every model in `models` with each processor count in `pes`:
+/// `run(model, p)` performs one cell. The caller owns the machine and the
+/// run options, so a sweep honours whatever configuration its caller does.
 pub fn sweep_models(
     app: App,
     models: &[Model],
     pes: &[usize],
-    nbody_cfg: &NBodyConfig,
-    amr_cfg: &AmrConfig,
+    run: impl Fn(Model, usize) -> RunMetrics,
 ) -> SweepResult {
     let series = models
         .iter()
         .map(|&model| ModelSeries {
             model,
-            runs: pes
-                .iter()
-                .map(|&p| {
-                    let machine = Arc::new(Machine::new(p, MachineConfig::origin2000()));
-                    run_app(machine, app, model, nbody_cfg, amr_cfg)
-                })
-                .collect(),
+            runs: pes.iter().map(|&p| run(model, p)).collect(),
         })
         .collect();
     SweepResult {
@@ -77,6 +68,14 @@ pub fn sweep_models(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apps::{run_app, AmrConfig, NBodyConfig};
+    use machine::Machine;
+
+    fn sweep(app: App, pes: &[usize], nb: &NBodyConfig, amr: &AmrConfig) -> SweepResult {
+        sweep_models(app, &Model::ALL, pes, |model, p| {
+            run_app(Machine::origin2000(p), app, model, nb, amr)
+        })
+    }
 
     #[test]
     fn sweep_covers_grid_and_speedups_are_sane() {
@@ -86,7 +85,7 @@ mod tests {
             ..NBodyConfig::default()
         };
         let amr = AmrConfig::small();
-        let sweep = sweep_models(App::NBody, &Model::ALL, &[1, 2, 4], &nb, &amr);
+        let sweep = sweep(App::NBody, &[1, 2, 4], &nb, &amr);
         assert_eq!(sweep.series.len(), 3);
         for s in &sweep.series {
             assert_eq!(s.runs.len(), 3);
@@ -102,7 +101,7 @@ mod tests {
     fn amr_sweep_runs_all_models() {
         let nb = NBodyConfig::small();
         let amr = AmrConfig::small();
-        let sweep = sweep_models(App::Amr, &Model::ALL, &[1, 2], &nb, &amr);
+        let sweep = sweep(App::Amr, &[1, 2], &nb, &amr);
         // All models agree on the checksum for AMR (bitwise, see apps).
         let c: Vec<f64> = sweep.series.iter().map(|s| s.runs[1].checksum).collect();
         assert_eq!(c[0], c[1]);

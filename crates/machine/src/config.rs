@@ -1,6 +1,6 @@
 //! Machine configuration: latency, bandwidth and cache parameters.
 
-use crate::fault::{self, FaultMode};
+use crate::fault::FaultMode;
 
 /// Whether transfers contend for interconnect resources.
 ///
@@ -157,7 +157,7 @@ impl MachineConfig {
             sync_hop: 400,
             lock_overhead: 240,
             contention: ContentionMode::Off,
-            fault: fault::default_fault(),
+            fault: FaultMode::Off,
         }
     }
 
@@ -214,7 +214,7 @@ impl MachineConfig {
             sync_hop: 8,
             lock_overhead: 6,
             contention: ContentionMode::Off,
-            fault: fault::default_fault(),
+            fault: FaultMode::Off,
         }
     }
 
@@ -311,8 +311,8 @@ mod tests {
 
     #[test]
     fn fault_defaults_off_everywhere() {
-        // Presets inherit the process default, which is Off unless a test
-        // or the repro binary overrides it.
+        // No preset reads ambient state: a fault plan is always the
+        // caller's explicit `fault:` field.
         assert_eq!(MachineConfig::origin2000().fault, FaultMode::Off);
         assert_eq!(MachineConfig::test_tiny().fault, FaultMode::Off);
         assert_eq!(MachineConfig::cluster_of_smps().fault, FaultMode::Off);

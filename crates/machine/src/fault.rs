@@ -10,7 +10,6 @@
 
 use crate::time::SimTime;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
 
 /// A directed link of the bristled hypercube, named without reference to a
 /// concrete machine size (resolved to a link id once the topology is known).
@@ -175,14 +174,10 @@ impl fmt::Display for FaultMode {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Process-wide default fault mode
-// ---------------------------------------------------------------------------
-
-static OVERRIDE: Mutex<Option<FaultMode>> = Mutex::new(None);
-
 /// `O2K_FAULT` from the environment: `Ok(None)` when unset, a diagnostic
-/// when malformed (see [`crate::env_setting`]).
+/// when malformed (see [`crate::env_setting`]). A pure parser: nothing in
+/// the libraries calls it — the `repro` binary does, once, and hands the
+/// result to the machines it builds.
 pub fn env_fault() -> Result<Option<FaultMode>, String> {
     crate::env_setting(
         "O2K_FAULT",
@@ -190,29 +185,6 @@ pub fn env_fault() -> Result<Option<FaultMode>, String> {
          and actions kill/deg<F>/heal",
         FaultMode::parse,
     )
-}
-
-/// The fault mode a fresh [`crate::MachineConfig`] preset carries: the last
-/// [`set_default_fault`] value, else `O2K_FAULT` from the environment, else
-/// [`FaultMode::Off`]. Panics with [`env_fault`]'s diagnostic on a
-/// malformed `O2K_FAULT`.
-pub fn default_fault() -> FaultMode {
-    static ENV: OnceLock<FaultMode> = OnceLock::new();
-    let g = OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
-    g.clone().unwrap_or_else(|| {
-        ENV.get_or_init(|| {
-            env_fault()
-                .unwrap_or_else(|e| panic!("{e}"))
-                .unwrap_or(FaultMode::Off)
-        })
-        .clone()
-    })
-}
-
-/// Override the process-wide default fault mode (used by the `repro`
-/// binary's `--fault` flag).
-pub fn set_default_fault(m: FaultMode) {
-    *OVERRIDE.lock().unwrap_or_else(|e| e.into_inner()) = Some(m);
 }
 
 #[cfg(test)]

@@ -360,8 +360,8 @@ impl NetSim {
         let nlinks = 2 * nodes + rpad * dims;
         let fabric = cfg.contention == ContentionMode::Fabric;
         // Resolve the symbolic fault plan against this topology. Links the
-        // machine doesn't have (e.g. a global O2K_FAULT plan naming a high
-        // router on a small machine) are skipped.
+        // machine doesn't have (e.g. `repro --fault` naming a high router,
+        // applied to every machine size an experiment sweeps) are skipped.
         let mut faults: Vec<Vec<(SimTime, FaultKind)>> = vec![Vec::new(); nlinks];
         if let FaultMode::Plan(plan) = &cfg.fault {
             for e in &plan.events {

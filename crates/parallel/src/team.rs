@@ -197,6 +197,7 @@ pub struct Team {
     machine: Arc<Machine>,
     seed: u64,
     trace: bool,
+    sink: Option<o2k_trace::TraceSink>,
     sched: SchedPolicy,
     exec: ExecMode,
 }
@@ -211,6 +212,7 @@ impl Team {
             machine,
             seed: 0x5EED_0816,
             trace: false,
+            sink: None,
             sched: o2k_sched::default_policy(),
             exec: o2k_sched::default_exec(),
         }
@@ -241,11 +243,17 @@ impl Team {
         self
     }
 
-    /// Enable event tracing for runs of this team. Tracing is also enabled
-    /// globally via [`o2k_trace::set_enabled`], which additionally pushes
-    /// each run's trace to the process-wide sink.
+    /// Enable event tracing for runs of this team; the trace comes back
+    /// on the [`TeamRun`].
     pub fn trace(mut self, on: bool) -> Self {
         self.trace = on;
+        self
+    }
+
+    /// Trace every run of this team and additionally push each finished
+    /// [`o2k_trace::Trace`] into `sink`, for whoever holds the other end.
+    pub fn trace_into(mut self, sink: o2k_trace::TraceSink) -> Self {
+        self.sink = Some(sink);
         self
     }
 
@@ -337,8 +345,7 @@ impl Team {
                 let _ = net.import_state_bytes(bytes);
             }
         }
-        let globally_traced = o2k_trace::enabled();
-        let trace = self.trace || globally_traced;
+        let trace = self.trace || self.sink.is_some();
         if trace {
             if let Some(net) = &shared.net {
                 net.set_record_spans(true);
@@ -395,8 +402,8 @@ impl Team {
             sched: coop.map(|cs| cs.stats()),
             net: shared.net.clone(),
         };
-        if globally_traced {
-            o2k_trace::sink_push(run.trace());
+        if let Some(sink) = &self.sink {
+            sink.push(run.trace());
         }
         run
     }

@@ -235,13 +235,7 @@ pub(crate) fn serve_cost(ctx: &mut Ctx, cfg: &ServeConfig, owner: usize) {
     ctx.counters_mut().requests_served += 1;
 }
 
-/// Run the serving workload under `model` with the process-default
-/// execution options.
-pub fn run(machine: Arc<Machine>, model: Model, cfg: &ServeConfig) -> RunMetrics {
-    run_opts(machine, model, cfg, apps::RunOpts::default())
-}
-
-/// [`run`] with explicit execution options (see [`apps::RunOpts`]).
+/// Run the serving workload under `model` (see [`apps::RunOpts`]).
 /// Experiments pin [`parallel::SchedPolicy::Det`] so latency comparisons
 /// replay bitwise; the event backend is how serving scales past the
 /// thread cap to P = 1024 shards.
@@ -257,7 +251,9 @@ pub fn run_opts(
         Model::Mp => mp::run_opts(machine, cfg, opts),
         Model::Shmem => shmem::run_opts(machine, cfg, opts),
         Model::Sas => sas::run_opts(machine, cfg, opts),
-        Model::Hybrid => unimplemented!("the serving workload covers the paper's three models"),
+        Model::Hybrid => {
+            panic!("the serving workload has no MPI+SAS variant; pick one of MPI, SHMEM or CC-SAS")
+        }
     }
 }
 
@@ -323,7 +319,18 @@ mod tests {
     }
 
     fn det() -> apps::RunOpts {
-        apps::RunOpts::with_sched(Some(SchedPolicy::Det))
+        apps::RunOpts::with_sched(SchedPolicy::Det)
+    }
+
+    #[test]
+    #[should_panic(expected = "pick one of MPI, SHMEM or CC-SAS")]
+    fn hybrid_is_refused_by_name() {
+        run_opts(
+            queued_machine(4),
+            Model::Hybrid,
+            &ServeConfig::small(),
+            det(),
+        );
     }
 
     #[test]

@@ -41,7 +41,6 @@
 
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use machine::stats::Counters;
 use machine::{SimTime, TimeBreakdown};
@@ -136,21 +135,6 @@ impl SnapSpec {
             dir: PathBuf::from(s),
         })
     }
-}
-
-static SPEC: Mutex<Option<SnapSpec>> = Mutex::new(None);
-
-/// Set (or clear) the process-wide snapshot spec — the `repro` binary's
-/// `--snapshot` / `--restore` flags, mirroring
-/// [`o2k_sched::set_default_policy`]. A `RunOpts`-level spec overrides it
-/// per run.
-pub fn set_spec(spec: Option<SnapSpec>) {
-    *SPEC.lock().unwrap_or_else(|e| e.into_inner()) = spec;
-}
-
-/// The current process-wide snapshot spec, if any.
-pub fn current_spec() -> Option<SnapSpec> {
-    SPEC.lock().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
 // ---------------------------------------------------------------------------
@@ -619,13 +603,5 @@ mod tests {
             snapshot_path(Path::new("snaps"), &tag),
             PathBuf::from(format!("snaps/{tag}.o2ksnap"))
         );
-    }
-
-    #[test]
-    fn global_spec_round_trips() {
-        set_spec(Some(SnapSpec::parse_restore("x").unwrap()));
-        assert_eq!(current_spec(), Some(SnapSpec::parse_restore("x").unwrap()));
-        set_spec(None);
-        assert_eq!(current_spec(), None);
     }
 }

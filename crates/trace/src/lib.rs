@@ -22,8 +22,7 @@
 //! Recording is `Off` by default and costs one branch per charge; it
 //! never touches the clock, so enabling it cannot perturb simulated time.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use machine::{SimTime, TimeBreakdown, TimeCat};
 
@@ -406,35 +405,24 @@ impl Trace {
     }
 }
 
-// --- process-global enablement and trace sink -------------------------------
-//
-// The `repro` binary flips the global flag so every `Team::run` in any
-// experiment records, and collects finished traces from the sink — no
-// per-experiment code changes needed.
+/// Where a run's finished traces are collected: a cloneable handle on one
+/// shared list. Whoever wants traces creates a sink, hands clones to the
+/// runs it starts (`RunOpts::trace`, `Team::trace_into`) and drains it
+/// afterwards; a team given a sink records events and pushes its
+/// [`Trace`] on completion. Two sinks never see each other's runs.
+#[derive(Debug, Clone, Default)]
+pub struct TraceSink(Arc<Mutex<Vec<Trace>>>);
 
-static GLOBAL_ENABLED: AtomicBool = AtomicBool::new(false);
-static SINK: Mutex<Vec<Trace>> = Mutex::new(Vec::new());
+impl TraceSink {
+    /// Deposit a finished trace (called by the team runtime).
+    pub fn push(&self, trace: Trace) {
+        self.0.lock().unwrap_or_else(|e| e.into_inner()).push(trace);
+    }
 
-/// Enable or disable tracing process-wide (in addition to any per-`Team`
-/// opt-in). Affects teams created after the call.
-pub fn set_enabled(on: bool) {
-    GLOBAL_ENABLED.store(on, Ordering::SeqCst);
-}
-
-/// Whether process-wide tracing is on.
-pub fn enabled() -> bool {
-    GLOBAL_ENABLED.load(Ordering::SeqCst)
-}
-
-/// Deposit a finished trace for later collection (called by the team
-/// runtime when tracing was enabled globally).
-pub fn sink_push(trace: Trace) {
-    SINK.lock().unwrap_or_else(|e| e.into_inner()).push(trace);
-}
-
-/// Take all deposited traces, in completion order.
-pub fn sink_drain() -> Vec<Trace> {
-    std::mem::take(&mut *SINK.lock().unwrap_or_else(|e| e.into_inner()))
+    /// Take all deposited traces, in completion order.
+    pub fn drain(&self) -> Vec<Trace> {
+        std::mem::take(&mut *self.0.lock().unwrap_or_else(|e| e.into_inner()))
+    }
 }
 
 #[cfg(test)]
@@ -518,16 +506,20 @@ mod tests {
 
     #[test]
     fn sink_roundtrip() {
-        sink_push(Trace::new(vec![vec![ev(
+        let sink = TraceSink::default();
+        sink.clone().push(Trace::new(vec![vec![ev(
             0,
             0,
             1,
             EventKind::Compute,
             TimeCat::Busy,
         )]]));
-        let drained = sink_drain();
-        assert!(!drained.is_empty());
-        assert!(sink_drain().is_empty());
+        assert!(
+            TraceSink::default().drain().is_empty(),
+            "sinks are separate"
+        );
+        assert_eq!(sink.drain().len(), 1);
+        assert!(sink.drain().is_empty());
     }
 
     #[test]

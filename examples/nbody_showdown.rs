@@ -21,7 +21,9 @@ fn main() {
     let pes = [1usize, 2, 4, 8, 16, 32];
 
     println!("Barnes-Hut N-body, N={n}, θ={}, {steps} steps\n", cfg.theta);
-    let sweep = sweep_models(App::NBody, &Model::ALL, &pes, &cfg, &amr);
+    let sweep = sweep_models(App::NBody, &Model::ALL, &pes, |model, p| {
+        run_app(Machine::origin2000(p), App::NBody, model, &cfg, &amr)
+    });
 
     println!(
         "{:<4} {:>12} {:>12} {:>12}   {:>7} {:>7} {:>7}",

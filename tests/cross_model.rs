@@ -134,13 +134,13 @@ fn sas_det_pair(app: App, nb: &NBodyConfig, am: &AmrConfig) -> (RunMetrics, RunM
             machine(4),
             nb,
             PagePolicy::FirstTouch,
-            RunOpts::with_sched(Some(SchedPolicy::Det)),
+            RunOpts::with_sched(SchedPolicy::Det),
         ),
         App::Amr => origin2k::apps::amr_sas::run_with_opts(
             machine(4),
             am,
             PagePolicy::FirstTouch,
-            RunOpts::with_sched(Some(SchedPolicy::Det)),
+            RunOpts::with_sched(SchedPolicy::Det),
         ),
         App::Serve => unreachable!("the serving workload has its own det tests"),
     };

@@ -17,18 +17,13 @@
 //!   checksums agreeing and request conservation holding; thread mode at
 //!   P = 1024 is refused with a diagnostic pointing at `--exec event`.
 //!
-//! Tests that flip the *process-default* exec mode serialize on
-//! [`EXEC_DEFAULT`]; everything else passes explicit [`RunOpts`] and is
-//! safe to run concurrently.
+//! Every test passes its backend explicitly ([`RunOpts`] or
+//! `o2k_bench::Env`), so all of them are safe to run concurrently.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 
 use origin2k::prelude::*;
-
-/// Guards `set_default_exec`: the default is process-global, and tests in
-/// this binary run concurrently.
-static EXEC_DEFAULT: Mutex<()> = Mutex::new(());
 
 fn machine(p: usize) -> Arc<Machine> {
     Machine::origin2000(p)
@@ -111,14 +106,14 @@ fn serve_goldens_replay_bitwise_under_event() {
 /// (tables, hotspot reports, quantiles — the whole rendered archive).
 #[test]
 fn experiment_archives_replay_bitwise_under_event() {
-    let _guard = EXEC_DEFAULT.lock().unwrap();
-    origin2k::sched::set_default_policy(SchedPolicy::Det);
+    let on = |exec: ExecMode| o2k_bench::Env {
+        sched: Some(SchedPolicy::Det),
+        exec: Some(exec),
+        ..o2k_bench::Env::new(true)
+    };
     for id in ["f2", "n1", "n2", "q1"] {
-        origin2k::sched::set_default_exec(ExecMode::Thread);
-        let thread = o2k_bench::run_experiment(id, true);
-        origin2k::sched::set_default_exec(ExecMode::Event);
-        let event = o2k_bench::run_experiment(id, true);
-        origin2k::sched::set_default_exec(ExecMode::Thread);
+        let thread = o2k_bench::run_experiment_in(id, &on(ExecMode::Thread));
+        let event = o2k_bench::run_experiment_in(id, &on(ExecMode::Event));
         assert_eq!(
             thread, event,
             "repro {id} archive must be byte-identical across backends"

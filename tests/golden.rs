@@ -284,7 +284,7 @@ fn serve_results_are_bitwise_reproducible_under_det() {
                 queued_machine(8),
                 model,
                 &cfg,
-                RunOpts::with_sched(Some(SchedPolicy::Det)),
+                RunOpts::with_sched(SchedPolicy::Det),
             )
         };
         let (a, b) = (go(), go());

@@ -2,7 +2,15 @@
 //! reports must hold in the reproduction (see DESIGN.md §3, "Expected
 //! shapes").
 
+use origin2k::core::SweepResult;
 use origin2k::prelude::*;
+
+/// All three models across `pes` on stock Origin2000 machines.
+fn sweep(app: App, pes: &[usize], nb: &NBodyConfig, am: &AmrConfig) -> SweepResult {
+    sweep_models(app, &Model::ALL, pes, |model, p| {
+        run_app(Machine::origin2000(p), app, model, nb, am)
+    })
+}
 
 #[test]
 fn every_model_speeds_up_to_moderate_pe_counts() {
@@ -19,7 +27,7 @@ fn every_model_speeds_up_to_moderate_pe_counts() {
         ..AmrConfig::default()
     };
     for app in [App::NBody, App::Amr] {
-        let sweep = sweep_models(app, &Model::ALL, &[1, 4, 8], &nb, &am);
+        let sweep = sweep(app, &[1, 4, 8], &nb, &am);
         for s in &sweep.series {
             let sp = s.speedups();
             assert!(
@@ -50,7 +58,7 @@ fn sas_wins_amr_at_scale_and_mpi_lags() {
         sweeps: 4,
         ..AmrConfig::default()
     };
-    let sweep = sweep_models(App::Amr, &Model::ALL, &[16], &nb, &am);
+    let sweep = sweep(App::Amr, &[16], &nb, &am);
     let t = |m: Model| sweep.series_for(m).runs[0].sim_time;
     assert!(
         t(Model::Sas) < t(Model::Shmem),
@@ -76,7 +84,7 @@ fn nbody_models_are_comparable_at_moderate_scale() {
         ..NBodyConfig::default()
     };
     let am = AmrConfig::small();
-    let sweep = sweep_models(App::NBody, &Model::ALL, &[8], &nb, &am);
+    let sweep = sweep(App::NBody, &[8], &nb, &am);
     let times: Vec<u64> = sweep.series.iter().map(|s| s.runs[0].sim_time).collect();
     let max = *times.iter().max().unwrap() as f64;
     let min = *times.iter().min().unwrap() as f64;

@@ -54,7 +54,7 @@ fn amr_sas_step_invariant_over_100_explored_schedules() {
             Machine::origin2000(4),
             &cfg,
             PagePolicy::FirstTouch,
-            RunOpts::with_sched(Some(policy)),
+            RunOpts::with_sched(policy),
         )
     };
     let reference = run(SchedPolicy::Det);
@@ -85,7 +85,7 @@ fn explored_schedules_replay_bitwise() {
             Machine::origin2000(4),
             &cfg,
             PagePolicy::FirstTouch,
-            RunOpts::with_sched(Some(SchedPolicy::Explore { seed: 42 })),
+            RunOpts::with_sched(SchedPolicy::Explore { seed: 42 }),
         )
     };
     let (a, b) = (run(), run());
@@ -302,7 +302,7 @@ fn queued_contention_replays_and_keeps_physics_under_exploration() {
             qm(),
             &cfg,
             PagePolicy::FirstTouch,
-            RunOpts::with_sched(Some(policy)),
+            RunOpts::with_sched(policy),
         )
     };
     let reference = run(SchedPolicy::Det);
@@ -341,14 +341,14 @@ fn bounded_preemption_preserves_invariants() {
             Machine::origin2000(4),
             &cfg,
             PagePolicy::FirstTouch,
-            RunOpts::with_sched(Some(SchedPolicy::BoundedPreempt { seed, budget })),
+            RunOpts::with_sched(SchedPolicy::BoundedPreempt { seed, budget }),
         )
     };
     let det = origin2k::apps::amr_sas::run_with_opts(
         Machine::origin2000(4),
         &cfg,
         PagePolicy::FirstTouch,
-        RunOpts::with_sched(Some(SchedPolicy::Det)),
+        RunOpts::with_sched(SchedPolicy::Det),
     );
     for seed in 0..8u64 {
         let r = run(seed, 32);

@@ -53,6 +53,7 @@ fn det(exec: ExecMode, snap: Option<SnapSpec>) -> RunOpts {
         sched: Some(SchedPolicy::Det),
         exec: Some(exec),
         snap,
+        ..RunOpts::default()
     }
 }
 

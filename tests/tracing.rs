@@ -2,20 +2,22 @@
 //! clock's time accounting exactly, tracing never perturbs simulated
 //! results, and the F9 experiment archives Perfetto-loadable traces.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use apps::{AmrConfig, App, Model, NBodyConfig, RunOpts};
 use machine::{Machine, MachineConfig};
-
-/// The tracing flag and sink are process-global; tests that toggle them
-/// must not interleave.
-fn global_trace_lock() -> &'static Mutex<()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-}
+use o2k_trace::TraceSink;
 
 fn machine(p: usize) -> Arc<Machine> {
     Arc::new(Machine::new(p, MachineConfig::origin2000()))
+}
+
+/// Options that trace a run into a sink of its own.
+fn traced() -> RunOpts {
+    RunOpts {
+        trace: Some(TraceSink::default()),
+        ..RunOpts::default()
+    }
 }
 
 fn amr_cfg() -> AmrConfig {
@@ -35,10 +37,9 @@ fn nbody_cfg() -> NBodyConfig {
 /// one recorded event.
 #[test]
 fn trace_conserves_clock_breakdown() {
-    let _g = global_trace_lock().lock().unwrap();
-    o2k_trace::set_enabled(true);
     for model in Model::WITH_HYBRID {
-        let r = apps::run_app(machine(4), App::Amr, model, &nbody_cfg(), &amr_cfg());
+        let (nb, am) = (nbody_cfg(), amr_cfg());
+        let r = apps::run_app_opts(machine(4), App::Amr, model, &nb, &am, traced());
         let trace = r
             .trace
             .as_ref()
@@ -66,8 +67,6 @@ fn trace_conserves_clock_breakdown() {
             );
         }
     }
-    o2k_trace::set_enabled(false);
-    let _ = o2k_trace::sink_drain();
 }
 
 /// Tracing must be a pure observer: enabling it cannot change any
@@ -83,18 +82,17 @@ fn trace_conserves_clock_breakdown() {
 /// stream is program-determined.
 #[test]
 fn tracing_does_not_perturb_results() {
-    let _g = global_trace_lock().lock().unwrap();
-    let run = |app, model| apps::run_app(machine(4), app, model, &nbody_cfg(), &amr_cfg());
-    let run_sas = |app| {
-        let det = RunOpts::with_sched(Some(parallel::SchedPolicy::Det));
-        apps::run_app_opts(machine(4), app, Model::Sas, &nbody_cfg(), &amr_cfg(), det)
+    let run = |app, model, opts| {
+        apps::run_app_opts(machine(4), app, model, &nbody_cfg(), &amr_cfg(), opts)
+    };
+    let det = |opts: RunOpts| RunOpts {
+        sched: Some(parallel::SchedPolicy::Det),
+        ..opts
     };
     for app in [App::Amr, App::NBody] {
         for model in [Model::Mp, Model::Shmem] {
-            let base = run(app, model);
-            o2k_trace::set_enabled(true);
-            let traced = run(app, model);
-            o2k_trace::set_enabled(false);
+            let base = run(app, model, RunOpts::default());
+            let traced = run(app, model, traced());
             assert_eq!(
                 (base.sim_time, base.checksum.to_bits(), &base.counters),
                 (traced.sim_time, traced.checksum.to_bits(), &traced.counters),
@@ -104,10 +102,8 @@ fn tracing_does_not_perturb_results() {
             );
             assert!(base.trace.is_none() && traced.trace.is_some());
         }
-        let base = run_sas(app);
-        o2k_trace::set_enabled(true);
-        let traced = run_sas(app);
-        o2k_trace::set_enabled(false);
+        let base = run(app, Model::Sas, det(RunOpts::default()));
+        let traced = run(app, Model::Sas, det(traced()));
         let (b, t) = (&base.counters, &traced.counters);
         assert_eq!(base.checksum.to_bits(), traced.checksum.to_bits());
         assert_eq!(
@@ -118,11 +114,37 @@ fn tracing_does_not_perturb_results() {
         );
         assert_eq!((b.barriers, b.lock_acquires), (t.barriers, t.lock_acquires));
     }
-    let _ = o2k_trace::sink_drain();
 }
 
-/// A team-level trace request works without the global flag and captures
-/// the wait structure of an unbalanced barrier.
+/// Two traced runs on two threads, each with a sink of its own: each sink
+/// ends up holding exactly its own run's trace, whatever the other thread
+/// was doing meanwhile.
+#[test]
+fn concurrent_traced_runs_keep_their_own_sinks() {
+    let run = |p: usize| {
+        let sink = TraceSink::default();
+        let opts = RunOpts {
+            trace: Some(sink.clone()),
+            ..RunOpts::default()
+        };
+        let (nb, am) = (nbody_cfg(), amr_cfg());
+        let r = apps::run_app_opts(machine(p), App::Amr, Model::Mp, &nb, &am, opts);
+        (r, sink.drain())
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(|| run(2));
+        let b = s.spawn(|| run(4));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    for (p, (r, drained)) in [(2, a), (4, b)] {
+        assert_eq!(drained.len(), 1, "P={p}: one run, one trace");
+        assert_eq!(drained[0].pes(), p, "P={p}: the sink holds its own run");
+        assert_eq!(Some(&drained[0]), r.trace.as_ref());
+    }
+}
+
+/// A team-level trace request needs no sink and captures the wait
+/// structure of an unbalanced barrier.
 #[test]
 fn team_level_tracing_captures_barrier_waits() {
     use parallel::{EventKind, Team};
@@ -156,8 +178,6 @@ fn team_level_tracing_captures_barrier_waits() {
 /// `NetSim` resource names through `Team::trace` to the JSON.
 #[test]
 fn fabric_trace_exports_bus_and_hub_tracks() {
-    let _g = global_trace_lock().lock().unwrap();
-    o2k_trace::set_enabled(true);
     let fabric = Arc::new(Machine::new(
         4,
         MachineConfig {
@@ -165,27 +185,32 @@ fn fabric_trace_exports_bus_and_hub_tracks() {
             ..MachineConfig::origin2000()
         },
     ));
-    let r = apps::run_app(fabric, App::Amr, Model::Sas, &nbody_cfg(), &amr_cfg());
-    o2k_trace::set_enabled(false);
+    let (nb, am) = (nbody_cfg(), amr_cfg());
+    let r = apps::run_app_opts(fabric, App::Amr, Model::Sas, &nb, &am, traced());
     let trace = r.trace.as_ref().expect("trace collected");
     let json = o2k_trace::chrome::to_chrome_json(trace);
     assert!(json.contains("\"name\":\"interconnect\""));
     for needle in ["bus:node", "hub:rtr", "node0→rtr0"] {
         assert!(json.contains(needle), "missing {needle} track");
     }
-    let _ = o2k_trace::sink_drain();
 }
 
 /// `repro f9 --quick` (driven through the library) archives one
 /// Perfetto-loadable trace per app/model cell.
 #[test]
 fn f9_archives_perfetto_traces() {
-    let _g = global_trace_lock().lock().unwrap();
     let dir = std::env::temp_dir().join("o2k_f9_test");
     let _ = std::fs::remove_dir_all(&dir);
-    std::env::set_var("O2K_RESULTS_DIR", &dir);
-    let out = o2k_bench::run_experiment("f9", true);
-    std::env::remove_var("O2K_RESULTS_DIR");
+    let sink = TraceSink::default();
+    let env = o2k_bench::Env {
+        out_dir: dir.clone(),
+        trace: Some(sink.clone()),
+        ..o2k_bench::Env::new(true)
+    };
+    let out = o2k_bench::run_experiment_in("f9", &env);
+    // Under `--trace` every run F9 performs reaches the caller's sink: the
+    // six archived cells plus the step-series reruns.
+    assert!(sink.drain().len() > 6, "f9 must not swallow its runs");
     assert!(out.contains("critical path:"), "f9 output:\n{out}");
     assert!(
         out.contains("per adaptation step"),
