@@ -10,23 +10,16 @@
 //! | N-body | ORB + locally-essential trees exchanged via `alltoallv`; explicit body repartitioning through rank 0 | ORB + LET exchanged via one-sided puts with count/offset reservation and remote atomics | costzones over a shared tree; no explicit communication at all |
 //! | AMR | RCB + PLUM remap; ghost values exchanged per sweep via `alltoallv` | RCB + PLUM remap; ghosts put one-sidedly into symmetric buffers | block ownership of shared arrays; neighbour reads through the coherence protocol |
 //!
-//! A fourth, extension model implements both applications as a **hybrid**
-//! (messages between SMP nodes, coherence within — `amr_hybrid`,
-//! `nbody_hybrid`), reproducing the follow-up papers' cluster-of-SMPs
-//! results.
-//!
 //! Every implementation returns a [`RunMetrics`] with the simulated time,
 //! its breakdown, the traffic counters, and a physics checksum used by the
 //! integration tests to prove the three models computed the same answer.
 
 pub mod amr_common;
-pub mod amr_hybrid;
 pub mod amr_mp;
 pub mod amr_sas;
 pub mod amr_shmem;
 pub mod metrics;
 pub mod nbody_common;
-pub mod nbody_hybrid;
 pub mod nbody_mp;
 pub mod nbody_sas;
 pub mod nbody_shmem;
@@ -131,8 +124,6 @@ pub fn run_app_opts(
         (App::Amr, Model::Sas) => {
             amr_sas::run_with_opts(machine, amr_cfg, sas::PagePolicy::FirstTouch, opts)
         }
-        (App::Amr, Model::Hybrid) => amr_hybrid::run_opts(machine, amr_cfg, opts),
-        (App::NBody, Model::Hybrid) => nbody_hybrid::run_opts(machine, nbody_cfg, opts),
         // The serving workload lives above this crate (it reuses all three
         // substrates *and* these metrics), so it has its own entry point.
         (App::Serve, _) => {

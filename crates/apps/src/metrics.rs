@@ -12,18 +12,11 @@ pub enum Model {
     Shmem,
     /// Cache-coherent shared address space ("CC-SAS").
     Sas,
-    /// Extension: message passing between nodes, shared memory within
-    /// (the follow-up papers' hybrid; AMR only).
-    Hybrid,
 }
 
 impl Model {
-    /// The paper's three models, in its presentation order (the hybrid
-    /// extension is excluded; use [`Model::WITH_HYBRID`] to include it).
+    /// The paper's three models, in its presentation order.
     pub const ALL: [Model; 3] = [Model::Mp, Model::Shmem, Model::Sas];
-
-    /// The paper's models plus the hybrid extension.
-    pub const WITH_HYBRID: [Model; 4] = [Model::Mp, Model::Shmem, Model::Sas, Model::Hybrid];
 
     /// Display name.
     pub fn name(&self) -> &'static str {
@@ -31,7 +24,6 @@ impl Model {
             Model::Mp => "MPI",
             Model::Shmem => "SHMEM",
             Model::Sas => "CC-SAS",
-            Model::Hybrid => "MPI+SAS",
         }
     }
 }

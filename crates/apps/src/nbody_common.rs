@@ -148,8 +148,7 @@ pub fn flatten_tree(tree: &Octree) -> (Vec<f64>, Vec<u64>) {
     (words, leaves)
 }
 
-// sim:begin — cache-simulator access shims shared by the SAS-style
-// walkers (pure CC-SAS and the hybrid's intra-node walks): on real
+// sim:begin — cache-simulator access shims for the CC-SAS walker: on real
 // hardware these are ordinary loads/stores and the walk is
 // `nbody::force::accel_at` verbatim, so they do not count toward
 // programming effort (see `o2k_core::effort`).
@@ -164,7 +163,7 @@ pub fn read_vec3(ctx: &mut Ctx, pe: &mut SasPe, s: &SasSlice<f64>, i: usize) -> 
 /// Barnes-Hut walk over a flattened shared tree (see [`flatten_tree`]),
 /// mirroring `nbody::force::accel_at` exactly (same traversal, same float
 /// order). `base` offsets all tree/body indices, so callers can walk a
-/// per-node segment of a larger shared array (the hybrid layout).
+/// segment of a larger shared array.
 #[allow(clippy::too_many_arguments)]
 pub fn shared_tree_walk(
     ctx: &mut Ctx,
@@ -220,8 +219,7 @@ pub fn shared_tree_walk(
 
 /// Segment offsets for [`shared_tree_walk`]: where this walker's tree
 /// words, leaf stream and body arrays start inside the shared slices
-/// (zeros for the pure-SAS single-segment layout; per-node bases for the
-/// hybrid).
+/// (zeros for the single-segment layout `nbody_sas` uses).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WalkBase {
     /// Word offset of the flattened node records.

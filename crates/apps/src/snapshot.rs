@@ -54,7 +54,6 @@ fn model_slug(model: Model) -> &'static str {
         Model::Mp => "mp",
         Model::Shmem => "shmem",
         Model::Sas => "sas",
-        Model::Hybrid => "hybrid",
     }
 }
 

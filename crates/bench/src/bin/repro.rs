@@ -18,10 +18,9 @@
 //! simulated times, so every archive is identical with it on.
 //!
 //! `--sched <policy>` (or `O2K_SCHED=<policy>`) picks the team scheduling
-//! policy: `det` (default here — every table is bitwise reproducible),
-//! `os` (free-running host threads), `explore:<seed>` (seeded random
-//! interleaving), or `bp:<seed>:<budget>` (bounded preemption). See
-//! DESIGN.md "Determinism & scheduling".
+//! policy: `det` (the default — every table is bitwise reproducible),
+//! `os` (free-running host threads) or `explore:<seed>` (seeded random
+//! interleaving). See DESIGN.md "Determinism & scheduling".
 //!
 //! `--exec <mode>` (or `O2K_EXEC=<mode>`) picks the execution backend:
 //! `thread` (default — one OS thread per PE) or `event` (every PE a
@@ -88,9 +87,7 @@ fn main() {
             match it.next().map(|s| s.parse()) {
                 Some(Ok(p)) => sched = p,
                 _ => {
-                    eprintln!(
-                        "--sched requires a policy: os, det, explore:<seed>, bp:<seed>:<budget>"
-                    );
+                    eprintln!("--sched requires a policy: os, det, explore:<seed>");
                     std::process::exit(2);
                 }
             }

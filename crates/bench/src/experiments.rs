@@ -129,7 +129,11 @@ pub const EXPERIMENTS: [Experiment; 27] = [
         "Extension: NUMA remoteness sweep",
         a4_numa_sensitivity,
     ),
-    ("a5", "Extension: hybrid MPI+SAS", a5_hybrid),
+    (
+        "a5",
+        "Extension: the three models on a cluster of SMPs",
+        a5_cluster,
+    ),
     ("a6", "Ablation: SAS sweep scheduling", a6_self_schedule),
     ("s1", "Scheduling policies", s1_scheduler_policies),
     ("n1", "Interconnect contention", n1_contention),
@@ -921,10 +925,11 @@ fine-grained access and MPI becomes competitive again.
     )
 }
 
-fn a5_hybrid(env: &Env) -> String {
-    // Extension: the follow-up papers' hybrid (MP between nodes, SAS
-    // within) against the three pure models, on the stock machine and on a
-    // deep-NUMA variant where fine-grained remote access is expensive.
+fn a5_cluster(env: &Env) -> String {
+    // Extension: the companion study's platform. The same three models on
+    // the stock machine and on a cluster of SMPs, where there is no
+    // coherence hardware between nodes and fine-grained remote access
+    // costs microseconds.
     let quick = env.quick;
     let p = if quick { 8 } else { 16 };
     let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
@@ -941,31 +946,37 @@ fn a5_hybrid(env: &Env) -> String {
                     }
                     c.contention = contention;
                 });
-                let mut row = vec![format!("{} / {}", app.name(), label)];
-                for model in Model::WITH_HYBRID {
-                    let r = apps::run_app_opts(Arc::clone(&m), app, model, &nb, &am, env.opts());
-                    row.push(ms(r.sim_time));
+                let times = Model::ALL.map(|model| {
+                    apps::run_app_opts(Arc::clone(&m), app, model, &nb, &am, env.opts()).sim_time
+                });
+                let [mpi, _, sas] = times;
+                // The cluster inverts the Origin2000 ranking. N-body shows
+                // it at both scales (quick 9.5 vs 29.5 ms, full 50.7 vs
+                // 172.4 ms); AMR needs the full-size mesh (23.9 vs 64.8 ms)
+                // — at `--quick` its rows still read 2.57 vs 2.35 ms.
+                if cluster && (app == App::NBody || !quick) {
+                    assert!(
+                        mpi < sas,
+                        "{} on the cluster: bulk MPI ({mpi} ns) must beat CC-SAS ({sas} ns)",
+                        app.name()
+                    );
                 }
+                let mut row = vec![format!("{} / {}", app.name(), label)];
+                row.extend(times.map(ms));
                 rows.push(row);
             }
         }
         render(
-            &cells(&[
-                "workload / machine",
-                "MPI ms",
-                "SHMEM ms",
-                "CC-SAS ms",
-                "MPI+SAS ms",
-            ]),
+            &cells(&["workload / machine", "MPI ms", "SHMEM ms", "CC-SAS ms"]),
             &rows,
         )
     };
     // The second table re-runs the same four cells on the contended-resource
     // fabric: every transfer now also arbitrates for its node buses and hub
     // ports, which penalises the fine-grained models' many small transfers
-    // more than the hybrid's batched leader messages.
+    // more than MPI's few bulk ones.
     format!(
-        "A5 (extension): hybrid MPI+SAS vs the pure models at P={p}\n\n{}\nThe hybrid keeps all data in per-node (page-aligned) shared segments and\nbatches every cross-node byte into leader messages — zero cross-node\ncoherence by construction. It is the fastest model in three of the four\ncells: both applications on the Origin2000, and AMR on the cluster, where\nthe pure fine-grained models are 2-4x slower. Only cluster N-body goes to\npure MPI, whose per-PE essential-tree exchange avoids the hybrid's\nnode-leader serialisation — the intra-node Amdahl effect the follow-up\npapers also observed.\n\nSame cells on the contended-resource fabric (links + node buses + hub\nports, ContentionMode::Fabric):\n\n{}\nBus and hub arbitration taxes per-transfer models hardest; the ranking\nabove is unchanged, but the fine-grained columns move more than the\nhybrid's, widening its margin.\n",
+        "A5 (extension): the three models on a cluster of SMPs at P={p}\n\n{}\nThe cluster is the companion study's platform: 4-way SMP nodes on a\ncommodity network with no coherence hardware between nodes, so every\nremote line fill, invalidation and directory action costs microseconds\nand every message pays NIC software overhead. On the Origin2000 the three\nmodels tie on N-body and the fine-grained ones win AMR, CC-SAS first. On\nthe cluster the ranking inverts and bulk MPI wins both applications —\nN-body by ~3x over CC-SAS, whose shared-tree walk is the most\nremote-line-bound code here. It is A4's remoteness sweep taken to its end\npoint.\n\nSame cells on the contended-resource fabric (links + node buses + hub\nports, ContentionMode::Fabric):\n\n{}\nBus and hub arbitration taxes per-transfer models hardest. On the cluster\nMPI's lead over CC-SAS grows to ~10x on N-body and doubles in absolute\nterms on AMR; on the Origin2000 CC-SAS keeps AMR but gives up N-body.\n",
         table(ContentionMode::Off),
         table(ContentionMode::Fabric),
     )
@@ -1052,13 +1063,6 @@ fn s1_scheduler_policies(env: &Env) -> String {
         ("det (run 2)", &det_b),
         ("explore:1", &go(SchedPolicy::Explore { seed: 1 })),
         ("explore:2", &go(SchedPolicy::Explore { seed: 2 })),
-        (
-            "bp:1:64",
-            &go(SchedPolicy::BoundedPreempt {
-                seed: 1,
-                budget: 64,
-            }),
-        ),
     ] {
         let s = r.sched.expect("cooperative policies report stats");
         fingerprints.push(s.fingerprint);
@@ -2379,6 +2383,34 @@ mod tests {
         for id in ["a1", "a2", "a3"] {
             let out = run_experiment(id, true);
             assert!(out.len() > 80, "{id} too short");
+        }
+    }
+
+    #[test]
+    fn a5_tables_have_exactly_the_three_model_columns() {
+        let out = run_experiment("a5", true);
+        assert!(!out.contains("MPI+SAS"), "{out}");
+        let headers: Vec<&str> = out
+            .lines()
+            .filter(|l| l.starts_with("workload / machine"))
+            .collect();
+        assert_eq!(headers.len(), 2, "two tables expected:\n{out}");
+        for h in headers {
+            let cols: Vec<&str> = h
+                .split("  ")
+                .map(str::trim)
+                .filter(|c| !c.is_empty())
+                .collect();
+            assert_eq!(
+                cols,
+                ["workload / machine", "MPI ms", "SHMEM ms", "CC-SAS ms"]
+            );
+        }
+        let rows: Vec<&str> = out.lines().filter(|l| l.contains(" / ")).collect();
+        assert_eq!(rows.len(), 2 + 8, "two headers + 2 × 4 cells:\n{out}");
+        for row in rows.iter().filter(|r| !r.starts_with("workload")) {
+            let times = row.split_whitespace().filter(|t| t.parse::<f64>().is_ok());
+            assert_eq!(times.count(), 3, "{row}");
         }
     }
 

@@ -16,12 +16,9 @@ fn source(app: App, model: Model) -> &'static str {
         (App::Amr, Model::Mp) => include_str!("../../apps/src/amr_mp.rs"),
         (App::Amr, Model::Shmem) => include_str!("../../apps/src/amr_shmem.rs"),
         (App::Amr, Model::Sas) => include_str!("../../apps/src/amr_sas.rs"),
-        (App::Amr, Model::Hybrid) => include_str!("../../apps/src/amr_hybrid.rs"),
-        (App::NBody, Model::Hybrid) => "", // extension: AMR only
         (App::Serve, Model::Mp) => include_str!("../../serve/src/mp.rs"),
         (App::Serve, Model::Shmem) => include_str!("../../serve/src/shmem.rs"),
         (App::Serve, Model::Sas) => include_str!("../../serve/src/sas.rs"),
-        (App::Serve, Model::Hybrid) => "", // extension: three models only
     }
 }
 

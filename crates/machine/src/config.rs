@@ -166,8 +166,8 @@ impl MachineConfig {
     /// Origin-priced; across nodes there is **no coherence hardware**, so
     /// cross-node "shared memory" is software-DSM-class — every remote
     /// line fill, invalidation and directory action costs microseconds —
-    /// while messages pay commodity-NIC software overheads. Used by the
-    /// hybrid-model experiments (A5, `examples/hybrid_cluster.rs`).
+    /// while messages pay commodity-NIC software overheads. Experiment A5
+    /// runs the three models on it next to the Origin2000.
     pub fn cluster_of_smps() -> Self {
         let base = Self::origin2000();
         MachineConfig {

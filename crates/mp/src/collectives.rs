@@ -147,15 +147,6 @@ impl MpWorld {
         self.bcast(ctx, 0, reduced.unwrap_or_default())
     }
 
-    /// Sum all-reduce over `f64` slices.
-    pub fn allreduce_sum_f64(&self, ctx: &mut Ctx, data: Vec<f64>) -> Vec<f64> {
-        self.allreduce(ctx, data, |acc, d| {
-            for (a, b) in acc.iter_mut().zip(d) {
-                *a += b;
-            }
-        })
-    }
-
     /// Sum all-reduce over `u64` slices.
     pub fn allreduce_sum_u64(&self, ctx: &mut Ctx, data: Vec<u64>) -> Vec<u64> {
         self.allreduce(ctx, data, |acc, d| {

@@ -26,8 +26,6 @@ pub struct Ctx {
     /// different global epochs are separated by a barrier (used by the
     /// race detector's happens-before approximation).
     global_epoch: u64,
-    /// Count of node-local barriers passed.
-    node_epoch: u64,
     /// Stack of currently-held [`SimLock`](crate::SimLock) ids.
     locks_held: Vec<u64>,
     /// Queueing delay already returned by routes whose charge the runtime
@@ -66,7 +64,6 @@ impl Ctx {
             recorder: Recorder::new(trace),
             rng: SmallRng::seed_from_u64(pe_seed),
             global_epoch: 0,
-            node_epoch: 0,
             locks_held: Vec::new(),
             net_pending: 0,
         }
@@ -92,7 +89,6 @@ impl Ctx {
             counters: self.counters.clone(),
             rng_state: self.rng.state(),
             global_epoch: self.global_epoch,
-            node_epoch: self.node_epoch,
             net_pending: self.net_pending,
         }
     }
@@ -104,7 +100,6 @@ impl Ctx {
         self.counters = core.counters.clone();
         self.rng = SmallRng::from_state(core.rng_state);
         self.global_epoch = core.global_epoch;
-        self.node_epoch = core.node_epoch;
         self.net_pending = core.net_pending;
     }
 
@@ -257,11 +252,11 @@ impl Ctx {
         }
     }
 
-    /// Barrier-passage epochs `(global, node)` — the race detector's
-    /// ordering clock.
+    /// Count of team-wide barriers passed — the race detector's ordering
+    /// clock.
     #[inline]
-    pub fn epochs(&self) -> (u64, u64) {
-        (self.global_epoch, self.node_epoch)
+    pub fn epoch(&self) -> u64 {
+        self.global_epoch
     }
 
     /// Ids of the [`SimLock`](crate::SimLock)s this PE currently holds
@@ -278,27 +273,6 @@ impl Ctx {
     pub(crate) fn lockset_pop(&mut self, id: u64) {
         if let Some(i) = self.locks_held.iter().rposition(|&l| l == id) {
             self.locks_held.remove(i);
-        }
-    }
-
-    /// Team-wide rendezvous: a scheduler gate under cooperative policies,
-    /// the OS barrier otherwise.
-    fn rendezvous_global(&mut self) {
-        match self.shared.coop.as_ref() {
-            Some(cs) => cs.gate_wait(0, self.pe, self.clock.now()),
-            None => {
-                self.shared.barrier.wait();
-            }
-        }
-    }
-
-    /// Node-local rendezvous (gate `1 + node` under cooperative policies).
-    fn rendezvous_node(&mut self, node: usize) {
-        match self.shared.coop.as_ref() {
-            Some(cs) => cs.gate_wait(1 + node, self.pe, self.clock.now()),
-            None => {
-                self.shared.node_barriers[node].wait();
-            }
         }
     }
 
@@ -459,7 +433,7 @@ impl Ctx {
         self.global_epoch += 1;
         let shared = Arc::clone(&self.shared);
         shared.clock_slots[self.pe].store(self.clock.now(), Ordering::SeqCst);
-        self.rendezvous_global();
+        self.os_barrier();
         // Last arriver (lowest PE on ties): the wait edge for the critical
         // path — everyone else's barrier wait ends when this PE shows up.
         let (max_pe, max) = shared
@@ -485,49 +459,17 @@ impl Ctx {
         );
         self.advance_traced(cost, TimeCat::Sync, EventKind::Barrier, 0, None);
         self.counters.barriers += 1;
-        self.rendezvous_global();
-    }
-
-    /// Node-local clock-synchronising barrier: only the PEs sharing this
-    /// PE's node rendezvous, advancing their clocks to the node maximum
-    /// plus an intra-node barrier cost (no network hops). The cheap half
-    /// of hybrid (message-passing between nodes, shared memory within).
-    pub fn node_barrier(&mut self) {
-        self.node_epoch += 1;
-        let shared = Arc::clone(&self.shared);
-        let machine = Arc::clone(&self.machine);
-        let topo = &machine.topology;
-        let node = topo.node_of(self.pe);
-        shared.clock_slots[self.pe].store(self.clock.now(), Ordering::SeqCst);
-        self.rendezvous_node(node);
-        let (max_pe, max) = topo
-            .pes_on_node(node)
-            .map(|pe| (pe, shared.clock_slots[pe].load(Ordering::SeqCst)))
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-            .unwrap_or((0, 0));
-        let pes_here = topo.pes_on_node(node).count();
-        self.wait_until_traced(
-            max,
-            EventKind::NodeBarrierWait,
-            Some(max_pe as u32),
-            Some(Dep {
-                pe: max_pe as u32,
-                t: max,
-            }),
-        );
-        let cost = cost::barrier(&self.machine.config, pes_here, 0);
-        self.advance_traced(cost, TimeCat::Sync, EventKind::NodeBarrier, 0, None);
-        self.counters.barriers += 1;
-        self.rendezvous_node(node);
+        self.os_barrier();
     }
 
     /// A rendezvous with *no* clock synchronisation or cost. Used by
     /// runtimes that model synchronisation costs themselves but still need a
-    /// real rendezvous (e.g. to publish shared structures safely). Under a
-    /// cooperative policy this is a scheduler gate, not an OS barrier.
+    /// real rendezvous (e.g. to publish shared structures safely), and by
+    /// [`Ctx::barrier`] itself. Under a cooperative policy this is the
+    /// scheduler's gate, not an OS barrier.
     pub fn os_barrier(&self) {
         match self.shared.coop.as_ref() {
-            Some(cs) => cs.gate_wait(0, self.pe, self.clock.now()),
+            Some(cs) => cs.gate_wait(self.pe, self.clock.now()),
             None => {
                 self.shared.barrier.wait();
             }
@@ -609,11 +551,6 @@ impl Ctx {
     /// Max-allreduce for `u64`.
     pub fn allreduce_max_u64(&mut self, v: u64) -> u64 {
         self.allreduce(v, |a, b| (*a).max(*b))
-    }
-
-    /// Sum-allreduce for `f64` (deterministic PE-order fold).
-    pub fn allreduce_sum_f64(&mut self, v: f64) -> f64 {
-        self.allreduce(v, |a, b| a + b)
     }
 
     fn charge_tree_transfer(&mut self, bytes: usize) {
@@ -730,62 +667,5 @@ mod tests {
             ctx.now()
         });
         assert_eq!(run.results[0], 25);
-    }
-}
-
-#[cfg(test)]
-mod node_barrier_tests {
-    use crate::team::Team;
-    use machine::{Machine, MachineConfig};
-    use std::sync::Arc;
-
-    #[test]
-    fn node_barrier_syncs_only_node_peers() {
-        // 4 PEs, 2 per node. PE 1 works long; its node peer PE 0 must wait,
-        // but node 1 (PEs 2,3) must not.
-        let machine = Arc::new(Machine::new(4, MachineConfig::test_tiny()));
-        let run = Team::new(machine).run(|ctx| {
-            if ctx.pe() == 1 {
-                ctx.compute(10_000);
-            }
-            ctx.node_barrier();
-            ctx.now()
-        });
-        assert!(run.results[0] >= 10_000, "node peer waits");
-        assert_eq!(run.results[0], run.results[1]);
-        assert!(run.results[2] < 10_000, "other node unaffected");
-        assert!(run.results[3] < 10_000);
-    }
-
-    #[test]
-    fn node_barrier_cheaper_than_global() {
-        let machine = Arc::new(Machine::new(16, MachineConfig::origin2000()));
-        let run = Team::new(machine).run(|ctx| {
-            let t0 = ctx.now();
-            ctx.node_barrier();
-            let node_cost = ctx.now() - t0;
-            let t1 = ctx.now();
-            ctx.barrier();
-            let global_cost = ctx.now() - t1;
-            (node_cost, global_cost)
-        });
-        for (n, g) in run.results {
-            assert!(n < g, "node barrier ({n}) must undercut global ({g})");
-        }
-    }
-
-    #[test]
-    fn repeated_node_barriers_do_not_deadlock() {
-        let machine = Arc::new(Machine::new(6, MachineConfig::test_tiny()));
-        let run = Team::new(machine).run(|ctx| {
-            for _ in 0..20 {
-                ctx.node_barrier();
-            }
-            ctx.barrier();
-            ctx.counters().barriers
-        });
-        for b in run.results {
-            assert_eq!(b, 21);
-        }
     }
 }

@@ -112,14 +112,10 @@ pub(crate) struct TeamShared {
     pub clock_slots: Vec<AtomicU64>,
     /// Per-PE blackboard slots for blackboard collectives.
     pub slots: Vec<Mutex<Option<Box<dyn Any + Send>>>>,
-    /// One OS barrier per node, for node-local synchronisation (hybrid
-    /// programming models synchronise within an SMP node far more cheaply
-    /// than across the machine).
-    pub node_barriers: Vec<Barrier>,
     /// Cooperative scheduler when the team runs under a virtual-time
     /// policy; `None` under [`SchedPolicy::Os`] (free-running threads).
-    /// When set, rendezvous go through scheduler gates instead of the OS
-    /// barriers above.
+    /// When set, rendezvous go through the scheduler's gate instead of
+    /// the OS barrier above.
     pub coop: Option<Arc<CoopSched>>,
     /// Interconnect contention model, present iff the machine config says
     /// [`ContentionMode::Queued`] or [`ContentionMode::Fabric`]. One
@@ -132,9 +128,6 @@ impl TeamShared {
     fn new(machine: &Machine, coop: Option<Arc<CoopSched>>) -> Self {
         let pes = machine.pes();
         let topo = &machine.topology;
-        let node_barriers = (0..topo.nodes())
-            .map(|n| Barrier::new(topo.pes_on_node(n).count()))
-            .collect();
         let net = match machine.config.contention {
             ContentionMode::Off => None,
             ContentionMode::Queued | ContentionMode::Fabric => {
@@ -145,7 +138,6 @@ impl TeamShared {
             barrier: Barrier::new(pes),
             clock_slots: (0..pes).map(|_| AtomicU64::new(0)).collect(),
             slots: (0..pes).map(|_| Mutex::new(None)).collect(),
-            node_barriers,
             coop,
             net,
         }
@@ -205,7 +197,7 @@ pub struct Team {
 impl Team {
     /// A team covering every PE of `machine`. The scheduling policy
     /// defaults to [`o2k_sched::default_policy`] (`O2K_SCHED` env var or
-    /// [`SchedPolicy::Os`]); the execution backend to
+    /// [`SchedPolicy::Det`]); the execution backend to
     /// [`o2k_sched::default_exec`] (`O2K_EXEC` or [`ExecMode::Thread`]).
     pub fn new(machine: Arc<Machine>) -> Self {
         Team {
@@ -226,8 +218,8 @@ impl Team {
 
     /// Set the scheduling policy for this team's runs (see
     /// [`SchedPolicy`]). [`SchedPolicy::Det`] makes runs bitwise
-    /// reproducible; `Explore`/`BoundedPreempt` replay seeded
-    /// interleavings for race hunting.
+    /// reproducible; `Explore` replays seeded interleavings for race
+    /// hunting.
     pub fn sched(mut self, policy: SchedPolicy) -> Self {
         self.sched = policy;
         self
@@ -308,13 +300,7 @@ impl Team {
         }
         let coop = match self.sched {
             SchedPolicy::Os => None,
-            policy => {
-                let topo = &self.machine.topology;
-                // Gate 0 is the team-wide rendezvous; gate 1+n is node n's.
-                let mut gates = vec![pes];
-                gates.extend((0..topo.nodes()).map(|n| topo.pes_on_node(n).count()));
-                Some(Arc::new(CoopSched::with_exec(pes, policy, gates, exec)))
-            }
+            policy => Some(Arc::new(CoopSched::with_exec(pes, policy, exec))),
         };
         if let Some(res) = &resume {
             assert!(

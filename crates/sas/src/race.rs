@@ -1,11 +1,10 @@
 //! Lightweight happens-before race detection for shared regions.
 //!
 //! An Eraser-style detector at cache-line granularity: every costed access
-//! records `(word, class, barrier epochs, lockset)`, and two accesses to the
+//! records `(word, class, barrier epoch, lockset)`, and two accesses to the
 //! same line by different PEs **conflict** when
 //!
-//! * neither is ordered before the other by a barrier (same global epoch,
-//!   and not separated by a node barrier on a shared node),
+//! * neither is ordered before the other by a barrier (same epoch),
 //! * they are not both reads and not both atomics, and
 //! * their locksets are disjoint (no common [`parallel::SimLock`] held).
 //!
@@ -62,12 +61,8 @@ pub struct RaceReport {
 struct AccessRec {
     word: usize,
     class: AccessClass,
-    /// Global barrier epoch at access time.
+    /// Barrier epoch at access time.
     gepoch: u64,
-    /// Node barrier epoch at access time.
-    nepoch: u64,
-    /// The accessor's node (node epochs only order same-node accesses).
-    node: usize,
     /// Lock ids held at access time.
     locks: Vec<u64>,
 }
@@ -111,16 +106,13 @@ impl RaceDetector {
         word: usize,
         class: AccessClass,
         pe: usize,
-        node: usize,
-        epochs: (u64, u64),
+        gepoch: u64,
         locks: &[u64],
     ) {
         let rec = AccessRec {
             word,
             class,
-            gepoch: epochs.0,
-            nepoch: epochs.1,
-            node,
+            gepoch,
             locks: locks.to_vec(),
         };
         let mut lines = self.lines.lock();
@@ -132,8 +124,7 @@ impl RaceDetector {
                 continue;
             }
             let Some(o) = slot else { continue };
-            let ordered = o.gepoch != rec.gepoch || (o.node == rec.node && o.nepoch != rec.nepoch);
-            if ordered {
+            if o.gepoch != rec.gepoch {
                 continue;
             }
             if o.class == AccessClass::Read && rec.class == AccessClass::Read {

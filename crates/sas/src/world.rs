@@ -680,8 +680,7 @@ impl SasPe {
                 word,
                 class,
                 ctx.pe(),
-                ctx.machine().topology.node_of(ctx.pe()),
-                ctx.epochs(),
+                ctx.epoch(),
                 ctx.lockset(),
             );
         }
@@ -770,8 +769,7 @@ impl SasPe {
         if write {
             // Invalidations are distance-priced: evicting a copy from a
             // sharer on this node is an SMP-bus operation; reaching a
-            // sharer across the machine pays network hops. (This is what
-            // makes intra-node sharing cheap for the hybrid model.)
+            // sharer across the machine pays network hops.
             let mut invalidated = 0u32;
             d.sharers.for_each_other(pe, |q| {
                 let qn = topo.node_of(q.min(topo.pes() - 1));

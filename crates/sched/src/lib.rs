@@ -21,10 +21,6 @@
 //! * [`SchedPolicy::Explore`] — seeded uniformly-random choice among
 //!   runnable PEs. Each seed is one reproducible interleaving; sweeping
 //!   seeds explores the schedule space (the race-hunting harness).
-//! * [`SchedPolicy::BoundedPreempt`] — runs virtual-time order but
-//!   spends a bounded budget of seeded preemptions, modelling "mostly
-//!   fair with a few adversarial switches" (cf. PCT-style probabilistic
-//!   concurrency testing).
 //! * [`SchedPolicy::Os`] — no floor at all: the seed's free-running
 //!   behaviour, kept as an explicit baseline policy.
 //!
@@ -66,7 +62,7 @@ use std::sync::OnceLock;
 use machine::SimTime;
 use parking_lot::{Condvar, Mutex};
 use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 pub mod coro;
 
@@ -90,19 +86,11 @@ pub enum SchedPolicy {
         /// Schedule seed; same seed ⇒ same interleaving.
         seed: u64,
     },
-    /// Virtual-time order with up to `budget` seeded preemptions that
-    /// each pick a random runnable PE instead.
-    BoundedPreempt {
-        /// Preemption-point seed.
-        seed: u64,
-        /// Maximum number of preemptions spent over the whole run.
-        budget: u32,
-    },
 }
 
 impl SchedPolicy {
     /// Parse the `--sched` / `O2K_SCHED` syntax: `os`, `det`,
-    /// `explore:<seed>`, `bp:<seed>:<budget>`.
+    /// `explore:<seed>`.
     pub fn parse(s: &str) -> Result<Self, String> {
         let s = s.trim();
         if let Some(seed) = s.strip_prefix("explore:") {
@@ -111,24 +99,11 @@ impl SchedPolicy {
                 .map_err(|e| format!("bad explore seed {seed:?}: {e}"))?;
             return Ok(SchedPolicy::Explore { seed });
         }
-        if let Some(rest) = s.strip_prefix("bp:") {
-            let (seed, budget) = rest
-                .split_once(':')
-                .ok_or_else(|| format!("bp needs <seed>:<budget>, got {rest:?}"))?;
-            return Ok(SchedPolicy::BoundedPreempt {
-                seed: seed
-                    .parse::<u64>()
-                    .map_err(|e| format!("bad bp seed {seed:?}: {e}"))?,
-                budget: budget
-                    .parse::<u32>()
-                    .map_err(|e| format!("bad bp budget {budget:?}: {e}"))?,
-            });
-        }
         match s {
             "os" => Ok(SchedPolicy::Os),
             "det" => Ok(SchedPolicy::Det),
             other => Err(format!(
-                "unknown scheduler {other:?} (expected os, det, explore:<seed> or bp:<seed>:<budget>)"
+                "unknown scheduler {other:?} (expected os, det or explore:<seed>)"
             )),
         }
     }
@@ -148,7 +123,6 @@ impl std::fmt::Display for SchedPolicy {
             SchedPolicy::Os => write!(f, "os"),
             SchedPolicy::Det => write!(f, "det"),
             SchedPolicy::Explore { seed } => write!(f, "explore:{seed}"),
-            SchedPolicy::BoundedPreempt { seed, budget } => write!(f, "bp:{seed}:{budget}"),
         }
     }
 }
@@ -241,17 +215,16 @@ static OVERRIDE: std::sync::Mutex<Option<SchedPolicy>> = std::sync::Mutex::new(N
 /// `O2K_SCHED` from the environment: `Ok(None)` when unset, a diagnostic
 /// when malformed (see [`machine::env_setting`]).
 pub fn env_policy() -> Result<Option<SchedPolicy>, String> {
-    machine::env_setting(
-        "O2K_SCHED",
-        "os, det, explore:<seed>, bp:<seed>:<budget>",
-        |s| SchedPolicy::parse(s).ok(),
-    )
+    machine::env_setting("O2K_SCHED", "os, det, explore:<seed>", |s| {
+        SchedPolicy::parse(s).ok()
+    })
 }
 
 /// The policy a `Team` uses when none is set explicitly: the last
 /// [`set_default_policy`] value, else `O2K_SCHED` from the environment,
-/// else [`SchedPolicy::Os`] (the seed's behaviour). Panics with
-/// [`env_policy`]'s diagnostic on a malformed `O2K_SCHED`.
+/// else [`SchedPolicy::Det`] (what `repro` defaults to; `os` is the
+/// explicit opt-in). Panics with [`env_policy`]'s diagnostic on a malformed
+/// `O2K_SCHED`.
 pub fn default_policy() -> SchedPolicy {
     static ENV: OnceLock<SchedPolicy> = OnceLock::new();
     let g = OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
@@ -259,7 +232,7 @@ pub fn default_policy() -> SchedPolicy {
         *ENV.get_or_init(|| {
             env_policy()
                 .unwrap_or_else(|e| panic!("{e}"))
-                .unwrap_or(SchedPolicy::Os)
+                .unwrap_or(SchedPolicy::Det)
         })
     })
 }
@@ -277,8 +250,8 @@ pub fn set_default_policy(p: SchedPolicy) {
 /// Why a PE gave up the floor without staying runnable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockReason {
-    /// Waiting at rendezvous gate `gate` (0 = team-wide, 1+n = node n).
-    Gate(usize),
+    /// Waiting at the team-wide rendezvous gate.
+    Gate,
     /// Waiting for a [`SimLock`](../parallel) holder to release.
     Lock,
     /// Waiting for a matching message to arrive in the mailbox.
@@ -302,7 +275,6 @@ enum Status {
 enum Chooser {
     Det,
     Explore(SmallRng),
-    BoundedPreempt { rng: SmallRng, budget: u32 },
 }
 
 // ---------------------------------------------------------------------------
@@ -495,11 +467,6 @@ impl PeHeap {
     }
 }
 
-struct Gate {
-    members: usize,
-    arrived: usize,
-}
-
 struct Inner {
     status: Vec<Status>,
     /// Advisory per-PE virtual clocks, refreshed at every yield point.
@@ -509,7 +476,9 @@ struct Inner {
     poisoned: bool,
     current: Option<usize>,
     chooser: Chooser,
-    gates: Vec<Gate>,
+    /// PEs waiting at the team-wide rendezvous gate; the `npes`-th
+    /// arrival releases them all.
+    gate_arrived: usize,
     switches: u64,
     fingerprint: u64,
     /// Event backend: a floor grant is queued in `next_resume` for the
@@ -555,10 +524,10 @@ impl Inner {
     /// Virtual-time order: lowest clock, ties to the lowest PE id.
     ///
     /// Peeks the indexed heap — O(1), since exact removal keeps every
-    /// entry live — without consuming the winner: `BoundedPreempt` may
-    /// overrule the det base pick, and the chosen PE's entry is removed
-    /// when it leaves `Runnable`. Debug builds check the pick against a
-    /// linear scan of the status table.
+    /// entry live — without consuming the winner: the chosen PE's entry
+    /// is removed when it leaves `Runnable`, whichever chooser picked it.
+    /// Debug builds check the pick against a linear scan of the status
+    /// table.
     fn pick_det(&mut self) -> Option<usize> {
         let picked = self.heap.peek().map(|(c, p)| {
             debug_assert_eq!(self.status[p], Status::Runnable, "heap entry left behind");
@@ -589,20 +558,6 @@ impl Inner {
                 };
                 let i = (rng.next_u64() % cands.len() as u64) as usize;
                 Some(cands[i])
-            }
-            Chooser::BoundedPreempt { .. } => {
-                let base = self.pick_det()?;
-                let cands: Vec<usize> = self.runnable().collect();
-                let Chooser::BoundedPreempt { rng, budget } = &mut self.chooser else {
-                    unreachable!()
-                };
-                if *budget > 0 && cands.len() > 1 && rng.gen_bool(0.25) {
-                    *budget -= 1;
-                    let i = (rng.next_u64() % cands.len() as u64) as usize;
-                    Some(cands[i])
-                } else {
-                    Some(base)
-                }
             }
         }
     }
@@ -642,12 +597,9 @@ pub struct SchedResume {
     /// The PE holding the floor after the snap gate — the one the
     /// restored run's first hand_off must grant to directly.
     pub current: usize,
-    /// Raw RNG state of a seeded chooser (`Explore`/`BoundedPreempt`);
-    /// zero (unused) under `Det`.
+    /// Raw RNG state of the seeded `Explore` chooser; zero (unused) under
+    /// `Det`.
     pub rng_state: u64,
-    /// Remaining preemption budget of a `BoundedPreempt` chooser; zero
-    /// otherwise.
-    pub budget: u32,
 }
 
 /// The cooperative scheduler shared by one team run. See the crate docs
@@ -665,33 +617,22 @@ pub struct CoopSched {
 }
 
 impl CoopSched {
-    /// Build a thread-backend scheduler for `npes` PEs. `gate_sizes[0]`
-    /// is the team-wide rendezvous size (= `npes`); `gate_sizes[1 + n]`
-    /// the PE count of node `n`.
+    /// Build a thread-backend scheduler for `npes` PEs.
     ///
     /// # Panics
     /// Panics on [`SchedPolicy::Os`] (no scheduler is needed) or an empty
     /// team.
-    pub fn new(npes: usize, policy: SchedPolicy, gate_sizes: Vec<usize>) -> Self {
-        Self::with_exec(npes, policy, gate_sizes, ExecMode::Thread)
+    pub fn new(npes: usize, policy: SchedPolicy) -> Self {
+        Self::with_exec(npes, policy, ExecMode::Thread)
     }
 
     /// [`Self::new`] with an explicit execution backend.
-    pub fn with_exec(
-        npes: usize,
-        policy: SchedPolicy,
-        gate_sizes: Vec<usize>,
-        exec: ExecMode,
-    ) -> Self {
+    pub fn with_exec(npes: usize, policy: SchedPolicy, exec: ExecMode) -> Self {
         assert!(npes > 0, "empty team");
         let chooser = match policy {
             SchedPolicy::Os => panic!("SchedPolicy::Os does not use a CoopSched"),
             SchedPolicy::Det => Chooser::Det,
             SchedPolicy::Explore { seed } => Chooser::Explore(SmallRng::seed_from_u64(seed)),
-            SchedPolicy::BoundedPreempt { seed, budget } => Chooser::BoundedPreempt {
-                rng: SmallRng::seed_from_u64(seed),
-                budget,
-            },
         };
         let event = exec == ExecMode::Event;
         CoopSched {
@@ -706,13 +647,7 @@ impl CoopSched {
                 poisoned: false,
                 current: None,
                 chooser,
-                gates: gate_sizes
-                    .into_iter()
-                    .map(|members| Gate {
-                        members,
-                        arrived: 0,
-                    })
-                    .collect(),
+                gate_arrived: 0,
                 switches: 0,
                 fingerprint: 0xcbf2_9ce4_8422_2325,
                 event,
@@ -761,10 +696,9 @@ impl CoopSched {
                 .any(|s| matches!(s, Status::Blocked(_) | Status::Unstarted)),
             "export_resume: a PE is blocked or unstarted — not a quiescence point"
         );
-        let (rng_state, budget) = match &inner.chooser {
-            Chooser::Det => (0, 0),
-            Chooser::Explore(rng) => (rng.state(), 0),
-            Chooser::BoundedPreempt { rng, budget } => (rng.state(), *budget),
+        let rng_state = match &inner.chooser {
+            Chooser::Det => 0,
+            Chooser::Explore(rng) => rng.state(),
         };
         SchedResume {
             policy: self.policy,
@@ -773,7 +707,6 @@ impl CoopSched {
             switches: inner.switches,
             current,
             rng_state,
-            budget,
         }
     }
 
@@ -795,13 +728,8 @@ impl CoopSched {
         inner.fingerprint = r.fingerprint;
         inner.switches = r.switches;
         inner.resume_grant = Some(r.current);
-        match &mut inner.chooser {
-            Chooser::Det => {}
-            Chooser::Explore(rng) => *rng = SmallRng::from_state(r.rng_state),
-            Chooser::BoundedPreempt { rng, budget } => {
-                *rng = SmallRng::from_state(r.rng_state);
-                *budget = r.budget;
-            }
+        if let Chooser::Explore(rng) = &mut inner.chooser {
+            *rng = SmallRng::from_state(r.rng_state);
         }
     }
 
@@ -994,23 +922,22 @@ impl CoopSched {
         }
     }
 
-    /// Rendezvous on gate `gate` (0 = team-wide, 1+n = node n): block
-    /// until every member has arrived; the last arriver releases all and
-    /// re-enters the normal pick order.
-    pub fn gate_wait(&self, gate: usize, pe: usize, clock: SimTime) {
+    /// Team-wide rendezvous: block until every PE has arrived; the last
+    /// arriver releases all and re-enters the normal pick order.
+    pub fn gate_wait(&self, pe: usize, clock: SimTime) {
         let mut inner = self.inner.lock();
         inner.clock[pe] = clock;
-        inner.gates[gate].arrived += 1;
-        if inner.gates[gate].arrived == inner.gates[gate].members {
-            inner.gates[gate].arrived = 0;
+        inner.gate_arrived += 1;
+        if inner.gate_arrived == self.npes {
+            inner.gate_arrived = 0;
             for q in 0..self.npes {
-                if inner.status[q] == Status::Blocked(BlockReason::Gate(gate)) {
+                if inner.status[q] == Status::Blocked(BlockReason::Gate) {
                     inner.make_runnable(q);
                 }
             }
             inner.make_runnable(pe);
         } else {
-            inner.status[pe] = Status::Blocked(BlockReason::Gate(gate));
+            inner.status[pe] = Status::Blocked(BlockReason::Gate);
         }
         if self.hand_off(&mut inner, pe) {
             self.wait_for_floor(inner, pe);
@@ -1081,15 +1008,11 @@ mod tests {
             SchedPolicy::Os,
             SchedPolicy::Det,
             SchedPolicy::Explore { seed: 42 },
-            SchedPolicy::BoundedPreempt {
-                seed: 7,
-                budget: 100,
-            },
         ] {
             assert_eq!(SchedPolicy::parse(&p.to_string()), Ok(p));
         }
         assert!(SchedPolicy::parse("explore:").is_err());
-        assert!(SchedPolicy::parse("bp:1").is_err());
+        assert!(SchedPolicy::parse("bp:1:64").is_err());
         assert!(SchedPolicy::parse("fifo").is_err());
     }
 
@@ -1133,7 +1056,7 @@ mod tests {
     /// shared log at every step, with per-step virtual clocks chosen so
     /// Det has a unique correct order.
     fn run_logged(policy: SchedPolicy, npes: usize, steps: usize) -> (Vec<usize>, SchedStats) {
-        let sched = Arc::new(CoopSched::new(npes, policy, vec![npes]));
+        let sched = Arc::new(CoopSched::new(npes, policy));
         let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
         std::thread::scope(|scope| {
             for pe in 0..npes {
@@ -1164,12 +1087,7 @@ mod tests {
         npes: usize,
         steps: usize,
     ) -> (Vec<usize>, SchedStats) {
-        let sched = Arc::new(CoopSched::with_exec(
-            npes,
-            policy,
-            vec![npes],
-            ExecMode::Event,
-        ));
+        let sched = Arc::new(CoopSched::with_exec(npes, policy, ExecMode::Event));
         let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
         let mut coros: Vec<coro::Coro> = (0..npes)
             .map(|pe| {
@@ -1220,20 +1138,13 @@ mod tests {
     }
 
     #[test]
-    fn bounded_preempt_with_zero_budget_is_det() {
-        let (a, _) = run_logged(SchedPolicy::Det, 4, 25);
-        let (b, _) = run_logged(SchedPolicy::BoundedPreempt { seed: 9, budget: 0 }, 4, 25);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn floor_is_exclusive() {
         // A counter that would be racy under real parallelism: each PE
         // does read-modify-write with a yield in the middle. Under the
         // cooperative floor the interleaving is serialised at yield
         // points only, so the Det schedule gives a deterministic result.
         let npes = 4;
-        let sched = Arc::new(CoopSched::new(npes, SchedPolicy::Det, vec![npes]));
+        let sched = Arc::new(CoopSched::new(npes, SchedPolicy::Det));
         let cell = Arc::new(AtomicU64::new(0));
         let in_crit = Arc::new(AtomicU64::new(0));
         std::thread::scope(|scope| {
@@ -1260,7 +1171,7 @@ mod tests {
     #[test]
     fn gates_release_only_when_all_arrive() {
         let npes = 3;
-        let sched = Arc::new(CoopSched::new(npes, SchedPolicy::Det, vec![npes]));
+        let sched = Arc::new(CoopSched::new(npes, SchedPolicy::Det));
         let phase = Arc::new(AtomicU64::new(0));
         std::thread::scope(|scope| {
             for pe in 0..npes {
@@ -1270,11 +1181,11 @@ mod tests {
                     sched.register(pe);
                     for round in 1..=5u64 {
                         phase.fetch_add(1, Ordering::SeqCst);
-                        sched.gate_wait(0, pe, round * 100 + pe as u64);
+                        sched.gate_wait(pe, round * 100 + pe as u64);
                         // Everyone must have bumped the phase before any
                         // PE proceeds past the gate.
                         assert_eq!(phase.load(Ordering::SeqCst), round * npes as u64);
-                        sched.gate_wait(0, pe, round * 100 + 50 + pe as u64);
+                        sched.gate_wait(pe, round * 100 + 50 + pe as u64);
                     }
                     sched.finish(pe, u64::MAX);
                 });
@@ -1284,7 +1195,7 @@ mod tests {
 
     #[test]
     fn block_unblock_wrong_reason_is_ignored() {
-        let sched = Arc::new(CoopSched::new(2, SchedPolicy::Det, vec![2]));
+        let sched = Arc::new(CoopSched::new(2, SchedPolicy::Det));
         let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
         std::thread::scope(|scope| {
             {
@@ -1321,7 +1232,7 @@ mod tests {
 
     #[test]
     fn deadlock_is_detected_not_hung() {
-        let sched = Arc::new(CoopSched::new(2, SchedPolicy::Det, vec![2]));
+        let sched = Arc::new(CoopSched::new(2, SchedPolicy::Det));
         let result = std::thread::scope(|scope| {
             let h0 = {
                 let sched = Arc::clone(&sched);
@@ -1348,7 +1259,7 @@ mod tests {
 
     #[test]
     fn dead_link_blocks_classify_as_partition() {
-        let sched = Arc::new(CoopSched::new(2, SchedPolicy::Det, vec![2]));
+        let sched = Arc::new(CoopSched::new(2, SchedPolicy::Det));
         let (r0, r1) = std::thread::scope(|scope| {
             let h0 = {
                 let sched = Arc::clone(&sched);
@@ -1390,7 +1301,7 @@ mod tests {
 
     #[test]
     fn poison_wakes_blocked_peers() {
-        let sched = Arc::new(CoopSched::new(2, SchedPolicy::Det, vec![2]));
+        let sched = Arc::new(CoopSched::new(2, SchedPolicy::Det));
         let (r0, r1) = std::thread::scope(|scope| {
             let h0 = {
                 let sched = Arc::clone(&sched);
@@ -1430,16 +1341,12 @@ mod tests {
     }
 
     #[test]
-    fn event_backend_replays_seeded_policies_too() {
-        for policy in [
-            SchedPolicy::Explore { seed: 11 },
-            SchedPolicy::BoundedPreempt { seed: 5, budget: 6 },
-        ] {
-            let (a, sa) = run_logged(policy, 3, 30);
-            let (b, sb) = run_logged_event(policy, 3, 30);
-            assert_eq!(a, b, "{policy} diverged across backends");
-            assert_eq!(sa, sb);
-        }
+    fn event_backend_replays_the_seeded_policy_too() {
+        let policy = SchedPolicy::Explore { seed: 11 };
+        let (a, sa) = run_logged(policy, 3, 30);
+        let (b, sb) = run_logged_event(policy, 3, 30);
+        assert_eq!(a, b, "{policy} diverged across backends");
+        assert_eq!(sa, sb);
     }
 
     #[test]
@@ -1455,12 +1362,7 @@ mod tests {
 
     #[test]
     fn event_backend_detects_deadlock_and_unwinds_all_coroutines() {
-        let sched = Arc::new(CoopSched::with_exec(
-            2,
-            SchedPolicy::Det,
-            vec![2],
-            ExecMode::Event,
-        ));
+        let sched = Arc::new(CoopSched::with_exec(2, SchedPolicy::Det, ExecMode::Event));
         let mut coros: Vec<coro::Coro> = (0..2)
             .map(|pe| {
                 let sched = Arc::clone(&sched);
@@ -1519,16 +1421,12 @@ mod tests {
         // exports resumable state right after the gate; a second team
         // preseeded from it must replay phase 2 pick-for-pick and land on
         // the same final fingerprint and switch count.
-        for policy in [
-            SchedPolicy::Det,
-            SchedPolicy::Explore { seed: 3 },
-            SchedPolicy::BoundedPreempt { seed: 5, budget: 4 },
-        ] {
+        for policy in [SchedPolicy::Det, SchedPolicy::Explore { seed: 3 }] {
             let npes = 3;
             let steps = 10usize;
             let clock_at = |pe: usize, step: usize| (step as u64 + 1) * 10 + pe as u64 * 3;
 
-            let sched = Arc::new(CoopSched::new(npes, policy, vec![npes]));
+            let sched = Arc::new(CoopSched::new(npes, policy));
             let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
             let resume = Arc::new(parking_lot::Mutex::new(None));
             std::thread::scope(|scope| {
@@ -1542,7 +1440,7 @@ mod tests {
                             log.lock().push((1u8, pe));
                             sched.yield_now(pe, clock_at(pe, step));
                         }
-                        sched.gate_wait(0, pe, clock_at(pe, steps));
+                        sched.gate_wait(pe, clock_at(pe, steps));
                         // First PE past the gate is the floor holder: the
                         // only place export_resume is legal.
                         {
@@ -1569,7 +1467,7 @@ mod tests {
             let resume = resume.lock().take().expect("floor holder exported");
             assert_eq!(resume.clocks.len(), npes);
 
-            let sched2 = Arc::new(CoopSched::new(npes, policy, vec![npes]));
+            let sched2 = Arc::new(CoopSched::new(npes, policy));
             sched2.preseed_resume(&resume);
             let log2 = Arc::new(parking_lot::Mutex::new(Vec::new()));
             std::thread::scope(|scope| {
@@ -1598,9 +1496,12 @@ mod tests {
     }
 
     #[test]
-    fn default_policy_env_fallback_is_os_or_env() {
-        // Cannot assert a specific value (the CI matrix sets O2K_SCHED),
-        // but the override must win over everything.
+    fn default_policy_is_det_unless_env_or_override_says_otherwise() {
+        // The CI matrix sets O2K_SCHED; without it the fallback is `det`.
+        if std::env::var_os("O2K_SCHED").is_none() {
+            assert_eq!(default_policy(), SchedPolicy::Det);
+        }
+        // The override wins over everything.
         set_default_policy(SchedPolicy::Explore { seed: 3 });
         assert_eq!(default_policy(), SchedPolicy::Explore { seed: 3 });
         set_default_policy(SchedPolicy::Os);

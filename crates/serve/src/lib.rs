@@ -251,9 +251,6 @@ pub fn run_opts(
         Model::Mp => mp::run_opts(machine, cfg, opts),
         Model::Shmem => shmem::run_opts(machine, cfg, opts),
         Model::Sas => sas::run_opts(machine, cfg, opts),
-        Model::Hybrid => {
-            panic!("the serving workload has no MPI+SAS variant; pick one of MPI, SHMEM or CC-SAS")
-        }
     }
 }
 
@@ -320,17 +317,6 @@ mod tests {
 
     fn det() -> apps::RunOpts {
         apps::RunOpts::with_sched(SchedPolicy::Det)
-    }
-
-    #[test]
-    #[should_panic(expected = "pick one of MPI, SHMEM or CC-SAS")]
-    fn hybrid_is_refused_by_name() {
-        run_opts(
-            queued_machine(4),
-            Model::Hybrid,
-            &ServeConfig::small(),
-            det(),
-        );
     }
 
     #[test]

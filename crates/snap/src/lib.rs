@@ -51,7 +51,7 @@ pub mod wire;
 use wire::{WireReader, WireWriter};
 
 /// Container format version; bump on any layout change.
-pub const FORMAT_VERSION: u64 = 2;
+pub const FORMAT_VERSION: u64 = 3;
 
 /// File magic: 8 bytes at offset zero.
 pub const MAGIC: &[u8; 8] = b"O2KSNAP1";
@@ -290,8 +290,6 @@ pub struct PeCore {
     pub rng_state: u64,
     /// Barrier epoch (team-wide).
     pub global_epoch: u64,
-    /// Barrier epoch (node-local).
-    pub node_epoch: u64,
     /// Pending serialisation point for free-running network accounting.
     pub net_pending: SimTime,
 }
@@ -338,7 +336,6 @@ impl PeCore {
         }
         w.u64(self.rng_state);
         w.u64(self.global_epoch);
-        w.u64(self.node_epoch);
         w.u64(self.net_pending);
     }
 
@@ -389,7 +386,6 @@ impl PeCore {
             counters: c,
             rng_state: r.u64()?,
             global_epoch: r.u64()?,
-            node_epoch: r.u64()?,
             net_pending: r.u64()?,
         })
     }
@@ -408,7 +404,6 @@ pub fn encode_sched(r: &SchedResume) -> Vec<u8> {
     w.u64(r.switches);
     w.u64(r.current as u64);
     w.u64(r.rng_state);
-    w.u64(r.budget as u64);
     w.into_bytes()
 }
 
@@ -424,7 +419,6 @@ pub fn decode_sched(bytes: &[u8]) -> Result<SchedResume, String> {
         switches: r.u64()?,
         current: r.u64()? as usize,
         rng_state: r.u64()?,
-        budget: r.u64()? as u32,
     })
 }
 
@@ -549,7 +543,6 @@ mod tests {
             counters,
             rng_state: 0xdead_beef,
             global_epoch: 5,
-            node_epoch: 2,
             net_pending: 99,
         };
         let mut w = WireWriter::new();
@@ -562,13 +555,12 @@ mod tests {
     #[test]
     fn sched_section_roundtrip() {
         let r = SchedResume {
-            policy: SchedPolicy::BoundedPreempt { seed: 3, budget: 9 },
+            policy: SchedPolicy::Explore { seed: 3 },
             clocks: vec![10, 20, 30],
             fingerprint: 0xfeed,
             switches: 42,
             current: 1,
             rng_state: 77,
-            budget: 4,
         };
         assert_eq!(decode_sched(&encode_sched(&r)).unwrap(), r);
     }

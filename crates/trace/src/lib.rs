@@ -40,10 +40,6 @@ pub enum EventKind {
     BarrierWait,
     /// The barrier operation itself (fan-in/fan-out cost).
     Barrier,
-    /// Waiting at a node-local barrier.
-    NodeBarrierWait,
-    /// The node-local barrier operation.
-    NodeBarrier,
     /// One log-depth transfer step of a blackboard collective.
     CollStep,
     /// Waiting for the previous lock holder to release.
@@ -87,13 +83,11 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, for tabulation.
-    pub const ALL: [EventKind; 22] = [
+    pub const ALL: [EventKind; 20] = [
         EventKind::Compute,
         EventKind::Other,
         EventKind::BarrierWait,
         EventKind::Barrier,
-        EventKind::NodeBarrierWait,
-        EventKind::NodeBarrier,
         EventKind::CollStep,
         EventKind::LockWait,
         EventKind::LockAcquire,
@@ -119,8 +113,6 @@ impl EventKind {
             EventKind::Other => "other",
             EventKind::BarrierWait => "barrier_wait",
             EventKind::Barrier => "barrier",
-            EventKind::NodeBarrierWait => "node_barrier_wait",
-            EventKind::NodeBarrier => "node_barrier",
             EventKind::CollStep => "coll_step",
             EventKind::LockWait => "lock_wait",
             EventKind::LockAcquire => "lock_acquire",

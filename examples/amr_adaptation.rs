@@ -70,9 +70,9 @@ fn main() {
     }
 
     // The parallel comparison on the same workload.
-    println!("\nfour-model comparison at P = 16 (incl. the hybrid extension):");
+    println!("\nthree-model comparison at P = 16:");
     let nb = NBodyConfig::small();
-    for model in Model::WITH_HYBRID {
+    for model in Model::ALL {
         let r = run_app(Machine::origin2000(16), App::Amr, model, &nb, &cfg);
         let (b, _, rm, s) = r.breakdown().fractions();
         println!(

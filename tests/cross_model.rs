@@ -90,7 +90,7 @@ fn deterministic_end_to_end() {
     let nb = NBodyConfig::small();
     let am = AmrConfig::small();
     for app in [App::NBody, App::Amr] {
-        for model in Model::WITH_HYBRID {
+        for model in Model::ALL {
             let a = run_app(machine(4), app, model, &nb, &am);
             let b = run_app(machine(4), app, model, &nb, &am);
             // Physics is always exactly reproducible.
@@ -113,13 +113,6 @@ fn deterministic_end_to_end() {
                     assert_eq!(a.per_pe, b.per_pe, "{app:?}/SAS det");
                     assert_eq!(a.counters, b.counters, "{app:?}/SAS det");
                     assert_eq!(a.sched, b.sched, "{app:?}/SAS det fingerprint");
-                }
-                // The hybrid's SAS half still runs under the process-default
-                // policy here (no per-run policy plumbing yet), so only a
-                // tolerance bound holds under free-running OS threads.
-                Model::Hybrid => {
-                    let rel = (a.sim_time as f64 - b.sim_time as f64).abs() / a.sim_time as f64;
-                    assert!(rel < 0.03, "{app:?}/{model:?}: timing spread {rel}");
                 }
             }
         }
@@ -196,7 +189,7 @@ mod config_space {
             let nb = NBodyConfig::small();
             let reference =
                 run_app(machine(1), App::Amr, Model::Sas, &nb, &cfg).checksum;
-            for model in [Model::Mp, Model::Shmem, Model::Hybrid] {
+            for model in Model::ALL {
                 let c = run_app(machine(4), App::Amr, model, &nb, &cfg).checksum;
                 prop_assert_eq!(c, reference, "{:?} diverged on {:?}", model, (nx, ny, steps, sweeps, circular));
             }

@@ -141,12 +141,7 @@ mod properties {
         ) {
             let p = [2usize, 4, 8][p_idx];
             let rounds = incs.len() / p;
-            let sched = Arc::new(CoopSched::with_exec(
-                p,
-                SchedPolicy::Det,
-                vec![p],
-                ExecMode::Event,
-            ));
+            let sched = Arc::new(CoopSched::with_exec(p, SchedPolicy::Det, ExecMode::Event));
             let grants: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
             let mut coros: Vec<coro::Coro> = (0..p)
                 .map(|pe| {
@@ -155,7 +150,7 @@ mod properties {
                     let incs = incs.clone();
                     coro::Coro::new(coro::stack_bytes(), move || {
                         sched.register(pe);
-                        sched.gate_wait(0, pe, 0);
+                        sched.gate_wait(pe, 0);
                         let mut clock = 0u64;
                         for r in 0..rounds {
                             clock += incs[r * p + pe];

@@ -16,7 +16,7 @@ fn machine(p: usize) -> Arc<Machine> {
 
 #[test]
 fn all_three_worlds_coexist_in_one_team() {
-    // A hybrid program: messages, puts and shared memory in the same run —
+    // A mixed program: messages, puts and shared memory in the same run —
     // everything charges the same clocks.
     let m = machine(4);
     let mp = MpWorld::new(Arc::clone(&m));

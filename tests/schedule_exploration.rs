@@ -330,37 +330,3 @@ fn queued_contention_replays_and_keeps_physics_under_exploration() {
         assert_eq!(r.net, b.net, "seed {seed}: NetStats must replay");
     }
 }
-
-/// Bounded-preemption schedules: mostly-deterministic with a seeded budget
-/// of preemptions — still invariant-preserving, still reproducible.
-#[test]
-fn bounded_preemption_preserves_invariants() {
-    let cfg = amr_step_cfg();
-    let run = |seed, budget| {
-        origin2k::apps::amr_sas::run_with_opts(
-            Machine::origin2000(4),
-            &cfg,
-            PagePolicy::FirstTouch,
-            RunOpts::with_sched(SchedPolicy::BoundedPreempt { seed, budget }),
-        )
-    };
-    let det = origin2k::apps::amr_sas::run_with_opts(
-        Machine::origin2000(4),
-        &cfg,
-        PagePolicy::FirstTouch,
-        RunOpts::with_sched(SchedPolicy::Det),
-    );
-    for seed in 0..8u64 {
-        let r = run(seed, 32);
-        assert_eq!(r.checksum, det.checksum, "seed {seed}");
-        let again = run(seed, 32);
-        assert_eq!(r.sim_time, again.sim_time, "seed {seed} must replay");
-        assert_eq!(r.sched, again.sched, "seed {seed} must replay");
-    }
-    // Zero budget degenerates to the deterministic schedule.
-    let zero = run(5, 0);
-    assert_eq!(
-        zero.sched.unwrap().fingerprint,
-        det.sched.unwrap().fingerprint
-    );
-}

@@ -272,7 +272,6 @@ fn hostile_length_prefixes_are_errors_in_every_decoder() {
         switches: 4,
         current: 0,
         rng_state: 5,
-        budget: 0,
     });
     let mut snap = Snapshot::new();
     snap.put("sched", sched.clone());
@@ -298,6 +297,12 @@ fn hostile_length_prefixes_are_errors_in_every_decoder() {
         let f = [&fabric[..fabric.len() - 8], &words(&[n])].concat();
         assert!(net.import_state_bytes(&f).is_err(), "fabric phases {n}");
     }
+
+    // A container carrying another format version is refused by name,
+    // never mis-decoded.
+    let v2 = [&container[..8], &words(&[2]), &container[16..]].concat();
+    let err = Snapshot::from_bytes(&v2).unwrap_err();
+    assert_eq!(err, "snapshot format v2 unsupported (this build reads v3)");
 
     net.import_state_bytes(&fabric).expect("untouched export");
     for cut in [1, 9, container.len() / 2] {

@@ -37,7 +37,7 @@ fn nbody_cfg() -> NBodyConfig {
 /// one recorded event.
 #[test]
 fn trace_conserves_clock_breakdown() {
-    for model in Model::WITH_HYBRID {
+    for model in Model::ALL {
         let (nb, am) = (nbody_cfg(), amr_cfg());
         let r = apps::run_app_opts(machine(4), App::Amr, model, &nb, &am, traced());
         let trace = r
