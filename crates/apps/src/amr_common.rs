@@ -7,6 +7,8 @@
 //! experiments measure — is how the solution field moves: explicit
 //! messages, one-sided puts, or hardware coherence.
 
+use std::sync::{Arc, OnceLock};
+
 use mesh::adaptive::AdaptiveMesh;
 use mesh::dual::{dual_graph, DualGraph};
 use mesh::indicator::{mark, Marking, Shock};
@@ -101,16 +103,6 @@ impl AmrConfig {
     }
 }
 
-/// The replicated mesh + field state every PE carries.
-#[derive(Debug, Clone)]
-pub struct ReplicatedMesh {
-    /// The adaptive mesh (identical on every PE by determinism).
-    pub mesh: AdaptiveMesh,
-    /// Solution value per triangle id (authoritative only at the owner for
-    /// MP/SHMEM; those models synchronise before adaptation).
-    pub field: Vec<f64>,
-}
-
 /// What one adaptation step did (for cost charging).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AdaptStats {
@@ -122,46 +114,176 @@ pub struct AdaptStats {
     pub coarsened_groups: usize,
 }
 
-impl ReplicatedMesh {
-    /// Base mesh over the unit square with the initial field (centroid x).
-    pub fn new(cfg: &AmrConfig) -> Self {
-        let mesh = AdaptiveMesh::structured(cfg.nx, cfg.ny, 1.0, 1.0);
+/// One generation of the replicated metadata: the mesh after that many
+/// adaptation steps (0 = base), its dual graph and the partition of it.
+#[derive(Debug, Default)]
+struct Generation {
+    mesh: OnceLock<(Arc<AdaptiveMesh>, AdaptStats)>,
+    dual: OnceLock<Arc<DualGraph>>,
+    parts: OnceLock<StepParts>,
+}
+
+/// A memoised [`partition_active`] result and the question it answers.
+#[derive(Debug)]
+struct StepParts {
+    parts: Arc<Vec<u32>>,
+    stats: MoveStats,
+    inherited: Vec<u32>,
+}
+
+/// The replicated mesh metadata of one run, computed once on the host.
+///
+/// The model replicates the metadata on every PE and *charges* each PE its
+/// share of the work; the charges are functions of [`AdaptStats`] and the
+/// dual graph's size, never of host time, so the host needs one copy. Each
+/// generation is computed by the first replica that asks and shared by the
+/// rest. `OnceLock::get_or_init` is the whole synchronisation: the
+/// initialisers are pure host compute (no scheduling point), so under the
+/// cooperative schedulers nobody else runs meanwhile, and under free OS
+/// threads late arrivers wait for the first.
+#[derive(Debug)]
+pub struct MeshMemo {
+    gens: Vec<Generation>,
+    base_parts: OnceLock<Arc<Vec<u32>>>,
+}
+
+impl MeshMemo {
+    /// An empty memo for a run of `cfg`.
+    pub fn new(cfg: &AmrConfig) -> Arc<Self> {
+        Arc::new(MeshMemo {
+            gens: (0..=cfg.steps).map(|_| Generation::default()).collect(),
+            base_parts: OnceLock::new(),
+        })
+    }
+
+    /// A replica at generation 0: the base mesh over the unit square with
+    /// the initial field (centroid x).
+    pub fn replica(self: &Arc<Self>, cfg: &AmrConfig) -> ReplicatedMesh {
+        let mesh = Arc::clone(&self.mesh_at(cfg, 0).0);
         let field = (0..mesh.num_tris_total() as u32)
             .map(|t| mesh.centroid_of(t).x)
             .collect();
-        ReplicatedMesh { mesh, field }
+        ReplicatedMesh {
+            mesh,
+            field,
+            memo: Arc::clone(self),
+            generation: 0,
+        }
     }
 
-    /// One adaptation step: mark against the front, refine, coarsen, and
+    /// Active triangles after the last adaptation step (the problem size
+    /// the tables print).
+    pub fn final_active(&self, cfg: &AmrConfig) -> usize {
+        self.mesh_at(cfg, cfg.steps).0.num_active()
+    }
+
+    /// Generation `g` of the mesh: mark against the front, refine, coarsen
+    /// a copy of generation `g - 1`. Deterministic.
+    fn mesh_at(&self, cfg: &AmrConfig, g: usize) -> &(Arc<AdaptiveMesh>, AdaptStats) {
+        self.gens[g].mesh.get_or_init(|| {
+            if g == 0 {
+                let base = AdaptiveMesh::structured(cfg.nx, cfg.ny, 1.0, 1.0);
+                return (Arc::new(base), AdaptStats::default());
+            }
+            let mut mesh = AdaptiveMesh::clone(&self.mesh_at(cfg, g - 1).0);
+            let marking: Marking = mark(
+                &mesh,
+                &cfg.shock(),
+                cfg.front_time(g - 1),
+                cfg.refine_band,
+                cfg.coarsen_band,
+                cfg.max_level,
+            );
+            let scanned = mesh.num_active();
+            let before = mesh.num_tris_total();
+            mesh.refine(&marking.refine);
+            let groups = mesh.coarsen(&marking.coarsen);
+            let stats = AdaptStats {
+                marked_scan: scanned,
+                new_tris: mesh.num_tris_total() - before,
+                coarsened_groups: groups,
+            };
+            (Arc::new(mesh), stats)
+        })
+    }
+}
+
+/// The replicated mesh + field state every PE carries: a view onto the
+/// run's [`MeshMemo`] plus this PE's own copy of the field.
+#[derive(Debug, Clone)]
+pub struct ReplicatedMesh {
+    /// The adaptive mesh (identical on every PE by determinism, so shared).
+    pub mesh: Arc<AdaptiveMesh>,
+    /// Solution value per triangle id (authoritative only at the owner for
+    /// MP/SHMEM; those models synchronise before adaptation).
+    pub field: Vec<f64>,
+    memo: Arc<MeshMemo>,
+    generation: usize,
+}
+
+impl ReplicatedMesh {
+    /// A stand-alone replica: a memo with one client.
+    pub fn new(cfg: &AmrConfig) -> Self {
+        MeshMemo::new(cfg).replica(cfg)
+    }
+
+    /// One adaptation step: move to the next generation of the mesh and
     /// extend the field (children inherit the parent value; reactivated
     /// parents keep their pre-refinement value). Deterministic.
     pub fn adapt(&mut self, cfg: &AmrConfig, step: usize) -> AdaptStats {
-        let t = cfg.front_time(step);
-        let marking: Marking = mark(
-            &self.mesh,
-            &cfg.shock(),
-            t,
-            cfg.refine_band,
-            cfg.coarsen_band,
-            cfg.max_level,
+        assert_eq!(
+            step, self.generation,
+            "adaptation steps apply in order: this replica is at generation {}",
+            self.generation
         );
-        let scanned = self.mesh.num_active();
-        let before = self.mesh.num_tris_total();
-        self.mesh.refine(&marking.refine);
-        let groups = self.mesh.coarsen(&marking.coarsen);
-        let after = self.mesh.num_tris_total();
-        for t in before..after {
+        self.generation = step + 1;
+        let (mesh, stats) = self.memo.mesh_at(cfg, self.generation);
+        self.mesh = Arc::clone(mesh);
+        for t in self.field.len()..self.mesh.num_tris_total() {
             let parent = self
                 .mesh
                 .parent_of(t as u32)
                 .expect("new triangles have parents");
             self.field.push(self.field[parent as usize]);
         }
-        AdaptStats {
-            marked_scan: scanned,
-            new_tris: after - before,
-            coarsened_groups: groups,
-        }
+        *stats
+    }
+
+    /// Dual graph of the active triangles at this generation.
+    pub fn dual(&self) -> Arc<DualGraph> {
+        let slot = &self.memo.gens[self.generation].dual;
+        Arc::clone(slot.get_or_init(|| Arc::new(dual_graph(&self.mesh))))
+    }
+
+    /// The start-up partition of the base mesh, computed by the first
+    /// caller's `rcb`.
+    pub fn initial_partition(&self, rcb: impl FnOnce() -> Vec<u32>) -> Arc<Vec<u32>> {
+        Arc::clone(self.memo.base_parts.get_or_init(|| Arc::new(rcb())))
+    }
+
+    /// [`partition_active`] on this generation's dual graph. `inherited`
+    /// is identical on every PE by determinism; a replica that asks a
+    /// different question than the one answered fails here by name.
+    pub fn partition(
+        &self,
+        inherited: &[u32],
+        nparts: usize,
+        use_remap: bool,
+    ) -> (Arc<Vec<u32>>, MoveStats) {
+        let memo = self.memo.gens[self.generation].parts.get_or_init(|| {
+            let (parts, stats) = partition_active(&self.dual(), inherited, nparts, use_remap);
+            StepParts {
+                parts: Arc::new(parts),
+                stats,
+                inherited: inherited.to_vec(),
+            }
+        });
+        debug_assert_eq!(
+            memo.inherited, inherited,
+            "replicas diverged: generation {} was partitioned from other owners",
+            self.generation
+        );
+        (Arc::clone(&memo.parts), memo.stats)
     }
 
     /// Checksum: sum of field over active triangles in ascending id order.
@@ -174,6 +296,14 @@ impl ReplicatedMesh {
     }
 }
 
+/// Unit-weight points at the dual graph's centroids (RCB input).
+fn unit_points(dual: &DualGraph) -> Vec<WeightedPoint> {
+    dual.centroids
+        .iter()
+        .map(|c| WeightedPoint::new(c.x, c.y, 1.0))
+        .collect()
+}
+
 /// Partition the active triangles: RCB over centroids (unit weights), then
 /// optionally PLUM-remap against the inherited owners. Returns the parts
 /// by *active index* and the movement statistics.
@@ -183,12 +313,7 @@ pub fn partition_active(
     nparts: usize,
     use_remap: bool,
 ) -> (Vec<u32>, MoveStats) {
-    let pts: Vec<WeightedPoint> = dual
-        .centroids
-        .iter()
-        .map(|c| WeightedPoint::new(c.x, c.y, 1.0))
-        .collect();
-    let mut parts = rcb_partition(&pts, nparts);
+    let mut parts = rcb_partition(&unit_points(dual), nparts);
     let w = vec![1.0; parts.len()];
     let stats = if use_remap {
         remap_labels(inherited, &mut parts, &w, nparts)
@@ -205,13 +330,8 @@ pub fn partition_active(
 pub fn balance_series(cfg: &AmrConfig, nparts: usize) -> Vec<(f64, f64, f64, f64)> {
     let mut state = ReplicatedMesh::new(cfg);
     let mut owner: Vec<u32> = {
-        let dual = dual_graph(&state.mesh);
-        let pts: Vec<WeightedPoint> = dual
-            .centroids
-            .iter()
-            .map(|c| WeightedPoint::new(c.x, c.y, 1.0))
-            .collect();
-        let parts = rcb_partition(&pts, nparts);
+        let dual = state.dual();
+        let parts = state.initial_partition(|| rcb_partition(&unit_points(&dual), nparts));
         let mut owner = vec![0u32; state.mesh.num_tris_total()];
         for (i, &t) in dual.tris.iter().enumerate() {
             owner[t as usize] = parts[i];
@@ -227,11 +347,11 @@ pub fn balance_series(cfg: &AmrConfig, nparts: usize) -> Vec<(f64, f64, f64, f64
             let o = owner[p as usize];
             owner.push(o);
         }
-        let dual = dual_graph(&state.mesh);
+        let dual = state.dual();
         let inherited: Vec<u32> = dual.tris.iter().map(|&t| owner[t as usize]).collect();
         let w = vec![1.0; inherited.len()];
         let before = imbalance(&w, &inherited, nparts);
-        let (parts, stats) = partition_active(&dual, &inherited, nparts, cfg.use_remap);
+        let (parts, stats) = state.partition(&inherited, nparts, cfg.use_remap);
         let after = imbalance(&w, &parts, nparts);
         for (i, &t) in dual.tris.iter().enumerate() {
             owner[t as usize] = parts[i];
@@ -254,8 +374,10 @@ pub(crate) fn encode_step_state(step: u64, field: &[f64], owner: &[u32]) -> Vec<
     w.into_bytes()
 }
 
-/// Inverse of [`encode_step_state`].
-pub(crate) fn decode_step_state(bytes: &[u8], step: u64) -> (Vec<f64>, Vec<u32>) {
+/// Inverse of [`encode_step_state`]. Both vectors are indexed by triangle
+/// id, so each must cover the `tris` triangles of the replayed mesh: a
+/// payload from another config ends here by name, not in an index panic.
+pub(crate) fn decode_step_state(bytes: &[u8], step: u64, tris: usize) -> (Vec<f64>, Vec<u32>) {
     let mut r = o2k_snap::wire::WireReader::new(bytes);
     let got = r.u64().expect("snapshot app payload: step");
     assert_eq!(got, step, "snapshot payload is for a different step");
@@ -267,6 +389,8 @@ pub(crate) fn decode_step_state(bytes: &[u8], step: u64) -> (Vec<f64>, Vec<u32>)
         .map(|v| v as u32)
         .collect();
     r.finish().expect("snapshot app payload: trailing bytes");
+    assert_eq!(field.len(), tris, "snapshot/config mismatch: field");
+    assert_eq!(owner.len(), tris, "snapshot/config mismatch: owner");
     (field, owner)
 }
 
@@ -334,6 +458,185 @@ mod tests {
         for (before, after, _, _) in balance_series(&cfg, 8) {
             assert!(after <= before + 1e-9);
             assert!(after < 1.5, "post-partition imbalance too high: {after}");
+        }
+    }
+
+    #[test]
+    fn replicas_of_one_run_share_every_generation() {
+        let cfg = AmrConfig::small();
+        let memo = MeshMemo::new(&cfg);
+        let (mut a, mut b) = (memo.replica(&cfg), memo.replica(&cfg));
+        let base = a.initial_partition(|| vec![0; a.mesh.num_active()]);
+        let again = b.initial_partition(|| unreachable!("the base partition is computed once"));
+        assert!(Arc::ptr_eq(&base, &again));
+        for step in 0..cfg.steps {
+            a.adapt(&cfg, step);
+            b.adapt(&cfg, step);
+            assert!(Arc::ptr_eq(&a.mesh, &b.mesh));
+            assert!(Arc::ptr_eq(&a.dual(), &b.dual()));
+            let inherited = vec![0; a.mesh.num_active()];
+            let (pa, _) = a.partition(&inherited, 4, cfg.use_remap);
+            let (pb, _) = b.partition(&inherited, 4, cfg.use_remap);
+            assert!(Arc::ptr_eq(&pa, &pb));
+        }
+        // A second run has its own memo and shares nothing with the first.
+        assert!(!Arc::ptr_eq(
+            &ReplicatedMesh::new(&cfg).mesh,
+            &memo.replica(&cfg).mesh
+        ));
+    }
+
+    #[test]
+    fn racing_threads_compute_a_generation_once() {
+        // The `--sched os` case: eight free-running PEs reach `adapt`
+        // together; exactly one computes, the rest wait and share.
+        let cfg = AmrConfig::small();
+        let memo = MeshMemo::new(&cfg);
+        let gate = std::sync::Barrier::new(8);
+        let meshes: Vec<Arc<AdaptiveMesh>> = std::thread::scope(|s| {
+            let pes: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut state = memo.replica(&cfg);
+                        gate.wait();
+                        state.adapt(&cfg, 0);
+                        state.mesh
+                    })
+                })
+                .collect();
+            pes.into_iter()
+                .map(|pe| pe.join().expect("PE thread"))
+                .collect()
+        });
+        assert!(meshes.iter().all(|m| Arc::ptr_eq(m, &meshes[0])));
+    }
+
+    #[test]
+    #[should_panic(expected = "adaptation steps apply in order")]
+    fn out_of_order_adapt_panics_by_name() {
+        let cfg = AmrConfig::small();
+        ReplicatedMesh::new(&cfg).adapt(&cfg, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot/config mismatch: field")]
+    fn restore_rejects_a_short_field() {
+        let bytes = encode_step_state(1, &[0.0; 7], &[0; 8]);
+        decode_step_state(&bytes, 1, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot/config mismatch: owner")]
+    fn restore_rejects_a_short_owner() {
+        let bytes = encode_step_state(1, &[0.0; 8], &[0; 7]);
+        decode_step_state(&bytes, 1, 8);
+    }
+
+    #[test]
+    fn problem_size_is_the_replayed_final_mesh() {
+        use crate::{App, Model, NBodyConfig, RunOpts};
+        let cfg = AmrConfig::small();
+        let mut replay = ReplicatedMesh::new(&cfg);
+        for step in 0..cfg.steps {
+            replay.adapt(&cfg, step);
+        }
+        for pes in [1, 4] {
+            for model in Model::ALL {
+                let machine = Arc::new(machine::Machine::new(
+                    pes,
+                    machine::MachineConfig::origin2000(),
+                ));
+                let nbody = NBodyConfig::small();
+                let m =
+                    crate::run_app_opts(machine, App::Amr, model, &nbody, &cfg, RunOpts::default());
+                assert_eq!(
+                    m.problem_size,
+                    replay.mesh.num_active(),
+                    "{model:?} P={pes}"
+                );
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Everything a PE can observe of the replicated metadata after a step.
+    #[derive(Debug, PartialEq)]
+    struct Seen {
+        tris_total: usize,
+        active: Vec<u32>,
+        new_parents: Vec<Option<u32>>,
+        field: Vec<f64>,
+        dual: (Vec<u32>, Vec<usize>, Vec<u32>),
+        parts: Vec<u32>,
+    }
+
+    /// One step of the MP / SHMEM driver loop on `state`, host side only.
+    fn step(
+        state: &mut ReplicatedMesh,
+        owner: &mut Vec<u32>,
+        cfg: &AmrConfig,
+        s: usize,
+        nparts: usize,
+    ) -> Seen {
+        let before = state.mesh.num_tris_total();
+        state.adapt(cfg, s);
+        let new_parents: Vec<_> = (before..state.mesh.num_tris_total())
+            .map(|t| state.mesh.parent_of(t as u32))
+            .collect();
+        for p in &new_parents {
+            owner.push(owner[p.expect("has parent") as usize]);
+        }
+        let dual = state.dual();
+        let inherited: Vec<u32> = dual.tris.iter().map(|&t| owner[t as usize]).collect();
+        let (parts, _) = state.partition(&inherited, nparts, cfg.use_remap);
+        for (i, &t) in dual.tris.iter().enumerate() {
+            owner[t as usize] = parts[i];
+        }
+        Seen {
+            tris_total: state.mesh.num_tris_total(),
+            active: state.mesh.active_tris(),
+            new_parents,
+            field: state.field.clone(),
+            dual: (dual.tris.clone(), dual.xadj.clone(), dual.adj.clone()),
+            parts: parts.to_vec(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Sharing is invisible: replicas on one memo see, at every step,
+        /// exactly what a stand-alone replica computes for itself,
+        /// whichever of them asks first.
+        #[test]
+        fn shared_replicas_agree_with_stand_alone_ones(
+            nx in 4usize..12,
+            ny in 4usize..12,
+            steps in 1usize..4,
+            circular in any::<bool>(),
+            use_remap in any::<bool>(),
+            nparts_ix in 0usize..3,
+        ) {
+            let nparts = [1, 3, 8][nparts_ix];
+            let cfg = AmrConfig { nx, ny, steps, circular, use_remap, ..AmrConfig::default() };
+            let memo = MeshMemo::new(&cfg);
+            let mut states = [memo.replica(&cfg), memo.replica(&cfg), ReplicatedMesh::new(&cfg)];
+            let mut owners = states.clone().map(|st| vec![0u32; st.mesh.num_tris_total()]);
+            for s in 0..steps {
+                // Alternate which shared replica computes the generation.
+                let order = if s % 2 == 0 { [0, 1, 2] } else { [1, 0, 2] };
+                let mut seen = Vec::new();
+                for i in order {
+                    seen.push(step(&mut states[i], &mut owners[i], &cfg, s, nparts));
+                }
+                prop_assert_eq!(&seen[0], &seen[1]);
+                prop_assert_eq!(&seen[0], &seen[2]);
+            }
         }
     }
 }

@@ -11,14 +11,13 @@
 use std::sync::Arc;
 
 use machine::Machine;
-use mesh::dual::dual_graph;
 use mp::MpWorld;
 use parallel::{Ctx, Team};
 use partition::rcb_partition;
 use partition::WeightedPoint;
 
 use crate::amr_common::{
-    decode_step_state, encode_step_state, partition_active, AmrConfig, ReplicatedMesh,
+    decode_step_state, encode_step_state, AmrConfig, MeshMemo, ReplicatedMesh,
 };
 use crate::metrics::{App, Model, RunMetrics};
 // snap:begin
@@ -30,22 +29,27 @@ use crate::workcost as W;
 /// `opts` overrides the process defaults (see [`crate::RunOpts`]).
 pub fn run_opts(machine: Arc<Machine>, cfg: &AmrConfig, opts: crate::RunOpts) -> RunMetrics {
     let world = MpWorld::new(Arc::clone(&machine));
+    // sim:begin — the replicated metadata is charged on every PE but
+    // computed once per run on the host (simulator plumbing, not effort)
+    let memo = MeshMemo::new(cfg);
+    // sim:end
     // snap:begin — checkpoint plumbing, shared by every model
     let snap = Snapshotter::new(&opts, App::Amr, Model::Mp, &machine, &format!("{cfg:?}"));
     // snap:end
     let team = opts.configure(Team::new(machine).seed(cfg.seed));
-    let run = team.run_resumed(snap.team_resume(), |ctx| rank_main(ctx, &world, cfg, &snap));
-    let size = {
-        let mut probe = ReplicatedMesh::new(cfg);
-        for s in 0..cfg.steps {
-            probe.adapt(cfg, s);
-        }
-        probe.mesh.num_active()
-    };
-    RunMetrics::collect(App::Amr, Model::Mp, &run, size)
+    let run = team.run_resumed(snap.team_resume(), |ctx| {
+        rank_main(ctx, &world, cfg, &memo, &snap)
+    });
+    RunMetrics::collect(App::Amr, Model::Mp, &run, memo.final_active(cfg))
 }
 
-fn rank_main(ctx: &mut Ctx, w: &MpWorld, cfg: &AmrConfig, snap: &Snapshotter) -> f64 {
+fn rank_main(
+    ctx: &mut Ctx,
+    w: &MpWorld,
+    cfg: &AmrConfig,
+    memo: &Arc<MeshMemo>,
+    snap: &Snapshotter,
+) -> f64 {
     let p = ctx.npes();
     let me = ctx.pe();
 
@@ -54,37 +58,28 @@ fn rank_main(ctx: &mut Ctx, w: &MpWorld, cfg: &AmrConfig, snap: &Snapshotter) ->
     // virtual-time charges — the restored clocks already paid for it),
     // then overlay the captured field and ownership map.
     let (start, mut state, mut owner) = if let Some(at) = snap.resume_index("step") {
-        let mut state = ReplicatedMesh::new(cfg);
+        let mut state = memo.replica(cfg);
         for s in 0..at as usize {
             state.adapt(cfg, s);
         }
-        let (field, owner) = decode_step_state(snap.payload(me).expect("resume payload"), at);
-        assert_eq!(
-            field.len(),
-            state.mesh.num_tris_total(),
-            "snapshot/config mismatch"
-        );
-        assert_eq!(
-            owner.len(),
-            state.mesh.num_tris_total(),
-            "snapshot/config mismatch"
-        );
+        let payload = snap.payload(me).expect("resume payload");
+        let (field, owner) = decode_step_state(payload, at, state.mesh.num_tris_total());
         state.field = field;
         (at as usize, state, owner)
     } else {
         // snap:end
-        let state = ReplicatedMesh::new(cfg);
+        let state = memo.replica(cfg);
 
         // Initial ownership: RCB over the base mesh, replicated.
         let mut owner = vec![0u32; state.mesh.num_tris_total()];
-        let dual = dual_graph(&state.mesh);
+        let dual = state.dual();
         ctx.compute_units((dual.len() / p + 1) as u64, W::PARTITION_PER_TRI_NS);
         let pts: Vec<WeightedPoint> = dual
             .centroids
             .iter()
             .map(|c| WeightedPoint::new(c.x, c.y, 1.0))
             .collect();
-        let parts = rcb_partition(&pts, p);
+        let parts = state.initial_partition(|| rcb_partition(&pts, p));
         for (i, &t) in dual.tris.iter().enumerate() {
             owner[t as usize] = parts[i];
         }
@@ -128,19 +123,19 @@ fn rank_main(ctx: &mut Ctx, w: &MpWorld, cfg: &AmrConfig, snap: &Snapshotter) ->
 
         // (3) Repartition + PLUM remap + migration.
         ctx.net_phase("remap");
-        let dual = dual_graph(&state.mesh);
+        let dual = state.dual();
         ctx.compute_units((dual.len() / p + 1) as u64, W::PARTITION_PER_TRI_NS);
         let inherited: Vec<u32> = dual.tris.iter().map(|&t| owner[t as usize]).collect();
-        let (parts, _mv) = partition_active(&dual, &inherited, p, cfg.use_remap);
+        let (parts, _mv) = state.partition(&inherited, p, cfg.use_remap);
         let moved_out = inherited
             .iter()
-            .zip(&parts)
+            .zip(parts.iter())
             .filter(|(&o, &n)| o as usize == me && n as usize != me)
             .count();
         ctx.compute_units(moved_out as u64, W::MIGRATE_PER_TRI_NS);
         // Migrate element state to new owners (connectivity + value).
         let mut migr: Vec<Vec<(u64, [f64; 8])>> = vec![Vec::new(); p];
-        for (i, (&o, &n)) in inherited.iter().zip(&parts).enumerate() {
+        for (i, (&o, &n)) in inherited.iter().zip(parts.iter()).enumerate() {
             if o as usize == me && n as usize != me {
                 let t = dual.tris[i];
                 let mut payload = [0.0; 8];

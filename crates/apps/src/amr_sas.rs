@@ -11,11 +11,10 @@
 use std::sync::Arc;
 
 use machine::Machine;
-use mesh::dual::dual_graph;
 use parallel::{Ctx, Team};
 use sas::{PagePolicy, SasSlice, SasWorld};
 
-use crate::amr_common::{AmrConfig, ReplicatedMesh};
+use crate::amr_common::{AmrConfig, MeshMemo};
 use crate::metrics::{App, Model, RunMetrics};
 use crate::workcost as W;
 
@@ -54,6 +53,10 @@ pub fn run_with_opts(
     opts: crate::RunOpts,
 ) -> RunMetrics {
     let world = SasWorld::with_paging(Arc::clone(&machine), policy);
+    // sim:begin — the replicated metadata is charged on every PE but
+    // computed once per run on the host (simulator plumbing, not effort)
+    let memo = MeshMemo::new(cfg);
+    // sim:end
     // snap:begin — checkpoint plumbing, shared by every model
     let mut snap = Snapshotter::new(
         &opts,
@@ -65,18 +68,19 @@ pub fn run_with_opts(
     snap.import_world(|b| world.import_state_bytes(b));
     // snap:end
     let team = opts.configure(Team::new(machine).seed(cfg.seed));
-    let run = team.run_resumed(snap.team_resume(), |ctx| pe_main(ctx, &world, cfg, &snap));
-    let size = {
-        let mut probe = ReplicatedMesh::new(cfg);
-        for s in 0..cfg.steps {
-            probe.adapt(cfg, s);
-        }
-        probe.mesh.num_active()
-    };
-    RunMetrics::collect(App::Amr, Model::Sas, &run, size)
+    let run = team.run_resumed(snap.team_resume(), |ctx| {
+        pe_main(ctx, &world, cfg, &memo, &snap)
+    });
+    RunMetrics::collect(App::Amr, Model::Sas, &run, memo.final_active(cfg))
 }
 
-fn pe_main(ctx: &mut Ctx, w: &SasWorld, cfg: &AmrConfig, snap: &Snapshotter) -> f64 {
+fn pe_main(
+    ctx: &mut Ctx,
+    w: &SasWorld,
+    cfg: &AmrConfig,
+    memo: &Arc<MeshMemo>,
+    snap: &Snapshotter,
+) -> f64 {
     let p = ctx.npes();
     let me = ctx.pe();
     let cap = cfg.tri_capacity();
@@ -88,7 +92,7 @@ fn pe_main(ctx: &mut Ctx, w: &SasWorld, cfg: &AmrConfig, snap: &Snapshotter) -> 
     // allocation order, reload this PE's private cache, and replay the
     // deterministic adaptation to rebuild the replicated mesh.
     let (start, mut state, field, cursors) = if let Some(at) = snap.resume_index("step") {
-        let mut state = ReplicatedMesh::new(cfg);
+        let mut state = memo.replica(cfg);
         for s in 0..at as usize {
             state.adapt(cfg, s);
         }
@@ -100,7 +104,7 @@ fn pe_main(ctx: &mut Ctx, w: &SasWorld, cfg: &AmrConfig, snap: &Snapshotter) -> 
         (at as usize, state, field, cursors)
     } else {
         // snap:end
-        let state = ReplicatedMesh::new(cfg);
+        let state = memo.replica(cfg);
 
         // The shared field, indexed by triangle id. Pages are homed by
         // genuine first touch: owners touch their own blocks first during
@@ -161,7 +165,7 @@ fn pe_main(ctx: &mut Ctx, w: &SasWorld, cfg: &AmrConfig, snap: &Snapshotter) -> 
         // (2) Ownership is a block of the active list — no partitioner, no
         // remap, no migration. (Under self-scheduling the block is only
         // used for inheritance; sweep work is claimed dynamically.)
-        let dual = dual_graph(&state.mesh);
+        let dual = state.dual();
         let n_active = dual.len();
         let my: Vec<usize> = (me * n_active / p..(me + 1) * n_active / p).collect();
 

@@ -14,14 +14,13 @@
 use std::sync::Arc;
 
 use machine::Machine;
-use mesh::dual::dual_graph;
 use parallel::{Ctx, Team};
 use partition::rcb_partition;
 use partition::WeightedPoint;
 use shmem::{SymSlice, SymWorld};
 
 use crate::amr_common::{
-    decode_step_state, encode_step_state, partition_active, AmrConfig, ReplicatedMesh,
+    decode_step_state, encode_step_state, AmrConfig, MeshMemo, ReplicatedMesh,
 };
 use crate::metrics::{App, Model, RunMetrics};
 // snap:begin
@@ -33,23 +32,28 @@ use crate::workcost as W;
 /// `opts` overrides the process defaults (see [`crate::RunOpts`]).
 pub fn run_opts(machine: Arc<Machine>, cfg: &AmrConfig, opts: crate::RunOpts) -> RunMetrics {
     let world = SymWorld::new(Arc::clone(&machine));
+    // sim:begin — the replicated metadata is charged on every PE but
+    // computed once per run on the host (simulator plumbing, not effort)
+    let memo = MeshMemo::new(cfg);
+    // sim:end
     // snap:begin — checkpoint plumbing, shared by every model
     let mut snap = Snapshotter::new(&opts, App::Amr, Model::Shmem, &machine, &format!("{cfg:?}"));
     snap.import_world(|b| world.import_state_bytes(b));
     // snap:end
     let team = opts.configure(Team::new(machine).seed(cfg.seed));
-    let run = team.run_resumed(snap.team_resume(), |ctx| pe_main(ctx, &world, cfg, &snap));
-    let size = {
-        let mut probe = ReplicatedMesh::new(cfg);
-        for s in 0..cfg.steps {
-            probe.adapt(cfg, s);
-        }
-        probe.mesh.num_active()
-    };
-    RunMetrics::collect(App::Amr, Model::Shmem, &run, size)
+    let run = team.run_resumed(snap.team_resume(), |ctx| {
+        pe_main(ctx, &world, cfg, &memo, &snap)
+    });
+    RunMetrics::collect(App::Amr, Model::Shmem, &run, memo.final_active(cfg))
 }
 
-fn pe_main(ctx: &mut Ctx, w: &SymWorld, cfg: &AmrConfig, snap: &Snapshotter) -> f64 {
+fn pe_main(
+    ctx: &mut Ctx,
+    w: &SymWorld,
+    cfg: &AmrConfig,
+    memo: &Arc<MeshMemo>,
+    snap: &Snapshotter,
+) -> f64 {
     let p = ctx.npes();
     let me = ctx.pe();
     let cap = cfg.tri_capacity();
@@ -60,22 +64,18 @@ fn pe_main(ctx: &mut Ctx, w: &SymWorld, cfg: &AmrConfig, snap: &Snapshotter) -> 
     // ownership map. No virtual-time charges — the restored clocks already
     // include the prologue.
     let (start, mut state, mut owner, field) = if let Some(at) = snap.resume_index("step") {
-        let mut state = ReplicatedMesh::new(cfg);
+        let mut state = memo.replica(cfg);
         for s in 0..at as usize {
             state.adapt(cfg, s);
         }
-        let (f, owner) = decode_step_state(snap.payload(me).expect("resume payload"), at);
-        assert_eq!(
-            f.len(),
-            state.mesh.num_tris_total(),
-            "snapshot/config mismatch"
-        );
+        let payload = snap.payload(me).expect("resume payload");
+        let (f, owner) = decode_step_state(payload, at, state.mesh.num_tris_total());
         state.field = f;
         let field: SymSlice<f64> = w.attach(ctx, cap);
         (at as usize, state, owner, field)
     } else {
         // snap:end
-        let state = ReplicatedMesh::new(cfg);
+        let state = memo.replica(cfg);
 
         // Symmetric field mirror, indexed by triangle id.
         let field: SymSlice<f64> = w.alloc(ctx, cap);
@@ -85,14 +85,14 @@ fn pe_main(ctx: &mut Ctx, w: &SymWorld, cfg: &AmrConfig, snap: &Snapshotter) -> 
 
         // Initial ownership: RCB over the base mesh, replicated.
         let mut owner = vec![0u32; state.mesh.num_tris_total()];
-        let dual = dual_graph(&state.mesh);
+        let dual = state.dual();
         ctx.compute_units((dual.len() / p + 1) as u64, W::PARTITION_PER_TRI_NS);
         let pts: Vec<WeightedPoint> = dual
             .centroids
             .iter()
             .map(|c| WeightedPoint::new(c.x, c.y, 1.0))
             .collect();
-        let parts = rcb_partition(&pts, p);
+        let parts = state.initial_partition(|| rcb_partition(&pts, p));
         for (i, &t) in dual.tris.iter().enumerate() {
             owner[t as usize] = parts[i];
         }
@@ -143,13 +143,13 @@ fn pe_main(ctx: &mut Ctx, w: &SymWorld, cfg: &AmrConfig, snap: &Snapshotter) -> 
         // bookkeeping here because the sync already placed every value in
         // every instance — but the pack/unpack work is still charged.
         ctx.net_phase("remap");
-        let dual = dual_graph(&state.mesh);
+        let dual = state.dual();
         ctx.compute_units((dual.len() / p + 1) as u64, W::PARTITION_PER_TRI_NS);
         let inherited: Vec<u32> = dual.tris.iter().map(|&t| owner[t as usize]).collect();
-        let (parts, _mv) = partition_active(&dual, &inherited, p, cfg.use_remap);
+        let (parts, _mv) = state.partition(&inherited, p, cfg.use_remap);
         let moved_out = inherited
             .iter()
-            .zip(&parts)
+            .zip(parts.iter())
             .filter(|(&o, &n)| o as usize == me && n as usize != me)
             .count();
         ctx.compute_units(moved_out as u64, W::MIGRATE_PER_TRI_NS);
