@@ -1,5 +1,7 @@
 //! Shared configuration and helpers for the three N-body implementations.
 
+use std::sync::OnceLock;
+
 use nbody::force::pair_accel;
 use nbody::plummer::plummer;
 use nbody::{Body, Octree, Vec3};
@@ -49,6 +51,57 @@ impl NBodyConfig {
     /// The deterministic initial body set for this configuration.
     pub fn bodies(&self) -> Vec<Body> {
         plummer(self.n, self.seed)
+    }
+}
+
+/// One run's view of its [`NBodyConfig`] for the models that replicate the
+/// start-up decomposition (MP, SHMEM): every rank *derives* the body set
+/// and the startup ORB — and is charged for it — but they are pure
+/// functions of the configuration and the team size, so the host computes
+/// each once per run (the first rank to ask, behind a `OnceLock`; under
+/// free-running `os` threads late arrivers wait for it) and hands every
+/// rank its own copy. Derefs to the configuration, so a rank reads
+/// `cfg.n`, `cfg.theta`, … as before; built by `run_opts` *after* the
+/// snapshot digest (`format!("{cfg:?}")`) is taken from the plain config.
+///
+/// Priced before it was built (ROADMAP item 7(ii)): at P = 32, n = 1 024
+/// a rank's `plummer` + `orb_partition` cost 0.58 ms on the host, 32
+/// identical calls per run, ≈ 40 % of an MP or SHMEM N-body cell.
+#[derive(Debug)]
+pub struct NBodyRun<'a> {
+    cfg: &'a NBodyConfig,
+    bodies: OnceLock<Vec<Body>>,
+    startup_orb: OnceLock<Vec<u32>>,
+}
+
+impl<'a> NBodyRun<'a> {
+    /// A run of `cfg` with nothing derived yet.
+    pub fn new(cfg: &'a NBodyConfig) -> Self {
+        NBodyRun {
+            cfg,
+            bodies: OnceLock::new(),
+            startup_orb: OnceLock::new(),
+        }
+    }
+
+    /// [`NBodyConfig::bodies`], generated once per run.
+    pub fn bodies(&self) -> Vec<Body> {
+        self.bodies.get_or_init(|| self.cfg.bodies()).clone()
+    }
+
+    /// The startup decomposition, computed by the first caller's `orb`
+    /// (the closure keeps the partitioner call spelled in the MP / SHMEM
+    /// sources).
+    pub fn startup_orb(&self, orb: impl FnOnce() -> Vec<u32>) -> Vec<u32> {
+        self.startup_orb.get_or_init(orb).clone()
+    }
+}
+
+impl std::ops::Deref for NBodyRun<'_> {
+    type Target = NBodyConfig;
+
+    fn deref(&self) -> &NBodyConfig {
+        self.cfg
     }
 }
 
@@ -156,7 +209,8 @@ pub fn flatten_tree(tree: &Octree) -> (Vec<f64>, Vec<u64>) {
 /// Read a 3-vector at element index `i` of a flat xyz array, through the
 /// coherence model.
 pub fn read_vec3(ctx: &mut Ctx, pe: &mut SasPe, s: &SasSlice<f64>, i: usize) -> Vec3 {
-    let v = pe.read_range(ctx, s, 3 * i, 3 * i + 3);
+    let mut v = [0.0; 3];
+    pe.read_into(ctx, s, 3 * i, &mut v);
     Vec3::new(v[0], v[1], v[2])
 }
 
@@ -179,10 +233,12 @@ pub fn shared_tree_walk(
 ) -> (Vec3, u64) {
     let mut acc = Vec3::ZERO;
     let mut interactions = 0u64;
-    let mut stack = vec![0usize];
+    let mut rec = [0.0; NODE_WORDS];
+    let mut stack = pe.take_index_stack();
+    stack.push(0);
     while let Some(ni) = stack.pop() {
         let off = base.node_words + ni * NODE_WORDS;
-        let rec = pe.read_range(ctx, nodes, off, off + NODE_WORDS);
+        pe.read_into(ctx, nodes, off, &mut rec);
         let m = rec[4];
         if m == 0.0 {
             continue;
@@ -213,6 +269,7 @@ pub fn shared_tree_walk(
             }
         }
     }
+    pe.put_index_stack(stack);
     (acc, interactions)
 }
 // sim:end
@@ -266,6 +323,17 @@ mod tests {
         assert!(seen.iter().enumerate().all(|(i, &b)| b as usize == i));
         // Root mass matches.
         assert!((words[4] - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_run_derives_its_startup_data_once() {
+        let cfg = NBodyConfig::small();
+        let run = NBodyRun::new(&cfg);
+        assert_eq!(run.bodies(), cfg.bodies());
+        let first = run.startup_orb(|| vec![3, 1, 2]);
+        assert_eq!(first, [3, 1, 2]);
+        assert_eq!(run.startup_orb(|| unreachable!("computed once")), first);
+        assert_eq!((run.n, run.seed), (cfg.n, cfg.seed));
     }
 
     #[test]

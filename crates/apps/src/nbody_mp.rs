@@ -24,7 +24,7 @@ use parallel::{Ctx, Team};
 
 use crate::metrics::{App, Model, RunMetrics};
 use crate::nbody_common::{
-    checksum_positions, decode_bodies_state, encode_bodies_state, BodyCost, NBodyConfig,
+    checksum_positions, decode_bodies_state, encode_bodies_state, BodyCost, NBodyConfig, NBodyRun,
 };
 // snap:begin
 use crate::snapshot::Snapshotter;
@@ -42,12 +42,17 @@ pub fn run_opts(machine: Arc<Machine>, cfg: &NBodyConfig, opts: crate::RunOpts) 
     // snap:begin — checkpoint plumbing, shared by every model
     let snap = Snapshotter::new(&opts, App::NBody, Model::Mp, &machine, &format!("{cfg:?}"));
     // snap:end
+    // sim:begin — the replicated start-up decomposition is charged on
+    // every rank but computed once per run on the host (simulator
+    // plumbing, not effort)
+    let cfg = &NBodyRun::new(cfg);
+    // sim:end
     let team = opts.configure(Team::new(machine).seed(cfg.seed));
     let run = team.run_resumed(snap.team_resume(), |ctx| rank_main(ctx, &world, cfg, &snap));
     RunMetrics::collect(App::NBody, Model::Mp, &run, cfg.n)
 }
 
-fn rank_main(ctx: &mut Ctx, w: &MpWorld, cfg: &NBodyConfig, snap: &Snapshotter) -> f64 {
+fn rank_main(ctx: &mut Ctx, w: &MpWorld, cfg: &NBodyRun, snap: &Snapshotter) -> f64 {
     let p = ctx.npes();
     let me = ctx.pe();
 
@@ -65,7 +70,7 @@ fn rank_main(ctx: &mut Ctx, w: &MpWorld, cfg: &NBodyConfig, snap: &Snapshotter) 
         let all = cfg.bodies();
         let pos0: Vec<Vec3> = all.iter().map(|b| b.pos).collect();
         ctx.compute_units(cfg.n as u64, W::PARTITION_PER_BODY_NS);
-        let assign = orb_partition(&pos0, &vec![1.0; cfg.n], p);
+        let assign = cfg.startup_orb(|| orb_partition(&pos0, &vec![1.0; cfg.n], p));
         let mine: Vec<BodyCost> = all
             .iter()
             .zip(&assign)

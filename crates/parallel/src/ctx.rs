@@ -227,28 +227,21 @@ impl Ctx {
         }
     }
 
-    /// Cooperative yield point: refresh this PE's virtual clock with the
-    /// scheduler and offer the floor. A no-op under [`SchedPolicy::Os`]
-    /// (one branch). Model runtimes call this at every shared-state
-    /// access so the interleaving follows virtual time, not the host.
+    /// Cooperative yield point: offer the floor at this PE's virtual
+    /// clock. A no-op under [`SchedPolicy::Os`] (one branch), and one
+    /// compare against the scheduler's published horizon whenever this PE
+    /// would be picked again (see [`CoopSched::yield_now`]) — the case for
+    /// nearly every CC-SAS line access. Model runtimes call this at every
+    /// shared-state access so the interleaving follows virtual time, not
+    /// the host.
     ///
     /// [`SchedPolicy::Os`]: o2k_sched::SchedPolicy::Os
     #[inline]
     pub fn sched_point(&mut self) {
-        if self.shared.coop.is_some() {
-            self.sched_point_slow();
-        }
-    }
-
-    #[cold]
-    fn sched_point_slow(&mut self) {
-        let now = self.clock.now();
-        let switched = match self.shared.coop.as_ref() {
-            Some(cs) => cs.yield_now(self.pe, now),
-            None => false,
-        };
-        if switched {
-            self.counters.sched_handoffs += 1;
+        if let Some(cs) = self.shared.coop.as_ref() {
+            if cs.yield_now(self.pe, self.clock.now()) {
+                self.counters.sched_handoffs += 1;
+            }
         }
     }
 

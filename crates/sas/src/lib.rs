@@ -13,6 +13,8 @@
 //! * Each PE accesses shared data through its [`SasPe`] handle, which owns a
 //!   software **set-associative cache simulator** ([`cache::CacheSim`],
 //!   128-byte lines as on the R10000's L2).
+//!   [`SasPe::read_into`] is the costed bulk read (one coherence access per
+//!   covered line, values into the caller's buffer, nothing allocated).
 //! * A per-line **MSI directory** decides what each access costs: cache hits
 //!   are free (folded into the application's compute calibration, identical
 //!   across models); misses pay local or remote fill latency depending on

@@ -290,6 +290,7 @@ impl SasWorld {
             machine: Arc::clone(&self.machine),
             cache: CacheSim::new(cfg.cache_bytes, cfg.line_bytes, cfg.cache_assoc),
             net_items: Vec::new(),
+            index_stack: Vec::new(),
         }
     }
 
@@ -534,6 +535,12 @@ impl<T: Element> SasSlice<T> {
 }
 
 /// A PE's window onto shared memory: owns the PE's simulated cache.
+///
+/// Every costed access is one [`Ctx::sched_point`] plus one cache-simulator
+/// probe per covered line; a hit stops there (no lock, no allocation).
+/// [`SasPe::read_into`] is the bulk read primitive — it fills the
+/// caller's buffer, and [`SasPe::read_range`] wraps it for callers that
+/// want an owned `Vec` — with [`SasPe::write_range`] its store-side twin.
 pub struct SasPe {
     machine: Arc<Machine>,
     cache: CacheSim,
@@ -541,9 +548,26 @@ pub struct SasPe {
     /// flight (see `access_line`); empty between accesses, so never part
     /// of a snapshot.
     net_items: Vec<(usize, usize)>,
+    /// Index stack lent to pointer-chasing walkers between accesses (see
+    /// [`SasPe::take_index_stack`]); holds no state, only capacity.
+    index_stack: Vec<usize>,
 }
 
 impl SasPe {
+    /// Borrow this PE's reusable index stack, empty but with the capacity
+    /// earlier walks grew it to, so a walker that reads through `self`
+    /// while it traverses allocates nothing per walk. Hand it back with
+    /// [`SasPe::put_index_stack`].
+    pub fn take_index_stack(&mut self) -> Vec<usize> {
+        std::mem::take(&mut self.index_stack)
+    }
+
+    /// Return the stack taken by [`SasPe::take_index_stack`].
+    pub fn put_index_stack(&mut self, mut stack: Vec<usize>) {
+        stack.clear();
+        self.index_stack = stack;
+    }
+
     /// (hits, misses) seen by this PE's cache.
     pub fn cache_stats(&self) -> (u64, u64) {
         self.cache.stats()
@@ -581,7 +605,25 @@ impl SasPe {
         s.region.storage[idx].store(v.to_bits(), Ordering::Relaxed);
     }
 
-    /// Costed bulk read: one coherence access per cache line covered.
+    /// Costed bulk read of `out.len()` elements starting at `start` into
+    /// the caller's buffer: one coherence access per cache line covered,
+    /// and no allocation — the primitive every costed read of more than
+    /// one element goes through.
+    pub fn read_into<T: Element>(
+        &mut self,
+        ctx: &mut Ctx,
+        s: &SasSlice<T>,
+        start: usize,
+        out: &mut [T],
+    ) {
+        self.touch_range(ctx, &s.region, start, start + out.len(), AccessClass::Read);
+        for (i, v) in out.iter_mut().enumerate() {
+            *v = s.read_raw(start + i);
+        }
+    }
+
+    /// [`SasPe::read_into`] returning a fresh `Vec` of `[start, end)`, for
+    /// callers that keep the result.
     pub fn read_range<T: Element>(
         &mut self,
         ctx: &mut Ctx,
@@ -589,8 +631,9 @@ impl SasPe {
         start: usize,
         end: usize,
     ) -> Vec<T> {
-        self.touch_range(ctx, &s.region, start, end, AccessClass::Read);
-        (start..end).map(|i| s.read_raw(i)).collect()
+        let mut out = vec![T::from_bits(0); end.saturating_sub(start)];
+        self.read_into(ctx, s, start, &mut out);
+        out
     }
 
     /// Costed bulk write: one coherence access per cache line covered.

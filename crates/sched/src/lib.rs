@@ -57,6 +57,7 @@
 //! `det` runs are bitwise identical between backends (enforced by the
 //! cross-backend golden tests).
 
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use machine::SimTime;
@@ -480,7 +481,6 @@ struct Inner {
     /// arrival releases them all.
     gate_arrived: usize,
     switches: u64,
-    fingerprint: u64,
     /// Event backend: a floor grant is queued in `next_resume` for the
     /// single-threaded driver instead of waking the winner's condvar.
     event: bool,
@@ -602,13 +602,76 @@ pub struct SchedResume {
     pub rng_state: u64,
 }
 
+/// Horizon value that no `(clock, pe)` key is below: every yield takes
+/// the locked path.
+const HORIZON_SHUT: (SimTime, usize) = (0, 0);
+
+/// Horizon value for an empty runnable set: every key is below it, so a
+/// PE running alone always keeps the floor.
+const HORIZON_OPEN: (SimTime, usize) = (SimTime::MAX, usize::MAX);
+
+/// One step of the pick-sequence fingerprint (FNV-1a over picked PE ids).
+#[inline]
+fn fold_pick(fingerprint: u64, pe: usize) -> u64 {
+    (fingerprint ^ pe as u64).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
 /// The cooperative scheduler shared by one team run. See the crate docs
 /// for the protocol.
+///
+/// # Keeping the floor
+///
+/// **Only the floor holder mutates the runnable set.** Every operation
+/// that inserts into or removes from it — [`Self::yield_now`]'s locked
+/// path, [`Self::block`], [`Self::unblock`], [`Self::gate_wait`],
+/// [`Self::register`]'s last arrival, [`Self::finish`] — is called by the
+/// PE that holds the floor (or, at registration, before anyone does), and
+/// each publishes the `(clock, pe)` key of the heap top as the *horizon*
+/// before it releases the scheduler lock. So whenever a PE is running,
+/// the horizon it reads is exact: no other PE can have changed the set
+/// since it was written. ([`Self::poison`] may drop an unwinding waiter's
+/// entry; that only raises the true top, and a horizon that is too low
+/// errs toward the locked path.)
+///
+/// That makes the common yield a compare. Under [`SchedPolicy::Det`] a
+/// yielding PE whose key is below the horizon is precisely the PE the
+/// locked insert → peek → remove would pick again (its key differs from
+/// every heap key in the PE id, so strict `<` is the whole condition), and
+/// [`Self::yield_now`] returns after folding the self-pick into the
+/// fingerprint: no lock, no heap traffic, and the pick sequence, switch
+/// count and fingerprint are those of the locked path. The horizon is
+/// held shut at [`HORIZON_SHUT`] where a yield must not be skipped: under
+/// [`SchedPolicy::Explore`] (every yield draws one RNG value) and while a
+/// [`Self::preseed_resume`] grant is pending (no PE runs before the first
+/// hand-off consumes it).
+///
+/// The skipped path does not refresh the caller's *advisory* clock
+/// (`Inner::clock`). Every reader of those clocks sees a value written by
+/// a locked entry of the PE in question first: heap keys are written by
+/// the locked `yield_now` / `gate_wait` right before `make_runnable`;
+/// [`Self::unblock`]'s `max(hint)` reads the sleeper's clock, written by
+/// its [`Self::block`]; [`Self::export_resume`] runs straight after a
+/// gate released, so every clock is its PE's `gate_wait` value (the
+/// exporter's included — it has not yielded since); and the deadlock /
+/// partition diagnostic prints PEs that are all `Blocked` or `Done`,
+/// i.e. last seen by `block`, `gate_wait` or `finish`.
 pub struct CoopSched {
     npes: usize,
     policy: SchedPolicy,
     exec: ExecMode,
     inner: Mutex<Inner>,
+    /// The published horizon (see "Keeping the floor"), written under
+    /// `inner`'s lock by the floor holder and read by the floor holder
+    /// alone. The floor itself moves between threads through that mutex,
+    /// which already orders these stores before the next holder's loads;
+    /// the Release/Acquire pair on them states the same edge locally.
+    horizon_clock: AtomicU64,
+    horizon_pe: AtomicUsize,
+    /// FNV-style fingerprint of the pick sequence. Folded by whoever
+    /// makes a pick — `hand_off` under the lock, or the floor holder on
+    /// the keep-the-floor path — so never by two PEs at once; `Relaxed`
+    /// suffices for the same reason as above.
+    fingerprint: AtomicU64,
     /// One condvar per PE; PE `p` waits on `cvs[p]` until it holds the
     /// floor (or the scheduler is poisoned). Thread backend only — under
     /// [`ExecMode::Event`] a PE without the floor is a suspended
@@ -649,12 +712,14 @@ impl CoopSched {
                 chooser,
                 gate_arrived: 0,
                 switches: 0,
-                fingerprint: 0xcbf2_9ce4_8422_2325,
                 event,
                 heap: PeHeap::new(npes),
                 next_resume: None,
                 resume_grant: None,
             }),
+            horizon_clock: AtomicU64::new(HORIZON_SHUT.0),
+            horizon_pe: AtomicUsize::new(HORIZON_SHUT.1),
+            fingerprint: AtomicU64::new(0xcbf2_9ce4_8422_2325),
             cvs: (0..npes).map(|_| Condvar::new()).collect(),
         }
     }
@@ -675,7 +740,7 @@ impl CoopSched {
         SchedStats {
             policy: self.policy,
             switches: inner.switches,
-            fingerprint: inner.fingerprint,
+            fingerprint: self.fingerprint.load(Ordering::Relaxed),
         }
     }
 
@@ -703,7 +768,7 @@ impl CoopSched {
         SchedResume {
             policy: self.policy,
             clocks: inner.clock.clone(),
-            fingerprint: inner.fingerprint,
+            fingerprint: self.fingerprint.load(Ordering::Relaxed),
             switches: inner.switches,
             current,
             rng_state,
@@ -725,7 +790,7 @@ impl CoopSched {
         assert_eq!(inner.registered, 0, "preseed after registration");
         assert_eq!(r.clocks.len(), self.npes, "preseed PE count mismatch");
         inner.clock.copy_from_slice(&r.clocks);
-        inner.fingerprint = r.fingerprint;
+        self.fingerprint.store(r.fingerprint, Ordering::Relaxed);
         inner.switches = r.switches;
         inner.resume_grant = Some(r.current);
         if let Chooser::Explore(rng) = &mut inner.chooser {
@@ -776,12 +841,12 @@ impl CoopSched {
                 inner.status[next] = Status::Running;
                 inner.current = Some(next);
                 if granted.is_none() {
-                    inner.fingerprint =
-                        (inner.fingerprint ^ next as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                    self.fold_fingerprint(next);
                     if prev.is_some() && prev != Some(next) {
                         inner.switches += 1;
                     }
                 }
+                self.publish_horizon(inner);
                 if next == pe {
                     false
                 } else {
@@ -884,9 +949,74 @@ impl CoopSched {
         self.wait_for_floor(inner, pe);
     }
 
-    /// Yield point: refresh `pe`'s clock and offer the floor. Returns
-    /// true if another PE ran in between (a real handoff).
+    /// Fold one pick into the fingerprint. Only ever called by the PE
+    /// making the pick (see the field), so a plain load + store.
+    #[inline]
+    fn fold_fingerprint(&self, picked: usize) {
+        let fp = self.fingerprint.load(Ordering::Relaxed);
+        self.fingerprint
+            .store(fold_pick(fp, picked), Ordering::Relaxed);
+    }
+
+    /// Publish the heap top as the horizon (see "Keeping the floor" on
+    /// [`CoopSched`]). Called under the lock by every operation that
+    /// changed the runnable set, before the lock is released.
+    fn publish_horizon(&self, inner: &Inner) {
+        let open = matches!(inner.chooser, Chooser::Det) && inner.resume_grant.is_none();
+        let (clock, pe) = if open {
+            inner.heap.peek().unwrap_or(HORIZON_OPEN)
+        } else {
+            HORIZON_SHUT
+        };
+        self.horizon_clock.store(clock, Ordering::Release);
+        self.horizon_pe.store(pe, Ordering::Release);
+    }
+
+    /// The linear-scan reference for the keep-the-floor compare, as
+    /// [`Inner::pick_det`] has for the heap: `pe` holds the floor under
+    /// `det` and no runnable PE's key is below `(clock, pe)`.
+    fn keeps_floor_by_scan(&self, pe: usize, clock: SimTime) -> bool {
+        let inner = self.inner.lock();
+        matches!(inner.chooser, Chooser::Det)
+            && inner.resume_grant.is_none()
+            && inner.current == Some(pe)
+            && inner.status[pe] == Status::Running
+            && inner
+                .runnable()
+                .map(|p| (inner.clock[p], p))
+                .min()
+                .is_none_or(|top| (clock, pe) < top)
+    }
+
+    /// Yield point: offer the floor at virtual time `clock`. Returns true
+    /// if another PE ran in between (a real handoff).
+    ///
+    /// A caller whose key is below the published horizon would be picked
+    /// again, so it keeps the floor for the price of a compare and the
+    /// fingerprint fold; see "Keeping the floor" on [`CoopSched`].
+    #[inline]
     pub fn yield_now(&self, pe: usize, clock: SimTime) -> bool {
+        let horizon = (
+            self.horizon_clock.load(Ordering::Acquire),
+            self.horizon_pe.load(Ordering::Acquire),
+        );
+        if (clock, pe) < horizon {
+            debug_assert!(
+                self.keeps_floor_by_scan(pe, clock),
+                "horizon {horizon:?} let PE {pe} @ {clock} keep a floor the scan would move"
+            );
+            self.fold_fingerprint(pe);
+            return false;
+        }
+        self.yield_locked(pe, clock)
+    }
+
+    /// [`Self::yield_now`] when the floor can actually move: refresh
+    /// `pe`'s clock, rejoin the runnable set and let the chooser pick.
+    /// Kept out of line so the inlined compare stays a compare at every
+    /// `sched_point` site.
+    #[inline(never)]
+    fn yield_locked(&self, pe: usize, clock: SimTime) -> bool {
         let mut inner = self.inner.lock();
         inner.clock[pe] = clock;
         inner.make_runnable(pe);
@@ -919,6 +1049,7 @@ impl CoopSched {
         if inner.status[pe] == Status::Blocked(reason) {
             inner.clock[pe] = inner.clock[pe].max(hint);
             inner.make_runnable(pe);
+            self.publish_horizon(&inner);
         }
     }
 
@@ -995,6 +1126,9 @@ impl CoopSched {
         self.inner.lock().poisoned
     }
 }
+
+#[cfg(test)]
+mod horizon_tests;
 
 #[cfg(test)]
 mod tests {
@@ -1082,7 +1216,7 @@ mod tests {
     /// The same logged workload as [`run_logged`], but on the event
     /// backend: one coroutine per PE, driven by the minimal event loop
     /// the `parallel` team driver also implements.
-    fn run_logged_event(
+    pub(super) fn run_logged_event(
         policy: SchedPolicy,
         npes: usize,
         steps: usize,

@@ -2,7 +2,7 @@
 //!
 //! The table is a single shared allocation; each PE writes its own shard
 //! and homes those pages on its node, so a lookup is a plain
-//! `read_range` through the modelled coherence protocol: hot keys stay
+//! `read_into` through the modelled coherence protocol: hot keys stay
 //! in the reader's cache, cold keys pay line-granularity fills from the
 //! home node. Under a degraded fabric every fill for a hot shard queues
 //! on the sick node's port — line traffic, not one message — which is
@@ -109,13 +109,15 @@ fn rank_main(
     // protocol (one access per covered cache line) ---
     ctx.net_phase("serve");
     let mut log = ClientLog::new(p);
+    let mut val = vec![0u64; v];
     for req in &stream {
         await_arrival(ctx, req);
         let owner = clients::owner_of(req.key, cfg.keys, p);
         if log.admit(ctx.now(), req, owner, cfg) {
             continue;
         }
-        let val0 = pe.read_range(ctx, &table, req.key * v, (req.key + 1) * v)[0];
+        pe.read_into(ctx, &table, req.key * v, &mut val);
+        let val0 = val[0];
         serve_cost(ctx, cfg, owner);
         log.complete(ctx.now(), req, val0, cfg);
     }
