@@ -29,13 +29,12 @@ use crate::workcost as W;
 /// `opts` overrides the process defaults (see [`crate::RunOpts`]).
 pub fn run_opts(machine: Arc<Machine>, cfg: &AmrConfig, opts: crate::RunOpts) -> RunMetrics {
     let world = MpWorld::new(Arc::clone(&machine));
-    // sim:begin — the replicated metadata is charged on every PE but
-    // computed once per run on the host (simulator plumbing, not effort)
+    // sim:begin — harness, not effort: the mesh memo (the replicated
+    // metadata is charged on every PE, computed once per run on the host)
+    // and the checkpoint plumbing every model shares
     let memo = MeshMemo::new(cfg);
-    // sim:end
-    // snap:begin — checkpoint plumbing, shared by every model
     let snap = Snapshotter::new(&opts, App::Amr, Model::Mp, &machine, &format!("{cfg:?}"));
-    // snap:end
+    // sim:end
     let team = opts.configure(Team::new(machine).seed(cfg.seed));
     let run = team.run_resumed(snap.team_resume(), |ctx| {
         rank_main(ctx, &world, cfg, &memo, &snap)
@@ -57,7 +56,7 @@ fn rank_main(
     // config and the step count, so replay the adaptation host-side (zero
     // virtual-time charges — the restored clocks already paid for it),
     // then overlay the captured field and ownership map.
-    let (start, mut state, mut owner) = if let Some(at) = snap.resume_index("step") {
+    let warm = snap.resume_index("step").map(|at| {
         let mut state = memo.replica(cfg);
         for s in 0..at as usize {
             state.adapt(cfg, s);
@@ -66,8 +65,9 @@ fn rank_main(
         let (field, owner) = decode_step_state(payload, at, state.mesh.num_tris_total());
         state.field = field;
         (at as usize, state, owner)
-    } else {
-        // snap:end
+    });
+    // snap:end
+    let (start, mut state, mut owner) = warm.unwrap_or_else(|| {
         let state = memo.replica(cfg);
 
         // Initial ownership: RCB over the base mesh, replicated.
@@ -83,10 +83,8 @@ fn rank_main(
         for (i, &t) in dual.tris.iter().enumerate() {
             owner[t as usize] = parts[i];
         }
-        // snap:begin — closes the warm-start branch
         (0, state, owner)
-    };
-    // snap:end
+    });
 
     for step in start..cfg.steps {
         // snap:begin — zero-cost quiescence gate: every rank's state is in
@@ -222,8 +220,7 @@ fn rank_main(
 fn sync_field(ctx: &mut Ctx, w: &MpWorld, state: &mut ReplicatedMesh, owner: &[u32]) {
     let me = ctx.pe();
     let mine: Vec<(u64, f64)> = state
-        .mesh
-        .active_tris()
+        .active()
         .iter()
         .filter(|&&t| owner[t as usize] as usize == me)
         .map(|&t| (u64::from(t), state.field[t as usize]))

@@ -16,32 +16,10 @@ use sas::{PagePolicy, SasSlice, SasWorld};
 
 use crate::amr_common::{AmrConfig, MeshMemo};
 use crate::metrics::{App, Model, RunMetrics};
-use crate::workcost as W;
-
-// snap:begin — checkpoint plumbing, shared by every model
-use crate::snapshot::Snapshotter;
-use o2k_snap::wire::{WireReader, WireWriter};
-
-/// Serialise one PE's SAS locals at a step boundary: just the private
-/// cache (the shared field, directory, and page homes travel in the world
-/// section; the replicated mesh is replayed from the config on restore).
-fn encode_sas_state(step: u64, pe: &sas::SasPe) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u64(step);
-    w.u64s(&pe.export_cache_words());
-    w.into_bytes()
-}
-
-/// Inverse of [`encode_sas_state`].
-fn decode_sas_state(bytes: &[u8], step: u64) -> Vec<u64> {
-    let mut r = WireReader::new(bytes);
-    let got = r.u64().expect("snapshot app payload: step");
-    assert_eq!(got, step, "snapshot payload is for a different step");
-    let cache = r.u64s().expect("snapshot app payload: cache");
-    r.finish().expect("snapshot app payload: trailing bytes");
-    cache
-}
+// snap:begin
+use crate::snapshot::{decode_sas_state, encode_sas_state, Snapshotter};
 // snap:end
+use crate::workcost as W;
 
 /// Run the CC-SAS AMR application under paging `policy` (ablation A1
 /// sweeps it; everything else uses first touch).
@@ -53,11 +31,10 @@ pub fn run_with_opts(
     opts: crate::RunOpts,
 ) -> RunMetrics {
     let world = SasWorld::with_paging(Arc::clone(&machine), policy);
-    // sim:begin — the replicated metadata is charged on every PE but
-    // computed once per run on the host (simulator plumbing, not effort)
+    // sim:begin — harness, not effort: the mesh memo (the replicated
+    // metadata is charged on every PE, computed once per run on the host)
+    // and the checkpoint plumbing every model shares
     let memo = MeshMemo::new(cfg);
-    // sim:end
-    // snap:begin — checkpoint plumbing, shared by every model
     let mut snap = Snapshotter::new(
         &opts,
         App::Amr,
@@ -66,7 +43,7 @@ pub fn run_with_opts(
         &format!("{cfg:?}/{policy:?}"),
     );
     snap.import_world(|b| world.import_state_bytes(b));
-    // snap:end
+    // sim:end
     let team = opts.configure(Team::new(machine).seed(cfg.seed));
     let run = team.run_resumed(snap.team_resume(), |ctx| {
         pe_main(ctx, &world, cfg, &memo, &snap)
@@ -91,7 +68,7 @@ fn pe_main(
     // came back through the world import; attach to the regions in
     // allocation order, reload this PE's private cache, and replay the
     // deterministic adaptation to rebuild the replicated mesh.
-    let (start, mut state, field, cursors) = if let Some(at) = snap.resume_index("step") {
+    let warm = snap.resume_index("step").map(|at| {
         let mut state = memo.replica(cfg);
         for s in 0..at as usize {
             state.adapt(cfg, s);
@@ -102,8 +79,9 @@ fn pe_main(
         pe.import_cache_words(&cache)
             .expect("snapshot cache import");
         (at as usize, state, field, cursors)
-    } else {
-        // snap:end
+    });
+    // snap:end
+    let (start, mut state, field, cursors) = warm.unwrap_or_else(|| {
         let state = memo.replica(cfg);
 
         // The shared field, indexed by triangle id. Pages are homed by
@@ -119,10 +97,8 @@ fn pe_main(
             }
         }
         w.barrier(ctx);
-        // snap:begin — closes the warm-start branch
         (0, state, field, cursors)
-    };
-    // snap:end
+    });
 
     for step in start..cfg.steps {
         // snap:begin — zero-cost quiescence gate: the previous step ended
@@ -233,8 +209,7 @@ fn pe_main(
     w.barrier(ctx);
     let total = if me == 0 {
         state
-            .mesh
-            .active_tris()
+            .active()
             .iter()
             .map(|&t| field.read_raw(t as usize))
             .sum::<f64>()

@@ -32,14 +32,13 @@ use crate::workcost as W;
 /// `opts` overrides the process defaults (see [`crate::RunOpts`]).
 pub fn run_opts(machine: Arc<Machine>, cfg: &AmrConfig, opts: crate::RunOpts) -> RunMetrics {
     let world = SymWorld::new(Arc::clone(&machine));
-    // sim:begin — the replicated metadata is charged on every PE but
-    // computed once per run on the host (simulator plumbing, not effort)
+    // sim:begin — harness, not effort: the mesh memo (the replicated
+    // metadata is charged on every PE, computed once per run on the host)
+    // and the checkpoint plumbing every model shares
     let memo = MeshMemo::new(cfg);
-    // sim:end
-    // snap:begin — checkpoint plumbing, shared by every model
     let mut snap = Snapshotter::new(&opts, App::Amr, Model::Shmem, &machine, &format!("{cfg:?}"));
     snap.import_world(|b| world.import_state_bytes(b));
-    // snap:end
+    // sim:end
     let team = opts.configure(Team::new(machine).seed(cfg.seed));
     let run = team.run_resumed(snap.team_resume(), |ctx| {
         pe_main(ctx, &world, cfg, &memo, &snap)
@@ -63,7 +62,7 @@ fn pe_main(
     // adaptation to rebuild the mesh, and overlay the captured replica and
     // ownership map. No virtual-time charges — the restored clocks already
     // include the prologue.
-    let (start, mut state, mut owner, field) = if let Some(at) = snap.resume_index("step") {
+    let warm = snap.resume_index("step").map(|at| {
         let mut state = memo.replica(cfg);
         for s in 0..at as usize {
             state.adapt(cfg, s);
@@ -73,8 +72,9 @@ fn pe_main(
         state.field = f;
         let field: SymSlice<f64> = w.attach(ctx, cap);
         (at as usize, state, owner, field)
-    } else {
-        // snap:end
+    });
+    // snap:end
+    let (start, mut state, mut owner, field) = warm.unwrap_or_else(|| {
         let state = memo.replica(cfg);
 
         // Symmetric field mirror, indexed by triangle id.
@@ -96,10 +96,8 @@ fn pe_main(
         for (i, &t) in dual.tris.iter().enumerate() {
             owner[t as usize] = parts[i];
         }
-        // snap:begin — closes the warm-start branch
         (0, state, owner, field)
-    };
-    // snap:end
+    });
 
     for step in start..cfg.steps {
         // snap:begin — zero-cost quiescence gate: the previous step ended
@@ -207,7 +205,7 @@ fn pe_main(
             w.barrier_all(ctx);
         }
         // Refresh the replica from my instance for the next adaptation.
-        for &t in &state.mesh.active_tris() {
+        for &t in &dual.tris {
             if owner[t as usize] as usize == me {
                 state.field[t as usize] = field.read_local1(ctx, t as usize);
             }
@@ -231,7 +229,7 @@ fn sync_field(
     owner: &[u32],
 ) {
     let me = ctx.pe();
-    for &t in &state.mesh.active_tris() {
+    for &t in state.active() {
         if owner[t as usize] as usize == me {
             let v = state.field[t as usize];
             if me == 0 {

@@ -54,54 +54,35 @@ impl NBodyConfig {
     }
 }
 
-/// One run's view of its [`NBodyConfig`] for the models that replicate the
-/// start-up decomposition (MP, SHMEM): every rank *derives* the body set
-/// and the startup ORB — and is charged for it — but they are pure
-/// functions of the configuration and the team size, so the host computes
-/// each once per run (the first rank to ask, behind a `OnceLock`; under
-/// free-running `os` threads late arrivers wait for it) and hands every
-/// rank its own copy. Derefs to the configuration, so a rank reads
-/// `cfg.n`, `cfg.theta`, … as before; built by `run_opts` *after* the
-/// snapshot digest (`format!("{cfg:?}")`) is taken from the plain config.
+/// The start-up data of one MP or SHMEM run, computed once on the host.
+///
+/// Those models replicate the start-up decomposition: every rank *derives*
+/// the body set and the startup ORB — and is charged for it — but both are
+/// pure functions of the configuration and the team size, so the host
+/// needs one copy (the first rank to ask computes it behind a `OnceLock`;
+/// under free-running `os` threads late arrivers wait for it). Passed
+/// beside the configuration, exactly as [`crate::amr_common::MeshMemo`] is.
 ///
 /// Priced before it was built (ROADMAP item 7(ii)): at P = 32, n = 1 024
 /// a rank's `plummer` + `orb_partition` cost 0.58 ms on the host, 32
 /// identical calls per run, ≈ 40 % of an MP or SHMEM N-body cell.
-#[derive(Debug)]
-pub struct NBodyRun<'a> {
-    cfg: &'a NBodyConfig,
+#[derive(Debug, Default)]
+pub(crate) struct StartupMemo {
     bodies: OnceLock<Vec<Body>>,
-    startup_orb: OnceLock<Vec<u32>>,
+    orb: OnceLock<Vec<u32>>,
 }
 
-impl<'a> NBodyRun<'a> {
-    /// A run of `cfg` with nothing derived yet.
-    pub fn new(cfg: &'a NBodyConfig) -> Self {
-        NBodyRun {
-            cfg,
-            bodies: OnceLock::new(),
-            startup_orb: OnceLock::new(),
-        }
-    }
-
+impl StartupMemo {
     /// [`NBodyConfig::bodies`], generated once per run.
-    pub fn bodies(&self) -> Vec<Body> {
-        self.bodies.get_or_init(|| self.cfg.bodies()).clone()
+    pub(crate) fn bodies(&self, cfg: &NBodyConfig) -> &[Body] {
+        self.bodies.get_or_init(|| cfg.bodies())
     }
 
     /// The startup decomposition, computed by the first caller's `orb`
     /// (the closure keeps the partitioner call spelled in the MP / SHMEM
     /// sources).
-    pub fn startup_orb(&self, orb: impl FnOnce() -> Vec<u32>) -> Vec<u32> {
-        self.startup_orb.get_or_init(orb).clone()
-    }
-}
-
-impl std::ops::Deref for NBodyRun<'_> {
-    type Target = NBodyConfig;
-
-    fn deref(&self) -> &NBodyConfig {
-        self.cfg
+    pub(crate) fn orb(&self, orb: impl FnOnce() -> Vec<u32>) -> &[u32] {
+        self.orb.get_or_init(orb)
     }
 }
 
@@ -216,8 +197,7 @@ pub fn read_vec3(ctx: &mut Ctx, pe: &mut SasPe, s: &SasSlice<f64>, i: usize) -> 
 
 /// Barnes-Hut walk over a flattened shared tree (see [`flatten_tree`]),
 /// mirroring `nbody::force::accel_at` exactly (same traversal, same float
-/// order). `base` offsets all tree/body indices, so callers can walk a
-/// segment of a larger shared array.
+/// order).
 #[allow(clippy::too_many_arguments)]
 pub fn shared_tree_walk(
     ctx: &mut Ctx,
@@ -226,7 +206,6 @@ pub fn shared_tree_walk(
     leaves: &SasSlice<u64>,
     pos: &SasSlice<f64>,
     mass: &SasSlice<f64>,
-    base: &WalkBase,
     target: Vec3,
     theta: f64,
     eps: f64,
@@ -237,8 +216,7 @@ pub fn shared_tree_walk(
     let mut stack = pe.take_index_stack();
     stack.push(0);
     while let Some(ni) = stack.pop() {
-        let off = base.node_words + ni * NODE_WORDS;
-        pe.read_into(ctx, nodes, off, &mut rec);
+        pe.read_into(ctx, nodes, ni * NODE_WORDS, &mut rec);
         let m = rec[4];
         if m == 0.0 {
             continue;
@@ -248,9 +226,9 @@ pub fn shared_tree_walk(
             let loff = rec[9] as usize;
             let len = rec[10] as usize;
             for k in 0..len {
-                let b = pe.read(ctx, leaves, base.leaves + loff + k) as usize;
-                let bp = read_vec3(ctx, pe, pos, base.bodies + b);
-                let bm = pe.read(ctx, mass, base.bodies + b);
+                let b = pe.read(ctx, leaves, loff + k) as usize;
+                let bp = read_vec3(ctx, pe, pos, b);
+                let bm = pe.read(ctx, mass, b);
                 acc += pair_accel(target, bp, bm, eps);
                 interactions += 1;
             }
@@ -273,20 +251,6 @@ pub fn shared_tree_walk(
     (acc, interactions)
 }
 // sim:end
-
-/// Segment offsets for [`shared_tree_walk`]: where this walker's tree
-/// words, leaf stream and body arrays start inside the shared slices
-/// (zeros for the single-segment layout `nbody_sas` uses).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WalkBase {
-    /// Word offset of the flattened node records.
-    pub node_words: usize,
-    /// Element offset of the leaf body-index stream.
-    pub leaves: usize,
-    /// Body-index offset applied to leaf entries (pos is indexed at
-    /// `3 * (bodies + b)`, mass at `bodies + b`).
-    pub bodies: usize,
-}
 
 #[cfg(test)]
 mod tests {
@@ -327,13 +291,22 @@ mod tests {
 
     #[test]
     fn a_run_derives_its_startup_data_once() {
+        // 32 ranks ask; the host runs one `plummer` and one ORB, and every
+        // rank reads the same copy.
         let cfg = NBodyConfig::small();
-        let run = NBodyRun::new(&cfg);
-        assert_eq!(run.bodies(), cfg.bodies());
-        let first = run.startup_orb(|| vec![3, 1, 2]);
-        assert_eq!(first, [3, 1, 2]);
-        assert_eq!(run.startup_orb(|| unreachable!("computed once")), first);
-        assert_eq!((run.n, run.seed), (cfg.n, cfg.seed));
+        let memo = StartupMemo::default();
+        let first = memo.bodies(&cfg).as_ptr();
+        let mut orbs = 0;
+        for _rank in 0..32 {
+            assert_eq!(memo.bodies(&cfg).as_ptr(), first);
+            let assign = memo.orb(|| {
+                orbs += 1;
+                vec![3, 1, 2]
+            });
+            assert_eq!(assign, [3, 1, 2]);
+        }
+        assert_eq!(orbs, 1);
+        assert_eq!(memo.bodies(&cfg), cfg.bodies());
     }
 
     #[test]

@@ -24,7 +24,8 @@ use parallel::{Ctx, Team};
 
 use crate::metrics::{App, Model, RunMetrics};
 use crate::nbody_common::{
-    checksum_positions, decode_bodies_state, encode_bodies_state, BodyCost, NBodyConfig, NBodyRun,
+    checksum_positions, decode_bodies_state, encode_bodies_state, BodyCost, NBodyConfig,
+    StartupMemo,
 };
 // snap:begin
 use crate::snapshot::Snapshotter;
@@ -39,51 +40,56 @@ const TAG_REBALANCE: u32 = 7;
 pub fn run_opts(machine: Arc<Machine>, cfg: &NBodyConfig, opts: crate::RunOpts) -> RunMetrics {
     assert!(cfg.n >= machine.pes(), "need at least one body per rank");
     let world = MpWorld::new(Arc::clone(&machine));
-    // snap:begin — checkpoint plumbing, shared by every model
+    // sim:begin — harness, not effort: the start-up memo (the replicated
+    // decomposition is charged on every rank, computed once per run on the
+    // host) and the checkpoint plumbing every model shares
+    let memo = StartupMemo::default();
     let snap = Snapshotter::new(&opts, App::NBody, Model::Mp, &machine, &format!("{cfg:?}"));
-    // snap:end
-    // sim:begin — the replicated start-up decomposition is charged on
-    // every rank but computed once per run on the host (simulator
-    // plumbing, not effort)
-    let cfg = &NBodyRun::new(cfg);
     // sim:end
     let team = opts.configure(Team::new(machine).seed(cfg.seed));
-    let run = team.run_resumed(snap.team_resume(), |ctx| rank_main(ctx, &world, cfg, &snap));
+    let run = team.run_resumed(snap.team_resume(), |ctx| {
+        rank_main(ctx, &world, cfg, &memo, &snap)
+    });
     RunMetrics::collect(App::NBody, Model::Mp, &run, cfg.n)
 }
 
-fn rank_main(ctx: &mut Ctx, w: &MpWorld, cfg: &NBodyRun, snap: &Snapshotter) -> f64 {
+fn rank_main(
+    ctx: &mut Ctx,
+    w: &MpWorld,
+    cfg: &NBodyConfig,
+    memo: &StartupMemo,
+    snap: &Snapshotter,
+) -> f64 {
     let p = ctx.npes();
     let me = ctx.pe();
 
     // snap:begin — warm start: a rank's whole N-body state is its owned
     // bodies — trees and partitions are rebuilt from them every step.
-    let (start, mut mine) = if let Some(at) = snap.resume_index("step") {
-        (
-            at as usize,
-            decode_bodies_state(snap.payload(me).expect("resume payload"), at),
-        )
-    } else {
-        // snap:end
+    let warm = snap.resume_index("step").map(|at| {
+        let mine = decode_bodies_state(snap.payload(me).expect("resume payload"), at);
+        (at as usize, mine)
+    });
+    // snap:end
+    let (start, mut mine) = warm.unwrap_or_else(|| {
         // Initial decomposition: every rank derives the same startup ORB
         // from the (deterministically generated) body set, keeps its share.
-        let all = cfg.bodies();
-        let pos0: Vec<Vec3> = all.iter().map(|b| b.pos).collect();
+        let all = memo.bodies(cfg);
         ctx.compute_units(cfg.n as u64, W::PARTITION_PER_BODY_NS);
-        let assign = cfg.startup_orb(|| orb_partition(&pos0, &vec![1.0; cfg.n], p));
+        let assign = memo.orb(|| {
+            let pos0: Vec<Vec3> = all.iter().map(|b| b.pos).collect();
+            orb_partition(&pos0, &vec![1.0; cfg.n], p)
+        });
         let mine: Vec<BodyCost> = all
             .iter()
-            .zip(&assign)
+            .zip(assign)
             .filter(|(_, &a)| a as usize == me)
             .map(|(b, _)| BodyCost {
                 body: *b,
                 cost: 1.0,
             })
             .collect();
-        // snap:begin — closes the warm-start branch
         (0, mine)
-    };
-    // snap:end
+    });
 
     for step in start..cfg.steps {
         // snap:begin — zero-cost quiescence gate: every rank's state is in

@@ -19,35 +19,11 @@ use parallel::{Ctx, Team};
 use sas::{PagePolicy, SasSlice, SasWorld};
 
 use crate::metrics::{App, Model, RunMetrics};
-use crate::nbody_common::{
-    flatten_tree, read_vec3, shared_tree_walk, NBodyConfig, WalkBase, NODE_WORDS,
-};
-use crate::workcost as W;
-
-// snap:begin — checkpoint plumbing, shared by every model
-use crate::snapshot::Snapshotter;
-use o2k_snap::wire::{WireReader, WireWriter};
-
-/// Serialise one PE's SAS locals at a step boundary: just the private
-/// cache — all body and tree state is shared and travels in the world
-/// section of the snapshot.
-fn encode_sas_state(step: u64, pe: &sas::SasPe) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u64(step);
-    w.u64s(&pe.export_cache_words());
-    w.into_bytes()
-}
-
-/// Inverse of [`encode_sas_state`].
-fn decode_sas_state(bytes: &[u8], step: u64) -> Vec<u64> {
-    let mut r = WireReader::new(bytes);
-    let got = r.u64().expect("snapshot app payload: step");
-    assert_eq!(got, step, "snapshot payload is for a different step");
-    let cache = r.u64s().expect("snapshot app payload: cache");
-    r.finish().expect("snapshot app payload: trailing bytes");
-    cache
-}
+use crate::nbody_common::{flatten_tree, read_vec3, shared_tree_walk, NBodyConfig, NODE_WORDS};
+// snap:begin
+use crate::snapshot::{decode_sas_state, encode_sas_state, Snapshotter};
 // snap:end
+use crate::workcost as W;
 
 /// Run the CC-SAS N-body application under paging `policy` (ablation A1
 /// sweeps it; everything else uses first touch).
@@ -96,7 +72,7 @@ fn pe_main(ctx: &mut Ctx, w: &SasWorld, cfg: &NBodyConfig, snap: &Snapshotter) -
     // snap:begin — warm start: every body and tree word, page home, and
     // directory line came back through the world import; attach to the
     // regions in allocation order and reload this PE's private cache.
-    let (start, s) = if let Some(at) = snap.resume_index("step") {
+    let warm = snap.resume_index("step").map(|at| {
         let s = Shared {
             pos: w.attach(ctx, 3 * n),
             vel: w.attach(ctx, 3 * n),
@@ -111,8 +87,9 @@ fn pe_main(ctx: &mut Ctx, w: &SasWorld, cfg: &NBodyConfig, snap: &Snapshotter) -
         pe.import_cache_words(&cache)
             .expect("snapshot cache import");
         (at as usize, s)
-    } else {
-        // snap:end
+    });
+    // snap:end
+    let (start, s) = warm.unwrap_or_else(|| {
         let s = Shared {
             pos: w.alloc(ctx, 3 * n),
             vel: w.alloc(ctx, 3 * n),
@@ -151,10 +128,8 @@ fn pe_main(ctx: &mut Ctx, w: &SasWorld, cfg: &NBodyConfig, snap: &Snapshotter) -
             }
         }
         w.barrier(ctx);
-        // snap:begin — closes the warm-start branch
         (0, s)
-    };
-    // snap:end
+    });
 
     for step in start..cfg.steps {
         // snap:begin — zero-cost quiescence gate: the previous step ended
@@ -230,7 +205,6 @@ fn pe_main(ctx: &mut Ctx, w: &SasWorld, cfg: &NBodyConfig, snap: &Snapshotter) -
                 &s.tree_leaves,
                 &s.pos,
                 &s.mass,
-                &WalkBase::default(),
                 bp,
                 cfg.theta,
                 cfg.eps,

@@ -28,7 +28,7 @@ use shmem::{SymSlice, SymWorld};
 use crate::metrics::{App, Model, RunMetrics};
 use crate::nbody_common::{
     checksum_positions, decode_bodies_state, decode_body, encode_bodies_state, encode_body,
-    BodyCost, NBodyConfig, NBodyRun, BODY_WORDS,
+    BodyCost, NBodyConfig, StartupMemo, BODY_WORDS,
 };
 // snap:begin
 use crate::snapshot::Snapshotter;
@@ -40,7 +40,10 @@ use crate::workcost as W;
 pub fn run_opts(machine: Arc<Machine>, cfg: &NBodyConfig, opts: crate::RunOpts) -> RunMetrics {
     assert!(cfg.n >= machine.pes(), "need at least one body per PE");
     let world = SymWorld::new(Arc::clone(&machine));
-    // snap:begin — checkpoint plumbing, shared by every model
+    // sim:begin — harness, not effort: the start-up memo (the replicated
+    // decomposition is charged on every PE, computed once per run on the
+    // host) and the checkpoint plumbing every model shares
+    let memo = StartupMemo::default();
     let mut snap = Snapshotter::new(
         &opts,
         App::NBody,
@@ -49,14 +52,11 @@ pub fn run_opts(machine: Arc<Machine>, cfg: &NBodyConfig, opts: crate::RunOpts) 
         &format!("{cfg:?}"),
     );
     snap.import_world(|b| world.import_state_bytes(b));
-    // snap:end
-    // sim:begin — the replicated start-up decomposition is charged on
-    // every rank but computed once per run on the host (simulator
-    // plumbing, not effort)
-    let cfg = &NBodyRun::new(cfg);
     // sim:end
     let team = opts.configure(Team::new(machine).seed(cfg.seed));
-    let run = team.run_resumed(snap.team_resume(), |ctx| pe_main(ctx, &world, cfg, &snap));
+    let run = team.run_resumed(snap.team_resume(), |ctx| {
+        pe_main(ctx, &world, cfg, &memo, &snap)
+    });
     RunMetrics::collect(App::NBody, Model::Shmem, &run, cfg.n)
 }
 
@@ -112,38 +112,45 @@ fn attach_state(ctx: &Ctx, w: &SymWorld, cfg: &NBodyConfig) -> SymState {
 }
 // snap:end
 
-fn pe_main(ctx: &mut Ctx, w: &SymWorld, cfg: &NBodyRun, snap: &Snapshotter) -> f64 {
+fn pe_main(
+    ctx: &mut Ctx,
+    w: &SymWorld,
+    cfg: &NBodyConfig,
+    memo: &StartupMemo,
+    snap: &Snapshotter,
+) -> f64 {
     let p = ctx.npes();
     let me = ctx.pe();
 
     // snap:begin — warm start: scratch regions came back through the heap
     // import; a PE's live state is just its owned bodies.
-    let (start, s, mut mine) = if let Some(at) = snap.resume_index("step") {
+    let warm = snap.resume_index("step").map(|at| {
         let s = attach_state(ctx, w, cfg);
         let mine = decode_bodies_state(snap.payload(me).expect("resume payload"), at);
         (at as usize, s, mine)
-    } else {
-        // snap:end
+    });
+    // snap:end
+    let (start, s, mut mine) = warm.unwrap_or_else(|| {
         let s = alloc_state(ctx, w, cfg);
 
         // Startup decomposition, derived identically on every PE.
-        let all = cfg.bodies();
-        let pos0: Vec<Vec3> = all.iter().map(|b| b.pos).collect();
+        let all = memo.bodies(cfg);
         ctx.compute_units(cfg.n as u64, W::PARTITION_PER_BODY_NS);
-        let assign = cfg.startup_orb(|| orb_partition(&pos0, &vec![1.0; cfg.n], p));
+        let assign = memo.orb(|| {
+            let pos0: Vec<Vec3> = all.iter().map(|b| b.pos).collect();
+            orb_partition(&pos0, &vec![1.0; cfg.n], p)
+        });
         let mine: Vec<BodyCost> = all
             .iter()
-            .zip(&assign)
+            .zip(assign)
             .filter(|(_, &a)| a as usize == me)
             .map(|(b, _)| BodyCost {
                 body: *b,
                 cost: 1.0,
             })
             .collect();
-        // snap:begin — closes the warm-start branch
         (0, s, mine)
-    };
-    // snap:end
+    });
 
     for step in start..cfg.steps {
         // snap:begin — zero-cost quiescence gate: the previous step ended

@@ -329,6 +329,28 @@ impl Snapshotter {
     }
 }
 
+/// Serialise one CC-SAS PE's locals at a step boundary: just its private
+/// cache. Everything else a SAS program holds is shared and travels in the
+/// snapshot's world section (N-body: bodies and tree; AMR: the field,
+/// directory and page homes — its replicated mesh is replayed from the
+/// config on restore).
+pub(crate) fn encode_sas_state(step: u64, pe: &sas::SasPe) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.u64(step);
+    w.u64s(&pe.export_cache_words());
+    w.into_bytes()
+}
+
+/// Inverse of [`encode_sas_state`].
+pub(crate) fn decode_sas_state(bytes: &[u8], step: u64) -> Vec<u64> {
+    let mut r = WireReader::new(bytes);
+    let got = r.u64().expect("snapshot app payload: step");
+    assert_eq!(got, step, "snapshot payload is for a different step");
+    let cache = r.u64s().expect("snapshot app payload: cache");
+    r.finish().expect("snapshot app payload: trailing bytes");
+    cache
+}
+
 #[cfg(test)]
 pub(crate) mod testutil {
     use std::path::PathBuf;

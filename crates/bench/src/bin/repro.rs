@@ -6,16 +6,16 @@
 //! repro all [--quick]                       run the whole suite
 //! ```
 //!
-//! Output goes to stdout and to `results/<id>.txt`. Flags and `O2K_*`
-//! variables are parsed here, once, into one [`Env`] that every experiment
-//! builds its machines, run options and teams from; nothing below `main`
-//! consults process-wide state for them.
+//! Output goes to stdout and to `results/<id>.txt`. Flags (and the
+//! `O2K_SCHED` / `O2K_EXEC` fallbacks) are parsed here, once, into one
+//! [`Env`] that every experiment builds its machines, run options and
+//! teams from; nothing below `main` consults process-wide state for them.
 //!
-//! With `--trace <dir>` (or the `O2K_TRACE=<dir>` environment variable)
-//! every team run any experiment performs is recorded, and its trace
-//! written to `<dir>/<id>_runN.trace.json` in Chrome `trace_event` format
-//! (loadable at <https://ui.perfetto.dev>). Tracing never perturbs
-//! simulated times, so every archive is identical with it on.
+//! With `--trace <dir>` every team run any experiment performs is
+//! recorded, and its trace written to `<dir>/<id>_runN.trace.json` in
+//! Chrome `trace_event` format (loadable at <https://ui.perfetto.dev>).
+//! Tracing never perturbs simulated times, so every archive is identical
+//! with it on.
 //!
 //! `--sched <policy>` (or `O2K_SCHED=<policy>`) picks the team scheduling
 //! policy: `det` (the default — every table is bitwise reproducible),
@@ -28,8 +28,8 @@
 //! E1's P=1024 points). Under `det` the two backends produce
 //! byte-identical archives — CI diffs them.
 //!
-//! `--fault <spec>` (or `O2K_FAULT=<spec>`) injects link faults into every
-//! machine the experiments build: `off` or
+//! `--fault <spec>` injects link faults into every machine the
+//! experiments build: `off` or
 //! `plan:<link>:<action>[@<ns>][;…]` with links `up<N>` / `down<N>` /
 //! `r<R>d<D>` and actions `kill` / `deg<F>` / `heal` (see DESIGN.md §4c).
 //! Faults only bite when the contention model is on; cells that study
@@ -61,12 +61,12 @@ fn env_or_exit<T>(setting: Result<Option<T>, String>) -> Option<T> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let mut trace_dir: Option<String> = std::env::var("O2K_TRACE").ok();
+    let mut trace_dir: Option<String> = None;
     // Default to the deterministic scheduler so regenerated tables are
     // bitwise reproducible; `--sched os` restores free-running threads.
     let mut sched = env_or_exit(o2k_sched::env_policy()).unwrap_or(o2k_sched::SchedPolicy::Det);
     let mut exec = env_or_exit(o2k_sched::env_exec()).unwrap_or(o2k_sched::ExecMode::Thread);
-    let mut fault = env_or_exit(machine::fault::env_fault()).unwrap_or(machine::FaultMode::Off);
+    let mut fault = machine::FaultMode::Off;
     // Checked here so a typo exits with a usage error; `o2k_sched` reads
     // this one itself, at first use.
     env_or_exit(o2k_sched::coro::env_stack_kb());

@@ -4,14 +4,14 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use apps::{AmrConfig, NBodyConfig, RunOpts};
-use apps::{App, Model};
+use apps::{AmrConfig, App, Model, NBodyConfig, RunMetrics, RunOpts};
 use machine::{ContentionMode, FaultMode, Machine, MachineConfig};
 use mesh::adaptive::AdaptiveMesh;
 use mesh::dual::dual_graph;
 use o2k_core::figure::{line_chart, stacked_bars};
 use o2k_core::table::{cells, ms, render, x2};
 use o2k_core::{effort_table, sweep_models, SweepResult};
+use o2k_serve::ServeConfig;
 use o2k_snap::SnapSpec;
 use o2k_trace::TraceSink;
 use parallel::{ExecMode, SchedPolicy, Team};
@@ -67,7 +67,7 @@ impl Env {
 
     /// [`Env::machine`] with per-cell changes applied on top (contention
     /// mode, node width, a cell's own fault plan, …).
-    pub fn machine_with(&self, p: usize, cell: impl FnOnce(&mut MachineConfig)) -> Arc<Machine> {
+    fn machine_with(&self, p: usize, cell: impl FnOnce(&mut MachineConfig)) -> Arc<Machine> {
         let mut cfg = MachineConfig {
             fault: self.fault.clone(),
             ..MachineConfig::origin2000()
@@ -92,6 +92,65 @@ impl Env {
     pub fn team(&self, machine: Arc<Machine>) -> Team {
         self.opts().configure(Team::new(machine))
     }
+
+    /// A size or sweep at the scale this run asked for.
+    pub fn pick<T>(&self, quick: T, full: T) -> T {
+        if self.quick {
+            quick
+        } else {
+            full
+        }
+    }
+
+    /// [`Env::opts`] pinned to the deterministic schedule, for cells whose
+    /// comparison free-running threads would confound.
+    pub fn det(&self) -> RunOpts {
+        RunOpts {
+            sched: Some(SchedPolicy::Det),
+            ..self.opts()
+        }
+    }
+
+    /// Run `workload` under `model` on `machine`: the one door from a cell
+    /// to the per-variant entry points.
+    pub fn run(
+        &self,
+        machine: Arc<Machine>,
+        workload: Workload,
+        model: Model,
+        opts: RunOpts,
+    ) -> RunMetrics {
+        use Workload::{Amr, NBody, Serve};
+        const FT: PagePolicy = PagePolicy::FirstTouch;
+        match (workload, model) {
+            (NBody(cfg), Model::Mp) => apps::nbody_mp::run_opts(machine, cfg, opts),
+            (NBody(cfg), Model::Shmem) => apps::nbody_shmem::run_opts(machine, cfg, opts),
+            (NBody(cfg), Model::Sas) => apps::nbody_sas::run_with_opts(machine, cfg, FT, opts),
+            (Amr(cfg), Model::Mp) => apps::amr_mp::run_opts(machine, cfg, opts),
+            (Amr(cfg), Model::Shmem) => apps::amr_shmem::run_opts(machine, cfg, opts),
+            (Amr(cfg), Model::Sas) => apps::amr_sas::run_with_opts(machine, cfg, FT, opts),
+            (Serve(cfg), _) => o2k_serve::run_opts(machine, model, cfg, opts),
+        }
+    }
+}
+
+/// What a cell runs: one application and the configuration it reads.
+#[derive(Debug, Clone, Copy)]
+pub enum Workload<'a> {
+    NBody(&'a NBodyConfig),
+    Amr(&'a AmrConfig),
+    Serve(&'a ServeConfig),
+}
+
+impl Workload<'_> {
+    /// Which application this is.
+    pub fn app(self) -> App {
+        match self {
+            Workload::NBody(_) => App::NBody,
+            Workload::Amr(_) => App::Amr,
+            Workload::Serve(_) => App::Serve,
+        }
+    }
 }
 
 /// One experiment: id, report title, and the function rendering it.
@@ -105,16 +164,16 @@ pub const EXPERIMENTS: [Experiment; 27] = [
     ("t3", "Partitioner quality", t3_partitioners),
     ("t4", "Communication microbenchmarks", t4_microbench),
     ("f1", "N-body: time and speedup", |env| {
-        f_speedup(App::NBody, env)
+        f_speedup(Workload::NBody(&nbody_cfg(env)), env)
     }),
     ("f2", "N-body: execution-time breakdown", |env| {
-        f_breakdown(App::NBody, env)
+        f_breakdown(Workload::NBody(&nbody_cfg(env)), env)
     }),
     ("f3", "AMR: time and speedup", |env| {
-        f_speedup(App::Amr, env)
+        f_speedup(Workload::Amr(&amr_cfg(env)), env)
     }),
     ("f4", "AMR: execution-time breakdown", |env| {
-        f_breakdown(App::Amr, env)
+        f_breakdown(Workload::Amr(&amr_cfg(env)), env)
     }),
     ("f5", "Communication volume", f5_comm_volume),
     ("f6", "Load balance and data movement", f6_balance),
@@ -157,42 +216,27 @@ pub const EXPERIMENT_IDS: [&str; 27] = {
 };
 
 /// Processor sweep used by the figure experiments.
-fn sweep_pes(quick: bool) -> Vec<usize> {
-    if quick {
-        vec![1, 2, 4, 8]
-    } else {
-        vec![1, 2, 4, 8, 16, 32, 64]
+fn sweep_pes(env: &Env) -> Vec<usize> {
+    env.pick(vec![1, 2, 4, 8], vec![1, 2, 4, 8, 16, 32, 64])
+}
+
+fn nbody_cfg(env: &Env) -> NBodyConfig {
+    NBodyConfig {
+        n: env.pick(512, 2048),
+        steps: env.pick(2, 3),
+        ..NBodyConfig::default()
     }
 }
 
-fn nbody_cfg(quick: bool) -> NBodyConfig {
-    if quick {
-        NBodyConfig {
-            n: 512,
-            steps: 2,
-            ..NBodyConfig::default()
-        }
-    } else {
-        NBodyConfig {
-            n: 2048,
-            steps: 3,
-            ..NBodyConfig::default()
-        }
-    }
-}
-
-fn amr_cfg(quick: bool) -> AmrConfig {
-    if quick {
-        AmrConfig::small()
-    } else {
-        AmrConfig {
-            nx: 32,
-            ny: 32,
-            steps: 5,
-            sweeps: 5,
-            ..AmrConfig::default()
-        }
-    }
+fn amr_cfg(env: &Env) -> AmrConfig {
+    let full = AmrConfig {
+        nx: 32,
+        ny: 32,
+        steps: 5,
+        sweeps: 5,
+        ..AmrConfig::default()
+    };
+    env.pick(AmrConfig::small(), full)
 }
 
 /// Run one experiment by id on ambient defaults; `quick` shrinks problem
@@ -474,15 +518,15 @@ microbenchmark table of the era, doubling as a model self-check.
 
 // ---------------------------------------------------------------- figures
 
-fn do_sweep(app: App, env: &Env) -> SweepResult {
-    let (nb, am) = (nbody_cfg(env.quick), amr_cfg(env.quick));
-    sweep_models(app, &Model::ALL, &sweep_pes(env.quick), |model, p| {
-        apps::run_app_opts(env.machine(p), app, model, &nb, &am, env.opts())
+fn do_sweep(wl: Workload, env: &Env) -> SweepResult {
+    sweep_models(wl.app(), &Model::ALL, &sweep_pes(env), |model, p| {
+        env.run(env.machine(p), wl, model, env.opts())
     })
 }
 
-fn f_speedup(app: App, env: &Env) -> String {
-    let sweep = do_sweep(app, env);
+fn f_speedup(wl: Workload, env: &Env) -> String {
+    let app = wl.app();
+    let sweep = do_sweep(wl, env);
     let id = if app == App::NBody { "F1" } else { "F3" };
     let mut rows = Vec::new();
     for (pi, &p) in sweep.pes.iter().enumerate() {
@@ -522,15 +566,14 @@ fn f_speedup(app: App, env: &Env) -> String {
     )
 }
 
-fn f_breakdown(app: App, env: &Env) -> String {
-    let quick = env.quick;
+fn f_breakdown(wl: Workload, env: &Env) -> String {
+    let app = wl.app();
     let id = if app == App::NBody { "F2" } else { "F4" };
-    let p = if quick { 8 } else { 32 };
+    let p = env.pick(8, 32);
     let m = env.machine(p);
-    let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
     let runs: Vec<_> = Model::ALL
         .iter()
-        .map(|&model| apps::run_app_opts(Arc::clone(&m), app, model, &nb, &am, env.opts()))
+        .map(|&model| env.run(Arc::clone(&m), wl, model, env.opts()))
         .collect();
     let labels: Vec<&str> = Model::ALL.iter().map(|m| m.name()).collect();
     let fractions: Vec<Vec<f64>> = runs
@@ -571,8 +614,10 @@ fn f_breakdown(app: App, env: &Env) -> String {
 
 fn f5_comm_volume(env: &Env) -> String {
     let mut out = String::from("F5: communication volume vs processors (KB total)\n");
-    for app in [App::NBody, App::Amr] {
-        let sweep = do_sweep(app, env);
+    let (nb, am) = (nbody_cfg(env), amr_cfg(env));
+    for wl in [Workload::NBody(&nb), Workload::Amr(&am)] {
+        let app = wl.app();
+        let sweep = do_sweep(wl, env);
         out.push('\n');
         out.push_str(&format!("{}:\n", app.name()));
         let mut rows = Vec::new();
@@ -595,9 +640,8 @@ fn f5_comm_volume(env: &Env) -> String {
 }
 
 fn f6_balance(env: &Env) -> String {
-    let quick = env.quick;
-    let cfg = amr_cfg(quick);
-    let p = if quick { 8 } else { 16 };
+    let cfg = amr_cfg(env);
+    let p = env.pick(8, 16);
     let with = apps::amr_common::balance_series(&cfg, p);
     let no_cfg = AmrConfig {
         use_remap: false,
@@ -634,18 +678,17 @@ fn f6_balance(env: &Env) -> String {
 }
 
 fn f7_traffic_structure(env: &Env) -> String {
-    let quick = env.quick;
-    let p = if quick { 8 } else { 16 };
+    let p = env.pick(8, 16);
     let m = env.machine(p);
-    let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
+    let (nb, am) = (nbody_cfg(env), amr_cfg(env));
     let mut out = String::from(
         "F7: traffic structure at P=16 — message-size histogram (MPI) and\none-sided operation counts (SHMEM)\n",
     );
-    for app in [App::NBody, App::Amr] {
-        let mp = apps::run_app_opts(Arc::clone(&m), app, Model::Mp, &nb, &am, env.opts());
-        let sh = apps::run_app_opts(Arc::clone(&m), app, Model::Shmem, &nb, &am, env.opts());
+    for wl in [Workload::NBody(&nb), Workload::Amr(&am)] {
+        let mp = env.run(Arc::clone(&m), wl, Model::Mp, env.opts());
+        let sh = env.run(Arc::clone(&m), wl, Model::Shmem, env.opts());
         out.push('\n');
-        out.push_str(&format!("{}:\n", app.name()));
+        out.push_str(&format!("{}:\n", wl.app().name()));
         let h = mp.counters.msg_size_hist;
         let rows = vec![
             vec!["MPI messages".into(), mp.counters.msgs_sent.to_string()],
@@ -664,15 +707,14 @@ fn f7_traffic_structure(env: &Env) -> String {
 }
 
 fn f8_cache(env: &Env) -> String {
-    let quick = env.quick;
     let mut out = String::from("F8: CC-SAS cache behaviour vs processors\n");
-    for app in [App::NBody, App::Amr] {
-        let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
+    let (nb, am) = (nbody_cfg(env), amr_cfg(env));
+    for wl in [Workload::NBody(&nb), Workload::Amr(&am)] {
         out.push('\n');
-        out.push_str(&format!("{}:\n", app.name()));
+        out.push_str(&format!("{}:\n", wl.app().name()));
         let mut rows = Vec::new();
-        for &p in &sweep_pes(quick) {
-            let r = apps::run_app_opts(env.machine(p), app, Model::Sas, &nb, &am, env.opts());
+        for &p in &sweep_pes(env) {
+            let r = env.run(env.machine(p), wl, Model::Sas, env.opts());
             rows.push(vec![
                 p.to_string(),
                 format!("{:.4}", r.counters.miss_ratio()),
@@ -689,13 +731,12 @@ fn f8_cache(env: &Env) -> String {
 }
 
 fn f9_critical_path(env: &Env) -> String {
-    let quick = env.quick;
     // Event tracing plus critical-path analysis: where does the end-to-end
     // simulated time actually go, for each application under each model?
     // Traces are archived as Perfetto-loadable Chrome JSON next to the
     // text outputs.
-    let p = if quick { 8 } else { 32 };
-    let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
+    let p = env.pick(8, 32);
+    let (nb, am) = (nbody_cfg(env), amr_cfg(env));
     let _ = std::fs::create_dir_all(&env.out_dir);
     // These runs are traced whether or not the caller asked for traces;
     // under `--trace` they land in the caller's sink like any other run.
@@ -708,9 +749,10 @@ fn f9_critical_path(env: &Env) -> String {
         "F9: event traces and critical-path analysis at P={p}\n\
          (open the archived .trace.json files in https://ui.perfetto.dev)\n"
     );
-    for app in [App::Amr, App::NBody] {
+    for wl in [Workload::Amr(&am), Workload::NBody(&nb)] {
+        let app = wl.app();
         for model in Model::ALL {
-            let r = apps::run_app_opts(env.machine(p), app, model, &nb, &am, traced.clone());
+            let r = env.run(env.machine(p), wl, model, traced.clone());
             let trace = r.trace.as_ref().expect("tracing was enabled");
             let slug = format!(
                 "f9_{}_{}",
@@ -801,9 +843,8 @@ fn f9_critical_path(env: &Env) -> String {
 // -------------------------------------------------------------- ablations
 
 fn a1_paging(env: &Env) -> String {
-    let quick = env.quick;
-    let p = if quick { 8 } else { 16 };
-    let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
+    let p = env.pick(8, 16);
+    let (nb, am) = (nbody_cfg(env), amr_cfg(env));
     let mut rows = Vec::new();
     for (name, policy) in [
         ("first-touch", PagePolicy::FirstTouch),
@@ -829,9 +870,8 @@ fn a1_paging(env: &Env) -> String {
 }
 
 fn a2_remap(env: &Env) -> String {
-    let quick = env.quick;
-    let p = if quick { 8 } else { 16 };
-    let base = amr_cfg(quick);
+    let p = env.pick(8, 16);
+    let base = amr_cfg(env);
     let mut rows = Vec::new();
     for (name, use_remap) in [("with PLUM remap", true), ("without remap", false)] {
         let cfg = AmrConfig {
@@ -859,15 +899,13 @@ fn a2_remap(env: &Env) -> String {
 }
 
 fn a3_partitioning(env: &Env) -> String {
-    let quick = env.quick;
     // Load-balance quality of costzones (SAS) vs ORB (MP): spread of busy
     // time across PEs.
-    let p = if quick { 8 } else { 16 };
-    let nb = nbody_cfg(quick);
-    let am = amr_cfg(quick);
+    let p = env.pick(8, 16);
+    let nb = nbody_cfg(env);
     let mut rows = Vec::new();
     for model in [Model::Sas, Model::Mp] {
-        let r = apps::run_app_opts(env.machine(p), App::NBody, model, &nb, &am, env.opts());
+        let r = env.run(env.machine(p), Workload::NBody(&nb), model, env.opts());
         let busy: Vec<f64> = r.per_pe.iter().map(|b| b.busy as f64).collect();
         let max = busy.iter().cloned().fold(0.0f64, f64::max);
         let mean = busy.iter().sum::<f64>() / busy.len() as f64;
@@ -889,18 +927,17 @@ fn a3_partitioning(env: &Env) -> String {
 }
 
 fn a4_numa_sensitivity(env: &Env) -> String {
-    let quick = env.quick;
     // Extension beyond the paper: how does the model ranking depend on the
     // machine's NUMA remoteness? Scale the per-hop latency and re-run the
     // AMR comparison at fixed P.
-    let p = if quick { 8 } else { 16 };
-    let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
+    let p = env.pick(8, 16);
+    let am = amr_cfg(env);
     let mut rows = Vec::new();
     for factor in [0u64, 1, 4, 16] {
         let m = env.machine_with(p, |c| c.lat_hop *= factor);
         let mut row = vec![format!("{}x ({} ns/hop)", factor, m.config.lat_hop)];
         for model in Model::ALL {
-            let r = apps::run_app_opts(Arc::clone(&m), App::Amr, model, &nb, &am, env.opts());
+            let r = env.run(Arc::clone(&m), Workload::Amr(&am), model, env.opts());
             row.push(ms(r.sim_time));
         }
         rows.push(row);
@@ -930,12 +967,12 @@ fn a5_cluster(env: &Env) -> String {
     // the stock machine and on a cluster of SMPs, where there is no
     // coherence hardware between nodes and fine-grained remote access
     // costs microseconds.
-    let quick = env.quick;
-    let p = if quick { 8 } else { 16 };
-    let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
+    let p = env.pick(8, 16);
+    let (nb, am) = (nbody_cfg(env), amr_cfg(env));
     let table = |contention: ContentionMode| {
         let mut rows = Vec::new();
-        for app in [App::NBody, App::Amr] {
+        for wl in [Workload::NBody(&nb), Workload::Amr(&am)] {
+            let app = wl.app();
             for (label, cluster) in [("Origin2000", false), ("cluster of SMPs", true)] {
                 let m = env.machine_with(p, |c| {
                     if cluster {
@@ -946,15 +983,14 @@ fn a5_cluster(env: &Env) -> String {
                     }
                     c.contention = contention;
                 });
-                let times = Model::ALL.map(|model| {
-                    apps::run_app_opts(Arc::clone(&m), app, model, &nb, &am, env.opts()).sim_time
-                });
+                let times =
+                    Model::ALL.map(|model| env.run(Arc::clone(&m), wl, model, env.opts()).sim_time);
                 let [mpi, _, sas] = times;
                 // The cluster inverts the Origin2000 ranking. N-body shows
                 // it at both scales (quick 9.5 vs 29.5 ms, full 50.7 vs
                 // 172.4 ms); AMR needs the full-size mesh (23.9 vs 64.8 ms)
                 // — at `--quick` its rows still read 2.57 vs 2.35 ms.
-                if cluster && (app == App::NBody || !quick) {
+                if cluster && (app == App::NBody || !env.quick) {
                     assert!(
                         mpi < sas,
                         "{} on the cluster: bulk MPI ({mpi} ns) must beat CC-SAS ({sas} ns)",
@@ -983,11 +1019,10 @@ fn a5_cluster(env: &Env) -> String {
 }
 
 fn a6_self_schedule(env: &Env) -> String {
-    let quick = env.quick;
     // Ablation: the classic SAS self-scheduled loop (chunks claimed from a
     // shared counter) vs the static block schedule, for the CC-SAS AMR.
-    let p = if quick { 8 } else { 16 };
-    let base = amr_cfg(quick);
+    let p = env.pick(8, 16);
+    let base = amr_cfg(env);
     let mut rows = Vec::new();
     for (name, dynamic) in [
         ("static blocks", false),
@@ -1000,15 +1035,7 @@ fn a6_self_schedule(env: &Env) -> String {
         // Pin the claim order with the deterministic scheduler so the row
         // is exactly reproducible (claiming is a genuine fetch-add race;
         // see `apps::amr_sas`).
-        let r = apps::amr_sas::run_with_opts(
-            env.machine(p),
-            &cfg,
-            PagePolicy::FirstTouch,
-            RunOpts {
-                sched: Some(SchedPolicy::Det),
-                ..env.opts()
-            },
-        );
+        let r = env.run(env.machine(p), Workload::Amr(&cfg), Model::Sas, env.det());
         let busy: Vec<f64> = r.per_pe.iter().map(|b| b.busy as f64).collect();
         let max = busy.iter().cloned().fold(0.0f64, f64::max);
         let mean = busy.iter().sum::<f64>() / busy.len() as f64;
@@ -1030,26 +1057,21 @@ fn a6_self_schedule(env: &Env) -> String {
 }
 
 fn s1_scheduler_policies(env: &Env) -> String {
-    let quick = env.quick;
     // Scheduler study: the same self-scheduled CC-SAS AMR under every
     // scheduling policy. Deterministic runs repeat bitwise (same schedule
     // fingerprint, same times); exploration seeds pick distinct
     // interleavings; the physics checksum never moves.
-    let p = if quick { 4 } else { 8 };
+    let p = env.pick(4, 8);
     let cfg = AmrConfig {
         sas_self_schedule: true,
         ..AmrConfig::small()
     };
     let go = |policy: SchedPolicy| {
-        apps::amr_sas::run_with_opts(
-            env.machine(p),
-            &cfg,
-            PagePolicy::FirstTouch,
-            RunOpts {
-                sched: Some(policy),
-                ..env.opts()
-            },
-        )
+        let opts = RunOpts {
+            sched: Some(policy),
+            ..env.opts()
+        };
+        env.run(env.machine(p), Workload::Amr(&cfg), Model::Sas, opts)
     };
     let det_a = go(SchedPolicy::Det);
     let det_b = go(SchedPolicy::Det);
@@ -1098,22 +1120,17 @@ fn n1_contention(env: &Env) -> String {
     use mp::MpWorld;
     use sas::SasWorld;
 
-    let quick = env.quick;
     // Contention sweep: the same traffic on the analytic (uncontended)
     // machine and on the queueing interconnect model. Each transfer is
     // routed hop-by-hop over the hypercube; a busy link delays it, so
     // concentrated traffic pays where the analytic model charges a
     // load-independent latency.
-    let pes: Vec<usize> = if quick {
-        vec![4, 8]
-    } else {
-        vec![4, 8, 16, 32, 64]
-    };
+    let pes: Vec<usize> = env.pick(vec![4, 8], vec![4, 8, 16, 32, 64]);
     let mach = |p: usize, mode: ContentionMode| env.machine_with(p, |c| c.contention = mode);
 
     // (a) MPI personalised all-to-all: every PE sends a chunk to every
     // other PE — the bisection-stressing pattern.
-    let words = if quick { 512 } else { 2048 };
+    let words = env.pick(512, 2048);
     let alltoall = |p: usize, mode: ContentionMode| {
         let m = mach(p, mode);
         let mpw = MpWorld::new(Arc::clone(&m));
@@ -1217,12 +1234,13 @@ fn n1_contention(env: &Env) -> String {
     // (c) Both applications under all three models, off vs queued, at a
     // fixed P: how much does the analytic model understate by ignoring
     // contention on real adaptive traffic?
-    let p = if quick { 8 } else { 32 };
-    let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
+    let p = env.pick(8, 32);
+    let (nb, am) = (nbody_cfg(env), amr_cfg(env));
     let mut rows = Vec::new();
-    for app in [App::NBody, App::Amr] {
+    for wl in [Workload::NBody(&nb), Workload::Amr(&am)] {
+        let app = wl.app();
         for model in Model::ALL {
-            let run = |mode| apps::run_app_opts(mach(p, mode), app, model, &nb, &am, env.opts());
+            let run = |mode| env.run(mach(p, mode), wl, model, env.opts());
             let off = run(ContentionMode::Off);
             let q = run(ContentionMode::Queued);
             let s = q.net.expect("queued run reports NetStats");
@@ -1261,9 +1279,10 @@ fn n1_contention(env: &Env) -> String {
     // buses + hub ports): how much the link-only queueing model still
     // understates, and where the extra delay accrues by resource kind.
     let mut rows = Vec::new();
-    for app in [App::NBody, App::Amr] {
+    for wl in [Workload::NBody(&nb), Workload::Amr(&am)] {
+        let app = wl.app();
         for model in Model::ALL {
-            let run = |mode| apps::run_app_opts(mach(p, mode), app, model, &nb, &am, env.opts());
+            let run = |mode| env.run(mach(p, mode), wl, model, env.opts());
             let q = run(ContentionMode::Queued);
             let f = run(ContentionMode::Fabric);
             assert_eq!(f.checksum, q.checksum, "fabric changed physics");
@@ -1303,15 +1322,14 @@ fn n1_contention(env: &Env) -> String {
 }
 
 fn n2_fault(env: &Env) -> String {
-    let quick = env.quick;
     // Fault-injection sweep: the same workloads on the queueing
     // interconnect, healthy vs one degraded link vs one killed router
     // port. Degrade multiplies a link's service time; kill removes a
     // router edge and every transfer that would cross it detours over the
     // surviving hypercube edges. P must give the routers at least two
     // dimensions or the cut has no detour (quick keeps P=16, not 8).
-    let p = if quick { 16 } else { 32 };
-    let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
+    let p = env.pick(16, 32);
+    let (nb, am) = (nbody_cfg(env), amr_cfg(env));
     let degraded_spec = "plan:down0:deg8";
     let faulted_spec = "plan:down0:deg8;r0d0:kill";
     let faulty = |p: usize, spec: &str| {
@@ -1335,18 +1353,14 @@ fn n2_fault(env: &Env) -> String {
     let mut amr_mp_checksum = 0.0f64;
     // Pin the deterministic schedule: a fault comparison under free OS
     // interleaving confounds the fault's cost with schedule noise.
-    let det = RunOpts {
-        sched: Some(SchedPolicy::Det),
-        ..env.opts()
-    };
-    for app in [App::Amr, App::NBody] {
+    let det = env.det();
+    for wl in [Workload::Amr(&am), Workload::NBody(&nb)] {
+        let app = wl.app();
         for (mi, &model) in Model::ALL.iter().enumerate() {
             let queued = env.machine_with(p, |c| c.contention = ContentionMode::Queued);
-            let healthy = apps::run_app_opts(queued, app, model, &nb, &am, det.clone());
-            let deg =
-                apps::run_app_opts(faulty(p, degraded_spec), app, model, &nb, &am, det.clone());
-            let dead =
-                apps::run_app_opts(faulty(p, faulted_spec), app, model, &nb, &am, det.clone());
+            let healthy = env.run(queued, wl, model, det.clone());
+            let deg = env.run(faulty(p, degraded_spec), wl, model, det.clone());
+            let dead = env.run(faulty(p, faulted_spec), wl, model, det.clone());
             // Graceful degradation: faults move time and traffic, never
             // the physics.
             assert_eq!(deg.checksum, healthy.checksum, "degrade changed physics");
@@ -1421,14 +1435,7 @@ fn n2_fault(env: &Env) -> String {
     let (healthy_t, deg_t) = amr_mp_times;
     let heal_at = deg_t / 4;
     let healed_spec = format!("plan:down0:deg8;down0:heal@{heal_at}");
-    let healed = apps::run_app_opts(
-        faulty(p, &healed_spec),
-        App::Amr,
-        Model::Mp,
-        &nb,
-        &am,
-        det.clone(),
-    );
+    let healed = env.run(faulty(p, &healed_spec), Workload::Amr(&am), Model::Mp, det);
     assert_eq!(healed.checksum, amr_mp_checksum, "heal changed physics");
     let hs = healed.net.as_ref().expect("queued run reports NetStats");
     assert_eq!(
@@ -1457,21 +1464,17 @@ fn n2_fault(env: &Env) -> String {
 }
 
 fn n3_bus_saturation(env: &Env) -> String {
-    let quick = env.quick;
     // Bus-saturation sweep: fix the PE count and fatten the nodes. More
     // CPUs per node means more PEs arbitrating for each node's shared
     // SysAD bus and each router's hub port — the cluster-of-SMPs failure
     // mode the follow-up papers measured. Efficiency compares the analytic
     // (off) and fabric runs *at the same topology*, so the column isolates
     // pure resource contention from path-length effects.
-    let p = if quick { 8 } else { 16 };
-    let cpns: &[usize] = if quick { &[2, 4, 8] } else { &[2, 4, 8, 16] };
-    let (nb, am) = (nbody_cfg(quick), amr_cfg(quick));
+    let p = env.pick(8, 16);
+    let cpns: &[usize] = env.pick(&[2, 4, 8], &[2, 4, 8, 16]);
+    let (nb, am) = (nbody_cfg(env), amr_cfg(env));
     // Pin the deterministic schedule so the sweep is bitwise reproducible.
-    let det = RunOpts {
-        sched: Some(SchedPolicy::Det),
-        ..env.opts()
-    };
+    let det = env.det();
     let mach = |cpn: usize, mode: ContentionMode| {
         env.machine_with(p, |c| {
             c.cpus_per_node = cpn;
@@ -1489,29 +1492,16 @@ fn n3_bus_saturation(env: &Env) -> String {
         cpns[cpns.len() - 1],
     );
     let mut sas_report = String::new();
-    for app in [App::Amr, App::NBody] {
+    for wl in [Workload::Amr(&am), Workload::NBody(&nb)] {
+        let app = wl.app();
         let mut rows = Vec::new();
         let mut eff = vec![[0.0f64; 3]; cpns.len()];
         for (ci, &cpn) in cpns.iter().enumerate() {
             let mut row = vec![cpn.to_string()];
             let mut by_kind = String::new();
             for (mi, &model) in Model::ALL.iter().enumerate() {
-                let off = apps::run_app_opts(
-                    mach(cpn, ContentionMode::Off),
-                    app,
-                    model,
-                    &nb,
-                    &am,
-                    det.clone(),
-                );
-                let fab = apps::run_app_opts(
-                    mach(cpn, ContentionMode::Fabric),
-                    app,
-                    model,
-                    &nb,
-                    &am,
-                    det.clone(),
-                );
+                let off = env.run(mach(cpn, ContentionMode::Off), wl, model, det.clone());
+                let fab = env.run(mach(cpn, ContentionMode::Fabric), wl, model, det.clone());
                 assert_eq!(fab.checksum, off.checksum, "fabric changed physics");
                 let s = fab.net.as_ref().expect("fabric run reports NetStats");
                 assert!(s.bus.transfers > 0, "fabric runs must cross node buses");
@@ -1587,19 +1577,17 @@ fn n3_bus_saturation(env: &Env) -> String {
 }
 
 fn q1_serving(env: &Env) -> String {
-    use apps::RunMetrics;
-    use o2k_serve::{Mitigation, ServeConfig};
+    use o2k_serve::Mitigation;
 
-    let quick = env.quick;
     // Tail latency of the sharded key-value service under the three
     // models, across four fabric conditions. Clients are open-loop
     // virtual-time event sources, so a million requests are a million
     // table lookups; every run pins the deterministic schedule so the
     // quantiles replay bitwise.
-    let p = if quick { 16 } else { 32 };
+    let p = env.pick(16, 32);
     let base = ServeConfig {
-        keys: if quick { 8_192 } else { 32_768 },
-        requests: if quick { 40_000 } else { 90_000 },
+        keys: env.pick(8_192, 32_768),
+        requests: env.pick(40_000, 90_000),
         mean_gap_ns: 25_000,
         skew: 1.0,
         val_words: 32,
@@ -1611,10 +1599,7 @@ fn q1_serving(env: &Env) -> String {
         start_ns: 0,
     };
     let sick_spec = "plan:down0:deg8;r0d0:kill";
-    let det = RunOpts {
-        sched: Some(SchedPolicy::Det),
-        ..env.opts()
-    };
+    let det = env.det();
     let scenarios: [(&str, &str); 4] = [
         ("healthy", "queued fabric, uniform keys"),
         ("skewed", "queued fabric, key skew 3.0 piles onto shard 0"),
@@ -1711,7 +1696,7 @@ fn q1_serving(env: &Env) -> String {
     out.push_str(&format!(
         "\nTotal simulated client requests: {total_requests}\n"
     ));
-    if !quick {
+    if !env.quick {
         assert!(
             total_requests >= 1_000_000,
             "the full suite must serve at least a million requests"
@@ -1761,10 +1746,8 @@ fn q1_serving(env: &Env) -> String {
 }
 
 fn q2_mitigation(env: &Env) -> String {
-    use apps::RunMetrics;
-    use o2k_serve::{Mitigation, ServeConfig};
+    use o2k_serve::Mitigation;
 
-    let quick = env.quick;
     // Q2: hot-shard mitigation at scale. The Q1 skew scenario rerun on
     // the event core at P up to 1024, crossing skew x mitigation x model.
     // Replicated reads fan a hot shard's lookups over R deterministic
@@ -1776,7 +1759,7 @@ fn q2_mitigation(env: &Env) -> String {
     // schedule, so each cell replays bitwise — and with uniform keys the
     // mitigation plan is empty, which must leave runs *bitwise identical*
     // to mitigation off.
-    let ps: Vec<usize> = if quick { vec![64] } else { vec![64, 256, 1024] };
+    let ps: Vec<usize> = env.pick(vec![64], vec![64, 256, 1024]);
     let mk_cfg = |p: usize, skew: f64, mitigation: Mitigation| ServeConfig {
         keys: 64 * p,
         requests: 32 * p as u64,
@@ -1794,9 +1777,8 @@ fn q2_mitigation(env: &Env) -> String {
     };
     const REPL: Mitigation = Mitigation::Replicate { replicas: 3 };
     let det_event = RunOpts {
-        sched: Some(SchedPolicy::Det),
         exec: Some(ExecMode::Event),
-        ..env.opts()
+        ..env.det()
     };
     let grid: [(Model, Mitigation, &str); 7] = [
         (Model::Mp, Mitigation::Off, "MPI / off"),
@@ -1944,61 +1926,45 @@ fn q2_mitigation(env: &Env) -> String {
 }
 
 fn e1_scale(env: &Env) -> String {
-    use apps::RunMetrics;
-    use o2k_serve::ServeConfig;
     use parallel::THREAD_PE_CAP;
 
-    let quick = env.quick;
     // E1: event-core scaling. The thread backend stops at the OS-thread
     // cap ([`parallel::THREAD_PE_CAP`]); the event core runs every PE as
     // a coroutine on one thread and carries the same deterministic
     // schedules to P = 1024. This table is simulated time only, so it
     // replays bitwise.
-    let pes: Vec<usize> = if quick {
-        vec![16, 64, 256]
-    } else {
-        vec![64, 256, 1024]
-    };
+    let pes: Vec<usize> = env.pick(vec![16, 64, 256], vec![64, 256, 1024]);
     let nb = NBodyConfig {
-        n: if quick { 512 } else { 4_096 },
+        n: env.pick(512, 4_096),
         steps: 2,
         ..NBodyConfig::default()
     };
     let am = AmrConfig {
-        nx: if quick { 32 } else { 64 },
-        ny: if quick { 32 } else { 64 },
-        steps: if quick { 1 } else { 2 },
-        sweeps: if quick { 1 } else { 2 },
+        nx: env.pick(32, 64),
+        ny: env.pick(32, 64),
+        steps: env.pick(1, 2),
+        sweeps: env.pick(1, 2),
         ..AmrConfig::default()
     };
     // SHMEM serving scales one-sidedly (no per-pair DONE protocol), so it
     // is the model that meaningfully reaches 1024 shards.
     let sv = ServeConfig {
-        keys: if quick { 16_384 } else { 65_536 },
-        requests: if quick { 2_048 } else { 8_192 },
+        keys: env.pick(16_384, 65_536),
+        requests: env.pick(2_048, 8_192),
         seed: 0x00C0_FFEE,
         ..ServeConfig::default()
     };
     let on = |exec: ExecMode| RunOpts {
-        sched: Some(SchedPolicy::Det),
         exec: Some(exec),
-        ..env.opts()
+        ..env.det()
     };
     let (event, thread) = (on(ExecMode::Event), on(ExecMode::Thread));
 
-    let workloads: [(&str, &str); 3] = [
-        ("nbody", "N-body / MPI"),
-        ("amr", "AMR / MPI"),
-        ("serve", "KV-serve / SHMEM"),
+    let workloads = [
+        (Workload::NBody(&nb), Model::Mp, "N-body / MPI"),
+        (Workload::Amr(&am), Model::Mp, "AMR / MPI"),
+        (Workload::Serve(&sv), Model::Shmem, "KV-serve / SHMEM"),
     ];
-    let run = |p: usize, wl: &str, opts: RunOpts| -> RunMetrics {
-        match wl {
-            "nbody" => apps::run_app_opts(env.machine(p), App::NBody, Model::Mp, &nb, &am, opts),
-            "amr" => apps::run_app_opts(env.machine(p), App::Amr, Model::Mp, &nb, &am, opts),
-            "serve" => o2k_serve::run_opts(env.machine(p), Model::Shmem, &sv, opts),
-            other => unreachable!("unknown workload {other}"),
-        }
-    };
 
     let mut out = format!(
         "E1: event-core scaling to P={top} (deterministic schedule, simulated\n\
@@ -2010,16 +1976,17 @@ fn e1_scale(env: &Env) -> String {
 
     let p0 = pes[0];
     let mut rows = Vec::new();
-    for (wl, label) in &workloads {
+    for (workload, model, wl) in workloads {
         for &p in &pes {
-            let r = run(p, wl, event.clone());
+            let run = |opts| env.run(env.machine(p), workload, model, opts);
+            let r = run(event.clone());
             assert!(r.sim_time > 0, "{wl} at P={p} must do work");
             let s = r.sched.expect("det runs carry SchedStats");
             if p == p0 {
                 // Anchor: where both backends can run, the event core must
                 // reproduce the thread run bitwise — same simulated time,
                 // same physics, same pick sequence.
-                let t = run(p, wl, thread.clone());
+                let t = run(thread.clone());
                 assert_eq!(t.sim_time, r.sim_time, "{wl}: sim time must match");
                 assert_eq!(
                     t.checksum.to_bits(),
@@ -2030,13 +1997,13 @@ fn e1_scale(env: &Env) -> String {
                 assert_eq!(ts.fingerprint, s.fingerprint, "{wl}: same pick sequence");
                 assert_eq!(ts.switches, s.switches, "{wl}: same handoff count");
                 out.push_str(&format!(
-                    "  P={p0} {label}: thread and event backends agree bitwise \
+                    "  P={p0} {wl}: thread and event backends agree bitwise \
                      (fingerprint {:016x})\n",
                     s.fingerprint
                 ));
             }
             rows.push(vec![
-                label.to_string(),
+                wl.to_string(),
                 p.to_string(),
                 ms(r.sim_time),
                 format!("{:.6e}", r.checksum),
@@ -2071,11 +2038,9 @@ fn e1_scale(env: &Env) -> String {
 fn c1_warm_start(env: &Env) -> String {
     use std::time::Instant;
 
-    use apps::RunMetrics;
-    use o2k_serve::{Mitigation, ServeConfig};
+    use o2k_serve::Mitigation;
     use o2k_snap::SnapPoint;
 
-    let quick = env.quick;
     // C1: warm-starting a scenario sweep from a snapshot. Two prologues
     // are paid once and captured — the AMR mesh converged to its last
     // adaptation step, and the Q1 KV table fully built — then a fault ×
@@ -2092,30 +2057,19 @@ fn c1_warm_start(env: &Env) -> String {
     // Heavy on sweeps: the smoothing sweeps (and their halo exchanges) are
     // exactly the per-step cost a warm start skips, while the adaptation
     // replay it cannot skip stays cheap.
-    let am = if quick {
-        AmrConfig {
-            nx: 12,
-            ny: 12,
-            steps: 8,
-            sweeps: 16,
-            ..AmrConfig::default()
-        }
-    } else {
-        AmrConfig {
-            nx: 20,
-            ny: 20,
-            steps: 8,
-            sweeps: 16,
-            ..AmrConfig::default()
-        }
+    let am = AmrConfig {
+        nx: env.pick(12, 20),
+        ny: env.pick(12, 20),
+        steps: 8,
+        sweeps: 16,
+        ..AmrConfig::default()
     };
-    let nb = nbody_cfg(quick); // unused by the AMR runs; run_app_opts wants both
-                               // The serving half keeps its Q1 shape but a short tail: a warm start
-                               // only saves the build phase, so the cells mostly measure that the
-                               // restore itself is cheap (one symmetric-heap import).
+    // The serving half keeps its Q1 shape but a short tail: a warm start
+    // only saves the build phase, so the cells mostly measure that the
+    // restore itself is cheap (one symmetric-heap import).
     let sv = ServeConfig {
-        keys: if quick { 16_384 } else { 32_768 },
-        requests: if quick { 1_500 } else { 6_000 },
+        keys: env.pick(16_384, 32_768),
+        requests: env.pick(1_500, 6_000),
         mean_gap_ns: 25_000,
         skew: 1.0,
         val_words: 32,
@@ -2153,18 +2107,20 @@ fn c1_warm_start(env: &Env) -> String {
     // The sweep: AMR crosses all three axes (12 cells); serving crosses
     // fault × policy on the queued fabric (6 cells). 18 cells total.
     #[derive(Clone, Copy)]
-    struct Cell {
-        wl: &'static str,
+    struct Cell<'a> {
+        wl: (&'static str, Workload<'a>),
         fault: (&'static str, &'static str),
         cont: (&'static str, ContentionMode),
         policy: (&'static str, SchedPolicy),
     }
+    let wl_amr = ("amr", Workload::Amr(&am));
+    let wl_serve = ("serve", Workload::Serve(&sv));
     let mut sweep = Vec::new();
     for fault in faults {
         for cont in conts {
             for policy in policies {
                 sweep.push(Cell {
-                    wl: "amr",
+                    wl: wl_amr,
                     fault,
                     cont,
                     policy,
@@ -2173,7 +2129,7 @@ fn c1_warm_start(env: &Env) -> String {
         }
         for policy in policies {
             sweep.push(Cell {
-                wl: "serve",
+                wl: wl_serve,
                 fault,
                 cont: conts[0],
                 policy,
@@ -2194,14 +2150,10 @@ fn c1_warm_start(env: &Env) -> String {
             snap,
             ..env.opts()
         };
-        match c.wl {
-            "amr" => apps::run_app_opts(m, App::Amr, Model::Shmem, &nb, &am, opts),
-            // SHMEM serving restores as one symmetric-heap import; CC-SAS
-            // would drag its whole coherence directory through every cell's
-            // restore, which costs more than the build it skips.
-            "serve" => o2k_serve::run_opts(m, Model::Shmem, &sv, opts),
-            other => unreachable!("unknown workload {other}"),
-        }
+        // SHMEM serving restores as one symmetric-heap import; CC-SAS
+        // would drag its whole coherence directory through every cell's
+        // restore, which costs more than the build it skips.
+        env.run(m, c.wl.1, Model::Shmem, opts)
     };
 
     // --- from-scratch sweep: every cell pays the full prologue ---
@@ -2220,21 +2172,21 @@ fn c1_warm_start(env: &Env) -> String {
     let _ = std::fs::remove_dir_all(&snap_dir);
     std::fs::create_dir_all(&snap_dir).expect("create snapshot dir");
     let warm_start = Instant::now();
-    let baseline = |wl: &'static str| Cell {
+    let baseline = |wl| Cell {
         wl,
         fault: faults[0],
         cont: conts[0],
         policy: policies[0],
     };
     let cap_amr = run(
-        &baseline("amr"),
+        &baseline(wl_amr),
         Some(SnapSpec::Capture {
             dir: snap_dir.clone(),
             point: amr_gate.clone(),
         }),
     );
     let cap_serve = run(
-        &baseline("serve"),
+        &baseline(wl_serve),
         Some(SnapSpec::Capture {
             dir: snap_dir.clone(),
             point: serve_gate,
@@ -2272,7 +2224,7 @@ fn c1_warm_start(env: &Env) -> String {
             warm[i].checksum.to_bits(),
             scratch[i].checksum.to_bits(),
             "{}/{}/{}/{}: warm-start changed the physics",
-            c.wl,
+            c.wl.0,
             c.fault.0,
             c.cont.0,
             c.policy.0
@@ -2285,7 +2237,10 @@ fn c1_warm_start(env: &Env) -> String {
         let i = sweep
             .iter()
             .position(|c| {
-                c.wl == wl && c.fault.0 == "healthy" && c.cont.0 == "queued" && c.policy.0 == "det"
+                c.wl.0 == wl
+                    && c.fault.0 == "healthy"
+                    && c.cont.0 == "queued"
+                    && c.policy.0 == "det"
             })
             .expect("baseline cell present");
         for (kind, r) in [("capture", cap), ("warm", &warm[i])] {
@@ -2326,7 +2281,7 @@ fn c1_warm_start(env: &Env) -> String {
     let mut rows = Vec::new();
     for (i, c) in sweep.iter().enumerate() {
         rows.push(vec![
-            format!("{} / {} / {}", c.wl, c.fault.0, c.cont.0),
+            format!("{} / {} / {}", c.wl.0, c.fault.0, c.cont.0),
             c.policy.0.to_string(),
             host_ms(&scratch_host[i]),
             host_ms(&warm_host[i]),
@@ -2480,7 +2435,7 @@ mod tests {
         let tags = snapshot_tags(&dir);
         assert_eq!(tags.len(), 24, "2 apps x 3 models x 4 team sizes: {tags:?}");
         for tag in &tags {
-            let p = sweep_pes(true)
+            let p = sweep_pes(&env)
                 .into_iter()
                 .find(|p| tag.contains(&format!("-p{p}-")))
                 .expect("a tag names its team size");

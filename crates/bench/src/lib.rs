@@ -6,4 +6,6 @@
 
 pub mod experiments;
 
-pub use experiments::{run_experiment, run_experiment_in, Env, EXPERIMENTS, EXPERIMENT_IDS};
+pub use experiments::{
+    run_experiment, run_experiment_in, Env, Workload, EXPERIMENTS, EXPERIMENT_IDS,
+};

@@ -30,7 +30,7 @@ fn source(app: App, model: Model) -> &'static str {
 /// snapshot capture/restore plumbing shared by every model, orthogonal to
 /// the programming effort the table compares), and skip blank or
 /// comment-only lines.
-pub fn count_loc(src: &str) -> usize {
+fn count_loc(src: &str) -> usize {
     let src = src.split("#[cfg(test)]").next().unwrap_or(src);
     let mut in_shim = false;
     let mut count = 0;
@@ -94,6 +94,67 @@ mod tests {
     fn loc_counting_drops_shim_and_snap_regions() {
         let src = "real();\n// sim:begin\nshim();\n// sim:end\n// snap:begin\nresume();\nrestore();\n// snap:end\nreal2();\n";
         assert_eq!(count_loc(src), 2);
+    }
+
+    /// Walk the fences of `src`: `Ok` when every `begin` has its `end`,
+    /// none nest and each encloses code — else what is wrong, and on which
+    /// line.
+    fn check_fences(src: &str) -> Result<(), String> {
+        let src = src.split("#[cfg(test)]").next().unwrap_or(src);
+        let mut open: Option<(usize, usize)> = None; // (opening line, code lines inside)
+        for (i, line) in src.lines().enumerate() {
+            let (at, l) = (i + 1, line.trim());
+            let begins = l.starts_with("// sim:begin") || l.starts_with("// snap:begin");
+            let ends = l.starts_with("// sim:end") || l.starts_with("// snap:end");
+            match (&mut open, begins, ends) {
+                (Some((from, _)), true, _) => {
+                    return Err(format!("line {at}: opened inside the fence of line {from}"))
+                }
+                (None, true, _) => open = Some((at, 0)),
+                (None, _, true) => return Err(format!("line {at}: closed but never opened")),
+                (Some((from, 0)), _, true) => {
+                    return Err(format!(
+                        "line {at}: the fence of line {from} encloses no code"
+                    ))
+                }
+                (Some(_), _, true) => open = None,
+                (Some((_, code)), ..) if !l.is_empty() && !l.starts_with("//") => *code += 1,
+                _ => {}
+            }
+        }
+        match open {
+            Some((from, _)) => Err(format!("line {from}: opened but never closed")),
+            None => Ok(()),
+        }
+    }
+
+    #[test]
+    fn fence_checker_names_what_count_loc_would_swallow() {
+        assert_eq!(
+            check_fences("a();\n// sim:begin\nb();\n// sim:end\n"),
+            Ok(())
+        );
+        let unclosed = check_fences("// snap:begin\nb();\nc();\n");
+        assert!(unclosed.unwrap_err().contains("never closed"));
+        let nested = check_fences("// sim:begin\na();\n// snap:begin\nb();\n// snap:end\n");
+        assert!(nested.unwrap_err().contains("inside the fence of line 1"));
+        let empty = check_fences("// sim:begin — why\n// more why\n\n// sim:end\n");
+        assert!(empty.unwrap_err().contains("encloses no code"));
+        assert!(check_fences("a();\n// sim:end\n").is_err());
+    }
+
+    #[test]
+    fn fences_are_balanced_flat_and_non_empty_in_every_source() {
+        // `count_loc` drops everything after an unclosed `begin` without a
+        // word, so a mistyped fence would shrink a T2 row instead of
+        // failing.
+        for app in [App::NBody, App::Amr, App::Serve] {
+            for model in Model::ALL {
+                if let Err(e) = check_fences(source(app, model)) {
+                    panic!("{app:?}/{model:?} {e}");
+                }
+            }
+        }
     }
 
     #[test]

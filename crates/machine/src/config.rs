@@ -218,12 +218,6 @@ impl MachineConfig {
         }
     }
 
-    /// Number of elements of size `elem_bytes` per cache line (at least 1).
-    #[inline]
-    pub fn elems_per_line(&self, elem_bytes: usize) -> usize {
-        (self.line_bytes / elem_bytes.max(1)).max(1)
-    }
-
     /// Nanoseconds to move `bytes` across one link at configured bandwidth.
     #[inline]
     pub fn transfer_ns(&self, bytes: usize) -> u64 {
@@ -234,12 +228,6 @@ impl MachineConfig {
     #[inline]
     pub fn bus_transfer_ns(&self, bytes: usize) -> u64 {
         (bytes as f64 / self.bus_bytes_per_ns).ceil() as u64
-    }
-
-    /// Convert CPU cycles to nanoseconds.
-    #[inline]
-    pub fn cycles_ns(&self, cycles: u64) -> u64 {
-        (cycles as f64 * self.cycle_ns).round() as u64
     }
 }
 
@@ -266,14 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn elems_per_line() {
-        let c = MachineConfig::origin2000();
-        assert_eq!(c.elems_per_line(8), 16);
-        assert_eq!(c.elems_per_line(4), 32);
-        assert_eq!(c.elems_per_line(1024), 1); // clamps to 1
-    }
-
-    #[test]
     fn transfer_time_scales_with_bytes() {
         let c = MachineConfig::test_tiny();
         assert_eq!(c.transfer_ns(100), 100);
@@ -290,12 +270,6 @@ mod tests {
         assert!(c.mp_send_overhead > o.mp_send_overhead);
         assert_eq!(c.line_bytes, o.line_bytes, "node hardware unchanged");
         assert_eq!(c.cpus_per_node, 4, "fatter SMP nodes");
-    }
-
-    #[test]
-    fn cycles_to_ns() {
-        let c = MachineConfig::origin2000();
-        assert_eq!(c.cycles_ns(10), 40);
     }
 
     #[test]

@@ -90,7 +90,7 @@ pub enum FaultMode {
 }
 
 impl FaultMode {
-    /// Parse the CLI / `O2K_FAULT` spelling:
+    /// Parse the CLI (`repro --fault`) spelling:
     ///
     /// * `off`
     /// * `plan:<link>:<action>[@<ns>][;<link>:<action>[@<ns>]…]` where a
@@ -172,19 +172,6 @@ impl fmt::Display for FaultMode {
             }
         }
     }
-}
-
-/// `O2K_FAULT` from the environment: `Ok(None)` when unset, a diagnostic
-/// when malformed (see [`crate::env_setting`]). A pure parser: nothing in
-/// the libraries calls it — the `repro` binary does, once, and hands the
-/// result to the machines it builds.
-pub fn env_fault() -> Result<Option<FaultMode>, String> {
-    crate::env_setting(
-        "O2K_FAULT",
-        "off or plan:<link>:<action>[@<ns>][;...] with links up<N>/down<N>/r<R>d<D> \
-         and actions kill/deg<F>/heal",
-        FaultMode::parse,
-    )
 }
 
 #[cfg(test)]

@@ -83,7 +83,7 @@ impl Machine {
 /// naming the variable, the offending value and the `accepted` forms. A
 /// typo such as `O2K_EXEC=evnt` must fail loudly rather than silently
 /// select the default.
-pub fn check_setting<T>(
+fn check_setting<T>(
     var: &str,
     raw: &str,
     accepted: &str,

@@ -117,11 +117,6 @@ impl AdaptiveMesh {
             .collect()
     }
 
-    /// Whether triangle `t` is active.
-    pub fn is_active(&self, t: u32) -> bool {
-        self.alive[t as usize]
-    }
-
     /// Vertex indices of triangle `t`.
     pub fn tri(&self, t: u32) -> [u32; 3] {
         self.tris[t as usize]
@@ -161,13 +156,8 @@ impl AdaptiveMesh {
     }
 
     /// Sum of active triangle areas.
-    pub fn total_area(&self) -> f64 {
+    fn total_area(&self) -> f64 {
         self.active_tris().iter().map(|&t| self.area_of(t)).sum()
-    }
-
-    /// Area of the base mesh (conserved by adaptation).
-    pub fn base_area(&self) -> f64 {
-        self.base_area
     }
 
     /// Refine the given active triangles (plus whatever the conformity
@@ -469,7 +459,7 @@ mod tests {
         // Neighbours sharing a marked edge become greens.
         assert!(rep.greens >= 1);
         assert!(m.num_active() > before);
-        assert!(!m.is_active(0));
+        assert!(!m.active_tris().contains(&0));
         m.validate().expect("refined mesh valid");
     }
 

@@ -39,11 +39,6 @@ impl DualGraph {
     pub fn neighbors(&self, v: usize) -> &[u32] {
         &self.adj[self.xadj[v]..self.xadj[v + 1]]
     }
-
-    /// Number of dual edges (each counted once).
-    pub fn num_edges(&self) -> usize {
-        self.adj.len() / 2
-    }
 }
 
 /// Build the dual graph of `mesh`'s active triangles.
@@ -108,7 +103,7 @@ mod tests {
         let m = AdaptiveMesh::structured(1, 1, 1.0, 1.0);
         let g = dual_graph(&m);
         assert_eq!(g.len(), 2);
-        assert_eq!(g.num_edges(), 1);
+        assert_eq!(g.adj.len() / 2, 1);
         assert_eq!(g.neighbors(0), &[1]);
         assert_eq!(g.neighbors(1), &[0]);
     }
@@ -153,6 +148,6 @@ mod tests {
         let m = AdaptiveMesh::structured(4, 4, 1.0, 1.0);
         let g = dual_graph(&m);
         // Total edges 56, boundary edges 16 → interior 40.
-        assert_eq!(g.num_edges(), 40);
+        assert_eq!(g.adj.len() / 2, 40);
     }
 }

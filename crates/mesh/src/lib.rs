@@ -11,8 +11,6 @@
 //! * [`indicator`] — the moving-shock error indicator that selects
 //!   triangles to refine/coarsen each step.
 //! * [`quality`] — element-quality metrics (min angle, aspect ratio).
-//! * [`solver`] — an edge-based explicit smoothing kernel standing in for
-//!   the flow solver between adaptations (supplies the compute work).
 //! * [`dual`] — element dual graph in CSR form, for the partitioners.
 //! * [`export`] — SVG snapshots of adapted meshes.
 
@@ -34,7 +32,6 @@ pub mod export;
 pub mod geom;
 pub mod indicator;
 pub mod quality;
-pub mod solver;
 
 pub use adaptive::{AdaptiveMesh, RefineReport};
 pub use geom::Point2;

@@ -8,7 +8,7 @@ use crate::adaptive::AdaptiveMesh;
 use crate::geom::{self, Point2};
 
 /// Ratio of longest to shortest edge of a triangle (1 is equilateral-ish).
-pub fn aspect_ratio(a: &Point2, b: &Point2, c: &Point2) -> f64 {
+fn aspect_ratio(a: &Point2, b: &Point2, c: &Point2) -> f64 {
     let e = [a.dist(b), b.dist(c), a.dist(c)];
     let longest = e.iter().cloned().fold(f64::MIN, f64::max);
     let shortest = e.iter().cloned().fold(f64::MAX, f64::min);

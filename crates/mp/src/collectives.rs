@@ -228,12 +228,6 @@ impl MpWorld {
         }
         recvs
     }
-
-    /// Exclusive prefix sum of `v` across ranks (rank 0 gets 0).
-    pub fn exscan_sum_u64(&self, ctx: &mut Ctx, v: u64) -> u64 {
-        let all = self.allgatherv(ctx, vec![v]);
-        all[..ctx.pe()].iter().map(|c| c[0]).sum()
-    }
 }
 
 /// Encode per-rank chunks as (rank, item) pairs for transport through bcast.
@@ -377,13 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn exscan_prefix_sums() {
-        let (w, t) = setup(4);
-        let run = t.run(|ctx| w.exscan_sum_u64(ctx, (ctx.pe() + 1) as u64));
-        assert_eq!(run.results, vec![0, 1, 3, 6]);
-    }
-
-    #[test]
     fn collectives_interleave_with_p2p() {
         let (w, t) = setup(2);
         let run = t.run(|ctx| {
@@ -480,124 +467,5 @@ mod proptests {
                 }
             }
         }
-    }
-}
-
-impl MpWorld {
-    /// Inclusive prefix scan: rank `r` receives `op` folded over the
-    /// contributions of ranks `0..=r`. Linear pipeline (the classic
-    /// MPI_Scan implementation for small teams).
-    pub fn scan<T, F>(&self, ctx: &mut Ctx, data: Vec<T>, op: F) -> Vec<T>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&mut [T], &[T]),
-    {
-        let p = self.size();
-        let tag = self.tag_block(ctx.pe());
-        let me = ctx.pe();
-        let mut acc = data;
-        if me > 0 {
-            let (_, _, prefix) = self.recv::<T>(ctx, RecvSpec::from(me - 1, tag));
-            let mine = std::mem::replace(&mut acc, prefix);
-            op(&mut acc, &mine);
-        }
-        if me + 1 < p {
-            self.send_impl(ctx, me + 1, tag, acc.clone());
-        }
-        acc
-    }
-
-    /// Reduce-scatter: element-wise reduce `data` (length = team size ×
-    /// `chunk`) across ranks, then scatter chunk `r` to rank `r`. Implemented
-    /// as reduce-to-root + targeted sends (adequate at Origin2000 scales).
-    pub fn reduce_scatter<T, F>(&self, ctx: &mut Ctx, data: Vec<T>, chunk: usize, op: F) -> Vec<T>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&mut [T], &[T]),
-    {
-        let p = self.size();
-        assert_eq!(
-            data.len(),
-            p * chunk,
-            "reduce_scatter needs npes × chunk elements"
-        );
-        let tag = self.tag_block(ctx.pe());
-        let reduced = self.reduce(ctx, 0, data, op);
-        if ctx.pe() == 0 {
-            let mut reduced = reduced.expect("root holds the reduction");
-            for r in (1..p).rev() {
-                let part = reduced.split_off(r * chunk);
-                self.send_impl(ctx, r, tag, part);
-            }
-            reduced
-        } else {
-            let (_, _, mine) = self.recv::<T>(ctx, RecvSpec::from(0, tag));
-            mine
-        }
-    }
-}
-
-#[cfg(test)]
-mod scan_tests {
-    use machine::{Machine, MachineConfig};
-    use parallel::Team;
-    use std::sync::Arc;
-
-    use crate::world::MpWorld;
-
-    fn setup(pes: usize) -> (Arc<MpWorld>, Team) {
-        let machine = Arc::new(Machine::new(pes, MachineConfig::test_tiny()));
-        (
-            Arc::new(MpWorld::new(Arc::clone(&machine))),
-            Team::new(machine),
-        )
-    }
-
-    #[test]
-    fn scan_produces_prefix_sums() {
-        let (w, t) = setup(5);
-        let run = t.run(|ctx| {
-            let mine = vec![ctx.pe() as u64 + 1, 10 * (ctx.pe() as u64 + 1)];
-            w.scan(ctx, mine, |acc, d| {
-                for (a, b) in acc.iter_mut().zip(d) {
-                    *a += b;
-                }
-            })
-        });
-        for (r, out) in run.results.iter().enumerate() {
-            let expect: u64 = (1..=r as u64 + 1).sum();
-            assert_eq!(out, &vec![expect, 10 * expect], "rank {r}");
-        }
-    }
-
-    #[test]
-    fn scan_single_rank_is_identity() {
-        let (w, t) = setup(1);
-        let run = t.run(|ctx| w.scan(ctx, vec![7u64], |a, b| a[0] += b[0]));
-        assert_eq!(run.results[0], vec![7]);
-    }
-
-    #[test]
-    fn reduce_scatter_distributes_chunks() {
-        let (w, t) = setup(4);
-        let run = t.run(|ctx| {
-            // Every rank contributes [1, 1, ..., 1] (8 elements, chunk 2).
-            let data = vec![1u64; 8];
-            w.reduce_scatter(ctx, data, 2, |acc, d| {
-                for (a, b) in acc.iter_mut().zip(d) {
-                    *a += b;
-                }
-            })
-        });
-        for out in run.results {
-            assert_eq!(out, vec![4, 4]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "npes × chunk")]
-    fn reduce_scatter_checks_length() {
-        let (w, t) = setup(2);
-        t.run(|ctx| w.reduce_scatter(ctx, vec![0u64; 3], 2, |_, _| {}));
     }
 }

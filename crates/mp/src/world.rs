@@ -30,14 +30,6 @@ impl RecvSpec {
         }
     }
 
-    /// Match any source with a specific tag (MPI_ANY_SOURCE).
-    pub fn any_source(tag: Tag) -> Self {
-        RecvSpec {
-            src: None,
-            tag: Some(tag),
-        }
-    }
-
     fn matches(&self, src: usize, tag: Tag) -> bool {
         self.src.is_none_or(|s| s == src) && self.tag.is_none_or(|t| t == tag)
     }
@@ -368,22 +360,6 @@ impl MpWorld {
             stuck.join(", ")
         );
     }
-
-    /// Combined send-then-receive (like `MPI_Sendrecv`): eager send to `dst`
-    /// followed by a blocking receive matching `(src, recv_tag)`.
-    pub fn sendrecv<T: Clone + Send + 'static>(
-        &self,
-        ctx: &mut Ctx,
-        dst: usize,
-        send_tag: Tag,
-        data: &[T],
-        src: usize,
-        recv_tag: Tag,
-    ) -> Vec<T> {
-        self.send(ctx, dst, send_tag, data);
-        let (_, _, d) = self.recv(ctx, RecvSpec::from(src, recv_tag));
-        d
-    }
 }
 
 #[cfg(test)]
@@ -463,7 +439,13 @@ mod tests {
             if ctx.pe() == 0 {
                 let mut sum = 0u64;
                 for _ in 0..2 {
-                    let (_, _, d) = w.recv::<u64>(ctx, RecvSpec::any_source(1));
+                    let (_, _, d) = w.recv::<u64>(
+                        ctx,
+                        RecvSpec {
+                            src: None,
+                            tag: Some(1),
+                        },
+                    );
                     sum += d[0];
                 }
                 sum
@@ -498,7 +480,13 @@ mod tests {
         let (w, t) = world_and_team(2);
         let run = t.run(|ctx| {
             if ctx.pe() == 1 {
-                let r = w.try_recv::<u8>(ctx, RecvSpec::any_source(0));
+                let r = w.try_recv::<u8>(
+                    ctx,
+                    RecvSpec {
+                        src: None,
+                        tag: Some(0),
+                    },
+                );
                 ctx.os_barrier();
                 r.is_none()
             } else {
@@ -584,17 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn sendrecv_exchanges() {
-        let (w, t) = world_and_team(2);
-        let run = t.run(|ctx| {
-            let other = 1 - ctx.pe();
-            w.sendrecv(ctx, other, 3, &[ctx.pe() as u32], other, 3)
-        });
-        assert_eq!(run.results[0], vec![1]);
-        assert_eq!(run.results[1], vec![0]);
-    }
-
-    #[test]
     #[should_panic(expected = "COLLECTIVE_BASE")]
     fn user_tag_in_collective_space_panics() {
         let (w, t) = world_and_team(1);
@@ -602,106 +579,10 @@ mod tests {
             w.send(ctx, 0, MpWorld::COLLECTIVE_BASE, &[0u8]);
         });
     }
-}
-
-/// A pending nonblocking receive: matching is deferred until
-/// [`RecvRequest::wait`] (or a successful [`RecvRequest::test`]), so
-/// computation issued in between overlaps with the message's flight time —
-/// the classic latency-hiding idiom.
-#[must_use = "a request must be completed with wait() or test()"]
-pub struct RecvRequest<'w> {
-    world: &'w MpWorld,
-    spec: RecvSpec,
-}
-
-impl MpWorld {
-    /// Nonblocking send. With the eager protocol every send already
-    /// completes locally on return; provided for MPI-shaped code.
-    pub fn isend<T: Clone + Send + 'static>(
-        &self,
-        ctx: &mut Ctx,
-        dst: usize,
-        tag: Tag,
-        data: &[T],
-    ) {
-        self.send(ctx, dst, tag, data);
-    }
-
-    /// Post a nonblocking receive matching `spec`. Nothing is charged until
-    /// completion.
-    pub fn irecv(&self, spec: RecvSpec) -> RecvRequest<'_> {
-        RecvRequest { world: self, spec }
-    }
-}
-
-impl RecvRequest<'_> {
-    /// Complete the receive, blocking if the message has not arrived.
-    pub fn wait<T: Send + 'static>(self, ctx: &mut Ctx) -> (usize, Tag, Vec<T>) {
-        self.world.recv(ctx, self.spec)
-    }
-
-    /// Check for completion without blocking; consumes the request on
-    /// success and returns it back otherwise.
-    pub fn test<T: Send + 'static>(
-        self,
-        ctx: &mut Ctx,
-    ) -> Result<(usize, Tag, Vec<T>), RecvRequest<'static>>
-    where
-        Self: 'static,
-    {
-        match self.world.try_recv(ctx, self.spec) {
-            Some(m) => Ok(m),
-            None => Err(self),
-        }
-    }
-}
-
-#[cfg(test)]
-mod nonblocking_tests {
-    use super::*;
-    use machine::{Machine, MachineConfig};
-    use parallel::Team;
-    use std::sync::Arc;
-
-    fn setup(pes: usize) -> (Arc<MpWorld>, Team) {
-        let machine = Arc::new(Machine::new(pes, MachineConfig::test_tiny()));
-        (
-            Arc::new(MpWorld::new(Arc::clone(&machine))),
-            Team::new(machine),
-        )
-    }
-
-    #[test]
-    fn irecv_overlaps_compute_with_message_flight() {
-        let (w, t) = setup(2);
-        let run = t.run(|ctx| {
-            if ctx.pe() == 0 {
-                ctx.compute(5_000);
-                w.isend(ctx, 1, 0, &[42u64]);
-                0
-            } else {
-                // Post early, compute through the flight, complete late.
-                let req = w.irecv(RecvSpec::from(0, 0));
-                ctx.compute(5_000);
-                let before_wait = ctx.now();
-                let (_, _, d) = req.wait::<u64>(ctx);
-                assert_eq!(d, vec![42]);
-                // The 5 µs of local compute absorbed the sender's 5 µs head
-                // start: the wait itself should not stall another 5 µs.
-                (ctx.now() - before_wait) as i64
-            }
-        });
-        let wait_cost = run.results[1];
-        let cfg = MachineConfig::test_tiny();
-        assert!(
-            wait_cost <= (cfg.mp_recv_overhead + cfg.mp_net_base + 200) as i64,
-            "wait stalled too long: {wait_cost}"
-        );
-    }
 
     #[test]
     fn blocking_receiver_pays_the_wait_instead() {
-        let (w, t) = setup(2);
+        let (w, t) = world_and_team(2);
         let run = t.run(|ctx| {
             if ctx.pe() == 0 {
                 ctx.compute(5_000);

@@ -1,4 +1,4 @@
-//! Bodies and the leapfrog integrator.
+//! Bodies.
 
 use crate::vec3::Vec3;
 
@@ -21,36 +21,6 @@ impl Body {
     }
 }
 
-/// Kick-drift-kick leapfrog step: advance `bodies` by `dt` given the
-/// accelerations at the current positions; returns the half-kicked
-/// velocities convention used by the paper-era codes (accelerations must
-/// be recomputed before the next call).
-pub fn leapfrog_step(bodies: &mut [Body], accels: &[Vec3], dt: f64) {
-    assert_eq!(bodies.len(), accels.len());
-    for (b, a) in bodies.iter_mut().zip(accels) {
-        b.vel += *a * dt;
-        b.pos += b.vel * dt;
-    }
-}
-
-/// Total kinetic energy.
-pub fn kinetic_energy(bodies: &[Body]) -> f64 {
-    bodies.iter().map(|b| 0.5 * b.mass * b.vel.norm2()).sum()
-}
-
-/// Total potential energy (direct sum, softened by `eps`). O(N²); for
-/// diagnostics and tests only.
-pub fn potential_energy(bodies: &[Body], eps: f64) -> f64 {
-    let mut pe = 0.0;
-    for i in 0..bodies.len() {
-        for j in (i + 1)..bodies.len() {
-            let r = (bodies[i].pos.dist2(&bodies[j].pos) + eps * eps).sqrt();
-            pe -= bodies[i].mass * bodies[j].mass / r;
-        }
-    }
-    pe
-}
-
 /// Centre of mass of a body set.
 pub fn center_of_mass(bodies: &[Body]) -> Vec3 {
     let m: f64 = bodies.iter().map(|b| b.mass).sum();
@@ -64,34 +34,6 @@ pub fn center_of_mass(bodies: &[Body]) -> Vec3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn leapfrog_free_particle_moves_linearly() {
-        let mut bodies = vec![Body {
-            pos: Vec3::ZERO,
-            vel: Vec3::new(1.0, 0.0, 0.0),
-            mass: 1.0,
-        }];
-        let a = vec![Vec3::ZERO];
-        for _ in 0..10 {
-            leapfrog_step(&mut bodies, &a, 0.1);
-        }
-        assert!((bodies[0].pos.x - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn energies() {
-        let bodies = vec![
-            Body::at(Vec3::ZERO, 1.0),
-            Body {
-                pos: Vec3::new(1.0, 0.0, 0.0),
-                vel: Vec3::new(0.0, 1.0, 0.0),
-                mass: 2.0,
-            },
-        ];
-        assert_eq!(kinetic_energy(&bodies), 1.0);
-        assert!((potential_energy(&bodies, 0.0) + 2.0).abs() < 1e-12);
-    }
 
     #[test]
     fn com_weighted() {

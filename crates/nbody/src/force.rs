@@ -48,26 +48,6 @@ pub fn accel_at(tree: &Octree, target: Vec3, theta: f64, eps: f64) -> (Vec3, u64
     (acc, interactions)
 }
 
-/// Accelerations on `targets[lo..hi]` (a work chunk); returns accelerations
-/// and total interaction count.
-pub fn accel_range(
-    tree: &Octree,
-    targets: &[Vec3],
-    lo: usize,
-    hi: usize,
-    theta: f64,
-    eps: f64,
-) -> (Vec<Vec3>, u64) {
-    let mut out = Vec::with_capacity(hi - lo);
-    let mut total = 0u64;
-    for t in &targets[lo..hi] {
-        let (a, n) = accel_at(tree, *t, theta, eps);
-        out.push(a);
-        total += n;
-    }
-    (out, total)
-}
-
 /// Direct O(N²) accelerations — the accuracy reference.
 pub fn direct_accels(positions: &[Vec3], masses: &[f64], eps: f64) -> Vec<Vec3> {
     let n = positions.len();
@@ -161,16 +141,5 @@ mod tests {
         let tree = Octree::build(&pos, &mass, 1);
         let (a, _) = accel_at(&tree, pos[0], 0.5, 0.1);
         assert_eq!(a, Vec3::ZERO);
-    }
-
-    #[test]
-    fn accel_range_matches_per_body() {
-        let (pos, _, tree) = setup(64);
-        let (chunk, n) = accel_range(&tree, &pos, 8, 24, 0.7, 0.05);
-        for (k, a) in chunk.iter().enumerate() {
-            let (single, _) = accel_at(&tree, pos[8 + k], 0.7, 0.05);
-            assert_eq!(*a, single);
-        }
-        assert!(n > 0);
     }
 }

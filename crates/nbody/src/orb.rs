@@ -26,14 +26,6 @@ impl BBox {
         BBox { min, max }
     }
 
-    /// Euclidean distance from `p` to this box (0 if inside).
-    pub fn dist_to(&self, p: Vec3) -> f64 {
-        let dx = (self.min.x - p.x).max(0.0).max(p.x - self.max.x);
-        let dy = (self.min.y - p.y).max(0.0).max(p.y - self.max.y);
-        let dz = (self.min.z - p.z).max(0.0).max(p.z - self.max.z);
-        (dx * dx + dy * dy + dz * dz).sqrt()
-    }
-
     /// Whether `p` lies inside (inclusive).
     pub fn contains(&self, p: Vec3) -> bool {
         p.x >= self.min.x
@@ -205,18 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn bbox_distance() {
-        let bb = BBox {
-            min: Vec3::ZERO,
-            max: Vec3::new(1.0, 1.0, 1.0),
-        };
-        assert_eq!(bb.dist_to(Vec3::new(0.5, 0.5, 0.5)), 0.0);
-        assert_eq!(bb.dist_to(Vec3::new(2.0, 0.5, 0.5)), 1.0);
-        let d = bb.dist_to(Vec3::new(2.0, 2.0, 0.5));
-        assert!((d - std::f64::consts::SQRT_2).abs() < 1e-12);
-    }
-
-    #[test]
     fn weighted_orb_respects_weights() {
         // Heavy half on the left: counts skew so loads balance.
         let mut pos = Vec::new();
@@ -261,27 +241,6 @@ mod proptests {
             let boxes = part_boxes(&pos, &parts, nparts);
             for (i, p) in pos.iter().enumerate() {
                 prop_assert!(boxes[parts[i] as usize].contains(*p));
-            }
-        }
-
-        /// Box distance is a metric-ish lower bound: zero inside, positive
-        /// outside, and never exceeds the true distance to any contained
-        /// point.
-        #[test]
-        fn bbox_distance_is_lower_bound(
-            pts in proptest::collection::vec(
-                (-5.0f64..5.0, -5.0f64..5.0, -5.0f64..5.0),
-                2..40,
-            ),
-            q in (-20.0f64..20.0, -20.0f64..20.0, -20.0f64..20.0),
-        ) {
-            let pos: Vec<Vec3> = pts.iter().map(|&(x, y, z)| Vec3::new(x, y, z)).collect();
-            let bb = BBox::of(&pos);
-            let q = Vec3::new(q.0, q.1, q.2);
-            let d = bb.dist_to(q);
-            prop_assert!(d >= 0.0);
-            for p in &pos {
-                prop_assert!(d <= p.dist(&q) + 1e-9, "bound violated");
             }
         }
     }

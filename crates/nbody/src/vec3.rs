@@ -34,7 +34,7 @@ impl Vec3 {
     }
 
     /// Squared distance to `other`.
-    pub fn dist2(&self, other: &Vec3) -> f64 {
+    fn dist2(&self, other: &Vec3) -> f64 {
         (*self - *other).norm2()
     }
 

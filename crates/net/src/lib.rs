@@ -417,7 +417,7 @@ impl NetSim {
     }
 
     /// The kind of resource `id`.
-    pub fn kind_of(&self, id: ResourceId) -> ResourceKind {
+    fn kind_of(&self, id: ResourceId) -> ResourceKind {
         if id < self.nlinks {
             ResourceKind::Link
         } else if id < self.nlinks + self.nodes {
@@ -981,7 +981,7 @@ impl NetSim {
 
     /// Top-`k` resources per recorded phase (deltas between phase marks;
     /// the last phase runs to the present). Empty if no phase was marked.
-    pub fn phase_hotspots(&self, k: usize) -> Vec<(String, Vec<LinkHot>)> {
+    fn phase_hotspots(&self, k: usize) -> Vec<(String, Vec<LinkHot>)> {
         let st = self.lock();
         let mut out = Vec::new();
         for (i, ph) in st.phases.iter().enumerate() {

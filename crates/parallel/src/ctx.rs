@@ -502,7 +502,7 @@ impl Ctx {
 
     /// Blackboard all-gather: every PE contributes `val`; returns all values
     /// in PE order. Charges a barrier plus log-depth transfers.
-    pub fn gather_all<T: Clone + Send + 'static>(&mut self, val: T) -> Vec<T> {
+    fn gather_all<T: Clone + Send + 'static>(&mut self, val: T) -> Vec<T> {
         let shared = Arc::clone(&self.shared);
         *shared.slots[self.pe].lock() = Some(Box::new(val));
         self.barrier();

@@ -67,15 +67,6 @@ impl<R> TeamRun<R> {
         c
     }
 
-    /// Sum of all PEs' time breakdowns (total CPU-time view).
-    pub fn merged_breakdown(&self) -> TimeBreakdown {
-        let mut b = TimeBreakdown::default();
-        for r in &self.reports {
-            b = b.merged(&r.breakdown);
-        }
-        b
-    }
-
     /// Whether any PE recorded trace events during this run.
     pub fn is_traced(&self) -> bool {
         self.reports.iter().any(|r| !r.events.is_empty())
@@ -188,7 +179,6 @@ pub struct TeamResume {
 pub struct Team {
     machine: Arc<Machine>,
     seed: u64,
-    trace: bool,
     sink: Option<o2k_trace::TraceSink>,
     sched: SchedPolicy,
     exec: ExecMode,
@@ -203,7 +193,6 @@ impl Team {
         Team {
             machine,
             seed: 0x5EED_0816,
-            trace: false,
             sink: None,
             sched: o2k_sched::default_policy(),
             exec: o2k_sched::default_exec(),
@@ -235,15 +224,9 @@ impl Team {
         self
     }
 
-    /// Enable event tracing for runs of this team; the trace comes back
-    /// on the [`TeamRun`].
-    pub fn trace(mut self, on: bool) -> Self {
-        self.trace = on;
-        self
-    }
-
-    /// Trace every run of this team and additionally push each finished
-    /// [`o2k_trace::Trace`] into `sink`, for whoever holds the other end.
+    /// Trace every run of this team: the trace comes back on the
+    /// [`TeamRun`], and each finished [`o2k_trace::Trace`] is also pushed
+    /// into `sink`, for whoever holds the other end.
     pub fn trace_into(mut self, sink: o2k_trace::TraceSink) -> Self {
         self.sink = Some(sink);
         self
@@ -331,7 +314,7 @@ impl Team {
                 let _ = net.import_state_bytes(bytes);
             }
         }
-        let trace = self.trace || self.sink.is_some();
+        let trace = self.sink.is_some();
         if trace {
             if let Some(net) = &shared.net {
                 net.set_record_spans(true);
@@ -526,13 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_breakdown_sums() {
-        let t = team(3);
-        let run = t.run(|ctx| ctx.compute(50));
-        assert_eq!(run.merged_breakdown().busy, 150);
-    }
-
-    #[test]
     fn single_pe_team_works() {
         let t = team(1);
         let run = t.run(|ctx| {
@@ -572,6 +548,11 @@ mod tests {
 
     /// A det workload exercising compute, barriers, RNG and locks — run
     /// it on both backends and the whole TeamRun must agree.
+    /// Every PE's time breakdown, in PE order.
+    fn breakdowns<R>(run: &TeamRun<R>) -> Vec<TimeBreakdown> {
+        run.reports.iter().map(|r| r.breakdown).collect()
+    }
+
     fn backend_pair(pes: usize) -> (TeamRun<u64>, TeamRun<u64>) {
         let body = |ctx: &mut Ctx| {
             let mut acc = 0u64;
@@ -596,7 +577,7 @@ mod tests {
         assert_eq!(t.results, e.results);
         assert_eq!(t.sim_time(), e.sim_time());
         assert_eq!(t.merged_counters(), e.merged_counters());
-        assert_eq!(t.merged_breakdown(), e.merged_breakdown());
+        assert_eq!(breakdowns(&t), breakdowns(&e));
         let (ts, es) = (t.sched.unwrap(), e.sched.unwrap());
         assert_eq!(ts.fingerprint, es.fingerprint, "same pick sequence");
         assert_eq!(ts.switches, es.switches);
@@ -724,11 +705,7 @@ mod tests {
                 straight.merged_counters(),
                 "{policy}"
             );
-            assert_eq!(
-                resumed.merged_breakdown(),
-                straight.merged_breakdown(),
-                "{policy}"
-            );
+            assert_eq!(breakdowns(&resumed), breakdowns(&straight), "{policy}");
             let (ss, rs) = (straight.sched.unwrap(), resumed.sched.unwrap());
             assert_eq!(rs.fingerprint, ss.fingerprint, "{policy}: fingerprint");
             assert_eq!(rs.switches, ss.switches, "{policy}: switches");

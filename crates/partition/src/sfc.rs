@@ -11,7 +11,7 @@ use crate::WeightedPoint;
 const BITS: u32 = 16;
 
 /// Interleave the low 16 bits of `x` and `y` (Morton / Z-order key).
-pub fn morton_key(x: u16, y: u16) -> u32 {
+fn morton_key(x: u16, y: u16) -> u32 {
     part1by1(u32::from(x)) | (part1by1(u32::from(y)) << 1)
 }
 
@@ -26,7 +26,7 @@ fn part1by1(mut v: u32) -> u32 {
 
 /// Hilbert curve distance of cell `(x, y)` on the 2^16 grid (Butz/Lam-Shapiro
 /// iterative rotation algorithm).
-pub fn hilbert_key(x: u16, y: u16) -> u32 {
+fn hilbert_key(x: u16, y: u16) -> u32 {
     let n: u32 = 1 << BITS;
     let (mut x, mut y) = (u32::from(x), u32::from(y));
     let mut d: u32 = 0;

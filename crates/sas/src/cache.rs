@@ -84,16 +84,6 @@ impl CacheSim {
         }
     }
 
-    /// Number of sets (power of two).
-    pub fn num_sets(&self) -> usize {
-        self.num_sets
-    }
-
-    /// Ways per set.
-    pub fn assoc(&self) -> usize {
-        self.assoc
-    }
-
     /// (hits, misses) recorded by probes.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
@@ -278,9 +268,9 @@ mod tests {
     #[test]
     fn geometry() {
         let c = tiny();
-        assert_eq!(c.assoc(), 2);
-        assert!(c.num_sets().is_power_of_two());
-        assert_eq!(c.num_sets() * c.assoc(), 8);
+        assert_eq!(c.assoc, 2);
+        assert!(c.num_sets.is_power_of_two());
+        assert_eq!(c.num_sets * c.assoc, 8);
     }
 
     #[test]
@@ -453,7 +443,7 @@ mod tests {
     #[test]
     fn degenerate_single_line_cache() {
         let mut c = CacheSim::new(64, 64, 4);
-        assert_eq!(c.num_sets() * c.assoc(), 1);
+        assert_eq!(c.num_sets * c.assoc, 1);
         c.insert(line_tag(0, 0), 1, false);
         let ev = c.insert(line_tag(0, 1), 1, true);
         assert!(ev.is_some());

@@ -422,11 +422,6 @@ pub fn yield_current() {
     unsafe { o2k_coro_switch(&mut inner.task_sp, inner.resumer_sp) };
 }
 
-/// Whether the caller is executing inside a coroutine.
-pub fn in_coroutine() -> bool {
-    CURRENT.with(|c| !c.get().is_null())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -555,14 +550,6 @@ mod tests {
         });
         drop(c);
         assert!(dropped.get(), "captured state dropped with the closure");
-    }
-
-    #[test]
-    fn in_coroutine_reports_context() {
-        assert!(!in_coroutine());
-        let mut c = Coro::new(64 * 1024, || assert!(in_coroutine()));
-        c.resume();
-        assert!(!in_coroutine());
     }
 
     /// A panic inside a task whose stack is a *recycled* allocation must

@@ -177,34 +177,22 @@ impl std::fmt::Display for ExecMode {
     }
 }
 
-static EXEC_OVERRIDE: std::sync::Mutex<Option<ExecMode>> = std::sync::Mutex::new(None);
-
 /// `O2K_EXEC` from the environment: `Ok(None)` when unset, a diagnostic
 /// when malformed (see [`machine::env_setting`]).
 pub fn env_exec() -> Result<Option<ExecMode>, String> {
     machine::env_setting("O2K_EXEC", "thread or event", |s| ExecMode::parse(s).ok())
 }
 
-/// The exec mode a `Team` uses when none is set explicitly: the last
-/// [`set_default_exec`] value, else `O2K_EXEC` from the environment, else
-/// [`ExecMode::Thread`]. Panics with [`env_exec`]'s diagnostic on a
-/// malformed `O2K_EXEC`.
+/// The exec mode a `Team` uses when none is set explicitly: `O2K_EXEC`
+/// from the environment, else [`ExecMode::Thread`]. Panics with
+/// [`env_exec`]'s diagnostic on a malformed `O2K_EXEC`.
 pub fn default_exec() -> ExecMode {
     static ENV: OnceLock<ExecMode> = OnceLock::new();
-    let g = EXEC_OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
-    g.unwrap_or_else(|| {
-        *ENV.get_or_init(|| {
-            env_exec()
-                .unwrap_or_else(|e| panic!("{e}"))
-                .unwrap_or(ExecMode::Thread)
-        })
+    *ENV.get_or_init(|| {
+        env_exec()
+            .unwrap_or_else(|e| panic!("{e}"))
+            .unwrap_or(ExecMode::Thread)
     })
-}
-
-/// Override the process-wide default exec mode (the `repro` binary's
-/// `--exec` flag and the cross-backend test harness).
-pub fn set_default_exec(e: ExecMode) {
-    *EXEC_OVERRIDE.lock().unwrap_or_else(|e| e.into_inner()) = Some(e);
 }
 
 // ---------------------------------------------------------------------------

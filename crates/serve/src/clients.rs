@@ -39,7 +39,7 @@ fn u01(x: u64) -> f64 {
 
 /// Number of requests in PE `pe`'s stream (total split as evenly as
 /// possible, low PEs taking the remainder).
-pub fn stream_len(cfg: &ServeConfig, pe: usize, pes: usize) -> u64 {
+fn stream_len(cfg: &ServeConfig, pe: usize, pes: usize) -> u64 {
     let base = cfg.requests / pes as u64;
     let extra = cfg.requests % pes as u64;
     base + u64::from((pe as u64) < extra)

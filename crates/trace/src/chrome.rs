@@ -199,7 +199,7 @@ pub fn text_timeline(trace: &Trace, width: usize) -> String {
 
 /// Tabulate total event time per kind across all PEs, descending, as
 /// `(kind, total_ns, event_count)`.
-pub fn kind_totals(trace: &Trace) -> Vec<(EventKind, u64, u64)> {
+fn kind_totals(trace: &Trace) -> Vec<(EventKind, u64, u64)> {
     let mut time = [0u64; EventKind::ALL.len()];
     let mut count = [0u64; EventKind::ALL.len()];
     for evs in &trace.per_pe {

@@ -174,7 +174,7 @@ pub struct Event {
     pub t0: SimTime,
     /// Span end (virtual ns); `t1 > t0` for every recorded span. The one
     /// exception is [`EventKind::SchedHandoff`], an instant marker with
-    /// `t1 == t0` recorded via [`Recorder::record_instant`].
+    /// `t1 == t0`.
     pub t1: SimTime,
     /// Semantic label.
     pub kind: EventKind,
@@ -248,16 +248,6 @@ impl Recorder {
                     }
                 }
             }
-            events.push(ev);
-        }
-    }
-
-    /// Record an instant marker (`t1 == t0` is kept, never coalesced).
-    /// Used for [`EventKind::SchedHandoff`] scheduler events.
-    #[inline]
-    pub fn record_instant(&mut self, ev: Event) {
-        if let Recorder::On(events) = self {
-            debug_assert!(ev.t1 == ev.t0, "instant events have no duration");
             events.push(ev);
         }
     }
@@ -515,14 +505,12 @@ mod tests {
     }
 
     #[test]
-    fn sched_handoff_instants_validate_and_record() {
-        let mut r = Recorder::new(true);
-        r.record(ev(0, 0, 10, EventKind::Compute, TimeCat::Busy));
-        r.record_instant(ev(0, 10, 10, EventKind::SchedHandoff, TimeCat::Sync));
-        r.record(ev(0, 10, 20, EventKind::Compute, TimeCat::Busy));
-        let evs = r.take();
-        assert_eq!(evs.len(), 3, "instant kept, computes not merged across it");
-        let t = Trace::new(vec![evs]);
+    fn sched_handoff_instants_validate() {
+        let t = Trace::new(vec![vec![
+            ev(0, 0, 10, EventKind::Compute, TimeCat::Busy),
+            ev(0, 10, 10, EventKind::SchedHandoff, TimeCat::Sync),
+            ev(0, 10, 20, EventKind::Compute, TimeCat::Busy),
+        ]]);
         assert!(t.validate().is_ok(), "{:?}", t.validate());
         // Instants contribute no time.
         assert_eq!(t.pe_breakdown(0).busy, 20);

@@ -38,12 +38,12 @@ const T2_LOC: [(&str, &str, usize); 6] = [
     ("AMR", "SHMEM", T2_AMR_SHMEM),
     ("AMR", "CC-SAS", T2_AMR_SAS),
 ];
-const T2_NBODY_MP: usize = 131;
-const T2_NBODY_SHMEM: usize = 203;
+const T2_NBODY_MP: usize = 145;
+const T2_NBODY_SHMEM: usize = 216;
 const T2_NBODY_SAS: usize = 149;
-const T2_AMR_MP: usize = 168;
-const T2_AMR_SHMEM: usize = 165;
-const T2_AMR_SAS: usize = 124;
+const T2_AMR_MP: usize = 170;
+const T2_AMR_SHMEM: usize = 168;
+const T2_AMR_SAS: usize = 126;
 
 #[test]
 fn t2_effort_line_counts_are_pinned() {

@@ -11,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use origin2k::apps::nbody_common::{flatten_tree, shared_tree_walk, NBodyConfig, WalkBase};
+use origin2k::apps::nbody_common::{flatten_tree, shared_tree_walk, NBodyConfig};
 use origin2k::machine::{Machine, MachineConfig};
 use origin2k::nbody::{Octree, Vec3};
 use origin2k::parallel::{Ctx, Team};
@@ -141,9 +141,8 @@ fn a_tree_walk_over_a_resident_tree_allocates_nothing() {
                 mass.write_raw(i, b.mass);
             }
             let mut walk = |ctx: &mut Ctx, target: Vec3, theta: f64| {
-                let base = WalkBase::default();
                 shared_tree_walk(
-                    ctx, &mut pe, &nodes, &leaves, &pos, &mass, &base, target, theta, cfg.eps,
+                    ctx, &mut pe, &nodes, &leaves, &pos, &mass, target, theta, cfg.eps,
                 )
             };
             // θ = 0 opens every cell: the warm-up touches the whole tree

@@ -143,16 +143,19 @@ fn concurrent_traced_runs_keep_their_own_sinks() {
     }
 }
 
-/// A team-level trace request needs no sink and captures the wait
-/// structure of an unbalanced barrier.
+/// A team-level trace request reads the run's trace off the `TeamRun`
+/// (nobody need drain the sink) and captures the wait structure of an
+/// unbalanced barrier.
 #[test]
 fn team_level_tracing_captures_barrier_waits() {
     use parallel::{EventKind, Team};
-    let run = Team::new(machine(4)).trace(true).run(|ctx| {
-        ctx.compute(1_000 * (ctx.pe() as u64 + 1));
-        ctx.barrier();
-        ctx.now()
-    });
+    let run = Team::new(machine(4))
+        .trace_into(TraceSink::default())
+        .run(|ctx| {
+            ctx.compute(1_000 * (ctx.pe() as u64 + 1));
+            ctx.barrier();
+            ctx.now()
+        });
     assert!(run.is_traced());
     let trace = run.trace();
     trace.validate().expect("well-formed");
