@@ -138,6 +138,10 @@ pub struct RunMetrics {
     pub net_report: Option<String>,
     /// Tail-latency summary when the run was the serving workload.
     pub serve: Option<ServeStats>,
+    /// Deepest coroutine stack of the run in KiB, when it ran on the
+    /// event backend ([`TeamRun::stack_hwm_kb`]). Host-side evidence for
+    /// sizing stacks; never rendered into an archive.
+    pub stack_hwm_kb: Option<usize>,
 }
 
 impl RunMetrics {
@@ -171,6 +175,7 @@ impl RunMetrics {
             net: run.net.as_ref().map(|n| n.stats()),
             net_report: run.net.as_ref().map(|n| n.hotspot_report(5)),
             serve: None,
+            stack_hwm_kb: run.stack_hwm_kb,
         }
     }
 

@@ -23,9 +23,10 @@
 //! interleaving). See DESIGN.md "Determinism & scheduling".
 //!
 //! `--exec <mode>` (or `O2K_EXEC=<mode>`) picks the execution backend:
-//! `thread` (default — one OS thread per PE) or `event` (every PE a
+//! `event` (the default, [`o2k_sched::default_exec`] — every PE a
 //! coroutine on one OS thread; required past 512 PEs, e.g. experiment
-//! E1's P=1024 points). Under `det` the two backends produce
+//! E1's P=1024 points) or `thread` (one OS thread per PE, an order of
+//! magnitude slower per handoff). Under `det` the two backends produce
 //! byte-identical archives — CI diffs them.
 //!
 //! `--fault <spec>` injects link faults into every machine the
@@ -65,7 +66,7 @@ fn main() {
     // Default to the deterministic scheduler so regenerated tables are
     // bitwise reproducible; `--sched os` restores free-running threads.
     let mut sched = env_or_exit(o2k_sched::env_policy()).unwrap_or(o2k_sched::SchedPolicy::Det);
-    let mut exec = env_or_exit(o2k_sched::env_exec()).unwrap_or(o2k_sched::ExecMode::Thread);
+    let mut exec = env_or_exit(o2k_sched::env_exec()).unwrap_or_else(o2k_sched::default_exec);
     let mut fault = machine::FaultMode::Off;
     // Checked here so a typo exits with a usage error; `o2k_sched` reads
     // this one itself, at first use.
@@ -95,7 +96,7 @@ fn main() {
             match it.next().map(|s| s.parse()) {
                 Some(Ok(e)) => exec = e,
                 _ => {
-                    eprintln!("--exec requires a mode: thread or event");
+                    eprintln!("--exec requires a mode: event (the default) or thread");
                     std::process::exit(2);
                 }
             }

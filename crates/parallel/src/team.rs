@@ -50,6 +50,11 @@ pub struct TeamRun<R> {
     /// query it for [`NetSim::stats`], hotspot reports and utilization
     /// histograms.
     pub net: Option<Arc<NetSim>>,
+    /// Deepest coroutine stack of the run in KiB
+    /// ([`coro::Coro::stack_high_water_kb`], maximum over PEs) on the
+    /// event backend; `None` where PEs are OS threads. A host-side figure:
+    /// it belongs in no archive, which must not tell the backends apart.
+    pub stack_hwm_kb: Option<usize>,
 }
 
 impl<R> TeamRun<R> {
@@ -188,7 +193,8 @@ impl Team {
     /// A team covering every PE of `machine`. The scheduling policy
     /// defaults to [`o2k_sched::default_policy`] (`O2K_SCHED` env var or
     /// [`SchedPolicy::Det`]); the execution backend to
-    /// [`o2k_sched::default_exec`] (`O2K_EXEC` or [`ExecMode::Thread`]).
+    /// [`o2k_sched::default_exec`] (`O2K_EXEC`, else [`ExecMode::Event`]
+    /// wherever coroutines are supported).
     pub fn new(machine: Arc<Machine>) -> Self {
         Team {
             machine,
@@ -350,13 +356,16 @@ impl Team {
             *slot = Some((r, ctx.into_report()));
         };
 
-        match exec {
-            ExecMode::Thread => self.drive_threads(pes, &mut out, &body),
+        let stack_hwm_kb = match exec {
+            ExecMode::Thread => {
+                self.drive_threads(pes, &mut out, &body);
+                None
+            }
             ExecMode::Event => {
                 let cs = coop.as_ref().expect("event mode always has a CoopSched");
-                Self::drive_events(cs, &mut out, &body);
+                Self::drive_events(cs, &mut out, &body)
             }
-        }
+        };
 
         let mut results = Vec::with_capacity(pes);
         let mut reports = Vec::with_capacity(pes);
@@ -370,6 +379,7 @@ impl Team {
             reports,
             sched: coop.map(|cs| cs.stats()),
             net: shared.net.clone(),
+            stack_hwm_kb,
         };
         if let Some(sink) = &self.sink {
             sink.push(run.trace());
@@ -412,17 +422,18 @@ impl Team {
     /// deadlocking PE poisons the scheduler exactly as under threads; the
     /// loop then unwinds every surviving coroutine (their `wait_for_floor`
     /// re-check raises POISON_MSG) so all stack frames drop cleanly, and
-    /// propagates the original payload.
+    /// propagates the original payload. Returns the deepest stack any PE
+    /// used, in KiB (`Some` for every team that has a PE).
     fn drive_events<R>(
         cs: &Arc<CoopSched>,
         out: &mut [Option<(R, PeReport)>],
         body: &impl Fn(usize, &mut Option<(R, PeReport)>),
-    ) {
+    ) -> Option<usize> {
         let stack = coro::stack_bytes();
         let mut coros: Vec<coro::Coro> = out
             .iter_mut()
             .enumerate()
-            .map(|(pe, slot)| coro::Coro::new(stack, move || body(pe, slot)))
+            .map(|(pe, slot)| coro::Coro::new(stack, move || body(pe, slot)).for_pe(pe))
             .collect();
         for c in &mut coros {
             if cs.is_poisoned() {
@@ -452,10 +463,12 @@ impl Team {
                 prefer_primary_panic(&mut first, &mut first_is_secondary, payload);
             }
         }
+        let stack_hwm_kb = coros.iter().map(|c| c.stack_high_water_kb()).max();
         drop(coros);
         if let Some(payload) = first {
             std::panic::resume_unwind(payload);
         }
+        stack_hwm_kb
     }
 }
 

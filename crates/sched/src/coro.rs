@@ -26,23 +26,31 @@
 //! payload, and the driver decides what to propagate — mirroring what
 //! `JoinHandle::join` gives the thread backend.
 //!
-//! Stacks are heap allocations (lazily committed by the OS, so a
-//! 1024-task team costs address space, not resident memory) without guard
-//! pages; the default [`STACK_BYTES`] matches the 2 MiB Rust gives spawned
-//! threads and can be raised with `O2K_STACK_KB`.
+//! Every stack is its own anonymous mapping with a `PROT_NONE` guard page
+//! at the low end (see [`STACK_BYTES`]): untouched pages cost address
+//! space, not memory, none of it passes through the global allocator, and
+//! a task that overruns its stack faults on the guard page, where a
+//! signal handler names the PE and aborts. Finished tasks leave their
+//! mapping on a per-thread free list for the next [`Coro::new`] of that
+//! size, so a team's pages are faulted in once per thread, not once per
+//! run.
 
 use std::any::Any;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::mem::ManuallyDrop;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Default per-task stack size. Task stacks are plain heap allocations
-/// with no guard page, so an overflow corrupts the heap silently rather
-/// than faulting — the default leaves generous headroom instead.
-/// Unoptimized frames are several times fatter than release ones (the
-/// deep CC-SAS line-access paths overflow 2 MiB under debug
-/// assertions), so debug builds get 16 MiB where release builds get
-/// 4 MiB. Untouched pages cost address space, not memory. Override
-/// with `O2K_STACK_KB`.
+/// Default per-task stack size. A stack is a private anonymous mapping
+/// (`MAP_NORESERVE`) of this many bytes above one inaccessible guard
+/// page: pages are committed as the task first touches them, and running
+/// off the end is a fault the handler below turns into `PE <n> overran
+/// its <k> KiB coroutine stack; raise O2K_STACK_KB` and an abort — never
+/// a write into a neighbour's memory. Unoptimized frames are several
+/// times fatter than release ones (the deep CC-SAS line-access paths
+/// overflowed 2 MiB under debug assertions), so debug builds get 16 MiB
+/// where release builds get 4 MiB; DESIGN.md §4f records the measured
+/// high-water marks ([`Coro::stack_high_water_kb`]) behind those sizes.
+/// Override with `O2K_STACK_KB`.
 pub const STACK_BYTES: usize = if cfg!(debug_assertions) {
     16 * 1024 * 1024
 } else {
@@ -76,10 +84,15 @@ pub fn stack_bytes() -> usize {
     })
 }
 
-/// Whether this build carries a stack switch for the host architecture.
-/// On unsupported targets [`Coro::new`] panics and
-/// [`ExecMode::Event`](crate::ExecMode::Event) is unavailable.
-pub const SUPPORTED: bool = cfg!(any(target_arch = "x86_64", target_arch = "aarch64"));
+/// Whether this build can run coroutines: a stack switch for the host
+/// architecture (x86-64, aarch64) and the mapping / signal calls as Linux
+/// declares them (see `sys`). Elsewhere [`Coro::new`] panics,
+/// [`ExecMode::Event`](crate::ExecMode::Event) is unavailable and
+/// [`default_exec`](crate::default_exec) answers `Thread`.
+pub const SUPPORTED: bool = cfg!(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+));
 
 // ---------------------------------------------------------------------------
 // The stack switch
@@ -192,32 +205,380 @@ enum State {
     Finished,
 }
 
-/// 16-byte-aligned heap allocation serving as a task stack.
+/// The handful of libc calls the stacks need, declared by hand: the
+/// workspace carries no `libc` crate. Constants and struct layouts are
+/// Linux's, the same on x86-64 and aarch64 under glibc and musl.
+#[cfg(target_os = "linux")]
+mod sys {
+    pub(super) use std::ffi::{c_int, c_void};
+
+    pub(super) const PROT_NONE: c_int = 0;
+    pub(super) const PROT_READ: c_int = 1;
+    pub(super) const PROT_WRITE: c_int = 2;
+    pub(super) const MAP_PRIVATE: c_int = 0x02;
+    pub(super) const MAP_ANONYMOUS: c_int = 0x20;
+    pub(super) const MAP_NORESERVE: c_int = 0x4000;
+    pub(super) const MAP_FAILED: *mut c_void = !0usize as *mut c_void;
+    pub(super) const SC_PAGESIZE: c_int = 30;
+    pub(super) const SIGBUS: c_int = 7;
+    pub(super) const SIGSEGV: c_int = 11;
+    pub(super) const SIG_DFL: usize = 0;
+    pub(super) const SIG_IGN: usize = 1;
+    pub(super) const SA_SIGINFO: c_int = 4;
+    pub(super) const SA_ONSTACK: c_int = 0x0800_0000;
+
+    /// `struct sigaction`: handler (either signature), 1024-bit mask,
+    /// flags, restorer.
+    #[repr(C)]
+    #[derive(Clone, Copy)]
+    pub(super) struct SigAction {
+        pub(super) handler: usize,
+        pub(super) mask: [u64; 16],
+        pub(super) flags: c_int,
+        pub(super) restorer: usize,
+    }
+
+    /// The head of `siginfo_t` as SIGSEGV / SIGBUS fill it: three ints,
+    /// then (8-aligned) the faulting address.
+    #[repr(C)]
+    pub(super) struct SigInfo {
+        pub(super) signo: c_int,
+        pub(super) errno: c_int,
+        pub(super) code: c_int,
+        pub(super) addr: *mut c_void,
+    }
+
+    extern "C" {
+        pub(super) fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: i64,
+        ) -> *mut c_void;
+        pub(super) fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        pub(super) fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
+        pub(super) fn mincore(addr: *mut c_void, len: usize, vec: *mut u8) -> c_int;
+        pub(super) fn sysconf(name: c_int) -> std::ffi::c_long;
+        pub(super) fn sigaction(sig: c_int, act: *const SigAction, old: *mut SigAction) -> c_int;
+        pub(super) fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+        pub(super) fn abort() -> !;
+    }
+}
+
+/// A task stack: `usable` bytes of lazily committed private memory above
+/// a `guard`-byte inaccessible page at `base` (stacks grow down, so the
+/// guard is where an overrun lands).
 struct StackMem {
     base: *mut u8,
-    layout: std::alloc::Layout,
+    guard: usize,
+    usable: usize,
+}
+
+thread_local! {
+    /// Mappings of this thread's finished coroutines, kept for the next
+    /// [`Coro::new`] of the same size: their touched pages stay resident,
+    /// so a run does not fault its team's stacks in afresh. Unmapped when
+    /// the thread exits.
+    static FREE: RefCell<Vec<StackMem>> = const { RefCell::new(Vec::new()) };
 }
 
 impl StackMem {
-    fn new(bytes: usize) -> Self {
-        let layout = std::alloc::Layout::from_size_align(bytes, 16).expect("stack layout");
-        // SAFETY: layout has non-zero size.
-        let base = unsafe { std::alloc::alloc(layout) };
-        assert!(!base.is_null(), "coroutine stack allocation failed");
-        StackMem { base, layout }
+    /// A stack with at least `bytes` usable bytes: this thread's most
+    /// recently freed one of that size, else a fresh mapping.
+    fn take(bytes: usize) -> Self {
+        let page = page_size();
+        let usable = bytes.max(1).div_ceil(page) * page;
+        let recycled = FREE.with(|free| {
+            let mut free = free.borrow_mut();
+            let at = free.iter().rposition(|s| s.usable == usable)?;
+            Some(free.swap_remove(at))
+        });
+        recycled.unwrap_or_else(|| Self::map(page, usable))
     }
 
-    /// One-past-the-end of the stack (stacks grow down), 16-aligned.
+    /// Hand the mapping to the next coroutine of this thread. A stack
+    /// dropped while the thread's locals are being destroyed is unmapped
+    /// on the spot.
+    fn recycle(self) {
+        let _ = FREE.try_with(|free| free.borrow_mut().push(self));
+    }
+
+    /// One-past-the-end of the stack, page- (so 16-) aligned.
     fn top(&self) -> *mut u8 {
-        // SAFETY: base + size stays within (one past) the allocation.
-        unsafe { self.base.add(self.layout.size()) }
+        // SAFETY: base + guard + usable is one past the mapping.
+        unsafe { self.base.add(self.guard + self.usable) }
     }
 }
 
+#[cfg(target_os = "linux")]
+fn page_size() -> usize {
+    static PAGE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    // SAFETY: sysconf reads a constant of the running system.
+    *PAGE.get_or_init(|| usize::try_from(unsafe { sys::sysconf(sys::SC_PAGESIZE) }).unwrap_or(4096))
+}
+
+#[cfg(target_os = "linux")]
+impl StackMem {
+    fn map(guard: usize, usable: usize) -> Self {
+        install_fault_handler();
+        let len = guard + usable;
+        // SAFETY: a fresh anonymous private mapping aliases nothing.
+        // NORESERVE: a team's stacks are address space until touched, and
+        // must not count against the commit limit as if they were not.
+        let base = unsafe {
+            sys::mmap(
+                std::ptr::null_mut(),
+                len,
+                sys::PROT_READ | sys::PROT_WRITE,
+                sys::MAP_PRIVATE | sys::MAP_ANONYMOUS | sys::MAP_NORESERVE,
+                -1,
+                0,
+            )
+        };
+        assert!(
+            base != sys::MAP_FAILED,
+            "mapping a {} KiB coroutine stack failed: {}",
+            usable / 1024,
+            std::io::Error::last_os_error()
+        );
+        // SAFETY: the lowest page of the mapping just made; nothing has
+        // used it yet.
+        let rc = unsafe { sys::mprotect(base, guard, sys::PROT_NONE) };
+        assert!(
+            rc == 0,
+            "protecting a coroutine stack's guard page failed: {}",
+            std::io::Error::last_os_error()
+        );
+        StackMem {
+            base: base.cast(),
+            guard,
+            usable,
+        }
+    }
+
+    /// Bytes from the stack top down to the deepest page that is resident,
+    /// i.e. that any coroutine run on this mapping ever touched. A stack
+    /// is touched without gaps from the top — a frame larger than a page
+    /// is probed page by page, a smaller one at least stores its return
+    /// address — so this asks `mincore` about windows below the top, 16
+    /// pages and doubling, and stops at the first page that is not there:
+    /// one short call for the usual shallow stack instead of a walk over
+    /// 4 MiB of page table per PE per run.
+    fn high_water(&self) -> usize {
+        let page = self.guard;
+        let mut resident = [0u8; 1024];
+        let mut pages = 16;
+        let mut known = 0;
+        while known < self.usable {
+            let len = (self.usable - known).min(pages * page);
+            // SAFETY: [top - known - len, top - known) is a page-aligned
+            // part of this live mapping above the guard, and `resident`
+            // has a byte for each of its at most 1024 pages.
+            let rc = unsafe {
+                sys::mincore(
+                    self.top().sub(known + len).cast(),
+                    len,
+                    resident.as_mut_ptr(),
+                )
+            };
+            assert!(
+                rc == 0,
+                "mincore on a coroutine stack failed: {}",
+                std::io::Error::last_os_error()
+            );
+            let window = &resident[..len / page];
+            if let Some(absent) = window.iter().rposition(|r| r & 1 == 0) {
+                return known + (window.len() - 1 - absent) * page;
+            }
+            known += len;
+            pages = (pages * 2).min(resident.len());
+        }
+        self.usable
+    }
+}
+
+#[cfg(target_os = "linux")]
 impl Drop for StackMem {
     fn drop(&mut self) {
-        // SAFETY: allocated with this exact layout in `new`.
-        unsafe { std::alloc::dealloc(self.base, self.layout) }
+        // SAFETY: exactly the mapping `map` made; no coroutine runs on a
+        // stack that reached the free list or a dropped `Coro`.
+        unsafe { sys::munmap(self.base.cast(), self.guard + self.usable) };
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn page_size() -> usize {
+    4096
+}
+
+#[cfg(not(target_os = "linux"))]
+impl StackMem {
+    fn map(_guard: usize, _usable: usize) -> Self {
+        panic!(
+            "ExecMode::Event maps its stacks with Linux's mmap / mprotect / sigaction; \
+             use --exec thread on this system"
+        );
+    }
+
+    fn high_water(&self) -> usize {
+        0
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Overruns
+// ---------------------------------------------------------------------------
+
+/// What SIGSEGV and SIGBUS did before [`install_fault_handler`]: std's
+/// own main-thread overflow detector, normally.
+#[cfg(target_os = "linux")]
+static PREVIOUS: std::sync::OnceLock<[sys::SigAction; 2]> = std::sync::OnceLock::new();
+
+/// Route SIGSEGV and SIGBUS through [`on_fault`], once per process, before
+/// the first stack is mapped. `SA_ONSTACK`: the faulting stack has no room
+/// left by definition, so the handler runs on the alternate signal stack
+/// std gives the main thread and every thread it spawns (a thread with
+/// none simply dies of the fault, as it would have).
+#[cfg(target_os = "linux")]
+fn install_fault_handler() {
+    PREVIOUS.get_or_init(|| {
+        let ours = sys::SigAction {
+            handler: on_fault as *const () as usize,
+            mask: [0; 16],
+            flags: sys::SA_SIGINFO | sys::SA_ONSTACK,
+            restorer: 0,
+        };
+        [sys::SIGSEGV, sys::SIGBUS].map(|sig| {
+            let mut old = sys::SigAction {
+                handler: sys::SIG_DFL,
+                mask: [0; 16],
+                flags: 0,
+                restorer: 0,
+            };
+            // SAFETY: `on_fault` has the three-argument signature
+            // SA_SIGINFO promises and is async-signal-safe; `old` is one
+            // writable `struct sigaction`.
+            let rc = unsafe { sys::sigaction(sig, &ours, &mut old) };
+            assert!(
+                rc == 0,
+                "installing the coroutine-stack fault handler failed"
+            );
+            old
+        })
+    });
+}
+
+/// SIGSEGV / SIGBUS handler. A fault on the guard page of the coroutine
+/// running on this thread is that coroutine overrunning its stack: say
+/// which PE and how large, and abort. Every other fault belongs to
+/// whoever handled it before. Touches only what a signal handler may: a
+/// const-initialised thread-local without destructor, a set `OnceLock`,
+/// `write`, `sigaction`, `abort`.
+#[cfg(target_os = "linux")]
+unsafe extern "C" fn on_fault(sig: sys::c_int, info: *mut sys::SigInfo, context: *mut sys::c_void) {
+    // SAFETY: the kernel passes a valid siginfo_t, whose si_addr is the
+    // faulting address for these two signals.
+    let addr = unsafe { (*info).addr } as usize;
+    let current = CURRENT.with(|c| c.get());
+    if !current.is_null() {
+        // SAFETY: CURRENT points at the live Inner of the task this thread
+        // was running when it faulted; these fields never change after
+        // `Coro::new`.
+        let (guard, len, usable, pe) = unsafe {
+            let stack = &*std::ptr::addr_of!((*current).stack);
+            (
+                stack.base as usize,
+                stack.guard,
+                stack.usable,
+                (*current).pe,
+            )
+        };
+        if (guard..guard + len).contains(&addr) {
+            report_overrun(pe, usable / 1024);
+        }
+    }
+    let previous = PREVIOUS
+        .get()
+        .map(|p| p[usize::from(sig == sys::SIGBUS)])
+        .filter(|p| p.handler != sys::SIG_DFL && p.handler != sys::SIG_IGN);
+    match previous {
+        // SAFETY (both arms): the address and its signature are what the
+        // previous `sigaction` registered; it gets the kernel's arguments.
+        Some(p) if p.flags & sys::SA_SIGINFO != 0 => unsafe {
+            let handler: unsafe extern "C" fn(sys::c_int, *mut sys::SigInfo, *mut sys::c_void) =
+                std::mem::transmute(p.handler);
+            handler(sig, info, context)
+        },
+        Some(p) => unsafe {
+            let handler: unsafe extern "C" fn(sys::c_int) = std::mem::transmute(p.handler);
+            handler(sig)
+        },
+        // Nobody before us (or a fault on another thread in the instant
+        // before `PREVIOUS` is set): put the default action back and
+        // return. The faulting instruction runs again and the process
+        // dies of the signal it would have died of without this handler.
+        None => {
+            let default = sys::SigAction {
+                handler: sys::SIG_DFL,
+                mask: [0; 16],
+                flags: 0,
+                restorer: 0,
+            };
+            // SAFETY: installs SIG_DFL; reads one valid struct.
+            unsafe { sys::sigaction(sig, &default, std::ptr::null_mut()) };
+        }
+    }
+}
+
+/// `PE 17 overran its 4096 KiB coroutine stack; raise O2K_STACK_KB` on
+/// stderr, then abort — put together in a fixed buffer, because this runs
+/// in a signal handler, where nothing may allocate.
+#[cfg(target_os = "linux")]
+fn report_overrun(pe: Option<usize>, stack_kib: usize) -> ! {
+    struct Line {
+        bytes: [u8; 128],
+        len: usize,
+    }
+    impl Line {
+        fn text(&mut self, text: &[u8]) {
+            self.bytes[self.len..self.len + text.len()].copy_from_slice(text);
+            self.len += text.len();
+        }
+        fn number(&mut self, mut n: usize) {
+            let mut digits = [0u8; 20];
+            let mut at = digits.len();
+            loop {
+                at -= 1;
+                digits[at] = b'0' + (n % 10) as u8;
+                n /= 10;
+                if n == 0 {
+                    break;
+                }
+            }
+            self.text(&digits[at..]);
+        }
+    }
+    let mut line = Line {
+        bytes: [0; 128],
+        len: 0,
+    };
+    match pe {
+        Some(pe) => {
+            line.text(b"PE ");
+            line.number(pe);
+        }
+        None => line.text(b"a coroutine outside any team"),
+    }
+    line.text(b" overran its ");
+    line.number(stack_kib);
+    line.text(b" KiB coroutine stack; raise O2K_STACK_KB\n");
+    // SAFETY: writes the `len` bytes of `line` filled in above to stderr;
+    // abort never returns.
+    unsafe {
+        sys::write(2, line.bytes.as_ptr().cast(), line.len);
+        sys::abort()
     }
 }
 
@@ -225,9 +586,11 @@ impl Drop for StackMem {
 /// address (boxed by [`Coro`]); the thread-local [`CURRENT`] points here
 /// while the task runs.
 struct Inner {
-    /// Owns the stack allocation for the task's lifetime; only the raw
-    /// pointers below ever read it after construction.
-    _stack: StackMem,
+    /// The task's stack, from `Coro::new` until `Coro`'s drop hands it to
+    /// the free list.
+    stack: ManuallyDrop<StackMem>,
+    /// Which PE this task is, for the overrun diagnostic.
+    pe: Option<usize>,
     state: State,
     /// The task's saved stack pointer while it is not running.
     task_sp: *mut u8,
@@ -274,8 +637,8 @@ fn bootstrap(stack_top: *mut u8) -> *mut u8 {
     // The zero word *above* the trampoline's return-address slot is
     // load-bearing: it sits at CFA−8 of the trampoline frame, where the
     // unwinder (panic backtraces walk every frame) expects the caller's
-    // PC. A fresh stack straight from the kernel is zeroed, but a
-    // recycled allocation holds whatever the previous owner left there —
+    // PC. A fresh mapping is zeroed, but one from the free list holds
+    // whatever the previous task left there —
     // the walker would treat that garbage as a code address and fault
     // inside libgcc. PC 0 has no FDE, so the walk ends here instead.
     unsafe {
@@ -298,7 +661,7 @@ fn bootstrap(stack_top: *mut u8) -> *mut u8 {
     // branches there with a 16-aligned sp. The zeroed x29 slot doubles
     // as the unwind terminator: AArch64 frame records chain through
     // x29, and a null frame pointer ends a backtrace walk even on a
-    // recycled (non-zero) stack allocation.
+    // recycled (non-zero) stack.
     unsafe {
         let sp = (stack_top as *mut u64).offset(-20);
         for i in 0..20 {
@@ -329,7 +692,7 @@ impl<'a> Coro<'a> {
     /// Create a suspended task that will run `entry` on its own
     /// `stack_bytes`-sized stack when first resumed.
     pub fn new<F: FnOnce() + 'a>(stack_bytes: usize, entry: F) -> Self {
-        let stack = StackMem::new(stack_bytes);
+        let stack = StackMem::take(stack_bytes);
         let task_sp = bootstrap(stack.top());
         // Erase the borrow lifetime for storage; PhantomData<&'a ()> on
         // the Coro keeps the real constraint visible to the borrow
@@ -338,7 +701,8 @@ impl<'a> Coro<'a> {
         let entry: Box<dyn FnOnce() + 'static> = unsafe { std::mem::transmute(entry) };
         Coro {
             inner: Box::new(Inner {
-                _stack: stack,
+                stack: ManuallyDrop::new(stack),
+                pe: None,
                 state: State::New,
                 task_sp,
                 resumer_sp: std::ptr::null_mut(),
@@ -347,6 +711,13 @@ impl<'a> Coro<'a> {
             }),
             _entry_borrows: std::marker::PhantomData,
         }
+    }
+
+    /// Name the PE this task runs, so that an overrun of its stack is
+    /// reported as that PE's.
+    pub fn for_pe(mut self, pe: usize) -> Self {
+        self.inner.pe = Some(pe);
+        self
     }
 
     /// Switch onto the task's stack until it yields or finishes. Returns
@@ -386,6 +757,16 @@ impl<'a> Coro<'a> {
     pub fn take_panic(&mut self) -> Option<Box<dyn Any + Send + 'static>> {
         self.inner.panic.take()
     }
+
+    /// How deep this task's stack has been used, in KiB: the distance
+    /// from the stack top to the deepest page of the mapping that is
+    /// resident. Page-granular, and — because a finished task's mapping is
+    /// reused with its pages — the high-water mark of every task that ran
+    /// on this mapping, which bounds this one's from above. Ask once the
+    /// task has finished.
+    pub fn stack_high_water_kb(&self) -> usize {
+        self.inner.stack.high_water() / 1024
+    }
 }
 
 impl Drop for Coro<'_> {
@@ -401,6 +782,9 @@ impl Drop for Coro<'_> {
             !matches!(self.inner.state, State::Suspended | State::Running),
             "coroutine dropped while suspended: its stack frames leak"
         );
+        // SAFETY: taken exactly once, here; nothing runs on or reads the
+        // stack after its Coro is gone.
+        unsafe { ManuallyDrop::take(&mut self.inner.stack) }.recycle();
     }
 }
 
@@ -423,9 +807,8 @@ pub fn yield_current() {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use std::cell::RefCell;
     use std::rc::Rc;
 
     #[test]
@@ -552,37 +935,158 @@ mod tests {
         assert!(dropped.get(), "captured state dropped with the closure");
     }
 
-    /// A panic inside a task whose stack is a *recycled* allocation must
-    /// not crash the process. The panic handler's backtrace walker steps
+    fn free_list_len() -> usize {
+        FREE.with(|free| free.borrow().len())
+    }
+
+    /// A panic inside a task whose stack came off the free list must not
+    /// crash the process. The panic handler's backtrace walker steps
     /// through every frame and reads the trampoline's "caller PC" from
     /// the top stack slot; `bootstrap` zeroes that slot precisely so the
     /// walk terminates there instead of chasing whatever bytes the
-    /// previous owner left behind (f64 payloads make convincing-looking
-    /// garbage pointers). Recycling is the allocator's call, so this
-    /// test salts same-layout allocations with adversarial bit patterns
-    /// first — if the allocator hands the task one of them back, the
-    /// zero slot is all that stands between a caught panic and SIGSEGV.
+    /// previous task left behind (f64 payloads make convincing-looking
+    /// garbage pointers). So: dirty a stack from inside (its frames) and
+    /// from outside (the words above its first frame), drop it, see the
+    /// next task get that very mapping, and panic in it.
     #[test]
     fn panics_are_caught_on_a_dirty_recycled_stack() {
+        const PAINT: u64 = 0x3FE4_FFFF_FFFF_FFFF;
         let bytes = 256 * 1024;
-        let layout = std::alloc::Layout::from_size_align(bytes, 16).unwrap();
-        for _ in 0..8 {
-            // SAFETY: valid non-zero layout; filled then freed before any
-            // other use.
-            unsafe {
-                let p = std::alloc::alloc(layout);
-                assert!(!p.is_null());
-                let words = p as *mut u64;
-                for i in 0..bytes / 8 {
-                    words.add(i).write(0x3FE4_FFFF_FFFF_FFFF);
-                }
-                std::alloc::dealloc(p, layout);
+        assert_eq!(free_list_len(), 0, "a test thread starts without stacks");
+        let mut painter = Coro::new(bytes, || {
+            let mut frame = [0u64; 24 * 1024];
+            for word in frame.iter_mut() {
+                // SAFETY: a plain store the optimiser must keep.
+                unsafe { std::ptr::write_volatile(word, PAINT) };
+            }
+            std::hint::black_box(&frame);
+        });
+        assert!(painter.resume());
+        let (base, top) = (painter.inner.stack.base, painter.inner.stack.top());
+        // SAFETY: the task has finished; its top 16 words are mapped,
+        // writable and no longer read by anyone.
+        unsafe {
+            for i in 1..=16 {
+                (top as *mut u64).sub(i).write(PAINT);
             }
         }
+        drop(painter);
+        assert_eq!(free_list_len(), 1, "a finished task's stack is kept");
+
         let mut c = Coro::new(bytes, || panic!("task panic on a dirty stack"));
+        assert_eq!(free_list_len(), 0);
+        assert_eq!(c.inner.stack.base, base, "same size, same mapping");
         assert!(c.resume(), "a panicking task still finishes");
         let payload = c.take_panic().expect("the panic is parked, not lost");
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
         assert_eq!(msg, "task panic on a dirty stack");
+        assert!(c.stack_high_water_kb() >= 192, "the painter's pages stayed");
+    }
+
+    #[test]
+    fn a_stack_of_another_size_is_not_reused() {
+        drop(Coro::new(64 * 1024, || {}));
+        assert_eq!(free_list_len(), 1);
+        let c = Coro::new(128 * 1024, || {});
+        assert_eq!(free_list_len(), 1, "the 64 KiB stack is still waiting");
+        assert_eq!(c.inner.stack.usable, 128 * 1024);
+    }
+
+    #[test]
+    fn high_water_is_the_deepest_touched_page() {
+        let mut c = Coro::new(512 * 1024, || {
+            let frame = [1u8; 100 * 1024];
+            std::hint::black_box(&frame);
+        });
+        let page_kb = c.inner.stack.guard / 1024;
+        assert_eq!(
+            c.stack_high_water_kb(),
+            page_kb,
+            "a fresh mapping holds the bootstrap frame and nothing else"
+        );
+        assert!(c.resume());
+        let kb = c.stack_high_water_kb();
+        assert!(
+            (100..=100 + 16 + 4 * page_kb).contains(&kb),
+            "a 100 KiB frame plus the trampoline's own: {kb} KiB"
+        );
+    }
+
+    // -- Tests that need a process of their own ---------------------------
+
+    const CHILD: &str = "O2K_SCHED_TEST_CHILD";
+
+    pub(crate) fn is_child() -> bool {
+        std::env::var_os(CHILD).is_some()
+    }
+
+    /// Run `test` (its full path in this binary) again, alone, in a child
+    /// process where [`is_child`] holds and `O2K_EXEC` / `O2K_STACK_KB`
+    /// are exactly what `env` says.
+    pub(crate) fn rerun_as_child(test: &str, env: &[(&str, &str)]) -> std::process::Output {
+        std::process::Command::new(std::env::current_exe().expect("test binary path"))
+            .args([test, "--exact", "--nocapture"])
+            .env(CHILD, "1")
+            .env_remove("O2K_EXEC")
+            .env_remove("O2K_STACK_KB")
+            .envs(env.iter().copied())
+            .output()
+            .expect("re-run the test binary")
+    }
+
+    #[inline(never)]
+    fn dive(depth: u64) -> u64 {
+        let frame = [depth; 8];
+        if std::hint::black_box(depth) == u64::MAX {
+            return 0;
+        }
+        dive(depth + 1) + std::hint::black_box(frame)[7]
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn an_overrun_names_the_pe_and_aborts() {
+        use std::os::unix::process::ExitStatusExt;
+        if is_child() {
+            let mut c = Coro::new(stack_bytes(), || {
+                std::hint::black_box(dive(0));
+            })
+            .for_pe(17);
+            c.resume();
+            unreachable!("the dive has no bottom");
+        }
+        let out = rerun_as_child(
+            "coro::tests::an_overrun_names_the_pe_and_aborts",
+            &[("O2K_STACK_KB", "64")],
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("PE 17 overran its 64 KiB coroutine stack; raise O2K_STACK_KB"),
+            "no diagnostic on stderr:\n{err}"
+        );
+        assert_eq!(out.status.signal(), Some(6), "SIGABRT, got {}", out.status);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_fault_elsewhere_goes_to_the_previous_handler() {
+        use std::os::unix::process::ExitStatusExt;
+        if is_child() {
+            let mut c = Coro::new(64 * 1024, || {
+                // SAFETY: none — page zero is unmapped, the store faults,
+                // and that is the point.
+                unsafe { std::ptr::without_provenance_mut::<u64>(64).write_volatile(1) };
+            })
+            .for_pe(3);
+            c.resume();
+            unreachable!("the store faults");
+        }
+        let out = rerun_as_child(
+            "coro::tests::a_fault_elsewhere_goes_to_the_previous_handler",
+            &[],
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("overran"), "not a stack overrun:\n{err}");
+        assert_eq!(out.status.signal(), Some(11), "SIGSEGV, got {}", out.status);
     }
 }

@@ -9,8 +9,9 @@
 //! run (EXPERIMENTS.md's old D3 deviation).
 //!
 //! This crate replaces free-running threads with **cooperative
-//! virtual-time stepping**: the team still spawns one thread per PE, but
-//! at most one PE holds the *floor* at a time, and every yield point
+//! virtual-time stepping**: a PE is still its own flow of control (a
+//! coroutine or a thread, see "Execution backends"), but at most one PE
+//! holds the *floor* at a time, and every yield point
 //! hands the floor to the runnable PE chosen by a [`SchedPolicy`]:
 //!
 //! * [`SchedPolicy::Det`] — the runnable PE with the lowest simulated
@@ -40,16 +41,18 @@
 //! The protocol above says nothing about *how* a PE waits for the floor,
 //! and that choice is the [`ExecMode`]:
 //!
-//! * [`ExecMode::Thread`] — one OS thread per PE; a PE without the floor
-//!   parks on its condvar. Simple, but a P-PE team costs P stacks of
-//!   resident memory and every handoff is a kernel round trip, which
-//!   caps practical team sizes near the paper's 64 CPUs.
 //! * [`ExecMode::Event`] — every PE is a stackful coroutine
 //!   ([`coro`]) on **one** OS thread, driven by a discrete-event loop: a
 //!   binary heap keyed on `(virtual clock, PE id)` yields the next PE to
 //!   resume, and "waiting for the floor" is a ~20 ns user-space stack
 //!   switch. This is the corten-style simulation core that reaches
-//!   P=1024 and beyond.
+//!   P=1024 and beyond, and what [`default_exec`] answers wherever
+//!   coroutines are supported.
+//! * [`ExecMode::Thread`] — one OS thread per PE; a PE without the floor
+//!   parks on its condvar. Simple, but a P-PE team costs P threads and
+//!   every handoff is a kernel round trip, which caps practical team
+//!   sizes near the paper's 64 CPUs. It is what [`SchedPolicy::Os`]
+//!   needs, and otherwise an explicit opt-in.
 //!
 //! Under any cooperative policy at most one PE runs at a time, so the two
 //! backends execute the *same* logical schedule: the pick sequence is
@@ -136,14 +139,14 @@ impl std::fmt::Display for SchedPolicy {
 /// [`SchedPolicy`], which decides *which* PE runs next; the exec mode
 /// decides what a PE *is* (an OS thread or a coroutine). See the crate
 /// docs for the trade-off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// One OS thread per PE, condvar handoffs (the pre-event behaviour
     /// and the only mode that supports [`SchedPolicy::Os`]).
-    #[default]
     Thread,
     /// One OS thread total: PEs are stackful coroutines resumed by a
-    /// binary-heap event loop in virtual-time order.
+    /// binary-heap event loop in virtual-time order. What
+    /// [`default_exec`] answers wherever [`coro::SUPPORTED`].
     Event,
 }
 
@@ -184,14 +187,20 @@ pub fn env_exec() -> Result<Option<ExecMode>, String> {
 }
 
 /// The exec mode a `Team` uses when none is set explicitly: `O2K_EXEC`
-/// from the environment, else [`ExecMode::Thread`]. Panics with
-/// [`env_exec`]'s diagnostic on a malformed `O2K_EXEC`.
+/// from the environment, else [`ExecMode::Event`] wherever this build has
+/// coroutines ([`coro::SUPPORTED`]) and [`ExecMode::Thread`] where it has
+/// not. Panics with [`env_exec`]'s diagnostic on a malformed `O2K_EXEC`.
 pub fn default_exec() -> ExecMode {
     static ENV: OnceLock<ExecMode> = OnceLock::new();
     *ENV.get_or_init(|| {
+        let ambient = if coro::SUPPORTED {
+            ExecMode::Event
+        } else {
+            ExecMode::Thread
+        };
         env_exec()
             .unwrap_or_else(|e| panic!("{e}"))
-            .unwrap_or(ExecMode::Thread)
+            .unwrap_or(ambient)
     })
 }
 
@@ -1451,6 +1460,30 @@ mod tests {
             assert_eq!(ExecMode::parse(&e.to_string()), Ok(e));
         }
         assert!(ExecMode::parse("fiber").is_err());
+    }
+
+    /// The answer is read once per process, so each case gets its own.
+    #[test]
+    fn default_exec_is_event_unless_the_environment_says_thread() {
+        use coro::tests::{is_child, rerun_as_child};
+        if is_child() {
+            println!("default_exec={}", default_exec());
+            return;
+        }
+        let me = "tests::default_exec_is_event_unless_the_environment_says_thread";
+        let answer = |env: &[(&str, &str)]| {
+            let out = rerun_as_child(me, env);
+            assert!(out.status.success(), "child failed: {}", out.status);
+            let text = String::from_utf8_lossy(&out.stdout);
+            let at = text
+                .find("default_exec=")
+                .expect("child printed its answer");
+            text[at..].lines().next().expect("a line").to_string()
+        };
+        let ambient = if coro::SUPPORTED { "event" } else { "thread" };
+        assert_eq!(answer(&[]), format!("default_exec={ambient}"));
+        assert_eq!(answer(&[("O2K_EXEC", "thread")]), "default_exec=thread");
+        assert_eq!(answer(&[("O2K_EXEC", "event")]), "default_exec=event");
     }
 
     #[test]

@@ -72,6 +72,12 @@ fn pinned_app_goldens_replay_bitwise_under_event() {
                 let e = run_app_opts(machine(p), app, model, &nb, &am, det(ExecMode::Event));
                 let tag = format!("{}/{} P={p}", app.name(), model.name());
                 assert_same_run(&tag, &t, &e);
+                // The one thing that tells the backends apart is host-side:
+                // only coroutines have a stack high-water mark to report.
+                assert_eq!(t.stack_hwm_kb, None, "{tag}: threads have no mark");
+                let kb = e.stack_hwm_kb.expect("the event core measures its stacks");
+                let cap = origin2k::sched::coro::stack_bytes() / 1024;
+                assert!((1..=cap).contains(&kb), "{tag}: {kb} KiB of {cap}");
             }
         }
     }
