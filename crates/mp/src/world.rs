@@ -51,6 +51,9 @@ struct Envelope {
 #[derive(Default)]
 struct Mailbox {
     queue: Mutex<VecDeque<Envelope>>,
+    /// Where a receiver with no match waits under `--sched os`, and the
+    /// only policy under which anything waits here: a cooperative receiver
+    /// parks in the `CoopSched` instead (`BlockReason::Mailbox`).
     cond: Condvar,
 }
 
@@ -146,12 +149,12 @@ impl MpWorld {
         let arrival = env.arrival;
         let mb = &self.mailboxes[dst];
         mb.queue.lock().push_back(env);
-        mb.cond.notify_all();
-        // Under a cooperative policy the receiver may be parked in the
-        // scheduler rather than on the condvar; wake it with the arrival
-        // time as its clock hint.
-        if let Some(cs) = ctx.coop() {
-            cs.unblock(dst, arrival, parallel::sched::BlockReason::Mailbox);
+        // Wake the receiver where `wait_match` parks it: in the scheduler
+        // under a cooperative policy (the arrival time is its clock hint),
+        // on the condvar under `os`.
+        match ctx.coop() {
+            Some(cs) => cs.unblock(dst, arrival, parallel::sched::BlockReason::Mailbox),
+            None => mb.cond.notify_all(),
         }
     }
 
@@ -187,14 +190,13 @@ impl MpWorld {
 
     fn wait_match(&self, ctx: &mut Ctx, spec: RecvSpec) -> Envelope {
         let pe = ctx.pe();
-        let coop = ctx.coop().cloned();
         let mb = &self.mailboxes[pe];
         let mut q = mb.queue.lock();
         loop {
             if let Some(idx) = q.iter().position(|e| spec.matches(e.src, e.tag)) {
                 return q.remove(idx).expect("index valid under lock");
             }
-            match &coop {
+            match ctx.coop() {
                 Some(cs) => {
                     // Park in the scheduler; the sender's unblock (after its
                     // push) re-runs the match. The floor guarantees no send

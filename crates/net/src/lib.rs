@@ -237,32 +237,24 @@ pub struct LinkHot {
     pub transfers: u64,
 }
 
-/// The busy-until queues of the fabric, laid out struct-of-arrays so the
-/// charge loop walks contiguous memory per field. A resource's kind is not
-/// stored: it is a pure function of its index (see [`NetSim::kind_of`]),
-/// links first, then buses, then hubs.
-#[derive(Debug, Clone)]
-struct ResTable {
-    busy_until: Vec<SimTime>,
-    bytes: Vec<u64>,
-    busy_ns: Vec<u64>,
-    queued_ns: Vec<u64>,
-    transfers: Vec<u64>,
+/// One fabric resource: its busy-until queue and cumulative counters. A
+/// charge updates all five, so they share a record (and a cache line); the
+/// table is a `Vec<Res>` indexed by [`ResourceId`]. A resource's kind is
+/// not stored: it is a pure function of its index (see
+/// [`NetSim::kind_of`]), links first, then buses, then hubs.
+#[derive(Debug, Clone, Copy, Default)]
+struct Res {
+    busy_until: SimTime,
+    bytes: u64,
+    busy_ns: u64,
+    queued_ns: u64,
+    transfers: u64,
 }
 
-impl ResTable {
-    fn new(n: usize) -> Self {
-        ResTable {
-            busy_until: vec![0; n],
-            bytes: vec![0; n],
-            busy_ns: vec![0; n],
-            queued_ns: vec![0; n],
-            transfers: vec![0; n],
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.busy_until.len()
+impl Res {
+    /// The counters a phase boundary snapshots.
+    fn snap(&self) -> LinkSnap {
+        (self.queued_ns, self.bytes, self.transfers)
     }
 }
 
@@ -279,7 +271,7 @@ struct Phase {
 }
 
 struct NetState {
-    res: ResTable,
+    res: Vec<Res>,
     spans: Vec<LinkSpan>,
     spans_dropped: u64,
     phases: Vec<Phase>,
@@ -400,7 +392,7 @@ impl NetSim {
             nres,
             hot_names: OnceLock::new(),
             state: Mutex::new(NetState {
-                res: ResTable::new(nres),
+                res: vec![Res::default(); nres],
                 spans: Vec::new(),
                 spans_dropped: 0,
                 phases: Vec::new(),
@@ -768,13 +760,14 @@ impl NetSim {
                 ResourceKind::Bus => occ_bus,
                 ResourceKind::Hub => occ_hub,
             };
-            let wait = st.res.busy_until[l].saturating_sub(t);
+            let res = &mut st.res[l];
+            let wait = res.busy_until.saturating_sub(t);
             let start = t + wait;
-            st.res.busy_until[l] = start + occ_l;
-            st.res.bytes[l] += bytes as u64;
-            st.res.busy_ns[l] += occ_l;
-            st.res.queued_ns[l] += wait;
-            st.res.transfers[l] += 1;
+            res.busy_until = start + occ_l;
+            res.bytes += bytes as u64;
+            res.busy_ns += occ_l;
+            res.queued_ns += wait;
+            res.transfers += 1;
             route.delay += wait;
             match kind {
                 ResourceKind::Bus => route.bus_delay += wait,
@@ -844,15 +837,17 @@ impl NetSim {
             let depart = now + if serialize { out.pending } else { 0 };
             // Healthy machines hit the per-pair path memo (the path never
             // depends on time), faulted ones the per-(pair, fault-epoch) one.
-            let (path, detoured) = if self.any_faults {
-                self.fault_path(src_node, dst_node, depart)?
+            let faulted;
+            let path: &[ResourceId] = if self.any_faults {
+                faulted = self.fault_path(src_node, dst_node, depart)?;
+                if faulted.1 {
+                    st.detoured += 1;
+                }
+                &faulted.0
             } else {
-                (Arc::clone(self.healthy_path(src_node, dst_node)), false)
+                self.healthy_path(src_node, dst_node)
             };
-            if detoured {
-                st.detoured += 1;
-            }
-            let r = self.charge_path(&mut st, pe, &path, bytes, depart, record);
+            let r = self.charge_path(&mut st, pe, path, bytes, depart, record);
             out.delay += r.delay;
             out.bus_delay += r.bus_delay;
             out.hub_delay += r.hub_delay;
@@ -871,13 +866,17 @@ impl NetSim {
     pub fn stats(&self) -> NetStats {
         let st = self.lock();
         let mut s = NetStats::default();
-        for id in 0..st.res.len() {
-            let transfers = st.res.transfers[id];
+        for (id, res) in st.res.iter().enumerate() {
+            let Res {
+                transfers,
+                queued_ns,
+                bytes,
+                busy_ns,
+                ..
+            } = *res;
             if transfers == 0 {
                 continue;
             }
-            let (queued_ns, bytes, busy_ns) =
-                (st.res.queued_ns[id], st.res.bytes[id], st.res.busy_ns[id]);
             match self.kind_of(id) {
                 ResourceKind::Link => {
                     s.transfers += transfers;
@@ -921,9 +920,7 @@ impl NetSim {
     /// it in [`NetSim::phase_hotspots`].
     pub fn begin_phase(&self, name: &str) {
         let mut st = self.lock();
-        let at_start = (0..st.res.len())
-            .map(|id| (st.res.queued_ns[id], st.res.bytes[id], st.res.transfers[id]))
-            .collect();
+        let at_start = st.res.iter().map(Res::snap).collect();
         st.phases.push(Phase {
             name: name.to_string(),
             at_start,
@@ -932,17 +929,18 @@ impl NetSim {
 
     /// Build the top-`k` rows between a base snapshot and the phase-end
     /// counters `end(id)` (queued, bytes, transfers; `busy_ns` is always
-    /// the live total). Display names resolve from the cached table, and
-    /// only for the rows that survive the sort and truncation.
+    /// the live total, read from `res`). Display names resolve from the
+    /// cached table, and only for the rows that survive the sort and
+    /// truncation.
     fn hot_rows(
         &self,
-        busy_ns: &[u64],
+        res: &[Res],
         end: impl Fn(usize) -> LinkSnap,
         base: Option<&[LinkSnap]>,
         k: usize,
     ) -> Vec<LinkHot> {
         // (id, queued, bytes, transfers): names come after the truncate.
-        let mut rows: Vec<(usize, u64, u64, u64)> = (0..busy_ns.len())
+        let mut rows: Vec<(usize, u64, u64, u64)> = (0..res.len())
             .filter_map(|id| {
                 let (q, b, t) = end(id);
                 let (q0, b0, t0) = base.map_or((0, 0, 0), |s| s[id]);
@@ -961,7 +959,7 @@ impl NetSim {
                 kind: self.kind_of(id),
                 name: self.display_name(id).to_string(),
                 queued_ns,
-                busy_ns: busy_ns[id],
+                busy_ns: res[id].busy_ns,
                 bytes,
                 transfers,
             })
@@ -971,12 +969,7 @@ impl NetSim {
     /// Top-`k` resources by accrued queueing delay over the whole run.
     pub fn hotspots(&self, k: usize) -> Vec<LinkHot> {
         let st = self.lock();
-        self.hot_rows(
-            &st.res.busy_ns,
-            |id| (st.res.queued_ns[id], st.res.bytes[id], st.res.transfers[id]),
-            None,
-            k,
-        )
+        self.hot_rows(&st.res, |id| st.res[id].snap(), None, k)
     }
 
     /// Top-`k` resources per recorded phase (deltas between phase marks;
@@ -988,18 +981,8 @@ impl NetSim {
             // The phase-end counters: the next phase's start snapshot, or
             // the live table for the final phase.
             let rows = match st.phases.get(i + 1) {
-                Some(next) => self.hot_rows(
-                    &st.res.busy_ns,
-                    |id| next.at_start[id],
-                    Some(&ph.at_start),
-                    k,
-                ),
-                None => self.hot_rows(
-                    &st.res.busy_ns,
-                    |id| (st.res.queued_ns[id], st.res.bytes[id], st.res.transfers[id]),
-                    Some(&ph.at_start),
-                    k,
-                ),
+                Some(next) => self.hot_rows(&st.res, |id| next.at_start[id], Some(&ph.at_start), k),
+                None => self.hot_rows(&st.res, |id| st.res[id].snap(), Some(&ph.at_start), k),
             };
             out.push((ph.name.clone(), rows));
         }
@@ -1014,14 +997,11 @@ impl NetSim {
     pub fn utilization_hist(&self, now: SimTime) -> [u64; 10] {
         let st = self.lock();
         let mut hist = [0u64; 10];
-        for id in 0..st.res.len() {
-            if st.res.transfers[id] == 0 {
-                continue;
-            }
+        for res in st.res.iter().filter(|r| r.transfers != 0) {
             let u = if now == 0 {
                 1.0
             } else {
-                (st.res.busy_ns[id] as f64 / now as f64).clamp(0.0, 1.0)
+                (res.busy_ns as f64 / now as f64).clamp(0.0, 1.0)
             };
             hist[((u * 10.0) as usize).min(9)] += 1;
         }
@@ -1146,13 +1126,13 @@ impl NetSim {
             w(st.detoured);
             w(st.spans_dropped);
             w(st.res.len() as u64);
-            for id in 0..st.res.len() {
+            for (id, res) in st.res.iter().enumerate() {
                 w(kind_code(self.kind_of(id)));
-                w(st.res.busy_until[id]);
-                w(st.res.bytes[id]);
-                w(st.res.busy_ns[id]);
-                w(st.res.queued_ns[id]);
-                w(st.res.transfers[id]);
+                w(res.busy_until);
+                w(res.bytes);
+                w(res.busy_ns);
+                w(res.queued_ns);
+                w(res.transfers);
             }
             w(st.phases.len() as u64);
         }
@@ -1210,20 +1190,21 @@ impl NetSim {
         let spans_dropped = r.u64()?;
         let n = r.count(48)?;
         let mut kinds = Vec::with_capacity(n);
-        let mut res = ResTable::new(0);
-        for i in 0..n {
+        let mut res = Vec::with_capacity(n);
+        for _ in 0..n {
             kinds.push(match r.u64()? {
                 0 => ResourceKind::Link,
                 1 => ResourceKind::Bus,
                 2 => ResourceKind::Hub,
                 k => return Err(format!("unknown resource kind {k}")),
             });
-            res.busy_until.push(r.u64()?);
-            res.bytes.push(r.u64()?);
-            res.busy_ns.push(r.u64()?);
-            res.queued_ns.push(r.u64()?);
-            res.transfers.push(r.u64()?);
-            debug_assert_eq!(res.len(), i + 1);
+            res.push(Res {
+                busy_until: r.u64()?,
+                bytes: r.u64()?,
+                busy_ns: r.u64()?,
+                queued_ns: r.u64()?,
+                transfers: r.u64()?,
+            });
         }
         let nphases = r.count(16)?;
         let mut phases = Vec::with_capacity(nphases);

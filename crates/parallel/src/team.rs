@@ -418,12 +418,15 @@ impl Team {
     /// Event backend: every PE is a coroutine; this loop *is* the
     /// machine. Resume each PE once so it registers with the scheduler
     /// (it suspends until granted the floor), then keep resuming
-    /// whichever PE the last `hand_off` granted. A panicking or
-    /// deadlocking PE poisons the scheduler exactly as under threads; the
-    /// loop then unwinds every surviving coroutine (their `wait_for_floor`
-    /// re-check raises POISON_MSG) so all stack frames drop cleanly, and
-    /// propagates the original payload. Returns the deepest stack any PE
-    /// used, in KiB (`Some` for every team that has a PE).
+    /// whichever PE the last `hand_off` granted — the grant and the
+    /// poison flag are atomics, so the loop itself never takes the
+    /// scheduler's lock. A panicking or deadlocking PE poisons the
+    /// scheduler exactly as under threads; the loop then unwinds every
+    /// surviving coroutine (each comes back from its suspension in
+    /// `wait_for_floor`, reads the flag and raises POISON_MSG) so all
+    /// stack frames drop cleanly, and propagates the original payload.
+    /// Returns the deepest stack any PE used, in KiB (`Some` for every
+    /// team that has a PE).
     fn drive_events<R>(
         cs: &Arc<CoopSched>,
         out: &mut [Option<(R, PeReport)>],

@@ -44,10 +44,30 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
+/// The set `tag` maps to among `num_sets` (a power of two): a
+/// multiplicative hash spreads region/line structure across sets.
+#[inline]
+fn set_index(tag: LineTag, num_sets: usize) -> usize {
+    let h = tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+    (h as usize) & (num_sets - 1)
+}
+
 /// A set-associative, LRU, version-tagged cache model.
+///
+/// Only the sets a line has landed in are stored: a 4 MiB cache is 16 384
+/// sets, a PE of a P = 256 serving run touches about a thousand, and a set
+/// no line ever reached answers every probe with a miss whether or not
+/// its ways exist. `slot` holds one word per set; the ways of the sets that
+/// have been inserted into live in `ways`, in first-touch order, behind
+/// one group of empty ways that every untouched set shares.
 #[derive(Debug)]
 pub struct CacheSim {
-    sets: Vec<Entry>,
+    /// Per set: which `assoc`-entry group of `ways` holds it. `0` — the
+    /// shared empty group — until a line lands in the set.
+    slot: Vec<u32>,
+    /// Group 0 is `assoc` ways that are never written (all invalid, all
+    /// zero); group `k > 0` is the `k`-th set to have been inserted into.
+    ways: Vec<Entry>,
     num_sets: usize,
     assoc: usize,
     tick: u64,
@@ -63,6 +83,9 @@ pub struct CacheSim {
 impl CacheSim {
     /// A cache of `capacity_bytes` with `line_bytes` lines and `assoc` ways.
     /// The number of sets is rounded down to a power of two (at least 1).
+    ///
+    /// # Panics
+    /// Panics if the geometry has more than `u32::MAX` sets.
     pub fn new(capacity_bytes: usize, line_bytes: usize, assoc: usize) -> Self {
         let lines = (capacity_bytes / line_bytes.max(1)).max(1);
         let assoc = assoc.clamp(1, lines);
@@ -73,8 +96,14 @@ impl CacheSim {
         } else {
             raw_sets.next_power_of_two() / 2
         };
+        assert!(
+            num_sets <= u32::MAX as usize,
+            "cache_bytes {capacity_bytes} / line_bytes {line_bytes} / {assoc} ways is \
+             {num_sets} sets; the set table indexes with 32 bits"
+        );
         CacheSim {
-            sets: vec![Entry::default(); num_sets * assoc],
+            slot: vec![0; num_sets],
+            ways: vec![Entry::default(); assoc],
             num_sets,
             assoc,
             tick: 0,
@@ -90,28 +119,53 @@ impl CacheSim {
     }
 
     #[inline]
-    fn set_range(&self, tag: LineTag) -> std::ops::Range<usize> {
-        // Multiplicative hash spreads region/line structure across sets.
-        let h = tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        let set = (h as usize) & (self.num_sets - 1);
-        set * self.assoc..(set + 1) * self.assoc
+    fn set_of(&self, tag: LineTag) -> usize {
+        set_index(tag, self.num_sets)
+    }
+
+    /// The ways of `set` — the shared empty group while no line has landed
+    /// in it, so only [`Self::materialise`]'s result may be written to.
+    #[inline]
+    fn ways_of(&mut self, set: usize) -> &mut [Entry] {
+        let at = self.slot[set] as usize * self.assoc;
+        &mut self.ways[at..at + self.assoc]
+    }
+
+    /// The ways of `set`, given a group of their own on the first insert.
+    #[inline]
+    fn materialise(&mut self, set: usize) -> &mut [Entry] {
+        if self.slot[set] == 0 {
+            self.add_group(set);
+        }
+        self.ways_of(set)
+    }
+
+    #[cold]
+    fn add_group(&mut self, set: usize) {
+        // At most `num_sets` groups after group 0; `new` checked that fits.
+        self.slot[set] = (self.ways.len() / self.assoc) as u32;
+        self.ways
+            .extend(std::iter::repeat_n(Entry::default(), self.assoc));
     }
 
     /// Look for `tag`; records hit/miss stats and refreshes LRU on hit.
     pub fn probe(&mut self, tag: LineTag) -> Probe {
         self.tick += 1;
         let tick = self.tick;
-        let range = self.set_range(tag);
-        for e in &mut self.sets[range] {
-            if e.valid && e.tag == tag {
-                e.used = tick;
-                self.hits += 1;
-                self.last_probe_hit = true;
-                return Probe::Hit {
-                    version: e.version,
-                    dirty: e.dirty,
-                };
-            }
+        let set = self.set_of(tag);
+        if let Some(e) = self
+            .ways_of(set)
+            .iter_mut()
+            .find(|e| e.valid && e.tag == tag)
+        {
+            e.used = tick;
+            let hit = Probe::Hit {
+                version: e.version,
+                dirty: e.dirty,
+            };
+            self.hits += 1;
+            self.last_probe_hit = true;
+            return hit;
         }
         self.misses += 1;
         self.last_probe_hit = false;
@@ -122,24 +176,25 @@ impl CacheSim {
     pub fn insert(&mut self, tag: LineTag, version: u64, dirty: bool) -> Option<Evicted> {
         self.tick += 1;
         let tick = self.tick;
-        let range = self.set_range(tag);
+        let set = self.set_of(tag);
+        let set = self.materialise(set);
         // Update in place if present.
-        let set = &mut self.sets[range.clone()];
         if let Some(e) = set.iter_mut().find(|e| e.valid && e.tag == tag) {
             e.version = version;
             e.dirty = dirty;
             e.used = tick;
             return None;
         }
+        let fresh = Entry {
+            tag,
+            version,
+            dirty,
+            used: tick,
+            valid: true,
+        };
         // Free way?
         if let Some(e) = set.iter_mut().find(|e| !e.valid) {
-            *e = Entry {
-                tag,
-                version,
-                dirty,
-                used: tick,
-                valid: true,
-            };
+            *e = fresh;
             return None;
         }
         // Evict LRU.
@@ -151,13 +206,7 @@ impl CacheSim {
             tag: victim.tag,
             dirty: victim.dirty,
         };
-        *victim = Entry {
-            tag,
-            version,
-            dirty,
-            used: tick,
-            valid: true,
-        };
+        *victim = fresh;
         Some(evicted)
     }
 
@@ -183,50 +232,62 @@ impl CacheSim {
     /// Drop `tag` if present (used when the runtime observes a stale
     /// version: the copy is conceptually invalid).
     pub fn purge(&mut self, tag: LineTag) {
-        let range = self.set_range(tag);
-        for e in &mut self.sets[range] {
-            if e.valid && e.tag == tag {
-                e.valid = false;
-                return;
-            }
+        let set = self.set_of(tag);
+        if let Some(e) = self
+            .ways_of(set)
+            .iter_mut()
+            .find(|e| e.valid && e.tag == tag)
+        {
+            e.valid = false;
         }
     }
 
     /// Invalidate everything (e.g. between timed phases).
     pub fn clear(&mut self) {
-        for e in &mut self.sets {
+        for e in &mut self.ways {
             e.valid = false;
         }
     }
 
+    /// Number of words [`CacheSim::export_words`] writes for this geometry.
+    fn export_len(&self) -> usize {
+        6 + self.num_sets * self.assoc * 4
+    }
+
     /// Dump the complete cache state — geometry, LRU clock, stats, and
-    /// every way — as plain words, for checkpoints. Restoring with
-    /// [`CacheSim::import_words`] makes the post-restore hit/miss stream
-    /// bitwise-identical to an uninterrupted run.
+    /// every way of every set in set order, a set no line has landed in
+    /// as the `assoc` empty ways it shares — as plain words, for
+    /// checkpoints. Restoring with [`CacheSim::import_words`] makes the
+    /// post-restore hit/miss stream bitwise-identical to an uninterrupted
+    /// run.
     pub fn export_words(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(6 + self.sets.len() * 4);
+        let mut out = Vec::with_capacity(self.export_len());
         out.push(self.num_sets as u64);
         out.push(self.assoc as u64);
         out.push(self.tick);
         out.push(self.hits);
         out.push(self.misses);
         out.push(u64::from(self.last_probe_hit));
-        for e in &self.sets {
-            out.push(e.tag);
-            out.push(e.version);
-            out.push((u64::from(e.dirty) << 1) | u64::from(e.valid));
-            out.push(e.used);
+        for &group in &self.slot {
+            let at = group as usize * self.assoc;
+            for e in &self.ways[at..at + self.assoc] {
+                out.push(e.tag);
+                out.push(e.version);
+                out.push((u64::from(e.dirty) << 1) | u64::from(e.valid));
+                out.push(e.used);
+            }
         }
         out
     }
 
-    /// Restore state captured by [`CacheSim::export_words`].
+    /// Restore state captured by [`CacheSim::export_words`]. A set whose
+    /// words are all zero stays unmaterialised.
     ///
     /// # Errors
     /// Errors (leaving the cache untouched) if the word count or the
     /// recorded geometry disagrees with this cache's configuration.
     pub fn import_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let expect = 6 + self.sets.len() * 4;
+        let expect = self.export_len();
         if words.len() != expect {
             return Err(format!(
                 "cache snapshot has {} words, expected {expect}",
@@ -243,14 +304,21 @@ impl CacheSim {
         self.hits = words[3];
         self.misses = words[4];
         self.last_probe_hit = words[5] != 0;
-        for (e, chunk) in self.sets.iter_mut().zip(words[6..].chunks_exact(4)) {
-            *e = Entry {
-                tag: chunk[0],
-                version: chunk[1],
-                dirty: chunk[2] & 0b10 != 0,
-                valid: chunk[2] & 0b01 != 0,
-                used: chunk[3],
-            };
+        self.slot.fill(0);
+        self.ways.truncate(self.assoc);
+        for (set, group) in words[6..].chunks_exact(self.assoc * 4).enumerate() {
+            if group.iter().all(|&w| w == 0) {
+                continue;
+            }
+            for (e, chunk) in self.materialise(set).iter_mut().zip(group.chunks_exact(4)) {
+                *e = Entry {
+                    tag: chunk[0],
+                    version: chunk[1],
+                    dirty: chunk[2] & 0b10 != 0,
+                    valid: chunk[2] & 0b01 != 0,
+                    used: chunk[3],
+                };
+            }
         }
         Ok(())
     }
@@ -309,7 +377,7 @@ mod tests {
         let mut c = tiny();
         // Find three tags mapping to the same set.
         let mut same_set = Vec::new();
-        let probe_set = |c: &CacheSim, t: LineTag| c.set_range(t).start;
+        let probe_set = |c: &CacheSim, t: LineTag| c.set_of(t);
         let target = probe_set(&c, line_tag(0, 0));
         for line in 0..10_000u64 {
             let t = line_tag(0, line);
@@ -438,6 +506,217 @@ mod tests {
         let before = d.export_words();
         assert!(d.import_words(&words[..words.len() - 1]).is_err());
         assert_eq!(d.export_words(), before);
+    }
+
+    #[test]
+    fn sets_no_line_landed_in_cost_nothing_and_survive_a_snapshot() {
+        // The Origin2000 geometry: 4 MiB, 128 B lines, 2-way.
+        let geometry = || CacheSim::new(4 << 20, 128, 2);
+        let mut c = geometry();
+        assert_eq!((c.slot.len(), c.ways.len()), (16_384, c.assoc));
+        for line in 0..5 {
+            c.insert(line_tag(1, line), line + 1, line % 2 == 0);
+        }
+        c.purge(line_tag(1, 3)); // an invalid way that still has its words
+        assert_eq!(c.probe(line_tag(7, 7)), Probe::Miss); // a set still absent
+        let held = c.ways.len();
+        assert!(held <= (1 + 5) * c.assoc, "only the touched sets exist");
+
+        let words = c.export_words();
+        assert_eq!(words.len(), 6 + 16_384 * 2 * 4, "the dense wire format");
+        let mut d = geometry();
+        d.import_words(&words).unwrap();
+        assert_eq!(d.ways.len(), held, "absent sets stay absent on import");
+        assert_eq!(d.export_words(), words);
+
+        // `clear` keeps the invalidated ways' words, as the dense table did.
+        c.clear();
+        let cleared = c.export_words();
+        assert_ne!(cleared, words);
+        d.import_words(&cleared).unwrap();
+        assert_eq!(d.export_words(), cleared);
+        assert_eq!(d.probe(line_tag(1, 0)), Probe::Miss);
+        // Importing over a populated cache forgets what it held.
+        d.insert(line_tag(9, 9), 1, true);
+        d.import_words(&words).unwrap();
+        assert_eq!(d.export_words(), words);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "cache_bytes")]
+    fn a_geometry_past_the_set_table_is_refused() {
+        CacheSim::new(1 << 40, 64, 2);
+    }
+
+    /// The dense table [`CacheSim`] replaced — every way of every set
+    /// exists from construction — kept as the reference the sparse one
+    /// must answer like, word for word.
+    struct Dense {
+        sets: Vec<Entry>,
+        assoc: usize,
+        tick: u64,
+        hits: u64,
+        misses: u64,
+        last_probe_hit: bool,
+    }
+
+    impl Dense {
+        fn like(c: &CacheSim) -> Self {
+            Dense {
+                sets: vec![Entry::default(); c.num_sets * c.assoc],
+                assoc: c.assoc,
+                tick: 0,
+                hits: 0,
+                misses: 0,
+                last_probe_hit: false,
+            }
+        }
+
+        fn set(&mut self, tag: LineTag) -> &mut [Entry] {
+            let set = set_index(tag, self.sets.len() / self.assoc);
+            &mut self.sets[set * self.assoc..(set + 1) * self.assoc]
+        }
+
+        fn probe(&mut self, tag: LineTag) -> Probe {
+            self.tick += 1;
+            let tick = self.tick;
+            let found = self.set(tag).iter_mut().find(|e| e.valid && e.tag == tag);
+            let hit = found.map(|e| {
+                e.used = tick;
+                Probe::Hit {
+                    version: e.version,
+                    dirty: e.dirty,
+                }
+            });
+            self.last_probe_hit = hit.is_some();
+            if hit.is_some() {
+                self.hits += 1;
+            } else {
+                self.misses += 1;
+            }
+            hit.unwrap_or(Probe::Miss)
+        }
+
+        fn insert(&mut self, tag: LineTag, version: u64, dirty: bool) -> Option<Evicted> {
+            self.tick += 1;
+            let fresh = Entry {
+                tag,
+                version,
+                dirty,
+                used: self.tick,
+                valid: true,
+            };
+            let set = self.set(tag);
+            let present = set.iter().position(|e| e.valid && e.tag == tag);
+            if let Some(i) = present.or_else(|| set.iter().position(|e| !e.valid)) {
+                set[i] = fresh;
+                return None;
+            }
+            let victim = set.iter_mut().min_by_key(|e| e.used).unwrap();
+            let evicted = Evicted {
+                tag: victim.tag,
+                dirty: victim.dirty,
+            };
+            *victim = fresh;
+            Some(evicted)
+        }
+
+        fn purge(&mut self, tag: LineTag) {
+            if let Some(e) = self.set(tag).iter_mut().find(|e| e.valid && e.tag == tag) {
+                e.valid = false;
+            }
+        }
+
+        fn export_words(&self) -> Vec<u64> {
+            let mut out = vec![
+                (self.sets.len() / self.assoc) as u64,
+                self.assoc as u64,
+                self.tick,
+                self.hits,
+                self.misses,
+                u64::from(self.last_probe_hit),
+            ];
+            for e in &self.sets {
+                let flags = (u64::from(e.dirty) << 1) | u64::from(e.valid);
+                out.extend([e.tag, e.version, flags, e.used]);
+            }
+            out
+        }
+    }
+
+    mod sparse_matches_dense {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// (capacity, line bytes, ways): the degenerate single line, 1-,
+        /// 2- and 4-way tables the tag pool overflows, and one with far
+        /// more sets than the pool can touch.
+        const GEOMETRIES: [(usize, usize, usize); 5] = [
+            (64, 64, 4),
+            (512, 64, 1),
+            (512, 64, 2),
+            (2048, 64, 4),
+            (64 << 10, 64, 2),
+        ];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// Random probe / insert / purge / clear / reclassify_stale
+            /// streams answer identically and leave identical snapshot
+            /// words, at every step, whether or not absent sets are stored.
+            #[test]
+            fn at_every_step(
+                geometry in 0usize..GEOMETRIES.len(),
+                ops in proptest::collection::vec(
+                    (0u8..16, 0u32..3, 0u64..24, 0u64..4, any::<bool>()),
+                    1..250,
+                ),
+            ) {
+                let (capacity, line, assoc) = GEOMETRIES[geometry];
+                let mut sparse = CacheSim::new(capacity, line, assoc);
+                let mut dense = Dense::like(&sparse);
+                for (op, region, line, version, dirty) in ops {
+                    let tag = line_tag(region, line);
+                    match op {
+                        0..=6 => {
+                            let got = sparse.probe(tag);
+                            prop_assert_eq!(got, dense.probe(tag));
+                            // The runtime's invalidation miss: purge, then
+                            // move the hit it was counted as.
+                            if op == 6 && got != Probe::Miss {
+                                sparse.purge(tag);
+                                dense.purge(tag);
+                                sparse.reclassify_stale();
+                                dense.hits -= 1;
+                                dense.misses += 1;
+                                dense.last_probe_hit = false;
+                            }
+                        }
+                        7..=12 => prop_assert_eq!(
+                            sparse.insert(tag, version, dirty),
+                            dense.insert(tag, version, dirty)
+                        ),
+                        13 | 14 => {
+                            sparse.purge(tag);
+                            dense.purge(tag);
+                        }
+                        _ => {
+                            sparse.clear();
+                            dense.sets.iter_mut().for_each(|e| e.valid = false);
+                        }
+                    }
+                    prop_assert_eq!(sparse.stats(), (dense.hits, dense.misses));
+                    prop_assert_eq!(sparse.export_words(), dense.export_words());
+                }
+                let words = sparse.export_words();
+                let mut restored = CacheSim::new(capacity, line, assoc);
+                restored.import_words(&words).unwrap();
+                prop_assert!(restored.ways.len() <= sparse.ways.len());
+                prop_assert_eq!(restored.export_words(), words);
+            }
+        }
     }
 
     #[test]

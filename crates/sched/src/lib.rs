@@ -60,7 +60,7 @@
 //! `det` runs are bitwise identical between backends (enforced by the
 //! cross-backend golden tests).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use machine::SimTime;
@@ -471,24 +471,21 @@ struct Inner {
     clock: Vec<SimTime>,
     registered: usize,
     done: usize,
-    poisoned: bool,
     current: Option<usize>,
     chooser: Chooser,
     /// PEs waiting at the team-wide rendezvous gate; the `npes`-th
     /// arrival releases them all.
     gate_arrived: usize,
     switches: u64,
-    /// Event backend: a floor grant is queued in `next_resume` for the
-    /// single-threaded driver instead of waking the winner's condvar.
+    /// Event backend: a floor grant is queued in [`CoopSched::next_resume`]
+    /// for the single-threaded driver instead of waking the winner's
+    /// condvar.
     event: bool,
     /// Pending PEs keyed `(clock, pe)`, exactly the `Runnable` set: PEs
     /// are inserted on wake and removed *exactly* when they leave
     /// `Runnable`, so the top entry is always the det pick with no stale
     /// tombstones to skip and no allocation after construction.
     heap: PeHeap,
-    /// The PE the event driver must resume next, set by `hand_off` when
-    /// the floor goes to a PE other than the caller.
-    next_resume: Option<usize>,
     /// One-shot direct grant consumed by the first `hand_off` after a
     /// [`CoopSched::preseed_resume`]: the floor goes straight to the PE
     /// that held it when the snapshot was taken, with no pick, no
@@ -607,6 +604,9 @@ const HORIZON_SHUT: (SimTime, usize) = (0, 0);
 /// PE running alone always keeps the floor.
 const HORIZON_OPEN: (SimTime, usize) = (SimTime::MAX, usize::MAX);
 
+/// [`CoopSched::next_resume`] while no floor grant is pending.
+const NO_GRANT: usize = usize::MAX;
+
 /// One step of the pick-sequence fingerprint (FNV-1a over picked PE ids).
 #[inline]
 fn fold_pick(fingerprint: u64, pe: usize) -> u64 {
@@ -652,6 +652,23 @@ fn fold_pick(fingerprint: u64, pe: usize) -> u64 {
 /// exporter's included — it has not yielded since); and the deadlock /
 /// partition diagnostic prints PEs that are all `Blocked` or `Done`,
 /// i.e. last seen by `block`, `gate_wait` or `finish`.
+///
+/// # The event driver's view
+///
+/// **The driver resumes exactly the PE `hand_off` granted — or every
+/// suspended PE, once poisoned.** Under [`ExecMode::Event`] the grant
+/// (`next_resume`) and the poison flag are two atomics beside the mutex:
+/// stored where the decision is made, under the lock, and read without
+/// it. [`Self::event_take_next`] is a swap, [`Self::is_poisoned`] a load,
+/// and a PE that comes back from its suspension in `wait_for_floor` reads
+/// the poison flag and returns — it *is* the PE whose status `hand_off`
+/// set to `Running` when it queued the grant, so it does not re-take the
+/// lock to re-read that (debug builds assert it). One hand-off therefore
+/// takes the scheduler mutex once, in the PE that gives the floor up,
+/// where it used to take it four times (that PE, the driver twice, the
+/// resumed PE). The thread backend reads the same flag holding the lock,
+/// as it must: there the check and the condvar wait have to be atomic
+/// with respect to the store.
 pub struct CoopSched {
     npes: usize,
     policy: SchedPolicy,
@@ -669,10 +686,21 @@ pub struct CoopSched {
     /// the keep-the-floor path — so never by two PEs at once; `Relaxed`
     /// suffices for the same reason as above.
     fingerprint: AtomicU64,
+    /// Event backend: the PE the driver must resume next ([`NO_GRANT`] for
+    /// none), stored by `hand_off` when the floor goes to a PE other than
+    /// the caller and taken by [`Self::event_take_next`]. See "The event
+    /// driver's view".
+    next_resume: AtomicUsize,
+    /// A PE panicked or the team deadlocked. Stored under `inner`'s lock
+    /// (Release) by [`Self::poison`] and `hand_off`'s deadlock branch, so a
+    /// thread-backend waiter — which checks it (Acquire) holding that lock
+    /// before it parks — cannot miss the wake-up that follows the store.
+    poisoned: AtomicBool,
     /// One condvar per PE; PE `p` waits on `cvs[p]` until it holds the
-    /// floor (or the scheduler is poisoned). Thread backend only — under
-    /// [`ExecMode::Event`] a PE without the floor is a suspended
-    /// coroutine and nothing ever waits here.
+    /// floor (or the scheduler is poisoned). Waited on by the thread
+    /// backend under `det` / `explore` only: under [`ExecMode::Event`] a PE
+    /// without the floor is a suspended coroutine, and `os` runs have no
+    /// `CoopSched` at all.
     cvs: Vec<Condvar>,
 }
 
@@ -704,19 +732,19 @@ impl CoopSched {
                 clock: vec![0; npes],
                 registered: 0,
                 done: 0,
-                poisoned: false,
                 current: None,
                 chooser,
                 gate_arrived: 0,
                 switches: 0,
                 event,
                 heap: PeHeap::new(npes),
-                next_resume: None,
                 resume_grant: None,
             }),
             horizon_clock: AtomicU64::new(HORIZON_SHUT.0),
             horizon_pe: AtomicUsize::new(HORIZON_SHUT.1),
             fingerprint: AtomicU64::new(0xcbf2_9ce4_8422_2325),
+            next_resume: AtomicUsize::new(NO_GRANT),
+            poisoned: AtomicBool::new(false),
             cvs: (0..npes).map(|_| Condvar::new()).collect(),
         }
     }
@@ -851,11 +879,8 @@ impl CoopSched {
                     // the whole scheduler: wake the winner's parked
                     // thread, or queue it for the event driver to resume.
                     if inner.event {
-                        debug_assert!(
-                            inner.next_resume.is_none(),
-                            "two floor grants pending at once"
-                        );
-                        inner.next_resume = Some(next);
+                        let pending = self.next_resume.swap(next, Ordering::Release);
+                        debug_assert_eq!(pending, NO_GRANT, "two floor grants pending at once");
                     } else {
                         self.cvs[next].notify_all();
                     }
@@ -873,7 +898,7 @@ impl CoopSched {
                         .enumerate()
                         .map(|(p, s)| format!("PE {p}: {s:?} @ {} ns", inner.clock[p]))
                         .collect();
-                    inner.poisoned = true;
+                    self.poisoned.store(true, Ordering::Release);
                     for cv in &self.cvs {
                         cv.notify_all();
                     }
@@ -908,7 +933,7 @@ impl CoopSched {
     /// Wait until `pe` holds the floor (or panic if poisoned).
     fn wait_for_floor<'a>(&'a self, mut inner: parking_lot::MutexGuard<'a, Inner>, pe: usize) {
         loop {
-            if inner.poisoned {
+            if self.is_poisoned() {
                 drop(inner);
                 panic!("{POISON_MSG}");
             }
@@ -916,16 +941,24 @@ impl CoopSched {
                 return;
             }
             if self.exec == ExecMode::Event {
-                // Suspend this PE's coroutine; the driver resumes it once
-                // a hand_off grants it the floor (or poison makes the
-                // re-check above unwind it). Never suspend holding the
-                // scheduler lock — the driver and the granted PE need it.
+                // Suspend this PE's coroutine. Never suspend holding the
+                // scheduler lock — the granted PE needs it.
                 drop(inner);
                 coro::yield_current();
-                inner = self.inner.lock();
-            } else {
-                self.cvs[pe].wait(&mut inner);
+                // The driver resumes exactly the PE `hand_off` granted, or
+                // everyone once poisoned (see "The event driver's view"),
+                // so there is nothing to re-read under the lock.
+                if self.is_poisoned() {
+                    panic!("{POISON_MSG}");
+                }
+                debug_assert_eq!(
+                    self.inner.lock().status[pe],
+                    Status::Running,
+                    "PE {pe} resumed without a floor grant"
+                );
+                return;
             }
+            self.cvs[pe].wait(&mut inner);
         }
     }
 
@@ -1095,7 +1128,7 @@ impl CoopSched {
             inner.status[pe] = Status::Done;
             inner.done += 1;
         }
-        inner.poisoned = true;
+        self.poisoned.store(true, Ordering::Release);
         for cv in &self.cvs {
             cv.notify_all();
         }
@@ -1107,20 +1140,24 @@ impl CoopSched {
     // drives everything (see `parallel::team`): resume each PE coroutine
     // once so it registers, then repeatedly resume whichever PE the last
     // hand_off granted the floor to. These two accessors are that loop's
-    // entire view of the scheduler.
+    // entire view of the scheduler, and neither takes the lock (see "The
+    // event driver's view" on [`CoopSched`]).
 
     /// Take the pending floor grant, if any. `None` means no PE is
     /// waiting to be resumed: either the currently-running PE kept the
     /// floor, or the team is finished (or poisoned — check
-    /// [`Self::is_poisoned`]).
+    /// [`Self::is_poisoned`]). A grant is taken exactly once.
     pub fn event_take_next(&self) -> Option<usize> {
-        self.inner.lock().next_resume.take()
+        match self.next_resume.swap(NO_GRANT, Ordering::Acquire) {
+            NO_GRANT => None,
+            pe => Some(pe),
+        }
     }
 
     /// Whether a PE panicked or a deadlock was detected. The event driver
     /// polls this to know it must unwind the surviving coroutines.
     pub fn is_poisoned(&self) -> bool {
-        self.inner.lock().poisoned
+        self.poisoned.load(Ordering::Acquire)
     }
 }
 
@@ -1568,6 +1605,56 @@ mod tests {
             .find(|m| *m != POISON_MSG)
             .expect("one PE carries the diagnostic");
         assert!(diag.contains("cooperative scheduler deadlock"), "{diag}");
+    }
+
+    /// Two PEs that register and finish, as coroutines the test drives.
+    fn two_registrants(sched: &Arc<CoopSched>) -> Vec<coro::Coro<'static>> {
+        (0..2)
+            .map(|pe| {
+                let sched = Arc::clone(sched);
+                coro::Coro::new(256 * 1024, move || {
+                    sched.register(pe);
+                    sched.finish(pe, 0);
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_floor_grant_is_taken_exactly_once() {
+        let sched = Arc::new(CoopSched::with_exec(2, SchedPolicy::Det, ExecMode::Event));
+        let mut coros = two_registrants(&sched);
+        assert_eq!(sched.event_take_next(), None, "nobody registered yet");
+        for c in &mut coros {
+            c.resume();
+        }
+        // The last registrant's hand-off picked PE 0.
+        assert_eq!(sched.event_take_next(), Some(0));
+        assert_eq!(sched.event_take_next(), None);
+        coros[0].resume(); // runs to `finish`, which grants PE 1
+        assert_eq!(sched.event_take_next(), Some(1));
+        assert_eq!(sched.event_take_next(), None);
+        coros[1].resume();
+        assert_eq!(sched.event_take_next(), None);
+        assert!(coros.iter().all(|c| c.finished()));
+    }
+
+    #[test]
+    fn a_pe_resumed_after_poison_unwinds_without_taking_the_lock() {
+        let sched = Arc::new(CoopSched::with_exec(2, SchedPolicy::Det, ExecMode::Event));
+        let mut coros = two_registrants(&sched);
+        coros[0].resume(); // registers and suspends: PE 1 has not arrived
+        sched.poison(1); // as PE 1's unwind path would
+        assert!(sched.is_poisoned());
+        // Resume PE 0 with the mutex held by this, its own, thread: a PE
+        // that went back under the lock to re-read its status would hang
+        // here instead of unwinding.
+        let held = sched.inner.lock();
+        coros[0].resume();
+        drop(held);
+        assert!(coros[0].finished());
+        let payload = coros[0].take_panic().expect("PE 0 unwound");
+        assert_eq!(payload.downcast_ref::<String>().unwrap(), POISON_MSG);
     }
 
     #[test]

@@ -148,7 +148,7 @@ pub(crate) struct ClientLog {
 }
 
 impl ClientLog {
-    pub(crate) fn new(_pes: usize) -> Self {
+    pub(crate) fn new() -> Self {
         ClientLog {
             checksum: 0,
             issued: 0,

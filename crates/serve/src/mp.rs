@@ -189,7 +189,7 @@ fn rank_main(
 
     // --- serve: open-loop client + interleaved server ---
     ctx.net_phase("serve");
-    let mut log = ClientLog::new(p);
+    let mut log = ClientLog::new();
     let mut dones = 0usize;
     for req in &stream {
         // Poll the mailbox (and sweep steal victims) while idling until

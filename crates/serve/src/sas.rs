@@ -108,7 +108,7 @@ fn rank_main(
     // --- serve: every lookup reads the value through the coherence
     // protocol (one access per covered cache line) ---
     ctx.net_phase("serve");
-    let mut log = ClientLog::new(p);
+    let mut log = ClientLog::new();
     let mut val = vec![0u64; v];
     for req in &stream {
         await_arrival(ctx, req);

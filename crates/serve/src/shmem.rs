@@ -111,7 +111,7 @@ fn rank_main(
 
     // --- serve: every lookup is one one-sided get ---
     ctx.net_phase("serve");
-    let mut log = ClientLog::new(p);
+    let mut log = ClientLog::new();
     for req in &stream {
         await_arrival(ctx, req);
         let owner = clients::owner_of(req.key, cfg.keys, p);
