@@ -3,7 +3,7 @@
 use std::any::TypeId;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use machine::{cost, Machine, TimeCat};
 use parallel::{Ctx, EventKind};
@@ -15,8 +15,41 @@ use parallel::{Element, IntElement};
 struct Region {
     type_id: TypeId,
     len: usize,
-    /// `mem[pe][i]` is element `i` of PE `pe`'s instance.
-    mem: Vec<Box<[AtomicU64]>>,
+    /// `mem[pe]` is PE `pe`'s instance once something has been stored into
+    /// it; an unset instance reads as `len` zero words, which is what a
+    /// fresh one holds. A region costs what its PEs wrote, not `pes × len`:
+    /// the serving replica region is written by three helpers per hot shard
+    /// and allocated by all 256 PEs.
+    mem: Vec<OnceLock<Box<[AtomicU64]>>>,
+}
+
+impl Region {
+    fn new(type_id: TypeId, len: usize, pes: usize) -> Self {
+        Region {
+            type_id,
+            len,
+            mem: (0..pes).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// PE `pe`'s instance for a store, materialised on first use.
+    fn instance(&self, pe: usize) -> &[AtomicU64] {
+        self.mem[pe].get_or_init(|| (0..self.len).map(|_| AtomicU64::new(0)).collect())
+    }
+
+    /// The backing words `[offset .. offset + len]` of PE `pe`'s instance.
+    fn bits(&self, pe: usize, offset: usize, len: usize) -> impl Iterator<Item = u64> + '_ {
+        let held: &[AtomicU64] = match self.mem[pe].get() {
+            Some(cells) => &cells[offset..offset + len],
+            None => {
+                assert!(offset + len <= self.len, "symmetric read out of range");
+                &[]
+            }
+        };
+        // All `len` words are held or none is; zeros make up the difference.
+        (held.iter().map(|c| c.load(Ordering::Relaxed)))
+            .chain(std::iter::repeat_n(0, len - held.len()))
+    }
 }
 
 /// Sentinel element type for regions rebuilt from a snapshot: the wire
@@ -57,7 +90,9 @@ impl SymWorld {
 
     /// Collective symmetric allocation (`shmalloc`): every PE must call this
     /// with the same `len`, in the same allocation sequence. Returns a handle
-    /// to the region; PE `p`'s instance holds `len` elements of `T`.
+    /// to the region; PE `p`'s instance holds `len` elements of `T`, all
+    /// zero (host memory for an instance is taken at the first store into
+    /// it, not here).
     ///
     /// # Panics
     /// Panics if PEs disagree on the type or length of the allocation.
@@ -67,15 +102,7 @@ impl SymWorld {
             let mut regions = self.regions.lock();
             if regions.len() <= idx {
                 debug_assert_eq!(regions.len(), idx, "allocation sequence skew");
-                let pes = self.size();
-                let mem = (0..pes)
-                    .map(|_| (0..len).map(|_| AtomicU64::new(0)).collect::<Box<[_]>>())
-                    .collect();
-                regions.push(Arc::new(Region {
-                    type_id: TypeId::of::<T>(),
-                    len,
-                    mem,
-                }));
+                regions.push(Arc::new(Region::new(TypeId::of::<T>(), len, self.size())));
             }
             let r = Arc::clone(&regions[idx]);
             assert_eq!(
@@ -115,9 +142,9 @@ impl SymWorld {
         w.u64(regions.len() as u64);
         for r in regions.iter() {
             w.u64(r.len as u64);
-            for pe_mem in &r.mem {
-                for cell in pe_mem.iter() {
-                    w.u64(cell.load(Ordering::Relaxed));
+            for pe in 0..self.size() {
+                for bits in r.bits(pe, 0, r.len) {
+                    w.u64(bits);
                 }
             }
         }
@@ -152,18 +179,17 @@ impl SymWorld {
         for _ in 0..n_regions {
             // `len` words follow for each of the `pes` PEs.
             let len = rd.count(8 * pes)?;
-            let mem: Vec<Box<[AtomicU64]>> = (0..pes)
-                .map(|_| {
-                    (0..len)
-                        .map(|_| Ok(AtomicU64::new(rd.u64()?)))
-                        .collect::<Result<Box<[_]>, String>>()
-                })
-                .collect::<Result<_, String>>()?;
-            imported.push(Arc::new(Region {
-                type_id: TypeId::of::<Imported>(),
-                len,
-                mem,
-            }));
+            let region = Region::new(TypeId::of::<Imported>(), len, pes);
+            for cell in &region.mem {
+                let words = (0..len)
+                    .map(|_| rd.u64())
+                    .collect::<Result<Vec<u64>, String>>()?;
+                // An all-zero instance stays unset, as in the run that wrote it.
+                if words.iter().any(|&w| w != 0) {
+                    let _ = cell.set(words.into_iter().map(AtomicU64::new).collect());
+                }
+            }
+            imported.push(Arc::new(region));
         }
         rd.finish()?;
         let mut regions = self.regions.lock();
@@ -233,9 +259,19 @@ impl<T: Element> SymSlice<T> {
         self.region.len == 0
     }
 
-    #[inline]
-    fn cells(&self, pe: usize) -> &[AtomicU64] {
-        &self.region.mem[pe]
+    /// Store `data` into `pe`'s instance starting at `offset`.
+    fn store(&self, pe: usize, offset: usize, data: &[T]) {
+        let cells = &self.region.instance(pe)[offset..offset + data.len()];
+        for (cell, v) in cells.iter().zip(data) {
+            cell.store(v.to_bits(), Ordering::Relaxed);
+        }
+    }
+
+    /// Load `len` elements of `pe`'s instance starting at `offset`.
+    fn load(&self, pe: usize, offset: usize, len: usize) -> Vec<T> {
+        (self.region.bits(pe, offset, len))
+            .map(T::from_bits)
+            .collect()
     }
 
     /// One-sided put: write `data` into `target_pe`'s instance starting at
@@ -244,9 +280,7 @@ impl<T: Element> SymSlice<T> {
     /// barrier (we store immediately — SHMEM allows the data to land any
     /// time before the fence).
     pub fn put(&self, ctx: &mut Ctx, target_pe: usize, offset: usize, data: &[T]) {
-        for (i, v) in data.iter().enumerate() {
-            self.cells(target_pe)[offset + i].store(v.to_bits(), Ordering::Relaxed);
-        }
+        self.store(target_pe, offset, data);
         let bytes = data.len() * T::BYTES;
         let hops = self.machine.hops_between(ctx.pe(), target_pe);
         let net_delay = ctx.net_delay_to_pe(target_pe, bytes);
@@ -265,10 +299,7 @@ impl<T: Element> SymSlice<T> {
     /// One-sided get: read `len` elements from `source_pe`'s instance
     /// starting at `offset`. Charges a round trip.
     pub fn get(&self, ctx: &mut Ctx, source_pe: usize, offset: usize, len: usize) -> Vec<T> {
-        let out: Vec<T> = self.cells(source_pe)[offset..offset + len]
-            .iter()
-            .map(|c| T::from_bits(c.load(Ordering::Relaxed)))
-            .collect();
+        let out = self.load(source_pe, offset, len);
         let bytes = len * T::BYTES;
         let hops = self.machine.hops_between(ctx.pe(), source_pe);
         // A get's payload flows source→initiator; the queueing model routes
@@ -302,22 +333,18 @@ impl<T: Element> SymSlice<T> {
     /// Write to this PE's own instance (normal local store; no network
     /// charge — local cost is part of the application's compute model).
     pub fn write_local(&self, ctx: &Ctx, offset: usize, data: &[T]) {
-        for (i, v) in data.iter().enumerate() {
-            self.cells(ctx.pe())[offset + i].store(v.to_bits(), Ordering::Relaxed);
-        }
+        self.store(ctx.pe(), offset, data);
     }
 
     /// Read from this PE's own instance.
     pub fn read_local(&self, ctx: &Ctx, offset: usize, len: usize) -> Vec<T> {
-        self.cells(ctx.pe())[offset..offset + len]
-            .iter()
-            .map(|c| T::from_bits(c.load(Ordering::Relaxed)))
-            .collect()
+        self.load(ctx.pe(), offset, len)
     }
 
     /// Read one element of this PE's own instance.
     pub fn read_local1(&self, ctx: &Ctx, offset: usize) -> T {
-        T::from_bits(self.cells(ctx.pe())[offset].load(Ordering::Relaxed))
+        let mut word = self.region.bits(ctx.pe(), offset, 1);
+        T::from_bits(word.next().expect("one word asked for"))
     }
 
     /// Memory fence (`shmem_quiet`): orders this PE's outstanding puts.
@@ -339,17 +366,15 @@ impl<T: Element> SymSlice<T> {
         // Values move through the blackboard for simplicity; the cost model
         // below matches a binomial tree of puts.
         let vals: Vec<u64> = if ctx.pe() == root {
-            self.cells(root)[offset..offset + len]
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect()
+            self.region.bits(root, offset, len).collect()
         } else {
             Vec::new()
         };
         let vals = ctx.broadcast(root, if ctx.pe() == root { Some(vals) } else { None });
         if ctx.pe() != root {
-            for (i, v) in vals.iter().enumerate() {
-                self.cells(ctx.pe())[offset + i].store(*v, Ordering::Relaxed);
+            let cells = &self.region.instance(ctx.pe())[offset..offset + len];
+            for (cell, v) in cells.iter().zip(&vals) {
+                cell.store(*v, Ordering::Relaxed);
             }
         }
         let bytes = len * T::BYTES;
@@ -372,7 +397,11 @@ impl<T: Element> SymSlice<T> {
 impl<T: IntElement> SymSlice<T> {
     /// Remote atomic fetch-add; returns the previous value.
     pub fn fadd(&self, ctx: &mut Ctx, target_pe: usize, offset: usize, delta: T) -> T {
-        let old = atomic_bits_add(&self.cells(target_pe)[offset], delta.to_bits(), T::add_bits);
+        let old = atomic_bits_add(
+            &self.region.instance(target_pe)[offset],
+            delta.to_bits(),
+            T::add_bits,
+        );
         self.charge_amo(ctx, target_pe);
         T::from_bits(old)
     }
@@ -584,6 +613,63 @@ mod tests {
             assert_eq!(bv[1].to_bits(), (-0.0f64).to_bits());
             assert_eq!(*remote, ((pe + 1) % 3) as u64);
         }
+    }
+
+    /// Which PEs' instances of region 0 have been materialised.
+    fn held(w: &SymWorld) -> Vec<bool> {
+        let regions = w.regions.lock();
+        regions[0].mem.iter().map(|m| m.get().is_some()).collect()
+    }
+
+    #[test]
+    fn an_instance_nobody_stored_into_is_never_built() {
+        let (w, t) = setup(4);
+        let run = t.run(|ctx| {
+            let s = w.alloc::<u64>(ctx, 3);
+            if ctx.pe() == 1 {
+                s.write_local(ctx, 1, &[7]);
+                s.fadd(ctx, 2, 0, 5u64);
+            }
+            w.barrier_all(ctx);
+            // Loads, local or remote, build nothing and see zeros.
+            let mine = (s.read_local(ctx, 0, 3), s.read_local1(ctx, 2));
+            (mine, s.get(ctx, 1, 0, 3), s.get(ctx, 3, 0, 3))
+        });
+        assert_eq!(held(&w), [false, true, true, false]);
+        assert_eq!(run.results[0].0, (vec![0, 0, 0], 0));
+        assert_eq!(run.results[2].0, (vec![5, 0, 0], 0));
+        for r in &run.results {
+            assert_eq!((&r.1, &r.2), (&vec![0, 7, 0], &vec![0, 0, 0]));
+        }
+
+        // The wire format is the dense one: version, PEs, regions, then
+        // `len` and every PE's words, unset instances as zeros.
+        let bytes = w.export_state_bytes();
+        let mut dense = o2k_snap::wire::WireWriter::new();
+        for word in [SymWorld::STATE_VERSION, 4, 1, 3] {
+            dense.u64(word);
+        }
+        for word in [0, 0, 0, 0, 7, 0, 5, 0, 0, 0, 0, 0] {
+            dense.u64(word);
+        }
+        assert_eq!(bytes, dense.into_bytes());
+
+        // An import leaves the all-zero instances unset and re-exports equal.
+        let machine = Arc::new(Machine::new(4, MachineConfig::test_tiny()));
+        let w2 = SymWorld::new(machine);
+        w2.import_state_bytes(&bytes).unwrap();
+        assert_eq!(held(&w2), [false, true, true, false]);
+        assert_eq!(w2.export_state_bytes(), bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "symmetric read out of range")]
+    fn a_load_past_the_end_of_an_unset_instance_panics() {
+        let (w, t) = setup(2);
+        t.run(|ctx| {
+            let s = w.alloc::<u64>(ctx, 2);
+            s.read_local(ctx, 1, 2)
+        });
     }
 
     #[test]

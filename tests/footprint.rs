@@ -5,7 +5,11 @@
 //! of live heap — each PE's cache simulator used to be a dense 1 MiB
 //! table, 256 MiB for the team, whatever the PE touched. Live bytes are
 //! counted per thread; the event core runs every PE on the calling
-//! thread, so the other test in this binary never shows up in the figure.
+//! thread, so the other tests in this binary never show up in the figure.
+//! A symmetric SHMEM region is held to the same rule: the hot-shard
+//! replica region is allocated by all 256 PEs and written by three helpers
+//! per hot shard, and how many shards are hot follows the seed — dense, it
+//! was 8 MiB of heap per hot shard and the run's peak moved with the seed.
 //!
 //! The second test pins what lets `MpWorld::send` skip the mailbox condvar
 //! under a cooperative policy: free-running `os` receivers still wait on
@@ -17,6 +21,7 @@ use std::sync::Arc;
 
 use origin2k::machine::{ContentionMode, Machine, MachineConfig};
 use origin2k::prelude::*;
+use origin2k::serve::Mitigation;
 
 struct Counting;
 
@@ -84,6 +89,12 @@ fn peak_live_bytes<R>(f: impl FnOnce() -> R) -> (R, usize) {
 /// fabric, 64 keys per shard, 64-word values), at a request count a debug
 /// build finishes quickly.
 fn serve(pes: usize, model: Model, opts: RunOpts) -> RunMetrics {
+    serve_cfg(pes, model, opts, ServeConfig::default())
+}
+
+/// [`serve`] with the fields the shape leaves alone (skew, mitigation)
+/// taken from `rest`.
+fn serve_cfg(pes: usize, model: Model, opts: RunOpts, rest: ServeConfig) -> RunMetrics {
     let machine = Arc::new(Machine::new(
         pes,
         MachineConfig {
@@ -98,7 +109,7 @@ fn serve(pes: usize, model: Model, opts: RunOpts) -> RunMetrics {
         val_words: 64,
         start_ns: 600_000,
         seed: 0x00C0_FFEE,
-        ..ServeConfig::default()
+        ..rest
     };
     let run = origin2k::serve::run_opts(machine, model, &cfg, opts);
     let s = run.serve.as_ref().expect("serving runs carry ServeStats");
@@ -115,6 +126,23 @@ fn a_p256_sas_serve_run_fits_in_64_mib_of_heap() {
     assert!(
         peak < 64 * MIB,
         "P = 256 CC-SAS serve held {} MiB of heap at once",
+        peak / MIB
+    );
+}
+
+#[test]
+fn a_p256_shmem_replica_region_costs_what_its_helpers_hold() {
+    const MIB: usize = 1 << 20;
+    let hot = ServeConfig {
+        skew: 3.0,
+        mitigation: Mitigation::Replicate { replicas: 3 },
+        ..ServeConfig::default()
+    };
+    let (run, peak) = peak_live_bytes(|| serve_cfg(256, Model::Shmem, RunOpts::det_event(), hot));
+    assert!(run.counters.replica_bytes > 0, "replicas were placed");
+    assert!(
+        peak < 64 * MIB,
+        "P = 256 SHMEM replicated serve held {} MiB of heap at once",
         peak / MIB
     );
 }
