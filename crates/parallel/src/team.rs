@@ -246,8 +246,8 @@ impl Team {
     /// Run `f` once per PE and gather results.
     ///
     /// Under [`ExecMode::Thread`] each PE is an OS thread; under
-    /// [`ExecMode::Event`] each PE is a coroutine resumed by a
-    /// single-threaded event loop. `f` is shared by reference; per-PE
+    /// [`ExecMode::Event`] each PE is a coroutine on this thread, run by
+    /// [`CoopSched::drive`]. `f` is shared by reference; per-PE
     /// mutable state lives in the [`Ctx`]. Panics in any PE propagate.
     pub fn run<R, F>(&self, f: F) -> TeamRun<R>
     where
@@ -415,18 +415,12 @@ impl Team {
         });
     }
 
-    /// Event backend: every PE is a coroutine; this loop *is* the
-    /// machine. Resume each PE once so it registers with the scheduler
-    /// (it suspends until granted the floor), then keep resuming
-    /// whichever PE the last `hand_off` granted — the grant and the
-    /// poison flag are atomics, so the loop itself never takes the
-    /// scheduler's lock. A panicking or deadlocking PE poisons the
-    /// scheduler exactly as under threads; the loop then unwinds every
-    /// surviving coroutine (each comes back from its suspension in
-    /// `wait_for_floor`, reads the flag and raises POISON_MSG) so all
-    /// stack frames drop cleanly, and propagates the original payload.
-    /// Returns the deepest stack any PE used, in KiB (`Some` for every
-    /// team that has a PE).
+    /// Event backend: every PE is a coroutine, run to completion by
+    /// [`CoopSched::drive`] on this thread. A panicking or deadlocking PE
+    /// poisons the scheduler exactly as under threads, the driver unwinds
+    /// every surviving coroutine, and this propagates the original
+    /// payload. Returns the deepest stack any PE used, in KiB (`Some` for
+    /// every team that has a PE).
     fn drive_events<R>(
         cs: &Arc<CoopSched>,
         out: &mut [Option<(R, PeReport)>],
@@ -438,27 +432,7 @@ impl Team {
             .enumerate()
             .map(|(pe, slot)| coro::Coro::new(stack, move || body(pe, slot)).for_pe(pe))
             .collect();
-        for c in &mut coros {
-            if cs.is_poisoned() {
-                break;
-            }
-            c.resume();
-        }
-        while !cs.is_poisoned() {
-            match cs.event_take_next() {
-                Some(p) => {
-                    coros[p].resume();
-                }
-                None => break,
-            }
-        }
-        if cs.is_poisoned() {
-            for c in &mut coros {
-                if c.started() && !c.finished() {
-                    c.resume();
-                }
-            }
-        }
+        cs.drive(&mut coros);
         let mut first: Option<Box<dyn Any + Send>> = None;
         let mut first_is_secondary = false;
         for c in &mut coros {
@@ -629,6 +603,11 @@ mod tests {
         let t = team(3).sched(SchedPolicy::Det).exec(ExecMode::Event);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             t.run(|ctx| {
+                // 1 200 hand-offs by transfer first, one per sched point.
+                for _ in 0..400 {
+                    ctx.compute(10);
+                    ctx.sched_point();
+                }
                 if ctx.pe() == 1 {
                     panic!("pe 1 exploded");
                 }

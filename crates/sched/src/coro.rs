@@ -6,20 +6,28 @@
 //! machines — so this module vendors the one primitive the standard
 //! library does not offer: a user-space stack switch.
 //!
-//! The design is the classic asymmetric coroutine:
+//! The design is the classic asymmetric coroutine, plus one symmetric
+//! move:
 //!
 //! * [`Coro::resume`] switches from the driver onto the task's stack
 //!   (first entering through a bootstrap frame that `ret`s into
-//!   [`trampoline`], later returning into whatever [`yield_current`]
-//!   frame the task suspended in);
-//! * [`yield_current`] switches from the task back to whoever resumed it.
+//!   [`trampoline`], later returning into whatever frame the task
+//!   suspended in);
+//! * [`yield_current`] switches from the task back to whoever resumed it;
+//! * `Tasks::transfer` switches from the running task straight into a
+//!   suspended peer, which takes over the yielder's resumer — so the peer's
+//!   next yield, or its finish, lands in the driver, which stayed parked
+//!   in its `resume` throughout. The event backend hands the floor from
+//!   PE to PE this way: one switch, no trip through the driver.
 //!
 //! The switch itself (`o2k_coro_switch`) saves the callee-saved register
 //! set on the current stack, publishes the stack pointer, and restores the
-//! target's — ~20 ns, against the microseconds a condvar handoff between
-//! parked OS threads costs. Caller-saved registers need no saving: from
-//! the compiler's point of view the switch is an ordinary `extern "C"`
-//! call that eventually returns.
+//! target's — about 30 ns for a yield and the resume after it
+//! (`sched.coro_switch_ns` on a 2-CPU Xeon), against the microseconds a
+//! condvar handoff between parked OS threads costs.
+//! Caller-saved registers need no saving: from the compiler's point of
+//! view the switch is an ordinary `extern "C"` call that eventually
+//! returns.
 //!
 //! Panics never unwind across a switch: the task's panic runs down its own
 //! stack into the `catch_unwind` in [`trampoline`], is parked as a
@@ -37,8 +45,9 @@
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
-use std::mem::ManuallyDrop;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::ptr::NonNull;
+use std::sync::atomic::{AtomicPtr, Ordering};
 
 /// Default per-task stack size. A stack is a private anonymous mapping
 /// (`MAP_NORESERVE`) of this many bytes above one inaccessible guard
@@ -583,18 +592,21 @@ fn report_overrun(pe: Option<usize>, stack_kib: usize) -> ! {
 }
 
 /// The part of a coroutine both sides of a switch need at a stable
-/// address (boxed by [`Coro`]); the thread-local [`CURRENT`] points here
-/// while the task runs.
+/// address (a heap allocation [`Coro`] owns through a raw pointer, so that
+/// the driver's `&mut Coro` never claims it while a [`Tasks`] table or a
+/// transfer reaches it too); the thread-local [`CURRENT`] points here while
+/// the task runs.
 struct Inner {
     /// The task's stack, from `Coro::new` until `Coro`'s drop hands it to
     /// the free list.
-    stack: ManuallyDrop<StackMem>,
+    stack: StackMem,
     /// Which PE this task is, for the overrun diagnostic.
     pe: Option<usize>,
     state: State,
     /// The task's saved stack pointer while it is not running.
     task_sp: *mut u8,
-    /// The resumer's saved stack pointer while the task runs.
+    /// The resumer's saved stack pointer while the task runs: the frame
+    /// that `resume`d it, handed on from task to task by each transfer.
     resumer_sp: *mut u8,
     /// Entry closure; taken by the trampoline on first resume. The
     /// lifetime is erased to `'static` here and policed by `Coro<'a>`.
@@ -608,20 +620,26 @@ thread_local! {
     static CURRENT: Cell<*mut Inner> = const { Cell::new(std::ptr::null_mut()) };
 }
 
-/// Entry point of every task, reached by the first resume's `ret` through
-/// the bootstrap frame. Runs the closure under `catch_unwind`, parks any
-/// panic payload, and switches back to the resumer for the last time.
+/// Entry point of every task, reached by the first switch into it (a
+/// resume or a transfer) through the bootstrap frame's `ret`. Runs the
+/// closure under `catch_unwind`, parks any panic payload, and switches
+/// back to the resumer for the last time.
 extern "C" fn trampoline() -> ! {
-    // SAFETY: resume() set CURRENT to this task's Inner just before
-    // switching here, and the Inner outlives the task (Coro owns it).
-    let inner = unsafe { &mut *CURRENT.with(|c| c.get()) };
-    let entry = inner.entry.take().expect("task entered twice");
-    if let Err(payload) = catch_unwind(AssertUnwindSafe(entry)) {
-        inner.panic = Some(payload);
+    // Every access goes through the raw pointer: whoever switches into and
+    // out of this task meanwhile writes the same Inner.
+    let inner = CURRENT.with(|c| c.get());
+    // SAFETY: the resume or transfer that entered this task set CURRENT to
+    // its Inner just before switching here, and the Inner outlives the
+    // task (Coro owns it).
+    let entry = unsafe { (*inner).entry.take() }.expect("task entered twice");
+    let panic = catch_unwind(AssertUnwindSafe(entry)).err();
+    // SAFETY: the same live Inner; resumer_sp is the frame the latest
+    // resume parked, passed on by every transfer since.
+    unsafe {
+        (*inner).panic = panic;
+        (*inner).state = State::Finished;
+        o2k_coro_switch(&raw mut (*inner).task_sp, (*inner).resumer_sp);
     }
-    inner.state = State::Finished;
-    // SAFETY: resumer_sp was saved by the resume that (re)entered us.
-    unsafe { o2k_coro_switch(&mut inner.task_sp, inner.resumer_sp) };
     unreachable!("a finished coroutine was resumed");
 }
 
@@ -684,7 +702,8 @@ fn bootstrap(_stack_top: *mut u8) -> *mut u8 {
 /// entry closure captures: the driver that owns the `Coro` must not
 /// outlive them, exactly like a scoped thread.
 pub struct Coro<'a> {
-    inner: Box<Inner>,
+    /// Owned: made by `Box::leak` in [`Coro::new`], freed by the drop.
+    inner: NonNull<Inner>,
     _entry_borrows: std::marker::PhantomData<&'a ()>,
 }
 
@@ -699,63 +718,81 @@ impl<'a> Coro<'a> {
         // checker.
         let entry: Box<dyn FnOnce() + 'a> = Box::new(entry);
         let entry: Box<dyn FnOnce() + 'static> = unsafe { std::mem::transmute(entry) };
+        let inner = Box::new(Inner {
+            stack,
+            pe: None,
+            state: State::New,
+            task_sp,
+            resumer_sp: std::ptr::null_mut(),
+            entry: Some(entry),
+            panic: None,
+        });
         Coro {
-            inner: Box::new(Inner {
-                stack: ManuallyDrop::new(stack),
-                pe: None,
-                state: State::New,
-                task_sp,
-                resumer_sp: std::ptr::null_mut(),
-                entry: Some(entry),
-                panic: None,
-            }),
+            inner: NonNull::from(Box::leak(inner)),
             _entry_borrows: std::marker::PhantomData,
         }
+    }
+
+    /// The task's shared part, for a look while the task is not running.
+    fn inner(&self) -> &Inner {
+        // SAFETY: owned by this Coro; a task writes it only while running,
+        // and none runs while its owner's code does.
+        unsafe { self.inner.as_ref() }
     }
 
     /// Name the PE this task runs, so that an overrun of its stack is
     /// reported as that PE's.
     pub fn for_pe(mut self, pe: usize) -> Self {
-        self.inner.pe = Some(pe);
+        // SAFETY: owned, and not started yet.
+        unsafe { self.inner.as_mut().pe = Some(pe) };
         self
     }
 
-    /// Switch onto the task's stack until it yields or finishes. Returns
-    /// `true` once the task is finished.
+    /// Switch onto the task's stack and run until control comes back to
+    /// this caller: when the task yields or finishes — or, once tasks
+    /// transfer among themselves, when whichever task this one transferred
+    /// into (directly or down a chain) does. Returns whether *this* task
+    /// has finished at that point. A task that never transfers, such as
+    /// any task outside a team's event driver, therefore returns `false`
+    /// at each yield and `true` once it has finished, so `while
+    /// !co.resume() {}` runs it to the end.
     ///
     /// # Panics
-    /// Panics if the task already finished.
+    /// Panics if the task is finished or running.
     pub fn resume(&mut self) -> bool {
-        let inner: &mut Inner = &mut self.inner;
-        assert!(
-            matches!(inner.state, State::New | State::Suspended),
-            "resumed a {:?} coroutine",
-            inner.state
-        );
-        inner.state = State::Running;
-        let me = inner as *mut Inner;
-        let prev = CURRENT.with(|c| c.replace(me));
-        // SAFETY: task_sp is either the bootstrap frame or the frame a
-        // yield_current saved; both resume correctly and switch back
-        // exactly once before this Inner can be touched again.
-        unsafe { o2k_coro_switch(&mut inner.resumer_sp, inner.task_sp) };
-        CURRENT.with(|c| c.set(prev));
-        inner.state == State::Finished
+        let inner = self.inner.as_ptr();
+        // SAFETY: the Inner is live (owned) and, in the driver's hands, no
+        // task runs; task_sp is either the bootstrap frame or the frame the
+        // task suspended in, and whatever runs from here switches back to
+        // the resumer_sp saved here exactly once.
+        unsafe {
+            let state = (*inner).state;
+            assert!(
+                matches!(state, State::New | State::Suspended),
+                "resumed a {state:?} coroutine"
+            );
+            (*inner).state = State::Running;
+            let prev = CURRENT.with(|c| c.replace(inner));
+            o2k_coro_switch(&raw mut (*inner).resumer_sp, (*inner).task_sp);
+            CURRENT.with(|c| c.set(prev));
+            (*inner).state == State::Finished
+        }
     }
 
     /// Whether the entry closure has run to completion (or unwound).
     pub fn finished(&self) -> bool {
-        self.inner.state == State::Finished
+        self.inner().state == State::Finished
     }
 
     /// Whether the entry closure has started running at all.
     pub fn started(&self) -> bool {
-        self.inner.state != State::New
+        self.inner().state != State::New
     }
 
     /// The panic payload of a finished task that unwound, if any.
     pub fn take_panic(&mut self) -> Option<Box<dyn Any + Send + 'static>> {
-        self.inner.panic.take()
+        // SAFETY: owned; a finished task touches nothing any more.
+        unsafe { self.inner.as_mut().panic.take() }
     }
 
     /// How deep this task's stack has been used, in KiB: the distance
@@ -765,12 +802,15 @@ impl<'a> Coro<'a> {
     /// on this mapping, which bounds this one's from above. Ask once the
     /// task has finished.
     pub fn stack_high_water_kb(&self) -> usize {
-        self.inner.stack.high_water() / 1024
+        self.inner().stack.high_water() / 1024
     }
 }
 
 impl Drop for Coro<'_> {
     fn drop(&mut self) {
+        // SAFETY: made by Box::leak in `new`, reclaimed exactly once, here;
+        // nothing runs on or reads the stack after its Coro is gone.
+        let inner = unsafe { Box::from_raw(self.inner.as_ptr()) };
         // A suspended task still has live frames on its stack; their
         // destructors cannot run without resuming it, which the owner can
         // no longer do. The event driver prevents this by poisoning and
@@ -779,17 +819,16 @@ impl Drop for Coro<'_> {
         // driver bug — leak the frames (safe: nothing will touch them)
         // but say so loudly in debug builds.
         debug_assert!(
-            !matches!(self.inner.state, State::Suspended | State::Running),
+            !matches!(inner.state, State::Suspended | State::Running),
             "coroutine dropped while suspended: its stack frames leak"
         );
-        // SAFETY: taken exactly once, here; nothing runs on or reads the
-        // stack after its Coro is gone.
-        unsafe { ManuallyDrop::take(&mut self.inner.stack) }.recycle();
+        let Inner { stack, .. } = *inner;
+        stack.recycle();
     }
 }
 
 /// Suspend the currently-running task, switching back to its resumer.
-/// Returns when the task is next resumed.
+/// Returns when the task is next resumed (or transferred into).
 ///
 /// # Panics
 /// Panics when called outside any task.
@@ -801,9 +840,89 @@ pub fn yield_current() {
     );
     // SAFETY: CURRENT points at the Inner of the task executing this very
     // function; the resumer's sp was saved on its way in.
-    let inner = unsafe { &mut *me };
-    inner.state = State::Suspended;
-    unsafe { o2k_coro_switch(&mut inner.task_sp, inner.resumer_sp) };
+    unsafe {
+        (*me).state = State::Suspended;
+        o2k_coro_switch(&raw mut (*me).task_sp, (*me).resumer_sp);
+    }
+}
+
+/// A team's tasks by PE, so that the running one can switch straight into
+/// a peer ([`Tasks::transfer`]). Empty (every slot null) except while an
+/// event driver has [`Tasks::install`]ed its coroutines. The slots are
+/// atomics so that the scheduler holding the table stays `Sync` without an
+/// `unsafe impl`; they are installed, read and cleared on one thread (the
+/// contract of `install`), so `Relaxed` orders all there is.
+pub(crate) struct Tasks(Box<[AtomicPtr<Inner>]>);
+
+/// Clears a [`Tasks`] table when the run that installed it ends, however
+/// it ends.
+pub(crate) struct Installed<'t>(&'t Tasks);
+
+impl Drop for Installed<'_> {
+    fn drop(&mut self) {
+        for slot in self.0 .0.iter() {
+            slot.store(std::ptr::null_mut(), Ordering::Relaxed);
+        }
+    }
+}
+
+impl Tasks {
+    /// A table for `n` tasks, all slots empty.
+    pub(crate) fn new(n: usize) -> Self {
+        Tasks(
+            (0..n)
+                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
+                .collect(),
+        )
+    }
+
+    /// Put `coros[i]` in slot `i` until the returned guard drops.
+    ///
+    /// # Safety
+    /// Every coroutine in `coros` outlives the guard, and is resumed only
+    /// by the calling thread while the guard lives.
+    pub(crate) unsafe fn install(&self, coros: &[Coro]) -> Installed<'_> {
+        assert_eq!(coros.len(), self.0.len(), "one coroutine per task slot");
+        for (slot, c) in self.0.iter().zip(coros) {
+            slot.store(c.inner.as_ptr(), Ordering::Relaxed);
+        }
+        Installed(self)
+    }
+
+    /// Suspend the running task — task `from` of this table — and switch
+    /// straight into task `to`, which takes over the yielder's resumer:
+    /// `CURRENT` follows the switch (an overrun names `to`'s PE), and
+    /// `to`'s next yield or its finish lands where this task's would have.
+    /// Returns when something switches back into the caller.
+    ///
+    /// # Panics
+    /// Panics unless task `from` is the one running on this thread and task
+    /// `to` is installed and suspended (or not started).
+    pub(crate) fn transfer(&self, from: usize, to: usize) {
+        let me = self.0[from].load(Ordering::Relaxed);
+        let target = self.0[to].load(Ordering::Relaxed);
+        assert!(
+            !me.is_null() && me == CURRENT.with(|c| c.get()),
+            "transfer from task {from}, which is not running on this thread"
+        );
+        assert!(!target.is_null(), "transfer to task {to}: no run installed");
+        // SAFETY: both are installed, so live (the contract of `install`);
+        // `me` is running on this thread, so the installing thread is this
+        // one and `target` is not running anywhere else; the state check
+        // proves the two distinct, since `me` is Running.
+        unsafe {
+            let state = (*target).state;
+            assert!(
+                matches!(state, State::New | State::Suspended),
+                "transfer into a {state:?} coroutine"
+            );
+            (*me).state = State::Suspended;
+            (*target).state = State::Running;
+            (*target).resumer_sp = (*me).resumer_sp;
+            CURRENT.with(|c| c.set(target));
+            o2k_coro_switch(&raw mut (*me).task_sp, (*target).task_sp);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -962,7 +1081,7 @@ pub(crate) mod tests {
             std::hint::black_box(&frame);
         });
         assert!(painter.resume());
-        let (base, top) = (painter.inner.stack.base, painter.inner.stack.top());
+        let (base, top) = (painter.inner().stack.base, painter.inner().stack.top());
         // SAFETY: the task has finished; its top 16 words are mapped,
         // writable and no longer read by anyone.
         unsafe {
@@ -975,7 +1094,7 @@ pub(crate) mod tests {
 
         let mut c = Coro::new(bytes, || panic!("task panic on a dirty stack"));
         assert_eq!(free_list_len(), 0);
-        assert_eq!(c.inner.stack.base, base, "same size, same mapping");
+        assert_eq!(c.inner().stack.base, base, "same size, same mapping");
         assert!(c.resume(), "a panicking task still finishes");
         let payload = c.take_panic().expect("the panic is parked, not lost");
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
@@ -989,7 +1108,7 @@ pub(crate) mod tests {
         assert_eq!(free_list_len(), 1);
         let c = Coro::new(128 * 1024, || {});
         assert_eq!(free_list_len(), 1, "the 64 KiB stack is still waiting");
-        assert_eq!(c.inner.stack.usable, 128 * 1024);
+        assert_eq!(c.inner().stack.usable, 128 * 1024);
     }
 
     #[test]
@@ -998,7 +1117,7 @@ pub(crate) mod tests {
             let frame = [1u8; 100 * 1024];
             std::hint::black_box(&frame);
         });
-        let page_kb = c.inner.stack.guard / 1024;
+        let page_kb = c.inner().stack.guard / 1024;
         assert_eq!(
             c.stack_high_water_kb(),
             page_kb,
@@ -1034,8 +1153,9 @@ pub(crate) mod tests {
             .expect("re-run the test binary")
     }
 
+    /// Recurse without bound, a real frame per level.
     #[inline(never)]
-    fn dive(depth: u64) -> u64 {
+    pub(crate) fn dive(depth: u64) -> u64 {
         let frame = [depth; 8];
         if std::hint::black_box(depth) == u64::MAX {
             return 0;

@@ -195,17 +195,6 @@ fn run_naive(seed: u64, npes: usize, rounds: usize) -> (Log, u64, u64) {
     (log, model.switches, model.fingerprint)
 }
 
-/// Resume registered coroutines until the team is finished.
-fn drive(sched: &CoopSched, coros: &mut [coro::Coro]) {
-    for c in coros.iter_mut() {
-        c.resume();
-    }
-    while let Some(p) = sched.event_take_next() {
-        coros[p].resume();
-    }
-    assert!(coros.iter().all(|c| c.finished()), "driver exited early");
-}
-
 fn run_real(seed: u64, npes: usize, rounds: usize) -> (Log, u64, u64) {
     let sched = Arc::new(CoopSched::with_exec(
         npes,
@@ -235,7 +224,8 @@ fn run_real(seed: u64, npes: usize, rounds: usize) -> (Log, u64, u64) {
             })
         })
         .collect();
-    drive(&sched, &mut coros);
+    sched.drive(&mut coros);
+    assert!(coros.iter().all(|c| c.finished()), "driver exited early");
     drop(coros);
     let stats = sched.stats();
     let log = log.borrow().clone();
@@ -334,13 +324,15 @@ fn resume_grant_holds_the_horizon_shut() {
     }
     assert_eq!(horizon(&sched), HORIZON_SHUT);
 
+    // (registered yet?, pe, horizon it saw)
     let seen = Rc::new(RefCell::new(Vec::new()));
     let mut coros: Vec<coro::Coro> = (0..npes)
         .map(|pe| {
             let (sched, seen) = (Arc::clone(&sched), Rc::clone(&seen));
             coro::Coro::new(256 * 1024, move || {
+                seen.borrow_mut().push((false, pe, horizon(&sched)));
                 sched.register(pe);
-                seen.borrow_mut().push((pe, horizon(&sched)));
+                seen.borrow_mut().push((true, pe, horizon(&sched)));
                 if pe == 2 {
                     // Below PE 1 @ 40: kept on the compare, folded once.
                     assert!(!sched.yield_now(2, 30));
@@ -349,20 +341,20 @@ fn resume_grant_holds_the_horizon_shut() {
             })
         })
         .collect();
-    // Two of three registered: the grant is pending, the horizon shut.
-    coros[0].resume();
-    coros[1].resume();
-    assert_eq!(horizon(&sched), HORIZON_SHUT);
-    assert!(seen.borrow().is_empty(), "nobody runs before the grant");
-    // The last registrant's hand-off consumes the grant: PE 2 gets the
-    // floor (not the min-clock PE 1) and sees the real heap top.
-    coros[2].resume();
-    while let Some(p) = sched.event_take_next() {
-        coros[p].resume();
-    }
+    sched.drive(&mut coros);
+    // While the grant is pending the horizon stays shut and nobody runs;
+    // the last registrant's hand-off consumes it: PE 2 gets the floor (not
+    // the min-clock PE 1) and sees the real heap top.
     assert_eq!(
         *seen.borrow(),
-        vec![(2, (40, 1)), (1, (50, 0)), (0, HORIZON_OPEN)]
+        vec![
+            (false, 0, HORIZON_SHUT),
+            (false, 1, HORIZON_SHUT),
+            (false, 2, HORIZON_SHUT),
+            (true, 2, (40, 1)),
+            (true, 1, (50, 0)),
+            (true, 0, HORIZON_OPEN),
+        ]
     );
     let stats = sched.stats();
     // The grant itself folds nothing; the kept floor and the two

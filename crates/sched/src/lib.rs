@@ -42,12 +42,12 @@
 //! and that choice is the [`ExecMode`]:
 //!
 //! * [`ExecMode::Event`] — every PE is a stackful coroutine
-//!   ([`coro`]) on **one** OS thread, driven by a discrete-event loop: a
+//!   ([`coro`]) on **one** OS thread, run by [`CoopSched::drive`]: a
 //!   binary heap keyed on `(virtual clock, PE id)` yields the next PE to
-//!   resume, and "waiting for the floor" is a ~20 ns user-space stack
-//!   switch. This is the corten-style simulation core that reaches
-//!   P=1024 and beyond, and what [`default_exec`] answers wherever
-//!   coroutines are supported.
+//!   run, and handing it the floor is one user-space stack switch from
+//!   the yielding PE straight into it. This is the corten-style
+//!   simulation core that reaches P=1024 and beyond, and what
+//!   [`default_exec`] answers wherever coroutines are supported.
 //! * [`ExecMode::Thread`] — one OS thread per PE; a PE without the floor
 //!   parks on its condvar. Simple, but a P-PE team costs P threads and
 //!   every handoff is a kernel round trip, which caps practical team
@@ -144,8 +144,9 @@ pub enum ExecMode {
     /// One OS thread per PE, condvar handoffs (the pre-event behaviour
     /// and the only mode that supports [`SchedPolicy::Os`]).
     Thread,
-    /// One OS thread total: PEs are stackful coroutines resumed by a
-    /// binary-heap event loop in virtual-time order. What
+    /// One OS thread total: PEs are stackful coroutines that hand the
+    /// floor on in virtual-time order by switching straight into each
+    /// other ([`CoopSched::drive`]). What
     /// [`default_exec`] answers wherever [`coro::SUPPORTED`].
     Event,
 }
@@ -477,10 +478,6 @@ struct Inner {
     /// arrival releases them all.
     gate_arrived: usize,
     switches: u64,
-    /// Event backend: a floor grant is queued in [`CoopSched::next_resume`]
-    /// for the single-threaded driver instead of waking the winner's
-    /// condvar.
-    event: bool,
     /// Pending PEs keyed `(clock, pe)`, exactly the `Runnable` set: PEs
     /// are inserted on wake and removed *exactly* when they leave
     /// `Runnable`, so the top entry is always the det pick with no stale
@@ -607,6 +604,19 @@ const HORIZON_OPEN: (SimTime, usize) = (SimTime::MAX, usize::MAX);
 /// [`CoopSched::next_resume`] while no floor grant is pending.
 const NO_GRANT: usize = usize::MAX;
 
+/// Where [`CoopSched::hand_off`] put the floor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Floor {
+    /// The caller was picked again.
+    Kept,
+    /// Another PE holds it. The thread backend has notified its condvar;
+    /// under the event backend the caller switches into it, or — when the
+    /// caller is finishing and cannot — leaves it to the driver.
+    Granted(usize),
+    /// Nobody holds it: registration is incomplete, or the team is done.
+    Idle,
+}
+
 /// One step of the pick-sequence fingerprint (FNV-1a over picked PE ids).
 #[inline]
 fn fold_pick(fingerprint: u64, pe: usize) -> u64 {
@@ -653,22 +663,31 @@ fn fold_pick(fingerprint: u64, pe: usize) -> u64 {
 /// partition diagnostic prints PEs that are all `Blocked` or `Done`,
 /// i.e. last seen by `block`, `gate_wait` or `finish`.
 ///
-/// # The event driver's view
+/// # The transfer protocol
 ///
-/// **The driver resumes exactly the PE `hand_off` granted — or every
-/// suspended PE, once poisoned.** Under [`ExecMode::Event`] the grant
-/// (`next_resume`) and the poison flag are two atomics beside the mutex:
-/// stored where the decision is made, under the lock, and read without
-/// it. [`Self::event_take_next`] is a swap, [`Self::is_poisoned`] a load,
-/// and a PE that comes back from its suspension in `wait_for_floor` reads
-/// the poison flag and returns — it *is* the PE whose status `hand_off`
-/// set to `Running` when it queued the grant, so it does not re-take the
-/// lock to re-read that (debug builds assert it). One hand-off therefore
-/// takes the scheduler mutex once, in the PE that gives the floor up,
-/// where it used to take it four times (that PE, the driver twice, the
-/// resumed PE). The thread backend reads the same flag holding the lock,
-/// as it must: there the check and the condvar wait have to be atomic
-/// with respect to the store.
+/// **Under [`ExecMode::Event`] a hand-off is one stack switch, from the
+/// PE giving the floor up straight into the PE `hand_off` granted it
+/// to.** `hand_off` returns the grant to its caller instead of publishing
+/// it; `wait_for_floor` releases the lock and transfers into the granted
+/// PE's coroutine through the task table [`Self::drive`] installed, and
+/// the granted PE comes back from its own suspension there. So every
+/// suspended PE is resumed by exactly one switch — the one its grant
+/// decided — or, once the team is poisoned, by the driver's sweep; a PE
+/// that comes back reads the poison flag and returns without re-taking
+/// the lock (debug builds re-read its status and assert `Running`). A
+/// poisoned team transfers nowhere: the flag is checked before the switch
+/// too.
+///
+/// The driver, parked in its `resume` the whole time, gets control back
+/// in three cases only: a PE suspends with no grant to act on (everyone
+/// but the last registrant, at registration), a PE finishes (its stack
+/// still has frames to unwind, so it cannot switch away: `finish` leaves
+/// the grant in `next_resume`, an atomic stored under the lock and taken
+/// by the driver with a swap), or the team is poisoned (the flag is an
+/// atomic too, stored under the lock by [`Self::poison`] and `hand_off`'s
+/// deadlock branch). The thread backend reads the same flag holding the
+/// lock, as it must: there the check and the condvar wait have to be
+/// atomic with respect to the store.
 pub struct CoopSched {
     npes: usize,
     policy: SchedPolicy,
@@ -687,9 +706,9 @@ pub struct CoopSched {
     /// suffices for the same reason as above.
     fingerprint: AtomicU64,
     /// Event backend: the PE the driver must resume next ([`NO_GRANT`] for
-    /// none), stored by `hand_off` when the floor goes to a PE other than
-    /// the caller and taken by [`Self::event_take_next`]. See "The event
-    /// driver's view".
+    /// none), stored by [`Self::finish`] when it grants the floor — the one
+    /// hand-off that cannot switch straight into its winner — and taken by
+    /// [`Self::event_take_next`]. See "The transfer protocol".
     next_resume: AtomicUsize,
     /// A PE panicked or the team deadlocked. Stored under `inner`'s lock
     /// (Release) by [`Self::poison`] and `hand_off`'s deadlock branch, so a
@@ -702,6 +721,10 @@ pub struct CoopSched {
     /// without the floor is a suspended coroutine, and `os` runs have no
     /// `CoopSched` at all.
     cvs: Vec<Condvar>,
+    /// Event backend: the team's coroutines by PE while [`Self::drive`]
+    /// runs them, for the transfers of "The transfer protocol"; no slots
+    /// under the thread backend.
+    tasks: coro::Tasks,
 }
 
 impl CoopSched {
@@ -722,7 +745,7 @@ impl CoopSched {
             SchedPolicy::Det => Chooser::Det,
             SchedPolicy::Explore { seed } => Chooser::Explore(SmallRng::seed_from_u64(seed)),
         };
-        let event = exec == ExecMode::Event;
+        let task_slots = if exec == ExecMode::Event { npes } else { 0 };
         CoopSched {
             npes,
             policy,
@@ -736,7 +759,6 @@ impl CoopSched {
                 chooser,
                 gate_arrived: 0,
                 switches: 0,
-                event,
                 heap: PeHeap::new(npes),
                 resume_grant: None,
             }),
@@ -746,6 +768,7 @@ impl CoopSched {
             next_resume: AtomicUsize::new(NO_GRANT),
             poisoned: AtomicBool::new(false),
             cvs: (0..npes).map(|_| Condvar::new()).collect(),
+            tasks: coro::Tasks::new(task_slots),
         }
     }
 
@@ -835,10 +858,10 @@ impl CoopSched {
     }
 
     /// Hand the floor to the next runnable PE. The caller must already
-    /// have moved `pe` out of `Running`. Returns true if the floor went
-    /// to a different PE (the caller must then [`Self::wait_for_floor`]
-    /// unless it is done).
-    fn hand_off(&self, inner: &mut Inner, pe: usize) -> bool {
+    /// have moved `pe` out of `Running`. Unless the floor is
+    /// [`Floor::Kept`], the caller must then [`Self::wait_for_floor`] with
+    /// the answer, or, if it is finishing, leave a grant to the driver.
+    fn hand_off(&self, inner: &mut Inner, pe: usize) -> Floor {
         // A pending resume grant replays the pick the snapshot already
         // accounted (its fingerprint/switch effects are in the preseeded
         // accumulators), so it bypasses the chooser entirely — including
@@ -873,19 +896,15 @@ impl CoopSched {
                 }
                 self.publish_horizon(inner);
                 if next == pe {
-                    false
-                } else {
-                    // Grant delivery is the only backend-specific line in
-                    // the whole scheduler: wake the winner's parked
-                    // thread, or queue it for the event driver to resume.
-                    if inner.event {
-                        let pending = self.next_resume.swap(next, Ordering::Release);
-                        debug_assert_eq!(pending, NO_GRANT, "two floor grants pending at once");
-                    } else {
-                        self.cvs[next].notify_all();
-                    }
-                    true
+                    return Floor::Kept;
                 }
+                // Grant delivery is where the backends part: wake the
+                // winner's parked thread here, or let the caller switch
+                // into the winner's coroutine once the lock is released.
+                if self.exec == ExecMode::Thread {
+                    self.cvs[next].notify_all();
+                }
+                Floor::Granted(next)
             }
             None => {
                 inner.current = None;
@@ -925,37 +944,53 @@ impl CoopSched {
                         diag.join("\n  ")
                     );
                 }
-                true
+                Floor::Idle
             }
         }
     }
 
-    /// Wait until `pe` holds the floor (or panic if poisoned).
-    fn wait_for_floor<'a>(&'a self, mut inner: parking_lot::MutexGuard<'a, Inner>, pe: usize) {
+    /// Wait until `pe` holds the floor (or panic if poisoned), after a
+    /// hand-off that put the floor at `floor`.
+    fn wait_for_floor<'a>(
+        &'a self,
+        mut inner: parking_lot::MutexGuard<'a, Inner>,
+        pe: usize,
+        floor: Floor,
+    ) {
+        if floor == Floor::Kept {
+            return;
+        }
+        if self.exec == ExecMode::Event {
+            // Never switch away holding the scheduler lock — the granted PE
+            // needs it.
+            drop(inner);
+            if self.is_poisoned() {
+                panic!("{POISON_MSG}");
+            }
+            match floor {
+                Floor::Granted(next) => self.tasks.transfer(pe, next),
+                // Registration: nothing to switch into; back to the driver.
+                _ => coro::yield_current(),
+            }
+            // Only the switch a grant decided, or the poison sweep, brings a
+            // PE back here (see "The transfer protocol"), so there is
+            // nothing to re-read under the lock.
+            if self.is_poisoned() {
+                panic!("{POISON_MSG}");
+            }
+            debug_assert_eq!(
+                self.inner.lock().status[pe],
+                Status::Running,
+                "PE {pe} resumed without a floor grant"
+            );
+            return;
+        }
         loop {
             if self.is_poisoned() {
                 drop(inner);
                 panic!("{POISON_MSG}");
             }
             if inner.status[pe] == Status::Running {
-                return;
-            }
-            if self.exec == ExecMode::Event {
-                // Suspend this PE's coroutine. Never suspend holding the
-                // scheduler lock — the granted PE needs it.
-                drop(inner);
-                coro::yield_current();
-                // The driver resumes exactly the PE `hand_off` granted, or
-                // everyone once poisoned (see "The event driver's view"),
-                // so there is nothing to re-read under the lock.
-                if self.is_poisoned() {
-                    panic!("{POISON_MSG}");
-                }
-                debug_assert_eq!(
-                    self.inner.lock().status[pe],
-                    Status::Running,
-                    "PE {pe} resumed without a floor grant"
-                );
                 return;
             }
             self.cvs[pe].wait(&mut inner);
@@ -973,10 +1008,12 @@ impl CoopSched {
         );
         inner.make_runnable(pe);
         inner.registered += 1;
-        if inner.registered == self.npes && !self.hand_off(&mut inner, pe) {
-            return;
-        }
-        self.wait_for_floor(inner, pe);
+        let floor = if inner.registered == self.npes {
+            self.hand_off(&mut inner, pe)
+        } else {
+            Floor::Idle
+        };
+        self.wait_for_floor(inner, pe, floor);
     }
 
     /// Fold one pick into the fingerprint. Only ever called by the PE
@@ -1050,12 +1087,9 @@ impl CoopSched {
         let mut inner = self.inner.lock();
         inner.clock[pe] = clock;
         inner.make_runnable(pe);
-        if self.hand_off(&mut inner, pe) {
-            self.wait_for_floor(inner, pe);
-            true
-        } else {
-            false
-        }
+        let floor = self.hand_off(&mut inner, pe);
+        self.wait_for_floor(inner, pe, floor);
+        floor != Floor::Kept
     }
 
     /// Give up the floor until [`Self::unblock`] is called with the same
@@ -1065,8 +1099,8 @@ impl CoopSched {
         let mut inner = self.inner.lock();
         inner.clock[pe] = clock;
         inner.status[pe] = Status::Blocked(reason);
-        self.hand_off(&mut inner, pe);
-        self.wait_for_floor(inner, pe);
+        let floor = self.hand_off(&mut inner, pe);
+        self.wait_for_floor(inner, pe, floor);
     }
 
     /// Make `pe` runnable again if it is blocked for `reason`. `hint` is
@@ -1100,22 +1134,27 @@ impl CoopSched {
         } else {
             inner.status[pe] = Status::Blocked(BlockReason::Gate);
         }
-        if self.hand_off(&mut inner, pe) {
-            self.wait_for_floor(inner, pe);
-        }
+        let floor = self.hand_off(&mut inner, pe);
+        self.wait_for_floor(inner, pe, floor);
     }
 
     /// Called when `pe`'s program function returns. Hands the floor on
-    /// without waiting; the thread is free to finalise its report.
+    /// without waiting; the thread is free to finalise its report. Under
+    /// the event backend the grant waits in `next_resume` for the driver,
+    /// which the finishing coroutine returns to.
     pub fn finish(&self, pe: usize, clock: SimTime) {
         let mut inner = self.inner.lock();
         inner.clock[pe] = clock;
         inner.status[pe] = Status::Done;
         inner.done += 1;
-        if inner.done < self.npes {
-            self.hand_off(&mut inner, pe);
-        } else {
+        if inner.done == self.npes {
             inner.current = None;
+            return;
+        }
+        let floor = self.hand_off(&mut inner, pe);
+        if let (ExecMode::Event, Floor::Granted(next)) = (self.exec, floor) {
+            let pending = self.next_resume.swap(next, Ordering::Release);
+            debug_assert_eq!(pending, NO_GRANT, "two floor grants pending at once");
         }
     }
 
@@ -1134,31 +1173,82 @@ impl CoopSched {
         }
     }
 
-    // -- Event-driver interface ---------------------------------------------
-    //
-    // Under [`ExecMode::Event`] one plain loop on the team's only thread
-    // drives everything (see `parallel::team`): resume each PE coroutine
-    // once so it registers, then repeatedly resume whichever PE the last
-    // hand_off granted the floor to. These two accessors are that loop's
-    // entire view of the scheduler, and neither takes the lock (see "The
-    // event driver's view" on [`CoopSched`]).
+    // -- The event driver ----------------------------------------------------
+
+    /// Run a team on this thread under [`ExecMode::Event`]: `coros[pe]` is
+    /// PE `pe`'s coroutine, whose first act is [`Self::register`]. Resumes
+    /// each once so it registers — the last registrant's hand-off switches
+    /// straight into the first PE to run, and from there the floor moves by
+    /// transfer (see "The transfer protocol") — then resumes whichever PE
+    /// a finishing PE granted the floor to, until no grant is left. A
+    /// poisoned team (a PE panicked, or `hand_off` found a deadlock) is
+    /// swept instead: every started, unfinished coroutine is resumed once,
+    /// comes back from its suspension in `wait_for_floor`, raises
+    /// [`POISON_MSG`] and unwinds, so every stack frame drops cleanly.
+    /// Panic payloads stay parked in the coroutines for the caller
+    /// ([`coro::Coro::take_panic`]).
+    ///
+    /// # Panics
+    /// Panics if this scheduler is not an event-backend one for
+    /// `coros.len()` PEs, or if the grants run out while a PE is still
+    /// suspended (a scheduler bug).
+    pub fn drive(&self, coros: &mut [coro::Coro]) {
+        assert_eq!(
+            self.exec,
+            ExecMode::Event,
+            "drive needs an event-backend CoopSched"
+        );
+        assert_eq!(coros.len(), self.npes, "drive needs one coroutine per PE");
+        // SAFETY: `coros` stays borrowed until `_table` clears the slots,
+        // and every coroutine runs on this thread, inside `Coro::resume`.
+        let _table = unsafe { self.tasks.install(coros) };
+        for c in coros.iter_mut() {
+            if self.is_poisoned() {
+                break;
+            }
+            driver_resume(c);
+        }
+        while !self.is_poisoned() {
+            match self.event_take_next() {
+                Some(pe) => driver_resume(&mut coros[pe]),
+                None => break,
+            }
+        }
+        if self.is_poisoned() {
+            for c in coros.iter_mut() {
+                if c.started() && !c.finished() {
+                    driver_resume(c);
+                }
+            }
+        }
+        assert!(
+            coros.iter().all(|c| c.finished() || !c.started()),
+            "event driver ran out of floor grants with PEs suspended"
+        );
+    }
 
     /// Take the pending floor grant, if any. `None` means no PE is
-    /// waiting to be resumed: either the currently-running PE kept the
-    /// floor, or the team is finished (or poisoned — check
+    /// waiting to be resumed: the team is finished (or poisoned — check
     /// [`Self::is_poisoned`]). A grant is taken exactly once.
-    pub fn event_take_next(&self) -> Option<usize> {
+    fn event_take_next(&self) -> Option<usize> {
         match self.next_resume.swap(NO_GRANT, Ordering::Acquire) {
             NO_GRANT => None,
             pe => Some(pe),
         }
     }
 
-    /// Whether a PE panicked or a deadlock was detected. The event driver
-    /// polls this to know it must unwind the surviving coroutines.
-    pub fn is_poisoned(&self) -> bool {
+    /// Whether a PE panicked or a deadlock was detected.
+    fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::Acquire)
     }
+}
+
+/// One resume by [`CoopSched::drive`]; it returns when control comes back
+/// to the driver.
+fn driver_resume(c: &mut coro::Coro) {
+    c.resume();
+    #[cfg(test)]
+    tests::DRIVER_ENTRIES.with(|n| n.set(n.get() + 1));
 }
 
 #[cfg(test)]
@@ -1169,6 +1259,12 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
+
+    thread_local! {
+        /// How many times control came back to [`CoopSched::drive`] on
+        /// this thread: once per resume it made.
+        pub(super) static DRIVER_ENTRIES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
 
     #[test]
     fn policy_parse_roundtrip() {
@@ -1248,8 +1344,8 @@ mod tests {
     }
 
     /// The same logged workload as [`run_logged`], but on the event
-    /// backend: one coroutine per PE, driven by the minimal event loop
-    /// the `parallel` team driver also implements.
+    /// backend: one coroutine per PE, run by [`CoopSched::drive`] as a
+    /// `parallel` team's are.
     pub(super) fn run_logged_event(
         policy: SchedPolicy,
         npes: usize,
@@ -1273,12 +1369,7 @@ mod tests {
                 })
             })
             .collect();
-        for c in &mut coros {
-            c.resume();
-        }
-        while let Some(p) = sched.event_take_next() {
-            coros[p].resume();
-        }
+        sched.drive(&mut coros);
         assert!(coros.iter().all(|c| c.finished()), "driver exited early");
         let stats = sched.stats();
         drop(coros);
@@ -1552,44 +1643,31 @@ mod tests {
         assert!(stats.switches > 0);
     }
 
-    #[test]
-    fn event_backend_detects_deadlock_and_unwinds_all_coroutines() {
-        let sched = Arc::new(CoopSched::with_exec(2, SchedPolicy::Det, ExecMode::Event));
-        let mut coros: Vec<coro::Coro> = (0..2)
-            .map(|pe| {
-                let sched = Arc::clone(&sched);
-                coro::Coro::new(256 * 1024, move || {
-                    sched.register(pe);
-                    let reason = if pe == 0 {
-                        BlockReason::Mailbox
-                    } else {
-                        BlockReason::Lock
-                    };
-                    sched.block(pe, 0, reason); // nobody will unblock us
-                })
-            })
-            .collect();
-        for c in &mut coros {
-            if !sched.is_poisoned() {
-                c.resume();
+    /// As a `parallel` team's PE body does: poison the scheduler if this
+    /// PE unwinds.
+    struct PoisonOnUnwind<'a>(&'a CoopSched, usize);
+
+    impl Drop for PoisonOnUnwind<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                self.0.poison(self.1);
             }
         }
-        while !sched.is_poisoned() {
-            match sched.event_take_next() {
-                Some(p) => {
-                    coros[p].resume();
-                }
-                None => break,
-            }
+    }
+
+    /// A PE that yields `yields` times at a clock 10 ns further each time:
+    /// with every PE doing that, ties go by PE id and the floor goes round
+    /// the ring, one transfer per yield.
+    fn ring_yields(sched: &CoopSched, pe: usize, yields: u64) -> SimTime {
+        for step in 1..=yields {
+            sched.yield_now(pe, step * 10);
         }
-        assert!(sched.is_poisoned(), "deadlock must poison the scheduler");
-        // Unwind the survivors so their stacks are cleanly dropped.
-        for c in &mut coros {
-            if c.started() && !c.finished() {
-                c.resume();
-            }
-        }
-        let msgs: Vec<String> = coros
+        yields * 10
+    }
+
+    /// The panic payloads a driven team left parked, in PE order.
+    fn payloads(coros: &mut [coro::Coro]) -> Vec<String> {
+        coros
             .iter_mut()
             .filter_map(|c| c.take_panic())
             .map(|p| {
@@ -1598,13 +1676,92 @@ mod tests {
                     .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
                     .unwrap_or_default()
             })
+            .collect()
+    }
+
+    /// Four PEs pass the floor round a ring by transfer 1 200 times, then
+    /// every PE blocks for good — or, with `exploding`, PE 2 panics where
+    /// it would have blocked. Either way the driver must sweep every
+    /// suspended coroutine off its stack, and exactly one payload is not
+    /// the poison message: the deadlock diagnostic or PE 2's own panic.
+    fn ring_then_fail(exploding: bool) -> (String, SchedStats) {
+        let npes = 4;
+        let sched = Arc::new(CoopSched::with_exec(
+            npes,
+            SchedPolicy::Det,
+            ExecMode::Event,
+        ));
+        let mut coros: Vec<coro::Coro> = (0..npes)
+            .map(|pe| {
+                let sched = Arc::clone(&sched);
+                coro::Coro::new(256 * 1024, move || {
+                    let _poison = PoisonOnUnwind(&sched, pe);
+                    sched.register(pe);
+                    let clock = ring_yields(&sched, pe, 300);
+                    if exploding && pe == 2 {
+                        panic!("PE 2 exploded");
+                    }
+                    let reason = if pe % 2 == 0 {
+                        BlockReason::Mailbox
+                    } else {
+                        BlockReason::Lock
+                    };
+                    sched.block(pe, clock, reason); // nobody will unblock us
+                })
+            })
             .collect();
-        assert_eq!(msgs.len(), 2, "both PEs unwind");
-        let diag = msgs
-            .iter()
-            .find(|m| *m != POISON_MSG)
-            .expect("one PE carries the diagnostic");
+        sched.drive(&mut coros);
+        assert!(sched.is_poisoned(), "the failure must poison the scheduler");
+        assert!(coros.iter().all(|c| c.finished()), "every PE unwound");
+        let msgs = payloads(&mut coros);
+        assert_eq!(msgs.len(), npes, "every PE unwinds with a payload");
+        let mut primary = msgs.iter().filter(|m| *m != POISON_MSG);
+        let first = primary.next().expect("one PE carries the failure").clone();
+        assert_eq!(primary.next(), None, "the rest are poison: {msgs:?}");
+        (first, sched.stats())
+    }
+
+    #[test]
+    fn event_backend_detects_deadlock_and_unwinds_all_coroutines() {
+        let (diag, stats) = ring_then_fail(false);
         assert!(diag.contains("cooperative scheduler deadlock"), "{diag}");
+        assert!(stats.switches >= 1_000, "{} transfers", stats.switches);
+        let (primary, stats) = ring_then_fail(true);
+        assert_eq!(primary, "PE 2 exploded");
+        assert!(stats.switches >= 1_000, "{} transfers", stats.switches);
+    }
+
+    /// The driver gets control back at registration (every registrant but
+    /// the last suspends to it) and after each finish — never for a
+    /// hand-off between running PEs, however many there are.
+    #[test]
+    fn the_driver_is_entered_only_at_registration_and_finishes() {
+        let npes = 5;
+        for yields in [1u64, 10, 1_000] {
+            let sched = Arc::new(CoopSched::with_exec(
+                npes,
+                SchedPolicy::Det,
+                ExecMode::Event,
+            ));
+            let mut coros: Vec<coro::Coro> = (0..npes)
+                .map(|pe| {
+                    let sched = Arc::clone(&sched);
+                    coro::Coro::new(256 * 1024, move || {
+                        sched.register(pe);
+                        let clock = ring_yields(&sched, pe, yields);
+                        sched.finish(pe, clock);
+                    })
+                })
+                .collect();
+            DRIVER_ENTRIES.with(|n| n.set(0));
+            sched.drive(&mut coros);
+            let entries = DRIVER_ENTRIES.with(|n| n.get());
+            // npes - 1 suspended registrants, then npes finishes.
+            assert_eq!(entries, 2 * npes as u64 - 1, "{yields} yields each");
+            // A ring: every yield, and every finish but the last, switches.
+            let switches = (yields + 1) * npes as u64 - 1;
+            assert_eq!(sched.stats().switches, switches, "{yields} yields each");
+        }
     }
 
     /// Two PEs that register and finish, as coroutines the test drives.
@@ -1624,19 +1781,67 @@ mod tests {
     fn a_floor_grant_is_taken_exactly_once() {
         let sched = Arc::new(CoopSched::with_exec(2, SchedPolicy::Det, ExecMode::Event));
         let mut coros = two_registrants(&sched);
+        // SAFETY: `coros` outlives the guard; everything runs on this
+        // thread.
+        let _table = unsafe { sched.tasks.install(&coros) };
         assert_eq!(sched.event_take_next(), None, "nobody registered yet");
-        for c in &mut coros {
-            c.resume();
-        }
-        // The last registrant's hand-off picked PE 0.
-        assert_eq!(sched.event_take_next(), Some(0));
+        coros[0].resume(); // registers and suspends: no grant to act on
         assert_eq!(sched.event_take_next(), None);
-        coros[0].resume(); // runs to `finish`, which grants PE 1
+        // The last registrant's hand-off picks PE 0 and switches straight
+        // into it; PE 0's `finish` grants PE 1, which is the driver's job.
+        assert!(!coros[1].resume());
+        assert!(coros[0].finished());
         assert_eq!(sched.event_take_next(), Some(1));
         assert_eq!(sched.event_take_next(), None);
-        coros[1].resume();
-        assert_eq!(sched.event_take_next(), None);
-        assert!(coros.iter().all(|c| c.finished()));
+        assert!(coros[1].resume());
+        assert_eq!(
+            sched.event_take_next(),
+            None,
+            "the last finish grants nothing"
+        );
+    }
+
+    /// The overrun diagnostic must follow a transfer: `CURRENT` is the PE
+    /// the floor was handed to, not the yielder, and not whichever PE the
+    /// driver last resumed.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn an_overrun_after_a_transfer_names_the_pe_and_aborts() {
+        use coro::tests::{dive, is_child, rerun_as_child};
+        use std::os::unix::process::ExitStatusExt;
+        if is_child() {
+            let sched = CoopSched::with_exec(2, SchedPolicy::Det, ExecMode::Event);
+            let sched = &sched;
+            // PE 1 registers last (the driver's last resume) and switches
+            // into PE 0, which yields into PE 1, which yields back into PE
+            // 0: the dive runs on a stack reached by transfer twice over.
+            let mut coros = vec![
+                coro::Coro::new(coro::stack_bytes(), move || {
+                    sched.register(0);
+                    sched.yield_now(0, 10);
+                    std::hint::black_box(dive(0));
+                })
+                .for_pe(0),
+                coro::Coro::new(coro::stack_bytes(), move || {
+                    sched.register(1);
+                    sched.yield_now(1, 20);
+                    sched.finish(1, 20);
+                })
+                .for_pe(1),
+            ];
+            sched.drive(&mut coros);
+            unreachable!("the dive has no bottom");
+        }
+        let out = rerun_as_child(
+            "tests::an_overrun_after_a_transfer_names_the_pe_and_aborts",
+            &[("O2K_STACK_KB", "64")],
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("PE 0 overran its 64 KiB coroutine stack; raise O2K_STACK_KB"),
+            "no diagnostic naming PE 0 on stderr:\n{err}"
+        );
+        assert_eq!(out.status.signal(), Some(6), "SIGABRT, got {}", out.status);
     }
 
     #[test]

@@ -168,12 +168,7 @@ mod properties {
                     })
                 })
                 .collect();
-            for c in coros.iter_mut() {
-                c.resume();
-            }
-            while let Some(next) = sched.event_take_next() {
-                coros[next].resume();
-            }
+            sched.drive(&mut coros);
             prop_assert!(coros.iter().all(|c| c.finished()), "all PEs must run dry");
             let grants = grants.lock().unwrap();
             prop_assert_eq!(grants.len(), rounds * p);
