@@ -138,9 +138,8 @@ struct StepParts {
 /// dual graph's size, never of host time, so the host needs one copy. Each
 /// generation is computed by the first replica that asks and shared by the
 /// rest. `OnceLock::get_or_init` is the whole synchronisation: the
-/// initialisers are pure host compute (no scheduling point), so under the
-/// cooperative schedulers nobody else runs meanwhile, and under free OS
-/// threads late arrivers wait for the first.
+/// initialisers are pure host compute (no scheduling point), so nobody
+/// else runs meanwhile.
 #[derive(Debug)]
 pub struct MeshMemo {
     gens: Vec<Generation>,
@@ -507,8 +506,9 @@ mod tests {
 
     #[test]
     fn racing_threads_compute_a_generation_once() {
-        // The `--sched os` case: eight free-running PEs reach `adapt`
-        // together; exactly one computes, the rest wait and share.
+        // Under `ExecMode::Thread` the memo is called from distinct OS
+        // threads. Hold it to the stronger contract: eight threads reach
+        // `adapt` together; exactly one computes, the rest wait and share.
         let cfg = AmrConfig::small();
         let memo = MeshMemo::new(&cfg);
         let gate = std::sync::Barrier::new(8);

@@ -170,8 +170,7 @@ fn pe_main(
                 // fetch-add on a shared cursor (counting chunks), exactly
                 // as the paper's SAS codes did. The claim *order* — and
                 // hence per-PE assignment, affinity, and claim traffic —
-                // follows the schedule: the host scheduler under
-                // `SchedPolicy::Os`, the virtual-time order under the
+                // follows the schedule: the virtual-time order under the
                 // deterministic policy (bitwise reproducible), a seeded
                 // interleaving under the exploration policies. The Jacobi
                 // answer is barrier-separated and so identical under all
@@ -267,9 +266,9 @@ mod tests {
     #[test]
     fn first_touch_improves_amr_locality() {
         // AMR ownership is address-contiguous, so — unlike N-body — the
-        // paging policy matters here. Under free-running OS threads the
-        // first-touch CAS race makes the margin flap run to run; the
-        // deterministic scheduler pins page homes to virtual-time order.
+        // paging policy matters here. The first-touch CAS race is decided
+        // by the schedule; the deterministic one pins page homes to
+        // virtual-time order, so the margin cannot flap run to run.
         // Small pages (test_tiny) so the active field spans many pages and
         // placement has room to matter at this problem size.
         let cfg = AmrConfig::small();

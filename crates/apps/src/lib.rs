@@ -103,8 +103,8 @@ pub fn run_app(
 
 /// [`run_app`] with explicit execution options (see [`RunOpts`]).
 /// Experiments that compare timing across machine configurations pin
-/// [`SchedPolicy::Det`] so the comparison is not confounded by OS thread
-/// interleaving.
+/// [`SchedPolicy::Det`] so the comparison is not confounded by a
+/// different interleaving.
 pub fn run_app_opts(
     machine: Arc<Machine>,
     app: App,

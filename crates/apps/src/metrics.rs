@@ -125,8 +125,10 @@ pub struct RunMetrics {
     pub problem_size: usize,
     /// Recorded event trace, when the run executed with tracing enabled.
     pub trace: Option<o2k_trace::Trace>,
-    /// Scheduler statistics when the run used a cooperative policy (the
-    /// fingerprint identifies the interleaving that produced this result).
+    /// Scheduler statistics (the fingerprint identifies the interleaving
+    /// that produced this result). Always `Some`: every run is
+    /// cooperative. It stays an `Option` because `benchmark/src/adapter.rs`
+    /// reads it through `map_or`.
     pub sched: Option<parallel::SchedStats>,
     /// Interconnect contention statistics when the machine ran with
     /// [`machine::ContentionMode::Queued`] or
@@ -171,7 +173,7 @@ impl RunMetrics {
             checksum,
             problem_size,
             trace: run.is_traced().then(|| run.trace()),
-            sched: run.sched,
+            sched: Some(run.sched),
             net: run.net.as_ref().map(|n| n.stats()),
             net_report: run.net.as_ref().map(|n| n.hotspot_report(5)),
             serve: None,

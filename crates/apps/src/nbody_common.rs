@@ -59,9 +59,9 @@ impl NBodyConfig {
 /// Those models replicate the start-up decomposition: every rank *derives*
 /// the body set and the startup ORB — and is charged for it — but both are
 /// pure functions of the configuration and the team size, so the host
-/// needs one copy (the first rank to ask computes it behind a `OnceLock`;
-/// under free-running `os` threads late arrivers wait for it). Passed
-/// beside the configuration, exactly as [`crate::amr_common::MeshMemo`] is.
+/// needs one copy (the first rank to ask computes it behind a `OnceLock`).
+/// Passed beside the configuration, exactly as
+/// [`crate::amr_common::MeshMemo`] is.
 ///
 /// Priced before it was built (ROADMAP item 7(ii)): at P = 32, n = 1 024
 /// a rank's `plummer` + `orb_partition` cost 0.58 ms on the host, 32

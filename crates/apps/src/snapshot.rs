@@ -6,7 +6,7 @@
 //!
 //! * **Off** (no `--snapshot`/`--restore`, or no matching snapshot file):
 //!   every [`Snapshotter::point`] is a zero-virtual-cost team rendezvous
-//!   ([`parallel::Ctx::os_barrier`]). The gates exist in *every* run so
+//!   ([`parallel::Ctx::gate`]). The gates exist in *every* run so
 //!   that a capturing run is bitwise identical to a straight run.
 //! * **Capture**: at the requested gate, each PE deposits its core state
 //!   and serialised app locals host-side, passes the gate, and the first
@@ -20,10 +20,6 @@
 //!   the resume point* — the straight run's gate release is already
 //!   accounted inside the restored scheduler state — then replays the
 //!   tail of the straight run bitwise.
-//!
-//! Snapshots require a cooperative scheduling policy: free-running OS
-//! threads have no capturable schedule ([`Snapshotter::point`] panics on
-//! capture under [`parallel::SchedPolicy::Os`]).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -267,9 +263,7 @@ impl Snapshotter {
     /// ever invoked at the capture point.
     ///
     /// # Panics
-    /// Panics when capturing under [`parallel::SchedPolicy::Os`]: a
-    /// free-running thread schedule cannot be captured.
-    #[allow(clippy::missing_panics_doc)]
+    /// Panics if the snapshot file cannot be written.
     pub fn point(
         &self,
         ctx: &mut Ctx,
@@ -279,31 +273,25 @@ impl Snapshotter {
         world: impl FnOnce() -> Vec<u8>,
     ) {
         match &self.mode {
-            Mode::Off => ctx.os_barrier(),
+            Mode::Off => ctx.gate(),
             Mode::Resume(r) => {
                 if !(r.point.name == name && r.point.index == index) {
-                    ctx.os_barrier();
+                    ctx.gate();
                 }
             }
             Mode::Capture(c) => {
                 if !(c.point.name == name && c.point.index == index) {
-                    ctx.os_barrier();
+                    ctx.gate();
                     return;
                 }
-                assert!(
-                    ctx.coop().is_some(),
-                    "--snapshot requires a cooperative scheduling policy \
-                     (det / explore / bp), not os: free-running threads have \
-                     no capturable schedule"
-                );
                 c.deposits.lock()[ctx.pe()] = Some((ctx.export_core(), payload()));
-                ctx.os_barrier();
+                ctx.gate();
                 // The first PE the scheduler resumes after the gate holds
                 // the floor: it assembles and writes the snapshot without a
                 // single clock, counter, or scheduler interaction, so the
                 // capturing run stays bitwise identical to a straight run.
                 if !c.claimed.swap(true, Ordering::SeqCst) {
-                    let sched = ctx.coop().expect("checked above").export_resume();
+                    let sched = ctx.coop().export_resume();
                     let fabric = ctx.net().map(|n| n.export_state_bytes());
                     let mut snap = Snapshot::new();
                     snap.put("meta", c.meta.encode());

@@ -18,9 +18,9 @@
 //! with it on.
 //!
 //! `--sched <policy>` (or `O2K_SCHED=<policy>`) picks the team scheduling
-//! policy: `det` (the default — every table is bitwise reproducible),
-//! `os` (free-running host threads) or `explore:<seed>` (seeded random
-//! interleaving). See DESIGN.md "Determinism & scheduling".
+//! policy: `det` (the default — every table is bitwise reproducible) or
+//! `explore:<seed>` (seeded random interleaving, itself reproducible per
+//! seed). See DESIGN.md "Determinism & scheduling".
 //!
 //! `--exec <mode>` (or `O2K_EXEC=<mode>`) picks the execution backend:
 //! `event` (the default, [`o2k_sched::default_exec`] — every PE a
@@ -64,7 +64,8 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let mut trace_dir: Option<String> = None;
     // Default to the deterministic scheduler so regenerated tables are
-    // bitwise reproducible; `--sched os` restores free-running threads.
+    // bitwise reproducible; `--sched explore:<seed>` picks another
+    // interleaving, reproducible per seed.
     let mut sched = env_or_exit(o2k_sched::env_policy()).unwrap_or(o2k_sched::SchedPolicy::Det);
     let mut exec = env_or_exit(o2k_sched::env_exec()).unwrap_or_else(o2k_sched::default_exec);
     let mut fault = machine::FaultMode::Off;
@@ -85,17 +86,25 @@ fn main() {
                 }
             }
         } else if a == "--sched" {
-            match it.next().map(|s| s.parse()) {
+            match it.next().map(|s| o2k_sched::SchedPolicy::parse(s)) {
                 Some(Ok(p)) => sched = p,
-                _ => {
-                    eprintln!("--sched requires a policy: os, det, explore:<seed>");
+                Some(Err(e)) => {
+                    eprintln!("--sched: {e}");
+                    std::process::exit(2);
+                }
+                None => {
+                    eprintln!("--sched requires a policy: det or explore:<seed>");
                     std::process::exit(2);
                 }
             }
         } else if a == "--exec" {
-            match it.next().map(|s| s.parse()) {
+            match it.next().map(|s| o2k_sched::ExecMode::parse(s)) {
                 Some(Ok(e)) => exec = e,
-                _ => {
+                Some(Err(e)) => {
+                    eprintln!("--exec: {e}");
+                    std::process::exit(2);
+                }
+                None => {
                     eprintln!("--exec requires a mode: event (the default) or thread");
                     std::process::exit(2);
                 }

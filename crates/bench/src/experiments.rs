@@ -103,7 +103,7 @@ impl Env {
     }
 
     /// [`Env::opts`] pinned to the deterministic schedule, for cells whose
-    /// comparison free-running threads would confound.
+    /// comparison another interleaving would confound.
     pub fn det(&self) -> RunOpts {
         RunOpts {
             sched: Some(SchedPolicy::Det),
@@ -1032,10 +1032,10 @@ fn a6_self_schedule(env: &Env) -> String {
             sas_self_schedule: dynamic,
             ..base.clone()
         };
-        // Pin the claim order with the deterministic scheduler so the row
-        // is exactly reproducible (claiming is a genuine fetch-add race;
-        // see `apps::amr_sas`).
-        let r = env.run(env.machine(p), Workload::Amr(&cfg), Model::Sas, env.det());
+        // Claiming is a genuine fetch-add race (see `apps::amr_sas`): the
+        // run's policy orders the claims, `det` by default, and each
+        // policy reproduces its row exactly.
+        let r = env.run(env.machine(p), Workload::Amr(&cfg), Model::Sas, env.opts());
         let busy: Vec<f64> = r.per_pe.iter().map(|b| b.busy as f64).collect();
         let max = busy.iter().cloned().fold(0.0f64, f64::max);
         let mean = busy.iter().sum::<f64>() / busy.len() as f64;
@@ -1048,7 +1048,7 @@ fn a6_self_schedule(env: &Env) -> String {
         ]);
     }
     format!(
-        "A6 (ablation): CC-SAS sweep scheduling at P={p}\n\n{}\nWith near-uniform per-element work, self-scheduling buys no balance (both\nschedules sit at busy max/mean ~1.0) and pays extra invalidation\ntraffic for the shared cursor line — so the static block schedule is the\nright default, exactly the trade-off the SPLASH-era codes tuned by hand.\n(Chunks are claimed by real fetch-adds under the deterministic\nvirtual-time schedule; `repro a6 --sched os` shows the free-running\nvariant. See `apps::amr_sas` and S1.)\n",
+        "A6 (ablation): CC-SAS sweep scheduling at P={p}\n\n{}\nWith near-uniform per-element work, self-scheduling buys no balance (both\nschedules sit at busy max/mean ~1.0) and pays extra invalidation\ntraffic for the shared cursor line — so the static block schedule is the\nright default, exactly the trade-off the SPLASH-era codes tuned by hand.\n(Chunks are claimed by real fetch-adds in virtual-time order under the\ndefault det schedule; `repro a6 --sched explore:<seed>` replays a seeded\ninterleaving of the claims. See `apps::amr_sas` and S1.)\n",
         render(
             &cells(&["schedule", "time ms", "busy max/mean", "invalidations", "remote frac"]),
             &rows

@@ -44,8 +44,7 @@ pub struct Counters {
     pub barriers: u64,
     /// Lock acquisitions.
     pub lock_acquires: u64,
-    /// Cooperative-scheduler floor handoffs at this PE's yield points
-    /// (0 under the free-running OS policy).
+    /// Cooperative-scheduler floor handoffs at this PE's yield points.
     pub sched_handoffs: u64,
 
     // --- request serving (nonzero only for o2k-serve workloads) ---

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use machine::{cost, Machine, SimTime, TimeCat};
 use parallel::{Ctx, Dep, EventKind};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 /// Message tag. User tags must stay below [`Tag::COLLECTIVE_BASE`]; the
 /// collective algorithms reserve the space above it.
@@ -48,14 +48,9 @@ struct Envelope {
     arrival: SimTime,
 }
 
-#[derive(Default)]
-struct Mailbox {
-    queue: Mutex<VecDeque<Envelope>>,
-    /// Where a receiver with no match waits under `--sched os`, and the
-    /// only policy under which anything waits here: a cooperative receiver
-    /// parks in the `CoopSched` instead (`BlockReason::Mailbox`).
-    cond: Condvar,
-}
+/// One rank's queue of unreceived envelopes. A receiver with no match
+/// parks in the team's scheduler (`BlockReason::Mailbox`), never here.
+type Mailbox = Mutex<VecDeque<Envelope>>;
 
 /// The message-passing "world": one mailbox per rank, shared by reference
 /// across the PE threads of a [`parallel::Team`].
@@ -147,15 +142,11 @@ impl MpWorld {
             arrival: ctx.now() + c.network + net_delay,
         };
         let arrival = env.arrival;
-        let mb = &self.mailboxes[dst];
-        mb.queue.lock().push_back(env);
-        // Wake the receiver where `wait_match` parks it: in the scheduler
-        // under a cooperative policy (the arrival time is its clock hint),
-        // on the condvar under `os`.
-        match ctx.coop() {
-            Some(cs) => cs.unblock(dst, arrival, parallel::sched::BlockReason::Mailbox),
-            None => mb.cond.notify_all(),
-        }
+        self.mailboxes[dst].lock().push_back(env);
+        // Wake the receiver where `wait_match` parks it, in the scheduler;
+        // the arrival time is its clock hint.
+        ctx.coop()
+            .unblock(dst, arrival, parallel::sched::BlockReason::Mailbox);
     }
 
     /// Blocking typed receive matching `spec`. Returns `(src, tag, data)`.
@@ -179,9 +170,8 @@ impl MpWorld {
         ctx: &mut Ctx,
         spec: RecvSpec,
     ) -> Option<(usize, Tag, Vec<T>)> {
-        let mb = &self.mailboxes[ctx.pe()];
         let env = {
-            let mut q = mb.queue.lock();
+            let mut q = self.mailboxes[ctx.pe()].lock();
             let idx = q.iter().position(|e| spec.matches(e.src, e.tag))?;
             q.remove(idx).expect("index valid under lock")
         };
@@ -190,23 +180,18 @@ impl MpWorld {
 
     fn wait_match(&self, ctx: &mut Ctx, spec: RecvSpec) -> Envelope {
         let pe = ctx.pe();
-        let mb = &self.mailboxes[pe];
-        let mut q = mb.queue.lock();
         loop {
-            if let Some(idx) = q.iter().position(|e| spec.matches(e.src, e.tag)) {
-                return q.remove(idx).expect("index valid under lock");
-            }
-            match ctx.coop() {
-                Some(cs) => {
-                    // Park in the scheduler; the sender's unblock (after its
-                    // push) re-runs the match. The floor guarantees no send
-                    // can slip in between the check and the block.
-                    drop(q);
-                    cs.block(pe, ctx.now(), parallel::sched::BlockReason::Mailbox);
-                    q = mb.queue.lock();
+            {
+                let mut q = self.mailboxes[pe].lock();
+                if let Some(idx) = q.iter().position(|e| spec.matches(e.src, e.tag)) {
+                    return q.remove(idx).expect("index valid under lock");
                 }
-                None => mb.cond.wait(&mut q),
             }
+            // Park in the scheduler; the sender's unblock (after its push)
+            // re-runs the match. The floor guarantees no send can slip in
+            // between the check and the block.
+            ctx.coop()
+                .block(pe, ctx.now(), parallel::sched::BlockReason::Mailbox);
         }
     }
 
@@ -271,13 +256,13 @@ impl MpWorld {
             tag < Self::COLLECTIVE_BASE,
             "user tags must be < COLLECTIVE_BASE"
         );
-        // The claim point: under a cooperative policy the virtual-time
-        // floor (not the host scheduler) decides whether the victim's own
-        // drain or this steal sees the backlog first.
+        // The claim point: the virtual-time floor (not the host scheduler)
+        // decides whether the victim's own drain or this steal sees the
+        // backlog first.
         ctx.sched_point();
         let now = ctx.now();
         let stolen: Vec<Envelope> = {
-            let mut q = self.mailboxes[victim].queue.lock();
+            let mut q = self.mailboxes[victim].lock();
             let mut out = Vec::new();
             let mut i = 0;
             while i < q.len() && out.len() < max {
@@ -333,7 +318,7 @@ impl MpWorld {
 
     /// Messages queued across all mailboxes (sent but not yet received).
     pub fn pending_messages(&self) -> usize {
-        self.mailboxes.iter().map(|mb| mb.queue.lock().len()).sum()
+        self.mailboxes.iter().map(|mb| mb.lock().len()).sum()
     }
 
     /// Snapshot quiescence check: envelopes carry `Box<dyn Any>` payloads
@@ -352,7 +337,7 @@ impl MpWorld {
             .iter()
             .enumerate()
             .filter_map(|(rank, mb)| {
-                let n = mb.queue.lock().len();
+                let n = mb.lock().len();
                 (n > 0).then(|| format!("rank {rank}: {n} queued"))
             })
             .collect();
@@ -489,10 +474,10 @@ mod tests {
                         tag: Some(0),
                     },
                 );
-                ctx.os_barrier();
+                ctx.gate();
                 r.is_none()
             } else {
-                ctx.os_barrier(); // send only after PE 1 probed
+                ctx.gate(); // send only after PE 1 probed
                 w.send(ctx, 1, 0, &[1u8]);
                 true
             }
@@ -511,13 +496,13 @@ mod tests {
                     w.send(ctx, 1, 7, &[i]);
                 }
                 w.send(ctx, 1, 8, &[99u64]);
-                ctx.os_barrier(); // all four queued at PE 1
-                ctx.os_barrier(); // stealer done
+                ctx.gate(); // all four queued at PE 1
+                ctx.gate(); // stealer done
                 vec![]
             }
             1 => {
-                ctx.os_barrier();
-                ctx.os_barrier();
+                ctx.gate();
+                ctx.gate();
                 let mut kept = vec![];
                 while let Some((_, _, d)) = w.try_recv::<u64>(
                     ctx,
@@ -531,10 +516,10 @@ mod tests {
                 kept
             }
             _ => {
-                ctx.os_barrier();
+                ctx.gate();
                 ctx.compute(10_000_000); // far past every arrival time
                 let stolen = w.steal_batch::<u64>(ctx, 1, 7, 2);
-                ctx.os_barrier();
+                ctx.gate();
                 stolen
                     .into_iter()
                     .map(|(src, d)| {

@@ -36,12 +36,11 @@
 //! (optionally per named phase, with the resource kind named under
 //! `fabric`) come out of the same table.
 //!
-//! Determinism: under the `det` cooperative scheduler exactly one PE runs
-//! at a time and yields in virtual-time order, so the sequence of
+//! Determinism: the team's scheduler runs exactly one PE at a time, and
+//! under `det` it yields in virtual-time order, so the sequence of
 //! [`NetSim::route`] calls — and therefore the whole busy-until evolution —
-//! is a pure function of the program. Under the free-running `os` policy
-//! the table is still thread-safe (one mutex) but the arrival order, and
-//! thus the queueing, follows the host scheduler.
+//! is a pure function of the program (under `explore:SEED`, of the
+//! program and the seed).
 //!
 //! **Fault injection.** A [`machine::FaultPlan`] on the config schedules
 //! per-link [`machine::FaultKind`] transitions in virtual time: `deg<F>`

@@ -31,17 +31,11 @@ pub struct Ctx {
     /// Queueing delay already returned by routes whose charge the runtime
     /// has not yet applied to the clock. A runtime that issues several
     /// transfers before advancing (e.g. the CC-SAS invalidation sweep)
-    /// must depart each one *after* the previous ones complete; without
-    /// this the same backlog is charged once per transfer, and under
-    /// free-running OS threads — where PE clocks drift far apart between
-    /// barriers — that double-charging overshoots the clock frontier and
-    /// compounds into runaway virtual clocks (each overshot clock raises
-    /// `busy_until`s, which raises the next PE's wait, exponentially to
-    /// u64 overflow). Applied under `fabric` always, and under any
-    /// contention mode when the team is free-running (no cooperative
-    /// scheduler); `queued` runs under `det` keep the original
-    /// same-departure semantics so pre-fabric archives stay
-    /// bitwise-identical. Reset whenever the clock is advanced.
+    /// must depart each one *after* the previous ones complete, or the
+    /// same backlog is charged once per transfer. Applied under `fabric`;
+    /// `queued` runs keep the original same-departure semantics so
+    /// pre-fabric archives stay bitwise-identical. Reset whenever the
+    /// clock is advanced.
     net_pending: SimTime,
 }
 
@@ -103,12 +97,11 @@ impl Ctx {
         self.net_pending = core.net_pending;
     }
 
-    /// The cooperative scheduler for this run, if the team's policy uses
-    /// one. Model runtimes use it to block/unblock around waits; plain
-    /// application code never needs it.
+    /// The cooperative scheduler for this run. Model runtimes use it to
+    /// block/unblock around waits; plain application code never needs it.
     #[inline]
-    pub fn coop(&self) -> Option<&Arc<CoopSched>> {
-        self.shared.coop.as_ref()
+    pub fn coop(&self) -> &Arc<CoopSched> {
+        &self.shared.coop
     }
 
     /// The interconnect contention model, present iff the machine runs
@@ -167,10 +160,9 @@ impl Ctx {
     ///   `net_pending` rule serializes;
     /// * if a fault plan has partitioned the machine (an item's every
     ///   route crosses a dead link), the items before it stay committed
-    ///   and the PE cannot make progress: under a cooperative policy it
-    ///   parks as [`BlockReason::DeadLink`] so the scheduler's deadlock
-    ///   detector reports a *network partition*; under the free-running OS
-    ///   policy it panics with the same diagnostic.
+    ///   and the PE cannot make progress: it parks as
+    ///   [`BlockReason::DeadLink`] so the scheduler's deadlock detector
+    ///   reports a *network partition*.
     ///
     /// [`BlockReason::DeadLink`]: o2k_sched::BlockReason::DeadLink
     pub fn net_delay_many(&mut self, items: &[(usize, usize)]) -> SimTime {
@@ -180,8 +172,7 @@ impl Ctx {
         if items.is_empty() {
             return 0;
         }
-        let serialize = self.machine.config.contention == machine::ContentionMode::Fabric
-            || self.shared.coop.is_none();
+        let serialize = self.machine.config.contention == machine::ContentionMode::Fabric;
         let b = match net.try_route_many(
             self.pe as u32,
             self.node(),
@@ -191,15 +182,13 @@ impl Ctx {
             self.net_pending,
         ) {
             Ok(b) => b,
-            Err(u) => match self.shared.coop.as_ref() {
-                Some(cs) => {
-                    // Nothing will ever unblock a partitioned PE; the
-                    // scheduler classifies the resulting global stall.
-                    cs.block(self.pe, self.clock.now(), o2k_sched::BlockReason::DeadLink);
-                    unreachable!("woken while parked on a dead link: {u}");
-                }
-                None => panic!("{u}"),
-            },
+            Err(u) => {
+                // Nothing will ever unblock a partitioned PE; the
+                // scheduler classifies the resulting global stall.
+                let dead = o2k_sched::BlockReason::DeadLink;
+                self.shared.coop.block(self.pe, self.clock.now(), dead);
+                unreachable!("woken while parked on a dead link: {u}");
+            }
         };
         if b.transfers > 0 {
             self.counters.net_transfers += b.transfers;
@@ -228,20 +217,15 @@ impl Ctx {
     }
 
     /// Cooperative yield point: offer the floor at this PE's virtual
-    /// clock. A no-op under [`SchedPolicy::Os`] (one branch), and one
-    /// compare against the scheduler's published horizon whenever this PE
-    /// would be picked again (see [`CoopSched::yield_now`]) — the case for
-    /// nearly every CC-SAS line access. Model runtimes call this at every
-    /// shared-state access so the interleaving follows virtual time, not
-    /// the host.
-    ///
-    /// [`SchedPolicy::Os`]: o2k_sched::SchedPolicy::Os
+    /// clock. One compare against the scheduler's published horizon
+    /// whenever this PE would be picked again (see
+    /// [`CoopSched::yield_now`]) — the case for nearly every CC-SAS line
+    /// access. Model runtimes call this at every shared-state access so
+    /// the interleaving follows virtual time, not the host.
     #[inline]
     pub fn sched_point(&mut self) {
-        if let Some(cs) = self.shared.coop.as_ref() {
-            if cs.yield_now(self.pe, self.clock.now()) {
-                self.counters.sched_handoffs += 1;
-            }
+        if self.shared.coop.yield_now(self.pe, self.clock.now()) {
+            self.counters.sched_handoffs += 1;
         }
     }
 
@@ -426,7 +410,7 @@ impl Ctx {
         self.global_epoch += 1;
         let shared = Arc::clone(&self.shared);
         shared.clock_slots[self.pe].store(self.clock.now(), Ordering::SeqCst);
-        self.os_barrier();
+        self.gate();
         // Last arriver (lowest PE on ties): the wait edge for the critical
         // path — everyone else's barrier wait ends when this PE shows up.
         let (max_pe, max) = shared
@@ -452,21 +436,15 @@ impl Ctx {
         );
         self.advance_traced(cost, TimeCat::Sync, EventKind::Barrier, 0, None);
         self.counters.barriers += 1;
-        self.os_barrier();
+        self.gate();
     }
 
-    /// A rendezvous with *no* clock synchronisation or cost. Used by
-    /// runtimes that model synchronisation costs themselves but still need a
-    /// real rendezvous (e.g. to publish shared structures safely), and by
-    /// [`Ctx::barrier`] itself. Under a cooperative policy this is the
-    /// scheduler's gate, not an OS barrier.
-    pub fn os_barrier(&self) {
-        match self.shared.coop.as_ref() {
-            Some(cs) => cs.gate_wait(self.pe, self.clock.now()),
-            None => {
-                self.shared.barrier.wait();
-            }
-        }
+    /// A rendezvous with *no* clock synchronisation or cost: the
+    /// scheduler's gate. Used by runtimes that model synchronisation costs
+    /// themselves but still need a real rendezvous (e.g. to publish shared
+    /// structures safely), and by [`Ctx::barrier`] itself.
+    pub fn gate(&self) {
+        self.shared.coop.gate_wait(self.pe, self.clock.now());
     }
 
     /// Blackboard broadcast of `val` from `root` to every PE.

@@ -1,10 +1,12 @@
-//! PE-team runtime: real threads, virtual Origin2000 time.
+//! PE-team runtime: cooperative PEs, virtual Origin2000 time.
 //!
-//! [`Team::run`] spawns one OS thread per simulated processing element (PE).
-//! Each thread receives a [`Ctx`] holding its virtual [`machine::Clock`],
-//! event [`machine::Counters`], a deterministic per-PE RNG, and access to
-//! team-wide synchronisation plumbing (clock-synchronising barriers and
-//! blackboard collectives).
+//! [`Team::run`] runs one flow of control per simulated processing element
+//! (PE) — a coroutine on the event core, or an OS thread under
+//! [`ExecMode::Thread`] — and its [`sched::CoopSched`] lets exactly one of
+//! them hold the floor at a time. Each PE receives a [`Ctx`] holding its
+//! virtual [`machine::Clock`], event [`machine::Counters`], a
+//! deterministic per-PE RNG, and access to team-wide synchronisation
+//! plumbing (clock-synchronising barriers and blackboard collectives).
 //!
 //! The three programming-model runtimes (`mp`, `shmem`, `sas`) all build on
 //! this crate: they add their own shared state (mailboxes, symmetric heap,

@@ -1,16 +1,13 @@
 //! Virtual-time-aware mutual exclusion.
 //!
-//! [`SimLock`] combines real mutual exclusion between PE threads with
-//! virtual-time queueing: an acquirer's clock advances to the previous
-//! holder's release time, so lock contention shows up as
+//! [`SimLock`] combines mutual exclusion between PEs with virtual-time
+//! queueing: an acquirer's clock advances to the previous holder's
+//! release time, so lock contention shows up as
 //! [`machine::TimeCat::Sync`] time exactly as it would on the hardware.
-//! Under the free-running [`SchedPolicy::Os`](o2k_sched::SchedPolicy::Os)
-//! policy the acquisition *order* follows the host scheduler; under a
-//! cooperative policy it follows the virtual-time schedule (waiters park
-//! in the scheduler, never on an OS primitive, so holding a `SimLock`
-//! across yield points cannot deadlock the floor). The accounting is
-//! always consistent: no PE's critical section overlaps another's in
-//! virtual time.
+//! The acquisition *order* follows the team's schedule: waiters park in
+//! the scheduler, never on an OS primitive, so holding a `SimLock`
+//! across yield points cannot deadlock the floor. No PE's critical
+//! section overlaps another's in virtual time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -18,7 +15,7 @@ use std::sync::Arc;
 use machine::{cost, SimTime, TimeCat};
 use o2k_sched::{BlockReason, CoopSched};
 use o2k_trace::{Dep, EventKind};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::ctx::Ctx;
 
@@ -46,9 +43,6 @@ pub struct SimLock {
     home_node: usize,
     id: u64,
     state: Mutex<LockState>,
-    /// Waiting threads under the OS policy (cooperative waiters park in
-    /// the scheduler instead).
-    cv: Condvar,
 }
 
 /// Guard proving exclusive access. Call [`SimLockGuard::release`] with the
@@ -58,7 +52,7 @@ pub struct SimLock {
 #[must_use = "dropping the guard immediately releases the lock"]
 pub struct SimLockGuard<'a> {
     lock: &'a SimLock,
-    coop: Option<Arc<CoopSched>>,
+    coop: Arc<CoopSched>,
     released: bool,
 }
 
@@ -73,7 +67,6 @@ impl SimLock {
                 release: (0, 0),
                 waiters: Vec::new(),
             }),
-            cv: Condvar::new(),
         }
     }
 
@@ -92,7 +85,7 @@ impl SimLock {
     /// past the previous holder's release, and charges the
     /// distance-priced acquisition cost.
     pub fn acquire<'a>(&'a self, ctx: &mut Ctx) -> SimLockGuard<'a> {
-        let coop = ctx.coop().cloned();
+        let coop = Arc::clone(ctx.coop());
         let pe = ctx.pe();
         let (release_t, holder) = loop {
             let mut st = self.state.lock();
@@ -100,16 +93,11 @@ impl SimLock {
                 st.held = true;
                 break st.release;
             }
-            match &coop {
-                Some(cs) => {
-                    st.waiters.push(pe);
-                    drop(st);
-                    // Parked in the scheduler: the floor moves on, and the
-                    // releaser's unblock re-runs this loop.
-                    cs.block(pe, ctx.now(), BlockReason::Lock);
-                }
-                None => self.cv.wait(&mut st),
-            }
+            st.waiters.push(pe);
+            drop(st);
+            // Parked in the scheduler: the floor moves on, and the
+            // releaser's unblock re-runs this loop.
+            coop.block(pe, ctx.now(), BlockReason::Lock);
         };
         ctx.wait_until_traced(
             release_t,
@@ -138,7 +126,7 @@ impl SimLock {
     /// Free the lock and wake waiters. `release` records the holder's
     /// virtual release time; `None` (guard drop on a panic path) leaves
     /// the previous one.
-    fn unlock(&self, coop: &Option<Arc<CoopSched>>, release: Option<(SimTime, u32)>) {
+    fn unlock(&self, coop: &CoopSched, release: Option<(SimTime, u32)>) {
         let mut st = self.state.lock();
         st.held = false;
         if let Some(r) = release {
@@ -147,15 +135,10 @@ impl SimLock {
         let hint = st.release.0;
         let waiters = std::mem::take(&mut st.waiters);
         drop(st);
-        match coop {
-            Some(cs) => {
-                // Wake every parked waiter; they re-contend in virtual-time
-                // order and the losers park again.
-                for w in waiters {
-                    cs.unblock(w, hint, BlockReason::Lock);
-                }
-            }
-            None => self.cv.notify_all(),
+        // Wake every parked waiter; they re-contend in virtual-time order
+        // and the losers park again.
+        for w in waiters {
+            coop.unblock(w, hint, BlockReason::Lock);
         }
     }
 }
@@ -165,16 +148,15 @@ impl SimLockGuard<'_> {
     pub fn release(mut self, ctx: &mut Ctx) {
         self.released = true;
         ctx.lockset_pop(self.lock.id);
-        let coop = self.coop.take();
-        self.lock.unlock(&coop, Some((ctx.now(), ctx.pe() as u32)));
+        self.lock
+            .unlock(&self.coop, Some((ctx.now(), ctx.pe() as u32)));
     }
 }
 
 impl Drop for SimLockGuard<'_> {
     fn drop(&mut self) {
         if !self.released {
-            let coop = self.coop.take();
-            self.lock.unlock(&coop, None);
+            self.lock.unlock(&self.coop, None);
         }
     }
 }
@@ -276,7 +258,7 @@ mod tests {
         times.sort_unstable();
         times.dedup();
         assert_eq!(times.len(), 4, "critical sections overlap in virtual time");
-        assert!(run.sched.unwrap().switches > 0);
+        assert!(run.sched.switches > 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::any::Any;
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Barrier};
+use std::sync::Arc;
 
 use machine::{ContentionMode, Counters, Machine, SimTime, TimeBreakdown};
 use o2k_net::NetSim;
@@ -41,10 +41,8 @@ pub struct TeamRun<R> {
     pub results: Vec<R>,
     /// Timing / counter reports, `reports[pe]`.
     pub reports: Vec<PeReport>,
-    /// Scheduler statistics (policy, switch count, schedule fingerprint)
-    /// when the run used a cooperative policy; `None` under
-    /// [`SchedPolicy::Os`].
-    pub sched: Option<SchedStats>,
+    /// Scheduler statistics: policy, switch count, schedule fingerprint.
+    pub sched: SchedStats,
     /// The interconnect contention model, populated when the machine ran
     /// with [`ContentionMode::Queued`] or [`ContentionMode::Fabric`];
     /// query it for [`NetSim::stats`], hotspot reports and utilization
@@ -102,17 +100,13 @@ impl<R> TeamRun<R> {
 /// Shared synchronisation state for one team. Internal to this crate but
 /// reachable from [`Ctx`].
 pub(crate) struct TeamShared {
-    /// Reusable OS barrier gating the clock-sync protocol.
-    pub barrier: Barrier,
     /// Per-PE clock deposit slots for computing the barrier max.
     pub clock_slots: Vec<AtomicU64>,
     /// Per-PE blackboard slots for blackboard collectives.
     pub slots: Vec<Mutex<Option<Box<dyn Any + Send>>>>,
-    /// Cooperative scheduler when the team runs under a virtual-time
-    /// policy; `None` under [`SchedPolicy::Os`] (free-running threads).
-    /// When set, rendezvous go through the scheduler's gate instead of
-    /// the OS barrier above.
-    pub coop: Option<Arc<CoopSched>>,
+    /// The team's cooperative scheduler: every rendezvous, block and
+    /// yield of the run goes through it.
+    pub coop: Arc<CoopSched>,
     /// Interconnect contention model, present iff the machine config says
     /// [`ContentionMode::Queued`] or [`ContentionMode::Fabric`]. One
     /// instance per run: its per-resource occupancy state *is* the run's
@@ -121,7 +115,7 @@ pub(crate) struct TeamShared {
 }
 
 impl TeamShared {
-    fn new(machine: &Machine, coop: Option<Arc<CoopSched>>) -> Self {
+    fn new(machine: &Machine, coop: Arc<CoopSched>) -> Self {
         let pes = machine.pes();
         let topo = &machine.topology;
         let net = match machine.config.contention {
@@ -131,7 +125,6 @@ impl TeamShared {
             }
         };
         TeamShared {
-            barrier: Barrier::new(pes),
             clock_slots: (0..pes).map(|_| AtomicU64::new(0)).collect(),
             slots: (0..pes).map(|_| Mutex::new(None)).collect(),
             coop,
@@ -142,17 +135,15 @@ impl TeamShared {
 
 /// Poisons the cooperative scheduler if the PE thread unwinds, so blocked
 /// peers wake and unwind too instead of hanging the join.
-struct PoisonOnPanic {
-    coop: Option<Arc<CoopSched>>,
+struct PoisonOnPanic<'a> {
+    coop: &'a CoopSched,
     pe: usize,
 }
 
-impl Drop for PoisonOnPanic {
+impl Drop for PoisonOnPanic<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            if let Some(cs) = &self.coop {
-                cs.poison(self.pe);
-            }
+            self.coop.poison(self.pe);
         }
     }
 }
@@ -214,7 +205,8 @@ impl Team {
     /// Set the scheduling policy for this team's runs (see
     /// [`SchedPolicy`]). [`SchedPolicy::Det`] makes runs bitwise
     /// reproducible; `Explore` replays seeded interleavings for race
-    /// hunting.
+    /// hunting. Either way a PE runs only while it holds the scheduler's
+    /// floor.
     pub fn sched(mut self, policy: SchedPolicy) -> Self {
         self.sched = policy;
         self
@@ -223,8 +215,7 @@ impl Team {
     /// Set the execution backend (see [`ExecMode`]). `Event` runs every
     /// PE as a coroutine on one OS thread — the only way past
     /// [`THREAD_PE_CAP`] PEs — and produces bitwise-identical `det` runs
-    /// to `Thread`. Ignored (thread backend used) under
-    /// [`SchedPolicy::Os`], which *means* free-running OS threads.
+    /// to `Thread`.
     pub fn exec(mut self, exec: ExecMode) -> Self {
         self.exec = exec;
         self
@@ -266,53 +257,37 @@ impl Team {
     /// sections and enter its loop at the captured step.
     ///
     /// # Panics
-    /// Panics when resuming under [`SchedPolicy::Os`] (free-running
-    /// threads have no capturable schedule) or with a PE-count mismatch.
+    /// Panics on a PE-count mismatch.
     pub fn run_resumed<R, F>(&self, resume: Option<TeamResume>, f: F) -> TeamRun<R>
     where
         R: Send,
         F: Fn(&mut Ctx) -> R + Sync,
     {
         let pes = self.machine.pes();
-        // SchedPolicy::Os *means* free-running OS threads, so the event
-        // backend cannot apply; everything else keeps the requested mode.
-        let exec = match self.sched {
-            SchedPolicy::Os => ExecMode::Thread,
-            _ => self.exec,
-        };
-        if exec == ExecMode::Thread {
+        if self.exec == ExecMode::Thread {
             assert!(
                 pes <= THREAD_PE_CAP,
                 "a {pes}-PE team exceeds the {THREAD_PE_CAP}-thread cap of ExecMode::Thread; \
                  run it on the event backend (--exec event / O2K_EXEC=event)"
             );
         }
-        let coop = match self.sched {
-            SchedPolicy::Os => None,
-            policy => Some(Arc::new(CoopSched::with_exec(pes, policy, exec))),
-        };
+        let coop = Arc::new(CoopSched::with_exec(pes, self.sched, self.exec));
         if let Some(res) = &resume {
-            assert!(
-                !matches!(self.sched, SchedPolicy::Os),
-                "cannot resume a snapshot under SchedPolicy::Os: free-running \
-                 threads have no capturable schedule (pick a cooperative policy)"
-            );
             assert_eq!(
                 res.cores.len(),
                 pes,
                 "snapshot holds {} PE cores, this team has {pes}",
                 res.cores.len()
             );
-            let cs = coop.as_ref().expect("cooperative policy has a scheduler");
             if res.sched.policy == self.sched {
-                cs.preseed_resume(&res.sched);
+                coop.preseed_resume(&res.sched);
             } else {
                 // Restoring under a different policy: virtual time carries
                 // over, the pick sequence starts fresh.
-                cs.preseed_clocks(&res.sched.clocks);
+                coop.preseed_clocks(&res.sched.clocks);
             }
         }
-        let shared = Arc::new(TeamShared::new(&self.machine, coop.clone()));
+        let shared = Arc::new(TeamShared::new(&self.machine, Arc::clone(&coop)));
         if let Some(bytes) = resume.as_ref().and_then(|r| r.fabric.as_deref()) {
             if let Some(net) = &shared.net {
                 // Mismatch (different topology / contention mode) means a
@@ -331,13 +306,8 @@ impl Team {
         // The per-PE body is identical in both backends; only the vehicle
         // (thread vs coroutine) differs.
         let body = |pe: usize, slot: &mut Option<(R, PeReport)>| {
-            let guard = PoisonOnPanic {
-                coop: coop.clone(),
-                pe,
-            };
-            if let Some(cs) = &coop {
-                cs.register(pe);
-            }
+            let guard = PoisonOnPanic { coop: &coop, pe };
+            coop.register(pe);
             let mut ctx = Ctx::new(
                 pe,
                 Arc::clone(&self.machine),
@@ -349,22 +319,17 @@ impl Team {
                 ctx.apply_core(&res.cores[pe]);
             }
             let r = f(&mut ctx);
-            if let Some(cs) = &coop {
-                cs.finish(pe, ctx.now());
-            }
+            coop.finish(pe, ctx.now());
             drop(guard);
             *slot = Some((r, ctx.into_report()));
         };
 
-        let stack_hwm_kb = match exec {
+        let stack_hwm_kb = match self.exec {
             ExecMode::Thread => {
                 self.drive_threads(pes, &mut out, &body);
                 None
             }
-            ExecMode::Event => {
-                let cs = coop.as_ref().expect("event mode always has a CoopSched");
-                Self::drive_events(cs, &mut out, &body)
-            }
+            ExecMode::Event => Self::drive_events(&coop, &mut out, &body),
         };
 
         let mut results = Vec::with_capacity(pes);
@@ -377,7 +342,7 @@ impl Team {
         let run = TeamRun {
             results,
             reports,
-            sched: coop.map(|cs| cs.stats()),
+            sched: coop.stats(),
             net: shared.net.clone(),
             stack_hwm_kb,
         };
@@ -399,8 +364,8 @@ impl Team {
             for (pe, slot) in out.iter_mut().enumerate() {
                 handles.push(scope.spawn(move || body(pe, slot)));
             }
-            // Join everyone. Under a cooperative policy a panicking PE
-            // poisons the scheduler and its peers unwind with POISON_MSG;
+            // Join everyone. A panicking PE poisons the scheduler and its
+            // peers unwind with POISON_MSG;
             // propagate the *original* panic, not a secondary one.
             let mut first: Option<Box<dyn Any + Send>> = None;
             let mut first_is_secondary = false;
@@ -568,9 +533,11 @@ mod tests {
         assert_eq!(t.sim_time(), e.sim_time());
         assert_eq!(t.merged_counters(), e.merged_counters());
         assert_eq!(breakdowns(&t), breakdowns(&e));
-        let (ts, es) = (t.sched.unwrap(), e.sched.unwrap());
-        assert_eq!(ts.fingerprint, es.fingerprint, "same pick sequence");
-        assert_eq!(ts.switches, es.switches);
+        assert_eq!(
+            t.sched.fingerprint, e.sched.fingerprint,
+            "same pick sequence"
+        );
+        assert_eq!(t.sched.switches, e.sched.switches);
     }
 
     #[test]
@@ -623,16 +590,6 @@ mod tests {
         assert!(msg.contains("pe 1 exploded"), "wrong payload: {msg}");
     }
 
-    #[test]
-    fn event_os_policy_falls_back_to_threads() {
-        // Os *means* free-running threads; requesting event must not hang
-        // or panic, just run the thread backend.
-        let t = team(2).sched(SchedPolicy::Os).exec(ExecMode::Event);
-        let run = t.run(|ctx| ctx.pe() * 2);
-        assert_eq!(run.results, vec![0, 2]);
-        assert!(run.sched.is_none());
-    }
-
     /// One round of the resume-test workload: an RNG draw, a PE- and
     /// round-dependent compute, a barrier.
     fn resume_round(ctx: &mut Ctx, acc: u64, round: usize) -> u64 {
@@ -664,9 +621,9 @@ mod tests {
                 // at zero virtual cost, then the first PE past the gate
                 // (the floor holder) exports the scheduler state.
                 cores.lock()[ctx.pe()] = Some(ctx.export_core());
-                ctx.os_barrier();
+                ctx.gate();
                 if !claimed.swap(true, Ordering::SeqCst) {
-                    *sched_state.lock() = Some(ctx.coop().unwrap().export_resume());
+                    *sched_state.lock() = Some(ctx.coop().export_resume());
                 }
                 let mut tail_acc = 0;
                 for round in CUT..ROUNDS {
@@ -701,7 +658,7 @@ mod tests {
                 "{policy}"
             );
             assert_eq!(breakdowns(&resumed), breakdowns(&straight), "{policy}");
-            let (ss, rs) = (straight.sched.unwrap(), resumed.sched.unwrap());
+            let (ss, rs) = (straight.sched, resumed.sched);
             assert_eq!(rs.fingerprint, ss.fingerprint, "{policy}: fingerprint");
             assert_eq!(rs.switches, ss.switches, "{policy}: switches");
         }
@@ -721,9 +678,9 @@ mod tests {
                 acc = resume_round(ctx, acc, round);
             }
             cores.lock()[ctx.pe()] = Some(ctx.export_core());
-            ctx.os_barrier();
+            ctx.gate();
             if !claimed.swap(true, Ordering::SeqCst) {
-                *sched_state.lock() = Some(ctx.coop().unwrap().export_resume());
+                *sched_state.lock() = Some(ctx.coop().export_resume());
             }
             ctx.now()
         });
@@ -742,10 +699,7 @@ mod tests {
                     ctx.now()
                 });
         assert!(resumed.sim_time() > cut_time);
-        assert_eq!(
-            resumed.sched.unwrap().policy,
-            SchedPolicy::Explore { seed: 5 }
-        );
+        assert_eq!(resumed.sched.policy, SchedPolicy::Explore { seed: 5 });
     }
 
     #[test]

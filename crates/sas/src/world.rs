@@ -712,9 +712,9 @@ impl SasPe {
         word: usize,
         class: AccessClass,
     ) {
-        // Coherence events are scheduler yield points: under a cooperative
-        // policy the virtual-time order (not the host scheduler) decides
-        // every directory race, including first-touch page claims.
+        // Coherence events are scheduler yield points: the virtual-time
+        // schedule (not the host scheduler) decides every directory race,
+        // including first-touch page claims.
         ctx.sched_point();
         if let Some(rd) = &r.races {
             rd.record(

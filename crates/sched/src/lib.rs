@@ -22,8 +22,9 @@
 //! * [`SchedPolicy::Explore`] — seeded uniformly-random choice among
 //!   runnable PEs. Each seed is one reproducible interleaving; sweeping
 //!   seeds explores the schedule space (the race-hunting harness).
-//! * [`SchedPolicy::Os`] — no floor at all: the seed's free-running
-//!   behaviour, kept as an explicit baseline policy.
+//!
+//! Every team runs under one of the two: there is no policy without a
+//! floor.
 //!
 //! The scheduler itself is a [`CoopSched`]: one mutex-protected table of
 //! per-PE states plus one condvar per PE. PEs `register` at spawn (the
@@ -51,10 +52,9 @@
 //! * [`ExecMode::Thread`] — one OS thread per PE; a PE without the floor
 //!   parks on its condvar. Simple, but a P-PE team costs P threads and
 //!   every handoff is a kernel round trip, which caps practical team
-//!   sizes near the paper's 64 CPUs. It is what [`SchedPolicy::Os`]
-//!   needs, and otherwise an explicit opt-in.
+//!   sizes near the paper's 64 CPUs. An explicit opt-in.
 //!
-//! Under any cooperative policy at most one PE runs at a time, so the two
+//! At most one PE runs at a time under either policy, so the two
 //! backends execute the *same* logical schedule: the pick sequence is
 //! produced by the same [`CoopSched::hand_off`] code either way, and
 //! `det` runs are bitwise identical between backends (enforced by the
@@ -78,9 +78,6 @@ pub const POISON_MSG: &str = "o2k-sched: peer PE panicked or team deadlocked";
 /// Scheduling policy for a team run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedPolicy {
-    /// Free-running OS threads (the seed's behaviour). Host interleaving
-    /// decides coherence races; CC-SAS timings jitter a few percent.
-    Os,
     /// Deterministic virtual-time order: lowest simulated clock runs,
     /// ties to the lowest PE id. Bitwise-reproducible runs.
     Det,
@@ -93,7 +90,7 @@ pub enum SchedPolicy {
 }
 
 impl SchedPolicy {
-    /// Parse the `--sched` / `O2K_SCHED` syntax: `os`, `det`,
+    /// Parse the `--sched` / `O2K_SCHED` syntax: `det` or
     /// `explore:<seed>`.
     pub fn parse(s: &str) -> Result<Self, String> {
         let s = s.trim();
@@ -104,10 +101,9 @@ impl SchedPolicy {
             return Ok(SchedPolicy::Explore { seed });
         }
         match s {
-            "os" => Ok(SchedPolicy::Os),
             "det" => Ok(SchedPolicy::Det),
             other => Err(format!(
-                "unknown scheduler {other:?} (expected os, det or explore:<seed>)"
+                "unknown scheduler {other:?} (expected det or explore:<seed>)"
             )),
         }
     }
@@ -124,7 +120,6 @@ impl std::str::FromStr for SchedPolicy {
 impl std::fmt::Display for SchedPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SchedPolicy::Os => write!(f, "os"),
             SchedPolicy::Det => write!(f, "det"),
             SchedPolicy::Explore { seed } => write!(f, "explore:{seed}"),
         }
@@ -141,8 +136,7 @@ impl std::fmt::Display for SchedPolicy {
 /// docs for the trade-off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// One OS thread per PE, condvar handoffs (the pre-event behaviour
-    /// and the only mode that supports [`SchedPolicy::Os`]).
+    /// One OS thread per PE, condvar handoffs (the pre-event behaviour).
     Thread,
     /// One OS thread total: PEs are stackful coroutines that hand the
     /// floor on in virtual-time order by switching straight into each
@@ -214,16 +208,15 @@ static OVERRIDE: std::sync::Mutex<Option<SchedPolicy>> = std::sync::Mutex::new(N
 /// `O2K_SCHED` from the environment: `Ok(None)` when unset, a diagnostic
 /// when malformed (see [`machine::env_setting`]).
 pub fn env_policy() -> Result<Option<SchedPolicy>, String> {
-    machine::env_setting("O2K_SCHED", "os, det, explore:<seed>", |s| {
+    machine::env_setting("O2K_SCHED", "det or explore:<seed>", |s| {
         SchedPolicy::parse(s).ok()
     })
 }
 
 /// The policy a `Team` uses when none is set explicitly: the last
 /// [`set_default_policy`] value, else `O2K_SCHED` from the environment,
-/// else [`SchedPolicy::Det`] (what `repro` defaults to; `os` is the
-/// explicit opt-in). Panics with [`env_policy`]'s diagnostic on a malformed
-/// `O2K_SCHED`.
+/// else [`SchedPolicy::Det`] (what `repro` defaults to). Panics with
+/// [`env_policy`]'s diagnostic on a malformed `O2K_SCHED`.
 pub fn default_policy() -> SchedPolicy {
     static ENV: OnceLock<SchedPolicy> = OnceLock::new();
     let g = OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
@@ -717,9 +710,8 @@ pub struct CoopSched {
     poisoned: AtomicBool,
     /// One condvar per PE; PE `p` waits on `cvs[p]` until it holds the
     /// floor (or the scheduler is poisoned). Waited on by the thread
-    /// backend under `det` / `explore` only: under [`ExecMode::Event`] a PE
-    /// without the floor is a suspended coroutine, and `os` runs have no
-    /// `CoopSched` at all.
+    /// backend only: under [`ExecMode::Event`] a PE without the floor is a
+    /// suspended coroutine.
     cvs: Vec<Condvar>,
     /// Event backend: the team's coroutines by PE while [`Self::drive`]
     /// runs them, for the transfers of "The transfer protocol"; no slots
@@ -731,8 +723,7 @@ impl CoopSched {
     /// Build a thread-backend scheduler for `npes` PEs.
     ///
     /// # Panics
-    /// Panics on [`SchedPolicy::Os`] (no scheduler is needed) or an empty
-    /// team.
+    /// Panics on an empty team.
     pub fn new(npes: usize, policy: SchedPolicy) -> Self {
         Self::with_exec(npes, policy, ExecMode::Thread)
     }
@@ -741,7 +732,6 @@ impl CoopSched {
     pub fn with_exec(npes: usize, policy: SchedPolicy, exec: ExecMode) -> Self {
         assert!(npes > 0, "empty team");
         let chooser = match policy {
-            SchedPolicy::Os => panic!("SchedPolicy::Os does not use a CoopSched"),
             SchedPolicy::Det => Chooser::Det,
             SchedPolicy::Explore { seed } => Chooser::Explore(SmallRng::seed_from_u64(seed)),
         };
@@ -1268,14 +1258,18 @@ mod tests {
 
     #[test]
     fn policy_parse_roundtrip() {
-        for p in [
-            SchedPolicy::Os,
-            SchedPolicy::Det,
-            SchedPolicy::Explore { seed: 42 },
-        ] {
+        for p in [SchedPolicy::Det, SchedPolicy::Explore { seed: 42 }] {
             assert_eq!(SchedPolicy::parse(&p.to_string()), Ok(p));
         }
-        assert!(SchedPolicy::parse("explore:").is_err());
+        // The free-running policy is gone; its old spelling is refused
+        // with the two that remain.
+        let err = SchedPolicy::parse("os").unwrap_err();
+        for needle in ["det", "explore:<seed>"] {
+            assert!(err.contains(needle), "{err:?} must name {needle}");
+        }
+        assert!(SchedPolicy::parse("explore:")
+            .unwrap_err()
+            .contains("bad explore seed"));
         assert!(SchedPolicy::parse("bp:1:64").is_err());
         assert!(SchedPolicy::parse("fifo").is_err());
     }
@@ -1951,7 +1945,5 @@ mod tests {
         // The override wins over everything.
         set_default_policy(SchedPolicy::Explore { seed: 3 });
         assert_eq!(default_policy(), SchedPolicy::Explore { seed: 3 });
-        set_default_policy(SchedPolicy::Os);
-        assert_eq!(default_policy(), SchedPolicy::Os);
     }
 }

@@ -290,7 +290,7 @@ pub struct PeCore {
     pub rng_state: u64,
     /// Barrier epoch (team-wide).
     pub global_epoch: u64,
-    /// Pending serialisation point for free-running network accounting.
+    /// Queueing delay routed but not yet charged (`Ctx`'s `net_pending`).
     pub net_pending: SimTime,
 }
 

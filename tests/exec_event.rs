@@ -207,7 +207,7 @@ mod properties {
             let e1 = go(ExecMode::Event);
             let e2 = go(ExecMode::Event);
             let t = go(ExecMode::Thread);
-            let f = |r: &parallel::TeamRun<u64>| r.sched.as_ref().unwrap().fingerprint;
+            let f = |r: &parallel::TeamRun<u64>| r.sched.fingerprint;
             prop_assert_eq!(f(&e1), f(&e2), "event replay must be stable");
             prop_assert_eq!(f(&e1), f(&t), "backends must take the same picks");
             prop_assert_eq!(e1.results, t.results);
@@ -263,10 +263,7 @@ mod properties {
             let t = go(ExecMode::Thread);
             let e = go(ExecMode::Event);
             prop_assert_eq!(&t.results, &e.results, "ring traffic must agree");
-            prop_assert_eq!(
-                t.sched.as_ref().unwrap().fingerprint,
-                e.sched.as_ref().unwrap().fingerprint
-            );
+            prop_assert_eq!(t.sched.fingerprint, e.sched.fingerprint);
         }
     }
 }

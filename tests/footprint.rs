@@ -10,10 +10,6 @@
 //! replica region is allocated by all 256 PEs and written by three helpers
 //! per hot shard, and how many shards are hot follows the seed — dense, it
 //! was 8 MiB of heap per hot shard and the run's peak moved with the seed.
-//!
-//! The second test pins what lets `MpWorld::send` skip the mailbox condvar
-//! under a cooperative policy: free-running `os` receivers still wait on
-//! it and must still be woken, and every policy serves the same bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -145,33 +141,4 @@ fn a_p256_shmem_replica_region_costs_what_its_helpers_hold() {
         "P = 256 SHMEM replicated serve held {} MiB of heap at once",
         peak / MIB
     );
-}
-
-#[test]
-fn mp_serve_under_os_matches_det_on_both_backends() {
-    let with = |sched, exec| RunOpts {
-        sched: Some(sched),
-        exec: Some(exec),
-        ..RunOpts::default()
-    };
-    let os = serve(64, Model::Mp, with(SchedPolicy::Os, ExecMode::Thread));
-    for exec in [ExecMode::Event, ExecMode::Thread] {
-        let det = serve(64, Model::Mp, with(SchedPolicy::Det, exec));
-        assert_eq!(
-            det.checksum.to_bits(),
-            os.checksum.to_bits(),
-            "{exec}: the values served"
-        );
-        assert_eq!(
-            det.serve.as_ref().unwrap().shard_counts,
-            os.serve.as_ref().unwrap().shard_counts,
-            "{exec}: requests per shard"
-        );
-        assert_eq!(
-            (det.counters.msgs_sent, det.counters.msgs_recvd),
-            (os.counters.msgs_sent, os.counters.msgs_recvd),
-            "{exec}: message conservation"
-        );
-    }
-    assert_eq!(os.counters.msgs_sent, os.counters.msgs_recvd);
 }

@@ -74,11 +74,9 @@ fn trace_conserves_clock_breakdown() {
 ///
 /// MP and SHMEM runs are deterministic under every scheduling policy, so
 /// traced and untraced runs must be bit-identical (sim_time, checksum,
-/// every counter). Under free-running OS threads the CC-SAS runs differ
-/// between any two runs, traced or not — first-touch homing, sharer-list
-/// order and (N-body) the shared tree's insertion order all follow the
-/// real interleaving, so even the access *total* moves. The SAS leg is
-/// therefore pinned to the deterministic scheduler, where the access
+/// every counter). CC-SAS first-touch homing, sharer-list order and
+/// (N-body) the shared tree's insertion order follow the interleaving, so
+/// the SAS leg is pinned to the deterministic scheduler, where the access
 /// stream is program-determined.
 #[test]
 fn tracing_does_not_perturb_results() {
