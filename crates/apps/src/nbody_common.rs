@@ -120,6 +120,21 @@ pub fn decode_body(w: &[f64]) -> BodyCost {
     }
 }
 
+/// A migrating body travels in an MP message as its 8-word codec.
+impl mp::Payload for BodyCost {
+    const WORDS: usize = BODY_WORDS;
+
+    fn encode(&self, out: &mut [u64]) {
+        let mut w = [0.0; BODY_WORDS];
+        encode_body(self, &mut w);
+        w.encode(out);
+    }
+
+    fn decode(words: &[u64]) -> Self {
+        decode_body(&<[f64; BODY_WORDS]>::decode(words))
+    }
+}
+
 /// Serialise one rank's owned bodies at a step boundary (snapshot app
 /// payload): everything else in the N-body step — trees, essential sets,
 /// partitions — is rebuilt from these each iteration.
@@ -269,6 +284,13 @@ mod tests {
         let mut w = [0.0; BODY_WORDS];
         encode_body(&b, &mut w);
         assert_eq!(decode_body(&w), b);
+        // The same codec as an MP payload: eight words, bit for bit.
+        use mp::Payload;
+        let mut words = [0u64; BODY_WORDS];
+        b.encode(&mut words);
+        assert_eq!(words, w.map(f64::to_bits));
+        assert_eq!(BodyCost::decode(&words), b);
+        assert_eq!(BodyCost::WORDS * 8, std::mem::size_of::<BodyCost>());
     }
 
     #[test]

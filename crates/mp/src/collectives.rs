@@ -11,11 +11,22 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use parallel::Ctx;
 
+use crate::payload::Payload;
 use crate::world::{MpWorld, RecvSpec, Tag};
 
 /// Tags per collective invocation (must exceed the deepest level count:
 /// log2(max PEs) plus per-phase offsets).
 const TAG_BLOCK: u32 = 64;
+
+/// Whole tag blocks above [`MpWorld::COLLECTIVE_BASE`].
+const TAG_BLOCKS: u32 = (u32::MAX - MpWorld::COLLECTIVE_BASE + 1) / TAG_BLOCK;
+
+/// First tag of the block a PE's `seq`-th collective uses. Blocks cycle
+/// through the reserved space, so every tag of every block stays at or
+/// above `COLLECTIVE_BASE` however many collectives a PE runs.
+fn tag_block_of(seq: u32) -> Tag {
+    MpWorld::COLLECTIVE_BASE + (seq % TAG_BLOCKS) * TAG_BLOCK
+}
 
 /// Per-world collective sequencing state. Lives in a side table so
 /// `world.rs` stays focused on point-to-point.
@@ -33,8 +44,7 @@ impl CollSeq {
 
 impl MpWorld {
     fn tag_block(&self, pe: usize) -> Tag {
-        let seq = self.coll_seq().seq[pe].fetch_add(1, Ordering::Relaxed);
-        MpWorld::COLLECTIVE_BASE + (seq % 0x00FF_FFFF) * TAG_BLOCK
+        tag_block_of(self.coll_seq().seq[pe].fetch_add(1, Ordering::Relaxed))
     }
 
     /// Dissemination barrier: ceil(log2 P) rounds of shifted exchanges.
@@ -52,7 +62,7 @@ impl MpWorld {
         while dist < p {
             let dst = (ctx.pe() + dist) % p;
             let src = (ctx.pe() + p - dist) % p;
-            self.send_impl::<u8>(ctx, dst, base + round, Vec::new());
+            self.send_impl::<u8>(ctx, dst, base + round, &[]);
             let _ = self.recv::<u8>(ctx, RecvSpec::from(src, base + round));
             dist <<= 1;
             round += 1;
@@ -62,12 +72,7 @@ impl MpWorld {
 
     /// Binomial-tree broadcast of `data` from `root`. Non-root PEs pass any
     /// (ignored) value, conventionally an empty `Vec`.
-    pub fn bcast<T: Clone + Send + 'static>(
-        &self,
-        ctx: &mut Ctx,
-        root: usize,
-        data: Vec<T>,
-    ) -> Vec<T> {
+    pub fn bcast<T: Payload>(&self, ctx: &mut Ctx, root: usize, data: Vec<T>) -> Vec<T> {
         let p = self.size();
         let tag = self.tag_block(ctx.pe());
         if p == 1 {
@@ -93,7 +98,7 @@ impl MpWorld {
         while mask > 0 {
             if relative + mask < p {
                 let dst = (rank + mask) % p;
-                self.send_impl(ctx, dst, tag, buf.clone());
+                self.send_impl(ctx, dst, tag, &buf);
             }
             mask >>= 1;
         }
@@ -106,7 +111,7 @@ impl MpWorld {
     /// MPI built-in operations).
     pub fn reduce<T, F>(&self, ctx: &mut Ctx, root: usize, data: Vec<T>, op: F) -> Option<Vec<T>>
     where
-        T: Clone + Send + 'static,
+        T: Payload,
         F: Fn(&mut [T], &[T]),
     {
         let p = self.size();
@@ -128,7 +133,7 @@ impl MpWorld {
                 }
             } else {
                 let dst = ((relative ^ mask) + root) % p;
-                self.send_impl(ctx, dst, tag, acc);
+                self.send_impl(ctx, dst, tag, &acc);
                 return None;
             }
             mask <<= 1;
@@ -140,7 +145,7 @@ impl MpWorld {
     /// order for a given team size.
     pub fn allreduce<T, F>(&self, ctx: &mut Ctx, data: Vec<T>, op: F) -> Vec<T>
     where
-        T: Clone + Send + 'static,
+        T: Payload,
         F: Fn(&mut [T], &[T]),
     {
         let reduced = self.reduce(ctx, 0, data, op);
@@ -167,7 +172,7 @@ impl MpWorld {
 
     /// Gather variable-length contributions at `root`: returns
     /// `Some(chunks_by_rank)` at the root, `None` elsewhere.
-    pub fn gatherv<T: Clone + Send + 'static>(
+    pub fn gatherv<T: Payload>(
         &self,
         ctx: &mut Ctx,
         root: usize,
@@ -184,18 +189,14 @@ impl MpWorld {
             }
             Some(out)
         } else {
-            self.send_impl(ctx, root, tag, mine);
+            self.send_impl(ctx, root, tag, &mine);
             None
         }
     }
 
     /// All-gather of variable-length contributions: gather at rank 0, then
     /// broadcast the concatenated structure.
-    pub fn allgatherv<T: Clone + Send + 'static>(
-        &self,
-        ctx: &mut Ctx,
-        mine: Vec<T>,
-    ) -> Vec<Vec<T>> {
+    pub fn allgatherv<T: Payload>(&self, ctx: &mut Ctx, mine: Vec<T>) -> Vec<Vec<T>> {
         let gathered = self.gatherv(ctx, 0, mine);
         self.bcast(ctx, 0, gathered.map(flatten_tagged).unwrap_or_default())
             .into_iter()
@@ -205,11 +206,7 @@ impl MpWorld {
     /// Personalised all-to-all: `sends[d]` goes to rank `d`; returns the
     /// chunks received, indexed by source. The self-chunk moves locally for
     /// free (a memory copy, charged as Busy).
-    pub fn alltoallv<T: Clone + Send + 'static>(
-        &self,
-        ctx: &mut Ctx,
-        mut sends: Vec<Vec<T>>,
-    ) -> Vec<Vec<T>> {
+    pub fn alltoallv<T: Payload>(&self, ctx: &mut Ctx, mut sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
         let p = self.size();
         assert_eq!(sends.len(), p, "alltoallv needs one chunk per rank");
         let tag = self.tag_block(ctx.pe());
@@ -219,7 +216,8 @@ impl MpWorld {
         // Stagger destinations to avoid hot-spotting rank 0.
         for k in 1..p {
             let dst = (me + k) % p;
-            self.send_impl(ctx, dst, tag, std::mem::take(&mut sends[dst]));
+            let chunk = std::mem::take(&mut sends[dst]);
+            self.send_impl(ctx, dst, tag, &chunk);
         }
         for k in 1..p {
             let src = (me + p - k) % p;
@@ -385,6 +383,20 @@ mod tests {
             w.allreduce_max_u64(ctx, vec![ctx.pe() as u64])[0]
         });
         assert_eq!(run.results, vec![1, 1]);
+    }
+
+    /// The last blocks before the wrap, the wrap itself and the largest
+    /// sequence number all stay inside the reserved space.
+    #[test]
+    fn tag_blocks_stay_in_the_collective_space() {
+        for seq in [0, 0x3F_FFFF, 0x40_0000, u32::MAX] {
+            let base = tag_block_of(seq);
+            assert!(base >= MpWorld::COLLECTIVE_BASE, "seq {seq:#x}");
+            let last = base.checked_add(TAG_BLOCK - 1).expect("block fits in u32");
+            assert!(last >= MpWorld::COLLECTIVE_BASE, "seq {seq:#x}");
+        }
+        assert_eq!(tag_block_of(0x3F_FFFF), 0xFFFF_FFC0);
+        assert_eq!(tag_block_of(0x40_0000), MpWorld::COLLECTIVE_BASE);
     }
 
     #[test]

@@ -10,6 +10,10 @@
 //! model rather than being charged analytically — mirroring how MPI was
 //! layered over the Origin2000 interconnect.
 //!
+//! A payload is a slice of [`Payload`] values — primitives, arrays and
+//! pairs of them, or an application type with its own word codec — and
+//! travels as a run of `u64` words, like a SHMEM element.
+//!
 //! The API shape deliberately follows MPI (ranks, tags, `send`/`recv`,
 //! `MPI_ANY_SOURCE`-style wildcards) so the application ports exhibit the
 //! same structure — and the same programming effort — as the paper's MPI
@@ -37,6 +41,8 @@
 //! ```
 
 mod collectives;
+mod payload;
 mod world;
 
+pub use payload::Payload;
 pub use world::{MpWorld, RecvSpec, Tag};

@@ -1,12 +1,13 @@
 //! Mailboxes, envelopes, and point-to-point send/receive.
 
-use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use machine::{cost, Machine, SimTime, TimeCat};
 use parallel::{Ctx, Dep, EventKind};
 use parking_lot::Mutex;
+
+use crate::payload::{decode_into, encode_into, Payload, WordPool};
 
 /// Message tag. User tags must stay below [`Tag::COLLECTIVE_BASE`]; the
 /// collective algorithms reserve the space above it.
@@ -22,6 +23,12 @@ pub struct RecvSpec {
 }
 
 impl RecvSpec {
+    /// Match any source and any tag.
+    pub const ANY: RecvSpec = RecvSpec {
+        src: None,
+        tag: None,
+    };
+
     /// Match a specific source and tag.
     pub fn from(src: usize, tag: Tag) -> Self {
         RecvSpec {
@@ -35,11 +42,38 @@ impl RecvSpec {
     }
 }
 
+/// Panics unless `tag` is a user tag.
+fn assert_user_tag(tag: Tag) {
+    assert!(
+        tag < MpWorld::COLLECTIVE_BASE,
+        "user tags must be < COLLECTIVE_BASE"
+    );
+}
+
+/// Panics unless `env` holds whole values of `T` (exactly `count` of them,
+/// when given) — the receive-side half of the typed send.
+fn check_values<T: Payload>(env: &Envelope, count: Option<usize>) {
+    let values = env.words.len() / T::WORDS;
+    assert!(
+        env.words.len().is_multiple_of(T::WORDS)
+            && env.bytes == values * std::mem::size_of::<T>()
+            && count.is_none_or(|c| c == values),
+        "recv type mismatch from rank {} tag {} ({} bytes)",
+        env.src,
+        env.tag,
+        env.bytes
+    );
+}
+
 /// A message in flight or queued at the receiver.
 struct Envelope {
     src: usize,
     tag: Tag,
-    payload: Box<dyn Any + Send>,
+    /// The values, [`Payload::WORDS`] words each, in a buffer from the
+    /// world's [`WordPool`].
+    words: Vec<u64>,
+    /// `size_of::<T>()` per value: what the network and the counters
+    /// charge, independent of the word encoding.
     bytes: usize,
     /// Virtual time at which the sender finished injecting the message —
     /// the wait edge a stalled receive points back to.
@@ -57,6 +91,7 @@ type Mailbox = Mutex<VecDeque<Envelope>>;
 pub struct MpWorld {
     machine: Arc<Machine>,
     mailboxes: Vec<Mailbox>,
+    pool: WordPool,
     coll: crate::collectives::CollSeq,
 }
 
@@ -70,6 +105,7 @@ impl MpWorld {
         MpWorld {
             machine,
             mailboxes: (0..pes).map(|_| Mailbox::default()).collect(),
+            pool: WordPool::new(),
             coll: crate::collectives::CollSeq::new(pes),
         }
     }
@@ -93,31 +129,27 @@ impl MpWorld {
     /// Charges sender overhead now; the message arrives at
     /// `now + network(bytes, hops)`. Eager protocol: the sender never waits
     /// for the receiver (send buffers are unbounded, as on the Origin2000
-    /// for the message sizes these applications use).
+    /// for the message sizes these applications use). The values are
+    /// encoded straight into a pooled word buffer.
     ///
     /// # Panics
     /// Panics if `dst` is out of range or `tag` is in the collective space.
-    pub fn send<T: Clone + Send + 'static>(&self, ctx: &mut Ctx, dst: usize, tag: Tag, data: &[T]) {
-        assert!(
-            tag < Self::COLLECTIVE_BASE,
-            "user tags must be < COLLECTIVE_BASE"
-        );
-        self.send_vec(ctx, dst, tag, data.to_vec());
-    }
-
-    /// As [`MpWorld::send`] but takes ownership, avoiding a copy.
-    pub fn send_vec<T: Send + 'static>(&self, ctx: &mut Ctx, dst: usize, tag: Tag, data: Vec<T>) {
+    pub fn send<T: Payload>(&self, ctx: &mut Ctx, dst: usize, tag: Tag, data: &[T]) {
+        assert_user_tag(tag);
         self.send_impl(ctx, dst, tag, data);
     }
 
-    pub(crate) fn send_impl<T: Send + 'static>(
-        &self,
-        ctx: &mut Ctx,
-        dst: usize,
-        tag: Tag,
-        data: Vec<T>,
-    ) {
-        let bytes = std::mem::size_of::<T>() * data.len();
+    /// As [`MpWorld::send`], for a caller that holds the values in a `Vec`.
+    ///
+    /// # Panics
+    /// Panics if `dst` is out of range or `tag` is in the collective space.
+    pub fn send_vec<T: Payload>(&self, ctx: &mut Ctx, dst: usize, tag: Tag, data: Vec<T>) {
+        assert_user_tag(tag);
+        self.send_impl(ctx, dst, tag, &data);
+    }
+
+    pub(crate) fn send_impl<T: Payload>(&self, ctx: &mut Ctx, dst: usize, tag: Tag, data: &[T]) {
+        let bytes = std::mem::size_of_val(data);
         let hops = self.machine.hops_between(ctx.pe(), dst);
         let c = cost::msg(&self.machine.config, bytes, hops);
         ctx.advance_traced(
@@ -133,10 +165,12 @@ impl MpWorld {
         // also arbitrates for the node buses and router hub ports (and a
         // node-local send still crosses the shared bus); 0 when off.
         let net_delay = ctx.net_delay_to_pe(dst, bytes);
+        let mut words = self.pool.take(data.len() * T::WORDS);
+        encode_into(data, &mut words);
         let env = Envelope {
             src: ctx.pe(),
             tag,
-            payload: Box::new(data),
+            words,
             bytes,
             sent_at: ctx.now(),
             arrival: ctx.now() + c.network + net_delay,
@@ -156,26 +190,47 @@ impl MpWorld {
     /// pays receiver overhead (Remote).
     ///
     /// # Panics
-    /// Panics if the matched message's payload is not a `Vec<T>`.
-    pub fn recv<T: Send + 'static>(&self, ctx: &mut Ctx, spec: RecvSpec) -> (usize, Tag, Vec<T>) {
-        let env = self.wait_match(ctx, spec);
-        self.finish_recv(ctx, env)
+    /// Panics if the matched message's words and bytes are not a whole
+    /// number of `T` values (the payload carries its shape, not its type).
+    pub fn recv<T: Payload>(&self, ctx: &mut Ctx, spec: RecvSpec) -> (usize, Tag, Vec<T>) {
+        let mut data = Vec::new();
+        let (src, tag) = self.recv_into(ctx, spec, &mut data);
+        (src, tag, data)
     }
 
-    /// Non-blocking receive: returns the message if one matching `spec` is
-    /// already queued (regardless of virtual arrival time — probing models
-    /// a queue check, and the clock still advances to the arrival).
-    pub fn try_recv<T: Send + 'static>(
+    /// As [`MpWorld::recv`], decoding into `out` (its old contents are
+    /// dropped, its capacity reused). Returns `(src, tag)`.
+    ///
+    /// # Panics
+    /// Panics if the matched message's words and bytes are not a whole
+    /// number of `T` values (the payload carries its shape, not its type).
+    pub fn recv_into<T: Payload>(
         &self,
         ctx: &mut Ctx,
         spec: RecvSpec,
-    ) -> Option<(usize, Tag, Vec<T>)> {
+        out: &mut Vec<T>,
+    ) -> (usize, Tag) {
+        let env = self.wait_match(ctx, spec);
+        self.finish_recv(ctx, env, out)
+    }
+
+    /// Non-blocking receive: if a message matching `spec` is already
+    /// queued (regardless of virtual arrival time — probing models a queue
+    /// check, and the clock still advances to the arrival), decode it into
+    /// `out` like [`MpWorld::recv_into`] and return `(src, tag)`; `out` is
+    /// untouched when nothing matches.
+    pub fn try_recv_into<T: Payload>(
+        &self,
+        ctx: &mut Ctx,
+        spec: RecvSpec,
+        out: &mut Vec<T>,
+    ) -> Option<(usize, Tag)> {
         let env = {
             let mut q = self.mailboxes[ctx.pe()].lock();
             let idx = q.iter().position(|e| spec.matches(e.src, e.tag))?;
             q.remove(idx).expect("index valid under lock")
         };
-        Some(self.finish_recv(ctx, env))
+        Some(self.finish_recv(ctx, env, out))
     }
 
     fn wait_match(&self, ctx: &mut Ctx, spec: RecvSpec) -> Envelope {
@@ -195,7 +250,12 @@ impl MpWorld {
         }
     }
 
-    fn finish_recv<T: Send + 'static>(&self, ctx: &mut Ctx, env: Envelope) -> (usize, Tag, Vec<T>) {
+    fn finish_recv<T: Payload>(
+        &self,
+        ctx: &mut Ctx,
+        env: Envelope,
+        out: &mut Vec<T>,
+    ) -> (usize, Tag) {
         ctx.wait_until_traced(
             env.arrival,
             EventKind::RecvWait,
@@ -213,20 +273,19 @@ impl MpWorld {
             Some(env.src as u32),
         );
         ctx.counters_mut().msgs_recvd += 1;
-        let data = env.payload.downcast::<Vec<T>>().unwrap_or_else(|_| {
-            panic!(
-                "recv type mismatch from rank {} tag {} ({} bytes)",
-                env.src, env.tag, env.bytes
-            )
-        });
-        (env.src, env.tag, *data)
+        check_values::<T>(&env, None);
+        decode_into(&env.words, out);
+        self.pool.put(env.words);
+        (env.src, env.tag)
     }
 
     /// Work-stealing claim: remove up to `max` queued envelopes carrying
     /// `tag` that have already arrived in virtual time (`arrival <= now`)
-    /// from `victim`'s mailbox and deliver them to the calling PE.
-    /// Returns the stolen `(src, payload)` pairs, oldest first; empty when
-    /// nothing is eligible.
+    /// from `victim`'s mailbox and deliver them to the calling PE. A
+    /// stolen message is one request: it holds exactly one value, which is
+    /// appended to `out` with its sender as `(src, value)`, oldest first.
+    /// Returns how many messages were stolen (zero when nothing is
+    /// eligible).
     ///
     /// This is the MP analogue of the `fetch_add` self-scheduling claim
     /// the CC-SAS AMR repartitioner uses (`amr_sas`): the claim is a
@@ -243,42 +302,44 @@ impl MpWorld {
     ///
     /// # Panics
     /// Panics if `victim` is the calling PE, the tag is in the collective
-    /// space, or a matched payload is not a `Vec<T>`.
-    pub fn steal_batch<T: Send + 'static>(
+    /// space, or a matched message is not one value of `T`.
+    pub fn steal_batch<T: Payload>(
         &self,
         ctx: &mut Ctx,
         victim: usize,
         tag: Tag,
         max: usize,
-    ) -> Vec<(usize, Vec<T>)> {
+        out: &mut Vec<(usize, T)>,
+    ) -> usize {
         assert_ne!(victim, ctx.pe(), "a PE cannot steal from itself");
-        assert!(
-            tag < Self::COLLECTIVE_BASE,
-            "user tags must be < COLLECTIVE_BASE"
-        );
+        assert_user_tag(tag);
         // The claim point: the virtual-time floor (not the host scheduler)
         // decides whether the victim's own drain or this steal sees the
         // backlog first.
         ctx.sched_point();
         let now = ctx.now();
-        let stolen: Vec<Envelope> = {
+        let first = out.len();
+        {
             let mut q = self.mailboxes[victim].lock();
-            let mut out = Vec::new();
             let mut i = 0;
-            while i < q.len() && out.len() < max {
+            while i < q.len() && out.len() - first < max {
                 if q[i].tag == tag && q[i].arrival <= now {
-                    out.push(q.remove(i).expect("index valid under lock"));
+                    let env = q.remove(i).expect("index valid under lock");
+                    check_values::<T>(&env, Some(1));
+                    out.push((env.src, T::decode(&env.words)));
+                    self.pool.put(env.words);
                 } else {
                     i += 1;
                 }
             }
-            out
-        };
+        }
+        let stolen = out.len() - first;
+        let bytes = std::mem::size_of::<T>();
         // One claim round trip (8-byte CAS-sized packet) regardless of
         // yield, plus the stolen payload crossing victim -> stealer.
         let hops = self.machine.hops_between(ctx.pe(), victim);
         let claim = cost::msg(&self.machine.config, 8, hops);
-        let batch_bytes: usize = stolen.iter().map(|e| e.bytes).sum();
+        let batch_bytes = stolen * bytes;
         let transfer = if batch_bytes > 0 {
             cost::msg(&self.machine.config, batch_bytes, hops).network
                 + ctx.net_delay_to_pe(victim, batch_bytes)
@@ -292,28 +353,19 @@ impl MpWorld {
             batch_bytes.min(u32::MAX as usize) as u32,
             Some(victim as u32),
         );
+        for &(src, _) in &out[first..] {
+            ctx.advance_traced(
+                self.machine.config.mp_recv_overhead,
+                TimeCat::Remote,
+                EventKind::Recv,
+                bytes.min(u32::MAX as usize) as u32,
+                Some(src as u32),
+            );
+            let c = ctx.counters_mut();
+            c.msgs_recvd += 1;
+            c.requests_stolen += 1;
+        }
         stolen
-            .into_iter()
-            .map(|env| {
-                ctx.advance_traced(
-                    self.machine.config.mp_recv_overhead,
-                    TimeCat::Remote,
-                    EventKind::Recv,
-                    env.bytes.min(u32::MAX as usize) as u32,
-                    Some(env.src as u32),
-                );
-                let c = ctx.counters_mut();
-                c.msgs_recvd += 1;
-                c.requests_stolen += 1;
-                let data = env.payload.downcast::<Vec<T>>().unwrap_or_else(|_| {
-                    panic!(
-                        "steal type mismatch from rank {} tag {} ({} bytes)",
-                        env.src, env.tag, env.bytes
-                    )
-                });
-                (env.src, *data)
-            })
-            .collect()
     }
 
     /// Messages queued across all mailboxes (sent but not yet received).
@@ -321,13 +373,14 @@ impl MpWorld {
         self.mailboxes.iter().map(|mb| mb.lock().len()).sum()
     }
 
-    /// Snapshot quiescence check: envelopes carry `Box<dyn Any>` payloads
-    /// and cannot be serialised, so a checkpoint is only legal when every
+    /// Snapshot quiescence check: a checkpoint is only legal when every
     /// mailbox is empty — which the apps guarantee by matching all sends
-    /// within the step that precedes a snap gate. (Collective sequence
-    /// numbers are deliberately not captured: a restored world restarts
-    /// them at zero on every rank consistently, and tags never affect
-    /// cost.)
+    /// within the step that precedes a snap gate. Envelopes are plain
+    /// words (sender, tag, times and a `Vec<u64>` payload), so queued
+    /// messages could be serialised; capturing them, and lifting this
+    /// requirement, is not done yet. (Collective sequence numbers are
+    /// deliberately not captured: a restored world restarts them at zero
+    /// on every rank consistently, and tags never affect cost.)
     ///
     /// # Panics
     /// Panics, naming the offending ranks, if any message is in flight.
@@ -467,12 +520,14 @@ mod tests {
         let (w, t) = world_and_team(2);
         let run = t.run(|ctx| {
             if ctx.pe() == 1 {
-                let r = w.try_recv::<u8>(
+                let mut data: Vec<u8> = Vec::new();
+                let r = w.try_recv_into(
                     ctx,
                     RecvSpec {
                         src: None,
                         tag: Some(0),
                     },
+                    &mut data,
                 );
                 ctx.gate();
                 r.is_none()
@@ -504,13 +559,8 @@ mod tests {
                 ctx.gate();
                 ctx.gate();
                 let mut kept = vec![];
-                while let Some((_, _, d)) = w.try_recv::<u64>(
-                    ctx,
-                    RecvSpec {
-                        src: None,
-                        tag: None,
-                    },
-                ) {
+                let mut d: Vec<u64> = Vec::new();
+                while w.try_recv_into(ctx, RecvSpec::ANY, &mut d).is_some() {
                     kept.push(d[0]);
                 }
                 kept
@@ -518,13 +568,14 @@ mod tests {
             _ => {
                 ctx.gate();
                 ctx.compute(10_000_000); // far past every arrival time
-                let stolen = w.steal_batch::<u64>(ctx, 1, 7, 2);
+                let mut stolen = Vec::new();
+                assert_eq!(w.steal_batch::<u64>(ctx, 1, 7, 2, &mut stolen), 2);
                 ctx.gate();
                 stolen
                     .into_iter()
                     .map(|(src, d)| {
                         assert_eq!(src, 0, "stolen envelopes keep their sender");
-                        d[0]
+                        d
                     })
                     .collect()
             }
@@ -565,6 +616,60 @@ mod tests {
         t.run(|ctx| {
             w.send(ctx, 0, MpWorld::COLLECTIVE_BASE, &[0u8]);
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "COLLECTIVE_BASE")]
+    fn user_tag_in_collective_space_panics_for_send_vec_too() {
+        let (w, t) = world_and_team(1);
+        t.run(|ctx| {
+            w.send_vec(ctx, 0, MpWorld::COLLECTIVE_BASE, vec![0u8]);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "recv type mismatch")]
+    fn receiving_the_wrong_type_panics() {
+        let (w, t) = world_and_team(1);
+        t.run(|ctx| {
+            w.send(ctx, 0, 1, &[1.0f64, 2.0, 3.0]);
+            let _ = w.recv::<(u32, f64)>(ctx, RecvSpec::from(0, 1));
+        });
+    }
+
+    /// `recv_into` decodes into the caller's buffer, whatever it held;
+    /// `try_recv_into` leaves it alone when nothing matches.
+    #[test]
+    fn recv_into_fills_the_callers_buffer() {
+        let (w, t) = world_and_team(2);
+        let run = t.run(|ctx| {
+            if ctx.pe() == 0 {
+                w.send(ctx, 1, 1, &[7u64, 8, 9]);
+                w.send(ctx, 1, 2, &[(3u32, -0.5f64)]);
+                w.send(ctx, 1, 3, &[4u64]);
+                Default::default()
+            } else {
+                let mut words = vec![0u64; 16];
+                let mut pairs: Vec<(u32, f64)> = Vec::with_capacity(4);
+                let (src, tag) = w.recv_into(ctx, RecvSpec::from(0, 1), &mut words);
+                assert_eq!((src, tag), (0, 1));
+                w.recv_into(ctx, RecvSpec::from(0, 2), &mut pairs);
+                let got = words.clone();
+                let miss = w.try_recv_into(ctx, RecvSpec::from(0, 9), &mut words);
+                assert_eq!(
+                    (miss, &words),
+                    (None, &got),
+                    "no match leaves out as it was"
+                );
+                w.try_recv_into(ctx, RecvSpec::from(0, 3), &mut words)
+                    .expect("queued");
+                (got, pairs, words)
+            }
+        });
+        let (got, pairs, last) = &run.results[1];
+        assert_eq!(got, &[7, 8, 9]);
+        assert_eq!(pairs, &[(3u32, -0.5f64)]);
+        assert_eq!(last, &[4]);
     }
 
     #[test]

@@ -70,6 +70,11 @@ pub use machine::config::ContentionMode;
 /// exact regardless). Beyond the cap spans are dropped and counted.
 const MAX_SPANS: usize = 1 << 20;
 
+/// Longest healthy resource path: up-bristle, one router edge per
+/// hypercube dimension, down-bristle, and the fabric wrap's two buses and
+/// two hubs (`dims + 6` ids, and `dims` is below a `usize`'s bit count).
+const MAX_HEALTHY: usize = usize::BITS as usize + 6;
+
 /// Index into the fabric's resource table. Link ids come first and keep
 /// the historical layout (see [`NetSim::new`]); bus and hub ids follow.
 pub type ResourceId = usize;
@@ -155,7 +160,8 @@ pub struct KindStats {
 /// resource kinds, zero under `queued`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NetStats {
-    /// Transfers routed over links (node-local traffic excluded).
+    /// Link crossings: a transfer counts once per link it crosses
+    /// (node-local traffic excluded) — the fabric's view, not the PEs'.
     pub transfers: u64,
     /// Total queueing delay accrued on links (ns).
     pub queued_ns: u64,
@@ -293,11 +299,6 @@ pub struct NetSim {
     faults: Vec<Vec<(SimTime, FaultKind)>>,
     /// Whether any link has a fault scheduled (fast-path gate).
     any_faults: bool,
-    /// Memoised fault-free resource path per `(src, dst)` pair (index
-    /// `src * nodes + dst`): the e-cube wire links plus, under `fabric`,
-    /// the bus/hub wrap. Built lazily, immutable once built — the healthy
-    /// path never depends on time.
-    path_cache: Vec<OnceLock<Arc<[ResourceId]>>>,
     /// Sorted, deduplicated times of every scheduled fault event: the
     /// epoch boundaries. Link fault state is constant between consecutive
     /// boundaries, so resolved paths are memoisable per epoch — and every
@@ -307,7 +308,7 @@ pub struct NetSim {
     /// Memoised resolved paths on faulted machines, keyed
     /// `(src, dst, epoch)`: the path plus whether it detours, or `None`
     /// when the dead links sever the pair in that epoch.
-    fault_path_cache: Mutex<HashMap<(usize, usize, usize), Option<ResolvedPath>>>,
+    fault_paths: Mutex<HashMap<(usize, usize, usize), Option<ResolvedPath>>>,
     /// Total resources in the table (links, plus buses and hubs under
     /// `fabric`) — fixed at construction.
     nres: usize,
@@ -385,9 +386,8 @@ impl NetSim {
             fabric,
             faults,
             any_faults,
-            path_cache: (0..nodes * nodes).map(|_| OnceLock::new()).collect(),
             fault_times,
-            fault_path_cache: Mutex::new(HashMap::new()),
+            fault_paths: Mutex::new(HashMap::new()),
             nres,
             hot_names: OnceLock::new(),
             state: Mutex::new(NetState {
@@ -459,28 +459,6 @@ impl NetSim {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, NetState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Deterministic e-cube path from `src_node` to `dst_node` as link ids:
-    /// up-bristle, router edges correcting dimension bits lowest-first,
-    /// down-bristle. Empty for node-local traffic.
-    fn path(&self, src_node: usize, dst_node: usize, out: &mut Vec<usize>) {
-        out.clear();
-        if src_node == dst_node {
-            return;
-        }
-        let n = self.nodes;
-        out.push(src_node); // node → router
-        let mut r = self.topo.router_of(src_node);
-        let rb = self.topo.router_of(dst_node);
-        let mut x = r ^ rb;
-        while x != 0 {
-            let d = x.trailing_zeros() as usize;
-            out.push(2 * n + r * self.dims + d);
-            r ^= 1 << d;
-            x &= x - 1;
-        }
-        out.push(n + dst_node); // router → node
     }
 
     /// The fault state of `link` for a transfer departing at `t`: the last
@@ -577,39 +555,73 @@ impl NetSim {
         Some(links)
     }
 
-    /// Wrap a wire-link path in the non-wire resources it crosses under
-    /// `fabric`: source bus → source hub → links → destination hub →
-    /// destination bus. A same-router pair crosses its hub once;
-    /// intermediate routers on long paths are approximated by their link
-    /// occupancy alone. Node-local traffic is one bus crossing. Outside
-    /// `fabric` the wire path is returned unchanged.
-    fn wrap_fabric(&self, src_node: usize, dst_node: usize, path: Vec<usize>) -> Vec<usize> {
-        if !self.fabric {
-            return path;
+    /// Emit the resource path from `src_node` to `dst_node` through `push`:
+    /// the wire links `wire` emits for the pair, wrapped in the non-wire
+    /// resources they cross under `fabric` — source bus → source hub →
+    /// links → destination hub → destination bus. A same-router pair
+    /// crosses its hub once; intermediate routers on long paths are
+    /// approximated by their link occupancy alone. Node-local traffic is
+    /// one bus crossing (and `wire` is not called). Outside `fabric` the
+    /// path is the wire links alone.
+    fn wrap_fabric<P: FnMut(ResourceId)>(
+        &self,
+        src_node: usize,
+        dst_node: usize,
+        push: &mut P,
+        wire: impl FnOnce(&mut P),
+    ) {
+        if self.fabric {
+            push(self.bus_id(src_node));
         }
-        let mut full = Vec::with_capacity(path.len() + 4);
-        full.push(self.bus_id(src_node));
-        if src_node != dst_node {
-            let rsrc = self.topo.router_of(src_node);
-            let rdst = self.topo.router_of(dst_node);
-            full.push(self.hub_id(rsrc));
-            full.extend_from_slice(&path);
+        if src_node == dst_node {
+            return;
+        }
+        let rsrc = self.topo.router_of(src_node);
+        let rdst = self.topo.router_of(dst_node);
+        if self.fabric {
+            push(self.hub_id(rsrc));
+        }
+        wire(push);
+        if self.fabric {
             if rdst != rsrc {
-                full.push(self.hub_id(rdst));
+                push(self.hub_id(rdst));
             }
-            full.push(self.bus_id(dst_node));
+            push(self.bus_id(dst_node));
         }
-        full
     }
 
-    /// The memoised fault-free resource path for `(src, dst)` — e-cube
-    /// wire links plus the fabric wrap — built on first use.
-    fn healthy_path(&self, src_node: usize, dst_node: usize) -> &Arc<[ResourceId]> {
-        self.path_cache[src_node * self.nodes + dst_node].get_or_init(|| {
-            let mut wire = Vec::with_capacity(2 + self.dims);
-            self.path(src_node, dst_node, &mut wire);
-            Arc::from(self.wrap_fabric(src_node, dst_node, wire))
-        })
+    /// The fault-free resource path for `(src, dst)`, written into `buf`:
+    /// the deterministic e-cube wire path (up-bristle, router edges
+    /// correcting dimension bits lowest-first, down-bristle) inside the
+    /// fabric wrap. A pure function of the pair, computed per transfer
+    /// rather than memoised: it is at most `dims + 6` ids, and a per-pair
+    /// memo (16 384 paths on a P = 256 fabric, three allocations each)
+    /// routed no faster.
+    fn healthy_path<'b>(
+        &self,
+        src_node: usize,
+        dst_node: usize,
+        buf: &'b mut [ResourceId; MAX_HEALTHY],
+    ) -> &'b [ResourceId] {
+        let mut len = 0;
+        let mut push = |id: ResourceId| {
+            buf[len] = id;
+            len += 1;
+        };
+        self.wrap_fabric(src_node, dst_node, &mut push, |push| {
+            let n = self.nodes;
+            let mut r = self.topo.router_of(src_node);
+            let mut x = r ^ self.topo.router_of(dst_node);
+            push(src_node); // node → router
+            while x != 0 {
+                let d = x.trailing_zeros() as usize;
+                push(2 * n + r * self.dims + d);
+                r ^= 1 << d;
+                x &= x - 1;
+            }
+            push(n + dst_node); // router → node
+        });
+        &buf[..len]
     }
 
     /// Fault epoch of `t`: how many scheduled fault events have taken
@@ -637,20 +649,18 @@ impl NetSim {
         let epoch = self.fault_epoch(depart);
         let key = (src_node, dst_node, epoch);
         {
-            let cache = self
-                .fault_path_cache
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
+            let cache = self.fault_paths.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(hit) = cache.get(&key) {
                 return hit
                     .clone()
                     .ok_or_else(|| self.unreachable(src_node, dst_node, depart));
             }
         }
-        let healthy = self.healthy_path(src_node, dst_node);
+        let mut buf = [0; MAX_HEALTHY];
+        let healthy = self.healthy_path(src_node, dst_node, &mut buf);
         let resolved: Option<(Arc<[ResourceId]>, bool)> =
             if !healthy.iter().any(|&l| self.is_dead(l, depart)) {
-                Some((Arc::clone(healthy), false))
+                Some((Arc::from(healthy), false))
             } else if self.is_dead(src_node, depart) || self.is_dead(self.nodes + dst_node, depart)
             {
                 // A node's bristle ports are its only attachment: dead ⇒ no
@@ -660,14 +670,16 @@ impl NetSim {
                 let rsrc = self.topo.router_of(src_node);
                 let rdst = self.topo.router_of(dst_node);
                 self.detour(rsrc, rdst, depart).map(|mid| {
-                    let mut wire = Vec::with_capacity(2 + mid.len());
-                    wire.push(src_node);
-                    wire.extend(mid);
-                    wire.push(self.nodes + dst_node);
-                    (Arc::from(self.wrap_fabric(src_node, dst_node, wire)), true)
+                    let mut path = Vec::with_capacity(mid.len() + 6);
+                    self.wrap_fabric(src_node, dst_node, &mut |id| path.push(id), |push| {
+                        push(src_node); // node → router
+                        mid.iter().for_each(|&l| push(l));
+                        push(self.nodes + dst_node); // router → node
+                    });
+                    (Arc::from(path), true)
                 })
             };
-        self.fault_path_cache
+        self.fault_paths
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .insert(key, resolved.clone());
@@ -828,14 +840,15 @@ impl NetSim {
             pending,
             ..BatchRoute::default()
         };
+        let mut buf = [0; MAX_HEALTHY];
         let mut st = self.lock();
         for &(dst_node, bytes) in items {
             if src_node == dst_node && !self.fabric {
                 continue;
             }
             let depart = now + if serialize { out.pending } else { 0 };
-            // Healthy machines hit the per-pair path memo (the path never
-            // depends on time), faulted ones the per-(pair, fault-epoch) one.
+            // Healthy machines compute the path (it never depends on
+            // time); faulted ones hit the per-(pair, fault-epoch) memo.
             let faulted;
             let path: &[ResourceId] = if self.any_faults {
                 faulted = self.fault_path(src_node, dst_node, depart)?;
@@ -844,7 +857,7 @@ impl NetSim {
                 }
                 &faulted.0
             } else {
-                self.healthy_path(src_node, dst_node)
+                self.healthy_path(src_node, dst_node, &mut buf)
             };
             let r = self.charge_path(&mut st, pe, path, bytes, depart, record);
             out.delay += r.delay;
@@ -902,8 +915,6 @@ impl NetSim {
                 }
             }
         }
-        // `transfers` counted once per link; normalise to per-transfer by
-        // dividing out? No — keep link-crossings: it is the fabric's view.
         s.detoured_transfers = st.detoured;
         for link in 0..self.faults.len() {
             match self.terminal_fault(link) {
@@ -1970,24 +1981,56 @@ mod tests {
         assert!(whole.1.transfers > idle.1.transfers);
     }
 
-    // --- path memoisation ---
+    // --- healthy paths and the faulted-path memo ---
 
     #[test]
-    fn healthy_paths_are_memoised_and_correct() {
-        // Every (src, dst) pair resolves to the same Arc on repeat lookups
-        // (the memo actually hits) and its content is exactly the e-cube
-        // wire path plus the fabric wrap.
-        for net in [sim(16), sim_fabric(16, 4)] {
-            let nodes = net.nodes;
-            for s in 0..nodes {
-                for d in 0..nodes {
-                    let first = Arc::clone(net.healthy_path(s, d));
-                    let again = net.healthy_path(s, d);
-                    assert!(Arc::ptr_eq(&first, again), "memo must hit for ({s},{d})");
-                    let mut wire = Vec::new();
-                    net.path(s, d, &mut wire);
-                    let expect = net.wrap_fabric(s, d, wire);
-                    assert_eq!(&*first, &expect[..], "cached path for ({s},{d})");
+    fn healthy_paths_are_computed_correctly() {
+        // The reference: the e-cube wire path built link by link, and the
+        // fabric wrap spelled out here rather than through `wrap_fabric`,
+        // so the routine the healthy and detoured paths share is checked
+        // too. Every (src, dst) pair's computed path matches it, on queued
+        // and fabric machines, padded and P = 256 alike.
+        fn path(net: &NetSim, s: usize, d: usize) -> Vec<ResourceId> {
+            let mut full = Vec::new();
+            if net.fabric {
+                full.push(net.bus_id(s));
+            }
+            if s != d {
+                let n = net.nodes;
+                let (rs, rd) = (net.topo.router_of(s), net.topo.router_of(d));
+                if net.fabric {
+                    full.push(net.hub_id(rs));
+                }
+                full.push(s);
+                let mut r = rs;
+                while r != rd {
+                    let dim = (r ^ rd).trailing_zeros() as usize;
+                    full.push(2 * n + r * net.dims + dim);
+                    r ^= 1 << dim;
+                }
+                full.push(n + d);
+                if net.fabric {
+                    if rd != rs {
+                        full.push(net.hub_id(rd));
+                    }
+                    full.push(net.bus_id(d));
+                }
+            }
+            full
+        }
+        for net in [
+            sim(16),
+            sim(24),
+            sim(256),
+            sim_fabric(16, 4),
+            sim_fabric(256, 2),
+        ] {
+            let mut buf = [0; MAX_HEALTHY];
+            for s in 0..net.nodes {
+                for d in 0..net.nodes {
+                    let got = net.healthy_path(s, d, &mut buf);
+                    assert_eq!(got, &path(&net, s, d)[..], "path for ({s},{d})");
+                    assert!(got.len() <= net.dims + 6);
                 }
             }
         }
@@ -2019,6 +2062,27 @@ mod tests {
             assert_eq!(&*a, &*b, "cached vs fresh path at t={t}");
             assert_eq!(a_det, b_det);
         }
+    }
+
+    #[test]
+    fn a_fabric_detour_is_wrapped_like_a_healthy_path() {
+        // The same dead edge on a fabric machine: the detour's wire links
+        // are the queued machine's, inside bus → hub → … → hub → bus.
+        let spec = "plan:r0d0:kill";
+        let queued = sim_fault(16, spec);
+        let mut cfg = MachineConfig::origin2000();
+        cfg.fault = FaultMode::parse(spec).expect("valid fault spec");
+        cfg.contention = ContentionMode::Fabric;
+        let fabric = NetSim::new(&Topology::new(16, 2), &cfg);
+        let (wire, detoured) = queued.fault_path(0, 2, 0).expect("reachable");
+        assert!(detoured);
+        let (full, detoured) = fabric.fault_path(0, 2, 0).expect("reachable");
+        assert!(detoured);
+        let (r0, r2) = (fabric.topo.router_of(0), fabric.topo.router_of(2));
+        let mut want = vec![fabric.bus_id(0), fabric.hub_id(r0)];
+        want.extend_from_slice(&wire);
+        want.extend([fabric.hub_id(r2), fabric.bus_id(2)]);
+        assert_eq!(&*full, &want[..]);
     }
 
     #[test]

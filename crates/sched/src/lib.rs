@@ -274,7 +274,23 @@ enum Chooser {
 // ---------------------------------------------------------------------------
 
 /// `pos` sentinel for a PE with no entry in the [`PeHeap`].
-const HEAP_ABSENT: usize = usize::MAX;
+const HEAP_ABSENT: u32 = u32::MAX;
+
+/// A [`PeHeap`] entry: `clock` in the high 64 bits, `pe` in the low 64, so
+/// one integer compare orders entries exactly as the `(clock, pe)` tuple.
+type HeapKey = u128;
+
+fn heap_key(clock: SimTime, pe: usize) -> HeapKey {
+    (HeapKey::from(clock) << 64) | pe as HeapKey
+}
+
+fn key_pe(k: HeapKey) -> usize {
+    k as u64 as usize
+}
+
+fn key_clock(k: HeapKey) -> SimTime {
+    (k >> 64) as SimTime
+}
 
 /// Fixed-capacity indexed binary min-heap over `(clock, pe)` keys — the
 /// event backend's pending-PE set.
@@ -287,26 +303,33 @@ const HEAP_ABSENT: usize = usize::MAX;
 /// compactions. This structure replaces that with two arrays sized once
 /// at construction and never reallocated:
 ///
-/// * `heap` — the live `(clock, pe)` entries in binary-heap order; at
-///   most one per PE, so capacity `npes` suffices forever.
+/// * `heap` — the live entries in binary-heap order, each packed into one
+///   [`HeapKey`]; at most one per PE, so capacity `npes` suffices forever.
 /// * `pos` — per-PE slot index into `heap` (`HEAP_ABSENT` when the PE has
 ///   no entry), the classic indexed-heap back-pointer that makes
 ///   [`PeHeap::remove`] and in-place reschedule O(log P) with *exact*
 ///   deletion instead of tombstones.
 ///
-/// Keys compare lexicographically, so min order is lowest clock with ties
-/// to the lowest PE id — exactly [`SchedPolicy::Det`]'s pick order, which
-/// is why [`PeHeap::peek`] never has to skip anything: every entry is
-/// live by construction.
+/// Keys order lexicographically by `(clock, pe)`, so min order is lowest
+/// clock with ties to the lowest PE id — exactly [`SchedPolicy::Det`]'s
+/// pick order, which is why [`PeHeap::peek`] never has to skip anything:
+/// every entry is live by construction. Packing the pair into one `u128`
+/// makes every compare a single integer compare, and the sift-down step
+/// picks the smaller child by arithmetic rather than by a branch the
+/// predictor gets wrong half the time.
 #[derive(Debug, Clone)]
 pub struct PeHeap {
-    heap: Vec<(SimTime, usize)>,
-    pos: Vec<usize>,
+    heap: Vec<HeapKey>,
+    pos: Vec<u32>,
 }
 
 impl PeHeap {
     /// A heap for PEs `0..npes`, with all storage allocated up front.
     pub fn new(npes: usize) -> Self {
+        assert!(
+            npes < HEAP_ABSENT as usize,
+            "a PeHeap indexes PEs with u32 slots"
+        );
         PeHeap {
             heap: Vec::with_capacity(npes),
             pos: vec![HEAP_ABSENT; npes],
@@ -330,24 +353,24 @@ impl PeHeap {
 
     /// The minimum `(clock, pe)` entry, without removing it.
     pub fn peek(&self) -> Option<(SimTime, usize)> {
-        self.heap.first().copied()
+        self.heap.first().map(|&k| (key_clock(k), key_pe(k)))
     }
 
     /// Schedule `pe` at `clock`, or reschedule it in place if already
     /// present (the decrease/increase-key the lazy design could not do).
     pub fn insert_or_update(&mut self, pe: usize, clock: SimTime) {
+        let key = heap_key(clock, pe);
         let i = self.pos[pe];
         if i == HEAP_ABSENT {
-            self.heap.push((clock, pe));
-            let i = self.heap.len() - 1;
-            self.pos[pe] = i;
-            self.sift_up(i);
+            self.heap.push(key);
+            self.sift_up(self.heap.len() - 1);
         } else {
-            let old = self.heap[i].0;
-            self.heap[i].0 = clock;
-            if clock < old {
+            let i = i as usize;
+            let old = self.heap[i];
+            self.heap[i] = key;
+            if key < old {
                 self.sift_up(i);
-            } else if clock > old {
+            } else if key > old {
                 self.sift_down(i);
             }
         }
@@ -360,15 +383,11 @@ impl PeHeap {
         if i == HEAP_ABSENT {
             return false;
         }
+        let i = i as usize;
         self.pos[pe] = HEAP_ABSENT;
-        let last = self.heap.len() - 1;
-        if i != last {
-            let moved = self.heap[last];
-            self.heap[i] = moved;
-            self.pos[moved.1] = i;
-        }
-        self.heap.pop();
+        let last = self.heap.pop().expect("a present PE has an entry");
         if i < self.heap.len() {
+            self.heap[i] = last;
             if i == 0 {
                 // Removing the min (every det pick): the bottom-row
                 // filler almost always sinks back to a leaf, so take it
@@ -376,7 +395,7 @@ impl PeHeap {
                 // comparison per level — and fix up from there, the same
                 // strategy `BinaryHeap::pop` uses.
                 self.sift_down_to_bottom(0);
-            } else if self.heap[i] < self.heap[(i - 1) / 2] {
+            } else if last < self.heap[(i - 1) / 2] {
                 // An arbitrary slot's filler may need to travel either
                 // direction.
                 self.sift_up(i);
@@ -393,6 +412,20 @@ impl PeHeap {
     // write — half the memory traffic of swap-based sifting, which is
     // what this structure races `BinaryHeap`'s hole-based sift against.
 
+    /// Write `key` into slot `i` and point its PE back at it.
+    #[inline]
+    fn place(&mut self, i: usize, key: HeapKey) {
+        self.heap[i] = key;
+        self.pos[key_pe(key)] = i as u32;
+    }
+
+    /// The smaller of the children at `c` and `c + 1` (both present),
+    /// chosen without a branch.
+    #[inline]
+    fn smaller_child(&self, c: usize) -> usize {
+        c + usize::from(self.heap[c + 1] < self.heap[c])
+    }
+
     fn sift_up(&mut self, mut i: usize) {
         let item = self.heap[i];
         while i > 0 {
@@ -400,36 +433,28 @@ impl PeHeap {
             if item >= self.heap[parent] {
                 break;
             }
-            self.heap[i] = self.heap[parent];
-            self.pos[self.heap[i].1] = i;
+            self.place(i, self.heap[parent]);
             i = parent;
         }
-        self.heap[i] = item;
-        self.pos[item.1] = i;
+        self.place(i, item);
     }
 
     fn sift_down(&mut self, mut i: usize) {
         let item = self.heap[i];
-        loop {
-            let l = 2 * i + 1;
-            if l >= self.heap.len() {
-                break;
+        let end = self.heap.len();
+        let mut child = 2 * i + 1;
+        while child < end {
+            if child + 1 < end {
+                child = self.smaller_child(child);
             }
-            let r = l + 1;
-            let child = if r < self.heap.len() && self.heap[r] < self.heap[l] {
-                r
-            } else {
-                l
-            };
             if item <= self.heap[child] {
                 break;
             }
-            self.heap[i] = self.heap[child];
-            self.pos[self.heap[i].1] = i;
+            self.place(i, self.heap[child]);
             i = child;
+            child = 2 * i + 1;
         }
-        self.heap[i] = item;
-        self.pos[item.1] = i;
+        self.place(i, item);
     }
 
     /// Sink the hole at `i` to a leaf along the smaller-child spine
@@ -440,21 +465,16 @@ impl PeHeap {
         let end = self.heap.len();
         let mut child = 2 * i + 1;
         while child + 1 < end {
-            if self.heap[child + 1] < self.heap[child] {
-                child += 1;
-            }
-            self.heap[i] = self.heap[child];
-            self.pos[self.heap[i].1] = i;
+            child = self.smaller_child(child);
+            self.place(i, self.heap[child]);
             i = child;
             child = 2 * i + 1;
         }
         if child < end {
-            self.heap[i] = self.heap[child];
-            self.pos[self.heap[i].1] = i;
+            self.place(i, self.heap[child]);
             i = child;
         }
         self.heap[i] = item;
-        self.pos[item.1] = i;
         self.sift_up(i);
     }
 }
@@ -533,15 +553,19 @@ impl Inner {
         match &self.chooser {
             Chooser::Det => self.pick_det(),
             Chooser::Explore { .. } => {
-                let cands: Vec<usize> = self.runnable().collect();
-                if cands.is_empty() {
+                // The i-th runnable PE in id order, for a uniform draw of
+                // i: the heap holds exactly the runnable set, so it counts
+                // them without a scan or a candidate list.
+                let n = self.heap.len();
+                debug_assert_eq!(n, self.runnable().count(), "heap is the runnable set");
+                if n == 0 {
                     return None;
                 }
                 let Chooser::Explore(rng) = &mut self.chooser else {
                     unreachable!()
                 };
-                let i = (rng.next_u64() % cands.len() as u64) as usize;
-                Some(cands[i])
+                let i = (rng.next_u64() % n as u64) as usize;
+                self.runnable().nth(i)
             }
         }
     }
@@ -1274,38 +1298,56 @@ mod tests {
         assert!(SchedPolicy::parse("fifo").is_err());
     }
 
-    /// The indexed heap against a brute-force reference: random
-    /// insert/update/remove streams must keep the peek equal to the
-    /// linear-scan minimum and the back-pointers consistent.
+    /// The indexed heap against a brute-force reference: seeded
+    /// insert / update / remove streams must keep the peek equal to the
+    /// linear-scan minimum, and the heap order and back-pointers intact.
+    /// Run small with dense clocks, and at P = 1024 (every PE id scheduled
+    /// first) with clocks at 0 and the top of the range, where the packed
+    /// key's high half saturates.
     #[test]
     fn pe_heap_matches_linear_reference() {
-        let npes = 37;
-        let mut heap = PeHeap::new(npes);
-        let mut reference: Vec<Option<SimTime>> = vec![None; npes];
-        let mut rng = SmallRng::seed_from_u64(0x5EED);
-        for _ in 0..20_000 {
-            let pe = (rng.next_u64() % npes as u64) as usize;
-            match rng.next_u64() % 3 {
-                0 | 1 => {
-                    let clock = rng.next_u64() % 1000;
+        const EDGES: [SimTime; 4] = [0, u64::MAX, u64::MAX - 1, 1];
+        for (npes, seed) in [(37, 0x5EED), (1024, 1), (1024, 2), (1024, 3)] {
+            let clock_of = |r: u64| match (npes, r % 8) {
+                (37, _) => r % 1000,
+                (_, 0..=3) => EDGES[(r >> 8) as usize % EDGES.len()],
+                _ => (r >> 8) % 64,
+            };
+            let mut heap = PeHeap::new(npes);
+            let mut reference: Vec<Option<SimTime>> = vec![None; npes];
+            let mut rng = SmallRng::seed_from_u64(seed);
+            if npes == 1024 {
+                for pe in 0..npes {
+                    heap.insert_or_update(pe, EDGES[pe % EDGES.len()]);
+                    reference[pe] = Some(EDGES[pe % EDGES.len()]);
+                }
+            }
+            for step in 0..20_000 {
+                let pe = (rng.next_u64() % npes as u64) as usize;
+                let r = rng.next_u64();
+                if r % 3 == 2 {
+                    assert_eq!(heap.remove(pe), reference[pe].is_some());
+                    reference[pe] = None;
+                } else {
+                    let clock = clock_of(rng.next_u64());
                     heap.insert_or_update(pe, clock);
                     reference[pe] = Some(clock);
                 }
-                _ => {
-                    let removed = heap.remove(pe);
-                    assert_eq!(removed, reference[pe].is_some());
-                    reference[pe] = None;
+                let want = reference
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(p, c)| c.map(|c| (c, p)))
+                    .min();
+                assert_eq!(heap.peek(), want, "P = {npes}, seed {seed}, step {step}");
+                assert_eq!(heap.len(), reference.iter().flatten().count());
+                for (p, c) in reference.iter().enumerate() {
+                    assert_eq!(heap.contains(p), c.is_some());
                 }
-            }
-            let want = reference
-                .iter()
-                .enumerate()
-                .filter_map(|(p, c)| c.map(|c| (c, p)))
-                .min();
-            assert_eq!(heap.peek(), want);
-            assert_eq!(heap.len(), reference.iter().flatten().count());
-            for (p, c) in reference.iter().enumerate() {
-                assert_eq!(heap.contains(p), c.is_some());
+                for (i, &k) in heap.heap.iter().enumerate() {
+                    assert_eq!(heap.pos[key_pe(k)] as usize, i, "back-pointer");
+                    assert_eq!(reference[key_pe(k)], Some(key_clock(k)));
+                    assert!(i == 0 || heap.heap[(i - 1) / 2] <= k, "heap order");
+                }
             }
         }
     }

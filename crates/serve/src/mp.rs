@@ -142,7 +142,7 @@ fn rank_main(
             for (h, &s) in plan.hot_shards().iter().enumerate() {
                 if s == me {
                     for &t in plan.helpers(h) {
-                        world.send_vec(ctx, t, TAG_COPY, vals.clone());
+                        world.send(ctx, t, TAG_COPY, &vals);
                         ctx.counters_mut().replica_bytes += (vals.len() * 8) as u64;
                     }
                 } else if plan.helpers(h).contains(&me) {
@@ -191,12 +191,17 @@ fn rank_main(
     ctx.net_phase("serve");
     let mut log = ClientLog::new();
     let mut dones = 0usize;
+    // Every message this PE receives lands in `msg`, and every request it
+    // steals in `steal`: after the first few requests, serving touches no
+    // allocator.
+    let mut msg: Vec<u64> = Vec::new();
+    let mut steal = StealBufs::default();
     for req in &stream {
         // Poll the mailbox (and sweep steal victims) while idling until
         // this request's arrival.
         while ctx.now() < req.arrival {
-            drain(ctx, world, &shard, cfg, &mut dones);
-            steal_sweep(ctx, world, cfg, &steal_victims);
+            drain(ctx, world, &shard, cfg, &mut dones, &mut msg);
+            steal_sweep(ctx, world, cfg, &steal_victims, &mut steal);
             let now = ctx.now();
             if now >= req.arrival {
                 break;
@@ -204,7 +209,7 @@ fn rank_main(
             let next = (now + cfg.poll_ns).min(req.arrival);
             ctx.wait_until_traced(next, EventKind::Other, None, None);
         }
-        drain(ctx, world, &shard, cfg, &mut dones);
+        drain(ctx, world, &shard, cfg, &mut dones, &mut msg);
         let owner = clients::owner_of(req.key, cfg.keys, p);
         if log.admit(ctx.now(), req, owner, cfg) {
             continue; // shed: no message, no work
@@ -221,17 +226,11 @@ fn rank_main(
             // Serve whatever arrives until our own reply does. Only one
             // request of ours is ever outstanding, so any REP is ours.
             let val0 = loop {
-                let (src, tag, data) = world.recv::<u64>(
-                    ctx,
-                    RecvSpec {
-                        src: None,
-                        tag: None,
-                    },
-                );
+                let (src, tag) = world.recv_into(ctx, RecvSpec::ANY, &mut msg);
                 match tag {
-                    TAG_REQ => answer(ctx, world, &shard, cfg, src, data[0] as usize),
+                    TAG_REQ => answer(ctx, world, &shard, cfg, src, msg[0] as usize),
                     TAG_DONE => dones += 1,
-                    _ => break data[0],
+                    _ => break msg[0],
                 }
             };
             log.complete(ctx.now(), req, val0, cfg);
@@ -246,15 +245,9 @@ fn rank_main(
     }
     if steal_victims.is_empty() {
         while dones < p - 1 {
-            let (src, tag, data) = world.recv::<u64>(
-                ctx,
-                RecvSpec {
-                    src: None,
-                    tag: None,
-                },
-            );
+            let (src, tag) = world.recv_into(ctx, RecvSpec::ANY, &mut msg);
             match tag {
-                TAG_REQ => answer(ctx, world, &shard, cfg, src, data[0] as usize),
+                TAG_REQ => answer(ctx, world, &shard, cfg, src, msg[0] as usize),
                 TAG_DONE => dones += 1,
                 t => unreachable!("unexpected reply tag {t} after own stream finished"),
             }
@@ -264,8 +257,8 @@ fn rank_main(
         // instead of blocking: poll the own mailbox, claim from the hot
         // owners, and wait out the poll granularity between rounds.
         while dones < p - 1 {
-            drain(ctx, world, &shard, cfg, &mut dones);
-            steal_sweep(ctx, world, cfg, &steal_victims);
+            drain(ctx, world, &shard, cfg, &mut dones, &mut msg);
+            steal_sweep(ctx, world, cfg, &steal_victims, &mut steal);
             if dones >= p - 1 {
                 break;
             }
@@ -277,31 +270,48 @@ fn rank_main(
     log.into_pe_out()
 }
 
-/// Serve every request currently queued in the mailbox (non-blocking).
-fn drain(ctx: &mut Ctx, world: &MpWorld, shard: &Shard, cfg: &ServeConfig, dones: &mut usize) {
-    while let Some((src, tag, data)) = world.try_recv::<u64>(
-        ctx,
-        RecvSpec {
-            src: None,
-            tag: None,
-        },
-    ) {
+/// Serve every request currently queued in the mailbox (non-blocking),
+/// receiving each message into `msg`.
+fn drain(
+    ctx: &mut Ctx,
+    world: &MpWorld,
+    shard: &Shard,
+    cfg: &ServeConfig,
+    dones: &mut usize,
+    msg: &mut Vec<u64>,
+) {
+    while let Some((src, tag)) = world.try_recv_into(ctx, RecvSpec::ANY, msg) {
         match tag {
-            TAG_REQ => answer(ctx, world, shard, cfg, src, data[0] as usize),
+            TAG_REQ => answer(ctx, world, shard, cfg, src, msg[0] as usize),
             TAG_DONE => *dones += 1,
             t => unreachable!("unexpected tag {t} while idle (no request outstanding)"),
         }
     }
 }
 
+/// A stealer's reusable buffers: the claimed `(client, key)` requests and
+/// the value it replies with.
+#[derive(Default)]
+struct StealBufs {
+    stolen: Vec<(usize, u64)>,
+    vals: Vec<u64>,
+}
+
 /// Claim up to [`STEAL_BATCH`] queued requests from each victim's mailbox
 /// and answer them on the victim's behalf. No-op (no probe, no charge)
 /// when `victims` is empty, so `Off` and `Replicate` paths are untouched.
-fn steal_sweep(ctx: &mut Ctx, world: &MpWorld, cfg: &ServeConfig, victims: &[usize]) {
+fn steal_sweep(
+    ctx: &mut Ctx,
+    world: &MpWorld,
+    cfg: &ServeConfig,
+    victims: &[usize],
+    bufs: &mut StealBufs,
+) {
     for &victim in victims {
-        let stolen = world.steal_batch::<u64>(ctx, victim, TAG_REQ, STEAL_BATCH);
-        for (src, data) in stolen {
-            let key = data[0] as usize;
+        bufs.stolen.clear();
+        world.steal_batch(ctx, victim, TAG_REQ, STEAL_BATCH, &mut bufs.stolen);
+        for &(src, key) in &bufs.stolen {
+            let key = key as usize;
             // The value still lives in the victim's shard: charge its
             // pull to the helper before answering from the generator.
             let bytes = cfg.val_words * 8;
@@ -315,11 +325,11 @@ fn steal_sweep(ctx: &mut Ctx, world: &MpWorld, cfg: &ServeConfig, victims: &[usi
                 bytes.min(u32::MAX as usize) as u32,
                 Some(victim as u32),
             );
-            let vals: Vec<u64> = (0..cfg.val_words)
-                .map(|w| clients::value_word(cfg.seed, key, w))
-                .collect();
+            bufs.vals.clear();
+            bufs.vals
+                .extend((0..cfg.val_words).map(|w| clients::value_word(cfg.seed, key, w)));
             serve_cost(ctx, cfg, src);
-            world.send_vec(ctx, src, TAG_REP, vals);
+            world.send(ctx, src, TAG_REP, &bufs.vals);
         }
     }
 }
@@ -334,7 +344,6 @@ fn answer(
     src: usize,
     key: usize,
 ) {
-    let vals = shard.lookup(key, cfg.val_words).to_vec();
     serve_cost(ctx, cfg, src);
-    world.send_vec(ctx, src, TAG_REP, vals);
+    world.send(ctx, src, TAG_REP, shard.lookup(key, cfg.val_words));
 }

@@ -109,9 +109,10 @@ fn rank_main(
     // are fully built and no request has been issued yet.
     snap.point(ctx, "warm", 0, Vec::new, || world.export_state_bytes());
 
-    // --- serve: every lookup is one one-sided get ---
+    // --- serve: every lookup is one one-sided get, into one buffer ---
     ctx.net_phase("serve");
     let mut log = ClientLog::new();
+    let mut val = vec![0u64; v];
     for req in &stream {
         await_arrival(ctx, req);
         let owner = clients::owner_of(req.key, cfg.keys, p);
@@ -124,7 +125,8 @@ fn rank_main(
             if owner == me {
                 table.read_local1(ctx, off)
             } else {
-                table.get(ctx, owner, off, v)[0]
+                table.get_into(ctx, owner, off, &mut val);
+                val[0]
             }
         } else {
             let repl = repl.as_ref().expect("hot route needs the replica region");
@@ -132,7 +134,8 @@ fn rank_main(
             if target == me {
                 repl.read_local1(ctx, roff)
             } else {
-                repl.get(ctx, target, roff, v)[0]
+                repl.get_into(ctx, target, roff, &mut val);
+                val[0]
             }
         };
         serve_cost(ctx, cfg, target);

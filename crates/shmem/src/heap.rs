@@ -299,7 +299,18 @@ impl<T: Element> SymSlice<T> {
     /// One-sided get: read `len` elements from `source_pe`'s instance
     /// starting at `offset`. Charges a round trip.
     pub fn get(&self, ctx: &mut Ctx, source_pe: usize, offset: usize, len: usize) -> Vec<T> {
-        let out = self.load(source_pe, offset, len);
+        let mut out = vec![T::from_bits(0); len];
+        self.get_into(ctx, source_pe, offset, &mut out);
+        out
+    }
+
+    /// As [`SymSlice::get`], reading `out.len()` elements into `out`: the
+    /// same charges and counters, no allocation.
+    pub fn get_into(&self, ctx: &mut Ctx, source_pe: usize, offset: usize, out: &mut [T]) {
+        let len = out.len();
+        for (o, bits) in out.iter_mut().zip(self.region.bits(source_pe, offset, len)) {
+            *o = T::from_bits(bits);
+        }
         let bytes = len * T::BYTES;
         let hops = self.machine.hops_between(ctx.pe(), source_pe);
         // A get's payload flows source→initiator; the queueing model routes
@@ -317,7 +328,6 @@ impl<T: Element> SymSlice<T> {
         let c = ctx.counters_mut();
         c.gets += 1;
         c.get_bytes += bytes as u64;
-        out
     }
 
     /// Single-element put.
@@ -327,7 +337,9 @@ impl<T: Element> SymSlice<T> {
 
     /// Single-element get.
     pub fn get1(&self, ctx: &mut Ctx, source_pe: usize, offset: usize) -> T {
-        self.get(ctx, source_pe, offset, 1)[0]
+        let mut v = [T::from_bits(0)];
+        self.get_into(ctx, source_pe, offset, &mut v);
+        v[0]
     }
 
     /// Write to this PE's own instance (normal local store; no network
