@@ -4,78 +4,107 @@
 //! can report communication volume, remote-reference counts, message-size
 //! histograms, and cache behaviour (the paper family's Figures on traffic).
 
-/// Raw event counts for one PE (or, after [`Counters::merge`], a whole run).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Counters {
+/// Declares [`Counters`] from one list of scalar counters. The struct, its
+/// `NAMES` and its `scalars()` / `scalars_mut()` views all come from that
+/// list, so `merge`, `diff` and the snapshot codec (which walk the views)
+/// cannot miss a counter: adding one is a one-line edit here.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Number of scalar counters (everything but the histogram).
+        const SCALARS: usize = [$(stringify!($name),)*].len();
+
+        /// Raw event counts for one PE (or, after [`Counters::merge`], a whole run).
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct Counters {
+            $($(#[$doc])* pub $name: u64,)*
+            /// Message-size histogram buckets: counts of messages with payload in
+            /// [0,64), [64,512), [512,4K), [4K,32K), [32K,∞) bytes.
+            pub msg_size_hist: [u64; 5],
+        }
+
+        impl Counters {
+            /// The scalar counters' field names, in declaration order.
+            pub const NAMES: [&'static str; SCALARS] = [$(stringify!($name),)*];
+
+            /// The scalar counters' values, in declaration order.
+            pub fn scalars(&self) -> [u64; SCALARS] {
+                [$(self.$name,)*]
+            }
+
+            /// The scalar counters, in declaration order, for writing.
+            pub fn scalars_mut(&mut self) -> [&mut u64; SCALARS] {
+                [$(&mut self.$name,)*]
+            }
+        }
+    };
+}
+
+counters! {
     // --- two-sided ---
     /// Messages sent.
-    pub msgs_sent: u64,
+    msgs_sent,
     /// Payload bytes sent in messages.
-    pub msg_bytes: u64,
+    msg_bytes,
     /// Messages received.
-    pub msgs_recvd: u64,
+    msgs_recvd,
 
     // --- one-sided ---
     /// Puts issued.
-    pub puts: u64,
+    puts,
     /// Bytes written by puts.
-    pub put_bytes: u64,
+    put_bytes,
     /// Gets issued.
-    pub gets: u64,
+    gets,
     /// Bytes read by gets.
-    pub get_bytes: u64,
+    get_bytes,
     /// Remote atomic operations.
-    pub amos: u64,
+    amos,
 
     // --- shared address space ---
     /// Cache hits in the modelled cache.
-    pub cache_hits: u64,
+    cache_hits,
     /// Misses served by local memory.
-    pub misses_local: u64,
+    misses_local,
     /// Misses served by a remote node.
-    pub misses_remote: u64,
+    misses_remote,
     /// Invalidation messages caused by this PE's writes.
-    pub invalidations: u64,
+    invalidations,
     /// Write upgrades (line already present, needed exclusivity).
-    pub upgrades: u64,
+    upgrades,
 
     // --- synchronisation ---
     /// Barrier episodes.
-    pub barriers: u64,
+    barriers,
     /// Lock acquisitions.
-    pub lock_acquires: u64,
+    lock_acquires,
     /// Cooperative-scheduler floor handoffs at this PE's yield points.
-    pub sched_handoffs: u64,
+    sched_handoffs,
 
     // --- request serving (nonzero only for o2k-serve workloads) ---
     /// Application-level client requests this PE looked up and answered
     /// (the serving side: the shard owner under MP, the requester under
     /// the one-sided and shared-memory models).
-    pub requests_served: u64,
+    requests_served,
     /// Requests this PE claimed out of another PE's mailbox under the MP
     /// work-stealing mitigation (a subset of `requests_served`).
-    pub requests_stolen: u64,
+    requests_stolen,
     /// Bytes this PE moved to build or refresh hot-shard read replicas
     /// (the replication mitigation's fan-out traffic).
-    pub replica_bytes: u64,
+    replica_bytes,
 
     // --- interconnect contention (nonzero only under queued/fabric) ---
     /// Transfers this PE routed through the contended fabric.
-    pub net_transfers: u64,
+    net_transfers,
     /// Directed links those transfers traversed (hops + bristle ports).
-    pub net_links: u64,
+    net_links,
     /// Queueing delay this PE's transfers accrued on occupied links (ns).
-    pub net_queued_ns: u64,
+    net_queued_ns,
     /// Queueing delay accrued on shared node buses (ns); nonzero only
     /// under `ContentionMode::Fabric`.
-    pub net_bus_queued_ns: u64,
+    net_bus_queued_ns,
     /// Queueing delay accrued on router hub/arbitration ports (ns);
     /// nonzero only under `ContentionMode::Fabric`.
-    pub net_hub_queued_ns: u64,
-
-    /// Message-size histogram buckets: counts of messages with payload in
-    /// [0,64), [64,512), [512,4K), [4K,32K), [32K,∞) bytes.
-    pub msg_size_hist: [u64; 5],
+    net_hub_queued_ns,
 }
 
 impl Counters {
@@ -145,88 +174,23 @@ impl Counters {
             debug_assert!(a >= b, "counter {field} went backwards: {a} < {b}");
             a.saturating_sub(b)
         }
-        let mut msg_size_hist = [0u64; 5];
-        for (d, (a, b)) in msg_size_hist
-            .iter_mut()
-            .zip(self.msg_size_hist.iter().zip(earlier.msg_size_hist))
-        {
+        let mut out = Counters::new();
+        let scalars = self.scalars().into_iter().zip(earlier.scalars());
+        for ((d, (a, b)), name) in out.scalars_mut().into_iter().zip(scalars).zip(Self::NAMES) {
+            *d = mono_sub(a, b, name);
+        }
+        let hist = self.msg_size_hist.iter().zip(earlier.msg_size_hist);
+        for (d, (a, b)) in out.msg_size_hist.iter_mut().zip(hist) {
             *d = mono_sub(*a, b, "msg_size_hist");
         }
-        Counters {
-            msgs_sent: mono_sub(self.msgs_sent, earlier.msgs_sent, "msgs_sent"),
-            msg_bytes: mono_sub(self.msg_bytes, earlier.msg_bytes, "msg_bytes"),
-            msgs_recvd: mono_sub(self.msgs_recvd, earlier.msgs_recvd, "msgs_recvd"),
-            puts: mono_sub(self.puts, earlier.puts, "puts"),
-            put_bytes: mono_sub(self.put_bytes, earlier.put_bytes, "put_bytes"),
-            gets: mono_sub(self.gets, earlier.gets, "gets"),
-            get_bytes: mono_sub(self.get_bytes, earlier.get_bytes, "get_bytes"),
-            amos: mono_sub(self.amos, earlier.amos, "amos"),
-            cache_hits: mono_sub(self.cache_hits, earlier.cache_hits, "cache_hits"),
-            misses_local: mono_sub(self.misses_local, earlier.misses_local, "misses_local"),
-            misses_remote: mono_sub(self.misses_remote, earlier.misses_remote, "misses_remote"),
-            invalidations: mono_sub(self.invalidations, earlier.invalidations, "invalidations"),
-            upgrades: mono_sub(self.upgrades, earlier.upgrades, "upgrades"),
-            barriers: mono_sub(self.barriers, earlier.barriers, "barriers"),
-            lock_acquires: mono_sub(self.lock_acquires, earlier.lock_acquires, "lock_acquires"),
-            sched_handoffs: mono_sub(
-                self.sched_handoffs,
-                earlier.sched_handoffs,
-                "sched_handoffs",
-            ),
-            requests_served: mono_sub(
-                self.requests_served,
-                earlier.requests_served,
-                "requests_served",
-            ),
-            requests_stolen: mono_sub(
-                self.requests_stolen,
-                earlier.requests_stolen,
-                "requests_stolen",
-            ),
-            replica_bytes: mono_sub(self.replica_bytes, earlier.replica_bytes, "replica_bytes"),
-            net_transfers: mono_sub(self.net_transfers, earlier.net_transfers, "net_transfers"),
-            net_links: mono_sub(self.net_links, earlier.net_links, "net_links"),
-            net_queued_ns: mono_sub(self.net_queued_ns, earlier.net_queued_ns, "net_queued_ns"),
-            net_bus_queued_ns: mono_sub(
-                self.net_bus_queued_ns,
-                earlier.net_bus_queued_ns,
-                "net_bus_queued_ns",
-            ),
-            net_hub_queued_ns: mono_sub(
-                self.net_hub_queued_ns,
-                earlier.net_hub_queued_ns,
-                "net_hub_queued_ns",
-            ),
-            msg_size_hist,
-        }
+        out
     }
 
     /// Accumulate `other` into `self` (for whole-run aggregation).
     pub fn merge(&mut self, other: &Counters) {
-        self.msgs_sent += other.msgs_sent;
-        self.msg_bytes += other.msg_bytes;
-        self.msgs_recvd += other.msgs_recvd;
-        self.puts += other.puts;
-        self.put_bytes += other.put_bytes;
-        self.gets += other.gets;
-        self.get_bytes += other.get_bytes;
-        self.amos += other.amos;
-        self.cache_hits += other.cache_hits;
-        self.misses_local += other.misses_local;
-        self.misses_remote += other.misses_remote;
-        self.invalidations += other.invalidations;
-        self.upgrades += other.upgrades;
-        self.barriers += other.barriers;
-        self.lock_acquires += other.lock_acquires;
-        self.sched_handoffs += other.sched_handoffs;
-        self.requests_served += other.requests_served;
-        self.requests_stolen += other.requests_stolen;
-        self.replica_bytes += other.replica_bytes;
-        self.net_transfers += other.net_transfers;
-        self.net_links += other.net_links;
-        self.net_queued_ns += other.net_queued_ns;
-        self.net_bus_queued_ns += other.net_bus_queued_ns;
-        self.net_hub_queued_ns += other.net_hub_queued_ns;
+        for (a, b) in self.scalars_mut().into_iter().zip(other.scalars()) {
+            *a += b;
+        }
         for (a, b) in self.msg_size_hist.iter_mut().zip(other.msg_size_hist) {
             *a += b;
         }

@@ -9,9 +9,8 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use parallel::Ctx;
+use parallel::{Ctx, Payload};
 
-use crate::payload::Payload;
 use crate::world::{MpWorld, RecvSpec, Tag};
 
 /// Tags per collective invocation (must exceed the deepest level count:
@@ -157,15 +156,6 @@ impl MpWorld {
         self.allreduce(ctx, data, |acc, d| {
             for (a, b) in acc.iter_mut().zip(d) {
                 *a += b;
-            }
-        })
-    }
-
-    /// Max all-reduce over `u64` slices.
-    pub fn allreduce_max_u64(&self, ctx: &mut Ctx, data: Vec<u64>) -> Vec<u64> {
-        self.allreduce(ctx, data, |acc, d| {
-            for (a, b) in acc.iter_mut().zip(d) {
-                *a = (*a).max(*b);
             }
         })
     }
@@ -380,7 +370,9 @@ mod tests {
                 assert_eq!(d, vec![2]);
             }
             w.barrier(ctx);
-            w.allreduce_max_u64(ctx, vec![ctx.pe() as u64])[0]
+            w.allreduce(ctx, vec![ctx.pe() as u64], |acc, d| {
+                acc[0] = acc[0].max(d[0])
+            })[0]
         });
         assert_eq!(run.results, vec![1, 1]);
     }

@@ -10,9 +10,9 @@
 //! model rather than being charged analytically — mirroring how MPI was
 //! layered over the Origin2000 interconnect.
 //!
-//! A payload is a slice of [`Payload`] values — primitives, arrays and
-//! pairs of them, or an application type with its own word codec — and
-//! travels as a run of `u64` words, like a SHMEM element.
+//! A payload is a slice of [`Payload`] values — any [`parallel::Element`],
+//! arrays and pairs of payloads, or an application type with its own word
+//! codec — and travels as a run of `u64` words, like a SHMEM element.
 //!
 //! The API shape deliberately follows MPI (ranks, tags, `send`/`recv`,
 //! `MPI_ANY_SOURCE`-style wildcards) so the application ports exhibit the
@@ -44,5 +44,5 @@ mod collectives;
 mod payload;
 mod world;
 
-pub use payload::Payload;
+pub use parallel::Payload;
 pub use world::{MpWorld, RecvSpec, Tag};

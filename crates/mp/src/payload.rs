@@ -1,83 +1,16 @@
 //! Message payloads as runs of `u64` words.
 //!
-//! A message crosses the simulated machine as bits. SHMEM's symmetric heap
-//! already holds only values that encode to a `u64` word
-//! ([`parallel::Element`]); an MP payload follows the same rule, widened to
-//! values of a fixed number of words. Only data whose value is its bits can
-//! cross — no pointers, no boxes, no trait objects — so an envelope is a
-//! plain `Vec<u64>`, recycled through a per-world [`WordPool`], and a queued
+//! A message crosses the simulated machine as bits, under the word rule
+//! [`parallel::Payload`] states for every model. An envelope is a plain
+//! `Vec<u64>`, recycled through a per-world [`WordPool`], and a queued
 //! message is serialisable as it stands.
 //!
 //! A value's *accounted* size stays `size_of::<T>()`: message bytes, and
 //! with them arrival times and every counter, do not depend on how many
 //! words the encoding happens to take.
 
+use parallel::Payload;
 use parking_lot::Mutex;
-
-/// A value that can travel in a message: a fixed run of `u64` words.
-pub trait Payload: Sized {
-    /// Words one value occupies (at least one).
-    const WORDS: usize;
-
-    /// Write the value into `out[..Self::WORDS]`.
-    fn encode(&self, out: &mut [u64]);
-
-    /// Read a value back from `words[..Self::WORDS]`.
-    fn decode(words: &[u64]) -> Self;
-}
-
-macro_rules! int_payload {
-    ($($t:ty),*) => {$(
-        impl Payload for $t {
-            const WORDS: usize = 1;
-            #[inline]
-            fn encode(&self, out: &mut [u64]) {
-                out[0] = *self as u64;
-            }
-            #[inline]
-            fn decode(words: &[u64]) -> Self {
-                words[0] as $t
-            }
-        }
-    )*};
-}
-
-int_payload!(u8, u32, i32, u64, i64, usize);
-
-impl Payload for f64 {
-    const WORDS: usize = 1;
-    #[inline]
-    fn encode(&self, out: &mut [u64]) {
-        out[0] = self.to_bits();
-    }
-    #[inline]
-    fn decode(words: &[u64]) -> Self {
-        f64::from_bits(words[0])
-    }
-}
-
-impl<T: Payload, const N: usize> Payload for [T; N] {
-    const WORDS: usize = N * T::WORDS;
-    fn encode(&self, out: &mut [u64]) {
-        for (v, w) in self.iter().zip(out.chunks_exact_mut(T::WORDS)) {
-            v.encode(w);
-        }
-    }
-    fn decode(words: &[u64]) -> Self {
-        std::array::from_fn(|i| T::decode(&words[i * T::WORDS..]))
-    }
-}
-
-impl<A: Payload, B: Payload> Payload for (A, B) {
-    const WORDS: usize = A::WORDS + B::WORDS;
-    fn encode(&self, out: &mut [u64]) {
-        self.0.encode(out);
-        self.1.encode(&mut out[A::WORDS..]);
-    }
-    fn decode(words: &[u64]) -> Self {
-        (A::decode(words), B::decode(&words[A::WORDS..]))
-    }
-}
 
 /// Encode `data` into `buf`, replacing its contents.
 pub(crate) fn encode_into<T: Payload>(data: &[T], buf: &mut Vec<u64>) {
@@ -158,6 +91,7 @@ mod tests {
     #[test]
     fn every_payload_type_round_trips() {
         assert_eq!(round_trip(&[0u8, 7, u8::MAX]), [0, 7, u8::MAX]);
+        assert_eq!(round_trip(&[-2.25f32, f32::MAX]), [-2.25, f32::MAX]);
         assert_eq!(round_trip(&[-1i32, i32::MIN, 42]), [-1, i32::MIN, 42]);
         assert_eq!(round_trip(&[u64::MAX, 0]), [u64::MAX, 0]);
         assert_eq!(round_trip(&[-5i64, usize::MAX as i64]), [-5, -1]);

@@ -4,10 +4,10 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use machine::{cost, Machine, SimTime, TimeCat};
-use parallel::{Ctx, Dep, EventKind};
+use parallel::{Ctx, Dep, EventKind, Payload};
 use parking_lot::Mutex;
 
-use crate::payload::{decode_into, encode_into, Payload, WordPool};
+use crate::payload::{decode_into, encode_into, WordPool};
 
 /// Message tag. User tags must stay below [`Tag::COLLECTIVE_BASE`]; the
 /// collective algorithms reserve the space above it.

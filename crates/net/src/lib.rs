@@ -62,6 +62,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use machine::{FaultKind, FaultLink, FaultMode, MachineConfig, SimTime, Topology};
+use o2k_snap::wire::{WireReader, WireWriter};
 use o2k_trace::{FaultSpan, LinkSpan};
 
 pub use machine::config::ContentionMode;
@@ -79,15 +80,16 @@ const MAX_HEALTHY: usize = usize::BITS as usize + 6;
 /// the historical layout (see [`NetSim::new`]); bus and hub ids follow.
 pub type ResourceId = usize;
 
-/// What class of contended hardware a fabric resource models.
+/// What class of contended hardware a fabric resource models. The
+/// discriminant is the kind's code in the fabric snapshot section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResourceKind {
     /// A directed interconnect link (bristle port or router edge).
-    Link,
+    Link = 0,
     /// A node's shared memory bus.
-    Bus,
+    Bus = 1,
     /// A router's arbitration/hub port.
-    Hub,
+    Hub = 2,
 }
 
 impl std::fmt::Display for ResourceKind {
@@ -1112,51 +1114,40 @@ impl NetSim {
     // counters of every resource, the detour count, and the per-phase
     // baseline snapshots (phase hotspot reports must survive a restore).
     // Recorded trace spans are *not* exported: a restored run's trace
-    // covers post-restore traffic only. The encoding is self-contained
-    // (u64 little-endian with its own version word) so the snapshot
-    // container can treat it as an opaque blob.
+    // covers post-restore traffic only. The encoding is `o2k_snap::wire`
+    // with its own version word, so the snapshot container can treat it
+    // as an opaque blob.
 
     /// Fabric-state layout version inside [`NetSim::export_state_bytes`].
     pub const STATE_VERSION: u64 = 1;
 
     /// Serialise the resumable fabric state.
     pub fn export_state_bytes(&self) -> Vec<u8> {
-        fn kind_code(k: ResourceKind) -> u64 {
-            match k {
-                ResourceKind::Link => 0,
-                ResourceKind::Bus => 1,
-                ResourceKind::Hub => 2,
-            }
-        }
         let st = self.lock();
-        let mut out = Vec::with_capacity(32 + st.res.len() * 48);
-        {
-            let mut w = |v: u64| out.extend_from_slice(&v.to_le_bytes());
-            w(Self::STATE_VERSION);
-            w(st.detoured);
-            w(st.spans_dropped);
-            w(st.res.len() as u64);
-            for (id, res) in st.res.iter().enumerate() {
-                w(kind_code(self.kind_of(id)));
-                w(res.busy_until);
-                w(res.bytes);
-                w(res.busy_ns);
-                w(res.queued_ns);
-                w(res.transfers);
-            }
-            w(st.phases.len() as u64);
+        let mut w = WireWriter::new();
+        w.u64(Self::STATE_VERSION);
+        w.u64(st.detoured);
+        w.u64(st.spans_dropped);
+        w.u64(st.res.len() as u64);
+        for (id, res) in st.res.iter().enumerate() {
+            w.u64(self.kind_of(id) as u64);
+            w.u64(res.busy_until);
+            w.u64(res.bytes);
+            w.u64(res.busy_ns);
+            w.u64(res.queued_ns);
+            w.u64(res.transfers);
         }
+        w.u64(st.phases.len() as u64);
         for ph in &st.phases {
-            out.extend_from_slice(&(ph.name.len() as u64).to_le_bytes());
-            out.extend_from_slice(ph.name.as_bytes());
-            out.extend_from_slice(&(ph.at_start.len() as u64).to_le_bytes());
+            w.str(&ph.name);
+            w.u64(ph.at_start.len() as u64);
             for &(q, b, t) in &ph.at_start {
-                out.extend_from_slice(&q.to_le_bytes());
-                out.extend_from_slice(&b.to_le_bytes());
-                out.extend_from_slice(&t.to_le_bytes());
+                w.u64(q);
+                w.u64(b);
+                w.u64(t);
             }
         }
-        out
+        w.into_bytes()
     }
 
     /// Restore state exported by [`NetSim::export_state_bytes`]. Errors —
@@ -1166,32 +1157,7 @@ impl NetSim {
     /// falls back to a cold fabric, which is the correct model for "same
     /// computation, different machine").
     pub fn import_state_bytes(&self, bytes: &[u8]) -> Result<(), String> {
-        struct Rd<'a>(&'a [u8]);
-        impl<'a> Rd<'a> {
-            fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-                if n > self.0.len() {
-                    return Err("truncated fabric state".into());
-                }
-                let (head, rest) = self.0.split_at(n);
-                self.0 = rest;
-                Ok(head)
-            }
-            fn u64(&mut self) -> Result<u64, String> {
-                let b = self.take(8)?;
-                Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-            }
-            /// A count of elements at least `elem_bytes` each, refused when
-            /// the bytes remaining cannot hold it: a length prefix comes
-            /// from the file and must not size an allocation unchecked.
-            fn count(&mut self, elem_bytes: usize) -> Result<usize, String> {
-                let n = self.u64()?;
-                if n > (self.0.len() / elem_bytes) as u64 {
-                    return Err("truncated fabric state".into());
-                }
-                Ok(n as usize)
-            }
-        }
-        let mut r = Rd(bytes);
+        let mut r = WireReader::new(bytes);
         let version = r.u64()?;
         if version != Self::STATE_VERSION {
             return Err(format!("fabric state v{version} unsupported"));
@@ -1219,15 +1185,12 @@ impl NetSim {
         let nphases = r.count(16)?;
         let mut phases = Vec::with_capacity(nphases);
         for _ in 0..nphases {
-            let name_len = r.count(1)?;
-            let name = String::from_utf8(r.take(name_len)?.to_vec())
-                .map_err(|e| format!("bad fabric phase name: {e}"))?;
-            let nsnap = r.u64()? as usize;
-            if nsnap != n {
+            let name = r.str()?;
+            if r.u64()? != n as u64 {
                 return Err("fabric phase snapshot size mismatch".into());
             }
-            let mut at_start = Vec::with_capacity(nsnap);
-            for _ in 0..nsnap {
+            let mut at_start = Vec::with_capacity(n);
+            for _ in 0..n {
                 at_start.push((r.u64()?, r.u64()?, r.u64()?));
             }
             phases.push(Phase { name, at_start });
@@ -2159,5 +2122,27 @@ mod tests {
         let stats = net.stats();
         assert_eq!(stats.transfers, total);
         assert_eq!(stats.link_bytes, total * 64);
+    }
+
+    /// The fabric section's layout is fixed: these bytes were produced by
+    /// the hand-rolled codec `o2k_snap::wire` replaced.
+    #[test]
+    fn the_fabric_section_bytes_are_pinned() {
+        let net = sim_fabric(16, 2);
+        let mut t = 0;
+        for i in 0..12usize {
+            t += 25;
+            net.route((i % 16) as u32, i % 8, (i * 3 + 1) % 8, 64 << (i % 4), t);
+        }
+        net.begin_phase("pinned");
+        for i in 0..6usize {
+            t += 40;
+            let items = [((i + 2) % 8, 128usize), ((i + 5) % 8, 256)];
+            net.try_route_many(i as u32, i % 8, &items, t, true, 0)
+                .unwrap();
+        }
+        let bytes = net.export_state_bytes();
+        assert_eq!(bytes.len(), 2654);
+        assert_eq!(o2k_snap::fnv1a(&bytes), 0x21ff_6709_2152_c6fb);
     }
 }

@@ -323,13 +323,7 @@ impl Ctx {
     /// Charge `ns` of CPU computation.
     #[inline]
     pub fn compute(&mut self, ns: SimTime) {
-        let t0 = self.clock.now();
-        self.net_pending = 0;
-        self.clock.advance(ns, TimeCat::Busy);
-        if self.recorder.is_on() {
-            self.record_span(t0, EventKind::Compute, TimeCat::Busy, 0, None, None);
-        }
-        self.sched_point();
+        self.advance_traced(ns, TimeCat::Busy, EventKind::Compute, 0, None);
     }
 
     /// Charge `units` work items at `ns_per_unit` each (rounded).
@@ -342,18 +336,14 @@ impl Ctx {
     /// Charge `ns` attributed to `cat`.
     #[inline]
     pub fn advance(&mut self, ns: SimTime, cat: TimeCat) {
-        let t0 = self.clock.now();
-        self.net_pending = 0;
-        self.clock.advance(ns, cat);
-        if self.recorder.is_on() {
-            self.record_span(t0, EventKind::Other, cat, 0, None, None);
-        }
-        self.sched_point();
+        self.advance_traced(ns, cat, EventKind::Other, 0, None);
     }
 
     /// Charge `ns` to `cat` and record it as a `kind` trace event carrying
-    /// `bytes` / `peer`. Model runtimes use this instead of [`Ctx::advance`]
-    /// wherever the operation has a meaningful identity in a trace.
+    /// `bytes` / `peer` — the one clock-advance rule: drop the pending
+    /// network backlog, advance, record, offer the floor. Model runtimes use
+    /// this instead of [`Ctx::advance`] wherever the operation has a
+    /// meaningful identity in a trace.
     #[inline]
     pub fn advance_traced(
         &mut self,
@@ -478,52 +468,6 @@ impl Ctx {
         out
     }
 
-    /// Blackboard all-gather: every PE contributes `val`; returns all values
-    /// in PE order. Charges a barrier plus log-depth transfers.
-    fn gather_all<T: Clone + Send + 'static>(&mut self, val: T) -> Vec<T> {
-        let shared = Arc::clone(&self.shared);
-        *shared.slots[self.pe].lock() = Some(Box::new(val));
-        self.barrier();
-        let mut out = Vec::with_capacity(self.npes());
-        for slot in shared.slots.iter() {
-            let guard = slot.lock();
-            out.push(
-                guard
-                    .as_ref()
-                    .expect("gather slot empty")
-                    .downcast_ref::<T>()
-                    .expect("gather type mismatch")
-                    .clone(),
-            );
-        }
-        self.charge_tree_transfer(std::mem::size_of::<T>() * self.npes());
-        self.barrier();
-        *shared.slots[self.pe].lock() = None;
-        out
-    }
-
-    /// Blackboard all-reduce with a deterministic left fold in PE order.
-    pub fn allreduce<T, F>(&mut self, val: T, op: F) -> T
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&T, &T) -> T,
-    {
-        let all = self.gather_all(val);
-        let mut it = all.into_iter();
-        let first = it.next().expect("allreduce on empty team");
-        it.fold(first, |acc, x| op(&acc, &x))
-    }
-
-    /// Sum-allreduce for `u64`.
-    pub fn allreduce_sum_u64(&mut self, v: u64) -> u64 {
-        self.allreduce(v, |a, b| a + b)
-    }
-
-    /// Max-allreduce for `u64`.
-    pub fn allreduce_max_u64(&mut self, v: u64) -> u64 {
-        self.allreduce(v, |a, b| (*a).max(*b))
-    }
-
     fn charge_tree_transfer(&mut self, bytes: usize) {
         let depth = u64::from(self.machine.topology.tree_depth());
         let per_level = self.machine.config.transfer_ns(bytes)
@@ -571,36 +515,17 @@ mod tests {
     }
 
     #[test]
-    fn gather_all_in_pe_order() {
-        let run = team(4).run(|ctx| ctx.gather_all(ctx.pe() as u32));
-        for r in run.results {
-            assert_eq!(r, vec![0, 1, 2, 3]);
-        }
-    }
-
-    #[test]
-    fn allreduce_sum_and_max() {
-        let run = team(5).run(|ctx| {
-            let s = ctx.allreduce_sum_u64(ctx.pe() as u64);
-            let m = ctx.allreduce_max_u64(ctx.pe() as u64);
-            (s, m)
-        });
-        for (s, m) in run.results {
-            assert_eq!(s, 1 + 2 + 3 + 4);
-            assert_eq!(m, 4);
-        }
-    }
-
-    #[test]
     fn repeated_collectives_do_not_deadlock_or_cross() {
         let run = team(3).run(|ctx| {
-            let mut acc = 0u64;
-            for round in 0..10u64 {
-                acc += ctx.allreduce_sum_u64(round + ctx.pe() as u64);
-            }
-            acc
+            (0..10u64)
+                .map(|round| {
+                    let root = round as usize % 3;
+                    let v = (ctx.pe() == root).then_some(round * 10 + root as u64);
+                    ctx.broadcast(root, v)
+                })
+                .collect::<Vec<_>>()
         });
-        let expected: u64 = (0..10u64).map(|r| 3 * r + 3).sum();
+        let expected: Vec<u64> = (0..10u64).map(|r| r * 10 + r % 3).collect();
         assert_eq!(run.results, vec![expected; 3]);
     }
 

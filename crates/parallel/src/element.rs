@@ -1,12 +1,16 @@
-//! Element types storable in the symmetric heap.
+//! The one word rule: what crosses the simulated machine is `u64` words.
 //!
-//! Symmetric storage is backed by `AtomicU64` words so that concurrent
-//! one-sided access from any PE is well-defined at the Rust level (SHMEM
-//! semantics allow races; the *bits* transfer atomically per element).
-//! Supported element types are the 4- and 8-byte primitives the SHMEM API
-//! itself supports, encoded to/from `u64` bit patterns.
+//! Symmetric and shared storage is backed by `AtomicU64` words so that
+//! concurrent one-sided access from any PE is well-defined at the Rust
+//! level (SHMEM semantics allow races; the *bits* transfer atomically per
+//! element). An [`Element`] is a primitive that encodes to one such word.
+//! A message [`Payload`] is the same rule widened to a fixed run of words:
+//! every `Element` is a one-word payload, and arrays and pairs of payloads
+//! are payloads. Only data whose value is its bits can cross — no
+//! pointers, no boxes, no trait objects.
 
-/// A value storable in symmetric memory: bit-convertible to a `u64` word.
+/// A value storable in symmetric or shared memory: bit-convertible to a
+/// `u64` word.
 pub trait Element: Copy + Send + Sync + 'static {
     /// Size used for traffic accounting (the real element size, not the
     /// 8-byte backing word).
@@ -35,6 +39,7 @@ macro_rules! int_element {
     };
 }
 
+int_element!(u8);
 int_element!(u32);
 int_element!(i32);
 int_element!(u64);
@@ -79,6 +84,55 @@ impl IntElement for i32 {}
 impl IntElement for u64 {}
 impl IntElement for i64 {}
 impl IntElement for usize {}
+
+/// A value that can travel in a message: a fixed run of `u64` words.
+/// A value's *accounted* size stays `size_of::<T>()`, whatever number of
+/// words its encoding takes.
+pub trait Payload: Sized {
+    /// Words one value occupies (at least one).
+    const WORDS: usize;
+
+    /// Write the value into `out[..Self::WORDS]`.
+    fn encode(&self, out: &mut [u64]);
+
+    /// Read a value back from `words[..Self::WORDS]`.
+    fn decode(words: &[u64]) -> Self;
+}
+
+impl<T: Element> Payload for T {
+    const WORDS: usize = 1;
+    #[inline]
+    fn encode(&self, out: &mut [u64]) {
+        out[0] = self.to_bits();
+    }
+    #[inline]
+    fn decode(words: &[u64]) -> Self {
+        T::from_bits(words[0])
+    }
+}
+
+impl<T: Payload, const N: usize> Payload for [T; N] {
+    const WORDS: usize = N * T::WORDS;
+    fn encode(&self, out: &mut [u64]) {
+        for (v, w) in self.iter().zip(out.chunks_exact_mut(T::WORDS)) {
+            v.encode(w);
+        }
+    }
+    fn decode(words: &[u64]) -> Self {
+        std::array::from_fn(|i| T::decode(&words[i * T::WORDS..]))
+    }
+}
+
+impl<A: Payload, B: Payload> Payload for (A, B) {
+    const WORDS: usize = A::WORDS + B::WORDS;
+    fn encode(&self, out: &mut [u64]) {
+        self.0.encode(out);
+        self.1.encode(&mut out[A::WORDS..]);
+    }
+    fn decode(words: &[u64]) -> Self {
+        (A::decode(words), B::decode(&words[A::WORDS..]))
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -128,5 +182,6 @@ mod tests {
         assert_eq!(<u32 as Element>::BYTES, 4);
         assert_eq!(<f64 as Element>::BYTES, 8);
         assert_eq!(<f32 as Element>::BYTES, 4);
+        assert_eq!(<u8 as Element>::BYTES, 1);
     }
 }

@@ -102,7 +102,7 @@ impl<R> TeamRun<R> {
 pub(crate) struct TeamShared {
     /// Per-PE clock deposit slots for computing the barrier max.
     pub clock_slots: Vec<AtomicU64>,
-    /// Per-PE blackboard slots for blackboard collectives.
+    /// Per-PE blackboard slots for [`Ctx::broadcast`](crate::Ctx::broadcast).
     pub slots: Vec<Mutex<Option<Box<dyn Any + Send>>>>,
     /// The team's cooperative scheduler: every rendezvous, block and
     /// yield of the run goes through it.

@@ -9,7 +9,9 @@
 //! Concretely:
 //!
 //! * [`SasWorld::alloc`] creates a shared region (one instance, unlike the
-//!   per-PE instances of the symmetric heap).
+//!   per-PE instances of the symmetric heap). Allocation is collective, in
+//!   the one sequence [`parallel::Regions`] keeps for SHMEM and CC-SAS
+//!   alike; a restored world re-walks it with [`SasWorld::attach`].
 //! * Each PE accesses shared data through its [`SasPe`] handle, which owns a
 //!   software **set-associative cache simulator** ([`cache::CacheSim`],
 //!   128-byte lines as on the R10000's L2).

@@ -1,12 +1,11 @@
 //! Shared regions, the MSI directory, and the per-PE access handle.
 
-use std::any::TypeId;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use machine::{cost, Machine, TimeCat};
-use parallel::{Ctx, Element, EventKind, IntElement};
+use parallel::{Ctx, Element, EventKind, IntElement, Regions};
 use parking_lot::Mutex;
 
 use crate::cache::{line_tag, CacheSim, Probe};
@@ -152,7 +151,6 @@ impl Default for Line {
 /// homes and per-line directory state.
 pub(crate) struct RegionData {
     id: u32,
-    type_id: TypeId,
     len: usize,
     words_per_line: usize,
     words_per_page: usize,
@@ -178,8 +176,7 @@ impl RegionData {
 /// The CC-SAS "world": registry of shared regions plus the paging policy.
 pub struct SasWorld {
     machine: Arc<Machine>,
-    regions: Mutex<Vec<Arc<RegionData>>>,
-    alloc_seq: Vec<AtomicU32>,
+    regions: Regions<RegionData>,
     policy: PagePolicy,
     races: Option<Arc<RaceDetector>>,
 }
@@ -192,11 +189,9 @@ impl SasWorld {
 
     /// A world with an explicit paging policy (for the A1 ablation).
     pub fn with_paging(machine: Arc<Machine>, policy: PagePolicy) -> Self {
-        let pes = machine.pes();
         SasWorld {
+            regions: Regions::new(machine.pes()),
             machine,
-            regions: Mutex::new(Vec::new()),
-            alloc_seq: (0..pes).map(|_| AtomicU32::new(0)).collect(),
             policy,
             races: None,
         }
@@ -233,30 +228,16 @@ impl SasWorld {
     /// Collective allocation of a shared region of `len` elements of `T`.
     /// Every PE must call with the same arguments, in the same sequence.
     pub fn alloc<T: Element>(&self, ctx: &mut Ctx, len: usize) -> SasSlice<T> {
-        let idx = self.alloc_seq[ctx.pe()].fetch_add(1, Ordering::Relaxed) as usize;
-        let region = {
-            let mut regions = self.regions.lock();
-            if regions.len() <= idx {
-                debug_assert_eq!(regions.len(), idx, "allocation sequence skew");
-                regions.push(Arc::new(self.build_region(
-                    idx as u32,
-                    TypeId::of::<T>(),
-                    len,
-                )));
-            }
-            let r = Arc::clone(&regions[idx]);
-            assert_eq!(r.type_id, TypeId::of::<T>(), "shared alloc type mismatch");
-            assert_eq!(r.len, len, "shared alloc length mismatch");
-            r
-        };
-        ctx.barrier();
+        let region = self
+            .regions
+            .alloc::<T>(ctx, len, |idx| self.build_region(idx as u32, len));
         SasSlice {
             region,
             _t: PhantomData,
         }
     }
 
-    fn build_region(&self, id: u32, type_id: TypeId, len: usize) -> RegionData {
+    fn build_region(&self, id: u32, len: usize) -> RegionData {
         let cfg = &self.machine.config;
         let words_per_line = (cfg.line_bytes / 8).max(1);
         let words_per_page = (cfg.page_bytes / 8).max(1);
@@ -271,7 +252,6 @@ impl SasWorld {
             .collect();
         RegionData {
             id,
-            type_id,
             len,
             words_per_line,
             words_per_page,
@@ -316,9 +296,9 @@ impl SasWorld {
             PagePolicy::FirstTouch => 0,
             PagePolicy::RoundRobin => 1,
         });
-        let regions = self.regions.lock();
+        let regions = self.regions.all();
         w.u64(regions.len() as u64);
-        for r in regions.iter() {
+        for r in &regions {
             w.u64(r.len as u64);
             w.u64(r.words_per_line as u64);
             w.u64(r.words_per_page as u64);
@@ -384,7 +364,7 @@ impl SasWorld {
             let len = rd.count(8)?;
             let wpl = rd.u64()? as usize;
             let wpp = rd.u64()? as usize;
-            let region = self.build_region(idx as u32, TypeId::of::<Imported>(), len);
+            let region = self.build_region(idx as u32, len);
             if wpl != region.words_per_line || wpp != region.words_per_page {
                 return Err(format!(
                     "sas snapshot line/page geometry {wpl}/{wpp} words, machine gives {}/{}",
@@ -426,15 +406,10 @@ impl SasWorld {
                 line.meta
                     .store(pack_meta(d.version, d.owner, d.dirty), Ordering::Release);
             }
-            imported.push(Arc::new(region));
+            imported.push((len, region));
         }
         rd.finish()?;
-        let mut regions = self.regions.lock();
-        if !regions.is_empty() {
-            return Err("sas import into a world that already has regions".into());
-        }
-        *regions = imported;
-        Ok(())
+        self.regions.import(imported)
     }
 
     /// Re-acquire the next region in allocation order after an import.
@@ -446,28 +421,12 @@ impl SasWorld {
     /// Panics if the next region's length disagrees, or its element type
     /// (when known) is not `T`.
     pub fn attach<T: Element>(&self, ctx: &Ctx, len: usize) -> SasSlice<T> {
-        let idx = self.alloc_seq[ctx.pe()].fetch_add(1, Ordering::Relaxed) as usize;
-        let regions = self.regions.lock();
-        let r = regions
-            .get(idx)
-            .unwrap_or_else(|| panic!("attach #{idx}: snapshot has only {} regions", regions.len()))
-            .clone();
-        assert!(
-            r.type_id == TypeId::of::<Imported>() || r.type_id == TypeId::of::<T>(),
-            "attach #{idx}: element type mismatch"
-        );
-        assert_eq!(r.len, len, "attach #{idx}: length mismatch");
         SasSlice {
-            region: r,
+            region: self.regions.attach::<T>(ctx, len),
             _t: PhantomData,
         }
     }
 }
-
-/// Sentinel element type for regions rebuilt from a snapshot: the wire
-/// format stores raw bit patterns with no type information, so imported
-/// regions accept any [`SasWorld::attach`] of the right length.
-struct Imported;
 
 /// Handle to a shared region of `T`. Clones alias the same region.
 pub struct SasSlice<T: Element> {
@@ -1198,10 +1157,13 @@ mod tests {
     #[test]
     fn import_rejects_version1_sections() {
         let (w, _) = setup(2);
-        let mut bytes = w.export_state_bytes();
-        assert_eq!(bytes[..8], 2u64.to_le_bytes(), "export is version 2");
-        bytes[..8].copy_from_slice(&1u64.to_le_bytes());
-        let err = w.import_state_bytes(&bytes).unwrap_err();
+        let bytes = w.export_state_bytes();
+        let version = o2k_snap::wire::WireReader::new(&bytes).u64();
+        assert_eq!(version, Ok(2), "export is version 2");
+        let mut v1 = o2k_snap::wire::WireWriter::new();
+        v1.u64(1);
+        v1.raw(&bytes[8..]);
+        let err = w.import_state_bytes(&v1.into_bytes()).unwrap_err();
         assert_eq!(err, "sas snapshot version 1, expected 2");
     }
 

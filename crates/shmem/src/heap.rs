@@ -1,19 +1,14 @@
 //! The symmetric heap: collectively allocated, one-sided-accessible arrays.
 
-use std::any::TypeId;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use machine::{cost, Machine, TimeCat};
-use parallel::{Ctx, EventKind};
-use parking_lot::Mutex;
-
-use parallel::{Element, IntElement};
+use parallel::{Ctx, Element, EventKind, IntElement, Regions};
 
 /// One symmetric region: `len` elements of some [`Element`] type on every PE.
 struct Region {
-    type_id: TypeId,
     len: usize,
     /// `mem[pe]` is PE `pe`'s instance once something has been stored into
     /// it; an unset instance reads as `len` zero words, which is what a
@@ -24,9 +19,8 @@ struct Region {
 }
 
 impl Region {
-    fn new(type_id: TypeId, len: usize, pes: usize) -> Self {
+    fn new(len: usize, pes: usize) -> Self {
         Region {
-            type_id,
             len,
             mem: (0..pes).map(|_| OnceLock::new()).collect(),
         }
@@ -52,29 +46,21 @@ impl Region {
     }
 }
 
-/// Sentinel element type for regions rebuilt from a snapshot: the wire
-/// format stores raw bit patterns with no type information, so imported
-/// regions accept any [`SymWorld::attach`] of the right length.
-struct Imported;
-
 /// The SHMEM "world": registry of symmetric regions plus the machine model.
 ///
 /// Created once before [`parallel::Team::run`] and shared by reference into
 /// the PE closure, like the other model worlds.
 pub struct SymWorld {
     machine: Arc<Machine>,
-    regions: Mutex<Vec<Arc<Region>>>,
-    alloc_seq: Vec<AtomicU32>,
+    regions: Regions<Region>,
 }
 
 impl SymWorld {
     /// A world covering every PE of `machine`.
     pub fn new(machine: Arc<Machine>) -> Self {
-        let pes = machine.pes();
         SymWorld {
+            regions: Regions::new(machine.pes()),
             machine,
-            regions: Mutex::new(Vec::new()),
-            alloc_seq: (0..pes).map(|_| AtomicU32::new(0)).collect(),
         }
     }
 
@@ -97,25 +83,12 @@ impl SymWorld {
     /// # Panics
     /// Panics if PEs disagree on the type or length of the allocation.
     pub fn alloc<T: Element>(&self, ctx: &mut Ctx, len: usize) -> SymSlice<T> {
-        let idx = self.alloc_seq[ctx.pe()].fetch_add(1, Ordering::Relaxed) as usize;
-        let region = {
-            let mut regions = self.regions.lock();
-            if regions.len() <= idx {
-                debug_assert_eq!(regions.len(), idx, "allocation sequence skew");
-                regions.push(Arc::new(Region::new(TypeId::of::<T>(), len, self.size())));
-            }
-            let r = Arc::clone(&regions[idx]);
-            assert_eq!(
-                r.type_id,
-                TypeId::of::<T>(),
-                "symmetric alloc type mismatch"
-            );
-            assert_eq!(r.len, len, "symmetric alloc length mismatch");
-            r
-        };
-        // Rendezvous so no PE uses the region before all have the handle
-        // (shmalloc is specified as collective with an implicit barrier).
-        ctx.barrier();
+        // Collective with an implicit barrier, as `shmalloc` is specified.
+        let pes = self.size();
+        self.slice(self.regions.alloc::<T>(ctx, len, |_| Region::new(len, pes)))
+    }
+
+    fn slice<T: Element>(&self, region: Arc<Region>) -> SymSlice<T> {
         SymSlice {
             machine: Arc::clone(&self.machine),
             region,
@@ -138,9 +111,9 @@ impl SymWorld {
         let mut w = o2k_snap::wire::WireWriter::new();
         w.u64(Self::STATE_VERSION);
         w.u64(self.size() as u64);
-        let regions = self.regions.lock();
+        let regions = self.regions.all();
         w.u64(regions.len() as u64);
-        for r in regions.iter() {
+        for r in &regions {
             w.u64(r.len as u64);
             for pe in 0..self.size() {
                 for bits in r.bits(pe, 0, r.len) {
@@ -179,7 +152,7 @@ impl SymWorld {
         for _ in 0..n_regions {
             // `len` words follow for each of the `pes` PEs.
             let len = rd.count(8 * pes)?;
-            let region = Region::new(TypeId::of::<Imported>(), len, pes);
+            let region = Region::new(len, pes);
             for cell in &region.mem {
                 let words = (0..len)
                     .map(|_| rd.u64())
@@ -189,15 +162,10 @@ impl SymWorld {
                     let _ = cell.set(words.into_iter().map(AtomicU64::new).collect());
                 }
             }
-            imported.push(Arc::new(region));
+            imported.push((len, region));
         }
         rd.finish()?;
-        let mut regions = self.regions.lock();
-        if !regions.is_empty() {
-            return Err("shmem import into a world that already has regions".into());
-        }
-        *regions = imported;
-        Ok(())
+        self.regions.import(imported)
     }
 
     /// Re-acquire the next region in allocation order after an import.
@@ -210,22 +178,7 @@ impl SymWorld {
     /// Panics if the next region's length disagrees, or its element type
     /// (when known) is not `T`.
     pub fn attach<T: Element>(&self, ctx: &Ctx, len: usize) -> SymSlice<T> {
-        let idx = self.alloc_seq[ctx.pe()].fetch_add(1, Ordering::Relaxed) as usize;
-        let regions = self.regions.lock();
-        let r = regions
-            .get(idx)
-            .unwrap_or_else(|| panic!("attach #{idx}: snapshot has only {} regions", regions.len()))
-            .clone();
-        assert!(
-            r.type_id == TypeId::of::<Imported>() || r.type_id == TypeId::of::<T>(),
-            "attach #{idx}: element type mismatch"
-        );
-        assert_eq!(r.len, len, "attach #{idx}: length mismatch");
-        SymSlice {
-            machine: Arc::clone(&self.machine),
-            region: r,
-            _t: PhantomData,
-        }
+        self.slice(self.regions.attach::<T>(ctx, len))
     }
 }
 
@@ -629,7 +582,7 @@ mod tests {
 
     /// Which PEs' instances of region 0 have been materialised.
     fn held(w: &SymWorld) -> Vec<bool> {
-        let regions = w.regions.lock();
+        let regions = w.regions.all();
         regions[0].mem.iter().map(|m| m.get().is_some()).collect()
     }
 

@@ -295,7 +295,9 @@ pub struct PeCore {
 }
 
 impl PeCore {
-    /// Serialise into `w`.
+    /// Serialise into `w`: the clock, its breakdown, every counter in
+    /// [`Counters`]' declaration order (scalars, then histogram buckets),
+    /// then the RNG state, epoch and pending backlog.
     pub fn encode(&self, w: &mut WireWriter) {
         w.u64(self.now);
         w.u64(self.breakdown.busy);
@@ -303,35 +305,7 @@ impl PeCore {
         w.u64(self.breakdown.remote);
         w.u64(self.breakdown.sync);
         let c = &self.counters;
-        for v in [
-            c.msgs_sent,
-            c.msg_bytes,
-            c.msgs_recvd,
-            c.puts,
-            c.put_bytes,
-            c.gets,
-            c.get_bytes,
-            c.amos,
-            c.cache_hits,
-            c.misses_local,
-            c.misses_remote,
-            c.invalidations,
-            c.upgrades,
-            c.barriers,
-            c.lock_acquires,
-            c.sched_handoffs,
-            c.requests_served,
-            c.requests_stolen,
-            c.replica_bytes,
-            c.net_transfers,
-            c.net_links,
-            c.net_queued_ns,
-            c.net_bus_queued_ns,
-            c.net_hub_queued_ns,
-        ] {
-            w.u64(v);
-        }
-        for v in c.msg_size_hist {
+        for v in c.scalars().into_iter().chain(c.msg_size_hist) {
             w.u64(v);
         }
         w.u64(self.rng_state);
@@ -349,32 +323,7 @@ impl PeCore {
             sync: r.u64()?,
         };
         let mut c = Counters::new();
-        for f in [
-            &mut c.msgs_sent,
-            &mut c.msg_bytes,
-            &mut c.msgs_recvd,
-            &mut c.puts,
-            &mut c.put_bytes,
-            &mut c.gets,
-            &mut c.get_bytes,
-            &mut c.amos,
-            &mut c.cache_hits,
-            &mut c.misses_local,
-            &mut c.misses_remote,
-            &mut c.invalidations,
-            &mut c.upgrades,
-            &mut c.barriers,
-            &mut c.lock_acquires,
-            &mut c.sched_handoffs,
-            &mut c.requests_served,
-            &mut c.requests_stolen,
-            &mut c.replica_bytes,
-            &mut c.net_transfers,
-            &mut c.net_links,
-            &mut c.net_queued_ns,
-            &mut c.net_bus_queued_ns,
-            &mut c.net_hub_queued_ns,
-        ] {
+        for f in c.scalars_mut() {
             *f = r.u64()?;
         }
         for f in &mut c.msg_size_hist {
@@ -526,13 +475,17 @@ mod tests {
         assert!(Snapshot::from_bytes(&ok).is_err());
     }
 
-    #[test]
-    fn pe_core_roundtrip() {
+    /// A `PeCore` whose every counter holds a distinct value, set through
+    /// the one counter list.
+    fn distinct_core() -> PeCore {
         let mut counters = Counters::new();
-        counters.record_msg_sent(100);
-        counters.puts = 7;
-        counters.msg_size_hist[4] = 3;
-        let core = PeCore {
+        for (i, f) in counters.scalars_mut().into_iter().enumerate() {
+            *f = 1 + i as u64 * 0x1_0001;
+        }
+        for (i, b) in counters.msg_size_hist.iter_mut().enumerate() {
+            *b = 1000 + i as u64;
+        }
+        PeCore {
             now: 1234,
             breakdown: TimeBreakdown {
                 busy: 1000,
@@ -544,12 +497,44 @@ mod tests {
             rng_state: 0xdead_beef,
             global_epoch: 5,
             net_pending: 99,
-        };
+        }
+    }
+
+    fn encoded(core: &PeCore) -> Vec<u8> {
         let mut w = WireWriter::new();
         core.encode(&mut w);
-        let bytes = w.into_bytes();
+        w.into_bytes()
+    }
+
+    #[test]
+    fn every_counter_survives_merge_diff_and_the_snapshot_codec() {
+        let core = distinct_core();
+        let c = &core.counters;
+        // The struct is the list plus the five histogram buckets, nothing
+        // else: a field declared outside the list fails here.
+        assert_eq!(
+            std::mem::size_of::<Counters>(),
+            8 * (Counters::NAMES.len() + 5)
+        );
+        let mut doubled = c.clone();
+        doubled.merge(c);
+        let twice = |v: u64| 2 * v;
+        assert_eq!(doubled.scalars(), c.scalars().map(twice));
+        assert_eq!(doubled.msg_size_hist, c.msg_size_hist.map(twice));
+        assert_eq!(doubled.diff(c), *c);
+        let bytes = encoded(&core);
         let back = PeCore::decode(&mut WireReader::new(&bytes)).unwrap();
         assert_eq!(back, core);
+    }
+
+    /// The `core/<pe>` layout is fixed: these bytes were produced by the
+    /// field-by-field codec the counter list replaced. A new counter
+    /// changes the layout, so it bumps [`FORMAT_VERSION`] and re-pins.
+    #[test]
+    fn the_core_section_bytes_are_pinned() {
+        let bytes = encoded(&distinct_core());
+        assert_eq!(bytes.len(), 8 * (5 + 24 + 5 + 3));
+        assert_eq!(fnv1a(&bytes), 0x1dda_37a1_2319_cf45);
     }
 
     #[test]
