@@ -13,21 +13,31 @@
 //! records its children, so the hierarchy supports cheap coarsening and
 //! parent lookups (as the paper's remeshing code did).
 
-use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 use crate::geom::{self, Point2};
+use crate::hash::{IdMap, IdSet};
 
 /// Sentinel for "no parent".
 const NONE: u32 = u32::MAX;
 
+/// An undirected edge, smaller vertex id first.
+pub(crate) type Edge = (u32, u32);
+
 /// Canonical (undirected) edge key.
 #[inline]
-fn edge_key(a: u32, b: u32) -> (u32, u32) {
+pub(crate) fn edge_key(a: u32, b: u32) -> Edge {
     if a < b {
         (a, b)
     } else {
         (b, a)
     }
+}
+
+/// The three edges of triangle `[a, b, c]`, in the order `ab`, `bc`, `ac`.
+#[inline]
+pub(crate) fn tri_edges([a, b, c]: [u32; 3]) -> [Edge; 3] {
+    [edge_key(a, b), edge_key(b, c), edge_key(a, c)]
 }
 
 /// Statistics returned by [`AdaptiveMesh::refine`].
@@ -51,10 +61,12 @@ pub struct AdaptiveMesh {
     tris: Vec<[u32; 3]>,
     alive: Vec<bool>,
     parent: Vec<u32>,
-    children: Vec<Vec<u32>>,
+    /// Children of each triangle as `(first id, count)`: a split creates
+    /// its children consecutively. `count == 0` for a leaf.
+    children: Vec<(u32, u8)>,
     level: Vec<u8>,
     /// Midpoint vertex registered per split edge.
-    midpoints: HashMap<(u32, u32), u32>,
+    midpoints: IdMap<Edge, u32>,
     base_area: f64,
 }
 
@@ -85,16 +97,22 @@ impl AdaptiveMesh {
                 tris.push([v00, v11, v01]);
             }
         }
+        Self::from_base(verts, tris)
+    }
+
+    /// A level-0 mesh of exactly these triangles, all active; its area is
+    /// the one adaptation must conserve.
+    pub(crate) fn from_base(verts: Vec<Point2>, tris: Vec<[u32; 3]>) -> Self {
         let n = tris.len();
         let mut mesh = AdaptiveMesh {
             verts,
             tris,
             alive: vec![true; n],
             parent: vec![NONE; n],
-            children: vec![Vec::new(); n],
+            children: vec![(0, 0); n],
             level: vec![0; n],
-            midpoints: HashMap::new(),
-            base_area: width * height,
+            midpoints: IdMap::default(),
+            base_area: 0.0,
         };
         mesh.base_area = mesh.total_area();
         mesh
@@ -164,13 +182,10 @@ impl AdaptiveMesh {
     /// closure pulls in). Marked triangles split 1:4; closure neighbours
     /// with one marked edge split 1:2.
     pub fn refine(&mut self, marked: &[u32]) -> RefineReport {
-        let mut marked_edges: HashSet<(u32, u32)> = HashSet::new();
+        let mut marked_edges = IdSet::default();
         for &t in marked {
             if self.alive[t as usize] {
-                let [a, b, c] = self.tris[t as usize];
-                marked_edges.insert(edge_key(a, b));
-                marked_edges.insert(edge_key(b, c));
-                marked_edges.insert(edge_key(a, c));
+                marked_edges.extend(tri_edges(self.tris[t as usize]));
             }
         }
         self.apply_marked_edges(marked_edges)
@@ -179,19 +194,36 @@ impl AdaptiveMesh {
     /// Core of refinement: close the marked-edge set (>=2 marked edges on a
     /// triangle promotes to all three), then split every affected active
     /// triangle red (3 marked) or green (1 marked).
-    fn apply_marked_edges(&mut self, mut marked_edges: HashSet<(u32, u32)>) -> RefineReport {
+    fn apply_marked_edges(&mut self, mut marked_edges: IdSet<Edge>) -> RefineReport {
         if marked_edges.is_empty() {
             return RefineReport::default();
         }
         let active: Vec<u32> = self.active_tris();
+        // Endpoints of marked edges: a triangle with fewer than two of them
+        // has no marked edge, so it skips the set lookups.
+        let mut touched = vec![false; self.verts.len()];
+        for &(a, b) in &marked_edges {
+            touched[a as usize] = true;
+            touched[b as usize] = true;
+        }
+        let may_touch = |[a, b, c]: [u32; 3]| {
+            u8::from(touched[a as usize])
+                + u8::from(touched[b as usize])
+                + u8::from(touched[c as usize])
+                >= 2
+        };
 
         loop {
             let mut changed = false;
             for &t in &active {
-                let [a, b, c] = self.tris[t as usize];
-                let e = [edge_key(a, b), edge_key(b, c), edge_key(a, c)];
+                let tri = self.tris[t as usize];
+                if !may_touch(tri) {
+                    continue;
+                }
+                let e = tri_edges(tri);
                 let n = e.iter().filter(|k| marked_edges.contains(*k)).count();
                 if n == 2 {
+                    // Two marked edges already touch all three corners.
                     for k in e {
                         changed |= marked_edges.insert(k);
                     }
@@ -206,8 +238,10 @@ impl AdaptiveMesh {
         let mut report = RefineReport::default();
         for &t in &active {
             let [a, b, c] = self.tris[t as usize];
-            let e = [edge_key(a, b), edge_key(b, c), edge_key(a, c)];
-            let m: Vec<bool> = e.iter().map(|k| marked_edges.contains(k)).collect();
+            if !may_touch([a, b, c]) {
+                continue;
+            }
+            let m = tri_edges([a, b, c]).map(|k| marked_edges.contains(&k));
             match m.iter().filter(|&&x| x).count() {
                 0 => {}
                 3 => {
@@ -243,6 +277,12 @@ impl AdaptiveMesh {
         report
     }
 
+    /// Children of triangle `t` (empty for a leaf).
+    fn kids(&self, t: u32) -> Range<u32> {
+        let (first, count) = self.children[t as usize];
+        first..first + u32::from(count)
+    }
+
     /// Coarsen sibling groups whose children are all active and all marked.
     ///
     /// Coarsening at the boundary of the marked region can expose hanging
@@ -254,54 +294,51 @@ impl AdaptiveMesh {
     /// iterating to a fixpoint since skipping one group can pin others.
     /// Returns the number of groups coarsened.
     pub fn coarsen(&mut self, marked: &[u32]) -> usize {
-        let marked: HashSet<u32> = marked
-            .iter()
-            .copied()
-            .filter(|&t| self.alive[t as usize])
-            .collect();
+        let mut is_marked = vec![false; self.tris.len()];
+        for &t in marked {
+            is_marked[t as usize] = self.alive[t as usize];
+        }
 
         // Candidate parents: every child alive and marked.
-        let mut parents: Vec<u32> = marked.iter().filter_map(|&t| self.parent_of(t)).collect();
+        let mut parents: Vec<u32> = marked
+            .iter()
+            .filter(|&&t| is_marked[t as usize])
+            .filter_map(|&t| self.parent_of(t))
+            .collect();
         parents.sort_unstable();
         parents.dedup();
-        let mut in_set: HashSet<u32> = parents
-            .into_iter()
-            .filter(|&p| {
-                let kids = &self.children[p as usize];
-                !kids.is_empty()
-                    && kids
-                        .iter()
-                        .all(|&k| self.alive[k as usize] && marked.contains(&k))
-            })
-            .collect();
-        if in_set.is_empty() {
+        parents.retain(|&p| {
+            let mut kids = self.kids(p);
+            !kids.is_empty() && kids.all(|k| self.alive[k as usize] && is_marked[k as usize])
+        });
+        if parents.is_empty() {
             return 0;
+        }
+        let mut in_set = vec![false; self.tris.len()];
+        for &p in &parents {
+            in_set[p as usize] = true;
         }
 
         // Which active triangles use each vertex.
-        let mut users: HashMap<u32, Vec<u32>> = HashMap::new();
-        for &t in &self.active_tris() {
-            for v in self.tris[t as usize] {
-                users.entry(v).or_default().push(t);
-            }
-        }
+        let active = self.active_tris();
+        let corners: Vec<[u32; 3]> = active.iter().map(|&t| self.tris[t as usize]).collect();
+        let users = Incidence::new(self.verts.len(), &corners);
 
         // Fixpoint: drop groups with >= 2 parent-edge midpoints pinned by
         // outside triangles (coarsening them would be immediately undone by
         // a red re-split; <= 1 pin costs only a green patch).
         loop {
-            let offenders: Vec<u32> = in_set
+            let offenders: Vec<u32> = parents
                 .iter()
                 .copied()
                 .filter(|&p| {
-                    let [a, b, c] = self.tris[p as usize];
-                    let pinned = [edge_key(a, b), edge_key(b, c), edge_key(a, c)]
+                    let pinned = tri_edges(self.tris[p as usize])
                         .iter()
                         .filter_map(|k| self.midpoints.get(k))
-                        .filter(|m| {
-                            users.get(m).into_iter().flatten().any(|&t| {
-                                let tp = self.parent[t as usize];
-                                tp == NONE || !in_set.contains(&tp)
+                        .filter(|&&m| {
+                            users.around(m).iter().any(|&i| {
+                                let tp = self.parent[active[i as usize] as usize];
+                                tp == NONE || !in_set[tp as usize]
                             })
                         })
                         .count();
@@ -312,19 +349,21 @@ impl AdaptiveMesh {
                 break;
             }
             for p in offenders {
-                in_set.remove(&p);
+                in_set[p as usize] = false;
             }
+            parents.retain(|&p| in_set[p as usize]);
         }
 
-        for &p in &in_set {
-            for k in std::mem::take(&mut self.children[p as usize]) {
+        for &p in &parents {
+            for k in self.kids(p) {
                 self.alive[k as usize] = false;
             }
+            self.children[p as usize] = (0, 0);
             self.alive[p as usize] = true;
         }
 
         self.restore_conformity();
-        in_set.len()
+        parents.len()
     }
 
     /// Green-patch any active edge whose registered midpoint is used by an
@@ -332,16 +371,17 @@ impl AdaptiveMesh {
     fn restore_conformity(&mut self) {
         loop {
             let active = self.active_tris();
-            let mut used: HashSet<u32> = HashSet::new();
+            let mut used = vec![false; self.verts.len()];
             for &t in &active {
-                used.extend(self.tris[t as usize]);
+                for v in self.tris[t as usize] {
+                    used[v as usize] = true;
+                }
             }
-            let mut hanging: HashSet<(u32, u32)> = HashSet::new();
+            let mut hanging = IdSet::default();
             for &t in &active {
-                let [a, b, c] = self.tris[t as usize];
-                for k in [edge_key(a, b), edge_key(b, c), edge_key(a, c)] {
-                    if let Some(m) = self.midpoints.get(&k) {
-                        if used.contains(m) {
+                for k in tri_edges(self.tris[t as usize]) {
+                    if let Some(&m) = self.midpoints.get(&k) {
+                        if used[m as usize] {
                             hanging.insert(k);
                         }
                     }
@@ -355,35 +395,30 @@ impl AdaptiveMesh {
     }
 
     fn midpoint(&mut self, a: u32, b: u32) -> u32 {
-        let key = edge_key(a, b);
-        if let Some(&m) = self.midpoints.get(&key) {
-            return m;
+        let next = self.verts.len() as u32;
+        let m = *self.midpoints.entry(edge_key(a, b)).or_insert(next);
+        if m == next {
+            let p = self.verts[a as usize].midpoint(&self.verts[b as usize]);
+            self.verts.push(p);
         }
-        let m = self.verts.len() as u32;
-        let p = self.verts[a as usize].midpoint(&self.verts[b as usize]);
-        self.verts.push(p);
-        self.midpoints.insert(key, m);
         m
     }
 
     fn split(&mut self, t: u32, children: &[[u32; 3]]) {
         self.alive[t as usize] = false;
         let lvl = self.level[t as usize] + 1;
-        let mut ids = Vec::with_capacity(children.len());
+        self.children[t as usize] = (self.tris.len() as u32, children.len() as u8);
         for &c in children {
-            let id = self.tris.len() as u32;
             self.tris.push(c);
             self.alive.push(true);
             self.parent.push(t);
-            self.children.push(Vec::new());
+            self.children.push((0, 0));
             self.level.push(lvl);
-            ids.push(id);
         }
-        self.children[t as usize] = ids;
     }
 
     /// Check structural invariants; returns a description of the first
-    /// violation found.
+    /// violation found, scanning triangles and edges in ascending id order.
     ///
     /// * every active triangle has three distinct vertices and positive
     ///   (CCW) area;
@@ -393,8 +428,8 @@ impl AdaptiveMesh {
     /// * total active area equals the base-mesh area.
     pub fn validate(&self) -> Result<(), String> {
         let active = self.active_tris();
-        let mut edge_count: HashMap<(u32, u32), u32> = HashMap::new();
-        let mut used_verts: HashSet<u32> = HashSet::new();
+        let mut edges: Vec<Edge> = Vec::with_capacity(3 * active.len());
+        let mut used_verts = vec![false; self.verts.len()];
         for &t in &active {
             let [a, b, c] = self.tris[t as usize];
             if a == b || b == c || a == c {
@@ -404,22 +439,25 @@ impl AdaptiveMesh {
             if geom::signed_area2(&pa, &pb, &pc) <= 0.0 {
                 return Err(format!("triangle {t} is degenerate or CW"));
             }
-            for k in [edge_key(a, b), edge_key(b, c), edge_key(a, c)] {
-                *edge_count.entry(k).or_insert(0) += 1;
+            edges.extend(tri_edges([a, b, c]));
+            for v in [a, b, c] {
+                used_verts[v as usize] = true;
             }
-            used_verts.extend([a, b, c]);
         }
-        for (k, n) in &edge_count {
-            if *n > 2 {
+        edges.sort_unstable();
+        for run in edges.chunk_by(|x, y| x == y) {
+            if run.len() > 2 {
+                let (k, n) = (run[0], run.len());
                 return Err(format!("edge {k:?} borders {n} active triangles"));
             }
         }
+        edges.dedup();
         // Hanging nodes: an active edge whose midpoint vertex is in use.
-        for (k, &m) in &self.midpoints {
-            if edge_count.contains_key(k) && used_verts.contains(&m) {
-                // The midpoint may legitimately be in use if the coarse edge
-                // is NOT active... but we just checked it is.
-                return Err(format!("hanging node {m} on active edge {k:?}"));
+        for k in &edges {
+            if let Some(&m) = self.midpoints.get(k) {
+                if used_verts[m as usize] {
+                    return Err(format!("hanging node {m} on active edge {k:?}"));
+                }
             }
         }
         let area = self.total_area();
@@ -430,6 +468,45 @@ impl AdaptiveMesh {
             ));
         }
         Ok(())
+    }
+}
+
+/// Vertex → triangle incidence in CSR form, built by counting sort.
+///
+/// Built from a list of triangles' corners; the triangles around vertex
+/// `v` are given as positions into that list, ascending.
+pub(crate) struct Incidence {
+    start: Vec<u32>,
+    pos: Vec<u32>,
+}
+
+impl Incidence {
+    /// Incidence of vertices `0..nverts` with the triangles `corners`.
+    pub(crate) fn new(nverts: usize, corners: &[[u32; 3]]) -> Self {
+        let mut start = vec![0u32; nverts + 1];
+        for tri in corners {
+            for &v in tri {
+                start[v as usize + 1] += 1;
+            }
+        }
+        for v in 1..start.len() {
+            start[v] += start[v - 1];
+        }
+        let mut fill = start.clone();
+        let mut pos = vec![0u32; 3 * corners.len()];
+        for (i, tri) in corners.iter().enumerate() {
+            for &v in tri {
+                pos[fill[v as usize] as usize] = i as u32;
+                fill[v as usize] += 1;
+            }
+        }
+        Incidence { start, pos }
+    }
+
+    /// Positions (into the corner list) of the triangles using vertex `v`.
+    #[inline]
+    pub(crate) fn around(&self, v: u32) -> &[u32] {
+        &self.pos[self.start[v as usize] as usize..self.start[v as usize + 1] as usize]
     }
 }
 
@@ -448,6 +525,32 @@ mod tests {
         assert_eq!(m.num_active(), 32);
         m.validate().expect("fresh mesh valid");
         assert!((m.total_area() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn validate_names_the_smallest_hanging_edge() {
+        for _ in 0..20 {
+            // Red-split triangle 0 = [0, 1, 6], whose two interior edges
+            // green-split triangles 1 and 3, then revive 0 without the
+            // conformity pass: both green patches now hang on 0's edges.
+            let mut m = mesh4();
+            m.refine(&[0]);
+            for k in m.kids(0) {
+                m.alive[k as usize] = false;
+            }
+            m.children[0] = (0, 0);
+            m.alive[0] = true;
+            let (small, large) = ((0, 6), (1, 6));
+            for k in [small, large] {
+                let mid = m.midpoints[&k];
+                assert!(m.active_tris().iter().any(|&t| m.tri(t).contains(&mid)));
+            }
+            let mid = m.midpoints[&small];
+            assert_eq!(
+                m.validate(),
+                Err(format!("hanging node {mid} on active edge {small:?}"))
+            );
+        }
     }
 
     #[test]
@@ -598,13 +701,11 @@ mod tests {
         let mut m = mesh4();
         m.refine(&[0, 5, 9]);
         let active = m.active_tris();
-        let mut edges: HashSet<(u32, u32)> = HashSet::new();
-        let mut verts: HashSet<u32> = HashSet::new();
+        let mut edges: IdSet<Edge> = IdSet::default();
+        let mut verts: IdSet<u32> = IdSet::default();
         for &t in &active {
             let [a, b, c] = m.tri(t);
-            edges.insert(edge_key(a, b));
-            edges.insert(edge_key(b, c));
-            edges.insert(edge_key(a, c));
+            edges.extend(tri_edges([a, b, c]));
             verts.extend([a, b, c]);
         }
         // V - E + F = 1 for a triangulated disk (outer face excluded).
@@ -707,19 +808,7 @@ impl AdaptiveMesh {
                 tris.push([v00, v01, v11]);
             }
         }
-        let n = tris.len();
-        let mut mesh = AdaptiveMesh {
-            verts,
-            tris,
-            alive: vec![true; n],
-            parent: vec![NONE; n],
-            children: vec![Vec::new(); n],
-            level: vec![0; n],
-            midpoints: HashMap::new(),
-            base_area: 0.0,
-        };
-        mesh.base_area = mesh.total_area();
-        mesh
+        Self::from_base(verts, tris)
     }
 }
 
@@ -744,13 +833,11 @@ mod annulus_tests {
     fn annulus_is_not_a_disk_topologically() {
         // V − E + F = 0 for an annulus (one hole), not 1.
         let m = AdaptiveMesh::annulus(2, 8, 0.3, 1.0);
-        let mut edges = std::collections::HashSet::new();
-        let mut verts = std::collections::HashSet::new();
+        let mut edges = IdSet::default();
+        let mut verts = IdSet::default();
         for t in m.active_tris() {
             let [a, b, c] = m.tri(t);
-            for (x, y) in [(a, b), (b, c), (a, c)] {
-                edges.insert(if x < y { (x, y) } else { (y, x) });
-            }
+            edges.extend(tri_edges([a, b, c]));
             verts.extend([a, b, c]);
         }
         let euler = verts.len() as i64 - edges.len() as i64 + m.num_active() as i64;

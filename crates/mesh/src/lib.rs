@@ -30,6 +30,7 @@ pub mod adaptive;
 pub mod dual;
 pub mod export;
 pub mod geom;
+mod hash;
 pub mod indicator;
 pub mod quality;
 

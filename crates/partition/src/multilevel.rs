@@ -140,15 +140,14 @@ impl WGraph {
         // Build coarse adjacency by accumulating edge weights.
         let cn = next as usize;
         let mut cvwgt = vec![0.0f64; cn];
-        let mut nbr_maps: Vec<std::collections::HashMap<u32, f64>> =
-            vec![std::collections::HashMap::new(); cn];
+        let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); cn];
         for v in 0..n {
             let cv = map[v] as usize;
             cvwgt[cv] += self.vwgt[v];
             for (u, w) in self.neighbors(v) {
                 let cu = map[u as usize];
                 if cu as usize != cv {
-                    *nbr_maps[cv].entry(cu).or_insert(0.0) += w;
+                    accumulate(&mut rows[cv], cu, w);
                 }
             }
         }
@@ -156,8 +155,7 @@ impl WGraph {
         let mut adj = Vec::new();
         let mut ewgt = Vec::new();
         xadj.push(0);
-        for m in &nbr_maps {
-            let mut entries: Vec<(u32, f64)> = m.iter().map(|(&u, &w)| (u, w)).collect();
+        for mut entries in rows {
             entries.sort_unstable_by_key(|e| e.0);
             for (u, w) in entries {
                 adj.push(u);
@@ -174,6 +172,16 @@ impl WGraph {
             },
             map,
         )
+    }
+}
+
+/// Add `w` to `key`'s entry of a short keyed list, appending the key in
+/// first-seen order: a deterministic stand-in for a map of a vertex's few
+/// neighbouring coarse vertices or parts.
+fn accumulate(list: &mut Vec<(u32, f64)>, key: u32, w: f64) {
+    match list.iter_mut().find(|(k, _)| *k == key) {
+        Some((_, acc)) => *acc += w,
+        None => list.push((key, w)),
     }
 }
 
@@ -243,25 +251,30 @@ fn refine(g: &WGraph, parts: &mut [u32], nparts: usize, passes: usize) {
     for (v, &p) in parts.iter().enumerate() {
         loads[p as usize] += g.vwgt[v];
     }
+    let mut conn: Vec<(u32, f64)> = Vec::new();
     for _ in 0..passes {
         let mut moved = false;
         for v in 0..g.n() {
             let from = parts[v] as usize;
-            // Connectivity of v to each adjacent part.
-            let mut conn: std::collections::HashMap<u32, f64> = std::collections::HashMap::new();
+            // Connectivity of v to each adjacent part, in neighbour order.
+            conn.clear();
             for (u, w) in g.neighbors(v) {
-                *conn.entry(parts[u as usize]).or_insert(0.0) += w;
+                accumulate(&mut conn, parts[u as usize], w);
             }
-            let internal = conn.get(&(from as u32)).copied().unwrap_or(0.0);
+            let internal = conn
+                .iter()
+                .find(|&&(p, _)| p as usize == from)
+                .map_or(0.0, |&(_, w)| w);
+            // Best positive gain; equal gains go to the lowest part id.
             let mut best: Option<(u32, f64)> = None;
-            for (&p, &w) in &conn {
+            for &(p, w) in &conn {
                 if p as usize == from {
                     continue;
                 }
                 let gain = w - internal;
                 if gain > 0.0
                     && loads[p as usize] + g.vwgt[v] <= cap
-                    && best.is_none_or(|(_, bg)| gain > bg)
+                    && best.is_none_or(|(bp, bg)| gain > bg || (gain == bg && p < bp))
                 {
                     best = Some((p, gain));
                 }
@@ -375,6 +388,20 @@ mod tests {
         let parts = multilevel_partition(&g, 4);
         let imb = imbalance(&g.vwgt, &parts, 4);
         assert!(imb < 1.4, "imbalance {imb}");
+    }
+
+    #[test]
+    fn equal_gains_move_to_the_lowest_part() {
+        // v0 (part 0) has one edge into part 1 and one into part 2 and none
+        // inside its own part: gain 1.0 either way, and both fit under the
+        // balance cap. v3–v4–v5 keep part 0 heavy so nothing moves back.
+        let lists = vec![vec![1, 2], vec![0], vec![0], vec![4], vec![3, 5], vec![4]];
+        let g = WGraph::from_csr(&CsrGraph::from_lists(&lists, vec![1.0; 6]));
+        for _ in 0..200 {
+            let mut parts = vec![0, 1, 2, 0, 0, 0];
+            refine(&g, &mut parts, 3, 4);
+            assert_eq!(parts, vec![1, 1, 2, 0, 0, 0]);
+        }
     }
 
     #[test]

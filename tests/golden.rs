@@ -436,6 +436,102 @@ fn fabric_contention_only_adds_delay() {
     }
 }
 
+// ------------------------------------------------------- AMR kernels
+
+/// FNV-1a over every generation of the `amr-adapt` benchmark mesh
+/// (nx = 32, 4 steps): vertex coordinate bits, each triangle's vertices,
+/// parent and level, the active set, the dual CSR and the P = 32 RCB
+/// parts. Pinned from the hash-map kernels the near-linear ones replaced:
+/// adaptation, the dual and RCB must give the same ids, rows and parts.
+mod amr_kernels {
+    use origin2k::mesh::adaptive::AdaptiveMesh;
+    use origin2k::mesh::dual::dual_graph;
+    use origin2k::mesh::indicator::adapt_step;
+    use origin2k::partition::{rcb_partition, WeightedPoint};
+    use origin2k::prelude::*;
+
+    const DIGESTS: [u64; 5] = [
+        2885324580231512178,
+        2122913809676280770,
+        3291288013804742652,
+        17425625903106447055,
+        5023699489610463933,
+    ];
+
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn word(&mut self, w: u64) {
+            for i in 0..8 {
+                self.0 ^= (w >> (8 * i)) & 0xff;
+                self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+
+    fn digest(m: &AdaptiveMesh) -> u64 {
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        for v in &m.verts {
+            h.word(v.x.to_bits());
+            h.word(v.y.to_bits());
+        }
+        for t in 0..m.num_tris_total() as u32 {
+            for v in m.tri(t) {
+                h.word(u64::from(v));
+            }
+            h.word(m.parent_of(t).map_or(u64::MAX, u64::from));
+            h.word(u64::from(m.level_of(t)));
+        }
+        for t in m.active_tris() {
+            h.word(u64::from(t));
+        }
+        let dual = dual_graph(m);
+        for &x in &dual.xadj {
+            h.word(x as u64);
+        }
+        for &a in &dual.adj {
+            h.word(u64::from(a));
+        }
+        let pts: Vec<WeightedPoint> = dual
+            .centroids
+            .iter()
+            .map(|c| WeightedPoint::new(c.x, c.y, 1.0))
+            .collect();
+        for p in rcb_partition(&pts, 32) {
+            h.word(u64::from(p));
+        }
+        h.0
+    }
+
+    pub fn generations() -> Vec<u64> {
+        let cfg = AmrConfig {
+            nx: 32,
+            ny: 32,
+            steps: 4,
+            ..AmrConfig::default()
+        };
+        let mut m = AdaptiveMesh::structured(cfg.nx, cfg.ny, 1.0, 1.0);
+        let mut out = vec![digest(&m)];
+        for step in 0..cfg.steps {
+            adapt_step(
+                &mut m,
+                &cfg.shock(),
+                cfg.front_time(step),
+                cfg.refine_band,
+                cfg.coarsen_band,
+                cfg.max_level,
+            );
+            out.push(digest(&m));
+        }
+        out
+    }
+
+    #[test]
+    fn amr_adapt_generations_are_pinned() {
+        assert_eq!(generations(), DIGESTS);
+    }
+}
+
 // ------------------------------------------------------------- harvest
 
 /// Regenerates every pinned constant above. Run with
@@ -464,4 +560,6 @@ fn print_current_goldens() {
     for (m, b) in comm_volumes() {
         println!("{m}: {b}");
     }
+    println!("== AMR kernels ==");
+    println!("{:?}", amr_kernels::generations());
 }
