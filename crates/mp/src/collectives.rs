@@ -185,12 +185,15 @@ impl MpWorld {
     }
 
     /// All-gather of variable-length contributions: gather at rank 0, then
-    /// broadcast the concatenated structure.
+    /// broadcast the concatenated structure. Every rank gets `size()`
+    /// chunks, empty ones included.
     pub fn allgatherv<T: Payload>(&self, ctx: &mut Ctx, mine: Vec<T>) -> Vec<Vec<T>> {
         let gathered = self.gatherv(ctx, 0, mine);
-        self.bcast(ctx, 0, gathered.map(flatten_tagged).unwrap_or_default())
-            .into_iter()
-            .fold(Vec::new(), rebuild_tagged)
+        let mut out: Vec<Vec<T>> = (0..self.size()).map(|_| Vec::new()).collect();
+        for (r, item) in self.bcast(ctx, 0, gathered.map(flatten_tagged).unwrap_or_default()) {
+            out[r as usize].push(item);
+        }
+        out
     }
 
     /// Personalised all-to-all: `sends[d]` goes to rank `d`; returns the
@@ -227,15 +230,6 @@ fn flatten_tagged<T>(chunks: Vec<Vec<T>>) -> Vec<(u32, T)> {
         }
     }
     out
-}
-
-fn rebuild_tagged<T>(mut acc: Vec<Vec<T>>, (r, item): (u32, T)) -> Vec<Vec<T>> {
-    let r = r as usize;
-    if acc.len() <= r {
-        acc.resize_with(r + 1, Vec::new);
-    }
-    acc[r].push(item);
-    acc
 }
 
 #[cfg(test)]
@@ -339,6 +333,19 @@ mod tests {
         let run = t.run(|ctx| w.allgatherv(ctx, vec![ctx.pe() as u32 * 10]));
         for r in run.results {
             assert_eq!(r, vec![vec![0], vec![10], vec![20]]);
+        }
+        // Empty contributions keep their slot — a trailing one, a middle
+        // one, and all of them: every PE sees exactly what each rank sent.
+        for sent in [
+            vec![vec![0u32], vec![1], vec![]],
+            vec![vec![0, 0], vec![], vec![2, 2]],
+            vec![vec![], vec![], vec![]],
+        ] {
+            let (w, t) = setup(3);
+            let run = t.run(|ctx| w.allgatherv(ctx, sent[ctx.pe()].clone()));
+            for r in run.results {
+                assert_eq!(r, sent);
+            }
         }
     }
 

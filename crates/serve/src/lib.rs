@@ -121,7 +121,12 @@ impl ServeConfig {
 const BUILD_NS_PER_WORD: f64 = 2.0;
 
 /// One PE's serving outcome, merged into [`apps::ServeStats`] by the
-/// driver.
+/// driver: the client-side bookkeeping the three implementations share.
+///
+/// `shard_counts` is sparse — `(shard, count)` pairs in first-hit order.
+/// A client touches at most `min(P, its requests)` distinct shards, a
+/// handful at P = 1024, where a dense per-PE vector would cost O(P²)
+/// zeroing and merging across the team for a few requests each.
 #[derive(Debug, Clone)]
 pub struct PeOut {
     checksum: u64,
@@ -132,24 +137,9 @@ pub struct PeOut {
     hist: LatencyHist,
 }
 
-/// Per-PE client-side bookkeeping shared by the three implementations.
-///
-/// `shard_counts` is sparse — `(shard, count)` pairs in first-hit order.
-/// A client touches at most `min(P, its requests)` distinct shards, a
-/// handful at P = 1024, where a dense per-PE vector would cost O(P²)
-/// zeroing and merging across the team for a few requests each.
-pub(crate) struct ClientLog {
-    checksum: u64,
-    issued: u64,
-    completed: u64,
-    failed: u64,
-    shard_counts: Vec<(u32, u64)>,
-    hist: LatencyHist,
-}
-
-impl ClientLog {
+impl PeOut {
     pub(crate) fn new() -> Self {
-        ClientLog {
+        PeOut {
             checksum: 0,
             issued: 0,
             completed: 0,
@@ -197,17 +187,6 @@ impl ClientLog {
         self.completed += 1;
         self.checksum = self.checksum.wrapping_add(val0);
         self.hist.record(now - req.arrival);
-    }
-
-    pub(crate) fn into_pe_out(self) -> PeOut {
-        PeOut {
-            checksum: self.checksum,
-            issued: self.issued,
-            completed: self.completed,
-            failed: self.failed,
-            shard_counts: self.shard_counts,
-            hist: self.hist,
-        }
     }
 }
 

@@ -46,7 +46,7 @@ use parallel::{Ctx, EventKind, Team};
 
 use crate::clients;
 use crate::plan::{MitPlan, Mitigation};
-use crate::{finish, serve_cost, ClientLog, PeOut, ServeConfig, BUILD_NS_PER_WORD};
+use crate::{finish, serve_cost, PeOut, ServeConfig, BUILD_NS_PER_WORD};
 
 const TAG_REQ: Tag = 1;
 const TAG_REP: Tag = 2;
@@ -189,7 +189,7 @@ fn rank_main(
 
     // --- serve: open-loop client + interleaved server ---
     ctx.net_phase("serve");
-    let mut log = ClientLog::new();
+    let mut log = PeOut::new();
     let mut dones = 0usize;
     // Every message this PE receives lands in `msg`, and every request it
     // steals in `steal`: after the first few requests, serving touches no
@@ -267,7 +267,7 @@ fn rank_main(
         }
     }
     ctx.barrier();
-    log.into_pe_out()
+    log
 }
 
 /// Serve every request currently queued in the mailbox (non-blocking),

@@ -26,7 +26,7 @@ use sas::{SasSlice, SasWorld};
 
 use crate::clients;
 use crate::plan::{MitPlan, Mitigation};
-use crate::{await_arrival, finish, serve_cost, ClientLog, PeOut, ServeConfig, BUILD_NS_PER_WORD};
+use crate::{await_arrival, finish, serve_cost, PeOut, ServeConfig, BUILD_NS_PER_WORD};
 
 pub fn run_opts(machine: Arc<Machine>, cfg: &ServeConfig, opts: apps::RunOpts) -> RunMetrics {
     let world = SasWorld::new(Arc::clone(&machine));
@@ -108,7 +108,7 @@ fn rank_main(
     // --- serve: every lookup reads the value through the coherence
     // protocol (one access per covered cache line) ---
     ctx.net_phase("serve");
-    let mut log = ClientLog::new();
+    let mut log = PeOut::new();
     let mut val = vec![0u64; v];
     for req in &stream {
         await_arrival(ctx, req);
@@ -122,7 +122,7 @@ fn rank_main(
         log.complete(ctx.now(), req, val0, cfg);
     }
     ctx.barrier();
-    log.into_pe_out()
+    log
 }
 
 /// Home the pages of the shared table under the replication plan: a cold

@@ -24,7 +24,7 @@ use shmem::SymWorld;
 
 use crate::clients;
 use crate::plan::{MitPlan, Mitigation};
-use crate::{await_arrival, finish, serve_cost, ClientLog, PeOut, ServeConfig, BUILD_NS_PER_WORD};
+use crate::{await_arrival, finish, serve_cost, PeOut, ServeConfig, BUILD_NS_PER_WORD};
 
 pub fn run_opts(machine: Arc<Machine>, cfg: &ServeConfig, opts: apps::RunOpts) -> RunMetrics {
     let world = SymWorld::new(Arc::clone(&machine));
@@ -111,7 +111,7 @@ fn rank_main(
 
     // --- serve: every lookup is one one-sided get, into one buffer ---
     ctx.net_phase("serve");
-    let mut log = ClientLog::new();
+    let mut log = PeOut::new();
     let mut val = vec![0u64; v];
     for req in &stream {
         await_arrival(ctx, req);
@@ -142,5 +142,5 @@ fn rank_main(
         log.complete(ctx.now(), req, val0, cfg);
     }
     world.barrier_all(ctx);
-    log.into_pe_out()
+    log
 }

@@ -8,8 +8,8 @@
 //! dual and a P = 32 RCB — allocates a bounded number of times, and a mesh
 //! with four times the triangles allocates only a few times more.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod support;
+
 use std::hint::black_box;
 
 use origin2k::mesh::adaptive::AdaptiveMesh;
@@ -17,41 +17,7 @@ use origin2k::mesh::dual::dual_graph;
 use origin2k::mesh::indicator::adapt_step;
 use origin2k::partition::{rcb_partition, WeightedPoint};
 use origin2k::prelude::*;
-
-struct Counting;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: defers every request to `System` unchanged; the only addition is
-// a bump of a const-initialised, destructor-free thread-local `Cell`,
-// which itself never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        // SAFETY: same layout, passed straight through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
+use support::allocs;
 
 /// The `amr-adapt` configuration at `nx × nx` cells.
 fn config(nx: usize) -> AmrConfig {

@@ -11,75 +11,14 @@
 //! per hot shard, and how many shards are hot follows the seed — dense, it
 //! was 8 MiB of heap per hot shard and the run's peak moved with the seed.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod support;
+
 use std::sync::Arc;
 
 use origin2k::machine::{ContentionMode, Machine, MachineConfig};
 use origin2k::prelude::*;
 use origin2k::serve::Mitigation;
-
-struct Counting;
-
-thread_local! {
-    static LIVE: Cell<usize> = const { Cell::new(0) };
-    static PEAK: Cell<usize> = const { Cell::new(0) };
-}
-
-fn grew(bytes: usize) {
-    let live = LIVE.with(|l| {
-        l.set(l.get() + bytes);
-        l.get()
-    });
-    PEAK.with(|p| p.set(p.get().max(live)));
-}
-
-fn shrank(bytes: usize) {
-    // A block freed on a thread that did not allocate it must not wrap.
-    LIVE.with(|l| l.set(l.get().saturating_sub(bytes)));
-}
-
-// SAFETY: defers every request to `System` unchanged; the only addition is
-// arithmetic on const-initialised, destructor-free thread-local `Cell`s,
-// which never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        // SAFETY: same layout, passed straight through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        // SAFETY: same layout, passed straight through.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        shrank(layout.size());
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        shrank(layout.size());
-        grew(new_size);
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-/// The most heap `f` held at once on this thread, beyond what was live
-/// when it started.
-fn peak_live_bytes<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    let base = LIVE.with(Cell::get);
-    PEAK.with(|p| p.set(base));
-    let r = f();
-    (r, PEAK.with(Cell::get) - base)
-}
+use support::peak_live_bytes;
 
 /// The benchmark's `serve-tail` shape (Origin2000 parameters on the full
 /// fabric, 64 keys per shard, 64-word values), at a request count a debug

@@ -7,8 +7,8 @@
 //! Counts are per thread, so the other PEs of a thread-backend team (and
 //! the harness's own threads) never show up in a PE's figure.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod support;
+
 use std::sync::Arc;
 
 use origin2k::apps::nbody_common::{flatten_tree, shared_tree_walk, NBodyConfig};
@@ -16,41 +16,7 @@ use origin2k::machine::{Machine, MachineConfig};
 use origin2k::nbody::{Octree, Vec3};
 use origin2k::parallel::{Ctx, Team};
 use origin2k::sas::SasWorld;
-
-struct Counting;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-// SAFETY: defers every request to `System` unchanged; the only addition is
-// a bump of a const-initialised, destructor-free thread-local `Cell`,
-// which itself never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        // SAFETY: same layout, passed straight through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
+use support::allocs;
 
 /// Heap allocations and cache misses `f` causes on the calling PE.
 fn cost_of(ctx: &mut Ctx, f: impl FnOnce(&mut Ctx)) -> (u64, u64) {
