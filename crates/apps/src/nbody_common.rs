@@ -3,6 +3,7 @@
 use std::sync::OnceLock;
 
 use nbody::force::pair_accel;
+use nbody::octree::WalkStack;
 use nbody::plummer::plummer;
 use nbody::{Body, Octree, Vec3};
 use parallel::Ctx;
@@ -175,12 +176,13 @@ pub const NODE_WORDS: usize = 12;
 /// Flatten `tree` into node words and a leaf body-index stream.
 pub fn flatten_tree(tree: &Octree) -> (Vec<f64>, Vec<u64>) {
     let mut words = Vec::with_capacity(tree.nodes.len() * NODE_WORDS);
-    let mut leaves: Vec<u64> = Vec::new();
+    let mut leaves: Vec<u64> = Vec::with_capacity(tree.num_bodies());
     for n in &tree.nodes {
         let (off, len) = if n.is_leaf() {
             let off = leaves.len();
-            leaves.extend(n.bodies.iter().map(|&b| u64::from(b)));
-            (off, n.bodies.len())
+            let bodies = tree.bodies(n);
+            leaves.extend(bodies.iter().map(|&b| u64::from(b)));
+            (off, bodies.len())
         } else {
             (0, 0)
         };
@@ -212,7 +214,7 @@ pub fn read_vec3(ctx: &mut Ctx, pe: &mut SasPe, s: &SasSlice<f64>, i: usize) -> 
 
 /// Barnes-Hut walk over a flattened shared tree (see [`flatten_tree`]),
 /// mirroring `nbody::force::accel_at` exactly (same traversal, same float
-/// order).
+/// order, the same bounded stack: the tree came from `Octree::build`).
 #[allow(clippy::too_many_arguments)]
 pub fn shared_tree_walk(
     ctx: &mut Ctx,
@@ -228,10 +230,9 @@ pub fn shared_tree_walk(
     let mut acc = Vec3::ZERO;
     let mut interactions = 0u64;
     let mut rec = [0.0; NODE_WORDS];
-    let mut stack = pe.take_index_stack();
-    stack.push(0);
+    let mut stack = WalkStack::root();
     while let Some(ni) = stack.pop() {
-        pe.read_into(ctx, nodes, ni * NODE_WORDS, &mut rec);
+        pe.read_into(ctx, nodes, ni as usize * NODE_WORDS, &mut rec);
         let m = rec[4];
         if m == 0.0 {
             continue;
@@ -256,13 +257,9 @@ pub fn shared_tree_walk(
             acc += pair_accel(target, com, m, eps);
             interactions += 1;
         } else {
-            let fc = first as usize;
-            for c in fc..fc + 8 {
-                stack.push(c);
-            }
+            stack.push_children(first as u32);
         }
     }
-    pe.put_index_stack(stack);
     (acc, interactions)
 }
 // sim:end

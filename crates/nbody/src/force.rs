@@ -1,6 +1,6 @@
 //! Barnes-Hut force evaluation and the direct-sum reference.
 
-use crate::octree::{Octree, NO_CHILD};
+use crate::octree::{Octree, WalkStack, NO_CHILD};
 use crate::vec3::Vec3;
 
 /// Acceleration on a test position from a point mass at `src` with
@@ -21,14 +21,14 @@ pub fn pair_accel(target: Vec3, src: Vec3, mass: f64, eps: f64) -> Vec3 {
 pub fn accel_at(tree: &Octree, target: Vec3, theta: f64, eps: f64) -> (Vec3, u64) {
     let mut acc = Vec3::ZERO;
     let mut interactions = 0u64;
-    let mut stack = vec![0u32];
+    let mut stack = WalkStack::root();
     while let Some(ni) = stack.pop() {
         let node = &tree.nodes[ni as usize];
         if node.mass == 0.0 {
             continue;
         }
         if node.is_leaf() {
-            for &b in &node.bodies {
+            for &b in tree.bodies(node) {
                 acc += pair_accel(target, tree.pos[b as usize], tree.mass[b as usize], eps);
                 interactions += 1;
             }
@@ -40,9 +40,7 @@ pub fn accel_at(tree: &Octree, target: Vec3, theta: f64, eps: f64) -> (Vec3, u64
             interactions += 1;
         } else {
             debug_assert_ne!(node.first_child, NO_CHILD);
-            for c in node.first_child..node.first_child + 8 {
-                stack.push(c);
-            }
+            stack.push_children(node.first_child);
         }
     }
     (acc, interactions)

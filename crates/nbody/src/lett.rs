@@ -11,7 +11,7 @@
 //! This module is the reason the MP N-body code is so much longer than the
 //! SAS one — in the paper as here.
 
-use crate::octree::Octree;
+use crate::octree::{Octree, WalkStack};
 use crate::orb::BBox;
 use crate::vec3::Vec3;
 
@@ -26,8 +26,10 @@ pub struct PseudoBody {
 /// θ-MAC forces anywhere inside `target` — remote leaves are exported as
 /// real bodies, well-separated internal nodes as summaries.
 pub fn essential_for(tree: &Octree, target: &BBox, theta: f64) -> Vec<PseudoBody> {
-    let mut out = Vec::new();
-    let mut stack = vec![0u32];
+    // The exported cells are disjoint and each holds a body, so there are
+    // at most as many as bodies: the result never regrows.
+    let mut out = Vec::with_capacity(tree.num_bodies());
+    let mut stack = WalkStack::root();
     while let Some(ni) = stack.pop() {
         let node = &tree.nodes[ni as usize];
         if node.mass == 0.0 {
@@ -48,23 +50,21 @@ pub fn essential_for(tree: &Octree, target: &BBox, theta: f64) -> Vec<PseudoBody
                 mass: node.mass,
             });
         } else if node.is_leaf() {
-            for &b in &node.bodies {
+            for &b in tree.bodies(node) {
                 out.push(PseudoBody {
                     pos: tree.pos[b as usize],
                     mass: tree.mass[b as usize],
                 });
             }
         } else {
-            for c in node.first_child..node.first_child + 8 {
-                stack.push(c);
-            }
+            stack.push_children(node.first_child);
         }
     }
     out
 }
 
 /// Euclidean distance between two boxes (0 if they intersect).
-fn box_dist(a: &BBox, b: &BBox) -> f64 {
+pub(crate) fn box_dist(a: &BBox, b: &BBox) -> f64 {
     let gap = |alo: f64, ahi: f64, blo: f64, bhi: f64| (blo - ahi).max(alo - bhi).max(0.0);
     let dx = gap(a.min.x, a.max.x, b.min.x, b.max.x);
     let dy = gap(a.min.y, a.max.y, b.min.y, b.max.y);

@@ -87,10 +87,14 @@ fn bisect(
         }
         return;
     }
-    // Longest axis of the current point set.
-    let pts: Vec<Vec3> = idx.iter().map(|&i| positions[i as usize]).collect();
-    let bb = BBox::of(&pts);
-    let ext = bb.max - bb.min;
+    // Longest axis of the current point set (its box folded from the first
+    // point, as `BBox::of` builds it).
+    let first = positions[idx[0] as usize];
+    let (min, max) = idx.iter().fold((first, first), |(min, max), &i| {
+        let p = positions[i as usize];
+        (min.min(&p), max.max(&p))
+    });
+    let ext = max - min;
     let axis = if ext.x >= ext.y && ext.x >= ext.z {
         0
     } else if ext.y >= ext.z {

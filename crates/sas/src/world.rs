@@ -270,7 +270,6 @@ impl SasWorld {
             machine: Arc::clone(&self.machine),
             cache: CacheSim::new(cfg.cache_bytes, cfg.line_bytes, cfg.cache_assoc),
             net_items: Vec::new(),
-            index_stack: Vec::new(),
         }
     }
 
@@ -507,26 +506,9 @@ pub struct SasPe {
     /// flight (see `access_line`); empty between accesses, so never part
     /// of a snapshot.
     net_items: Vec<(usize, usize)>,
-    /// Index stack lent to pointer-chasing walkers between accesses (see
-    /// [`SasPe::take_index_stack`]); holds no state, only capacity.
-    index_stack: Vec<usize>,
 }
 
 impl SasPe {
-    /// Borrow this PE's reusable index stack, empty but with the capacity
-    /// earlier walks grew it to, so a walker that reads through `self`
-    /// while it traverses allocates nothing per walk. Hand it back with
-    /// [`SasPe::put_index_stack`].
-    pub fn take_index_stack(&mut self) -> Vec<usize> {
-        std::mem::take(&mut self.index_stack)
-    }
-
-    /// Return the stack taken by [`SasPe::take_index_stack`].
-    pub fn put_index_stack(&mut self, mut stack: Vec<usize>) {
-        stack.clear();
-        self.index_stack = stack;
-    }
-
     /// (hits, misses) seen by this PE's cache.
     pub fn cache_stats(&self) -> (u64, u64) {
         self.cache.stats()

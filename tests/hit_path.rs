@@ -111,8 +111,8 @@ fn a_tree_walk_over_a_resident_tree_allocates_nothing() {
                     ctx, &mut pe, &nodes, &leaves, &pos, &mass, target, theta, cfg.eps,
                 )
             };
-            // θ = 0 opens every cell: the warm-up touches the whole tree
-            // and grows the traversal stack to its deepest.
+            // θ = 0 opens every cell: the warm-up brings the whole tree
+            // into the PE's cache.
             let target = positions[n / 2];
             walk(ctx, target, 0.0);
             let mut interactions = 0;

@@ -1,6 +1,6 @@
 //! One counting `#[global_allocator]` for the test binaries that hold a
 //! path to an allocation figure (`hit_path`, `msg_path`, `adapt_alloc`,
-//! `footprint`). Each includes it with `mod support;`, so each stays its
+//! `tree_alloc`, `footprint`). Each includes it with `mod support;`, so each stays its
 //! own binary and no other test's allocator is replaced.
 //!
 //! Two counts are kept per thread: allocation *calls* — `alloc`,
