@@ -360,13 +360,16 @@ impl<T: Element> SymSlice<T> {
 }
 
 impl<T: IntElement> SymSlice<T> {
-    /// Remote atomic fetch-add; returns the previous value.
+    /// Remote atomic fetch-add; returns the previous value. A load, the
+    /// element's own `add_bits` and a store are atomic because only the
+    /// PE holding the scheduler's floor runs, and it holds it until its
+    /// next sched point; `Relaxed` suffices because the floor passes
+    /// through the scheduler's mutex, which orders one holder's store
+    /// before the next holder's load.
     pub fn fadd(&self, ctx: &mut Ctx, target_pe: usize, offset: usize, delta: T) -> T {
-        let old = atomic_bits_add(
-            &self.region.instance(target_pe)[offset],
-            delta.to_bits(),
-            T::add_bits,
-        );
+        let cell = &self.region.instance(target_pe)[offset];
+        let old = cell.load(Ordering::Relaxed);
+        cell.store(T::add_bits(old, delta.to_bits()), Ordering::Relaxed);
         self.charge_amo(ctx, target_pe);
         T::from_bits(old)
     }
@@ -382,21 +385,6 @@ impl<T: IntElement> SymSlice<T> {
             Some(target_pe as u32),
         );
         ctx.counters_mut().amos += 1;
-    }
-}
-
-/// CAS-loop fetch-add in bit space (needed because the add must go through
-/// the element's own wrapping semantics, not raw u64 wrapping, for 4-byte
-/// types — though with masking on decode they agree; the loop also supports
-/// future float AMOs).
-fn atomic_bits_add(cell: &AtomicU64, delta: u64, add: fn(u64, u64) -> u64) -> u64 {
-    let mut cur = cell.load(Ordering::SeqCst);
-    loop {
-        let next = add(cur, delta);
-        match cell.compare_exchange_weak(cur, next, Ordering::SeqCst, Ordering::SeqCst) {
-            Ok(prev) => return prev,
-            Err(now) => cur = now,
-        }
     }
 }
 
