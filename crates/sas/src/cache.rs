@@ -1,9 +1,12 @@
 //! Per-PE set-associative cache simulator.
 //!
 //! Tracks which (region, line) pairs a PE currently holds and at which
-//! directory version. A cached line whose directory version has moved on
-//! was invalidated by another PE's write; the next access misses. LRU
-//! replacement within each set.
+//! directory version, with LRU replacement within each set. It answers
+//! probes and keeps no statistics of its own: whether an access was a hit,
+//! a local or a remote miss, or an upgrade is decided by the runtime
+//! against the directory, and counted once, in `machine::Counters`. A
+//! cached copy whose directory version has moved on was invalidated by
+//! another PE's write: the runtime purges it and the access misses.
 
 /// Identity of a cached line: region id in the high bits, line index low.
 pub type LineTag = u64;
@@ -71,13 +74,6 @@ pub struct CacheSim {
     num_sets: usize,
     assoc: usize,
     tick: u64,
-    // Stats (model-internal; the runtime mirrors what it needs into
-    // `machine::Counters`).
-    hits: u64,
-    misses: u64,
-    /// Whether the most recent probe was a hit — the only state
-    /// [`CacheSim::reclassify_stale`] is allowed to undo.
-    last_probe_hit: bool,
 }
 
 impl CacheSim {
@@ -107,15 +103,7 @@ impl CacheSim {
             num_sets,
             assoc,
             tick: 0,
-            hits: 0,
-            misses: 0,
-            last_probe_hit: false,
         }
-    }
-
-    /// (hits, misses) recorded by probes.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 
     #[inline]
@@ -148,7 +136,7 @@ impl CacheSim {
             .extend(std::iter::repeat_n(Entry::default(), self.assoc));
     }
 
-    /// Look for `tag`; records hit/miss stats and refreshes LRU on hit.
+    /// Look for `tag`, refreshing its LRU tick on a hit.
     pub fn probe(&mut self, tag: LineTag) -> Probe {
         self.tick += 1;
         let tick = self.tick;
@@ -159,16 +147,11 @@ impl CacheSim {
             .find(|e| e.valid && e.tag == tag)
         {
             e.used = tick;
-            let hit = Probe::Hit {
+            return Probe::Hit {
                 version: e.version,
                 dirty: e.dirty,
             };
-            self.hits += 1;
-            self.last_probe_hit = true;
-            return hit;
         }
-        self.misses += 1;
-        self.last_probe_hit = false;
         Probe::Miss
     }
 
@@ -210,25 +193,6 @@ impl CacheSim {
         Some(evicted)
     }
 
-    /// Reclassify the most recent probe from hit to miss: the runtime found
-    /// the copy stale against the directory (an invalidation miss).
-    ///
-    /// Only legal directly after a [`Probe::Hit`] — undoing anything else
-    /// would corrupt the hit/miss split (and, before this invariant was
-    /// enforced, could silently clamp `hits` at 0 via `saturating_sub`).
-    pub fn reclassify_stale(&mut self) {
-        assert!(
-            self.last_probe_hit,
-            "reclassify_stale: most recent probe was not a hit"
-        );
-        self.last_probe_hit = false;
-        self.hits = self
-            .hits
-            .checked_sub(1)
-            .expect("reclassify_stale: hit counter underflow");
-        self.misses += 1;
-    }
-
     /// Drop `tag` if present (used when the runtime observes a stale
     /// version: the copy is conceptually invalid).
     pub fn purge(&mut self, tag: LineTag) {
@@ -251,23 +215,19 @@ impl CacheSim {
 
     /// Number of words [`CacheSim::export_words`] writes for this geometry.
     fn export_len(&self) -> usize {
-        6 + self.num_sets * self.assoc * 4
+        3 + self.num_sets * self.assoc * 4
     }
 
-    /// Dump the complete cache state — geometry, LRU clock, stats, and
-    /// every way of every set in set order, a set no line has landed in
-    /// as the `assoc` empty ways it shares — as plain words, for
-    /// checkpoints. Restoring with [`CacheSim::import_words`] makes the
-    /// post-restore hit/miss stream bitwise-identical to an uninterrupted
-    /// run.
+    /// Dump the complete cache state — geometry, LRU clock, and every way
+    /// of every set in set order, a set no line has landed in as the
+    /// `assoc` empty ways it shares — as plain words, for checkpoints.
+    /// Restoring with [`CacheSim::import_words`] makes the post-restore
+    /// probe answers bitwise-identical to an uninterrupted run's.
     pub fn export_words(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.export_len());
         out.push(self.num_sets as u64);
         out.push(self.assoc as u64);
         out.push(self.tick);
-        out.push(self.hits);
-        out.push(self.misses);
-        out.push(u64::from(self.last_probe_hit));
         for &group in &self.slot {
             let at = group as usize * self.assoc;
             for e in &self.ways[at..at + self.assoc] {
@@ -301,12 +261,9 @@ impl CacheSim {
             ));
         }
         self.tick = words[2];
-        self.hits = words[3];
-        self.misses = words[4];
-        self.last_probe_hit = words[5] != 0;
         self.slot.fill(0);
         self.ways.truncate(self.assoc);
-        for (set, group) in words[6..].chunks_exact(self.assoc * 4).enumerate() {
+        for (set, group) in words[3..].chunks_exact(self.assoc * 4).enumerate() {
             if group.iter().all(|&w| w == 0) {
                 continue;
             }
@@ -354,7 +311,6 @@ mod tests {
                 dirty: false
             }
         );
-        assert_eq!(c.stats(), (1, 1));
     }
 
     #[test]
@@ -405,37 +361,6 @@ mod tests {
             }
         );
         assert_eq!(c.probe(b), Probe::Miss);
-    }
-
-    #[test]
-    fn reclassify_moves_one_hit_to_miss() {
-        let mut c = tiny();
-        let t = line_tag(0, 5);
-        c.probe(t); // miss
-        c.insert(t, 1, false);
-        c.probe(t); // hit — but the runtime finds the copy stale
-        c.purge(t);
-        c.reclassify_stale();
-        assert_eq!(c.stats(), (0, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "reclassify_stale")]
-    fn reclassify_without_a_hit_is_rejected() {
-        let mut c = tiny();
-        c.probe(line_tag(0, 5)); // miss — nothing to reclassify
-        c.reclassify_stale();
-    }
-
-    #[test]
-    #[should_panic(expected = "reclassify_stale")]
-    fn reclassify_twice_is_rejected() {
-        let mut c = tiny();
-        let t = line_tag(0, 5);
-        c.insert(t, 1, false);
-        c.probe(t); // hit
-        c.reclassify_stale();
-        c.reclassify_stale(); // the hit was already consumed
     }
 
     #[test]
@@ -492,7 +417,6 @@ mod tests {
         let mut d = tiny();
         d.import_words(&words).unwrap();
         assert_eq!(d.export_words(), words);
-        assert_eq!(d.stats(), c.stats());
         assert_eq!(
             d.probe(line_tag(0, 1)),
             Probe::Hit {
@@ -523,7 +447,7 @@ mod tests {
         assert!(held <= (1 + 5) * c.assoc, "only the touched sets exist");
 
         let words = c.export_words();
-        assert_eq!(words.len(), 6 + 16_384 * 2 * 4, "the dense wire format");
+        assert_eq!(words.len(), 3 + 16_384 * 2 * 4, "the dense wire format");
         let mut d = geometry();
         d.import_words(&words).unwrap();
         assert_eq!(d.ways.len(), held, "absent sets stay absent on import");
@@ -556,9 +480,6 @@ mod tests {
         sets: Vec<Entry>,
         assoc: usize,
         tick: u64,
-        hits: u64,
-        misses: u64,
-        last_probe_hit: bool,
     }
 
     impl Dense {
@@ -567,9 +488,6 @@ mod tests {
                 sets: vec![Entry::default(); c.num_sets * c.assoc],
                 assoc: c.assoc,
                 tick: 0,
-                hits: 0,
-                misses: 0,
-                last_probe_hit: false,
             }
         }
 
@@ -582,20 +500,13 @@ mod tests {
             self.tick += 1;
             let tick = self.tick;
             let found = self.set(tag).iter_mut().find(|e| e.valid && e.tag == tag);
-            let hit = found.map(|e| {
+            found.map_or(Probe::Miss, |e| {
                 e.used = tick;
                 Probe::Hit {
                     version: e.version,
                     dirty: e.dirty,
                 }
-            });
-            self.last_probe_hit = hit.is_some();
-            if hit.is_some() {
-                self.hits += 1;
-            } else {
-                self.misses += 1;
-            }
-            hit.unwrap_or(Probe::Miss)
+            })
         }
 
         fn insert(&mut self, tag: LineTag, version: u64, dirty: bool) -> Option<Evicted> {
@@ -633,9 +544,6 @@ mod tests {
                 (self.sets.len() / self.assoc) as u64,
                 self.assoc as u64,
                 self.tick,
-                self.hits,
-                self.misses,
-                u64::from(self.last_probe_hit),
             ];
             for e in &self.sets {
                 let flags = (u64::from(e.dirty) << 1) | u64::from(e.valid);
@@ -663,9 +571,9 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
-            /// Random probe / insert / purge / clear / reclassify_stale
-            /// streams answer identically and leave identical snapshot
-            /// words, at every step, whether or not absent sets are stored.
+            /// Random probe / insert / purge / clear streams answer
+            /// identically and leave identical snapshot words, at every
+            /// step, whether or not absent sets are stored.
             #[test]
             fn at_every_step(
                 geometry in 0usize..GEOMETRIES.len(),
@@ -683,15 +591,11 @@ mod tests {
                         0..=6 => {
                             let got = sparse.probe(tag);
                             prop_assert_eq!(got, dense.probe(tag));
-                            // The runtime's invalidation miss: purge, then
-                            // move the hit it was counted as.
+                            // The runtime's invalidation miss: a stale hit
+                            // is purged.
                             if op == 6 && got != Probe::Miss {
                                 sparse.purge(tag);
                                 dense.purge(tag);
-                                sparse.reclassify_stale();
-                                dense.hits -= 1;
-                                dense.misses += 1;
-                                dense.last_probe_hit = false;
                             }
                         }
                         7..=12 => prop_assert_eq!(
@@ -707,7 +611,6 @@ mod tests {
                             dense.sets.iter_mut().for_each(|e| e.valid = false);
                         }
                     }
-                    prop_assert_eq!(sparse.stats(), (dense.hits, dense.misses));
                     prop_assert_eq!(sparse.export_words(), dense.export_words());
                 }
                 let words = sparse.export_words();

@@ -248,8 +248,9 @@ impl SasWorld {
     ///
     /// # Errors
     /// Errors on version/PE-count/paging/line-geometry mismatch,
-    /// truncation, a line whose version, owner or sharer bits do not fit
-    /// this world, or a non-fresh world; the world is left untouched.
+    /// truncation, a page home that is not one of this machine's nodes, a
+    /// line whose version, owner or sharer bits do not fit this world, or
+    /// a non-fresh world; the world is left untouched.
     pub fn import_state_bytes(&self, bytes: &[u8]) -> Result<(), String> {
         let mut rd = o2k_snap::wire::WireReader::new(bytes);
         let ver = rd.u64()?;
@@ -301,8 +302,15 @@ impl SasWorld {
                     region.page_home.len()
                 ));
             }
-            for h in region.page_home.iter() {
-                h.store(rd.u64()? as u32, Ordering::Relaxed);
+            let nodes = self.machine.topology.nodes();
+            for (page, h) in region.page_home.iter().enumerate() {
+                let home = rd.u64()?;
+                if home != u64::from(NO_HOME) && home >= nodes as u64 {
+                    return Err(format!(
+                        "sas snapshot region {idx} page {page}: home {home} is not one of the {nodes} nodes"
+                    ));
+                }
+                h.store(home as u32, Ordering::Relaxed);
             }
             let n_lines = rd.u64()? as usize;
             if n_lines != region.meta.len() {
@@ -448,11 +456,6 @@ pub struct SasPe {
 }
 
 impl SasPe {
-    /// (hits, misses) seen by this PE's cache.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
-    }
-
     /// Invalidate the PE's entire cache (between experiment phases).
     pub fn flush_cache(&mut self) {
         self.cache.clear();
@@ -628,7 +631,6 @@ impl SasPe {
             Probe::Hit { .. } => {
                 // Stale copy: invalidated since load. Counts as a miss.
                 self.cache.purge(tag);
-                self.cache.reclassify_stale();
                 false
             }
             Probe::Miss => false,
@@ -782,6 +784,11 @@ mod tests {
         )
     }
 
+    /// Line fills so far, local and remote.
+    fn line_misses(c: &machine::stats::Counters) -> u64 {
+        c.misses_local + c.misses_remote
+    }
+
     #[test]
     fn read_write_roundtrip() {
         let (w, t) = setup(2);
@@ -806,12 +813,12 @@ mod tests {
             let _ = pe.read(ctx, &s, 0);
             let t0 = ctx.now();
             let _ = pe.read(ctx, &s, 1); // same line (words_per_line = 8)
-            (ctx.now() - t0, pe.cache_stats())
+            (ctx.now() - t0, ctx.counters().clone())
         });
-        let (dt, (hits, misses)) = run.results[0];
-        assert_eq!(dt, 0, "line hit must be free");
-        assert!(hits >= 1);
-        assert_eq!(misses, 1);
+        let (dt, c) = &run.results[0];
+        assert_eq!(*dt, 0, "line hit must be free");
+        assert!(c.cache_hits >= 1);
+        assert_eq!(line_misses(c), 1);
     }
 
     #[test]
@@ -933,7 +940,7 @@ mod tests {
             let mut pe = w.pe();
             let data: Vec<u64> = (0..64).collect();
             pe.write_range(ctx, &s, 0, &data);
-            let (_, misses) = pe.cache_stats();
+            let misses = line_misses(ctx.counters());
             let vals = pe.read_range(ctx, &s, 0, 64);
             (misses, vals)
         });
@@ -954,11 +961,11 @@ mod tests {
                 let _ = pe.read(ctx, &s, i);
             }
             // Second sweep: still misses (working set exceeds capacity).
-            let (_, m1) = pe.cache_stats();
+            let m1 = line_misses(ctx.counters());
             for i in 0..(64 * 8) {
                 let _ = pe.read(ctx, &s, i);
             }
-            let (_, m2) = pe.cache_stats();
+            let m2 = line_misses(ctx.counters());
             (m1, m2 - m1)
         });
         let (first_sweep, second_sweep) = run.results[0];
@@ -1177,6 +1184,29 @@ mod tests {
         let err = w.import_state_bytes(&wr.into_bytes()).unwrap_err();
         w.import_state_bytes(&bytes).unwrap();
         err
+    }
+
+    /// Word index of page 0's home in P = 65's scripted section.
+    const PAGE0: usize = 4 + 3 + 96 + 1;
+
+    #[test]
+    fn import_rejects_a_page_home_past_the_last_node() {
+        let nodes = Machine::new(65, MachineConfig::test_tiny())
+            .topology
+            .nodes();
+        let err = import_edited(PAGE0, |w| *w = 9_999);
+        assert_eq!(
+            err,
+            format!("sas snapshot region 0 page 0: home 9999 is not one of the {nodes} nodes")
+        );
+        // Past 32 bits: refused whole, not truncated to node 1.
+        let err = import_edited(PAGE0, |w| *w = (1 << 32) + 1);
+        assert_eq!(
+            err,
+            format!(
+                "sas snapshot region 0 page 0: home 4294967297 is not one of the {nodes} nodes"
+            )
+        );
     }
 
     #[test]

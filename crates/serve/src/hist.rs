@@ -1,35 +1,34 @@
 //! HDR-style log-linear latency histogram over virtual nanoseconds.
 //!
-//! Values are bucketed with 64 linear sub-buckets per power of two
-//! (≤ ~1.6 % relative error), the layout HdrHistogram popularised: exact
-//! counts below 64 ns, then `(octave, sub-bucket)` pairs up to `u64::MAX`.
-//! Recording is O(1), quantile queries walk the bucket table, and
-//! histograms from different PEs merge by bucket-wise addition — so
-//! per-PE recording stays contention-free and deterministic.
+//! Values are bucketed with 64 linear sub-buckets per power of two, the
+//! layout HdrHistogram popularised: exact counts below 64 ns, then
+//! `(octave, sub-bucket)` pairs up to `u64::MAX`, 3 776 buckets in all. A
+//! bucket spans at most 1/64 ≈ 1.6 % of the values in it.
 //!
-//! The bucket table is materialised lazily. A fresh histogram keeps raw
-//! samples in a short inline list and only *spills* to the dense
-//! 3 776-bucket table past [`SPILL`] samples (or when merged with a
-//! spilled histogram). At P = 1024 each client PE records a handful of
-//! latencies, so the per-PE histograms never allocate the 30 KiB table;
-//! only the single merge accumulator does. Both representations bucket
-//! identically — every query answers as if the table had been dense from
-//! the start, and equality is semantic across representations.
+//! A histogram holds only the buckets it has seen: one list of
+//! `(bucket, count)` pairs, ascending by bucket, every count non-zero,
+//! beside the exact sample count, sum and maximum. The list is canonical
+//! — the same multiset of buckets gives the same list whatever order the
+//! samples arrived in and however histograms were merged — so equality is
+//! field-wise. Recording is a binary search, then an increment or an
+//! insert; merging is a sorted merge; a quantile walks the list
+//! cumulatively. Per-PE recording stays contention-free and
+//! deterministic, and a PE pays for the buckets its samples reach, not
+//! for the whole table: a P = 1 024 client that records two latencies
+//! holds two pairs.
 //!
 //! Quantiles report the *upper bound* of the bucket holding the target
 //! rank, clamped to the exact recorded maximum. Two invariants follow
 //! (and are property-tested): quantiles are monotone in `q`, and no
 //! quantile exceeds [`LatencyHist::max`].
 
+use std::cmp::Ordering;
+
 /// log2 of the number of linear sub-buckets per octave.
 const SUB_BITS: u32 = 6;
 /// Sub-buckets per octave (also the threshold below which values are
 /// counted exactly).
 const SUB: u64 = 1 << SUB_BITS;
-/// Total buckets needed to cover `0..=u64::MAX`.
-const NBUCKETS: usize = ((64 - SUB_BITS as usize) + 1) << SUB_BITS;
-/// Raw samples held before spilling to the dense bucket table.
-const SPILL: usize = 128;
 
 /// Index of the bucket containing `v`.
 #[inline]
@@ -56,37 +55,21 @@ fn bucket_high(idx: usize) -> u64 {
     low + ((1u64 << shift) - 1)
 }
 
-/// Sample storage: raw values until [`SPILL`], dense buckets after.
-#[derive(Debug, Clone)]
-enum Rep {
-    Small(Vec<u64>),
-    Dense(Box<[u64; NBUCKETS]>),
-}
-
 /// A mergeable log-linear histogram of virtual-time latencies.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LatencyHist {
-    rep: Rep,
+    /// `(bucket, count)` for every bucket holding a sample, ascending by
+    /// bucket; no count is zero.
+    buckets: Vec<(usize, u64)>,
     total: u64,
     sum: u128,
     max: u64,
 }
 
-impl Default for LatencyHist {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl LatencyHist {
     /// An empty histogram. Allocation-free until the first sample.
     pub fn new() -> Self {
-        LatencyHist {
-            rep: Rep::Small(Vec::new()),
-            total: 0,
-            sum: 0,
-            max: 0,
-        }
+        Self::default()
     }
 
     /// Record one latency sample (ns).
@@ -95,28 +78,10 @@ impl LatencyHist {
         self.total += 1;
         self.sum += u128::from(v);
         self.max = self.max.max(v);
-        match &mut self.rep {
-            Rep::Dense(counts) => counts[bucket_of(v)] += 1,
-            Rep::Small(vals) if vals.len() < SPILL => vals.push(v),
-            Rep::Small(_) => {
-                let counts = self.spill();
-                counts[bucket_of(v)] += 1;
-            }
-        }
-    }
-
-    /// Rebucket the raw-sample list into the dense table and return it.
-    fn spill(&mut self) -> &mut [u64; NBUCKETS] {
-        if let Rep::Small(vals) = &self.rep {
-            let mut counts = Box::new([0u64; NBUCKETS]);
-            for &v in vals {
-                counts[bucket_of(v)] += 1;
-            }
-            self.rep = Rep::Dense(counts);
-        }
-        match &mut self.rep {
-            Rep::Dense(counts) => counts,
-            Rep::Small(_) => unreachable!("just spilled"),
+        let b = bucket_of(v);
+        match self.buckets.binary_search_by_key(&b, |&(i, _)| i) {
+            Ok(at) => self.buckets[at].1 += 1,
+            Err(at) => self.buckets.insert(at, (b, 1)),
         }
     }
 
@@ -151,94 +116,56 @@ impl LatencyHist {
         }
         let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
         let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
-        match &self.rep {
-            Rep::Dense(counts) => {
-                let mut seen = 0u64;
-                for (i, &c) in counts.iter().enumerate() {
-                    seen += c;
-                    if seen >= rank {
-                        return bucket_high(i).min(self.max);
-                    }
-                }
-                self.max
-            }
-            Rep::Small(vals) => {
-                // The rank-th smallest bucket — exactly the bucket the
-                // dense cumulative walk would stop in.
-                let mut idxs: Vec<usize> = vals.iter().map(|&v| bucket_of(v)).collect();
-                idxs.sort_unstable();
-                bucket_high(idxs[rank as usize - 1]).min(self.max)
+        let mut seen = 0u64;
+        for &(i, c) in &self.buckets {
+            seen += c;
+            if seen >= rank {
+                return bucket_high(i).min(self.max);
             }
         }
+        self.max
     }
 
-    /// Fold another histogram into this one (bucket-wise).
+    /// Fold another histogram into this one (a sorted merge of the two
+    /// bucket lists, adding the counts of a bucket both hold).
     pub fn merge(&mut self, other: &LatencyHist) {
         self.total += other.total;
         self.sum += other.sum;
         self.max = self.max.max(other.max);
-        match (&mut self.rep, &other.rep) {
-            (Rep::Small(a), Rep::Small(b)) if a.len() + b.len() <= SPILL => {
-                a.extend_from_slice(b);
-            }
-            (_, Rep::Small(b)) => {
-                let counts = self.spill();
-                for &v in b {
-                    counts[bucket_of(v)] += 1;
+        let (a, b) = (&self.buckets, &other.buckets);
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                Ordering::Less => {
+                    out.push(a[i]);
+                    i += 1;
                 }
-            }
-            (_, Rep::Dense(other_counts)) => {
-                let counts = self.spill();
-                for (a, b) in counts.iter_mut().zip(other_counts.iter()) {
-                    *a += b;
+                Ordering::Greater => {
+                    out.push(b[j]);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    out.push((a[i].0, a[i].1 + b[j].1));
+                    i += 1;
+                    j += 1;
                 }
             }
         }
-    }
-
-    /// `(bucket, count)` pairs with non-zero count, ascending — the
-    /// canonical form both representations reduce to.
-    fn nonzero_buckets(&self) -> Vec<(usize, u64)> {
-        match &self.rep {
-            Rep::Dense(counts) => counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &n)| n > 0)
-                .map(|(i, &n)| (i, n))
-                .collect(),
-            Rep::Small(vals) => {
-                let mut idxs: Vec<usize> = vals.iter().map(|&v| bucket_of(v)).collect();
-                idxs.sort_unstable();
-                let mut out: Vec<(usize, u64)> = Vec::new();
-                for i in idxs {
-                    match out.last_mut() {
-                        Some(last) if last.0 == i => last.1 += 1,
-                        _ => out.push((i, 1)),
-                    }
-                }
-                out
-            }
-        }
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+        self.buckets = out;
     }
 }
-
-/// Equality is semantic — the recorded multiset of buckets — so a
-/// histogram that spilled compares equal to one that did not.
-impl PartialEq for LatencyHist {
-    fn eq(&self, other: &Self) -> bool {
-        self.total == other.total
-            && self.sum == other.sum
-            && self.max == other.max
-            && self.nonzero_buckets() == other.nonzero_buckets()
-    }
-}
-
-impl Eq for LatencyHist {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+
+    /// Total buckets needed to cover `0..=u64::MAX`.
+    const NBUCKETS: usize = ((64 - SUB_BITS as usize) + 1) << SUB_BITS;
 
     #[test]
     fn buckets_tile_the_u64_range() {
@@ -320,40 +247,101 @@ mod tests {
         assert_eq!(a, whole);
     }
 
-    /// Spilling is invisible: a histogram pushed past [`SPILL`] answers
-    /// every query exactly as the same samples split across un-spilled
-    /// histograms and merged — and compares equal across representations.
-    #[test]
-    fn spill_is_representation_invisible() {
-        let n = SPILL + 37;
-        let mut spilled = LatencyHist::new();
-        let mut left = LatencyHist::new();
-        let mut right = LatencyHist::new();
-        for i in 0..n {
-            let v = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20;
-            spilled.record(v);
-            if i % 2 == 0 {
-                left.record(v);
-            } else {
-                right.record(v);
+    /// The dense table the bucket list replaced: one counter per bucket
+    /// from construction, queried by a walk over all of them. Kept as the
+    /// reference the list must answer like.
+    struct Dense {
+        counts: Box<[u64; NBUCKETS]>,
+        total: u64,
+        sum: u128,
+        max: u64,
+    }
+
+    impl Dense {
+        fn new() -> Self {
+            Dense {
+                counts: Box::new([0; NBUCKETS]),
+                total: 0,
+                sum: 0,
+                max: 0,
             }
         }
-        assert!(matches!(spilled.rep, Rep::Dense(_)), "must have spilled");
-        // Merging two small halves crosses SPILL and spills too; compare
-        // against a dense-from-the-start accumulator as well.
-        let mut dense = LatencyHist::new();
-        dense.spill();
-        dense.merge(&left);
-        dense.merge(&right);
-        left.merge(&right);
-        for h in [&left, &dense] {
-            assert_eq!(h, &spilled);
-            for q in [0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
-                assert_eq!(h.quantile(q), spilled.quantile(q), "q={q}");
+
+        fn record(&mut self, v: u64) {
+            self.total += 1;
+            self.sum += u128::from(v);
+            self.max = self.max.max(v);
+            self.counts[bucket_of(v)] += 1;
+        }
+
+        fn merge(&mut self, other: &Dense) {
+            self.total += other.total;
+            self.sum += other.sum;
+            self.max = self.max.max(other.max);
+            for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
+                *a += b;
             }
-            assert_eq!(h.mean(), spilled.mean());
-            assert_eq!(h.max(), spilled.max());
-            assert_eq!(h.count(), spilled.count());
+        }
+
+        fn mean(&self) -> u64 {
+            if self.total == 0 {
+                0
+            } else {
+                (self.sum / u128::from(self.total)) as u64
+            }
+        }
+
+        fn quantile(&self, q: f64) -> u64 {
+            if self.total == 0 {
+                return 0;
+            }
+            let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
+            let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
+            let mut seen = 0u64;
+            for (i, &c) in self.counts.iter().enumerate() {
+                seen += c;
+                if seen >= rank {
+                    return bucket_high(i).min(self.max);
+                }
+            }
+            self.max
+        }
+
+        fn same(&self, other: &Dense) -> bool {
+            (self.total, self.sum, self.max) == (other.total, other.sum, other.max)
+                && self.counts == other.counts
+        }
+    }
+
+    const QUERIES: [f64; 9] = [f64::NAN, -1.0, 0.0, 1e-9, 0.5, 0.99, 0.999, 1.0, 2.0];
+
+    /// Every query of `h` answers as `d`'s, and `h`'s list is `d`'s
+    /// non-zero buckets in order.
+    fn agree(h: &LatencyHist, d: &Dense) -> Result<(), TestCaseError> {
+        prop_assert_eq!(h.count(), d.total);
+        prop_assert_eq!(h.max(), d.max);
+        prop_assert_eq!(h.mean(), d.mean());
+        for q in QUERIES {
+            prop_assert_eq!(h.quantile(q), d.quantile(q), "q={}", q);
+        }
+        let nonzero: Vec<(usize, u64)> = (d.counts.iter().enumerate())
+            .filter(|&(_, &c)| c > 0)
+            .map(|(i, &c)| (i, c))
+            .collect();
+        prop_assert_eq!(&h.buckets, &nonzero);
+        Ok(())
+    }
+
+    /// A sample from `(kind, raw)`: a bucket edge or `u64::MAX`, a small
+    /// value (so repeats are common), a value spread across the octaves,
+    /// or anything.
+    fn sample(kind: u8, raw: u64) -> u64 {
+        const EDGES: [u64; 6] = [0, 63, 64, 127, 128, u64::MAX];
+        match kind {
+            0..=2 => EDGES[(raw % 6) as usize],
+            3..=5 => raw % 200,
+            6 | 7 => raw >> (raw % 64),
+            _ => raw,
         }
     }
 
@@ -374,8 +362,7 @@ mod tests {
         }
 
         /// Quantiles are monotone and bounded by the exact maximum:
-        /// p50 ≤ p99 ≤ p999 ≤ max. The 1..300 length range straddles
-        /// [`SPILL`], so both representations are exercised.
+        /// p50 ≤ p99 ≤ p999 ≤ max.
         #[test]
         fn quantiles_monotone(values in proptest::collection::vec(0u64..1_000_000_000_000, 1..300)) {
             let mut h = LatencyHist::new();
@@ -406,20 +393,43 @@ mod tests {
                 "q={} got {} exact {}", q, got, exact);
         }
 
-        /// Identical sample multisets compare equal and answer queries
-        /// identically whatever representation they ended up in.
+        /// The bucket list answers every query like the dense table, after
+        /// every part is recorded and after every merge of a random merge
+        /// tree; `==` on lists agrees with equality of the tables, and a
+        /// list does not depend on the order its samples arrived in.
         #[test]
-        fn representations_agree(values in proptest::collection::vec(0u64..1_000_000_000, 1..200), qi in 0usize..4) {
-            let q = [0.25, 0.5, 0.99, 1.0][qi];
-            let mut small_side = LatencyHist::new();
-            let mut dense_side = LatencyHist::new();
-            dense_side.spill();
-            for &v in &values {
-                small_side.record(v);
-                dense_side.record(v);
+        fn the_list_matches_the_dense_table(
+            samples in proptest::collection::vec((0u8..10, any::<u64>(), 0usize..6), 0..300),
+            picks in proptest::collection::vec(any::<u64>(), 5),
+        ) {
+            let mut lists: Vec<LatencyHist> = (0..6).map(|_| LatencyHist::new()).collect();
+            let mut denses: Vec<Dense> = (0..6).map(|_| Dense::new()).collect();
+            for &(kind, raw, part) in &samples {
+                let v = sample(kind, raw);
+                lists[part].record(v);
+                denses[part].record(v);
+                agree(&lists[part], &denses[part])?;
             }
-            prop_assert_eq!(&small_side, &dense_side);
-            prop_assert_eq!(small_side.quantile(q), dense_side.quantile(q));
+            for (a, b) in [(0, 1), (2, 3), (4, 5), (0, 5)] {
+                prop_assert_eq!(lists[a] == lists[b], denses[a].same(&denses[b]));
+            }
+            let mut backwards = LatencyHist::new();
+            for &(kind, raw, _) in samples.iter().rev() {
+                backwards.record(sample(kind, raw));
+            }
+            // Merge two of the histograms left, at random, until one is.
+            for pick in picks {
+                let n = lists.len() as u64;
+                let into = (pick % n) as usize;
+                let from = ((pick / n) % (n - 1)) as usize;
+                let from = if from >= into { from + 1 } else { from };
+                let (list, dense) = (lists.remove(from), denses.remove(from));
+                let into = if into > from { into - 1 } else { into };
+                lists[into].merge(&list);
+                denses[into].merge(&dense);
+                agree(&lists[into], &denses[into])?;
+            }
+            prop_assert_eq!(&lists[0], &backwards);
         }
     }
 }

@@ -51,7 +51,10 @@ pub mod wire;
 use wire::{WireReader, WireWriter};
 
 /// Container format version; bump on any layout change.
-pub const FORMAT_VERSION: u64 = 3;
+///
+/// v4: a CC-SAS PE's cache words (`CacheSim::export_words`) carry no
+/// hit / miss statistics.
+pub const FORMAT_VERSION: u64 = 4;
 
 /// File magic: 8 bytes at offset zero.
 pub const MAGIC: &[u8; 8] = b"O2KSNAP1";
@@ -357,18 +360,31 @@ pub fn encode_sched(r: &SchedResume) -> Vec<u8> {
 }
 
 /// Inverse of [`encode_sched`].
+///
+/// # Errors
+/// Errors on truncation, trailing bytes, or a current PE past the last
+/// clock.
 pub fn decode_sched(bytes: &[u8]) -> Result<SchedResume, String> {
     let mut r = WireReader::new(bytes);
     let policy = SchedPolicy::parse(&r.str()?)?;
     let clocks = r.u64s()?;
-    Ok(SchedResume {
+    let resume = SchedResume {
         policy,
         clocks,
         fingerprint: r.u64()?,
         switches: r.u64()?,
         current: r.u64()? as usize,
         rng_state: r.u64()?,
-    })
+    };
+    r.finish()?;
+    if resume.current >= resume.clocks.len() {
+        return Err(format!(
+            "sched section: current PE {} is past the last of {} PEs",
+            resume.current,
+            resume.clocks.len()
+        ));
+    }
+    Ok(resume)
 }
 
 // ---------------------------------------------------------------------------
@@ -548,6 +564,42 @@ mod tests {
             rng_state: 77,
         };
         assert_eq!(decode_sched(&encode_sched(&r)).unwrap(), r);
+    }
+
+    #[test]
+    fn sched_section_refuses_a_current_past_the_last_pe() {
+        let r = SchedResume {
+            policy: SchedPolicy::Det,
+            clocks: vec![10, 20, 30],
+            fingerprint: 0xfeed,
+            switches: 42,
+            current: 3,
+            rng_state: 77,
+        };
+        let err = decode_sched(&encode_sched(&r)).unwrap_err();
+        assert_eq!(err, "sched section: current PE 3 is past the last of 3 PEs");
+        let far = SchedResume {
+            current: usize::MAX,
+            ..r
+        };
+        assert!(decode_sched(&encode_sched(&far)).is_err());
+    }
+
+    #[test]
+    fn sched_section_refuses_a_trailing_word() {
+        let r = SchedResume {
+            policy: SchedPolicy::Det,
+            clocks: vec![10, 20],
+            fingerprint: 1,
+            switches: 2,
+            current: 1,
+            rng_state: 3,
+        };
+        let mut w = WireWriter::new();
+        w.raw(&encode_sched(&r));
+        w.u64(0);
+        let err = decode_sched(&w.into_bytes()).unwrap_err();
+        assert_eq!(err, "8 trailing bytes after snapshot section");
     }
 
     #[test]

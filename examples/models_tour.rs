@@ -22,7 +22,7 @@ fn main() {
     let w = MpWorld::new(Arc::clone(&machine));
     let team = Team::new(Arc::clone(&machine));
     let run = team.run(|ctx| {
-        if ctx.pe() == 0 {
+        let said = if ctx.pe() == 0 {
             w.send(ctx, 3, 7, &[1.0f64, 2.0, 3.0]);
             format!("rank 0 sent 24 B to rank 3; clock = {} ns", ctx.now())
         } else if ctx.pe() == 3 {
@@ -33,13 +33,11 @@ fn main() {
                 ctx.now()
             )
         } else {
-            let total = w.allreduce_sum_u64(ctx, vec![ctx.pe() as u64])[0];
-            format!(
-                "rank {} joined allreduce → {total}; clock = {} ns",
-                ctx.pe(),
-                ctx.now()
-            )
-        }
+            format!("rank {} sat out the exchange", ctx.pe())
+        };
+        // A collective: every rank takes part.
+        let total = w.allreduce_sum_u64(ctx, vec![ctx.pe() as u64])[0];
+        format!("{said}; allreduce → {total}, clock = {} ns", ctx.now())
     });
     for line in &run.results {
         println!("  {line}");
@@ -86,7 +84,8 @@ fn main() {
         // lines — no explicit communication in the program text.
         let other = ((ctx.pe() + 1) % ctx.npes()) * n;
         let sum: f64 = (other..other + n).map(|i| pe.read(ctx, &shared, i)).sum();
-        let (hits, misses) = pe.cache_stats();
+        let c = ctx.counters();
+        let (hits, misses) = (c.cache_hits, c.misses_local + c.misses_remote);
         format!(
             "PE {} summed a remote block → {sum:.0}; cache {hits} hits / {misses} misses; clock = {} ns",
             ctx.pe(),

@@ -10,6 +10,8 @@
 //! replica region is allocated by all 256 PEs and written by three helpers
 //! per hot shard, and how many shards are hot follows the seed — dense, it
 //! was 8 MiB of heap per hot shard and the run's peak moved with the seed.
+//! So is a latency histogram, which holds only the buckets its samples
+//! reached.
 
 mod support;
 
@@ -17,6 +19,7 @@ use std::sync::Arc;
 
 use origin2k::machine::{ContentionMode, Machine, MachineConfig};
 use origin2k::prelude::*;
+use origin2k::serve::hist::LatencyHist;
 use origin2k::serve::Mitigation;
 use support::peak_live_bytes;
 
@@ -80,4 +83,35 @@ fn a_p256_shmem_replica_region_costs_what_its_helpers_hold() {
         "P = 256 SHMEM replicated serve held {} MiB of heap at once",
         peak / MIB
     );
+}
+
+/// `samples` latencies, each in a bucket of its own — the most list
+/// entries that many samples can make: 64–127 µs-ish sub-buckets,
+/// doubling every 64 samples.
+fn distinct_latencies(samples: u64) -> impl Iterator<Item = u64> {
+    (0..samples).map(|i| (64 + i % 64) << (10 + i / 64))
+}
+
+/// A latency histogram costs what its samples reach. Q2's P = 1 024
+/// clients record about two latencies each, and a `serve-tail` client at
+/// P = 256 records 256. Held here: at most 64 B of live heap at 2 samples
+/// and under 7 552 B (a quarter of the 3 776-bucket table) at 256, with
+/// every sample in a bucket of its own; the bucket list holds 64 B and
+/// 4 096 B. The raw-list-then-dense-table histogram it replaced held 32 B
+/// at 2 samples and 31 232 B at 256 (its 30 208 B table beside the
+/// 1 024 B raw list it spilled from).
+#[test]
+fn a_latency_histogram_costs_what_its_samples_reach() {
+    for (samples, bound) in [(2, 65), (256, 7_552)] {
+        let (count, peak) = peak_live_bytes(|| {
+            let mut h = LatencyHist::new();
+            distinct_latencies(samples).for_each(|v| h.record(v));
+            h.count()
+        });
+        assert_eq!(count, samples);
+        assert!(
+            peak < bound,
+            "{samples} samples held {peak} B of heap at once"
+        );
+    }
 }

@@ -300,9 +300,9 @@ fn hostile_length_prefixes_are_errors_in_every_decoder() {
 
     // A container carrying another format version is refused by name,
     // never mis-decoded.
-    let v2 = [&container[..8], &words(&[2]), &container[16..]].concat();
-    let err = Snapshot::from_bytes(&v2).unwrap_err();
-    assert_eq!(err, "snapshot format v2 unsupported (this build reads v3)");
+    let v3 = [&container[..8], &words(&[3]), &container[16..]].concat();
+    let err = Snapshot::from_bytes(&v3).unwrap_err();
+    assert_eq!(err, "snapshot format v3 unsupported (this build reads v4)");
 
     net.import_state_bytes(&fabric).expect("untouched export");
     for cut in [1, 9, container.len() / 2] {
