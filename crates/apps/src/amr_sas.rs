@@ -35,7 +35,7 @@ pub fn run_with_opts(
     // metadata is charged on every PE, computed once per run on the host)
     // and the checkpoint plumbing every model shares
     let memo = MeshMemo::new(cfg);
-    let mut snap = Snapshotter::new(
+    let snap = Snapshotter::new(
         &opts,
         App::Amr,
         Model::Sas,

@@ -36,7 +36,7 @@ pub fn run_opts(machine: Arc<Machine>, cfg: &AmrConfig, opts: crate::RunOpts) ->
     // metadata is charged on every PE, computed once per run on the host)
     // and the checkpoint plumbing every model shares
     let memo = MeshMemo::new(cfg);
-    let mut snap = Snapshotter::new(&opts, App::Amr, Model::Shmem, &machine, &format!("{cfg:?}"));
+    let snap = Snapshotter::new(&opts, App::Amr, Model::Shmem, &machine, &format!("{cfg:?}"));
     snap.import_world(|b| world.import_state_bytes(b));
     // sim:end
     let team = opts.configure(Team::new(machine).seed(cfg.seed));

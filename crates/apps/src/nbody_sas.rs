@@ -37,7 +37,7 @@ pub fn run_with_opts(
     assert!(cfg.n >= machine.pes(), "need at least one body per PE");
     let world = SasWorld::with_paging(Arc::clone(&machine), policy);
     // snap:begin — checkpoint plumbing, shared by every model
-    let mut snap = Snapshotter::new(
+    let snap = Snapshotter::new(
         &opts,
         App::NBody,
         Model::Sas,

@@ -44,7 +44,7 @@ pub fn run_opts(machine: Arc<Machine>, cfg: &NBodyConfig, opts: crate::RunOpts) 
     // decomposition is charged on every PE, computed once per run on the
     // host) and the checkpoint plumbing every model shares
     let memo = StartupMemo::default();
-    let mut snap = Snapshotter::new(
+    let snap = Snapshotter::new(
         &opts,
         App::NBody,
         Model::Shmem,

@@ -19,12 +19,15 @@
 //!   world, overlays each PE's core + app state, and *skips the gate at
 //!   the resume point* — the straight run's gate release is already
 //!   accounted inside the restored scheduler state — then replays the
-//!   tail of the straight run bitwise.
+//!   tail of the straight run bitwise. A machine variant's file resumes
+//!   on a cold fabric, by rule. A snapshot that cannot be used panics,
+//!   naming the file, the section and the cause: no error falls back to
+//!   a from-scratch run.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use machine::Machine;
+use machine::{ContentionMode, Machine};
 use o2k_snap::wire::{WireReader, WireWriter};
 use o2k_snap::{
     decode_sched, encode_sched, fnv1a, run_tag, run_tag_prefix, snapshot_path, PeCore, SnapMeta,
@@ -65,6 +68,7 @@ struct CaptureState {
 }
 
 struct ResumeState {
+    path: PathBuf,
     point: SnapPoint,
     payloads: Vec<Vec<u8>>,
     world: Vec<u8>,
@@ -87,10 +91,14 @@ impl Snapshotter {
     /// else (no spec, no snapshots). `cfg_debug` is
     /// a canonical rendering of the app config — its digest keys the
     /// snapshot filename, so a restore under a different problem size
-    /// cleanly misses and runs from scratch. The machine config keys the
+    /// finds no file and runs from scratch. The machine config keys the
     /// filename too (scenario sweeps capture side by side without
     /// clobbering each other); restore prefers the exact machine's file
-    /// and falls back to any machine variant of the same workload.
+    /// and otherwise takes the first machine variant of the same workload.
+    ///
+    /// # Panics
+    /// Panics when a restore's directory is unreadable or its snapshot for
+    /// this run unusable.
     pub fn new(
         opts: &crate::RunOpts,
         app: App,
@@ -100,109 +108,116 @@ impl Snapshotter {
     ) -> Self {
         let pes = machine.pes();
         let mach = fnv1a(format!("{:?}", machine.config).as_bytes());
+        let digest = fnv1a(cfg_debug.as_bytes());
+        let (app_s, model_s) = (app_slug(app), model_slug(model));
         let mode = match opts.snap.clone() {
             None => Mode::Off,
-            Some(SnapSpec::Capture { dir, point }) => {
-                let digest = fnv1a(cfg_debug.as_bytes());
-                let tag = run_tag(app_slug(app), model_slug(model), pes, digest, mach);
-                Mode::Capture(CaptureState {
-                    path: snapshot_path(&dir, &tag),
-                    meta: SnapMeta {
-                        app: app_slug(app).into(),
-                        model: model_slug(model).into(),
-                        pes: pes as u64,
-                        point: point.clone(),
-                        cfg_digest: digest,
-                    },
-                    point,
-                    deposits: Mutex::new(vec![None; pes]),
-                    claimed: AtomicBool::new(false),
-                })
-            }
+            Some(SnapSpec::Capture { dir, point }) => Mode::Capture(CaptureState {
+                path: snapshot_path(&dir, &run_tag(app_s, model_s, pes, digest, mach)),
+                meta: SnapMeta {
+                    app: app_s.into(),
+                    model: model_s.into(),
+                    pes: pes as u64,
+                    point: point.clone(),
+                    cfg_digest: digest,
+                },
+                point,
+                deposits: Mutex::new(vec![None; pes]),
+                claimed: AtomicBool::new(false),
+            }),
             Some(SnapSpec::Restore { dir }) => {
-                let digest = fnv1a(cfg_debug.as_bytes());
-                let exact = snapshot_path(
-                    &dir,
-                    &run_tag(app_slug(app), model_slug(model), pes, digest, mach),
-                );
-                let path = if exact.exists() {
-                    Some(exact)
+                let exact = snapshot_path(&dir, &run_tag(app_s, model_s, pes, digest, mach));
+                // Only the exact machine's file carries fabric state this
+                // machine can continue from; the fabric is modelled iff
+                // contention is on.
+                let (path, fabric) = if exact.exists() {
+                    (
+                        exact,
+                        Some(machine.config.contention != ContentionMode::Off),
+                    )
                 } else {
-                    // No capture from this exact machine: fall back to the
-                    // lexicographically first snapshot of the same workload
-                    // taken on any machine (deterministic pick).
-                    let prefix = run_tag_prefix(app_slug(app), model_slug(model), pes, digest);
-                    let mut candidates: Vec<PathBuf> = std::fs::read_dir(&dir)
-                        .map(|rd| {
-                            rd.filter_map(|e| e.ok().map(|e| e.path()))
-                                .filter(|p| {
-                                    p.file_name().and_then(|n| n.to_str()).is_some_and(|n| {
-                                        n.starts_with(&prefix)
-                                            && n.ends_with(&format!(".{}", o2k_snap::EXT))
-                                    })
-                                })
-                                .collect()
+                    // No capture from this exact machine: take the
+                    // lexicographically first snapshot of the same
+                    // workload taken on any machine (deterministic pick).
+                    let prefix = run_tag_prefix(app_s, model_s, pes, digest);
+                    let ext = format!(".{}", o2k_snap::EXT);
+                    let variant = std::fs::read_dir(&dir)
+                        .and_then(|rd| {
+                            rd.map(|e| e.map(|e| e.path()))
+                                .collect::<Result<Vec<_>, _>>()
                         })
-                        .unwrap_or_default();
-                    candidates.sort();
-                    candidates.into_iter().next()
+                        .unwrap_or_else(|e| panic!("cannot restore from {}: {e}", dir.display()))
+                        .into_iter()
+                        .filter(|p| {
+                            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
+                            name.starts_with(&prefix) && name.ends_with(&ext)
+                        })
+                        .min();
+                    let Some(variant) = variant else {
+                        return Snapshotter { mode: Mode::Off };
+                    };
+                    (variant, None)
                 };
-                let Some(path) = path else {
-                    return Snapshotter { mode: Mode::Off };
-                };
-                match Self::load_resume(&path, app, model, pes, digest) {
-                    Ok(r) => Mode::Resume(r),
-                    Err(e) => {
-                        eprintln!(
-                            "warning: ignoring snapshot {} ({e}); running from scratch",
-                            path.display()
-                        );
-                        Mode::Off
-                    }
-                }
+                Mode::Resume(
+                    Self::load_resume(path.clone(), app_s, model_s, pes, digest, fabric)
+                        .unwrap_or_else(|e| panic!("cannot restore {}: {e}", path.display())),
+                )
             }
         };
         Snapshotter { mode }
     }
 
+    /// Read and check the snapshot at `path`. `fabric` is `None` for a
+    /// machine variant's file, whose fabric section stays unread, and
+    /// otherwise whether this machine models a fabric.
     fn load_resume(
-        path: &std::path::Path,
-        app: App,
-        model: Model,
+        path: PathBuf,
+        app: &str,
+        model: &str,
         pes: usize,
         digest: u64,
+        fabric: Option<bool>,
     ) -> Result<ResumeState, String> {
-        let snap = Snapshot::load(path)?;
-        let meta = SnapMeta::decode(snap.require("meta")?)?;
-        if meta.app != app_slug(app)
-            || meta.model != model_slug(model)
+        let bytes = std::fs::read(&path).map_err(|e| e.to_string())?;
+        let snap = Snapshot::from_bytes(&bytes)?;
+        let section = |name: &str| snap.require(name);
+        let meta = SnapMeta::decode(section("meta")?).map_err(|e| format!("section meta: {e}"))?;
+        if meta.app != app
+            || meta.model != model
             || meta.pes != pes as u64
             || meta.cfg_digest != digest
         {
             return Err(format!(
-                "snapshot is for {}-{}-p{} digest {:016x}, this run is {}-{}-p{pes} digest {digest:016x}",
+                "section meta: snapshot is for {}-{}-p{} digest {:016x}, this run is {app}-{model}-p{pes} digest {digest:016x}",
                 meta.app, meta.model, meta.pes, meta.cfg_digest,
-                app_slug(app), model_slug(model)
             ));
         }
-        let sched = decode_sched(snap.require("sched")?)?;
+        let sched = decode_sched(section("sched")?).map_err(|e| format!("section sched: {e}"))?;
         if sched.clocks.len() != pes {
             return Err(format!(
-                "snapshot sched covers {} PEs, run has {pes}",
+                "section sched: covers {} PEs, run has {pes}",
                 sched.clocks.len()
             ));
         }
         let mut cores = Vec::with_capacity(pes);
         let mut payloads = Vec::with_capacity(pes);
         for pe in 0..pes {
-            let mut r = WireReader::new(snap.require(&format!("core/{pe}"))?);
-            cores.push(PeCore::decode(&mut r)?);
-            r.finish()?;
-            payloads.push(snap.require(&format!("app/{pe}"))?.to_vec());
+            let name = format!("core/{pe}");
+            let mut r = WireReader::new(section(&name)?);
+            let core = PeCore::decode(&mut r).and_then(|c| r.finish().map(|()| c));
+            cores.push(core.map_err(|e| format!("section {name}: {e}"))?);
+            payloads.push(section(&format!("app/{pe}"))?.to_vec());
         }
-        let world = snap.require("world")?.to_vec();
-        let fabric = snap.get("fabric").map(|b| b.to_vec());
+        let world = section("world")?.to_vec();
+        let fabric = match (fabric, snap.get("fabric")) {
+            (Some(false), Some(_)) => {
+                return Err("section fabric: present, and this machine models none".into())
+            }
+            (Some(true), _) => Some(section("fabric")?.to_vec()),
+            _ => None,
+        };
         Ok(ResumeState {
+            path,
             point: meta.point,
             payloads,
             world,
@@ -232,14 +247,18 @@ impl Snapshotter {
     }
 
     /// Feed the snapshot's model-world blob to `import` (e.g.
-    /// `SymWorld::import_state_bytes`) before the team starts. On import
-    /// failure the whole run falls back to from-scratch — a partially
-    /// restored world would be silently wrong.
-    pub fn import_world(&mut self, import: impl FnOnce(&[u8]) -> Result<(), String>) {
+    /// `SymWorld::import_state_bytes`) before the team starts.
+    ///
+    /// # Panics
+    /// Panics, naming the file, when the import fails: a run on a
+    /// partially restored world would be silently wrong.
+    pub fn import_world(&self, import: impl FnOnce(&[u8]) -> Result<(), String>) {
         if let Mode::Resume(r) = &self.mode {
             if let Err(e) = import(&r.world) {
-                eprintln!("warning: snapshot world import failed ({e}); running from scratch");
-                self.mode = Mode::Off;
+                panic!(
+                    "cannot restore {}: section world: import failed: {e}",
+                    r.path.display()
+                );
             }
         }
     }

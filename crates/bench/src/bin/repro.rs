@@ -39,11 +39,13 @@
 //! `--snapshot <dir>@<gate>[:index]` writes a checkpoint of every team
 //! run into `<dir>` when execution reaches the named snap gate (`step:4`,
 //! `warm`, …); `--restore <dir>` warm-starts every run whose snapshot
-//! exists in `<dir>` (runs with no matching snapshot fall back to
-//! from-scratch). Snap gates cost zero virtual time, so a capturing run's
-//! tables are bitwise identical to a plain run's and a restored run
-//! replays the plain run's tail exactly — see DESIGN.md §4g. Experiment
-//! C1 manages its own snapshot directory and ignores these flags.
+//! exists in `<dir>` (runs with no matching snapshot run from scratch; a
+//! matching snapshot that cannot be used fails the run, naming the file;
+//! a `<dir>` holding no snapshot exits 2). Snap gates cost zero virtual
+//! time, so a capturing run's tables are bitwise identical to a plain
+//! run's and a restored run replays the plain run's tail exactly — see
+//! DESIGN.md §4g. Experiment C1 manages its own snapshot directory and
+//! ignores these flags.
 
 use std::fs;
 use std::time::Instant;
@@ -164,6 +166,13 @@ fn main() {
     if capture.is_some() && restore.is_some() {
         eprintln!("--snapshot and --restore are mutually exclusive");
         std::process::exit(2);
+    }
+    if let Some(o2k_snap::SnapSpec::Restore { dir }) = &restore {
+        let is_snap = |e: fs::DirEntry| e.path().extension().is_some_and(|x| x == o2k_snap::EXT);
+        if !fs::read_dir(dir).is_ok_and(|mut rd| rd.any(|e| e.is_ok_and(is_snap))) {
+            eprintln!("--restore: {} holds no .o2ksnap snapshot", dir.display());
+            std::process::exit(2);
+        }
     }
     let tracing = trace_dir.map(|dir| (dir, o2k_trace::TraceSink::default()));
     let env = Env {

@@ -1091,18 +1091,14 @@ impl NetSim {
     // counters of every resource, the detour count, and the per-phase
     // baseline snapshots (phase hotspot reports must survive a restore).
     // Recorded trace spans are *not* exported: a restored run's trace
-    // covers post-restore traffic only. The encoding is `o2k_snap::wire`
-    // with its own version word, so the snapshot container can treat it
-    // as an opaque blob.
-
-    /// Fabric-state layout version inside [`NetSim::export_state_bytes`].
-    pub const STATE_VERSION: u64 = 1;
+    // covers post-restore traffic only. The encoding is `o2k_snap::wire`,
+    // versioned by the snapshot container's `FORMAT_VERSION`, which
+    // treats it as an opaque blob.
 
     /// Serialise the resumable fabric state.
     pub fn export_state_bytes(&self) -> Vec<u8> {
         let st = self.lock();
         let mut w = WireWriter::new();
-        w.u64(Self::STATE_VERSION);
         w.u64(st.detoured);
         w.u64(st.spans_dropped);
         w.u64(st.res.len() as u64);
@@ -1127,18 +1123,14 @@ impl NetSim {
         w.into_bytes()
     }
 
-    /// Restore state exported by [`NetSim::export_state_bytes`]. Errors —
-    /// leaving this fabric untouched — when the bytes are malformed or
-    /// the resource tables differ in size or kind layout (the snapshot
-    /// came from a different topology or contention mode; the caller
-    /// falls back to a cold fabric, which is the correct model for "same
-    /// computation, different machine").
+    /// Restore state exported by [`NetSim::export_state_bytes`].
+    ///
+    /// # Errors
+    /// Errors — leaving this fabric untouched — when the bytes are
+    /// truncated, carry trailing bytes, or describe a resource table of
+    /// another size or kind layout (another topology or contention mode).
     pub fn import_state_bytes(&self, bytes: &[u8]) -> Result<(), String> {
         let mut r = WireReader::new(bytes);
-        let version = r.u64()?;
-        if version != Self::STATE_VERSION {
-            return Err(format!("fabric state v{version} unsupported"));
-        }
         let detoured = r.u64()?;
         let spans_dropped = r.u64()?;
         let n = r.count(48)?;
@@ -1172,6 +1164,7 @@ impl NetSim {
             }
             phases.push(Phase { name, at_start });
         }
+        r.finish()?;
         let mut st = self.lock();
         if res.len() != st.res.len()
             || kinds
@@ -2147,6 +2140,17 @@ mod tests {
     }
 
     #[test]
+    fn state_import_refuses_a_trailing_word() {
+        let a = sim_fabric(8, 2);
+        a.route(0, 0, 3, 4096, 10);
+        let mut w = WireWriter::new();
+        w.raw(&a.export_state_bytes());
+        w.u64(0);
+        let err = sim_fabric(8, 2).import_state_bytes(&w.into_bytes());
+        assert_eq!(err, Err("8 trailing bytes after snapshot section".into()));
+    }
+
+    #[test]
     fn spans_keep_push_order_as_the_store_grows() {
         let net = sim(8);
         net.set_record_spans(true);
@@ -2182,7 +2186,9 @@ mod tests {
     }
 
     /// The fabric section's layout is fixed: these bytes were produced by
-    /// the hand-rolled codec `o2k_snap::wire` replaced.
+    /// the hand-rolled codec `o2k_snap::wire` replaced, less the version
+    /// word `o2k_snap::FORMAT_VERSION` took over (v5). A layout change
+    /// bumps that version and re-pins.
     #[test]
     fn the_fabric_section_bytes_are_pinned() {
         let net = sim_fabric(16, 2);
@@ -2199,7 +2205,7 @@ mod tests {
                 .unwrap();
         }
         let bytes = net.export_state_bytes();
-        assert_eq!(bytes.len(), 2654);
-        assert_eq!(o2k_snap::fnv1a(&bytes), 0x21ff_6709_2152_c6fb);
+        assert_eq!(bytes.len(), 2646);
+        assert_eq!(o2k_snap::fnv1a(&bytes), 0x47cc_f87e_63b6_5562);
     }
 }

@@ -162,11 +162,11 @@ pub struct TeamResume {
     pub sched: o2k_sched::SchedResume,
     /// Per-PE core state, `cores[pe]`, applied to each [`Ctx`] at spawn.
     pub cores: Vec<o2k_snap::PeCore>,
-    /// Fabric state from [`NetSim::export_state_bytes`]. Imported when
-    /// this machine's resource table matches; silently skipped otherwise
-    /// (restoring under a different topology or contention mode starts
-    /// from a cold fabric, the correct model for "same computation,
-    /// different machine").
+    /// Fabric state from [`NetSim::export_state_bytes`], or `None` for a
+    /// cold fabric. When present it must fit this machine's fabric: a
+    /// machine without one, or an import error, panics. A restore onto
+    /// another machine than the captured one passes `None`: the captured
+    /// fabric state belongs to that other machine.
     pub fabric: Option<Vec<u8>>,
 }
 
@@ -257,7 +257,8 @@ impl Team {
     /// sections and enter its loop at the captured step.
     ///
     /// # Panics
-    /// Panics on a PE-count mismatch.
+    /// Panics on a PE-count mismatch, and on [`TeamResume::fabric`] bytes
+    /// this machine's fabric cannot import.
     pub fn run_resumed<R, F>(&self, resume: Option<TeamResume>, f: F) -> TeamRun<R>
     where
         R: Send,
@@ -289,11 +290,11 @@ impl Team {
         }
         let shared = Arc::new(TeamShared::new(&self.machine, Arc::clone(&coop)));
         if let Some(bytes) = resume.as_ref().and_then(|r| r.fabric.as_deref()) {
-            if let Some(net) = &shared.net {
-                // Mismatch (different topology / contention mode) means a
-                // cold fabric, by design — see [`TeamResume::fabric`].
-                let _ = net.import_state_bytes(bytes);
-            }
+            let Some(net) = &shared.net else {
+                panic!("snapshot section fabric: this machine models no fabric (contention off)");
+            };
+            net.import_state_bytes(bytes)
+                .unwrap_or_else(|e| panic!("snapshot section fabric: {e}"));
         }
         let trace = self.sink.is_some();
         if trace {

@@ -197,18 +197,14 @@ impl SasWorld {
         ctx.barrier();
     }
 
-    /// Wire-format version of [`SasWorld::export_state_bytes`]. Version 2
-    /// widened the per-line sharer field from one `u64` to
-    /// `ceil(pes / 64)` words; version-1 sections are refused.
-    pub const STATE_VERSION: u64 = 2;
-
     /// Serialise every shared region — storage bits, page homes, and the
     /// full per-line MSI directory — for a checkpoint. Race-detector
     /// access history is deliberately not captured: a restored run
-    /// re-detects from the restore point onward.
+    /// re-detects from the restore point onward. A line's sharer field is
+    /// `ceil(pes / 64)` words; the layout is versioned by the snapshot
+    /// container's `o2k_snap::FORMAT_VERSION`.
     pub fn export_state_bytes(&self) -> Vec<u8> {
         let mut w = o2k_snap::wire::WireWriter::new();
-        w.u64(Self::STATE_VERSION);
         w.u64(self.size() as u64);
         w.u64(match self.policy {
             PagePolicy::FirstTouch => 0,
@@ -247,19 +243,12 @@ impl SasWorld {
     /// [`SasWorld::attach`] in the original allocation order.
     ///
     /// # Errors
-    /// Errors on version/PE-count/paging/line-geometry mismatch,
+    /// Errors on PE-count/paging/line-geometry mismatch,
     /// truncation, a page home that is not one of this machine's nodes, a
     /// line whose version, owner or sharer bits do not fit this world, or
     /// a non-fresh world; the world is left untouched.
     pub fn import_state_bytes(&self, bytes: &[u8]) -> Result<(), String> {
         let mut rd = o2k_snap::wire::WireReader::new(bytes);
-        let ver = rd.u64()?;
-        if ver != Self::STATE_VERSION {
-            return Err(format!(
-                "sas snapshot version {ver}, expected {}",
-                Self::STATE_VERSION
-            ));
-        }
         let pes = rd.u64()? as usize;
         if pes != self.size() {
             return Err(format!(
@@ -1069,22 +1058,6 @@ mod tests {
         assert!(fresh.import_state_bytes(&bytes).is_ok());
     }
 
-    /// Version-1 sections (one sharer word per line, before the widening)
-    /// were never archived and the container refuses the files that could
-    /// hold one, so the importer names the version instead of guessing.
-    #[test]
-    fn import_rejects_version1_sections() {
-        let (w, _) = setup(2);
-        let bytes = w.export_state_bytes();
-        let version = o2k_snap::wire::WireReader::new(&bytes).u64();
-        assert_eq!(version, Ok(2), "export is version 2");
-        let mut v1 = o2k_snap::wire::WireWriter::new();
-        v1.u64(1);
-        v1.raw(&bytes[8..]);
-        let err = w.import_state_bytes(&v1.into_bytes()).unwrap_err();
-        assert_eq!(err, "sas snapshot version 1, expected 2");
-    }
-
     /// The old single-word sharer bitmask capped CC-SAS teams at 64 PEs;
     /// with a row of two sharer words a 128-PE team shares one line and a
     /// write still invalidates every other sharer.
@@ -1148,24 +1121,25 @@ mod tests {
         w.export_state_bytes()
     }
 
-    /// The SAS section layout (`STATE_VERSION` 2) is fixed: these digests
-    /// were produced by the locked per-line directory the flat per-line
-    /// record replaced. A layout change bumps the version and re-pins.
+    /// The SAS section layout is fixed: these digests were produced by
+    /// the locked per-line directory the flat per-line record replaced,
+    /// less the version word `o2k_snap::FORMAT_VERSION` took over (v5). A
+    /// layout change bumps that version and re-pins.
     #[test]
     fn the_sas_section_bytes_are_pinned() {
         let digest = |pes, policy| o2k_snap::fnv1a(&scripted_section(pes, policy));
-        assert_eq!(digest(2, PagePolicy::FirstTouch), 0x4f97_0195_6653_1906);
-        assert_eq!(digest(128, PagePolicy::FirstTouch), 0xe561_38b8_d43f_92db);
+        assert_eq!(digest(2, PagePolicy::FirstTouch), 0xc8db_c80e_eccb_9d64);
+        assert_eq!(digest(128, PagePolicy::FirstTouch), 0x7eb1_759c_1459_1c79);
         // Header, one region of 96 words on 3 pages, then 12 lines of
         // version + two sharer words + owner/dirty.
         let p65 = scripted_section(65, PagePolicy::RoundRobin);
-        assert_eq!(p65.len(), 8 * (4 + 3 + 96 + 1 + 3 + 1 + 12 * 4));
-        assert_eq!(o2k_snap::fnv1a(&p65), 0x2ee3_806a_fb3d_bb9f);
+        assert_eq!(p65.len(), 8 * (3 + 3 + 96 + 1 + 3 + 1 + 12 * 4));
+        assert_eq!(o2k_snap::fnv1a(&p65), 0xebcc_e37e_7d22_aa8d);
     }
 
     /// Word index of line 0's record in P = 65's scripted section: the
     /// header, then the region's geometry, 96 storage words and 3 pages.
-    const LINE0: usize = 4 + 3 + 96 + 1 + 3 + 1;
+    const LINE0: usize = 3 + 3 + 96 + 1 + 3 + 1;
 
     /// P = 65's scripted section with one word edited, and the error a
     /// fresh world gives importing it. The same world then imports the
@@ -1187,7 +1161,7 @@ mod tests {
     }
 
     /// Word index of page 0's home in P = 65's scripted section.
-    const PAGE0: usize = 4 + 3 + 96 + 1;
+    const PAGE0: usize = 3 + 3 + 96 + 1;
 
     #[test]
     fn import_rejects_a_page_home_past_the_last_node() {

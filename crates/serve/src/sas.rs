@@ -31,7 +31,7 @@ use crate::{await_arrival, finish, serve_cost, PeOut, ServeConfig, BUILD_NS_PER_
 pub fn run_opts(machine: Arc<Machine>, cfg: &ServeConfig, opts: apps::RunOpts) -> RunMetrics {
     let world = SasWorld::new(Arc::clone(&machine));
     let plan = MitPlan::build(cfg, machine.pes());
-    let mut snap = Snapshotter::new(&opts, App::Serve, Model::Sas, &machine, &format!("{cfg:?}"));
+    let snap = Snapshotter::new(&opts, App::Serve, Model::Sas, &machine, &format!("{cfg:?}"));
     snap.import_world(|b| world.import_state_bytes(b));
     let team = opts.configure(Team::new(machine).seed(cfg.seed));
     let run = team.run_resumed(snap.team_resume(), |ctx| {

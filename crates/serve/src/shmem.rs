@@ -29,7 +29,7 @@ use crate::{await_arrival, finish, serve_cost, PeOut, ServeConfig, BUILD_NS_PER_
 pub fn run_opts(machine: Arc<Machine>, cfg: &ServeConfig, opts: apps::RunOpts) -> RunMetrics {
     let world = SymWorld::new(Arc::clone(&machine));
     let plan = MitPlan::build(cfg, machine.pes());
-    let mut snap = Snapshotter::new(
+    let snap = Snapshotter::new(
         &opts,
         App::Serve,
         Model::Shmem,

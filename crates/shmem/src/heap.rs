@@ -101,15 +101,13 @@ impl SymWorld {
         ctx.barrier();
     }
 
-    /// Wire-format version of [`SymWorld::export_state_bytes`].
-    pub const STATE_VERSION: u64 = 1;
-
     /// Serialise every symmetric region (raw bit patterns, PE-major) for a
     /// checkpoint. Call at a quiescence point: puts already landed in the
-    /// blackboard, so the cells are the complete one-sided state.
+    /// blackboard, so the cells are the complete one-sided state. The
+    /// layout is versioned by the snapshot container's
+    /// `o2k_snap::FORMAT_VERSION`.
     pub fn export_state_bytes(&self) -> Vec<u8> {
         let mut w = o2k_snap::wire::WireWriter::new();
-        w.u64(Self::STATE_VERSION);
         w.u64(self.size() as u64);
         let regions = self.regions.all();
         w.u64(regions.len() as u64);
@@ -129,17 +127,10 @@ impl SymWorld {
     /// [`SymWorld::attach`] in the original allocation order.
     ///
     /// # Errors
-    /// Errors on version/PE-count mismatch, truncation, or a non-fresh
-    /// world; the world is left untouched on error.
+    /// Errors on PE-count mismatch, truncation, trailing bytes, or a
+    /// non-fresh world; the world is left untouched on error.
     pub fn import_state_bytes(&self, bytes: &[u8]) -> Result<(), String> {
         let mut rd = o2k_snap::wire::WireReader::new(bytes);
-        let ver = rd.u64()?;
-        if ver != Self::STATE_VERSION {
-            return Err(format!(
-                "shmem snapshot version {ver}, expected {}",
-                Self::STATE_VERSION
-            ));
-        }
         let pes = rd.u64()? as usize;
         if pes != self.size() {
             return Err(format!(
@@ -595,11 +586,11 @@ mod tests {
             assert_eq!((&r.1, &r.2), (&vec![0, 7, 0], &vec![0, 0, 0]));
         }
 
-        // The wire format is the dense one: version, PEs, regions, then
-        // `len` and every PE's words, unset instances as zeros.
+        // The wire format is the dense one: PEs, regions, then `len` and
+        // every PE's words, unset instances as zeros.
         let bytes = w.export_state_bytes();
         let mut dense = o2k_snap::wire::WireWriter::new();
-        for word in [SymWorld::STATE_VERSION, 4, 1, 3] {
+        for word in [4, 1, 3] {
             dense.u64(word);
         }
         for word in [0, 0, 0, 0, 7, 0, 5, 0, 0, 0, 0, 0] {

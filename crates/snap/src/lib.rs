@@ -34,12 +34,14 @@
 //! list of named byte sections (`sched`, `core/<pe>`, `app/<pe>`,
 //! `world`, `fabric`, `meta`). All integers are u64 little-endian via
 //! [`wire`]; sections owned by other crates (fabric, heap regions) are
-//! opaque byte blobs with their own versioning. Snapshots are keyed by a
-//! [`run_tag`] — app, model, PE count and a config digest — so one
-//! directory holds a whole suite's checkpoints and a restore of a
-//! never-captured configuration falls back to running from scratch.
+//! opaque byte blobs to the container. [`FORMAT_VERSION`] is the one
+//! version of the whole file, every section included: no section carries
+//! a version word of its own. Every decoder reads its bytes to the end
+//! and refuses trailing ones. Snapshots are keyed by a [`run_tag`] — app,
+//! model, PE count and a config digest — so one directory holds a whole
+//! suite's checkpoints. A run with no snapshot for its tag runs from
+//! scratch; a snapshot that exists but cannot be used fails the run.
 
-use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 use machine::stats::Counters;
@@ -50,11 +52,13 @@ pub mod wire;
 
 use wire::{WireReader, WireWriter};
 
-/// Container format version; bump on any layout change.
+/// Format version of the container and of every section in it; bump on
+/// any layout change, the section codecs of other crates included.
 ///
 /// v4: a CC-SAS PE's cache words (`CacheSim::export_words`) carry no
-/// hit / miss statistics.
-pub const FORMAT_VERSION: u64 = 4;
+/// hit / miss statistics. v5: the fabric, CC-SAS and SHMEM sections lose
+/// their own leading version words.
+pub const FORMAT_VERSION: u64 = 5;
 
 /// File magic: 8 bytes at offset zero.
 pub const MAGIC: &[u8; 8] = b"O2KSNAP1";
@@ -109,8 +113,10 @@ pub enum SnapSpec {
     /// Write a snapshot into `dir` when execution reaches `point`, then
     /// keep running (the capturing run still produces its full result).
     Capture { dir: PathBuf, point: SnapPoint },
-    /// Start from the snapshot in `dir` matching this run's [`run_tag`],
-    /// falling back to a from-scratch run when no such file exists.
+    /// Start from the snapshot in `dir` matching this run's [`run_tag`]
+    /// (or, failing that, its [`run_tag_prefix`]). A run with no such
+    /// file runs from scratch; a file that exists but cannot be used
+    /// fails the run, naming the file, the section and the cause.
     Restore { dir: PathBuf },
 }
 
@@ -158,11 +164,12 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// digest (topology, contention mode, fault plan) keeps captures taken
 /// under different scenarios from overwriting each other inside one
 /// snapshot directory. Restore looks for the exact machine first — that
-/// path replays bitwise, interconnect state included — and then falls
-/// back to any machine variant of the same workload via
-/// [`run_tag_prefix`]: application physics is machine-invariant, so a
-/// warm start under a new fault plan, contention mode, or scheduling
-/// policy is still exact where it matters (checksums, fingerprints).
+/// path replays bitwise, interconnect state included — and then takes
+/// any machine variant of the same workload via [`run_tag_prefix`]:
+/// application physics is machine-invariant, so a warm start under a new
+/// fault plan or contention mode is still exact where it matters
+/// (checksums). A variant restore starts from a cold fabric, by rule: the
+/// captured fabric state belongs to another machine.
 pub fn run_tag(app: &str, model: &str, pes: usize, cfg_digest: u64, mach_digest: u64) -> String {
     format!("{app}-{model}-p{pes}-{cfg_digest:016x}-m{mach_digest:016x}")
 }
@@ -231,7 +238,8 @@ impl Snapshot {
         w.into_bytes()
     }
 
-    /// Parse the container byte format.
+    /// Parse the container byte format; errors on a bad magic, another
+    /// format version, truncation or trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let mut r = WireReader::new(bytes);
         let magic = r.raw(MAGIC.len())?;
@@ -252,6 +260,7 @@ impl Snapshot {
             let bytes = r.bytes()?.to_vec();
             sections.push((name, bytes));
         }
+        r.finish()?;
         Ok(Snapshot { sections })
     }
 
@@ -260,17 +269,7 @@ impl Snapshot {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(&self.to_bytes())
-    }
-
-    /// Load a snapshot from `path`.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let mut bytes = Vec::new();
-        std::fs::File::open(path)
-            .and_then(|mut f| f.read_to_end(&mut bytes))
-            .map_err(|e| format!("read {}: {e}", path.display()))?;
-        Self::from_bytes(&bytes).map_err(|e| format!("{}: {e}", path.display()))
+        std::fs::write(path, self.to_bytes())
     }
 }
 
@@ -420,10 +419,11 @@ impl SnapMeta {
         w.into_bytes()
     }
 
-    /// Inverse of [`SnapMeta::encode`].
+    /// Inverse of [`SnapMeta::encode`]; errors on truncation or trailing
+    /// bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self, String> {
         let mut r = WireReader::new(bytes);
-        Ok(SnapMeta {
+        let meta = SnapMeta {
             app: r.str()?,
             model: r.str()?,
             pes: r.u64()?,
@@ -432,7 +432,8 @@ impl SnapMeta {
                 index: r.u64()?,
             },
             cfg_digest: r.u64()?,
-        })
+        };
+        r.finish().map(|()| meta)
     }
 }
 
@@ -489,6 +490,15 @@ mod tests {
         let mut ok = Snapshot::new().to_bytes();
         ok[7] ^= 1; // corrupt the magic
         assert!(Snapshot::from_bytes(&ok).is_err());
+    }
+
+    #[test]
+    fn container_refuses_a_trailing_byte() {
+        let mut s = Snapshot::new();
+        s.put("sched", vec![1, 2, 3]);
+        let bytes = [s.to_bytes(), vec![0]].concat();
+        let err = Snapshot::from_bytes(&bytes).unwrap_err();
+        assert_eq!(err, "1 trailing bytes after snapshot section");
     }
 
     /// A `PeCore` whose every counter holds a distinct value, set through
@@ -599,6 +609,19 @@ mod tests {
         w.raw(&encode_sched(&r));
         w.u64(0);
         let err = decode_sched(&w.into_bytes()).unwrap_err();
+        assert_eq!(err, "8 trailing bytes after snapshot section");
+    }
+
+    #[test]
+    fn meta_refuses_a_trailing_word() {
+        let m = SnapMeta {
+            app: "nbody".into(),
+            model: "mp".into(),
+            pes: 2,
+            point: SnapPoint::parse("warm").unwrap(),
+            cfg_digest: 7,
+        };
+        let err = SnapMeta::decode(&[m.encode(), vec![0; 8]].concat()).unwrap_err();
         assert_eq!(err, "8 trailing bytes after snapshot section");
     }
 

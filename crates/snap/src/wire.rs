@@ -63,16 +63,6 @@ impl WireWriter {
         }
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Finish, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

@@ -16,13 +16,18 @@
 //! * **Property tests** — random (app, model, backend, P ∈ {2,4,8}, gate
 //!   index) round-trips; the invariant never depends on which barrier the
 //!   snapshot lands on.
+//!
+//! And the other half of the contract: a snapshot that exists but cannot
+//! be used fails the run by name — never a from-scratch run in its place
+//! — while a snapshot taken on another machine variant restores onto a
+//! cold fabric and keeps the physics of its from-scratch twin.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use origin2k::machine::ContentionMode;
 use origin2k::prelude::*;
-use origin2k::snap::{SnapPoint, SnapSpec};
+use origin2k::snap::{SnapPoint, SnapSpec, Snapshot};
 
 /// A machine with the queued contention model on, so runs carry NetStats
 /// and the snapshot round-trip exercises the fabric export/import path.
@@ -253,12 +258,13 @@ fn soa_fabric_state_round_trips_bitwise_mid_run() {
 /// A snapshot's length prefixes come from the file. A count the bytes
 /// after it cannot hold — `u64::MAX / 64` overflows `Vec`'s capacity, 2³⁴
 /// asks for hundreds of GiB — must be an `Err` from every decoder (so
-/// `Snapshotter` can warn and run from scratch), never a panic or an
-/// allocator abort; and cutting a valid file short still says so.
+/// `Snapshotter` can fail the run naming the file and the cause), never
+/// an unnamed panic or an allocator abort; and cutting a valid file short
+/// still says so.
 #[test]
 fn hostile_length_prefixes_are_errors_in_every_decoder() {
     use origin2k::sched::SchedResume;
-    use origin2k::snap::{decode_sched, encode_sched, Snapshot};
+    use origin2k::snap::{decode_sched, encode_sched};
     let words = |ws: &[u64]| ws.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
     let m = Machine::origin2000(2);
     let sas = origin2k::sas::SasWorld::new(Arc::clone(&m));
@@ -285,24 +291,24 @@ fn hostile_length_prefixes_are_errors_in_every_decoder() {
         // `sched`: the clock count follows the 8 + 3 bytes of "det".
         let s = [&sched[..11], &words(&[n]), &sched[19..]].concat();
         assert!(decode_sched(&s).is_err(), "sched clocks {n}");
-        // CC-SAS: version, PEs, paging policy, region count, region length.
-        assert!(sas.import_state_bytes(&words(&[2, 2, 0, n])).is_err());
-        assert!(sas.import_state_bytes(&words(&[2, 2, 0, 1, n])).is_err());
-        // SHMEM: version, PEs, region count, region length.
-        assert!(sym.import_state_bytes(&words(&[1, 2, n])).is_err());
-        assert!(sym.import_state_bytes(&words(&[1, 2, 1, n])).is_err());
-        // Fabric: version, detoured, spans dropped, resource count; the
-        // phase count is the last word of a phase-less export.
-        assert!(net.import_state_bytes(&words(&[1, 0, 0, n])).is_err());
+        // CC-SAS: PEs, paging policy, region count, region length.
+        assert!(sas.import_state_bytes(&words(&[2, 0, n])).is_err());
+        assert!(sas.import_state_bytes(&words(&[2, 0, 1, n])).is_err());
+        // SHMEM: PEs, region count, region length.
+        assert!(sym.import_state_bytes(&words(&[2, n])).is_err());
+        assert!(sym.import_state_bytes(&words(&[2, 1, n])).is_err());
+        // Fabric: detoured, spans dropped, resource count; the phase
+        // count is the last word of a phase-less export.
+        assert!(net.import_state_bytes(&words(&[0, 0, n])).is_err());
         let f = [&fabric[..fabric.len() - 8], &words(&[n])].concat();
         assert!(net.import_state_bytes(&f).is_err(), "fabric phases {n}");
     }
 
     // A container carrying another format version is refused by name,
     // never mis-decoded.
-    let v3 = [&container[..8], &words(&[3]), &container[16..]].concat();
-    let err = Snapshot::from_bytes(&v3).unwrap_err();
-    assert_eq!(err, "snapshot format v3 unsupported (this build reads v4)");
+    let v4 = [&container[..8], &words(&[4]), &container[16..]].concat();
+    let err = Snapshot::from_bytes(&v4).unwrap_err();
+    assert_eq!(err, "snapshot format v4 unsupported (this build reads v5)");
 
     net.import_state_bytes(&fabric).expect("untouched export");
     for cut in [1, 9, container.len() / 2] {
@@ -313,6 +319,174 @@ fn hostile_length_prefixes_are_errors_in_every_decoder() {
     assert!(err.contains("truncated"), "{err}");
     let err = net.import_state_bytes(&fabric[..fabric.len() - 8]);
     assert!(err.unwrap_err().contains("truncated"));
+}
+
+// ------------------------------------------------- restore or fail by name
+
+/// Capture `app`/`model` on `machine` at `step:0` into `dir` and return
+/// the one snapshot file written.
+fn capture_one(dir: &std::path::Path, machine: Arc<Machine>, app: App, model: Model) -> PathBuf {
+    let capture = SnapSpec::Capture {
+        dir: dir.to_path_buf(),
+        point: SnapPoint::parse("step:0").unwrap(),
+    };
+    let (nb, am) = (NBodyConfig::small(), AmrConfig::small());
+    run_app_opts(
+        machine,
+        app,
+        model,
+        &nb,
+        &am,
+        det(ExecMode::Event, Some(capture)),
+    );
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(files.len(), 1, "one capture, one file");
+    files.pop().unwrap()
+}
+
+/// The restore of `app`/`model` on `machine` from `dir`, which must
+/// panic; returns the panic's message.
+fn restore_panics(dir: &std::path::Path, machine: Arc<Machine>, app: App, model: Model) -> String {
+    let restore = SnapSpec::Restore {
+        dir: dir.to_path_buf(),
+    };
+    let (nb, am) = (NBodyConfig::small(), AmrConfig::small());
+    let opts = det(ExecMode::Event, Some(restore));
+    let run = std::panic::AssertUnwindSafe(|| run_app_opts(machine, app, model, &nb, &am, opts));
+    let payload = std::panic::catch_unwind(run).expect_err("the restore must fail, not run");
+    match payload.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(payload) => payload.downcast_ref::<&str>().unwrap().to_string(),
+    }
+}
+
+/// `path`'s snapshot with section `name` passed through `edit`.
+fn edit_section(path: &std::path::Path, name: &str, edit: impl FnOnce(&mut Vec<u8>)) {
+    let mut snap = Snapshot::from_bytes(&std::fs::read(path).unwrap()).unwrap();
+    let mut bytes = snap.require(name).unwrap().to_vec();
+    edit(&mut bytes);
+    snap.put(name, bytes);
+    snap.save(path).unwrap();
+}
+
+#[test]
+fn a_truncated_or_foreign_version_file_fails_the_run_naming_it() {
+    let dir = scratch("unusable-file");
+    let m = || Machine::origin2000(2);
+    let path = capture_one(&dir, m(), App::NBody, Model::Mp);
+    let good = std::fs::read(&path).unwrap();
+
+    std::fs::write(&path, &good[..good.len() / 2]).unwrap();
+    let msg = restore_panics(&dir, m(), App::NBody, Model::Mp);
+    assert!(msg.contains(&path.display().to_string()), "{msg}");
+    assert!(msg.contains("truncated snapshot"), "{msg}");
+
+    let v4 = [&good[..8], &4u64.to_le_bytes(), &good[16..]].concat();
+    std::fs::write(&path, v4).unwrap();
+    let msg = restore_panics(&dir, m(), App::NBody, Model::Mp);
+    assert!(msg.contains(&path.display().to_string()), "{msg}");
+    assert!(
+        msg.ends_with("snapshot format v4 unsupported (this build reads v5)"),
+        "{msg}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_edited_world_section_fails_the_world_import_by_name() {
+    let dir = scratch("edited-world");
+    let m = || Machine::origin2000(2);
+    let path = capture_one(&dir, m(), App::NBody, Model::Shmem);
+    // The SHMEM section's first word is its PE count.
+    edit_section(&path, "world", |b| b[0] = 3);
+    let msg = restore_panics(&dir, m(), App::NBody, Model::Shmem);
+    assert!(msg.contains(&path.display().to_string()), "{msg}");
+    assert!(
+        msg.contains("section world: import failed: shmem snapshot has 3 PEs, world has 2"),
+        "{msg}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_exact_restore_with_an_edited_fabric_section_fails_by_name() {
+    let dir = scratch("edited-fabric");
+    let path = capture_one(&dir, contended(4), App::Amr, Model::Mp);
+    edit_section(&path, "fabric", |b| b.extend_from_slice(&[0; 8]));
+    let msg = restore_panics(&dir, contended(4), App::Amr, Model::Mp);
+    assert_eq!(
+        msg,
+        "snapshot section fabric: 8 trailing bytes after snapshot section"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // A file from a machine that models no fabric must not carry one.
+    let dir = scratch("extra-fabric");
+    let m = || Machine::origin2000(2);
+    let path = capture_one(&dir, m(), App::NBody, Model::Mp);
+    let mut snap = Snapshot::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
+    snap.put("fabric", Vec::new());
+    snap.save(&path).unwrap();
+    let msg = restore_panics(&dir, m(), App::NBody, Model::Mp);
+    assert!(msg.contains(&path.display().to_string()), "{msg}");
+    assert!(
+        msg.ends_with("section fabric: present, and this machine models none"),
+        "{msg}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A healthy `queued` capture restored under a faulted `queued` machine
+/// and under the `fabric` contention mode: another machine, so a cold
+/// fabric by rule, and the physics of the from-scratch twin.
+#[test]
+fn a_machine_variant_restore_keeps_its_from_scratch_twins_checksum() {
+    use origin2k::machine::FaultMode;
+    let dir = scratch("variant");
+    let machine = |cont: ContentionMode, fault: &str| {
+        Arc::new(Machine::new(
+            4,
+            MachineConfig {
+                contention: cont,
+                fault: FaultMode::parse(fault).unwrap(),
+                ..MachineConfig::origin2000()
+            },
+        ))
+    };
+    let (app, model) = (App::Amr, Model::Shmem);
+    let path = capture_one(&dir, machine(ContentionMode::Queued, "off"), app, model);
+    let (nb, am) = (NBodyConfig::small(), AmrConfig::small());
+    for (cont, fault) in [
+        (ContentionMode::Queued, "plan:down0:deg8"),
+        (ContentionMode::Fabric, "off"),
+    ] {
+        let run = |snap| {
+            run_app_opts(
+                machine(cont, fault),
+                app,
+                model,
+                &nb,
+                &am,
+                det(ExecMode::Event, snap),
+            )
+        };
+        let scratch = run(None);
+        let warm = run(Some(SnapSpec::Restore { dir: dir.clone() }));
+        assert_eq!(
+            warm.checksum.to_bits(),
+            scratch.checksum.to_bits(),
+            "{cont:?} / {fault}: a variant restore changed the physics"
+        );
+    }
+    // The variant runs did read that file: cut short, it fails them.
+    let good = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &good[..good.len() - 1]).unwrap();
+    let msg = restore_panics(&dir, machine(ContentionMode::Fabric, "off"), app, model);
+    assert!(msg.contains(&path.display().to_string()), "{msg}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ------------------------------------------------- property tests
