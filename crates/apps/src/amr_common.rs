@@ -12,6 +12,7 @@ use std::sync::{Arc, OnceLock};
 use mesh::adaptive::AdaptiveMesh;
 use mesh::dual::{dual_graph, DualGraph};
 use mesh::indicator::{mark, Marking, Shock};
+use o2k_snap::wire::{WireReader, WireWriter};
 use partition::{imbalance, rcb_partition, remap_labels, MoveStats, WeightedPoint};
 
 /// AMR run parameters.
@@ -368,37 +369,45 @@ pub fn balance_series(cfg: &AmrConfig, nparts: usize) -> Vec<(f64, f64, f64, f64
     out
 }
 
-/// Serialise one PE's replicated AMR locals at a step boundary — the
-/// solution field and the ownership map. The mesh itself is *not* stored:
+/// Write one PE's replicated AMR locals at a step gate — the solution
+/// field and the ownership map. The mesh itself is *not* stored:
 /// adaptation is a pure function of the config and the step count, so a
 /// restore rebuilds it by replaying [`ReplicatedMesh::adapt`].
-pub(crate) fn encode_step_state(step: u64, field: &[f64], owner: &[u32]) -> Vec<u8> {
-    let mut w = o2k_snap::wire::WireWriter::new();
-    w.u64(step);
+pub(crate) fn encode_step_state(w: &mut WireWriter, field: &[f64], owner: &[u32]) {
     w.f64s(field);
     let owner64: Vec<u64> = owner.iter().map(|&o| u64::from(o)).collect();
     w.u64s(&owner64);
-    w.into_bytes()
 }
 
 /// Inverse of [`encode_step_state`]. Both vectors are indexed by triangle
-/// id, so each must cover the `tris` triangles of the replayed mesh: a
-/// payload from another config ends here by name, not in an index panic.
-pub(crate) fn decode_step_state(bytes: &[u8], step: u64, tris: usize) -> (Vec<f64>, Vec<u32>) {
-    let mut r = o2k_snap::wire::WireReader::new(bytes);
-    let got = r.u64().expect("snapshot app payload: step");
-    assert_eq!(got, step, "snapshot payload is for a different step");
-    let field = r.f64s().expect("snapshot app payload: field");
-    let owner: Vec<u32> = r
-        .u64s()
-        .expect("snapshot app payload: owner")
+/// id, so each must cover the `tris` triangles of the replayed mesh, and
+/// every owner must be one of the run's `pes` PEs: a section from another
+/// config, or an edited one, is an error here, not an index panic later.
+pub(crate) fn decode_step_state(
+    r: &mut WireReader,
+    tris: usize,
+    pes: usize,
+) -> Result<(Vec<f64>, Vec<u32>), String> {
+    let field = r.f64s()?;
+    let owner = r.u64s()?;
+    for (what, len) in [("field", field.len()), ("owner map", owner.len())] {
+        if len != tris {
+            return Err(format!(
+                "{what} covers {len} triangles, the replayed mesh has {tris}"
+            ));
+        }
+    }
+    let owner = owner
         .into_iter()
-        .map(|v| v as u32)
-        .collect();
-    r.finish().expect("snapshot app payload: trailing bytes");
-    assert_eq!(field.len(), tris, "snapshot/config mismatch: field");
-    assert_eq!(owner.len(), tris, "snapshot/config mismatch: owner");
-    (field, owner)
+        .enumerate()
+        .map(|(t, o)| {
+            u32::try_from(o)
+                .ok()
+                .filter(|&o| (o as usize) < pes)
+                .ok_or_else(|| format!("triangle {t} is owned by PE {o}, the run has {pes}"))
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((field, owner))
 }
 
 #[cfg(test)]
@@ -537,18 +546,49 @@ mod tests {
         ReplicatedMesh::new(&cfg).adapt(&cfg, 1);
     }
 
-    #[test]
-    #[should_panic(expected = "snapshot/config mismatch: field")]
-    fn restore_rejects_a_short_field() {
-        let bytes = encode_step_state(1, &[0.0; 7], &[0; 8]);
-        decode_step_state(&bytes, 1, 8);
+    /// `encode_step_state`'s bytes run back through `decode_step_state`
+    /// for a `tris`-triangle mesh on `pes` PEs.
+    fn step_state_round_trip(
+        field: &[f64],
+        owner: &[u32],
+        tris: usize,
+        pes: usize,
+    ) -> Result<(Vec<f64>, Vec<u32>), String> {
+        let mut w = WireWriter::new();
+        encode_step_state(&mut w, field, owner);
+        let bytes = w.into_bytes();
+        let mut r = WireReader::new(&bytes);
+        let state = decode_step_state(&mut r, tris, pes)?;
+        r.finish()?;
+        Ok(state)
     }
 
     #[test]
-    #[should_panic(expected = "snapshot/config mismatch: owner")]
+    fn restore_rejects_a_short_field() {
+        let err = step_state_round_trip(&[0.0; 7], &[0; 8], 8, 2).unwrap_err();
+        assert_eq!(err, "field covers 7 triangles, the replayed mesh has 8");
+    }
+
+    #[test]
     fn restore_rejects_a_short_owner() {
-        let bytes = encode_step_state(1, &[0.0; 8], &[0; 7]);
-        decode_step_state(&bytes, 1, 8);
+        let err = step_state_round_trip(&[0.0; 8], &[0; 7], 8, 2).unwrap_err();
+        assert_eq!(err, "owner map covers 7 triangles, the replayed mesh has 8");
+    }
+
+    #[test]
+    fn restore_rejects_an_owner_that_is_not_a_pe() {
+        let (field, owner) = step_state_round_trip(&[0.5; 3], &[0, 1, 1], 3, 2).unwrap();
+        assert_eq!((field, owner), (vec![0.5; 3], vec![0, 1, 1]));
+        let err = step_state_round_trip(&[0.0; 3], &[0, 2, 1], 3, 2).unwrap_err();
+        assert_eq!(err, "triangle 1 is owned by PE 2, the run has 2");
+        // A word past `u32::MAX` is refused whole, never truncated to a
+        // PE that exists (2³² + 1 would truncate to PE 1).
+        let mut w = WireWriter::new();
+        w.f64s(&[0.0]);
+        w.u64s(&[(1 << 32) + 1]);
+        let bytes = w.into_bytes();
+        let err = decode_step_state(&mut WireReader::new(&bytes), 1, 2).unwrap_err();
+        assert_eq!(err, "triangle 0 is owned by PE 4294967297, the run has 2");
     }
 
     #[test]

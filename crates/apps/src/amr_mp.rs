@@ -56,15 +56,14 @@ fn rank_main(
     // config and the step count, so replay the adaptation host-side (zero
     // virtual-time charges — the restored clocks already paid for it),
     // then overlay the captured field and ownership map.
-    let warm = snap.resume_index("step").map(|at| {
+    let warm = snap.resume(me, "step", |at, r| {
         let mut state = memo.replica(cfg);
         for s in 0..at as usize {
             state.adapt(cfg, s);
         }
-        let payload = snap.payload(me).expect("resume payload");
-        let (field, owner) = decode_step_state(payload, at, state.mesh.num_tris_total());
+        let (field, owner) = decode_step_state(r, state.mesh.num_tris_total(), p)?;
         state.field = field;
-        (at as usize, state, owner)
+        Ok((at as usize, state, owner))
     });
     // snap:end
     let (start, mut state, mut owner) = warm.unwrap_or_else(|| {
@@ -94,7 +93,7 @@ fn rank_main(
             ctx,
             "step",
             step as u64,
-            || encode_step_state(step as u64, &state.field, &owner),
+            |wr| encode_step_state(wr, &state.field, &owner),
             || {
                 w.assert_quiescent();
                 Vec::new()

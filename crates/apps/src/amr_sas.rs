@@ -68,17 +68,15 @@ fn pe_main(
     // came back through the world import; attach to the regions in
     // allocation order, reload this PE's private cache, and replay the
     // deterministic adaptation to rebuild the replicated mesh.
-    let warm = snap.resume_index("step").map(|at| {
+    let warm = snap.resume(me, "step", |at, r| {
         let mut state = memo.replica(cfg);
         for s in 0..at as usize {
             state.adapt(cfg, s);
         }
         let field: SasSlice<f64> = w.attach(ctx, cap);
         let cursors: SasSlice<u64> = w.attach(ctx, cfg.steps * cfg.sweeps + 1);
-        let cache = decode_sas_state(snap.payload(me).expect("resume payload"), at);
-        pe.import_cache_words(&cache)
-            .expect("snapshot cache import");
-        (at as usize, state, field, cursors)
+        decode_sas_state(r, &mut pe)?;
+        Ok((at as usize, state, field, cursors))
     });
     // snap:end
     let (start, mut state, field, cursors) = warm.unwrap_or_else(|| {
@@ -108,7 +106,7 @@ fn pe_main(
             ctx,
             "step",
             step as u64,
-            || encode_sas_state(step as u64, &pe),
+            |wr| encode_sas_state(wr, &pe),
             || w.export_state_bytes(),
         );
         // snap:end

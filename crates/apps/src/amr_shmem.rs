@@ -62,16 +62,15 @@ fn pe_main(
     // adaptation to rebuild the mesh, and overlay the captured replica and
     // ownership map. No virtual-time charges — the restored clocks already
     // include the prologue.
-    let warm = snap.resume_index("step").map(|at| {
+    let warm = snap.resume(me, "step", |at, r| {
         let mut state = memo.replica(cfg);
         for s in 0..at as usize {
             state.adapt(cfg, s);
         }
-        let payload = snap.payload(me).expect("resume payload");
-        let (f, owner) = decode_step_state(payload, at, state.mesh.num_tris_total());
+        let (f, owner) = decode_step_state(r, state.mesh.num_tris_total(), p)?;
         state.field = f;
         let field: SymSlice<f64> = w.attach(ctx, cap);
-        (at as usize, state, owner, field)
+        Ok((at as usize, state, owner, field))
     });
     // snap:end
     let (start, mut state, mut owner, field) = warm.unwrap_or_else(|| {
@@ -107,7 +106,7 @@ fn pe_main(
             ctx,
             "step",
             step as u64,
-            || encode_step_state(step as u64, &state.field, &owner),
+            |wr| encode_step_state(wr, &state.field, &owner),
             || w.export_state_bytes(),
         );
         // snap:end

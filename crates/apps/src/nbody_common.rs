@@ -6,6 +6,7 @@ use nbody::force::pair_accel;
 use nbody::octree::WalkStack;
 use nbody::plummer::plummer;
 use nbody::{Body, Octree, Vec3};
+use o2k_snap::wire::{WireReader, WireWriter};
 use parallel::Ctx;
 use sas::{SasPe, SasSlice};
 
@@ -136,29 +137,24 @@ impl mp::Payload for BodyCost {
     }
 }
 
-/// Serialise one rank's owned bodies at a step boundary (snapshot app
-/// payload): everything else in the N-body step — trees, essential sets,
-/// partitions — is rebuilt from these each iteration.
-pub(crate) fn encode_bodies_state(step: u64, mine: &[BodyCost]) -> Vec<u8> {
-    let mut w = o2k_snap::wire::WireWriter::new();
-    w.u64(step);
+/// Write one rank's owned bodies at a step gate: everything else in the
+/// N-body step — trees, essential sets, partitions — is rebuilt from
+/// these each iteration.
+pub(crate) fn encode_bodies_state(w: &mut WireWriter, mine: &[BodyCost]) {
     let mut flat = vec![0.0; BODY_WORDS * mine.len()];
     for (i, b) in mine.iter().enumerate() {
         encode_body(b, &mut flat[BODY_WORDS * i..BODY_WORDS * (i + 1)]);
     }
     w.f64s(&flat);
-    w.into_bytes()
 }
 
 /// Inverse of [`encode_bodies_state`].
-pub(crate) fn decode_bodies_state(bytes: &[u8], step: u64) -> Vec<BodyCost> {
-    let mut r = o2k_snap::wire::WireReader::new(bytes);
-    let got = r.u64().expect("snapshot app payload: step");
-    assert_eq!(got, step, "snapshot payload is for a different step");
-    let flat = r.f64s().expect("snapshot app payload: bodies");
-    r.finish().expect("snapshot app payload: trailing bytes");
-    assert_eq!(flat.len() % BODY_WORDS, 0, "snapshot body payload shape");
-    flat.chunks_exact(BODY_WORDS).map(decode_body).collect()
+pub(crate) fn decode_bodies_state(r: &mut WireReader) -> Result<Vec<BodyCost>, String> {
+    let flat = r.f64s()?;
+    if flat.len() % BODY_WORDS != 0 {
+        return Err(format!("{} body words, not whole bodies", flat.len()));
+    }
+    Ok(flat.chunks_exact(BODY_WORDS).map(decode_body).collect())
 }
 
 /// Position checksum: Σ |pos| over bodies — the cross-model agreement

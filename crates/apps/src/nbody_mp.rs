@@ -65,9 +65,8 @@ fn rank_main(
 
     // snap:begin — warm start: a rank's whole N-body state is its owned
     // bodies — trees and partitions are rebuilt from them every step.
-    let warm = snap.resume_index("step").map(|at| {
-        let mine = decode_bodies_state(snap.payload(me).expect("resume payload"), at);
-        (at as usize, mine)
+    let warm = snap.resume(me, "step", |at, r| {
+        Ok((at as usize, decode_bodies_state(r)?))
     });
     // snap:end
     let (start, mut mine) = warm.unwrap_or_else(|| {
@@ -99,7 +98,7 @@ fn rank_main(
             ctx,
             "step",
             step as u64,
-            || encode_bodies_state(step as u64, &mine),
+            |wr| encode_bodies_state(wr, &mine),
             || {
                 w.assert_quiescent();
                 Vec::new()

@@ -72,7 +72,7 @@ fn pe_main(ctx: &mut Ctx, w: &SasWorld, cfg: &NBodyConfig, snap: &Snapshotter) -
     // snap:begin — warm start: every body and tree word, page home, and
     // directory line came back through the world import; attach to the
     // regions in allocation order and reload this PE's private cache.
-    let warm = snap.resume_index("step").map(|at| {
+    let warm = snap.resume(me, "step", |at, r| {
         let s = Shared {
             pos: w.attach(ctx, 3 * n),
             vel: w.attach(ctx, 3 * n),
@@ -83,10 +83,8 @@ fn pe_main(ctx: &mut Ctx, w: &SasWorld, cfg: &NBodyConfig, snap: &Snapshotter) -
             tree_nodes: w.attach(ctx, node_cap * NODE_WORDS),
             tree_leaves: w.attach(ctx, n),
         };
-        let cache = decode_sas_state(snap.payload(me).expect("resume payload"), at);
-        pe.import_cache_words(&cache)
-            .expect("snapshot cache import");
-        (at as usize, s)
+        decode_sas_state(r, &mut pe)?;
+        Ok((at as usize, s))
     });
     // snap:end
     let (start, s) = warm.unwrap_or_else(|| {
@@ -139,7 +137,7 @@ fn pe_main(ctx: &mut Ctx, w: &SasWorld, cfg: &NBodyConfig, snap: &Snapshotter) -
             ctx,
             "step",
             step as u64,
-            || encode_sas_state(step as u64, &pe),
+            |wr| encode_sas_state(wr, &pe),
             || w.export_state_bytes(),
         );
         // snap:end

@@ -124,10 +124,9 @@ fn pe_main(
 
     // snap:begin — warm start: scratch regions came back through the heap
     // import; a PE's live state is just its owned bodies.
-    let warm = snap.resume_index("step").map(|at| {
+    let warm = snap.resume(me, "step", |at, r| {
         let s = attach_state(ctx, w, cfg);
-        let mine = decode_bodies_state(snap.payload(me).expect("resume payload"), at);
-        (at as usize, s, mine)
+        Ok((at as usize, s, decode_bodies_state(r)?))
     });
     // snap:end
     let (start, s, mut mine) = warm.unwrap_or_else(|| {
@@ -160,7 +159,7 @@ fn pe_main(
             ctx,
             "step",
             step as u64,
-            || encode_bodies_state(step as u64, &mine),
+            |wr| encode_bodies_state(wr, &mine),
             || w.export_state_bytes(),
         );
         // snap:end

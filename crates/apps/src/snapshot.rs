@@ -9,20 +9,22 @@
 //!   ([`parallel::Ctx::gate`]). The gates exist in *every* run so
 //!   that a capturing run is bitwise identical to a straight run.
 //! * **Capture**: at the requested gate, each PE deposits its core state
-//!   and serialised app locals host-side, passes the gate, and the first
-//!   PE the scheduler resumes claims the write: it exports the scheduler
-//!   (whose fingerprint already includes the gate-release pick), the
-//!   fabric queues, and the model world, and writes one snapshot file.
-//!   None of that touches a clock, a counter, or the scheduler, so the
-//!   run's own results are unperturbed.
+//!   and its `app/<pe>` section (the gate's index, then the app's locals)
+//!   host-side, passes the gate, and the first PE the scheduler resumes
+//!   claims the write: it exports the scheduler (whose fingerprint
+//!   already includes the gate-release pick), the fabric queues, and the
+//!   model world, and writes one snapshot file. None of that touches a
+//!   clock, a counter, or the scheduler, so the run's own results are
+//!   unperturbed.
 //! * **Resume**: the run skips its prologue, attaches to the imported
-//!   world, overlays each PE's core + app state, and *skips the gate at
-//!   the resume point* — the straight run's gate release is already
-//!   accounted inside the restored scheduler state — then replays the
-//!   tail of the straight run bitwise. A machine variant's file resumes
-//!   on a cold fabric, by rule. A snapshot that cannot be used panics,
-//!   naming the file, the section and the cause: no error falls back to
-//!   a from-scratch run.
+//!   world, overlays each PE's core state and app state (the latter
+//!   through [`Snapshotter::resume`], the one reader of `app/<pe>`), and
+//!   *skips the gate at the resume point* — the straight run's gate
+//!   release is already accounted inside the restored scheduler state —
+//!   then replays the tail of the straight run bitwise. A machine
+//!   variant's file resumes on a cold fabric, by rule. A snapshot that
+//!   cannot be used panics, naming the file, the section and the cause:
+//!   no error falls back to a from-scratch run.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -56,7 +58,7 @@ fn model_slug(model: Model) -> &'static str {
     }
 }
 
-/// One PE's gate deposit: its core state plus serialised app locals.
+/// One PE's gate deposit: its core state plus its `app/<pe>` section.
 type Deposit = (PeCore, Vec<u8>);
 
 struct CaptureState {
@@ -70,7 +72,7 @@ struct CaptureState {
 struct ResumeState {
     path: PathBuf,
     point: SnapPoint,
-    payloads: Vec<Vec<u8>>,
+    apps: Vec<Vec<u8>>,
     world: Vec<u8>,
     team: Mutex<Option<TeamResume>>,
 }
@@ -200,13 +202,13 @@ impl Snapshotter {
             ));
         }
         let mut cores = Vec::with_capacity(pes);
-        let mut payloads = Vec::with_capacity(pes);
+        let mut apps = Vec::with_capacity(pes);
         for pe in 0..pes {
             let name = format!("core/{pe}");
             let mut r = WireReader::new(section(&name)?);
             let core = PeCore::decode(&mut r).and_then(|c| r.finish().map(|()| c));
             cores.push(core.map_err(|e| format!("section {name}: {e}"))?);
-            payloads.push(section(&format!("app/{pe}"))?.to_vec());
+            apps.push(section(&format!("app/{pe}"))?.to_vec());
         }
         let world = section("world")?.to_vec();
         let fabric = match (fabric, snap.get("fabric")) {
@@ -219,7 +221,7 @@ impl Snapshotter {
         Ok(ResumeState {
             path,
             point: meta.point,
-            payloads,
+            apps,
             world,
             team: Mutex::new(Some(TeamResume {
                 sched,
@@ -229,20 +231,33 @@ impl Snapshotter {
         })
     }
 
-    /// When resuming at a gate of family `name`, its index — the app jumps
-    /// its outer loop straight to this iteration.
-    pub fn resume_index(&self, name: &str) -> Option<u64> {
-        match &self.mode {
-            Mode::Resume(r) if r.point.name == name => Some(r.point.index),
-            _ => None,
-        }
-    }
-
-    /// This PE's serialised app locals from the snapshot, when resuming.
-    pub fn payload(&self, pe: usize) -> Option<&[u8]> {
-        match &self.mode {
-            Mode::Resume(r) => Some(&r.payloads[pe]),
-            _ => None,
+    /// When resuming at a gate of family `name`: this PE's app state, read
+    /// by `decode` from its `app/<pe>` section after the gate's index word,
+    /// which `decode` gets too (the app jumps its outer loop straight to
+    /// that iteration). `None` when the run resumes nowhere or elsewhere.
+    ///
+    /// # Panics
+    /// Panics `cannot restore <file>: section app/<pe>: <cause>` when the
+    /// index word is not `meta`'s, `decode` fails, or bytes are left over.
+    pub fn resume<T>(
+        &self,
+        pe: usize,
+        name: &str,
+        decode: impl FnOnce(u64, &mut WireReader) -> Result<T, String>,
+    ) -> Option<T> {
+        let r = match &self.mode {
+            Mode::Resume(r) if r.point.name == name => r,
+            _ => return None,
+        };
+        let (at, mut rd) = (r.point.index, WireReader::new(&r.apps[pe]));
+        let state = match rd.u64() {
+            Ok(got) if got == at => decode(at, &mut rd).and_then(|s| rd.finish().map(|()| s)),
+            Ok(got) => Err(format!("gate index {got}, but meta's point is {name}:{at}")),
+            Err(e) => Err(e),
+        };
+        match state {
+            Ok(state) => Some(state),
+            Err(e) => panic!("cannot restore {}: section app/{pe}: {e}", r.path.display()),
         }
     }
 
@@ -277,9 +292,9 @@ impl Snapshotter {
     /// resume point of a resuming run it is skipped entirely (the
     /// restored scheduler state already contains the gate release).
     ///
-    /// `payload` serialises this PE's app locals; `world` serialises the
-    /// model world (called on one PE only, after the gate) — both only
-    /// ever invoked at the capture point.
+    /// `state` writes this PE's app locals after the gate's index word;
+    /// `world` serialises the model world (called on one PE only, after
+    /// the gate) — both only ever invoked at the capture point.
     ///
     /// # Panics
     /// Panics if the snapshot file cannot be written.
@@ -288,7 +303,7 @@ impl Snapshotter {
         ctx: &mut Ctx,
         name: &str,
         index: u64,
-        payload: impl FnOnce() -> Vec<u8>,
+        state: impl FnOnce(&mut WireWriter),
         world: impl FnOnce() -> Vec<u8>,
     ) {
         match &self.mode {
@@ -303,7 +318,10 @@ impl Snapshotter {
                     ctx.gate();
                     return;
                 }
-                c.deposits.lock()[ctx.pe()] = Some((ctx.export_core(), payload()));
+                let mut app = WireWriter::new();
+                app.u64(index);
+                state(&mut app);
+                c.deposits.lock()[ctx.pe()] = Some((ctx.export_core(), app.into_bytes()));
                 ctx.gate();
                 // The first PE the scheduler resumes after the gate holds
                 // the floor: it assembles and writes the snapshot without a
@@ -336,26 +354,18 @@ impl Snapshotter {
     }
 }
 
-/// Serialise one CC-SAS PE's locals at a step boundary: just its private
-/// cache. Everything else a SAS program holds is shared and travels in the
+/// Write one CC-SAS PE's locals at a gate: just its private cache.
+/// Everything else a SAS program holds is shared and travels in the
 /// snapshot's world section (N-body: bodies and tree; AMR: the field,
 /// directory and page homes — its replicated mesh is replayed from the
-/// config on restore).
-pub(crate) fn encode_sas_state(step: u64, pe: &sas::SasPe) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u64(step);
+/// config on restore; serve: the table).
+pub fn encode_sas_state(w: &mut WireWriter, pe: &sas::SasPe) {
     w.u64s(&pe.export_cache_words());
-    w.into_bytes()
 }
 
-/// Inverse of [`encode_sas_state`].
-pub(crate) fn decode_sas_state(bytes: &[u8], step: u64) -> Vec<u64> {
-    let mut r = WireReader::new(bytes);
-    let got = r.u64().expect("snapshot app payload: step");
-    assert_eq!(got, step, "snapshot payload is for a different step");
-    let cache = r.u64s().expect("snapshot app payload: cache");
-    r.finish().expect("snapshot app payload: trailing bytes");
-    cache
+/// Inverse of [`encode_sas_state`]: reload `pe`'s private cache.
+pub fn decode_sas_state(r: &mut WireReader, pe: &mut sas::SasPe) -> Result<(), String> {
+    pe.import_cache_words(&r.u64s()?)
 }
 
 #[cfg(test)]

@@ -127,7 +127,7 @@ fn rank_main(
         }
     }
     let mut replicas: Vec<(usize, Vec<u64>)> = Vec::new();
-    if snap.resume_index("warm").is_none() {
+    if snap.resume(me, "warm", |_, _| Ok(())).is_none() {
         // --- build: materialise my shard of the table. On a warm start
         // the shard is rebuilt above with no charge (the restored clocks
         // already include the build). ---
@@ -182,10 +182,16 @@ fn rank_main(
 
     // Warm-table quiescence point: shards (and replica copies) are built,
     // no request sent yet.
-    snap.point(ctx, "warm", 0, Vec::new, || {
-        world.assert_quiescent();
-        Vec::new()
-    });
+    snap.point(
+        ctx,
+        "warm",
+        0,
+        |_| {},
+        || {
+            world.assert_quiescent();
+            Vec::new()
+        },
+    );
 
     // --- serve: open-loop client + interleaved server ---
     ctx.net_phase("serve");

@@ -18,9 +18,9 @@
 
 use std::sync::Arc;
 
+use apps::snapshot::{decode_sas_state, encode_sas_state};
 use apps::{App, Model, RunMetrics, Snapshotter};
 use machine::Machine;
-use o2k_snap::wire::{WireReader, WireWriter};
 use parallel::{Ctx, Team};
 use sas::{SasSlice, SasWorld};
 
@@ -53,16 +53,12 @@ fn rank_main(
     let mut pe = world.pe();
     let replicate = matches!(plan.mitigation(), Mitigation::Replicate { .. }) && !plan.is_empty();
 
-    let table = if snap.resume_index("warm").is_some() {
+    let warm = snap.resume(me, "warm", |_, r| decode_sas_state(r, &mut pe));
+    let table = if warm.is_some() {
         // Warm start: the shared table, its page homes, and the coherence
-        // directory came back through the world import.
-        let table = world.attach::<u64>(ctx, cfg.keys * v);
-        let mut r = WireReader::new(snap.payload(me).expect("resume payload"));
-        let cache = r.u64s().expect("snapshot app payload: cache");
-        r.finish().expect("snapshot app payload: trailing bytes");
-        pe.import_cache_words(&cache)
-            .expect("snapshot cache import");
-        table
+        // directory came back through the world import; this PE's cache
+        // came back through its app section.
+        world.attach::<u64>(ctx, cfg.keys * v)
     } else {
         // --- build: shared table, my shard written and homed here ---
         ctx.net_phase("build");
@@ -97,11 +93,7 @@ fn rank_main(
         ctx,
         "warm",
         0,
-        || {
-            let mut w = WireWriter::new();
-            w.u64s(&pe.export_cache_words());
-            w.into_bytes()
-        },
+        |w| encode_sas_state(w, &pe),
         || world.export_state_bytes(),
     );
 

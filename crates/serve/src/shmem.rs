@@ -56,7 +56,7 @@ fn rank_main(
     let v = cfg.val_words;
     let slot = clients::max_shard_len(cfg.keys, p);
     let replicate = matches!(plan.mitigation(), Mitigation::Replicate { .. }) && !plan.is_empty();
-    let resume = snap.resume_index("warm").is_some();
+    let resume = snap.resume(me, "warm", |_, _| Ok(())).is_some();
 
     let table = if resume {
         // Warm start: the filled shard tables came back through the heap
@@ -107,7 +107,7 @@ fn rank_main(
 
     // Warm-table quiescence point: the shard tables (and replica slots)
     // are fully built and no request has been issued yet.
-    snap.point(ctx, "warm", 0, Vec::new, || world.export_state_bytes());
+    snap.point(ctx, "warm", 0, |_| {}, || world.export_state_bytes());
 
     // --- serve: every lookup is one one-sided get, into one buffer ---
     ctx.net_phase("serve");

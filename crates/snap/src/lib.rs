@@ -57,8 +57,9 @@ use wire::{WireReader, WireWriter};
 ///
 /// v4: a CC-SAS PE's cache words (`CacheSim::export_words`) carry no
 /// hit / miss statistics. v5: the fabric, CC-SAS and SHMEM sections lose
-/// their own leading version words.
-pub const FORMAT_VERSION: u64 = 5;
+/// their own leading version words. v6: every `app/<pe>` section starts
+/// with its gate's index word (the serving workload's had none).
+pub const FORMAT_VERSION: u64 = 6;
 
 /// File magic: 8 bytes at offset zero.
 pub const MAGIC: &[u8; 8] = b"O2KSNAP1";
@@ -315,7 +316,8 @@ impl PeCore {
         w.u64(self.net_pending);
     }
 
-    /// Inverse of [`PeCore::encode`].
+    /// Inverse of [`PeCore::encode`]. Refuses a clock whose breakdown
+    /// does not sum to it: every advance of a clock is categorised.
     pub fn decode(r: &mut WireReader) -> Result<Self, String> {
         let now = r.u64()?;
         let breakdown = TimeBreakdown {
@@ -324,6 +326,15 @@ impl PeCore {
             remote: r.u64()?,
             sync: r.u64()?,
         };
+        let sum = [breakdown.local, breakdown.remote, breakdown.sync]
+            .into_iter()
+            .try_fold(breakdown.busy, u64::checked_add);
+        if sum != Some(now) {
+            return Err(format!(
+                "clock {now} ns, but its breakdown sums to {}",
+                sum.map_or("more than u64::MAX".into(), |s| format!("{s} ns"))
+            ));
+        }
         let mut c = Counters::new();
         for f in c.scalars_mut() {
             *f = r.u64()?;
@@ -561,6 +572,27 @@ mod tests {
         let bytes = encoded(&distinct_core());
         assert_eq!(bytes.len(), 8 * (5 + 24 + 5 + 3));
         assert_eq!(fnv1a(&bytes), 0x1dda_37a1_2319_cf45);
+    }
+
+    #[test]
+    fn a_core_whose_breakdown_misses_its_clock_is_refused() {
+        let decode = |core: &PeCore| PeCore::decode(&mut WireReader::new(&encoded(core)));
+        let late = PeCore {
+            now: 1235,
+            ..distinct_core()
+        };
+        assert_eq!(
+            decode(&late).unwrap_err(),
+            "clock 1235 ns, but its breakdown sums to 1234 ns"
+        );
+        // A breakdown past `u64::MAX` is refused, not wrapped onto `now`.
+        let mut wrapped = distinct_core();
+        wrapped.breakdown.sync = u64::MAX - 1229;
+        wrapped.now = 4;
+        assert_eq!(
+            decode(&wrapped).unwrap_err(),
+            "clock 4 ns, but its breakdown sums to more than u64::MAX"
+        );
     }
 
     #[test]

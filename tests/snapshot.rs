@@ -308,7 +308,7 @@ fn hostile_length_prefixes_are_errors_in_every_decoder() {
     // never mis-decoded.
     let v4 = [&container[..8], &words(&[4]), &container[16..]].concat();
     let err = Snapshot::from_bytes(&v4).unwrap_err();
-    assert_eq!(err, "snapshot format v4 unsupported (this build reads v5)");
+    assert_eq!(err, "snapshot format v4 unsupported (this build reads v6)");
 
     net.import_state_bytes(&fabric).expect("untouched export");
     for cut in [1, 9, container.len() / 2] {
@@ -323,22 +323,40 @@ fn hostile_length_prefixes_are_errors_in_every_decoder() {
 
 // ------------------------------------------------- restore or fail by name
 
-/// Capture `app`/`model` on `machine` at `step:0` into `dir` and return
-/// the one snapshot file written.
+/// Run `app`/`model` on `machine` under `snap`: N-body and AMR at their
+/// small configs, the serving workload in Q1's shape (uniform keys,
+/// 256 B values, Q1's gaps and poll) on a smaller table.
+fn run_under(machine: Arc<Machine>, app: App, model: Model, snap: SnapSpec) {
+    let opts = det(ExecMode::Event, Some(snap));
+    if app == App::Serve {
+        let q1 = ServeConfig {
+            keys: 1_024,
+            requests: 2_000,
+            mean_gap_ns: 25_000,
+            skew: 1.0,
+            val_words: 32,
+            service_ns: 1_500,
+            poll_ns: 4_000,
+            seed: 0x00C0_FFEE,
+            ..ServeConfig::default()
+        };
+        origin2k::serve::run_opts(machine, model, &q1, opts);
+    } else {
+        let (nb, am) = (NBodyConfig::small(), AmrConfig::small());
+        run_app_opts(machine, app, model, &nb, &am, opts);
+    }
+}
+
+/// Capture `app`/`model` on `machine` at its first gate (`step:0`; the
+/// serving workload's is `warm`) into `dir` and return the one snapshot
+/// file written.
 fn capture_one(dir: &std::path::Path, machine: Arc<Machine>, app: App, model: Model) -> PathBuf {
+    let gate = if app == App::Serve { "warm" } else { "step:0" };
     let capture = SnapSpec::Capture {
         dir: dir.to_path_buf(),
-        point: SnapPoint::parse("step:0").unwrap(),
+        point: SnapPoint::parse(gate).unwrap(),
     };
-    let (nb, am) = (NBodyConfig::small(), AmrConfig::small());
-    run_app_opts(
-        machine,
-        app,
-        model,
-        &nb,
-        &am,
-        det(ExecMode::Event, Some(capture)),
-    );
+    run_under(machine, app, model, capture);
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -353,9 +371,7 @@ fn restore_panics(dir: &std::path::Path, machine: Arc<Machine>, app: App, model:
     let restore = SnapSpec::Restore {
         dir: dir.to_path_buf(),
     };
-    let (nb, am) = (NBodyConfig::small(), AmrConfig::small());
-    let opts = det(ExecMode::Event, Some(restore));
-    let run = std::panic::AssertUnwindSafe(|| run_app_opts(machine, app, model, &nb, &am, opts));
+    let run = std::panic::AssertUnwindSafe(|| run_under(machine, app, model, restore));
     let payload = std::panic::catch_unwind(run).expect_err("the restore must fail, not run");
     match payload.downcast::<String>() {
         Ok(msg) => *msg,
@@ -389,7 +405,7 @@ fn a_truncated_or_foreign_version_file_fails_the_run_naming_it() {
     let msg = restore_panics(&dir, m(), App::NBody, Model::Mp);
     assert!(msg.contains(&path.display().to_string()), "{msg}");
     assert!(
-        msg.ends_with("snapshot format v4 unsupported (this build reads v5)"),
+        msg.ends_with("snapshot format v4 unsupported (this build reads v6)"),
         "{msg}"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -435,6 +451,92 @@ fn an_exact_restore_with_an_edited_fabric_section_fails_by_name() {
     assert!(
         msg.ends_with("section fabric: present, and this machine models none"),
         "{msg}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A clock edited in a `core/<pe>` section no longer matches its time
+/// breakdown: the restore fails naming the file and the section, instead
+/// of archiving a second of virtual time nobody spent.
+#[test]
+fn an_edited_core_clock_fails_the_restore_by_name() {
+    let dir = scratch("edited-core");
+    let m = || Machine::origin2000(2);
+    let path = capture_one(&dir, m(), App::Amr, Model::Mp);
+    // The section's first word is the PE's clock.
+    edit_section(&path, "core/0", |b| {
+        let now = u64::from_le_bytes(b[..8].try_into().unwrap());
+        b[..8].copy_from_slice(&(now + 1_000_000_000).to_le_bytes());
+    });
+    let msg = restore_panics(&dir, m(), App::Amr, Model::Mp);
+    let head = format!("cannot restore {}: section core/0: clock ", path.display());
+    assert!(msg.starts_with(&head), "{msg}");
+    assert!(msg.contains("but its breakdown sums to"), "{msg}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every app codec reads its `app/<pe>` section through
+/// `Snapshotter::resume`, so an edited section fails the restore naming
+/// the file, the section and the cause: N-body bodies (MP), AMR step
+/// state (MP), the one CC-SAS cache codec (AMR, N-body and serving) and
+/// the serving workload's MP section, which holds only its index word.
+#[test]
+fn an_edited_app_section_fails_the_restore_naming_the_file_and_the_pe() {
+    let cases = [
+        (App::NBody, Model::Mp, "step:0"),
+        (App::Amr, Model::Mp, "step:0"),
+        (App::Amr, Model::Sas, "step:0"),
+        (App::NBody, Model::Sas, "step:0"),
+        (App::Serve, Model::Sas, "warm:0"),
+        (App::Serve, Model::Mp, "warm:0"),
+    ];
+    for (app, model, point) in cases {
+        let tag = format!("{}/{}", app.name(), model.name());
+        let dir = scratch(&format!("edited-app-{tag}"));
+        let m = || contended(2);
+        let path = capture_one(&dir, m(), app, model);
+        let head = format!("cannot restore {}: section app/0: ", path.display());
+        let good = std::fs::read(&path).unwrap();
+
+        edit_section(&path, "app/0", |b| b.extend_from_slice(&[0; 8]));
+        let msg = restore_panics(&dir, m(), app, model);
+        assert!(msg.starts_with(&head), "{tag}: {msg}");
+        assert!(
+            msg.ends_with("8 trailing bytes after snapshot section"),
+            "{tag}: {msg}"
+        );
+
+        std::fs::write(&path, &good).unwrap();
+        edit_section(&path, "app/0", |b| {
+            b[..8].copy_from_slice(&7u64.to_le_bytes())
+        });
+        let msg = restore_panics(&dir, m(), app, model);
+        let want = format!("{head}gate index 7, but meta's point is {point}");
+        assert_eq!(msg, want, "{tag}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// An AMR ownership map naming a PE the run does not have is refused at
+/// the door, not used to route a triangle to nobody.
+#[test]
+fn an_amr_owner_past_the_last_pe_fails_the_restore_by_name() {
+    let dir = scratch("amr-owner");
+    let m = || Machine::origin2000(2);
+    let path = capture_one(&dir, m(), App::Amr, Model::Mp);
+    // Index word, field (length + words), owner map (length + words).
+    edit_section(&path, "app/0", |b| {
+        let field = u64::from_le_bytes(b[8..16].try_into().unwrap()) as usize;
+        let first_owner = 8 * (3 + field);
+        b[first_owner..first_owner + 8].copy_from_slice(&2u64.to_le_bytes());
+    });
+    let msg = restore_panics(&dir, m(), App::Amr, Model::Mp);
+    assert_eq!(
+        msg,
+        format!(
+            "cannot restore {}: section app/0: triangle 0 is owned by PE 2, the run has 2",
+            path.display()
+        )
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
