@@ -82,30 +82,6 @@ pub struct ServeStats {
     pub shard_counts: Vec<u64>,
 }
 
-impl ServeStats {
-    /// One-line rendering for experiment tables. A cell whose requests
-    /// were all shed has no latency samples — report that instead of a
-    /// bogus all-zero quantile line.
-    pub fn render(&self) -> String {
-        if self.completed == 0 {
-            return format!(
-                "no completed requests ({} issued, {} shed)",
-                self.issued, self.failed
-            );
-        }
-        format!(
-            "p50 {:>7} ns  p99 {:>8} ns  p999 {:>8} ns  max {:>9} ns  {:>9.0} req/s  ({} ok / {} shed)",
-            self.p50_ns,
-            self.p99_ns,
-            self.p999_ns,
-            self.max_ns,
-            self.throughput_rps,
-            self.completed,
-            self.failed
-        )
-    }
-}
-
 /// Result of one application run.
 #[derive(Debug, Clone)]
 pub struct RunMetrics {

@@ -78,7 +78,7 @@ impl Env {
 
     /// Run options for an app or serve entry point. A cell that pins
     /// something writes `RunOpts { sched: .., ..env.opts() }`.
-    pub fn opts(&self) -> RunOpts {
+    fn opts(&self) -> RunOpts {
         RunOpts {
             sched: self.sched,
             exec: self.exec,
@@ -144,7 +144,7 @@ pub enum Workload<'a> {
 
 impl Workload<'_> {
     /// Which application this is.
-    pub fn app(self) -> App {
+    fn app(self) -> App {
         match self {
             Workload::NBody(_) => App::NBody,
             Workload::Amr(_) => App::Amr,

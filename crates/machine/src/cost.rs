@@ -1,8 +1,13 @@
 //! Cost functions: abstract operations → nanoseconds under a config.
 //!
-//! These are the single source of truth for what each programming-model
-//! primitive costs; the `mp`, `shmem` and `sas` runtimes all charge through
-//! here so the models stay mutually consistent.
+//! This is the one price list of the three programming models: the only
+//! code that turns `MachineConfig` latencies, overheads and bandwidth into
+//! virtual time. The `mp`, `shmem` and `sas` runtimes, `serve`, and
+//! `parallel`'s barrier, lock and blackboard broadcast charge a `cost::`
+//! result plus at most the fabric's queueing delay (`Ctx::net_delay_*`,
+//! zero under `ContentionMode::Off`), and price nothing themselves, so the
+//! models stay mutually consistent. DESIGN §4's price table lists every
+//! function here with what charges it, its `TimeCat` and its `EventKind`.
 
 use crate::config::MachineConfig;
 use crate::time::SimTime;
@@ -31,14 +36,50 @@ pub fn msg(config: &MachineConfig, bytes: usize, hops: u32) -> MsgCost {
     MsgCost {
         send_overhead: config.mp_send_overhead,
         network: config.mp_net_base + u64::from(hops) * config.lat_hop + config.transfer_ns(bytes),
-        recv_overhead: config.mp_recv_overhead,
+        recv_overhead: recv(config),
     }
+}
+
+/// Receiver CPU overhead (o_r) of one two-sided message: charged when a
+/// receive matches it, and once per request a work-stealing claim takes.
+#[inline]
+pub fn recv(config: &MachineConfig) -> SimTime {
+    config.mp_recv_overhead
+}
+
+/// Work-stealing claim on a victim `hops` away that takes `batch_bytes` of
+/// queued requests: an 8-byte claim message's send overhead and wire time,
+/// whether or not anything was eligible, plus the batch's wire time. Each
+/// stolen request's receive overhead is charged apart, as [`recv`].
+#[inline]
+pub fn steal(config: &MachineConfig, batch_bytes: usize, hops: u32) -> SimTime {
+    let claim = msg(config, 8, hops);
+    let batch = if batch_bytes > 0 {
+        msg(config, batch_bytes, hops).network
+    } else {
+        0
+    };
+    claim.send_overhead + claim.network + batch
 }
 
 /// One-sided put of `bytes` to a PE `hops` away: initiator overhead plus
 /// one-way network time (puts are fire-and-forget until a fence).
 pub fn put(config: &MachineConfig, bytes: usize, hops: u32) -> SimTime {
     config.shmem_put_overhead + u64::from(hops) * config.lat_hop + config.transfer_ns(bytes)
+}
+
+/// `shmem_quiet`: waiting for the outstanding puts' acknowledgements, one
+/// hop-free round trip priced as a put's initiator overhead.
+#[inline]
+pub fn quiet(config: &MachineConfig) -> SimTime {
+    config.shmem_put_overhead
+}
+
+/// SHMEM broadcast of `bytes` as a binomial tree of puts `depth` levels
+/// deep, every level priced as a put `hops` away.
+#[inline]
+pub fn put_tree(config: &MachineConfig, depth: u32, bytes: usize, hops: u32) -> SimTime {
+    u64::from(depth) * put(config, bytes, hops)
 }
 
 /// One-sided get of `bytes` from a PE `hops` away: a request/response round
@@ -63,9 +104,32 @@ pub fn line_fill(config: &MachineConfig, hops: u32) -> SimTime {
     }
 }
 
-/// Cost charged to a writer to invalidate `sharers` remote copies.
-pub fn invalidations(config: &MachineConfig, sharers: u32) -> SimTime {
-    u64::from(sharers) * config.lat_invalidate
+/// Cache-to-cache forward of a dirty line from its owner `hops` away: the
+/// hops to the owner plus its directory transaction, on top of the fill.
+#[inline]
+pub fn forward(config: &MachineConfig, hops: u32) -> SimTime {
+    u64::from(hops) * config.lat_hop + config.lat_directory
+}
+
+/// Charged to a writer per sharer whose copy it invalidates, the sharer's
+/// node `hops` away: a same-node sharer (0 hops) is an SMP-bus operation,
+/// a remote one also pays the network hops.
+#[inline]
+pub fn invalidation(config: &MachineConfig, hops: u32) -> SimTime {
+    config.lat_invalidate + u64::from(hops) * config.lat_hop
+}
+
+/// Upgrade of a line the writer already caches to exclusive ownership: one
+/// directory transaction.
+#[inline]
+pub fn upgrade(config: &MachineConfig) -> SimTime {
+    config.lat_directory
+}
+
+/// Writing a dirty victim line back to memory when the cache evicts it.
+#[inline]
+pub fn writeback(config: &MachineConfig) -> SimTime {
+    config.lat_local_mem
 }
 
 /// Barrier / clock-synchronising collective across `pes` PEs whose farthest
@@ -76,6 +140,14 @@ pub fn barrier(config: &MachineConfig, pes: usize, max_hops: u32) -> SimTime {
     }
     let depth = u64::from(usize::BITS - (pes - 1).leading_zeros());
     depth * (config.sync_hop + u64::from(max_hops) * config.lat_hop)
+}
+
+/// One blackboard collective step (a broadcast of `bytes` from a root) down
+/// a tree `depth` levels deep, every level paying the payload's transfer
+/// time and the machine's widest distance, `max_hops`.
+#[inline]
+pub fn tree_step(config: &MachineConfig, depth: u32, bytes: usize, max_hops: u32) -> SimTime {
+    u64::from(depth) * (config.transfer_ns(bytes) + u64::from(max_hops) * config.lat_hop)
 }
 
 /// Uncontended lock acquire (or release) cost; contention is charged by the
@@ -142,10 +214,10 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_cost_linear_in_sharers() {
+    fn invalidation_pays_the_hops_to_the_sharer() {
         let c = cfg();
-        assert_eq!(invalidations(&c, 0), 0);
-        assert_eq!(invalidations(&c, 4), 4 * c.lat_invalidate);
+        assert_eq!(invalidation(&c, 0), c.lat_invalidate);
+        assert_eq!(invalidation(&c, 3), c.lat_invalidate + 3 * c.lat_hop);
     }
 
     #[test]

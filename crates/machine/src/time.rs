@@ -117,11 +117,6 @@ impl Clock {
         }
     }
 
-    /// Reset to time zero, clearing the breakdown. Used between timed phases.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-
     /// Rebuild a clock from checkpointed state. `now` must equal the
     /// breakdown's total (every advance is categorised, so a consistent
     /// snapshot always satisfies this).

@@ -24,7 +24,7 @@ pub enum Shock {
 
 impl Shock {
     /// Unsigned distance from `p` to the front at time `t`.
-    pub fn distance(&self, p: &Point2, t: f64) -> f64 {
+    fn distance(&self, p: &Point2, t: f64) -> f64 {
         match *self {
             Shock::Planar { x0, speed } => (p.x - (x0 + speed * t)).abs(),
             Shock::Circular { cx, cy, r0, speed } => {

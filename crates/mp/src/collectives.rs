@@ -142,7 +142,7 @@ impl MpWorld {
 
     /// All-reduce: reduce to rank 0 then broadcast. Deterministic combine
     /// order for a given team size.
-    pub fn allreduce<T, F>(&self, ctx: &mut Ctx, data: Vec<T>, op: F) -> Vec<T>
+    fn allreduce<T, F>(&self, ctx: &mut Ctx, data: Vec<T>, op: F) -> Vec<T>
     where
         T: Payload,
         F: Fn(&mut [T], &[T]),

@@ -266,7 +266,7 @@ impl MpWorld {
             }),
         );
         ctx.advance_traced(
-            self.machine.config.mp_recv_overhead,
+            cost::recv(&self.machine.config),
             TimeCat::Remote,
             EventKind::Recv,
             env.bytes.min(u32::MAX as usize) as u32,
@@ -335,19 +335,17 @@ impl MpWorld {
         }
         let stolen = out.len() - first;
         let bytes = std::mem::size_of::<T>();
-        // One claim round trip (8-byte CAS-sized packet) regardless of
-        // yield, plus the stolen payload crossing victim -> stealer.
+        // The claim is priced whatever it yields; only a stolen payload,
+        // crossing victim -> stealer, queues on the fabric.
         let hops = self.machine.hops_between(ctx.pe(), victim);
-        let claim = cost::msg(&self.machine.config, 8, hops);
         let batch_bytes = stolen * bytes;
-        let transfer = if batch_bytes > 0 {
-            cost::msg(&self.machine.config, batch_bytes, hops).network
-                + ctx.net_delay_to_pe(victim, batch_bytes)
+        let net_delay = if batch_bytes > 0 {
+            ctx.net_delay_to_pe(victim, batch_bytes)
         } else {
             0
         };
         ctx.advance_traced(
-            claim.send_overhead + claim.network + transfer,
+            cost::steal(&self.machine.config, batch_bytes, hops) + net_delay,
             TimeCat::Remote,
             EventKind::Steal,
             batch_bytes.min(u32::MAX as usize) as u32,
@@ -355,7 +353,7 @@ impl MpWorld {
         );
         for &(src, _) in &out[first..] {
             ctx.advance_traced(
-                self.machine.config.mp_recv_overhead,
+                cost::recv(&self.machine.config),
                 TimeCat::Remote,
                 EventKind::Recv,
                 bytes.min(u32::MAX as usize) as u32,
@@ -433,6 +431,13 @@ mod tests {
             }
         });
         assert_eq!(run.results[0], vec![3.0, 5.0]);
+        // Both PEs share node 0 (no hops); each way carries two f64s. PE 1
+        // finishes once its reply is sent, PE 0 once it has received it.
+        let c = MachineConfig::test_tiny();
+        let wire = c.mp_net_base + (16.0 / c.bw_bytes_per_ns).ceil() as u64;
+        let one_way = c.mp_send_overhead + wire + c.mp_recv_overhead;
+        assert_eq!(run.reports[0].finish, 2 * one_way);
+        assert_eq!(run.reports[1].finish, one_way + c.mp_send_overhead);
     }
 
     #[test]
@@ -544,6 +549,7 @@ mod tests {
     /// tag, oldest first, and the victim keeps everything else.
     #[test]
     fn steal_batch_claims_arrived_matching_tags_only() {
+        const LATE: u64 = 10_000_000; // far past every arrival time
         let (w, t) = world_and_team(3);
         let run = t.run(|ctx| match ctx.pe() {
             0 => {
@@ -567,7 +573,7 @@ mod tests {
             }
             _ => {
                 ctx.gate();
-                ctx.compute(10_000_000); // far past every arrival time
+                ctx.compute(LATE);
                 let mut stolen = Vec::new();
                 assert_eq!(w.steal_batch::<u64>(ctx, 1, 7, 2, &mut stolen), 2);
                 ctx.gate();
@@ -580,6 +586,17 @@ mod tests {
                     .collect()
             }
         });
+        // The stealer (PE 2, node 1) is one hop from the victim (PE 1, node
+        // 0): an 8-byte claim message, the 16-byte batch's wire time, and a
+        // receive overhead per stolen request.
+        let c = MachineConfig::test_tiny();
+        let transfer = |bytes: usize| (bytes as f64 / c.bw_bytes_per_ns).ceil() as u64;
+        let claim = c.mp_send_overhead + c.mp_net_base + c.lat_hop + transfer(8);
+        let batch = c.mp_net_base + c.lat_hop + transfer(16);
+        assert_eq!(
+            run.reports[2].finish,
+            LATE + claim + batch + 2 * c.mp_recv_overhead
+        );
         assert_eq!(
             run.results[2],
             vec![0, 1],

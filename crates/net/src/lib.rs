@@ -708,7 +708,7 @@ impl NetSim {
 
     /// Fallible [`NetSim::route`]: returns [`Unreachable`] when the fault
     /// plan leaves no path from `src_node` to `dst_node` at `depart`.
-    pub fn try_route(
+    fn try_route(
         &self,
         pe: u32,
         src_node: usize,

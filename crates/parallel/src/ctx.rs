@@ -273,7 +273,7 @@ impl Ctx {
 
     /// Node hosting this PE.
     #[inline]
-    pub fn node(&self) -> usize {
+    fn node(&self) -> usize {
         self.machine.topology.node_of(self.pe)
     }
 
@@ -387,12 +387,6 @@ impl Ctx {
         self.rng.gen()
     }
 
-    /// The PE's deterministic RNG.
-    #[inline]
-    pub fn rng(&mut self) -> &mut SmallRng {
-        &mut self.rng
-    }
-
     /// Clock-synchronising barrier: all PEs' clocks advance to the team
     /// maximum (waiting is charged as [`TimeCat::Sync`]) plus the machine
     /// barrier cost.
@@ -469,14 +463,13 @@ impl Ctx {
     }
 
     fn charge_tree_transfer(&mut self, bytes: usize) {
-        let depth = u64::from(self.machine.topology.tree_depth());
-        let per_level = self.machine.config.transfer_ns(bytes)
-            + u64::from(self.machine.topology.max_hops()) * self.machine.config.lat_hop;
+        let (cfg, topo) = (&self.machine.config, &self.machine.topology);
+        let price = cost::tree_step(cfg, topo.tree_depth(), bytes, topo.max_hops());
         // Under contention the blackboard tree's root (node 0) is where
         // every PE's contribution funnels; model that fan-in hotspot.
         let delay = self.net_delay_to_node(0, bytes);
         self.advance_traced(
-            depth * per_level + delay,
+            price + delay,
             TimeCat::Remote,
             EventKind::CollStep,
             bytes.min(u32::MAX as usize) as u32,
@@ -512,6 +505,16 @@ mod tests {
             ctx.broadcast(2, v)
         });
         assert_eq!(run.results, vec![99; 4]);
+        // Four PEs on two nodes of one router: two barriers around one
+        // step of a two-level tree whose widest distance is one hop,
+        // carrying the value's 4 bytes.
+        let c = MachineConfig::test_tiny();
+        let (depth, hops) = (2, 1);
+        let barrier = depth * (c.sync_hop + hops * c.lat_hop);
+        let step = depth * ((4.0 / c.bw_bytes_per_ns).ceil() as u64 + hops * c.lat_hop);
+        for rep in &run.reports {
+            assert_eq!(rep.finish, 2 * barrier + step);
+        }
     }
 
     #[test]

@@ -134,11 +134,6 @@ impl SasWorld {
         &self.machine
     }
 
-    /// The paging policy in force.
-    pub fn policy(&self) -> PagePolicy {
-        self.policy
-    }
-
     /// Collective allocation of a shared region of `len` elements of `T`.
     /// Every PE must call with the same arguments, in the same sequence.
     pub fn alloc<T: Element>(&self, ctx: &mut Ctx, len: usize) -> SasSlice<T> {
@@ -664,8 +659,7 @@ impl SasPe {
             if dirty && owner != pe as u64 {
                 // Cache-to-cache forward from the current owner.
                 let owner_node = topo.node_of(owner as usize);
-                charge_remote +=
-                    u64::from(topo.hops(my_node, owner_node)) * cfg.lat_hop + cfg.lat_directory;
+                charge_remote += cost::forward(cfg, topo.hops(my_node, owner_node));
                 self.net_items.push((owner_node, cfg.line_bytes));
                 dirty = false; // home copy now clean
             }
@@ -688,8 +682,7 @@ impl SasPe {
                     let qn = topo.node_of(wi * 64 + bits.trailing_zeros() as usize);
                     // An invalidation is a small coherence packet; cross-node
                     // ones traverse (and queue on) the same fabric links.
-                    charge_remote +=
-                        cfg.lat_invalidate + u64::from(topo.hops(my_node, qn)) * cfg.lat_hop;
+                    charge_remote += cost::invalidation(cfg, topo.hops(my_node, qn));
                     self.net_items.push((qn, 8));
                     invalidated += 1;
                     bits &= bits - 1;
@@ -699,7 +692,7 @@ impl SasPe {
             ctx.counters_mut().invalidations += u64::from(invalidated);
             if cached {
                 ctx.counters_mut().upgrades += 1;
-                charge_remote += cfg.lat_directory;
+                charge_remote += cost::upgrade(cfg);
             }
             version += 1;
             meta.store(pack_meta(version, pe as u32, true), Ordering::Relaxed);
@@ -735,7 +728,7 @@ impl SasPe {
             if evicted.dirty {
                 // Write the victim back to its home memory.
                 ctx.advance_traced(
-                    cfg.lat_local_mem,
+                    cost::writeback(cfg),
                     TimeCat::Local,
                     EventKind::Writeback,
                     line_bytes,
@@ -812,29 +805,39 @@ mod tests {
 
     #[test]
     fn write_invalidates_reader() {
-        let (w, t) = setup(2);
+        let (w, t) = setup(4); // PEs 0, 1 on node 0; PEs 2, 3 on node 1
         let run = t.run(|ctx| {
             let s = w.alloc::<u64>(ctx, 8);
             let mut pe = w.pe();
-            // Both read the line.
+            // Everyone reads the line.
             let _ = pe.read(ctx, &s, 0);
             w.barrier(ctx);
+            let t0 = ctx.now();
             if ctx.pe() == 0 {
-                pe.write(ctx, &s, 0, 7); // invalidates PE 1's copy
+                pe.write(ctx, &s, 0, 7); // invalidates PEs 1, 2 and 3
             }
+            let dt = ctx.now() - t0;
             w.barrier(ctx);
-            let v = pe.read(ctx, &s, 0); // PE 1 must miss and see 7
-            (
-                v,
-                ctx.counters().misses_local + ctx.counters().misses_remote,
-            )
+            let v = pe.read(ctx, &s, 0); // PEs 1..3 must miss and see 7
+            (v, dt, line_misses(ctx.counters()))
         });
-        assert_eq!(run.results[0].0, 7);
-        assert_eq!(run.results[1].0, 7);
-        // PE 1: initial miss + post-invalidation miss.
-        assert!(run.results[1].1 >= 2, "invalidation must force a re-fetch");
-        // PE 0 performed the invalidation.
-        assert!(run.reports[0].counters.invalidations >= 1);
+        for (v, _, _) in &run.results {
+            assert_eq!(*v, 7);
+        }
+        // PEs 1..3: initial miss + post-invalidation miss.
+        for (_, _, misses) in &run.results[1..] {
+            assert_eq!(*misses, 2, "invalidation must force a re-fetch");
+        }
+        // PE 0 upgraded its shared copy (one directory transaction) and
+        // invalidated three copies: PE 1's on its own node, and PE 2's and
+        // PE 3's one hop away on node 1.
+        let c = MachineConfig::test_tiny();
+        assert_eq!(
+            run.results[0].1,
+            c.lat_directory + 3 * c.lat_invalidate + 2 * c.lat_hop
+        );
+        assert_eq!(run.reports[0].counters.invalidations, 3);
+        assert_eq!(run.reports[0].counters.upgrades, 1);
     }
 
     #[test]
@@ -898,10 +901,16 @@ mod tests {
             let _ = pe.read(ctx, &s, 512);
             ctx.now() - t0
         });
-        // PE 3 (node 1) pays more than PE 1 (node 0, same as home).
-        assert!(run.results[3] > run.results[1]);
-        assert!(run.reports[3].counters.misses_remote >= 1);
-        assert!(run.reports[1].counters.misses_local >= 1);
+        // PEs 0 and 1 (node 0, the home) fill from local memory; PEs 2 and
+        // 3 (node 1, one hop away) also pay the home's directory and the
+        // hop.
+        let c = MachineConfig::test_tiny();
+        let local = c.lat_local_mem;
+        let remote = c.lat_local_mem + c.lat_directory + c.lat_hop;
+        assert!(remote > local);
+        assert_eq!(run.results, vec![local, local, remote, remote]);
+        assert_eq!(run.reports[3].counters.misses_remote, 1);
+        assert_eq!(run.reports[1].counters.misses_local, 1);
     }
 
     #[test]
@@ -960,6 +969,31 @@ mod tests {
         let (first_sweep, second_sweep) = run.results[0];
         assert_eq!(first_sweep, 64);
         assert!(second_sweep > 32, "LRU streaming should keep missing");
+        let c = MachineConfig::test_tiny();
+        // One PE homes every page: each miss is a local fill, and clean
+        // victims leave without a charge.
+        assert_eq!(
+            run.reports[0].finish,
+            (first_sweep + second_sweep) * c.lat_local_mem
+        );
+
+        // Writing one word per line dirties all 64 lines; the 48 that the
+        // 16-line cache cannot keep are written back as they are evicted.
+        let (w, t) = setup(1);
+        let run = t.run(|ctx| {
+            let s = w.alloc::<u64>(ctx, 64 * 8);
+            let mut pe = w.pe();
+            for line in 0..64 {
+                pe.write(ctx, &s, line * 8, 1);
+            }
+            line_misses(ctx.counters())
+        });
+        assert_eq!(run.results[0], 64);
+        let resident = (c.cache_bytes / c.line_bytes) as u64;
+        assert_eq!(
+            run.reports[0].finish,
+            64 * c.lat_local_mem + (64 - resident) * c.lat_local_mem
+        );
     }
 
     #[test]
@@ -982,11 +1016,12 @@ mod tests {
         });
         let (v, dt) = run.results[3].expect("PE 3 measured");
         assert_eq!(v, 42);
-        let plain_fill = cost::line_fill(&MachineConfig::test_tiny(), 0);
-        assert!(
-            dt > plain_fill,
-            "dirty remote read must exceed a clean local fill"
-        );
+        // PE 3 (node 1) fills from the home on node 0, one hop away, and
+        // the line is forwarded from its dirty owner, PE 0, on that node.
+        let c = MachineConfig::test_tiny();
+        let fill = c.lat_local_mem + c.lat_directory + c.lat_hop;
+        let forward = c.lat_hop + c.lat_directory;
+        assert_eq!(dt, fill + forward);
     }
 
     #[test]

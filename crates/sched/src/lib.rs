@@ -786,11 +786,6 @@ impl CoopSched {
         }
     }
 
-    /// The policy this scheduler runs.
-    pub fn policy(&self) -> SchedPolicy {
-        self.policy
-    }
-
     /// The execution backend this scheduler was built for.
     pub fn exec(&self) -> ExecMode {
         self.exec

@@ -65,7 +65,7 @@ pub struct MitPlan {
 
 impl MitPlan {
     /// An inert plan (mitigation off).
-    pub fn empty() -> Self {
+    fn empty() -> Self {
         MitPlan {
             mitigation: Mitigation::Off,
             hot: Vec::new(),

@@ -306,9 +306,8 @@ impl<T: Element> SymSlice<T> {
     /// Memory fence (`shmem_quiet`): orders this PE's outstanding puts.
     pub fn quiet(&self, ctx: &mut Ctx) {
         std::sync::atomic::fence(Ordering::SeqCst);
-        // A quiet waits for put acknowledgements: one hop-free round trip.
         ctx.advance_traced(
-            self.machine.config.shmem_put_overhead,
+            cost::quiet(&self.machine.config),
             TimeCat::Remote,
             EventKind::ShmemColl,
             0,
@@ -334,14 +333,13 @@ impl<T: Element> SymSlice<T> {
             }
         }
         let bytes = len * T::BYTES;
-        let hops = self.machine.topology.max_hops();
-        let per_level = cost::put(&self.machine.config, bytes, hops);
-        let depth = u64::from(self.machine.topology.tree_depth());
+        let (cfg, topo) = (&self.machine.config, &self.machine.topology);
+        let price = cost::put_tree(cfg, topo.tree_depth(), bytes, topo.max_hops());
         // The binomial tree is rooted at the root PE's node: model the
         // fan-out contention at that funnel.
-        let net_delay = ctx.net_delay_to_node(self.machine.topology.node_of(root), bytes);
+        let net_delay = ctx.net_delay_to_node(topo.node_of(root), bytes);
         ctx.advance_traced(
-            depth * per_level + net_delay,
+            price + net_delay,
             TimeCat::Remote,
             EventKind::ShmemColl,
             bytes.min(u32::MAX as usize) as u32,
@@ -478,11 +476,27 @@ mod tests {
             if ctx.pe() == 2 {
                 s.write_local(ctx, 0, &[9.0, 8.0, 7.0]);
             }
+            let t0 = ctx.now();
             s.broadcast(ctx, 2, 0, 3);
-            s.read_local(ctx, 0, 3)
+            (s.read_local(ctx, 0, 3), ctx.now() - t0)
         });
-        for r in run.results {
+        // Four PEs on two nodes of one router: a two-level tree whose
+        // widest distance is one hop. The values move through the
+        // blackboard (two barriers around a tree step carrying the `Vec`),
+        // and the broadcast is charged as a tree of 24-byte puts. The
+        // blackboard term, priced at the 24-byte `Vec` header whatever
+        // `len` is, is a known double charge (CHANGES.md, FOUND on
+        // `SymSlice::broadcast`), pinned here only to hold today's
+        // arithmetic: mending it changes this expected value.
+        let c = MachineConfig::test_tiny();
+        let (depth, hops) = (2, 1);
+        let transfer = |bytes: usize| (bytes as f64 / c.bw_bytes_per_ns).ceil() as u64;
+        let barrier = depth * (c.sync_hop + hops * c.lat_hop);
+        let blackboard = depth * (transfer(std::mem::size_of::<Vec<u64>>()) + hops * c.lat_hop);
+        let puts = depth * (c.shmem_put_overhead + hops * c.lat_hop + transfer(3 * 8));
+        for (r, dt) in run.results {
             assert_eq!(r, vec![9.0, 8.0, 7.0]);
+            assert_eq!(dt, 2 * barrier + blackboard + puts);
         }
     }
 
@@ -643,9 +657,11 @@ mod tests {
             let s = w.alloc::<u64>(ctx, 1);
             let before = ctx.now();
             s.quiet(ctx);
-            ctx.now() > before
+            ctx.now() - before
         });
-        assert!(run.results.iter().all(|&b| b));
+        let put_overhead = MachineConfig::test_tiny().shmem_put_overhead;
+        assert!(put_overhead > 0);
+        assert_eq!(run.results, vec![put_overhead; 2]);
     }
 }
 
