@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use machine::Machine;
-use nbody::costzones::zones_on_order;
+use nbody::costzones::costzones;
 use nbody::{Octree, Vec3};
 use parallel::{Ctx, Team};
 use sas::{PagePolicy, SasSlice, SasWorld};
@@ -180,7 +180,7 @@ fn pe_main(ctx: &mut Ctx, w: &SasWorld, cfg: &NBodyConfig, snap: &Snapshotter) -
             }
             // sim:end
             let costs: Vec<f64> = (0..n).map(|i| s.cost.read_raw(i)).collect();
-            let zones = zones_on_order(&tree.body_order(), &costs, p);
+            let zones = costzones(&tree, &costs, p);
             for (i, z) in zones.iter().enumerate() {
                 s.zone.write_raw(i, u64::from(*z));
             }

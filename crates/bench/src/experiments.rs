@@ -344,10 +344,11 @@ fn t3_partitioners(_env: &Env) -> String {
         .iter()
         .map(|c| WeightedPoint::new(c.x, c.y, 1.0))
         .collect();
-    let lists: Vec<Vec<u32>> = (0..dual.len())
-        .map(|v| dual.neighbors(v).to_vec())
-        .collect();
-    let g = CsrGraph::from_lists(&lists, vec![1.0; dual.len()]);
+    let g = CsrGraph {
+        xadj: dual.xadj.clone(),
+        adj: dual.adj.clone(),
+        vwgt: vec![1.0; dual.len()],
+    };
     let nparts = 16;
     let mut rows = Vec::new();
     let mut eval = |name: &str, parts: &[u32]| {

@@ -157,7 +157,7 @@ impl AdaptiveMesh {
     }
 
     /// Area of triangle `t`.
-    pub fn area_of(&self, t: u32) -> f64 {
+    fn area_of(&self, t: u32) -> f64 {
         let [a, b, c] = self.tri_points(t);
         geom::area(&a, &b, &c)
     }

@@ -1,8 +1,8 @@
 //! Element dual graph (CSR) of the active triangles.
 //!
 //! Partitioners operate on the dual: one graph vertex per active triangle,
-//! an edge where two triangles share a mesh edge. Weights are triangle
-//! areas by default (uniform solver cost per unit area).
+//! an edge where two triangles share a mesh edge. Every partition weighs
+//! each triangle as one unit of work, so the dual carries no weights.
 
 use crate::adaptive::{tri_edges, AdaptiveMesh, Incidence};
 use crate::geom::Point2;
@@ -18,8 +18,6 @@ pub struct DualGraph {
     pub adj: Vec<u32>,
     /// Triangle centroids (for geometric partitioners).
     pub centroids: Vec<Point2>,
-    /// Vertex weights (triangle areas).
-    pub weights: Vec<f64>,
 }
 
 impl DualGraph {
@@ -79,13 +77,11 @@ pub fn dual_graph(mesh: &AdaptiveMesh) -> DualGraph {
         xadj.push(adj.len());
     }
     let centroids = tris.iter().map(|&t| mesh.centroid_of(t)).collect();
-    let weights = tris.iter().map(|&t| mesh.area_of(t)).collect();
     DualGraph {
         tris,
         xadj,
         adj,
         centroids,
-        weights,
     }
 }
 
@@ -127,13 +123,11 @@ fn dual_graph_oracle(mesh: &AdaptiveMesh) -> DualGraph {
         xadj.push(adj.len());
     }
     let centroids = tris.iter().map(|&t| mesh.centroid_of(t)).collect();
-    let weights = tris.iter().map(|&t| mesh.area_of(t)).collect();
     DualGraph {
         tris,
         xadj,
         adj,
         centroids,
-        weights,
     }
 }
 
@@ -187,15 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn weights_sum_to_mesh_area() {
-        let mut m = AdaptiveMesh::structured(4, 2, 2.0, 1.0);
-        m.refine(&[1, 3]);
-        let g = dual_graph(&m);
-        let sum: f64 = g.weights.iter().sum();
-        assert!((sum - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn interior_count_consistency() {
         // 4x4 grid: 32 triangles. Dual edges = interior mesh edges.
         let m = AdaptiveMesh::structured(4, 4, 1.0, 1.0);
@@ -216,11 +201,10 @@ mod proptests {
         assert_eq!(got.tris, want.tris);
         assert_eq!(got.xadj, want.xadj);
         assert_eq!(got.adj, want.adj);
-        let bits = |g: &DualGraph| -> Vec<(u64, u64, u64)> {
+        let bits = |g: &DualGraph| -> Vec<(u64, u64)> {
             g.centroids
                 .iter()
-                .zip(&g.weights)
-                .map(|(c, w)| (c.x.to_bits(), c.y.to_bits(), w.to_bits()))
+                .map(|c| (c.x.to_bits(), c.y.to_bits()))
                 .collect()
         };
         assert_eq!(bits(got), bits(want));

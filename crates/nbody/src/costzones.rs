@@ -8,6 +8,8 @@
 //! between steps, zones move little — cheap, incremental load balance
 //! with no explicit remapping code.
 
+use partition::cut_order;
+
 use crate::octree::Octree;
 
 /// Assign each body to a zone: equal-cost contiguous chunks of the tree
@@ -17,37 +19,8 @@ use crate::octree::Octree;
 /// # Panics
 /// Panics if `nparts == 0` or `costs.len()` differs from the tree's bodies.
 pub fn costzones(tree: &Octree, costs: &[f64], nparts: usize) -> Vec<u32> {
-    assert!(nparts > 0);
     assert_eq!(costs.len(), tree.num_bodies());
-    let order = tree.body_order();
-    zones_on_order(&order, costs, nparts)
-}
-
-/// Cut an explicit body order into equal-cost contiguous zones.
-pub fn zones_on_order(order: &[u32], costs: &[f64], nparts: usize) -> Vec<u32> {
-    let total: f64 = costs.iter().sum();
-    let mut assignment = vec![0u32; costs.len()];
-    if total <= 0.0 {
-        // Degenerate: equal-count chunks.
-        for (k, &b) in order.iter().enumerate() {
-            assignment[b as usize] = (k * nparts / order.len().max(1)) as u32;
-        }
-        return assignment;
-    }
-    let mut acc = 0.0;
-    let mut zone = 0u32;
-    let mut spent_before = 0.0;
-    let mut budget = total / nparts as f64;
-    for &b in order {
-        if zone + 1 < nparts as u32 && acc - spent_before >= budget {
-            spent_before = acc;
-            zone += 1;
-            budget = (total - acc) / (nparts as u32 - zone) as f64;
-        }
-        assignment[b as usize] = zone;
-        acc += costs[b as usize];
-    }
-    assignment
+    cut_order(&tree.body_order(), |b| costs[b], nparts)
 }
 
 #[cfg(test)]

@@ -11,9 +11,10 @@
 //! * [`force`] — θ-MAC Barnes-Hut traversal with interaction counting,
 //!   plus a direct O(N²) reference;
 //! * [`orb`] — orthogonal recursive bisection of bodies (the MP/SHMEM
-//!   decomposition);
-//! * [`costzones`] — Singh's costzones partitioning over the tree order
-//!   (the CC-SAS decomposition);
+//!   decomposition): `partition`'s RCB in three dimensions, O(n log n),
+//!   plus the per-part bounding boxes;
+//! * [`costzones`] — Singh's costzones partitioning: the tree order cut
+//!   by `partition::cut_order` (the CC-SAS decomposition);
 //! * [`lett`] — locally-essential-tree extraction (what an MP rank must
 //!   import from remote domains to compute its forces alone).
 

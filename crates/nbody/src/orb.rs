@@ -5,6 +5,8 @@
 //! its box. Exposes the per-part bounding boxes the locally-essential-tree
 //! construction needs.
 
+use partition::rcb_partition_by;
+
 use crate::vec3::Vec3;
 
 /// An axis-aligned box.
@@ -38,24 +40,23 @@ impl BBox {
 }
 
 /// ORB-partition `positions` with `weights` into `nparts`; returns the part
-/// of each body.
+/// of each body. This is `partition`'s recursive coordinate bisection in
+/// three dimensions: O(n log n), ties between equally long axes going to
+/// the first (x, then y).
 ///
 /// # Panics
 /// Panics if `nparts == 0` or lengths differ.
 pub fn orb_partition(positions: &[Vec3], weights: &[f64], nparts: usize) -> Vec<u32> {
-    assert!(nparts > 0);
     assert_eq!(positions.len(), weights.len());
-    let mut assignment = vec![0u32; positions.len()];
-    let mut idx: Vec<u32> = (0..positions.len() as u32).collect();
-    bisect(
-        positions,
-        weights,
-        &mut idx,
-        0,
-        nparts as u32,
-        &mut assignment,
-    );
-    assignment
+    rcb_partition_by(
+        positions.len(),
+        |i| {
+            let p = positions[i];
+            [p.x, p.y, p.z]
+        },
+        |i| weights[i],
+        nparts,
+    )
 }
 
 /// Bounding boxes of each part under `assignment`.
@@ -71,77 +72,6 @@ pub fn part_boxes(positions: &[Vec3], assignment: &[u32], nparts: usize) -> Vec<
             BBox::of(&pts)
         })
         .collect()
-}
-
-fn bisect(
-    positions: &[Vec3],
-    weights: &[f64],
-    idx: &mut [u32],
-    first_part: u32,
-    nparts: u32,
-    out: &mut [u32],
-) {
-    if nparts == 1 || idx.is_empty() {
-        for &i in idx.iter() {
-            out[i as usize] = first_part;
-        }
-        return;
-    }
-    // Longest axis of the current point set (its box folded from the first
-    // point, as `BBox::of` builds it).
-    let first = positions[idx[0] as usize];
-    let (min, max) = idx.iter().fold((first, first), |(min, max), &i| {
-        let p = positions[i as usize];
-        (min.min(&p), max.max(&p))
-    });
-    let ext = max - min;
-    let axis = if ext.x >= ext.y && ext.x >= ext.z {
-        0
-    } else if ext.y >= ext.z {
-        1
-    } else {
-        2
-    };
-    let key = |i: u32| {
-        let p = positions[i as usize];
-        match axis {
-            0 => p.x,
-            1 => p.y,
-            _ => p.z,
-        }
-    };
-    idx.sort_unstable_by(|&a, &b| {
-        key(a)
-            .partial_cmp(&key(b))
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    let left_parts = nparts / 2;
-    let total: f64 = idx.iter().map(|&i| weights[i as usize]).sum();
-    let target = total * left_parts as f64 / nparts as f64;
-    let mut acc = 0.0;
-    let mut split = 0;
-    for (k, &i) in idx.iter().enumerate() {
-        if acc >= target && k > 0 {
-            break;
-        }
-        acc += weights[i as usize];
-        split = k + 1;
-    }
-    split = split.clamp(
-        usize::from(idx.len() > 1),
-        idx.len() - usize::from(idx.len() > 1),
-    );
-    let (l, r) = idx.split_at_mut(split);
-    bisect(positions, weights, l, first_part, left_parts, out);
-    bisect(
-        positions,
-        weights,
-        r,
-        first_part + left_parts,
-        nparts - left_parts,
-        out,
-    );
 }
 
 #[cfg(test)]

@@ -4,8 +4,11 @@
 //! on (the PLUM load balancer of Oliker & Biswas, and the geometric
 //! partitioners used to decompose meshes and particle sets):
 //!
-//! * [`rcb`] — recursive coordinate bisection of weighted points;
-//! * [`sfc`] — Morton- and Hilbert-curve partitioning;
+//! * [`rcb`] — recursive coordinate bisection of weighted points in any
+//!   dimension (2-D for the meshes; `nbody`'s ORB is the 3-D case);
+//! * [`sfc`] — Morton- and Hilbert-curve partitioning, and [`cut_order`],
+//!   the weight-balanced cut of an ordering that `nbody`'s costzones also
+//!   uses;
 //! * [`graph`] — CSR graphs with edge-cut and imbalance metrics;
 //! * [`multilevel`] — MeTiS-style multilevel k-way partitioning (coarsen /
 //!   grow / KL-refine), the graph partitioner the paper family used;
@@ -38,9 +41,9 @@ pub mod sfc;
 
 pub use graph::{edge_cut, imbalance, CsrGraph};
 pub use multilevel::multilevel_partition;
-pub use rcb::rcb_partition;
+pub use rcb::{rcb_partition, rcb_partition_by};
 pub use remap::{remap_labels, MoveStats};
-pub use sfc::{hilbert_partition, morton_partition};
+pub use sfc::{cut_order, hilbert_partition, morton_partition};
 
 /// A point with a work weight, the common input to geometric partitioners.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -1,4 +1,8 @@
-//! Recursive coordinate bisection.
+//! Recursive coordinate bisection, in any number of dimensions.
+//!
+//! [`rcb_partition`] splits 2-D weighted points (the AMR dual's
+//! centroids); [`rcb_partition_by`] is the same bisection over `D`
+//! coordinates, which `nbody::orb` runs at `D = 3` as ORB.
 
 use crate::WeightedPoint;
 
@@ -7,38 +11,62 @@ use crate::WeightedPoint;
 /// median, dividing the part budget proportionally (so non-power-of-two
 /// part counts balance too). Returns the part id of each point.
 ///
-/// Points are ordered by `(x, index)` and by `(y, index)` once; each level
-/// splits the chosen axis' order in place and stable-partitions the other
-/// axis' order by side, so a level costs O(n) and the whole O(n log n).
-///
 /// # Panics
 /// Panics if `nparts` is zero.
 pub fn rcb_partition(points: &[WeightedPoint], nparts: usize) -> Vec<u32> {
+    rcb_partition_by(
+        points.len(),
+        |i| [points[i].x, points[i].y],
+        |i| points[i].w,
+        nparts,
+    )
+}
+
+/// Partition points `0..n` into `nparts` parts by recursive bisection in
+/// `D` dimensions: point `i` sits at `coords(i)` with work `weight(i)`.
+/// Each level cuts along the first axis of largest extent, where the
+/// weight before the cut first reaches the share of the left half of the
+/// part budget (both sides kept non-empty when possible). Returns the
+/// part id of each point.
+///
+/// Points are ordered by `(coordinate, index)` along each axis once; each
+/// level splits the chosen axis' order in place and stable-partitions the
+/// other orders by side, so a level costs O(D·n), the whole O(D·n log n),
+/// and nothing is allocated below the top.
+///
+/// # Panics
+/// Panics if `nparts` is zero.
+pub fn rcb_partition_by<const D: usize>(
+    n: usize,
+    coords: impl Fn(usize) -> [f64; D],
+    weight: impl Fn(usize) -> f64,
+    nparts: usize,
+) -> Vec<u32> {
     assert!(nparts > 0, "need at least one part");
-    let mut assignment = vec![0u32; points.len()];
-    let mut by_x = sorted_by(points, |p| p.x);
-    let mut by_y = sorted_by(points, |p| p.y);
+    let mut assignment = vec![0u32; n];
+    let mut sorted: [Vec<u32>; D] = std::array::from_fn(|a| sorted_by(n, |i| coords(i)[a]));
     let mut split = Split {
-        points,
-        left: vec![false; points.len()],
-        spill: Vec::with_capacity(points.len()),
+        coords,
+        weight,
+        left: vec![false; n],
+        spill: Vec::with_capacity(n),
         out: &mut assignment,
     };
-    split.bisect(&mut by_x, &mut by_y, 0, nparts as u32);
+    split.bisect(
+        sorted.each_mut().map(|v| v.as_mut_slice()),
+        0,
+        nparts as u32,
+    );
     assignment
 }
 
-/// Point indices ascending by `(key, index)`: the order a per-subset
+/// Indices `0..n` ascending by `(key, index)`: the order a per-subset
 /// `partial_cmp` sort with ties on index gives. Keys are compared through
 /// their order-preserving integer image, with `-0.0` folded into `0.0`
 /// (which `partial_cmp` calls equal); for non-NaN keys this is a total
 /// order, so the order of any subset is this order restricted to it.
-fn sorted_by(points: &[WeightedPoint], key: impl Fn(&WeightedPoint) -> f64) -> Vec<u32> {
-    let mut keyed: Vec<(u64, u32)> = points
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (ordered_bits(key(p)), i as u32))
-        .collect();
+fn sorted_by(n: usize, key: impl Fn(usize) -> f64) -> Vec<u32> {
+    let mut keyed: Vec<(u64, u32)> = (0..n).map(|i| (ordered_bits(key(i)), i as u32)).collect();
     keyed.sort_unstable();
     keyed.into_iter().map(|(_, i)| i).collect()
 }
@@ -55,8 +83,9 @@ fn ordered_bits(x: f64) -> u64 {
 }
 
 /// The state one bisection shares with its recursive calls.
-struct Split<'a> {
-    points: &'a [WeightedPoint],
+struct Split<'a, C, W> {
+    coords: C,
+    weight: W,
     /// Side of each point at the current level (true = left).
     left: Vec<bool>,
     /// Scratch for the right side of a stable partition.
@@ -64,33 +93,44 @@ struct Split<'a> {
     out: &'a mut [u32],
 }
 
-impl Split<'_> {
-    /// Bisect the subset `by_x` / `by_y` (the same points in x and in y
-    /// order) into parts `first_part..first_part + nparts`.
-    fn bisect(&mut self, by_x: &mut [u32], by_y: &mut [u32], first_part: u32, nparts: u32) {
-        if nparts == 1 || by_x.is_empty() {
-            for &i in by_x.iter() {
+impl<const D: usize, C, W> Split<'_, C, W>
+where
+    C: Fn(usize) -> [f64; D],
+    W: Fn(usize) -> f64,
+{
+    /// Bisect the subset `orders` (the same points in each axis' order)
+    /// into parts `first_part..first_part + nparts`.
+    fn bisect(&mut self, mut orders: [&mut [u32]; D], first_part: u32, nparts: u32) {
+        if nparts == 1 || orders[0].is_empty() {
+            for &i in orders[0].iter() {
                 self.out[i as usize] = first_part;
             }
             return;
         }
-        // Choose the axis with the larger extent: the ends of each order,
+        // Choose the first axis of largest extent: the ends of each order,
         // clamped as a fold of `min` from `f64::MAX` / `max` from `f64::MIN`
         // over the subset would be.
-        let ends = |order: &[u32]| {
-            let (lo, hi) = (order[0], order[order.len() - 1]);
-            (self.points[lo as usize], self.points[hi as usize])
+        let extent = |a: usize| {
+            let order = &orders[a];
+            let lo = (self.coords)(order[0] as usize)[a];
+            let hi = (self.coords)(order[order.len() - 1] as usize)[a];
+            f64::MIN.max(hi) - f64::MAX.min(lo)
         };
-        let ((x_lo, x_hi), (y_lo, y_hi)) = (ends(by_x), ends(by_y));
-        let along_x = (f64::MIN.max(x_hi.x) - f64::MAX.min(x_lo.x))
-            >= (f64::MIN.max(y_hi.y) - f64::MAX.min(y_lo.y));
-        let (order, other) = if along_x { (by_x, by_y) } else { (by_y, by_x) };
+        let mut axis = 0;
+        let mut widest = extent(0);
+        for a in 1..D {
+            let e = extent(a);
+            if e > widest {
+                (axis, widest) = (a, e);
+            }
+        }
 
         // Split the part budget, then find the weighted split position that
         // matches the budget ratio.
+        let order = &orders[axis];
         let left_parts = nparts / 2;
         let right_parts = nparts - left_parts;
-        let total_w: f64 = order.iter().map(|&i| self.points[i as usize].w).sum();
+        let total_w: f64 = order.iter().map(|&i| (self.weight)(i as usize)).sum();
         let target = total_w * left_parts as f64 / nparts as f64;
         let mut acc = 0.0;
         let mut split = 0;
@@ -98,7 +138,7 @@ impl Split<'_> {
             if acc >= target && k > 0 {
                 break;
             }
-            acc += self.points[i as usize].w;
+            acc += (self.weight)(i as usize);
             split = k + 1;
         }
         // Keep both sides non-empty when possible.
@@ -107,41 +147,51 @@ impl Split<'_> {
             order.len() - usize::from(order.len() > 1),
         );
 
-        // Carry the split over to the other axis' order, keeping it sorted.
+        // Carry the split over to the other axes' orders, keeping each
+        // sorted.
         for (k, &i) in order.iter().enumerate() {
             self.left[i as usize] = k < split;
         }
-        self.spill.clear();
-        let mut kept = 0;
-        for k in 0..other.len() {
-            let i = other[k];
-            if self.left[i as usize] {
-                other[kept] = i;
-                kept += 1;
-            } else {
-                self.spill.push(i);
+        for (a, other) in orders.iter_mut().enumerate() {
+            if a == axis {
+                continue;
             }
+            self.spill.clear();
+            let mut kept = 0;
+            for k in 0..other.len() {
+                let i = other[k];
+                if self.left[i as usize] {
+                    other[kept] = i;
+                    kept += 1;
+                } else {
+                    self.spill.push(i);
+                }
+            }
+            other[kept..].copy_from_slice(&self.spill);
         }
-        other[kept..].copy_from_slice(&self.spill);
 
-        let (order_l, order_r) = order.split_at_mut(split);
-        let (other_l, other_r) = other.split_at_mut(split);
-        let (x_l, y_l, x_r, y_r) = if along_x {
-            (order_l, other_l, order_r, other_r)
-        } else {
-            (other_l, order_l, other_r, order_r)
-        };
-        self.bisect(x_l, y_l, first_part, left_parts);
-        self.bisect(x_r, y_r, first_part + left_parts, right_parts);
+        let mut right: [&mut [u32]; D] = std::array::from_fn(|_| Default::default());
+        for (l, r) in orders.iter_mut().zip(&mut right) {
+            (*l, *r) = std::mem::take(l).split_at_mut(split);
+        }
+        self.bisect(orders, first_part, left_parts);
+        self.bisect(right, first_part + left_parts, right_parts);
     }
 }
 
 /// The straightforward bisection that sorts each subset afresh at every
-/// level, kept as the equivalence oracle.
+/// level, kept as the equivalence oracle: the longest axis is the first
+/// whose extent is at least every other's.
 #[cfg(test)]
-fn rcb_partition_oracle(points: &[WeightedPoint], nparts: usize) -> Vec<u32> {
-    fn bisect(
-        points: &[WeightedPoint],
+fn rcb_oracle<const D: usize>(
+    n: usize,
+    coords: impl Fn(usize) -> [f64; D],
+    weight: impl Fn(usize) -> f64,
+    nparts: usize,
+) -> Vec<u32> {
+    fn bisect<const D: usize>(
+        coords: &dyn Fn(usize) -> [f64; D],
+        weight: &dyn Fn(usize) -> f64,
         idx: &mut [u32],
         first_part: u32,
         nparts: u32,
@@ -153,24 +203,19 @@ fn rcb_partition_oracle(points: &[WeightedPoint], nparts: usize) -> Vec<u32> {
             }
             return;
         }
-        let (mut min_x, mut max_x) = (f64::MAX, f64::MIN);
-        let (mut min_y, mut max_y) = (f64::MAX, f64::MIN);
+        let (mut min, mut max) = ([f64::MAX; D], [f64::MIN; D]);
         for &i in idx.iter() {
-            let p = &points[i as usize];
-            min_x = min_x.min(p.x);
-            max_x = max_x.max(p.x);
-            min_y = min_y.min(p.y);
-            max_y = max_y.max(p.y);
-        }
-        let along_x = (max_x - min_x) >= (max_y - min_y);
-        let key = |i: u32| {
-            let p = &points[i as usize];
-            if along_x {
-                p.x
-            } else {
-                p.y
+            let p = coords(i as usize);
+            for a in 0..D {
+                min[a] = min[a].min(p[a]);
+                max[a] = max[a].max(p[a]);
             }
-        };
+        }
+        let ext: [f64; D] = std::array::from_fn(|a| max[a] - min[a]);
+        let axis = (0..D)
+            .find(|&a| ext.iter().all(|&e| ext[a] >= e))
+            .expect("extents are never NaN");
+        let key = |i: u32| coords(i as usize)[axis];
         idx.sort_unstable_by(|&a, &b| {
             key(a)
                 .partial_cmp(&key(b))
@@ -179,7 +224,7 @@ fn rcb_partition_oracle(points: &[WeightedPoint], nparts: usize) -> Vec<u32> {
         });
         let left_parts = nparts / 2;
         let right_parts = nparts - left_parts;
-        let total_w: f64 = idx.iter().map(|&i| points[i as usize].w).sum();
+        let total_w: f64 = idx.iter().map(|&i| weight(i as usize)).sum();
         let target = total_w * left_parts as f64 / nparts as f64;
         let mut acc = 0.0;
         let mut split = 0;
@@ -187,7 +232,7 @@ fn rcb_partition_oracle(points: &[WeightedPoint], nparts: usize) -> Vec<u32> {
             if acc >= target && k > 0 {
                 break;
             }
-            acc += points[i as usize].w;
+            acc += weight(i as usize);
             split = k + 1;
         }
         split = split.clamp(
@@ -195,12 +240,26 @@ fn rcb_partition_oracle(points: &[WeightedPoint], nparts: usize) -> Vec<u32> {
             idx.len() - usize::from(idx.len() > 1),
         );
         let (left, right) = idx.split_at_mut(split);
-        bisect(points, left, first_part, left_parts, out);
-        bisect(points, right, first_part + left_parts, right_parts, out);
+        bisect(coords, weight, left, first_part, left_parts, out);
+        bisect(
+            coords,
+            weight,
+            right,
+            first_part + left_parts,
+            right_parts,
+            out,
+        );
     }
-    let mut assignment = vec![0u32; points.len()];
-    let mut idx: Vec<u32> = (0..points.len() as u32).collect();
-    bisect(points, &mut idx, 0, nparts as u32, &mut assignment);
+    let mut assignment = vec![0u32; n];
+    let mut idx: Vec<u32> = (0..n as u32).collect();
+    bisect(
+        &coords,
+        &weight,
+        &mut idx,
+        0,
+        nparts as u32,
+        &mut assignment,
+    );
     assignment
 }
 
@@ -341,37 +400,71 @@ mod proptests {
         }
     }
 
+    /// A coarse lattice around 0, so coordinates collide often, with
+    /// `-0.0` beside `0.0` where `negative_zero` says.
+    fn lattice(v: u32, negative_zero: bool, stretch: f64) -> f64 {
+        if v == 6 && negative_zero {
+            -0.0
+        } else {
+            (f64::from(v) - 6.0) * stretch
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The sort-once bisection assigns every point exactly as the
-        /// per-level-sort oracle does: duplicated coordinates, zero and
-        /// unequal weights, any part count.
+        /// per-level-sort oracle does in 2-D: duplicated coordinates, zero
+        /// and unequal weights, any part count.
         #[test]
         fn rcb_matches_the_per_level_sort_oracle(
             cells in proptest::collection::vec(
                 (0u32..12, 0u32..12, 0u32..4, any::<bool>()),
                 0..400,
             ),
-            nparts in 1usize..34,
+            nparts in 1usize..41,
             stretch in 0.1f64..10.0,
         ) {
-            // Coordinates on a coarse lattice around 0 collide often, with
-            // `-0.0` and `0.0` both present; weight 0 is one in four.
-            let coord = |v: u32, negative_zero: bool| {
-                if v == 6 && negative_zero {
-                    -0.0
-                } else {
-                    (f64::from(v) - 6.0) * stretch
-                }
-            };
+            // Weight 0 is one in four.
             let pts: Vec<WeightedPoint> = cells
                 .iter()
                 .map(|&(x, y, w, nz)| {
-                    WeightedPoint::new(coord(x, nz), coord(y, !nz), f64::from(w) * 0.75)
+                    WeightedPoint::new(
+                        lattice(x, nz, stretch),
+                        lattice(y, !nz, stretch),
+                        f64::from(w) * 0.75,
+                    )
                 })
                 .collect();
-            prop_assert_eq!(rcb_partition(&pts, nparts), rcb_partition_oracle(&pts, nparts));
+            let oracle = rcb_oracle(pts.len(), |i| [pts[i].x, pts[i].y], |i| pts[i].w, nparts);
+            prop_assert_eq!(rcb_partition(&pts, nparts), oracle);
+        }
+
+        /// The same in 3-D, the dimension ORB cuts in.
+        #[test]
+        fn rcb_matches_the_per_level_sort_oracle_in_3d(
+            cells in proptest::collection::vec(
+                (0u32..12, 0u32..12, 0u32..12, 0u32..4, 0u8..8),
+                0..400,
+            ),
+            nparts in 1usize..41,
+            stretch in 0.1f64..10.0,
+        ) {
+            let pts: Vec<([f64; 3], f64)> = cells
+                .iter()
+                .map(|&(x, y, z, w, nz)| {
+                    let c = [x, y, z];
+                    (
+                        std::array::from_fn(|a| lattice(c[a], nz >> a & 1 == 1, stretch)),
+                        f64::from(w) * 0.75,
+                    )
+                })
+                .collect();
+            let (coords, weight) = (|i: usize| pts[i].0, |i: usize| pts[i].1);
+            prop_assert_eq!(
+                rcb_partition_by(pts.len(), coords, weight, nparts),
+                rcb_oracle(pts.len(), coords, weight, nparts)
+            );
         }
     }
 }

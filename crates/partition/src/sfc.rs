@@ -79,29 +79,47 @@ fn curve_partition<K: Fn(u16, u16) -> u32>(
     nparts: usize,
     key: K,
 ) -> Vec<u32> {
-    assert!(nparts > 0, "need at least one part");
     let cells = quantise(points);
     let mut order: Vec<u32> = (0..points.len() as u32).collect();
     order.sort_unstable_by_key(|&i| {
         let (x, y) = cells[i as usize];
         (key(x, y), i)
     });
-    // Cut into weight-balanced contiguous chunks.
-    let total: f64 = points.iter().map(|p| p.w).sum();
-    let mut assignment = vec![0u32; points.len()];
+    cut_order(&order, |i| points[i].w, nparts)
+}
+
+/// Cut `order`, a permutation of `0..order.len()`, into `nparts`
+/// contiguous chunks of about equal weight; returns the part of each
+/// index. Each chunk closes once it holds its share of the weight not yet
+/// assigned; when the total weight is not positive, the chunks hold equal
+/// counts instead. This is the cut of both curve partitioners and of
+/// `nbody`'s costzones (on the octree's body order).
+///
+/// # Panics
+/// Panics if `nparts` is zero.
+pub fn cut_order(order: &[u32], weight: impl Fn(usize) -> f64, nparts: usize) -> Vec<u32> {
+    assert!(nparts > 0, "need at least one part");
+    let n = order.len();
+    let total: f64 = (0..n).map(&weight).sum();
+    let mut assignment = vec![0u32; n];
+    if total <= 0.0 {
+        for (k, &i) in order.iter().enumerate() {
+            assignment[i as usize] = (k * nparts / n) as u32;
+        }
+        return assignment;
+    }
     let mut acc = 0.0;
     let mut part = 0u32;
-    let remaining = |part: u32| (nparts as u32 - part) as f64;
     let mut budget = total / nparts as f64;
     let mut spent_before = 0.0;
-    for &i in &order {
+    for &i in order {
         if part + 1 < nparts as u32 && acc - spent_before >= budget {
             spent_before = acc;
             part += 1;
-            budget = (total - acc) / remaining(part);
+            budget = (total - acc) / (nparts as u32 - part) as f64;
         }
         assignment[i as usize] = part;
-        acc += points[i as usize].w;
+        acc += weight(i as usize);
     }
     assignment
 }
@@ -225,6 +243,29 @@ mod tests {
         }
         let total: f64 = pts.iter().map(|p| p.w).sum();
         assert!((loads[0] / total - 0.5).abs() < 0.2, "{loads:?}");
+    }
+
+    #[test]
+    fn zero_weights_use_every_part() {
+        // No weight to balance: the cut falls back to equal counts, so no
+        // part is left empty while there are points for it.
+        let mut pts = grid(4);
+        for p in &mut pts {
+            p.w = 0.0;
+        }
+        for part_fn in [morton_partition, hilbert_partition] {
+            for (n, nparts) in [(10, 4), (16, 16), (16, 3)] {
+                let mut counts = vec![0usize; nparts];
+                for &p in &part_fn(&pts[..n], nparts) {
+                    counts[p as usize] += 1;
+                }
+                let fair = n / nparts;
+                assert!(
+                    counts.iter().all(|&c| c == fair || c == fair + 1),
+                    "n={n} nparts={nparts}: {counts:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ impl WireWriter {
 
     /// Append an f64 as its raw bit pattern.
     #[inline]
-    pub fn f64(&mut self, v: f64) {
+    fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
 
@@ -110,7 +110,7 @@ impl<'a> WireReader<'a> {
 
     /// Read an f64 from its raw bit pattern.
     #[inline]
-    pub fn f64(&mut self) -> Result<f64, String> {
+    fn f64(&mut self) -> Result<f64, String> {
         Ok(f64::from_bits(self.u64()?))
     }
 
@@ -168,7 +168,7 @@ impl<'a> WireReader<'a> {
     }
 
     /// Bytes remaining past the cursor.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 

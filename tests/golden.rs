@@ -106,10 +106,11 @@ mod t3 {
             .iter()
             .map(|c| WeightedPoint::new(c.x, c.y, 1.0))
             .collect();
-        let lists: Vec<Vec<u32>> = (0..dual.len())
-            .map(|v| dual.neighbors(v).to_vec())
-            .collect();
-        let g = CsrGraph::from_lists(&lists, vec![1.0; dual.len()]);
+        let g = CsrGraph {
+            xadj: dual.xadj.clone(),
+            adj: dual.adj.clone(),
+            vwgt: vec![1.0; dual.len()],
+        };
         let mut out = Vec::new();
         let mut eval = |name: &'static str, parts: &[u32]| {
             // Imbalance is a ratio of f64 weights over integer counts:
