@@ -28,6 +28,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use machine::{ContentionMode, Machine};
 use o2k_snap::wire::{WireReader, WireWriter};
@@ -36,7 +37,6 @@ use o2k_snap::{
     SnapPoint, SnapSpec, Snapshot,
 };
 use parallel::{Ctx, TeamResume};
-use parking_lot::Mutex;
 
 use crate::metrics::{App, Model};
 
@@ -69,12 +69,26 @@ struct CaptureState {
     claimed: AtomicBool,
 }
 
+impl CaptureState {
+    /// `deposits`, locked: no panic leaves it half-updated, so poison is ignored.
+    fn deposits(&self) -> MutexGuard<'_, Vec<Option<Deposit>>> {
+        self.deposits.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
 struct ResumeState {
     path: PathBuf,
     point: SnapPoint,
     apps: Vec<Vec<u8>>,
     world: Vec<u8>,
     team: Mutex<Option<TeamResume>>,
+}
+
+impl ResumeState {
+    /// `team`, locked: no panic leaves it half-updated, so poison is ignored.
+    fn team(&self) -> MutexGuard<'_, Option<TeamResume>> {
+        self.team.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 enum Mode {
@@ -282,7 +296,7 @@ impl Snapshotter {
     /// Yields `Some` exactly once per resuming run.
     pub fn team_resume(&self) -> Option<TeamResume> {
         match &self.mode {
-            Mode::Resume(r) => r.team.lock().take(),
+            Mode::Resume(r) => r.team().take(),
             _ => None,
         }
     }
@@ -321,7 +335,7 @@ impl Snapshotter {
                 let mut app = WireWriter::new();
                 app.u64(index);
                 state(&mut app);
-                c.deposits.lock()[ctx.pe()] = Some((ctx.export_core(), app.into_bytes()));
+                c.deposits()[ctx.pe()] = Some((ctx.export_core(), app.into_bytes()));
                 ctx.gate();
                 // The first PE the scheduler resumes after the gate holds
                 // the floor: it assembles and writes the snapshot without a
@@ -333,7 +347,7 @@ impl Snapshotter {
                     let mut snap = Snapshot::new();
                     snap.put("meta", c.meta.encode());
                     snap.put("sched", encode_sched(&sched));
-                    for (pe, d) in c.deposits.lock().iter().enumerate() {
+                    for (pe, d) in c.deposits().iter().enumerate() {
                         let (core, app_bytes) =
                             d.as_ref().expect("every PE deposits before the gate");
                         let mut w = WireWriter::new();

@@ -9,8 +9,9 @@
 //! with them arrival times and every counter, do not depend on how many
 //! words the encoding happens to take.
 
+use std::sync::{Mutex, MutexGuard};
+
 use parallel::Payload;
-use parking_lot::Mutex;
 
 /// Encode `data` into `buf`, replacing its contents.
 pub(crate) fn encode_into<T: Payload>(data: &[T], buf: &mut Vec<u64>) {
@@ -54,12 +55,17 @@ impl WordPool {
         }
     }
 
+    /// `classes`, locked: no panic leaves it half-updated, so poison is ignored.
+    fn classes(&self) -> MutexGuard<'_, [Vec<Vec<u64>>; CLASSES]> {
+        self.classes.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// An empty buffer with room for `words` words.
     pub(crate) fn take(&self, words: usize) -> Vec<u64> {
         if words == 0 {
             return Vec::new();
         }
-        match self.classes.lock()[class_of(words)].pop() {
+        match self.classes()[class_of(words)].pop() {
             Some(buf) if buf.capacity() >= words => buf,
             _ => Vec::with_capacity(words),
         }
@@ -68,7 +74,7 @@ impl WordPool {
     /// Return a buffer for later sends.
     pub(crate) fn put(&self, buf: Vec<u64>) {
         if buf.capacity() > 0 {
-            self.classes.lock()[class_of(buf.capacity())].push(buf);
+            self.classes()[class_of(buf.capacity())].push(buf);
         }
     }
 }

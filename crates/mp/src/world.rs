@@ -1,11 +1,10 @@
 //! Mailboxes, envelopes, and point-to-point send/receive.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use machine::{cost, Machine, SimTime, TimeCat};
 use parallel::{Ctx, Dep, EventKind, Payload};
-use parking_lot::Mutex;
 
 use crate::payload::{decode_into, encode_into, WordPool};
 
@@ -114,6 +113,11 @@ impl MpWorld {
         &self.coll
     }
 
+    /// Rank `pe`'s mailbox, locked: no panic leaves it half-updated, so poison is ignored.
+    fn mailbox(&self, pe: usize) -> MutexGuard<'_, VecDeque<Envelope>> {
+        self.mailboxes[pe].lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Number of ranks.
     pub fn size(&self) -> usize {
         self.mailboxes.len()
@@ -176,7 +180,7 @@ impl MpWorld {
             arrival: ctx.now() + c.network + net_delay,
         };
         let arrival = env.arrival;
-        self.mailboxes[dst].lock().push_back(env);
+        self.mailbox(dst).push_back(env);
         // Wake the receiver where `wait_match` parks it, in the scheduler;
         // the arrival time is its clock hint.
         ctx.coop()
@@ -226,7 +230,7 @@ impl MpWorld {
         out: &mut Vec<T>,
     ) -> Option<(usize, Tag)> {
         let env = {
-            let mut q = self.mailboxes[ctx.pe()].lock();
+            let mut q = self.mailbox(ctx.pe());
             let idx = q.iter().position(|e| spec.matches(e.src, e.tag))?;
             q.remove(idx).expect("index valid under lock")
         };
@@ -237,7 +241,7 @@ impl MpWorld {
         let pe = ctx.pe();
         loop {
             {
-                let mut q = self.mailboxes[pe].lock();
+                let mut q = self.mailbox(pe);
                 if let Some(idx) = q.iter().position(|e| spec.matches(e.src, e.tag)) {
                     return q.remove(idx).expect("index valid under lock");
                 }
@@ -320,7 +324,7 @@ impl MpWorld {
         let now = ctx.now();
         let first = out.len();
         {
-            let mut q = self.mailboxes[victim].lock();
+            let mut q = self.mailbox(victim);
             let mut i = 0;
             while i < q.len() && out.len() - first < max {
                 if q[i].tag == tag && q[i].arrival <= now {
@@ -368,7 +372,7 @@ impl MpWorld {
 
     /// Messages queued across all mailboxes (sent but not yet received).
     pub fn pending_messages(&self) -> usize {
-        self.mailboxes.iter().map(|mb| mb.lock().len()).sum()
+        (0..self.size()).map(|pe| self.mailbox(pe).len()).sum()
     }
 
     /// Snapshot quiescence check: a checkpoint is only legal when every
@@ -383,12 +387,9 @@ impl MpWorld {
     /// # Panics
     /// Panics, naming the offending ranks, if any message is in flight.
     pub fn assert_quiescent(&self) {
-        let stuck: Vec<String> = self
-            .mailboxes
-            .iter()
-            .enumerate()
-            .filter_map(|(rank, mb)| {
-                let n = mb.lock().len();
+        let stuck: Vec<String> = (0..self.size())
+            .filter_map(|rank| {
+                let n = self.mailbox(rank).len();
                 (n > 0).then(|| format!("rank {rank}: {n} queued"))
             })
             .collect();

@@ -22,7 +22,8 @@ impl Body {
 }
 
 /// Centre of mass of a body set.
-pub fn center_of_mass(bodies: &[Body]) -> Vec3 {
+#[cfg(test)]
+pub(crate) fn center_of_mass(bodies: &[Body]) -> Vec3 {
     let m: f64 = bodies.iter().map(|b| b.mass).sum();
     let mut c = Vec3::ZERO;
     for b in bodies {

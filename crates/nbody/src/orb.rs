@@ -60,7 +60,8 @@ pub fn orb_partition(positions: &[Vec3], weights: &[f64], nparts: usize) -> Vec<
 }
 
 /// Bounding boxes of each part under `assignment`.
-pub fn part_boxes(positions: &[Vec3], assignment: &[u32], nparts: usize) -> Vec<BBox> {
+#[cfg(test)]
+pub(crate) fn part_boxes(positions: &[Vec3], assignment: &[u32], nparts: usize) -> Vec<BBox> {
     (0..nparts)
         .map(|p| {
             let pts: Vec<Vec3> = positions

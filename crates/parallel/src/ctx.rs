@@ -441,12 +441,11 @@ impl Ctx {
     pub fn broadcast<T: Clone + Send + 'static>(&mut self, root: usize, val: Option<T>) -> T {
         let shared = Arc::clone(&self.shared);
         if self.pe == root {
-            *shared.slots[root].lock() =
-                Some(Box::new(val.expect("root must supply a broadcast value")));
+            *shared.slot(root) = Some(Box::new(val.expect("root must supply a broadcast value")));
         }
         self.barrier();
         let out = {
-            let guard = shared.slots[root].lock();
+            let guard = shared.slot(root);
             guard
                 .as_ref()
                 .expect("broadcast slot empty")
@@ -457,7 +456,7 @@ impl Ctx {
         self.charge_tree_transfer(std::mem::size_of::<T>());
         self.barrier();
         if self.pe == root {
-            *shared.slots[root].lock() = None;
+            *shared.slot(root) = None;
         }
         out
     }

@@ -10,12 +10,11 @@
 //! section overlaps another's in virtual time.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use machine::{cost, SimTime, TimeCat};
 use o2k_sched::{BlockReason, CoopSched};
 use o2k_trace::{Dep, EventKind};
-use parking_lot::Mutex;
 
 use crate::ctx::Ctx;
 
@@ -76,6 +75,11 @@ impl SimLock {
         (0..n).map(|i| SimLock::new(i % nodes.max(1))).collect()
     }
 
+    /// `state`, locked: no panic leaves it half-updated, so poison is ignored.
+    fn state(&self) -> MutexGuard<'_, LockState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// This lock's process-wide unique id (lockset vocabulary).
     pub fn id(&self) -> u64 {
         self.id
@@ -88,7 +92,7 @@ impl SimLock {
         let coop = Arc::clone(ctx.coop());
         let pe = ctx.pe();
         let (release_t, holder) = loop {
-            let mut st = self.state.lock();
+            let mut st = self.state();
             if !st.held {
                 st.held = true;
                 break st.release;
@@ -127,7 +131,7 @@ impl SimLock {
     /// virtual release time; `None` (guard drop on a panic path) leaves
     /// the previous one.
     fn unlock(&self, coop: &CoopSched, release: Option<(SimTime, u32)>) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         st.held = false;
         if let Some(r) = release {
             st.release = r;
@@ -239,12 +243,12 @@ mod tests {
         use o2k_sched::SchedPolicy;
         let machine = Arc::new(Machine::new(4, MachineConfig::test_tiny()));
         let lock = SimLock::new(0);
-        let order = parking_lot::Mutex::new(Vec::new());
+        let order = Mutex::new(Vec::new());
         let run = Team::new(machine).sched(SchedPolicy::Det).run(|ctx| {
             // Stagger arrivals: PE 3 first, PE 0 last.
             ctx.compute(100 * (4 - ctx.pe() as u64));
             let g = lock.acquire(ctx);
-            order.lock().push(ctx.pe());
+            order.lock().unwrap().push(ctx.pe());
             assert_eq!(ctx.lockset(), &[lock.id()]);
             ctx.compute(50);
             g.release(ctx);
@@ -253,7 +257,7 @@ mod tests {
         });
         // Virtual-time arrival order is PE 3, 2, 1, 0 — and under the
         // deterministic scheduler the acquisition order matches it.
-        assert_eq!(*order.lock(), vec![3, 2, 1, 0]);
+        assert_eq!(*order.lock().unwrap(), vec![3, 2, 1, 0]);
         let mut times = run.results.clone();
         times.sort_unstable();
         times.dedup();

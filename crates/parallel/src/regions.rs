@@ -2,9 +2,7 @@
 
 use std::any::TypeId;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::Ctx;
 
@@ -36,6 +34,13 @@ impl<R> Regions<R> {
         }
     }
 
+    /// `list`, locked. An `alloc` that finds a mismatch panics holding it,
+    /// after its last update; the poisoned lock is taken as it stands, so
+    /// the world can still be read (and exported) after the team's panic.
+    fn list(&self) -> MutexGuard<'_, Vec<Entry<R>>> {
+        self.list.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// This PE's next index in the sequence.
     fn advance(&self, ctx: &Ctx) -> usize {
         self.next[ctx.pe()].fetch_add(1, Ordering::Relaxed) as usize
@@ -55,7 +60,7 @@ impl<R> Regions<R> {
     ) -> Arc<R> {
         let idx = self.advance(ctx);
         let region = {
-            let mut list = self.list.lock();
+            let mut list = self.list();
             if list.len() <= idx {
                 debug_assert_eq!(list.len(), idx, "allocation sequence skew");
                 list.push(Entry {
@@ -86,7 +91,7 @@ impl<R> Regions<R> {
     /// (when known) is not `T`.
     pub fn attach<T: 'static>(&self, ctx: &Ctx, len: usize) -> Arc<R> {
         let idx = self.advance(ctx);
-        let list = self.list.lock();
+        let list = self.list();
         let e = list
             .get(idx)
             .unwrap_or_else(|| panic!("attach #{idx}: snapshot has only {} regions", list.len()));
@@ -103,7 +108,7 @@ impl<R> Regions<R> {
     /// # Errors
     /// Errors — installing nothing — unless the world has no regions yet.
     pub fn import(&self, regions: Vec<(usize, R)>) -> Result<(), String> {
-        let mut list = self.list.lock();
+        let mut list = self.list();
         if !list.is_empty() {
             return Err("import into a world that already has regions".into());
         }
@@ -119,10 +124,6 @@ impl<R> Regions<R> {
 
     /// Every region, in allocation order.
     pub fn all(&self) -> Vec<Arc<R>> {
-        self.list
-            .lock()
-            .iter()
-            .map(|e| Arc::clone(&e.region))
-            .collect()
+        self.list().iter().map(|e| Arc::clone(&e.region)).collect()
     }
 }

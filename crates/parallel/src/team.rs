@@ -2,12 +2,11 @@
 
 use std::any::Any;
 use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use machine::{ContentionMode, Counters, Machine, SimTime, TimeBreakdown};
 use o2k_net::NetSim;
 use o2k_sched::{coro, CoopSched, ExecMode, SchedPolicy, SchedStats, POISON_MSG};
-use parking_lot::Mutex;
 
 use crate::ctx::Ctx;
 
@@ -103,7 +102,7 @@ pub(crate) struct TeamShared {
     /// Per-PE clock deposit slots for computing the barrier max.
     pub clock_slots: Vec<AtomicU64>,
     /// Per-PE blackboard slots for [`Ctx::broadcast`](crate::Ctx::broadcast).
-    pub slots: Vec<Mutex<Option<Box<dyn Any + Send>>>>,
+    slots: Vec<Mutex<Option<Box<dyn Any + Send>>>>,
     /// The team's cooperative scheduler: every rendezvous, block and
     /// yield of the run goes through it.
     pub coop: Arc<CoopSched>,
@@ -130,6 +129,11 @@ impl TeamShared {
             coop,
             net,
         }
+    }
+
+    /// PE `pe`'s blackboard slot, locked: no panic leaves it half-updated, so poison is ignored.
+    pub(crate) fn slot(&self, pe: usize) -> MutexGuard<'_, Option<Box<dyn Any + Send>>> {
+        self.slots[pe].lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -621,10 +625,10 @@ mod tests {
                 // The snap gate: deposit core state host-side, rendezvous
                 // at zero virtual cost, then the first PE past the gate
                 // (the floor holder) exports the scheduler state.
-                cores.lock()[ctx.pe()] = Some(ctx.export_core());
+                cores.lock().unwrap()[ctx.pe()] = Some(ctx.export_core());
                 ctx.gate();
                 if !claimed.swap(true, Ordering::SeqCst) {
-                    *sched_state.lock() = Some(ctx.coop().export_resume());
+                    *sched_state.lock().unwrap() = Some(ctx.coop().export_resume());
                 }
                 let mut tail_acc = 0;
                 for round in CUT..ROUNDS {
@@ -634,9 +638,13 @@ mod tests {
             });
 
             let resume = TeamResume {
-                sched: sched_state.into_inner().expect("floor holder exported"),
+                sched: sched_state
+                    .into_inner()
+                    .unwrap()
+                    .expect("floor holder exported"),
                 cores: cores
                     .into_inner()
+                    .unwrap()
                     .into_iter()
                     .map(|c| c.expect("every PE deposited"))
                     .collect(),
@@ -678,17 +686,22 @@ mod tests {
             for round in 0..3 {
                 acc = resume_round(ctx, acc, round);
             }
-            cores.lock()[ctx.pe()] = Some(ctx.export_core());
+            cores.lock().unwrap()[ctx.pe()] = Some(ctx.export_core());
             ctx.gate();
             if !claimed.swap(true, Ordering::SeqCst) {
-                *sched_state.lock() = Some(ctx.coop().export_resume());
+                *sched_state.lock().unwrap() = Some(ctx.coop().export_resume());
             }
             ctx.now()
         });
         let cut_time = straight.results[0];
         let resume = TeamResume {
-            sched: sched_state.into_inner().unwrap(),
-            cores: cores.into_inner().into_iter().map(|c| c.unwrap()).collect(),
+            sched: sched_state.into_inner().unwrap().unwrap(),
+            cores: cores
+                .into_inner()
+                .unwrap()
+                .into_iter()
+                .map(|c| c.unwrap())
+                .collect(),
             fabric: None,
         };
         let resumed =

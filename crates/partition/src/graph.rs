@@ -16,7 +16,8 @@ impl CsrGraph {
     ///
     /// # Panics
     /// Panics if lengths disagree or a neighbour index is out of range.
-    pub fn from_lists(lists: &[Vec<u32>], vwgt: Vec<f64>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_lists(lists: &[Vec<u32>], vwgt: Vec<f64>) -> Self {
         assert_eq!(lists.len(), vwgt.len(), "one weight per vertex");
         let n = lists.len() as u32;
         let mut xadj = Vec::with_capacity(lists.len() + 1);

@@ -19,8 +19,7 @@
 //! that any single run might never interleave.
 
 use std::collections::{HashMap, HashSet};
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// How an access participates in conflicts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,31 +68,37 @@ struct AccessRec {
 
 /// Shared detector state, attached to every region of a world built with
 /// [`crate::SasWorld::detect_races`].
-/// Per-(region, line): each PE's most recent access.
-type LineMap = HashMap<(u32, usize), Vec<Option<AccessRec>>>;
-/// Deduplication key: (region, line, pe a, pe b, kind).
-type SeenKey = (u32, usize, usize, usize, RaceKind);
-
 #[derive(Debug)]
 pub(crate) struct RaceDetector {
     npes: usize,
-    lines: Mutex<LineMap>,
-    reports: Mutex<Vec<RaceReport>>,
-    seen: Mutex<HashSet<SeenKey>>,
+    state: Mutex<RaceState>,
+}
+
+#[derive(Debug, Default)]
+struct RaceState {
+    /// Per-(region, line): each PE's most recent access.
+    lines: HashMap<(u32, usize), Vec<Option<AccessRec>>>,
+    /// Conflicts found so far, in discovery order.
+    reports: Vec<RaceReport>,
+    /// Deduplication keys of `reports`: (region, line, pe a, pe b, kind).
+    seen: HashSet<(u32, usize, usize, usize, RaceKind)>,
 }
 
 impl RaceDetector {
     pub(crate) fn new(npes: usize) -> Self {
         RaceDetector {
             npes,
-            lines: Mutex::new(HashMap::new()),
-            reports: Mutex::new(Vec::new()),
-            seen: Mutex::new(HashSet::new()),
+            state: Mutex::default(),
         }
     }
 
+    /// `state`, locked: no panic leaves it half-updated, so poison is ignored.
+    fn state(&self) -> MutexGuard<'_, RaceState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     pub(crate) fn reports(&self) -> Vec<RaceReport> {
-        self.reports.lock().clone()
+        self.state().reports.clone()
     }
 
     /// Record `pe`'s access and flag conflicts against other PEs' most
@@ -115,7 +120,12 @@ impl RaceDetector {
             gepoch,
             locks: locks.to_vec(),
         };
-        let mut lines = self.lines.lock();
+        let mut state = self.state();
+        let RaceState {
+            lines,
+            reports,
+            seen,
+        } = &mut *state;
         let recs = lines
             .entry((region, line))
             .or_insert_with(|| vec![None; self.npes]);
@@ -142,8 +152,8 @@ impl RaceDetector {
                 RaceKind::FalseSharing
             };
             let key = (region, line, pe.min(q), pe.max(q), kind);
-            if self.seen.lock().insert(key) {
-                self.reports.lock().push(RaceReport {
+            if seen.insert(key) {
+                reports.push(RaceReport {
                     kind,
                     region,
                     line,

@@ -61,10 +61,9 @@
 //! cross-backend golden tests).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 
 use machine::SimTime;
-use parking_lot::{Condvar, Mutex};
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
@@ -203,7 +202,12 @@ pub fn default_exec() -> ExecMode {
 // Process-wide default policy
 // ---------------------------------------------------------------------------
 
-static OVERRIDE: std::sync::Mutex<Option<SchedPolicy>> = std::sync::Mutex::new(None);
+static OVERRIDE: Mutex<Option<SchedPolicy>> = Mutex::new(None);
+
+/// [`OVERRIDE`], locked: no panic leaves it half-updated, so poison is ignored.
+fn override_policy() -> MutexGuard<'static, Option<SchedPolicy>> {
+    OVERRIDE.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// `O2K_SCHED` from the environment: `Ok(None)` when unset, a diagnostic
 /// when malformed (see [`machine::env_setting`]).
@@ -219,8 +223,7 @@ pub fn env_policy() -> Result<Option<SchedPolicy>, String> {
 /// [`env_policy`]'s diagnostic on a malformed `O2K_SCHED`.
 pub fn default_policy() -> SchedPolicy {
     static ENV: OnceLock<SchedPolicy> = OnceLock::new();
-    let g = OVERRIDE.lock().unwrap_or_else(|e| e.into_inner());
-    g.unwrap_or_else(|| {
+    override_policy().unwrap_or_else(|| {
         *ENV.get_or_init(|| {
             env_policy()
                 .unwrap_or_else(|e| panic!("{e}"))
@@ -232,7 +235,7 @@ pub fn default_policy() -> SchedPolicy {
 /// Override the process-wide default policy (used by the `repro` binary's
 /// `--sched` flag and by test binaries that pin determinism).
 pub fn set_default_policy(p: SchedPolicy) {
-    *OVERRIDE.lock().unwrap_or_else(|e| e.into_inner()) = Some(p);
+    *override_policy() = Some(p);
 }
 
 // ---------------------------------------------------------------------------
@@ -791,9 +794,17 @@ impl CoopSched {
         self.exec
     }
 
+    /// `inner`, locked. `hand_off`'s deadlock panic unwinds holding the
+    /// lock, and the unwinding PE's [`Self::poison`] takes it again: a
+    /// poisoned lock is taken as it stands, so the diagnosis surfaces
+    /// instead of a second panic.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Run statistics so far (final once the team joined).
     pub fn stats(&self) -> SchedStats {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         SchedStats {
             policy: self.policy,
             switches: inner.switches,
@@ -809,7 +820,7 @@ impl CoopSched {
     /// # Panics
     /// Panics if no PE holds the floor or a PE is blocked.
     pub fn export_resume(&self) -> SchedResume {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         let current = inner.current.expect("export_resume: no PE holds the floor");
         assert!(
             !inner
@@ -843,7 +854,7 @@ impl CoopSched {
     /// [`Self::preseed_clocks`] to restore under a new policy).
     pub fn preseed_resume(&self, r: &SchedResume) {
         assert_eq!(r.policy, self.policy, "preseed_resume across policies");
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         assert_eq!(inner.registered, 0, "preseed after registration");
         assert_eq!(r.clocks.len(), self.npes, "preseed PE count mismatch");
         inner.clock.copy_from_slice(&r.clocks);
@@ -860,7 +871,7 @@ impl CoopSched {
     /// the fingerprint, switch count and any chooser RNG stream) starts
     /// fresh — the first registration pick is a normal chooser pick.
     pub fn preseed_clocks(&self, clocks: &[SimTime]) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         assert_eq!(inner.registered, 0, "preseed after registration");
         assert_eq!(clocks.len(), self.npes, "preseed PE count mismatch");
         inner.clock.copy_from_slice(clocks);
@@ -960,12 +971,7 @@ impl CoopSched {
 
     /// Wait until `pe` holds the floor (or panic if poisoned), after a
     /// hand-off that put the floor at `floor`.
-    fn wait_for_floor<'a>(
-        &'a self,
-        mut inner: parking_lot::MutexGuard<'a, Inner>,
-        pe: usize,
-        floor: Floor,
-    ) {
+    fn wait_for_floor<'a>(&'a self, mut inner: MutexGuard<'a, Inner>, pe: usize, floor: Floor) {
         if floor == Floor::Kept {
             return;
         }
@@ -988,7 +994,7 @@ impl CoopSched {
                 panic!("{POISON_MSG}");
             }
             debug_assert_eq!(
-                self.inner.lock().status[pe],
+                self.lock().status[pe],
                 Status::Running,
                 "PE {pe} resumed without a floor grant"
             );
@@ -1002,14 +1008,14 @@ impl CoopSched {
             if inner.status[pe] == Status::Running {
                 return;
             }
-            self.cvs[pe].wait(&mut inner);
+            inner = self.cvs[pe].wait(inner).unwrap_or_else(|e| e.into_inner());
         }
     }
 
     /// Called once per PE at thread start. Blocks until all PEs have
     /// registered and this PE is picked to run.
     pub fn register(&self, pe: usize) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         assert_eq!(
             inner.status[pe],
             Status::Unstarted,
@@ -1052,7 +1058,7 @@ impl CoopSched {
     /// [`Inner::pick_det`] has for the heap: `pe` holds the floor under
     /// `det` and no runnable PE's key is below `(clock, pe)`.
     fn keeps_floor_by_scan(&self, pe: usize, clock: SimTime) -> bool {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         matches!(inner.chooser, Chooser::Det)
             && inner.resume_grant.is_none()
             && inner.current == Some(pe)
@@ -1093,7 +1099,7 @@ impl CoopSched {
     /// `sched_point` site.
     #[inline(never)]
     fn yield_locked(&self, pe: usize, clock: SimTime) -> bool {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.clock[pe] = clock;
         inner.make_runnable(pe);
         let floor = self.hand_off(&mut inner, pe);
@@ -1105,7 +1111,7 @@ impl CoopSched {
     /// `reason` class (`Lock` or `Mailbox`). Spurious wakeups are
     /// possible; callers re-check their condition in a loop.
     pub fn block(&self, pe: usize, clock: SimTime, reason: BlockReason) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.clock[pe] = clock;
         inner.status[pe] = Status::Blocked(reason);
         let floor = self.hand_off(&mut inner, pe);
@@ -1118,7 +1124,7 @@ impl CoopSched {
     /// deterministic chooser orders the wakeup faithfully. Called by the
     /// floor holder; does not yield.
     pub fn unblock(&self, pe: usize, hint: SimTime, reason: BlockReason) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if inner.status[pe] == Status::Blocked(reason) {
             inner.clock[pe] = inner.clock[pe].max(hint);
             inner.make_runnable(pe);
@@ -1129,7 +1135,7 @@ impl CoopSched {
     /// Team-wide rendezvous: block until every PE has arrived; the last
     /// arriver releases all and re-enters the normal pick order.
     pub fn gate_wait(&self, pe: usize, clock: SimTime) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.clock[pe] = clock;
         inner.gate_arrived += 1;
         if inner.gate_arrived == self.npes {
@@ -1152,7 +1158,7 @@ impl CoopSched {
     /// the event backend the grant waits in `next_resume` for the driver,
     /// which the finishing coroutine returns to.
     pub fn finish(&self, pe: usize, clock: SimTime) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.clock[pe] = clock;
         inner.status[pe] = Status::Done;
         inner.done += 1;
@@ -1170,7 +1176,7 @@ impl CoopSched {
     /// Called from a panicking PE's unwind path: wake everyone so blocked
     /// peers raise [`POISON_MSG`] panics instead of hanging the join.
     pub fn poison(&self, pe: usize) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if inner.status[pe] != Status::Done {
             inner.leave_runnable(pe);
             inner.status[pe] = Status::Done;
@@ -1352,7 +1358,7 @@ mod tests {
     /// Det has a unique correct order.
     fn run_logged(policy: SchedPolicy, npes: usize, steps: usize) -> (Vec<usize>, SchedStats) {
         let sched = Arc::new(CoopSched::new(npes, policy));
-        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let log = Arc::new(Mutex::new(Vec::new()));
         std::thread::scope(|scope| {
             for pe in 0..npes {
                 let sched = Arc::clone(&sched);
@@ -1361,7 +1367,7 @@ mod tests {
                     sched.register(pe);
                     let mut clock = 0u64;
                     for step in 0..steps {
-                        log.lock().push(pe);
+                        log.lock().unwrap().push(pe);
                         // Distinct increments ⇒ a unique min-clock order.
                         clock += 10 + (pe as u64) + (step as u64 % 3);
                         sched.yield_now(pe, clock);
@@ -1371,7 +1377,7 @@ mod tests {
             }
         });
         let stats = sched.stats();
-        (Arc::try_unwrap(log).unwrap().into_inner(), stats)
+        (Arc::try_unwrap(log).unwrap().into_inner().unwrap(), stats)
     }
 
     /// The same logged workload as [`run_logged`], but on the event
@@ -1486,16 +1492,16 @@ mod tests {
     #[test]
     fn block_unblock_wrong_reason_is_ignored() {
         let sched = Arc::new(CoopSched::new(2, SchedPolicy::Det));
-        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let order = Arc::new(Mutex::new(Vec::new()));
         std::thread::scope(|scope| {
             {
                 let sched = Arc::clone(&sched);
                 let order = Arc::clone(&order);
                 scope.spawn(move || {
                     sched.register(0);
-                    order.lock().push("pe0-blocking");
+                    order.lock().unwrap().push("pe0-blocking");
                     sched.block(0, 0, BlockReason::Mailbox);
-                    order.lock().push("pe0-woke");
+                    order.lock().unwrap().push("pe0-woke");
                     sched.finish(0, 10);
                 });
             }
@@ -1507,14 +1513,14 @@ mod tests {
                     // Wrong class: must not wake PE 0.
                     sched.unblock(0, 5, BlockReason::Lock);
                     sched.yield_now(1, 1);
-                    order.lock().push("pe1-sent");
+                    order.lock().unwrap().push("pe1-sent");
                     sched.unblock(0, 5, BlockReason::Mailbox);
                     sched.yield_now(1, 2);
                     sched.finish(1, 10);
                 });
             }
         });
-        let order = order.lock().clone();
+        let order = order.lock().unwrap().clone();
         let woke = order.iter().position(|s| *s == "pe0-woke").unwrap();
         let sent = order.iter().position(|s| *s == "pe1-sent").unwrap();
         assert!(sent < woke, "PE 0 woke before the real unblock: {order:?}");
@@ -1885,7 +1891,7 @@ mod tests {
         // Resume PE 0 with the mutex held by this, its own, thread: a PE
         // that went back under the lock to re-read its status would hang
         // here instead of unwinding.
-        let held = sched.inner.lock();
+        let held = sched.lock();
         coros[0].resume();
         drop(held);
         assert!(coros[0].finished());
@@ -1905,8 +1911,8 @@ mod tests {
             let clock_at = |pe: usize, step: usize| (step as u64 + 1) * 10 + pe as u64 * 3;
 
             let sched = Arc::new(CoopSched::new(npes, policy));
-            let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
-            let resume = Arc::new(parking_lot::Mutex::new(None));
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let resume = Arc::new(Mutex::new(None));
             std::thread::scope(|scope| {
                 for pe in 0..npes {
                     let sched = Arc::clone(&sched);
@@ -1915,20 +1921,20 @@ mod tests {
                     scope.spawn(move || {
                         sched.register(pe);
                         for step in 0..steps {
-                            log.lock().push((1u8, pe));
+                            log.lock().unwrap().push((1u8, pe));
                             sched.yield_now(pe, clock_at(pe, step));
                         }
                         sched.gate_wait(pe, clock_at(pe, steps));
                         // First PE past the gate is the floor holder: the
                         // only place export_resume is legal.
                         {
-                            let mut r = resume.lock();
+                            let mut r = resume.lock().unwrap();
                             if r.is_none() {
                                 *r = Some(sched.export_resume());
                             }
                         }
                         for step in steps..2 * steps {
-                            log.lock().push((2u8, pe));
+                            log.lock().unwrap().push((2u8, pe));
                             sched.yield_now(pe, clock_at(pe, step + 1));
                         }
                         sched.finish(pe, u64::MAX);
@@ -1938,16 +1944,21 @@ mod tests {
             let straight = sched.stats();
             let straight_tail: Vec<usize> = log
                 .lock()
+                .unwrap()
                 .iter()
                 .filter(|(phase, _)| *phase == 2)
                 .map(|(_, pe)| *pe)
                 .collect();
-            let resume = resume.lock().take().expect("floor holder exported");
+            let resume = resume
+                .lock()
+                .unwrap()
+                .take()
+                .expect("floor holder exported");
             assert_eq!(resume.clocks.len(), npes);
 
             let sched2 = Arc::new(CoopSched::new(npes, policy));
             sched2.preseed_resume(&resume);
-            let log2 = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let log2 = Arc::new(Mutex::new(Vec::new()));
             std::thread::scope(|scope| {
                 for pe in 0..npes {
                     let sched2 = Arc::clone(&sched2);
@@ -1955,7 +1966,7 @@ mod tests {
                     scope.spawn(move || {
                         sched2.register(pe);
                         for step in steps..2 * steps {
-                            log2.lock().push(pe);
+                            log2.lock().unwrap().push(pe);
                             sched2.yield_now(pe, clock_at(pe, step + 1));
                         }
                         sched2.finish(pe, u64::MAX);
@@ -1964,7 +1975,7 @@ mod tests {
             });
             let resumed = sched2.stats();
             assert_eq!(
-                log2.lock().clone(),
+                log2.lock().unwrap().clone(),
                 straight_tail,
                 "{policy}: resumed tail diverged from the straight run"
             );

@@ -537,6 +537,42 @@ mod tests {
         assert_eq!(c.get_bytes, 16);
     }
 
+    /// PE 1's `alloc` disagrees with PE 0's on the element type and panics
+    /// holding the world's region list. On both backends the team
+    /// propagates that panic — not PE 0's poison unwind, not a poisoned
+    /// lock, not an abort — and the world stays readable: the export
+    /// takes the same lock afterwards.
+    #[test]
+    fn a_panic_under_the_region_lock_surfaces_and_leaves_the_world_readable() {
+        use parallel::{ExecMode, SchedPolicy};
+        for exec in [ExecMode::Event, ExecMode::Thread] {
+            let (w, t) = setup(2);
+            let t = t.sched(SchedPolicy::Det).exec(exec);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                t.run(|ctx| {
+                    if ctx.pe() == 0 {
+                        w.alloc::<u64>(ctx, 4);
+                    } else {
+                        w.alloc::<f64>(ctx, 4);
+                    }
+                });
+            }))
+            .expect_err("a type mismatch must fail the team");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(
+                msg.contains("alloc #0: element type mismatch"),
+                "{exec:?}: wrong payload: {msg:?}"
+            );
+            // PE count, region count, then the one region: its length and
+            // both PEs' four cells.
+            assert_eq!(
+                w.export_state_bytes().len(),
+                8 * (2 + 1 + 2 * 4),
+                "{exec:?}"
+            );
+        }
+    }
+
     #[test]
     fn export_import_attach_preserves_every_cell() {
         let (w, t) = setup(3);

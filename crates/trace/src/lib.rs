@@ -22,7 +22,7 @@
 //! Recording is `Off` by default and costs one branch per charge; it
 //! never touches the clock, so enabling it cannot perturb simulated time.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use machine::{SimTime, TimeBreakdown, TimeCat};
 
@@ -396,14 +396,19 @@ impl Trace {
 pub struct TraceSink(Arc<Mutex<Vec<Trace>>>);
 
 impl TraceSink {
+    /// The list, locked: no panic leaves it half-updated, so poison is ignored.
+    fn lock(&self) -> MutexGuard<'_, Vec<Trace>> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Deposit a finished trace (called by the team runtime).
     pub fn push(&self, trace: Trace) {
-        self.0.lock().unwrap_or_else(|e| e.into_inner()).push(trace);
+        self.lock().push(trace);
     }
 
     /// Take all deposited traces, in completion order.
     pub fn drain(&self) -> Vec<Trace> {
-        std::mem::take(&mut *self.0.lock().unwrap_or_else(|e| e.into_inner()))
+        std::mem::take(&mut *self.lock())
     }
 }
 
