@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use machine::Machine;
 use parallel::{Ctx, Team};
-use sas::{PagePolicy, SasSlice, SasWorld};
+use sas::{SasSlice, SasWorld};
 
 use crate::amr_common::{AmrConfig, MeshMemo};
 use crate::metrics::{App, Model, RunMetrics};
@@ -21,16 +21,11 @@ use crate::snapshot::{decode_sas_state, encode_sas_state, Snapshotter};
 // snap:end
 use crate::workcost as W;
 
-/// Run the CC-SAS AMR application under paging `policy` (ablation A1
-/// sweeps it; everything else uses first touch).
+/// Run the CC-SAS AMR application; returns uniform metrics. Pages are
+/// homed by the machine's `page_policy` (ablation A1 varies it).
 /// `opts` overrides the process defaults (see [`crate::RunOpts`]).
-pub fn run_with_opts(
-    machine: Arc<Machine>,
-    cfg: &AmrConfig,
-    policy: PagePolicy,
-    opts: crate::RunOpts,
-) -> RunMetrics {
-    let world = SasWorld::with_paging(Arc::clone(&machine), policy);
+pub fn run_opts(machine: Arc<Machine>, cfg: &AmrConfig, opts: crate::RunOpts) -> RunMetrics {
+    let world = SasWorld::new(Arc::clone(&machine));
     // sim:begin — harness, not effort: the mesh memo (the replicated
     // metadata is charged on every PE, computed once per run on the host)
     // and the checkpoint plumbing every model shares
@@ -40,7 +35,9 @@ pub fn run_with_opts(
         App::Amr,
         Model::Sas,
         &machine,
-        &format!("{cfg:?}/{policy:?}"),
+        // The workload key names the page policy: page homes captured
+        // under one policy never seed a run under the other, on any machine.
+        &format!("{cfg:?}/{:?}", machine.config.page_policy),
     );
     snap.import_world(|b| world.import_state_bytes(b));
     // sim:end
@@ -220,7 +217,7 @@ fn pe_main(
 mod tests {
     use super::*;
     use crate::RunOpts;
-    use machine::MachineConfig;
+    use machine::{MachineConfig, PagePolicy};
     use parallel::SchedPolicy;
 
     fn machine(pes: usize) -> Arc<Machine> {
@@ -230,7 +227,7 @@ mod tests {
     #[test]
     fn runs_with_implicit_communication_only() {
         let cfg = AmrConfig::small();
-        let m = run_with_opts(machine(4), &cfg, PagePolicy::FirstTouch, RunOpts::default());
+        let m = run_opts(machine(4), &cfg, RunOpts::default());
         assert!(m.sim_time > 0);
         assert_eq!(m.counters.msgs_sent, 0);
         assert_eq!(m.counters.puts, 0);
@@ -246,8 +243,7 @@ mod tests {
         // Same Jacobi, same schedule, same inheritance rules: the shared
         // array must hold exactly the values the MP version computes.
         let cfg = AmrConfig::small();
-        let sas =
-            run_with_opts(machine(4), &cfg, PagePolicy::FirstTouch, RunOpts::default()).checksum;
+        let sas = run_opts(machine(4), &cfg, RunOpts::default()).checksum;
         let mpv = crate::amr_mp::run_opts(machine(4), &cfg, RunOpts::default()).checksum;
         assert_eq!(sas, mpv);
     }
@@ -256,8 +252,8 @@ mod tests {
     fn checksum_independent_of_pe_count() {
         let cfg = AmrConfig::small();
         assert_eq!(
-            run_with_opts(machine(1), &cfg, PagePolicy::FirstTouch, RunOpts::default()).checksum,
-            run_with_opts(machine(8), &cfg, PagePolicy::FirstTouch, RunOpts::default()).checksum
+            run_opts(machine(1), &cfg, RunOpts::default()).checksum,
+            run_opts(machine(8), &cfg, RunOpts::default()).checksum
         );
     }
 
@@ -270,19 +266,16 @@ mod tests {
         // Small pages (test_tiny) so the active field spans many pages and
         // placement has room to matter at this problem size.
         let cfg = AmrConfig::small();
-        let m = || Arc::new(Machine::new(8, MachineConfig::test_tiny()));
-        let ft = run_with_opts(
-            m(),
-            &cfg,
-            PagePolicy::FirstTouch,
-            RunOpts::with_sched(SchedPolicy::Det),
-        );
-        let rr = run_with_opts(
-            m(),
-            &cfg,
-            PagePolicy::RoundRobin,
-            RunOpts::with_sched(SchedPolicy::Det),
-        );
+        let m = |page_policy| {
+            let cfg = MachineConfig {
+                page_policy,
+                ..MachineConfig::test_tiny()
+            };
+            Arc::new(Machine::new(8, cfg))
+        };
+        let det = || RunOpts::with_sched(SchedPolicy::Det);
+        let ft = run_opts(m(PagePolicy::FirstTouch), &cfg, det());
+        let rr = run_opts(m(PagePolicy::RoundRobin), &cfg, det());
         assert!(
             ft.counters.remote_miss_fraction() < rr.counters.remote_miss_fraction(),
             "first touch should reduce remote misses: {} vs {}",
@@ -300,10 +293,8 @@ mod tests {
             sweeps: 3,
             ..AmrConfig::default()
         };
-        let t1 =
-            run_with_opts(machine(1), &cfg, PagePolicy::FirstTouch, RunOpts::default()).sim_time;
-        let t8 =
-            run_with_opts(machine(8), &cfg, PagePolicy::FirstTouch, RunOpts::default()).sim_time;
+        let t1 = run_opts(machine(1), &cfg, RunOpts::default()).sim_time;
+        let t8 = run_opts(machine(8), &cfg, RunOpts::default()).sim_time;
         assert!(t8 < t1);
     }
 
@@ -318,10 +309,9 @@ mod tests {
         };
         let dir = crate::snapshot::testutil::scratch("amr-sas");
         let go = |snap| {
-            run_with_opts(
+            run_opts(
                 machine(4),
                 &cfg,
-                PagePolicy::FirstTouch,
                 RunOpts {
                     sched: Some(SchedPolicy::Det),
                     snap,
@@ -349,6 +339,57 @@ mod tests {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn a_first_touch_snapshot_does_not_restore_a_round_robin_run() {
+        use o2k_snap::{SnapPoint, SnapSpec};
+        // Page placement is part of the workload's snapshot key: a
+        // round-robin machine finds no capture of its own in a directory
+        // holding a first-touch one, so it runs from scratch.
+        let cfg = AmrConfig::small();
+        let dir = crate::snapshot::testutil::scratch("amr-sas-paging");
+        let go = |page_policy, snap| {
+            let m = MachineConfig {
+                page_policy,
+                ..MachineConfig::origin2000()
+            };
+            run_opts(
+                Arc::new(Machine::new(4, m)),
+                &cfg,
+                RunOpts {
+                    sched: Some(SchedPolicy::Det),
+                    snap,
+                    ..RunOpts::default()
+                },
+            )
+        };
+        let point = SnapPoint {
+            name: "step".into(),
+            index: 1,
+        };
+        go(
+            PagePolicy::FirstTouch,
+            Some(SnapSpec::Capture {
+                dir: dir.clone(),
+                point,
+            }),
+        );
+        let files = std::fs::read_dir(&dir).map_or(0, |d| d.count());
+        assert_eq!(files, 1, "the first-touch run left its capture");
+        let straight = go(PagePolicy::RoundRobin, None);
+        let restored = go(
+            PagePolicy::RoundRobin,
+            Some(SnapSpec::Restore { dir: dir.clone() }),
+        );
+        assert_eq!(restored.checksum.to_bits(), straight.checksum.to_bits());
+        assert_eq!(restored.sim_time, straight.sim_time);
+        assert_eq!(restored.counters, straight.counters);
+        assert_eq!(
+            restored.sched.as_ref().unwrap().fingerprint,
+            straight.sched.as_ref().unwrap().fingerprint
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[cfg(test)]
@@ -371,20 +412,8 @@ mod self_schedule_tests {
             sas_self_schedule: true,
             ..AmrConfig::small()
         };
-        let a = run_with_opts(
-            machine(6),
-            &static_cfg,
-            PagePolicy::FirstTouch,
-            RunOpts::default(),
-        )
-        .checksum;
-        let b = run_with_opts(
-            machine(6),
-            &dyn_cfg,
-            PagePolicy::FirstTouch,
-            RunOpts::default(),
-        )
-        .checksum;
+        let a = run_opts(machine(6), &static_cfg, RunOpts::default()).checksum;
+        let b = run_opts(machine(6), &dyn_cfg, RunOpts::default()).checksum;
         assert_eq!(a, b);
     }
 
@@ -395,16 +424,10 @@ mod self_schedule_tests {
             ..AmrConfig::small()
         };
         // Pin the schedule so the bound is stable run to run.
-        let r = run_with_opts(
-            machine(4),
-            &dyn_cfg,
-            PagePolicy::FirstTouch,
-            RunOpts::with_sched(SchedPolicy::Det),
-        );
-        let baseline = run_with_opts(
+        let r = run_opts(machine(4), &dyn_cfg, RunOpts::with_sched(SchedPolicy::Det));
+        let baseline = run_opts(
             machine(4),
             &AmrConfig::small(),
-            PagePolicy::FirstTouch,
             RunOpts::with_sched(SchedPolicy::Det),
         );
         // Claim traffic and lost affinity make it slower, but the same
@@ -427,14 +450,7 @@ mod self_schedule_tests {
             sas_self_schedule: true,
             ..AmrConfig::small()
         };
-        let go = || {
-            run_with_opts(
-                machine(4),
-                &dyn_cfg,
-                PagePolicy::FirstTouch,
-                RunOpts::with_sched(SchedPolicy::Det),
-            )
-        };
+        let go = || run_opts(machine(4), &dyn_cfg, RunOpts::with_sched(SchedPolicy::Det));
         let (a, b) = (go(), go());
         assert_eq!(a.checksum, b.checksum);
         assert_eq!(a.sim_time, b.sim_time);
@@ -450,16 +466,10 @@ mod self_schedule_tests {
             sas_self_schedule: true,
             ..AmrConfig::small()
         };
-        let det = run_with_opts(
+        let det = run_opts(machine(4), &dyn_cfg, RunOpts::with_sched(SchedPolicy::Det));
+        let e7 = run_opts(
             machine(4),
             &dyn_cfg,
-            PagePolicy::FirstTouch,
-            RunOpts::with_sched(SchedPolicy::Det),
-        );
-        let e7 = run_with_opts(
-            machine(4),
-            &dyn_cfg,
-            PagePolicy::FirstTouch,
             RunOpts::with_sched(SchedPolicy::Explore { seed: 7 }),
         );
         assert_eq!(det.checksum, e7.checksum, "answer is schedule-independent");

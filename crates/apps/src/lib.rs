@@ -116,14 +116,10 @@ pub fn run_app_opts(
     match (app, model) {
         (App::NBody, Model::Mp) => nbody_mp::run_opts(machine, nbody_cfg, opts),
         (App::NBody, Model::Shmem) => nbody_shmem::run_opts(machine, nbody_cfg, opts),
-        (App::NBody, Model::Sas) => {
-            nbody_sas::run_with_opts(machine, nbody_cfg, sas::PagePolicy::FirstTouch, opts)
-        }
+        (App::NBody, Model::Sas) => nbody_sas::run_opts(machine, nbody_cfg, opts),
         (App::Amr, Model::Mp) => amr_mp::run_opts(machine, amr_cfg, opts),
         (App::Amr, Model::Shmem) => amr_shmem::run_opts(machine, amr_cfg, opts),
-        (App::Amr, Model::Sas) => {
-            amr_sas::run_with_opts(machine, amr_cfg, sas::PagePolicy::FirstTouch, opts)
-        }
+        (App::Amr, Model::Sas) => amr_sas::run_opts(machine, amr_cfg, opts),
         // The serving workload lives above this crate (it reuses all three
         // substrates *and* these metrics), so it has its own entry point.
         (App::Serve, _) => {

@@ -16,7 +16,7 @@ use machine::Machine;
 use nbody::costzones::costzones;
 use nbody::{Octree, Vec3};
 use parallel::{Ctx, Team};
-use sas::{PagePolicy, SasSlice, SasWorld};
+use sas::{SasSlice, SasWorld};
 
 use crate::metrics::{App, Model, RunMetrics};
 use crate::nbody_common::{flatten_tree, read_vec3, shared_tree_walk, NBodyConfig, NODE_WORDS};
@@ -25,24 +25,21 @@ use crate::snapshot::{decode_sas_state, encode_sas_state, Snapshotter};
 // snap:end
 use crate::workcost as W;
 
-/// Run the CC-SAS N-body application under paging `policy` (ablation A1
-/// sweeps it; everything else uses first touch).
+/// Run the CC-SAS N-body application; returns uniform metrics. Pages are
+/// homed by the machine's `page_policy` (ablation A1 varies it).
 /// `opts` overrides the process defaults (see [`crate::RunOpts`]).
-pub fn run_with_opts(
-    machine: Arc<Machine>,
-    cfg: &NBodyConfig,
-    policy: PagePolicy,
-    opts: crate::RunOpts,
-) -> RunMetrics {
+pub fn run_opts(machine: Arc<Machine>, cfg: &NBodyConfig, opts: crate::RunOpts) -> RunMetrics {
     assert!(cfg.n >= machine.pes(), "need at least one body per PE");
-    let world = SasWorld::with_paging(Arc::clone(&machine), policy);
+    let world = SasWorld::new(Arc::clone(&machine));
     // snap:begin — checkpoint plumbing, shared by every model
     let snap = Snapshotter::new(
         &opts,
         App::NBody,
         Model::Sas,
         &machine,
-        &format!("{cfg:?}/{policy:?}"),
+        // The workload key names the page policy: page homes captured
+        // under one policy never seed a run under the other, on any machine.
+        &format!("{cfg:?}/{:?}", machine.config.page_policy),
     );
     snap.import_world(|b| world.import_state_bytes(b));
     // snap:end
@@ -250,7 +247,7 @@ fn pe_main(ctx: &mut Ctx, w: &SasWorld, cfg: &NBodyConfig, snap: &Snapshotter) -
 mod tests {
     use super::*;
     use crate::RunOpts;
-    use machine::MachineConfig;
+    use machine::{MachineConfig, PagePolicy};
     use parallel::SchedPolicy;
 
     fn machine(pes: usize) -> Arc<Machine> {
@@ -260,7 +257,7 @@ mod tests {
     #[test]
     fn runs_with_implicit_communication_only() {
         let cfg = NBodyConfig::small();
-        let m = run_with_opts(machine(4), &cfg, PagePolicy::FirstTouch, RunOpts::default());
+        let m = run_opts(machine(4), &cfg, RunOpts::default());
         assert!(m.sim_time > 0);
         assert_eq!(m.counters.msgs_sent, 0);
         assert_eq!(m.counters.puts, 0);
@@ -276,18 +273,15 @@ mod tests {
         // The SAS version always walks the same global tree: physics is
         // bitwise identical at any P.
         let cfg = NBodyConfig::small();
-        let c1 =
-            run_with_opts(machine(1), &cfg, PagePolicy::FirstTouch, RunOpts::default()).checksum;
-        let c4 =
-            run_with_opts(machine(4), &cfg, PagePolicy::FirstTouch, RunOpts::default()).checksum;
+        let c1 = run_opts(machine(1), &cfg, RunOpts::default()).checksum;
+        let c4 = run_opts(machine(4), &cfg, RunOpts::default()).checksum;
         assert_eq!(c1, c4);
     }
 
     #[test]
     fn physics_close_to_mp() {
         let cfg = NBodyConfig::small();
-        let sas =
-            run_with_opts(machine(4), &cfg, PagePolicy::FirstTouch, RunOpts::default()).checksum;
+        let sas = run_opts(machine(4), &cfg, RunOpts::default()).checksum;
         let mpv = crate::nbody_mp::run_opts(machine(1), &cfg, RunOpts::default()).checksum;
         let rel = (sas - mpv).abs() / mpv;
         assert!(rel < 1e-9, "global tree vs P=1 MP: {rel}");
@@ -299,10 +293,9 @@ mod tests {
         let cfg = NBodyConfig::small();
         let dir = crate::snapshot::testutil::scratch("nbody-sas");
         let go = |snap| {
-            run_with_opts(
+            run_opts(
                 machine(4),
                 &cfg,
-                PagePolicy::FirstTouch,
                 RunOpts {
                     sched: Some(SchedPolicy::Det),
                     snap,
@@ -339,8 +332,16 @@ mod tests {
         // (Contrast with AMR, where ownership is address-contiguous and
         // the paging policy shows up clearly.)
         let cfg = NBodyConfig::small();
-        let ft = run_with_opts(machine(8), &cfg, PagePolicy::FirstTouch, RunOpts::default());
-        let rr = run_with_opts(machine(8), &cfg, PagePolicy::RoundRobin, RunOpts::default());
+        let ft = run_opts(machine(8), &cfg, RunOpts::default());
+        let round_robin = MachineConfig {
+            page_policy: PagePolicy::RoundRobin,
+            ..MachineConfig::origin2000()
+        };
+        let rr = run_opts(
+            Arc::new(Machine::new(8, round_robin)),
+            &cfg,
+            RunOpts::default(),
+        );
         let ft_frac = ft.counters.remote_miss_fraction();
         let rr_frac = rr.counters.remote_miss_fraction();
         assert!(
@@ -358,10 +359,8 @@ mod tests {
             steps: 2,
             ..NBodyConfig::default()
         };
-        let t1 =
-            run_with_opts(machine(1), &cfg, PagePolicy::FirstTouch, RunOpts::default()).sim_time;
-        let t4 =
-            run_with_opts(machine(4), &cfg, PagePolicy::FirstTouch, RunOpts::default()).sim_time;
+        let t1 = run_opts(machine(1), &cfg, RunOpts::default()).sim_time;
+        let t4 = run_opts(machine(4), &cfg, RunOpts::default()).sim_time;
         assert!(t4 < t1);
     }
 }

@@ -175,14 +175,16 @@ fn main() {
         }
     }
     let tracing = trace_dir.map(|dir| (dir, o2k_trace::TraceSink::default()));
-    let env = Env {
-        sched: Some(sched),
-        exec: Some(exec),
-        fault,
-        snap: capture.or(restore),
-        trace: tracing.as_ref().map(|(_, sink)| sink.clone()),
+    let mut env = Env {
+        opts: apps::RunOpts {
+            sched: Some(sched),
+            exec: Some(exec),
+            snap: capture.or(restore),
+            trace: tracing.as_ref().map(|(_, sink)| sink.clone()),
+        },
         ..Env::new(quick)
     };
+    env.machine.fault = fault;
     if let Some((dir, _)) = &tracing {
         fs::create_dir_all(dir).expect("create trace dir");
     }

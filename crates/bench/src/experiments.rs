@@ -5,7 +5,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use apps::{AmrConfig, App, Model, NBodyConfig, RunMetrics, RunOpts};
-use machine::{ContentionMode, FaultMode, Machine, MachineConfig};
+use machine::{ContentionMode, FaultMode, Machine, MachineConfig, PagePolicy};
 use mesh::adaptive::AdaptiveMesh;
 use mesh::dual::dual_graph;
 use o2k_core::figure::{line_chart, stacked_bars};
@@ -13,13 +13,11 @@ use o2k_core::table::{cells, ms, render, x2};
 use o2k_core::{effort_table, sweep_models, SweepResult};
 use o2k_serve::ServeConfig;
 use o2k_snap::SnapSpec;
-use o2k_trace::TraceSink;
 use parallel::{ExecMode, SchedPolicy, Team};
 use partition::{
     diffusion::diffuse, edge_cut, hilbert_partition, imbalance, morton_partition,
     multilevel_partition, rcb_partition, CsrGraph, WeightedPoint,
 };
-use sas::PagePolicy;
 
 /// Everything a run of the suite is configured by, as one value. `repro`
 /// fills it from its flags and the `O2K_*` variables; an experiment builds
@@ -30,17 +28,13 @@ use sas::PagePolicy;
 pub struct Env {
     /// Shrink problem sizes and sweeps.
     pub quick: bool,
-    /// Scheduling policy for every team (`--sched`).
-    pub sched: Option<SchedPolicy>,
-    /// Execution backend for every team (`--exec`).
-    pub exec: Option<ExecMode>,
-    /// Link faults injected into every machine (`--fault`); cells that
-    /// study faults set their own plan on top.
-    pub fault: FaultMode,
-    /// Snapshot capture / restore for every run (`--snapshot`, `--restore`).
-    pub snap: Option<SnapSpec>,
-    /// Trace every team run and collect the traces here (`--trace`).
-    pub trace: Option<TraceSink>,
+    /// The machine every cell starts from at its own PE count: the
+    /// Origin2000 preset, plus `--fault`'s link faults. Cells that study
+    /// faults, contention, node width or page placement change their copy.
+    pub machine: MachineConfig,
+    /// Run options for every run and every bare team: `--sched`, `--exec`,
+    /// `--snapshot` / `--restore` and `--trace`.
+    pub opts: RunOpts,
     /// Where archives go: the caller's `<id>.txt` and F9's trace JSONs.
     pub out_dir: PathBuf,
 }
@@ -51,27 +45,21 @@ impl Env {
     pub fn new(quick: bool) -> Self {
         Env {
             quick,
-            sched: None,
-            exec: None,
-            fault: FaultMode::Off,
-            snap: None,
-            trace: None,
+            machine: MachineConfig::origin2000(),
+            opts: RunOpts::default(),
             out_dir: PathBuf::from("results"),
         }
     }
 
-    /// The Origin2000 preset at `p` PEs, carrying this environment's faults.
+    /// This environment's machine at `p` PEs.
     pub fn machine(&self, p: usize) -> Arc<Machine> {
         self.machine_with(p, |_| {})
     }
 
     /// [`Env::machine`] with per-cell changes applied on top (contention
-    /// mode, node width, a cell's own fault plan, …).
+    /// mode, node width, page placement, a cell's own fault plan, …).
     fn machine_with(&self, p: usize, cell: impl FnOnce(&mut MachineConfig)) -> Arc<Machine> {
-        let mut cfg = MachineConfig {
-            fault: self.fault.clone(),
-            ..MachineConfig::origin2000()
-        };
+        let mut cfg = self.machine.clone();
         cell(&mut cfg);
         Arc::new(Machine::new(p, cfg))
     }
@@ -79,12 +67,7 @@ impl Env {
     /// Run options for an app or serve entry point. A cell that pins
     /// something writes `RunOpts { sched: .., ..env.opts() }`.
     fn opts(&self) -> RunOpts {
-        RunOpts {
-            sched: self.sched,
-            exec: self.exec,
-            snap: self.snap.clone(),
-            trace: self.trace.clone(),
-        }
+        self.opts.clone()
     }
 
     /// A bare team (microbenchmarks that drive a runtime directly),
@@ -112,7 +95,7 @@ impl Env {
     }
 
     /// Run `workload` under `model` on `machine`: the one door from a cell
-    /// to the per-variant entry points.
+    /// to the entry points (`apps::run_app_opts`, `o2k_serve::run_opts`).
     pub fn run(
         &self,
         machine: Arc<Machine>,
@@ -120,16 +103,12 @@ impl Env {
         model: Model,
         opts: RunOpts,
     ) -> RunMetrics {
-        use Workload::{Amr, NBody, Serve};
-        const FT: PagePolicy = PagePolicy::FirstTouch;
-        match (workload, model) {
-            (NBody(cfg), Model::Mp) => apps::nbody_mp::run_opts(machine, cfg, opts),
-            (NBody(cfg), Model::Shmem) => apps::nbody_shmem::run_opts(machine, cfg, opts),
-            (NBody(cfg), Model::Sas) => apps::nbody_sas::run_with_opts(machine, cfg, FT, opts),
-            (Amr(cfg), Model::Mp) => apps::amr_mp::run_opts(machine, cfg, opts),
-            (Amr(cfg), Model::Shmem) => apps::amr_shmem::run_opts(machine, cfg, opts),
-            (Amr(cfg), Model::Sas) => apps::amr_sas::run_with_opts(machine, cfg, FT, opts),
-            (Serve(cfg), _) => o2k_serve::run_opts(machine, model, cfg, opts),
+        // `run_app_opts` reads only the configuration of the app it runs.
+        let (nb, am) = (NBodyConfig::default(), AmrConfig::default());
+        match workload {
+            Workload::NBody(cfg) => apps::run_app_opts(machine, App::NBody, model, cfg, &am, opts),
+            Workload::Amr(cfg) => apps::run_app_opts(machine, App::Amr, model, &nb, cfg, opts),
+            Workload::Serve(cfg) => o2k_serve::run_opts(machine, model, cfg, opts),
         }
     }
 }
@@ -742,7 +721,7 @@ fn f9_critical_path(env: &Env) -> String {
     // These runs are traced whether or not the caller asked for traces;
     // under `--trace` they land in the caller's sink like any other run.
     let traced = RunOpts {
-        trace: Some(env.trace.clone().unwrap_or_default()),
+        trace: Some(env.opts.trace.clone().unwrap_or_default()),
         ..env.opts()
     };
 
@@ -797,7 +776,7 @@ fn f9_critical_path(env: &Env) -> String {
             ..am.clone()
         };
         let queued = env.machine_with(p, |c| c.contention = ContentionMode::Queued);
-        let r = apps::amr_mp::run_opts(queued, &cfg, env.opts());
+        let r = env.run(queued, Workload::Amr(&cfg), Model::Mp, env.opts());
         // These are totals from *separate* runs, not snapshots of one run:
         // the k-step run's final sync moves different-sized messages than
         // the (k-1)-step run's, so only the aggregate fields printed here
@@ -851,8 +830,9 @@ fn a1_paging(env: &Env) -> String {
         ("first-touch", PagePolicy::FirstTouch),
         ("round-robin", PagePolicy::RoundRobin),
     ] {
-        let n = apps::nbody_sas::run_with_opts(env.machine(p), &nb, policy, env.opts());
-        let a = apps::amr_sas::run_with_opts(env.machine(p), &am, policy, env.opts());
+        let m = env.machine_with(p, |c| c.page_policy = policy);
+        let n = env.run(Arc::clone(&m), Workload::NBody(&nb), Model::Sas, env.opts());
+        let a = env.run(m, Workload::Amr(&am), Model::Sas, env.opts());
         rows.push(vec![
             name.to_string(),
             ms(n.sim_time),
@@ -879,7 +859,7 @@ fn a2_remap(env: &Env) -> String {
             use_remap,
             ..base.clone()
         };
-        let r = apps::amr_mp::run_opts(env.machine(p), &cfg, env.opts());
+        let r = env.run(env.machine(p), Workload::Amr(&cfg), Model::Mp, env.opts());
         let moved: f64 = apps::amr_common::balance_series(&cfg, p)
             .iter()
             .map(|s| s.2)
@@ -1645,7 +1625,7 @@ fn q1_serving(env: &Env) -> String {
         let cfg = serve_cfg(scen);
         let mut checksums = [0.0f64; 3];
         for (mi, &model) in Model::ALL.iter().enumerate() {
-            let r: RunMetrics = o2k_serve::run_opts(mach(scen), model, &cfg, det.clone());
+            let r = env.run(mach(scen), Workload::Serve(&cfg), model, det.clone());
             let s = r.serve.as_ref().expect("serving run carries ServeStats");
             assert_eq!(s.issued, cfg.requests, "every request admitted");
             assert_eq!(s.completed, cfg.requests, "no shedding without deadline");
@@ -1810,7 +1790,7 @@ fn q2_mitigation(env: &Env) -> String {
             for &(model, mit, label) in &grid {
                 let cfg = mk_cfg(p, skew, mit);
                 let queued = env.machine_with(p, |c| c.contention = ContentionMode::Queued);
-                let r = o2k_serve::run_opts(queued, model, &cfg, det_event.clone());
+                let r = env.run(queued, Workload::Serve(&cfg), model, det_event.clone());
                 let s = r.serve.as_ref().expect("serving run carries ServeStats");
                 assert_eq!(s.issued, cfg.requests, "{label}: every request admitted");
                 assert_eq!(
@@ -2428,8 +2408,10 @@ mod tests {
         // `env.opts()`, with no process-wide spec to fall back on.
         let (dir, snap) = capture_into("f1-snap");
         let env = Env {
-            sched: Some(SchedPolicy::Det),
-            snap,
+            opts: RunOpts {
+                snap,
+                ..RunOpts::with_sched(SchedPolicy::Det)
+            },
             ..Env::new(true)
         };
         run_experiment_in("f1", &env);
@@ -2444,12 +2426,14 @@ mod tests {
         // Snapshot names are keyed by a digest of the machine config, fault
         // plan included — so they show which machines F5 really ran on.
         let (dir, snap) = capture_into("f5-fault");
-        let env = Env {
-            sched: Some(SchedPolicy::Det),
-            fault: FaultMode::parse("plan:down0:deg8").unwrap(),
-            snap,
+        let mut env = Env {
+            opts: RunOpts {
+                snap,
+                ..RunOpts::with_sched(SchedPolicy::Det)
+            },
             ..Env::new(true)
         };
+        env.machine.fault = FaultMode::parse("plan:down0:deg8").unwrap();
         run_experiment_in("f5", &env);
         let digest = |m: &Machine| o2k_snap::fnv1a(format!("{:?}", m.config).as_bytes());
         let tags = snapshot_tags(&dir);

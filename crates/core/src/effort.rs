@@ -175,10 +175,11 @@ mod tests {
     fn effort_ordering_matches_the_paper_where_expected() {
         // The paper's effort result reproduces fully for AMR (SAS needs
         // far less code than the explicit-decomposition models) and
-        // partially for N-body: SAS beats SHMEM, but our MPI N-body is
-        // *shorter* than 2000-era MPI-C because the high-level collective
-        // API (typed `alltoallv`/`gatherv`) absorbs the packing code the
-        // paper counted. EXPERIMENTS.md discusses this deviation.
+        // partially for N-body: SAS beats SHMEM, but only ties our MPI
+        // N-body (a line apart, not the paper's "far less"): the
+        // high-level collective API (typed `alltoallv`/`gatherv`) absorbs
+        // the packing code 2000-era MPI-C carried and the paper counted.
+        // EXPERIMENTS.md discusses this deviation.
         let t = effort_table();
         let loc = |app: App, model: Model| {
             t.iter()

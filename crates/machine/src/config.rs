@@ -49,6 +49,15 @@ impl ContentionMode {
     }
 }
 
+/// How the operating system assigns shared pages their home nodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PagePolicy {
+    /// IRIX default: a page lives on the node of the first PE to touch it.
+    FirstTouch,
+    /// Ablation baseline: pages are struck round-robin across nodes.
+    RoundRobin,
+}
+
 /// Parameters of the simulated ccNUMA machine.
 ///
 /// The [`MachineConfig::origin2000`] preset follows publicly documented
@@ -65,6 +74,8 @@ pub struct MachineConfig {
     pub cycle_ns: f64,
     /// Virtual-memory page size in bytes (first-touch homing granularity).
     pub page_bytes: usize,
+    /// How shared pages get their home nodes (see [`PagePolicy`]).
+    pub page_policy: PagePolicy,
 
     // --- cache geometry (models the unified off-chip L2) ---
     /// Cache line size in bytes.
@@ -137,6 +148,7 @@ impl MachineConfig {
             cpus_per_node: 2,
             cycle_ns: 4.0,
             page_bytes: 16 * 1024,
+            page_policy: PagePolicy::FirstTouch,
             line_bytes: 128,
             cache_bytes: 4 * 1024 * 1024,
             cache_assoc: 2,
@@ -194,6 +206,7 @@ impl MachineConfig {
             cpus_per_node: 2,
             cycle_ns: 1.0,
             page_bytes: 256,
+            page_policy: PagePolicy::FirstTouch,
             line_bytes: 64,
             cache_bytes: 1024,
             cache_assoc: 2,
@@ -281,6 +294,23 @@ mod tests {
             ContentionMode::Off
         );
         assert_eq!(ContentionMode::default(), ContentionMode::Off);
+    }
+
+    #[test]
+    fn pages_are_first_touched_everywhere() {
+        assert_eq!(
+            MachineConfig::origin2000().page_policy,
+            PagePolicy::FirstTouch
+        );
+        assert_eq!(
+            MachineConfig::test_tiny().page_policy,
+            PagePolicy::FirstTouch
+        );
+        assert_eq!(
+            MachineConfig::cluster_of_smps().page_policy,
+            PagePolicy::FirstTouch
+        );
+        assert_eq!(MachineConfig::default().page_policy, PagePolicy::FirstTouch);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod stats;
 pub mod time;
 pub mod topology;
 
-pub use config::{ContentionMode, MachineConfig};
+pub use config::{ContentionMode, MachineConfig, PagePolicy};
 pub use fault::{FaultEvent, FaultKind, FaultLink, FaultMode, FaultPlan};
 pub use stats::Counters;
 pub use time::{Clock, SimTime, TimeBreakdown, TimeCat};

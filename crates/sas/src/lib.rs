@@ -59,4 +59,4 @@ mod world;
 pub use cache::CacheSim;
 pub use parallel::{Element, IntElement, SimLock, SimLockGuard};
 pub use race::{AccessClass, RaceKind, RaceReport};
-pub use world::{PagePolicy, SasPe, SasSlice, SasWorld};
+pub use world::{SasPe, SasSlice, SasWorld};

@@ -4,20 +4,11 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use machine::{cost, Machine, TimeCat};
+use machine::{cost, Machine, PagePolicy, TimeCat};
 use parallel::{Ctx, Element, EventKind, IntElement, Regions};
 
 use crate::cache::{line_tag, CacheSim, Probe};
 use crate::race::{AccessClass, RaceDetector, RaceReport};
-
-/// How shared pages are assigned home nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PagePolicy {
-    /// IRIX default: a page lives on the node of the first PE to touch it.
-    FirstTouch,
-    /// Ablation baseline: pages are struck round-robin across nodes.
-    RoundRobin,
-}
 
 /// Unassigned page-home sentinel.
 const NO_HOME: u32 = u32::MAX;
@@ -79,25 +70,20 @@ impl RegionData {
     }
 }
 
-/// The CC-SAS "world": registry of shared regions plus the paging policy.
+/// The CC-SAS "world": registry of shared regions on one machine, whose
+/// `page_policy` homes their pages.
 pub struct SasWorld {
     machine: Arc<Machine>,
     regions: Regions<RegionData>,
-    policy: PagePolicy,
     races: Option<Arc<RaceDetector>>,
 }
 
 impl SasWorld {
-    /// A world with IRIX-style first-touch paging.
-    pub fn new(machine: Arc<Machine>) -> Self {
-        Self::with_paging(machine, PagePolicy::FirstTouch)
-    }
-
-    /// A world with an explicit paging policy (for the A1 ablation).
+    /// A world on `machine`, paged by its `config.page_policy`.
     ///
     /// # Panics
     /// Panics past 2¹⁶ PEs: a line's owner is a 16-bit field.
-    pub fn with_paging(machine: Arc<Machine>, policy: PagePolicy) -> Self {
+    pub fn new(machine: Arc<Machine>) -> Self {
         assert!(
             machine.pes() <= 1 << 16,
             "CC-SAS line owners are 16 bits: {} PEs is past 65536",
@@ -106,7 +92,6 @@ impl SasWorld {
         SasWorld {
             regions: Regions::new(machine.pes()),
             machine,
-            policy,
             races: None,
         }
     }
@@ -154,7 +139,7 @@ impl SasWorld {
         let n_pages = len.div_ceil(words_per_page).max(1);
         let nodes = self.machine.topology.nodes() as u32;
         let page_home: Box<[AtomicU32]> = (0..n_pages)
-            .map(|p| match self.policy {
+            .map(|p| match cfg.page_policy {
                 PagePolicy::FirstTouch => AtomicU32::new(NO_HOME),
                 PagePolicy::RoundRobin => AtomicU32::new(p as u32 % nodes),
             })
@@ -201,7 +186,7 @@ impl SasWorld {
     pub fn export_state_bytes(&self) -> Vec<u8> {
         let mut w = o2k_snap::wire::WireWriter::new();
         w.u64(self.size() as u64);
-        w.u64(match self.policy {
+        w.u64(match self.machine.config.page_policy {
             PagePolicy::FirstTouch => 0,
             PagePolicy::RoundRobin => 1,
         });
@@ -252,7 +237,7 @@ impl SasWorld {
             ));
         }
         let policy = rd.u64()?;
-        let my_policy = match self.policy {
+        let my_policy = match self.machine.config.page_policy {
             PagePolicy::FirstTouch => 0,
             PagePolicy::RoundRobin => 1,
         };
@@ -758,6 +743,17 @@ mod tests {
     use machine::MachineConfig;
     use parallel::Team;
 
+    /// A `test_tiny` machine whose pages are homed by `page_policy`.
+    pub(super) fn paged(pes: usize, page_policy: PagePolicy) -> Arc<Machine> {
+        Arc::new(Machine::new(
+            pes,
+            MachineConfig {
+                page_policy,
+                ..MachineConfig::test_tiny()
+            },
+        ))
+    }
+
     fn setup(pes: usize) -> (Arc<SasWorld>, Team) {
         let machine = Arc::new(Machine::new(pes, MachineConfig::test_tiny()));
         (
@@ -872,11 +868,8 @@ mod tests {
 
     #[test]
     fn round_robin_policy_prehomes_pages() {
-        let machine = Arc::new(Machine::new(4, MachineConfig::test_tiny()));
-        let w = Arc::new(SasWorld::with_paging(
-            Arc::clone(&machine),
-            PagePolicy::RoundRobin,
-        ));
+        let machine = paged(4, PagePolicy::RoundRobin);
+        let w = Arc::new(SasWorld::new(Arc::clone(&machine)));
         let t = Team::new(machine);
         let run = t.run(|ctx| {
             // words_per_page = 256/8 = 32 → pages every 32 elements.
@@ -1082,11 +1075,9 @@ mod tests {
         let m3 = Arc::new(Machine::new(3, MachineConfig::test_tiny()));
         assert!(SasWorld::new(m3).import_state_bytes(&bytes).is_err());
         let m2 = Arc::new(Machine::new(2, MachineConfig::test_tiny()));
-        assert!(
-            SasWorld::with_paging(Arc::clone(&m2), PagePolicy::RoundRobin)
-                .import_state_bytes(&bytes)
-                .is_err()
-        );
+        assert!(SasWorld::new(paged(2, PagePolicy::RoundRobin))
+            .import_state_bytes(&bytes)
+            .is_err());
         let fresh = SasWorld::new(Arc::clone(&m2));
         assert!(fresh.import_state_bytes(&bytes[..bytes.len() - 1]).is_err());
         assert!(w.import_state_bytes(&bytes).is_err());
@@ -1123,8 +1114,8 @@ mod tests {
     /// clean copy of line 1, PE 0 reads it back from its dirty owner, every
     /// PE fetch-adds one word, and the last PE leaves line 3 dirty.
     fn scripted_section(pes: usize, policy: PagePolicy) -> Vec<u8> {
-        let machine = Arc::new(Machine::new(pes, MachineConfig::test_tiny()));
-        let w = Arc::new(SasWorld::with_paging(Arc::clone(&machine), policy));
+        let machine = paged(pes, policy);
+        let w = Arc::new(SasWorld::new(Arc::clone(&machine)));
         Team::new(machine).run(|ctx| {
             let s = w.alloc::<u64>(ctx, 96);
             let mut pe = w.pe();
@@ -1188,8 +1179,7 @@ mod tests {
         for v in words {
             wr.u64(v);
         }
-        let machine = Arc::new(Machine::new(65, MachineConfig::test_tiny()));
-        let w = SasWorld::with_paging(machine, PagePolicy::RoundRobin);
+        let w = SasWorld::new(paged(65, PagePolicy::RoundRobin));
         let err = w.import_state_bytes(&wr.into_bytes()).unwrap_err();
         w.import_state_bytes(&bytes).unwrap();
         err
@@ -1432,9 +1422,9 @@ mod proptests {
             round_robin in any::<bool>(),
             n_per in 4usize..32,
         ) {
-            let machine = Arc::new(Machine::new(pes, MachineConfig::test_tiny()));
             let policy = if round_robin { PagePolicy::RoundRobin } else { PagePolicy::FirstTouch };
-            let w = Arc::new(SasWorld::with_paging(Arc::clone(&machine), policy));
+            let machine = super::tests::paged(pes, policy);
+            let w = Arc::new(SasWorld::new(Arc::clone(&machine)));
             let run = Team::new(machine).run(|ctx| {
                 let n = ctx.npes() * n_per;
                 let s = w.alloc::<u64>(ctx, n);

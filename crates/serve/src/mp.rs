@@ -39,7 +39,7 @@
 
 use std::sync::Arc;
 
-use apps::{App, Model, RunMetrics, Snapshotter};
+use apps::{App, Model, RunMetrics, RunOpts, Snapshotter};
 use machine::{cost, Machine, TimeCat};
 use mp::{MpWorld, RecvSpec, Tag};
 use parallel::{Ctx, EventKind, Team};
@@ -56,7 +56,7 @@ const TAG_COPY: Tag = 4;
 /// Most requests a stealer claims from one victim per sweep.
 const STEAL_BATCH: usize = 8;
 
-pub fn run_opts(machine: Arc<Machine>, cfg: &ServeConfig, opts: apps::RunOpts) -> RunMetrics {
+pub(crate) fn run_opts(machine: Arc<Machine>, cfg: &ServeConfig, opts: RunOpts) -> RunMetrics {
     let world = MpWorld::new(Arc::clone(&machine));
     let plan = MitPlan::build(cfg, machine.pes());
     let snap = Snapshotter::new(&opts, App::Serve, Model::Mp, &machine, &format!("{cfg:?}"));

@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use apps::snapshot::{decode_sas_state, encode_sas_state};
-use apps::{App, Model, RunMetrics, Snapshotter};
+use apps::{App, Model, RunMetrics, RunOpts, Snapshotter};
 use machine::Machine;
 use parallel::{Ctx, Team};
 use sas::{SasSlice, SasWorld};
@@ -28,7 +28,7 @@ use crate::clients;
 use crate::plan::{MitPlan, Mitigation};
 use crate::{await_arrival, finish, serve_cost, PeOut, ServeConfig, BUILD_NS_PER_WORD};
 
-pub fn run_opts(machine: Arc<Machine>, cfg: &ServeConfig, opts: apps::RunOpts) -> RunMetrics {
+pub(crate) fn run_opts(machine: Arc<Machine>, cfg: &ServeConfig, opts: RunOpts) -> RunMetrics {
     let world = SasWorld::new(Arc::clone(&machine));
     let plan = MitPlan::build(cfg, machine.pes());
     let snap = Snapshotter::new(&opts, App::Serve, Model::Sas, &machine, &format!("{cfg:?}"));

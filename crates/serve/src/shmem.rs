@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use apps::{App, Model, RunMetrics, Snapshotter};
+use apps::{App, Model, RunMetrics, RunOpts, Snapshotter};
 use machine::Machine;
 use parallel::{Ctx, Team};
 use shmem::SymWorld;
@@ -26,7 +26,7 @@ use crate::clients;
 use crate::plan::{MitPlan, Mitigation};
 use crate::{await_arrival, finish, serve_cost, PeOut, ServeConfig, BUILD_NS_PER_WORD};
 
-pub fn run_opts(machine: Arc<Machine>, cfg: &ServeConfig, opts: apps::RunOpts) -> RunMetrics {
+pub(crate) fn run_opts(machine: Arc<Machine>, cfg: &ServeConfig, opts: RunOpts) -> RunMetrics {
     let world = SymWorld::new(Arc::clone(&machine));
     let plan = MitPlan::build(cfg, machine.pes());
     let snap = Snapshotter::new(

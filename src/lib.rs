@@ -16,12 +16,8 @@
 //!
 //! let machine = Machine::origin2000(4);
 //! let cfg = NBodyConfig::small();
-//! let result = origin2k::apps::nbody_sas::run_with_opts(
-//!     machine,
-//!     &cfg,
-//!     origin2k::sas::PagePolicy::FirstTouch,
-//!     RunOpts::default(),
-//! );
+//! // Pages are first-touched: `MachineConfig::page_policy`'s default.
+//! let result = origin2k::apps::nbody_sas::run_opts(machine, &cfg, RunOpts::default());
 //! assert!(result.sim_time > 0);
 //! ```
 //!

@@ -121,20 +121,15 @@ fn deterministic_end_to_end() {
 
 /// Two identical-config CC-SAS runs pinned to the deterministic scheduler.
 fn sas_det_pair(app: App, nb: &NBodyConfig, am: &AmrConfig) -> (RunMetrics, RunMetrics) {
-    use origin2k::sas::PagePolicy;
     let go = || match app {
-        App::NBody => origin2k::apps::nbody_sas::run_with_opts(
+        App::NBody => origin2k::apps::nbody_sas::run_opts(
             machine(4),
             nb,
-            PagePolicy::FirstTouch,
             RunOpts::with_sched(SchedPolicy::Det),
         ),
-        App::Amr => origin2k::apps::amr_sas::run_with_opts(
-            machine(4),
-            am,
-            PagePolicy::FirstTouch,
-            RunOpts::with_sched(SchedPolicy::Det),
-        ),
+        App::Amr => {
+            origin2k::apps::amr_sas::run_opts(machine(4), am, RunOpts::with_sched(SchedPolicy::Det))
+        }
         App::Serve => unreachable!("the serving workload has its own det tests"),
     };
     (go(), go())

@@ -113,8 +113,10 @@ fn serve_goldens_replay_bitwise_under_event() {
 #[test]
 fn experiment_archives_replay_bitwise_under_event() {
     let on = |exec: ExecMode| o2k_bench::Env {
-        sched: Some(SchedPolicy::Det),
-        exec: Some(exec),
+        opts: RunOpts {
+            exec: Some(exec),
+            ..RunOpts::with_sched(SchedPolicy::Det)
+        },
         ..o2k_bench::Env::new(true)
     };
     for id in ["f2", "n1", "n2", "q1"] {

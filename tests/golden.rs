@@ -40,10 +40,10 @@ const T2_LOC: [(&str, &str, usize); 6] = [
 ];
 const T2_NBODY_MP: usize = 145;
 const T2_NBODY_SHMEM: usize = 216;
-const T2_NBODY_SAS: usize = 149;
+const T2_NBODY_SAS: usize = 144;
 const T2_AMR_MP: usize = 170;
 const T2_AMR_SHMEM: usize = 168;
-const T2_AMR_SAS: usize = 126;
+const T2_AMR_SAS: usize = 121;
 
 #[test]
 fn t2_effort_line_counts_are_pinned() {

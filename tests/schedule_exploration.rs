@@ -23,7 +23,6 @@ use std::sync::Arc;
 use origin2k::machine::TimeCat;
 use origin2k::parallel::{SimLock, Team};
 use origin2k::prelude::*;
-use origin2k::sas::PagePolicy;
 
 fn tiny(p: usize) -> std::sync::Arc<Machine> {
     Arc::new(Machine::new(p, MachineConfig::test_tiny()))
@@ -50,12 +49,7 @@ fn amr_step_cfg() -> AmrConfig {
 fn amr_sas_step_invariant_over_100_explored_schedules() {
     let cfg = amr_step_cfg();
     let run = |policy| {
-        origin2k::apps::amr_sas::run_with_opts(
-            Machine::origin2000(4),
-            &cfg,
-            PagePolicy::FirstTouch,
-            RunOpts::with_sched(policy),
-        )
+        origin2k::apps::amr_sas::run_opts(Machine::origin2000(4), &cfg, RunOpts::with_sched(policy))
     };
     let reference = run(SchedPolicy::Det);
     let mut fingerprints = HashSet::new();
@@ -81,10 +75,9 @@ fn amr_sas_step_invariant_over_100_explored_schedules() {
 fn explored_schedules_replay_bitwise() {
     let cfg = amr_step_cfg();
     let run = || {
-        origin2k::apps::amr_sas::run_with_opts(
+        origin2k::apps::amr_sas::run_opts(
             Machine::origin2000(4),
             &cfg,
-            PagePolicy::FirstTouch,
             RunOpts::with_sched(SchedPolicy::Explore { seed: 42 }),
         )
     };
@@ -297,14 +290,7 @@ fn queued_contention_replays_and_keeps_physics_under_exploration() {
             },
         ))
     };
-    let run = |policy| {
-        origin2k::apps::amr_sas::run_with_opts(
-            qm(),
-            &cfg,
-            PagePolicy::FirstTouch,
-            RunOpts::with_sched(policy),
-        )
-    };
+    let run = |policy| origin2k::apps::amr_sas::run_opts(qm(), &cfg, RunOpts::with_sched(policy));
     let reference = run(SchedPolicy::Det);
     let again = run(SchedPolicy::Det);
     assert_eq!(

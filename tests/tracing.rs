@@ -205,7 +205,10 @@ fn f9_archives_perfetto_traces() {
     let sink = TraceSink::default();
     let env = o2k_bench::Env {
         out_dir: dir.clone(),
-        trace: Some(sink.clone()),
+        opts: RunOpts {
+            trace: Some(sink.clone()),
+            ..RunOpts::default()
+        },
         ..o2k_bench::Env::new(true)
     };
     let out = o2k_bench::run_experiment_in("f9", &env);
