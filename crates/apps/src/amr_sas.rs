@@ -61,38 +61,35 @@ fn pe_main(
     let mut pe = w.pe();
     const CHUNK: usize = 32;
 
+    // The shared field, indexed by triangle id. Pages are homed by
+    // genuine first touch: owners touch their own blocks first during
+    // the inheritance and sweep phases, so placement follows ownership.
+    let field: SasSlice<f64> = w.alloc(ctx, cap);
+    // Work-claim cursors for self-scheduled sweeps (one slot per sweep
+    // so no reset is ever needed).
+    let cursors: SasSlice<u64> = w.alloc(ctx, cfg.steps * cfg.sweeps + 1);
     // snap:begin — warm start: the shared field, page homes, and directory
-    // came back through the world import; attach to the regions in
-    // allocation order, reload this PE's private cache, and replay the
+    // came back through the world import (the allocs above handed the
+    // regions back); reload this PE's private cache and replay the
     // deterministic adaptation to rebuild the replicated mesh.
     let warm = snap.resume(me, "step", |at, r| {
         let mut state = memo.replica(cfg);
         for s in 0..at as usize {
             state.adapt(cfg, s);
         }
-        let field: SasSlice<f64> = w.attach(ctx, cap);
-        let cursors: SasSlice<u64> = w.attach(ctx, cfg.steps * cfg.sweeps + 1);
         decode_sas_state(r, &mut pe)?;
-        Ok((at as usize, state, field, cursors))
+        Ok((at as usize, state))
     });
     // snap:end
-    let (start, mut state, field, cursors) = warm.unwrap_or_else(|| {
+    let (start, mut state) = warm.unwrap_or_else(|| {
         let state = memo.replica(cfg);
-
-        // The shared field, indexed by triangle id. Pages are homed by
-        // genuine first touch: owners touch their own blocks first during
-        // the inheritance and sweep phases, so placement follows ownership.
-        let field: SasSlice<f64> = w.alloc(ctx, cap);
-        // Work-claim cursors for self-scheduled sweeps (one slot per sweep
-        // so no reset is ever needed).
-        let cursors: SasSlice<u64> = w.alloc(ctx, cfg.steps * cfg.sweeps + 1);
         if me == 0 {
             for (t, v) in state.field.iter().enumerate() {
                 field.write_raw(t, *v);
             }
         }
         w.barrier(ctx);
-        (0, state, field, cursors)
+        (0, state)
     });
 
     for step in start..cfg.steps {

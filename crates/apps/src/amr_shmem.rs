@@ -57,11 +57,13 @@ fn pe_main(
     let me = ctx.pe();
     let cap = cfg.tri_capacity();
 
-    // snap:begin — warm start: attach to the imported symmetric heap (the
-    // field mirror's cells were restored bitwise), replay the deterministic
-    // adaptation to rebuild the mesh, and overlay the captured replica and
-    // ownership map. No virtual-time charges — the restored clocks already
-    // include the prologue.
+    // Symmetric field mirror, indexed by triangle id.
+    let field: SymSlice<f64> = w.alloc(ctx, cap);
+    // snap:begin — warm start: the alloc above handed back the imported
+    // field mirror (its cells were restored bitwise); replay the
+    // deterministic adaptation to rebuild the mesh, and overlay the
+    // captured replica and ownership map. No virtual-time charges — the
+    // restored clocks already include the prologue.
     let warm = snap.resume(me, "step", |at, r| {
         let mut state = memo.replica(cfg);
         for s in 0..at as usize {
@@ -69,15 +71,11 @@ fn pe_main(
         }
         let (f, owner) = decode_step_state(r, state.mesh.num_tris_total(), p)?;
         state.field = f;
-        let field: SymSlice<f64> = w.attach(ctx, cap);
-        Ok((at as usize, state, owner, field))
+        Ok((at as usize, state, owner))
     });
     // snap:end
-    let (start, mut state, mut owner, field) = warm.unwrap_or_else(|| {
+    let (start, mut state, mut owner) = warm.unwrap_or_else(|| {
         let state = memo.replica(cfg);
-
-        // Symmetric field mirror, indexed by triangle id.
-        let field: SymSlice<f64> = w.alloc(ctx, cap);
         for (t, v) in state.field.iter().enumerate() {
             field.write_local(ctx, t, &[*v]);
         }
@@ -95,7 +93,7 @@ fn pe_main(
         for (i, &t) in dual.tris.iter().enumerate() {
             owner[t as usize] = parts[i];
         }
-        (0, state, owner, field)
+        (0, state, owner)
     });
 
     for step in start..cfg.steps {

@@ -66,36 +66,25 @@ fn pe_main(ctx: &mut Ctx, w: &SasWorld, cfg: &NBodyConfig, snap: &Snapshotter) -
     let node_cap = 8 * n + 64;
     let mut pe = w.pe();
 
+    let s = Shared {
+        pos: w.alloc(ctx, 3 * n),
+        vel: w.alloc(ctx, 3 * n),
+        mass: w.alloc(ctx, n),
+        acc: w.alloc(ctx, 3 * n),
+        cost: w.alloc(ctx, n),
+        zone: w.alloc(ctx, n),
+        tree_nodes: w.alloc(ctx, node_cap * NODE_WORDS),
+        tree_leaves: w.alloc(ctx, n),
+    };
     // snap:begin — warm start: every body and tree word, page home, and
-    // directory line came back through the world import; attach to the
-    // regions in allocation order and reload this PE's private cache.
+    // directory line came back through the world import (the allocs above
+    // handed the regions back); reload this PE's private cache.
     let warm = snap.resume(me, "step", |at, r| {
-        let s = Shared {
-            pos: w.attach(ctx, 3 * n),
-            vel: w.attach(ctx, 3 * n),
-            mass: w.attach(ctx, n),
-            acc: w.attach(ctx, 3 * n),
-            cost: w.attach(ctx, n),
-            zone: w.attach(ctx, n),
-            tree_nodes: w.attach(ctx, node_cap * NODE_WORDS),
-            tree_leaves: w.attach(ctx, n),
-        };
         decode_sas_state(r, &mut pe)?;
-        Ok((at as usize, s))
+        Ok(at as usize)
     });
     // snap:end
-    let (start, s) = warm.unwrap_or_else(|| {
-        let s = Shared {
-            pos: w.alloc(ctx, 3 * n),
-            vel: w.alloc(ctx, 3 * n),
-            mass: w.alloc(ctx, n),
-            acc: w.alloc(ctx, 3 * n),
-            cost: w.alloc(ctx, n),
-            zone: w.alloc(ctx, n),
-            tree_nodes: w.alloc(ctx, node_cap * NODE_WORDS),
-            tree_leaves: w.alloc(ctx, n),
-        };
-
+    let start = warm.unwrap_or_else(|| {
         // Parallel-initialisation idiom: each PE first-touches its block so
         // pages spread across nodes (a no-op under round-robin paging).
         let lo = me * n / p;
@@ -123,7 +112,7 @@ fn pe_main(ctx: &mut Ctx, w: &SasWorld, cfg: &NBodyConfig, snap: &Snapshotter) -
             }
         }
         w.barrier(ctx);
-        (0, s)
+        0
     });
 
     for step in start..cfg.steps {

@@ -93,25 +93,6 @@ fn alloc_state(ctx: &mut Ctx, w: &SymWorld, cfg: &NBodyConfig) -> SymState {
     }
 }
 
-// snap:begin
-/// [`alloc_state`]'s restore twin: attach to the imported symmetric heap
-/// in the same region order, with no barriers or allocation charges.
-fn attach_state(ctx: &Ctx, w: &SymWorld, cfg: &NBodyConfig) -> SymState {
-    let p = ctx.npes();
-    let n = cfg.n;
-    SymState {
-        boxes: w.attach(ctx, 6 * p),
-        counts: w.attach(ctx, p),
-        offsets: w.attach(ctx, p),
-        imports: w.attach(ctx, 4 * n + 4),
-        gather: w.attach(ctx, BODY_WORDS * n),
-        cursor: w.attach(ctx, 1),
-        rebal: w.attach(ctx, BODY_WORDS * n),
-        rebal_n: w.attach(ctx, 1),
-    }
-}
-// snap:end
-
 fn pe_main(
     ctx: &mut Ctx,
     w: &SymWorld,
@@ -122,16 +103,15 @@ fn pe_main(
     let p = ctx.npes();
     let me = ctx.pe();
 
-    // snap:begin — warm start: scratch regions came back through the heap
-    // import; a PE's live state is just its owned bodies.
+    let s = alloc_state(ctx, w, cfg);
+    // snap:begin — warm start: `alloc_state` handed back the scratch
+    // regions the heap import restored; a PE's live state is just its
+    // owned bodies.
     let warm = snap.resume(me, "step", |at, r| {
-        let s = attach_state(ctx, w, cfg);
-        Ok((at as usize, s, decode_bodies_state(r)?))
+        Ok((at as usize, decode_bodies_state(r)?))
     });
     // snap:end
-    let (start, s, mut mine) = warm.unwrap_or_else(|| {
-        let s = alloc_state(ctx, w, cfg);
-
+    let (start, mut mine) = warm.unwrap_or_else(|| {
         // Startup decomposition, derived identically on every PE.
         let all = memo.bodies(cfg);
         ctx.compute_units(cfg.n as u64, W::PARTITION_PER_BODY_NS);
@@ -148,7 +128,7 @@ fn pe_main(
                 cost: 1.0,
             })
             .collect();
-        (0, s, mine)
+        (0, mine)
     });
 
     for step in start..cfg.steps {

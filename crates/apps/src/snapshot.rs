@@ -16,9 +16,10 @@
 //!   model world, and writes one snapshot file. None of that touches a
 //!   clock, a counter, or the scheduler, so the run's own results are
 //!   unperturbed.
-//! * **Resume**: the run skips its prologue, attaches to the imported
-//!   world, overlays each PE's core state and app state (the latter
-//!   through [`Snapshotter::resume`], the one reader of `app/<pe>`), and
+//! * **Resume**: the run skips its prologue (its allocations hand back
+//!   the imported world's regions, uncharged), overlays each PE's core
+//!   state and app state (the latter through [`Snapshotter::resume`],
+//!   the one reader of `app/<pe>`), and
 //!   *skips the gate at the resume point* — the straight run's gate
 //!   release is already accounted inside the restored scheduler state —
 //!   then replays the tail of the straight run bitwise. A machine
@@ -30,7 +31,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use machine::{ContentionMode, Machine};
+use machine::{ContentionMode, Machine, MachineConfig};
 use o2k_snap::wire::{WireReader, WireWriter};
 use o2k_snap::{
     decode_sched, encode_sched, fnv1a, run_tag, run_tag_prefix, snapshot_path, PeCore, SnapMeta,
@@ -56,6 +57,13 @@ fn model_slug(model: Model) -> &'static str {
         Model::Shmem => "shmem",
         Model::Sas => "sas",
     }
+}
+
+/// The machine half of a snapshot's file name: the digest of the
+/// config's `Debug` text, so any change to `MachineConfig`'s fields or
+/// presets renames every capture (see the pin in this module's tests).
+fn machine_digest(config: &MachineConfig) -> u64 {
+    fnv1a(format!("{config:?}").as_bytes())
 }
 
 /// One PE's gate deposit: its core state plus its `app/<pe>` section.
@@ -123,7 +131,7 @@ impl Snapshotter {
         cfg_debug: &str,
     ) -> Self {
         let pes = machine.pes();
-        let mach = fnv1a(format!("{:?}", machine.config).as_bytes());
+        let mach = machine_digest(&machine.config);
         let digest = fnv1a(cfg_debug.as_bytes());
         let (app_s, model_s) = (app_slug(app), model_slug(model));
         let mode = match opts.snap.clone() {
@@ -392,5 +400,30 @@ pub(crate) mod testutil {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("create snapshot scratch dir");
         dir
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A restore looks for its exact machine's file by
+    /// [`machine_digest`]; when that digest moves, an old capture stops
+    /// matching and is taken as a machine variant, resuming on a cold
+    /// fabric. Moving the format version with it makes the old file fail
+    /// the restore by name instead.
+    #[test]
+    fn the_machine_digest_moves_only_with_the_format_version() {
+        assert_eq!(
+            (
+                o2k_snap::FORMAT_VERSION,
+                machine_digest(&MachineConfig::origin2000())
+            ),
+            (6, 0x6776_edcc_0e01_6e12),
+            "MachineConfig's Debug text changed, which renames every snapshot file: \
+             bump o2k_snap::FORMAT_VERSION and re-pin both values, so an old capture \
+             fails its restore by name (`snapshot format vN unsupported`) instead of \
+             resuming as a machine variant on a cold fabric"
+        );
     }
 }

@@ -11,7 +11,8 @@
 //! * [`SasWorld::alloc`] creates a shared region (one instance, unlike the
 //!   per-PE instances of the symmetric heap). Allocation is collective, in
 //!   the one sequence [`parallel::Regions`] keeps for SHMEM and CC-SAS
-//!   alike; a restored world re-walks it with [`SasWorld::attach`].
+//!   alike; on a restored world the same calls hand back the imported
+//!   regions, uncharged.
 //! * Each PE accesses shared data through its [`SasPe`] handle, which owns a
 //!   software **set-associative cache simulator** ([`cache::CacheSim`],
 //!   128-byte lines as on the R10000's L2).

@@ -220,7 +220,7 @@ impl SasWorld {
 
     /// Rebuild regions from [`SasWorld::export_state_bytes`] output.
     /// Host-side, before the team runs; PEs then re-acquire handles with
-    /// [`SasWorld::attach`] in the original allocation order.
+    /// [`SasWorld::alloc`] in the original allocation order, free of charge.
     ///
     /// # Errors
     /// Errors on PE-count/paging/line-geometry mismatch,
@@ -327,21 +327,6 @@ impl SasWorld {
         }
         rd.finish()?;
         self.regions.import(imported)
-    }
-
-    /// Re-acquire the next region in allocation order after an import.
-    /// Charges nothing and does not rendezvous — the straight run paid the
-    /// alloc barrier before the snapshot, so it is already inside the
-    /// restored clocks.
-    ///
-    /// # Panics
-    /// Panics if the next region's length disagrees, or its element type
-    /// (when known) is not `T`.
-    pub fn attach<T: Element>(&self, ctx: &Ctx, len: usize) -> SasSlice<T> {
-        SasSlice {
-            region: self.regions.attach::<T>(ctx, len),
-            _t: PhantomData,
-        }
     }
 }
 
@@ -1018,7 +1003,7 @@ mod tests {
     }
 
     #[test]
-    fn export_import_attach_preserves_storage_directory_and_cache() {
+    fn export_import_alloc_preserves_storage_directory_and_cache() {
         let (w, t) = setup(2);
         let run = t.run(|ctx| {
             let s = w.alloc::<u64>(ctx, 64);
@@ -1040,11 +1025,11 @@ mod tests {
         let w2 = Arc::new(SasWorld::new(Arc::clone(&machine)));
         w2.import_state_bytes(&world_bytes).unwrap();
         let run2 = Team::new(machine).run(|ctx| {
-            let s = w2.attach::<u64>(ctx, 64);
+            let t0 = ctx.now();
+            let s = w2.alloc::<u64>(ctx, 64); // a restored region is free
             let mut pe = w2.pe();
             pe.import_cache_words(&caches[ctx.pe()]).unwrap();
             let home = s.home_of(5);
-            let t0 = ctx.now();
             let v = pe.read(ctx, &s, 5); // restored copy must still be a hit
             let hit_free = ctx.now() == t0;
             w2.barrier(ctx);
@@ -1058,7 +1043,10 @@ mod tests {
         });
         for (pe, (v, hit_free, home, after)) in run2.results.iter().enumerate() {
             assert_eq!(*v, 42);
-            assert!(hit_free, "PE {pe}: restored cache copy must hit for free");
+            assert!(
+                hit_free,
+                "PE {pe}: the restored region and cache copy must be free"
+            );
             assert_eq!(*home, homes[pe], "page homes must survive the restore");
             assert_eq!(*after, 99);
         }

@@ -53,16 +53,18 @@ fn rank_main(
     let mut pe = world.pe();
     let replicate = matches!(plan.mitigation(), Mitigation::Replicate { .. }) && !plan.is_empty();
 
-    let warm = snap.resume(me, "warm", |_, r| decode_sas_state(r, &mut pe));
-    let table = if warm.is_some() {
-        // Warm start: the shared table, its page homes, and the coherence
-        // directory came back through the world import; this PE's cache
-        // came back through its app section.
-        world.attach::<u64>(ctx, cfg.keys * v)
-    } else {
-        // --- build: shared table, my shard written and homed here ---
+    let resume = snap
+        .resume(me, "warm", |_, r| decode_sas_state(r, &mut pe))
+        .is_some();
+    // --- build: shared table, my shard written and homed here. On a warm
+    // start the table, its page homes, and the coherence directory came
+    // back through the world import; this PE's cache came back through
+    // its app section. ---
+    if !resume {
         ctx.net_phase("build");
-        let table = world.alloc::<u64>(ctx, cfg.keys * v);
+    }
+    let table = world.alloc::<u64>(ctx, cfg.keys * v);
+    if !resume {
         let start = clients::shard_start(me, cfg.keys, p);
         let len = clients::shard_len(me, cfg.keys, p);
         // sim:begin — on real hardware this loop is the same table fill
@@ -83,8 +85,7 @@ fn rank_main(
         // sim:end
         ctx.compute_units((len * v) as u64, BUILD_NS_PER_WORD);
         ctx.barrier();
-        table
-    };
+    }
     let stream = clients::stream(cfg, me, p);
 
     // Warm-table quiescence point: the shared table is built and homed,

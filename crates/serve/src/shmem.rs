@@ -58,14 +58,14 @@ fn rank_main(
     let replicate = matches!(plan.mitigation(), Mitigation::Replicate { .. }) && !plan.is_empty();
     let resume = snap.resume(me, "warm", |_, _| Ok(())).is_some();
 
-    let table = if resume {
-        // Warm start: the filled shard tables came back through the heap
-        // import; the client streams are a pure function of the config.
-        world.attach::<u64>(ctx, slot * v)
-    } else {
-        // --- build: symmetric shard table, my keys written locally ---
+    // --- build: symmetric shard table, my keys written locally. On a warm
+    // start the filled tables came back through the heap import and the
+    // client streams are a pure function of the config. ---
+    if !resume {
         ctx.net_phase("build");
-        let table = world.alloc::<u64>(ctx, slot * v);
+    }
+    let table = world.alloc::<u64>(ctx, slot * v);
+    if !resume {
         let start = clients::shard_start(me, cfg.keys, p);
         let len = clients::shard_len(me, cfg.keys, p);
         let mut vals = vec![0u64; len * v];
@@ -77,18 +77,15 @@ fn rank_main(
         table.write_local(ctx, 0, &vals);
         ctx.compute_units((len * v) as u64, BUILD_NS_PER_WORD);
         world.barrier_all(ctx);
-        table
-    };
+    }
     // Replica region: one `slot`-wide copy per hot shard, pulled by the
-    // helper PEs and refreshed behind a barrier epoch gate. Attach order
-    // on resume must mirror the alloc order (table first).
+    // helper PEs and refreshed behind a barrier epoch gate.
     let repl = if replicate {
-        let n_hot = plan.hot_shards().len();
-        Some(if resume {
-            world.attach::<u64>(ctx, n_hot * slot * v)
-        } else {
+        if !resume {
             ctx.net_phase("replica");
-            let repl = world.alloc::<u64>(ctx, n_hot * slot * v);
+        }
+        let repl = world.alloc::<u64>(ctx, plan.hot_shards().len() * slot * v);
+        if !resume {
             for (h, &s) in plan.hot_shards().iter().enumerate() {
                 if plan.helpers(h).contains(&me) {
                     let rl = clients::shard_len(s, cfg.keys, p) * v;
@@ -98,8 +95,8 @@ fn rank_main(
                 }
             }
             world.barrier_all(ctx);
-            repl
-        })
+        }
+        Some(repl)
     } else {
         None
     };

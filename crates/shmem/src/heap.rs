@@ -124,7 +124,7 @@ impl SymWorld {
 
     /// Rebuild regions from [`SymWorld::export_state_bytes`] output.
     /// Host-side, before the team runs; PEs then re-acquire handles with
-    /// [`SymWorld::attach`] in the original allocation order.
+    /// [`SymWorld::alloc`] in the original allocation order, free of charge.
     ///
     /// # Errors
     /// Errors on PE-count mismatch, truncation, trailing bytes, or a
@@ -157,19 +157,6 @@ impl SymWorld {
         }
         rd.finish()?;
         self.regions.import(imported)
-    }
-
-    /// Re-acquire the next region in allocation order after an import.
-    /// Unlike [`SymWorld::alloc`] this charges nothing and does not
-    /// rendezvous — the straight run paid those costs before the snapshot,
-    /// so they are already inside the restored clocks, and the regions
-    /// exist before the team starts.
-    ///
-    /// # Panics
-    /// Panics if the next region's length disagrees, or its element type
-    /// (when known) is not `T`.
-    pub fn attach<T: Element>(&self, ctx: &Ctx, len: usize) -> SymSlice<T> {
-        self.slice(self.regions.attach::<T>(ctx, len))
     }
 }
 
@@ -574,7 +561,7 @@ mod tests {
     }
 
     #[test]
-    fn export_import_attach_preserves_every_cell() {
+    fn export_import_alloc_preserves_every_cell() {
         let (w, t) = setup(3);
         t.run(|ctx| {
             let a = w.alloc::<u64>(ctx, 4);
@@ -589,12 +576,13 @@ mod tests {
         let w2 = Arc::new(SymWorld::new(Arc::clone(&machine)));
         w2.import_state_bytes(&bytes).unwrap();
         let run = Team::new(machine).run(|ctx| {
-            let a = w2.attach::<u64>(ctx, 4);
-            let b = w2.attach::<f64>(ctx, 2);
             let t0 = ctx.now();
+            let a = w2.alloc::<u64>(ctx, 4);
+            let b = w2.alloc::<f64>(ctx, 2);
             let av = a.read_local(ctx, 0, 4);
             let bv = b.read_local(ctx, 0, 2);
-            // Attach must be free: the straight run already paid alloc.
+            // Allocating on a restored world is free: the straight run
+            // already paid the allocs.
             assert_eq!(ctx.now(), t0);
             // And the region must still be live for one-sided traffic.
             let other = (ctx.pe() + 1) % 3;

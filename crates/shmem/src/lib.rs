@@ -6,8 +6,9 @@
 //! (fetch-add, compare-swap, swap), fences, and the SHMEM collective set
 //! (barrier_all, broadcast, collect, reductions). Allocation is collective:
 //! the k-th [`SymWorld::alloc`] on every PE names region k, the sequence
-//! [`parallel::Regions`] keeps for SHMEM and CC-SAS alike, and a world
-//! restored from a snapshot re-walks it with [`SymWorld::attach`].
+//! [`parallel::Regions`] keeps for SHMEM and CC-SAS alike; on a world
+//! restored from a snapshot the same calls hand back the imported regions,
+//! uncharged.
 //!
 //! Cost model: a put pays initiator overhead plus one-way hop-priced
 //! latency and bandwidth (fire-and-forget until a fence); a get pays a
