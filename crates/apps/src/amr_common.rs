@@ -40,7 +40,9 @@ pub struct AmrConfig {
     /// CC-SAS only: claim sweep work dynamically in chunks from a shared
     /// counter (self-scheduling) instead of static blocks (ablation A6).
     pub sas_self_schedule: bool,
-    /// Workload seed (kept for interface uniformity).
+    /// Read by nothing: the AMR workload draws no random numbers. Kept
+    /// because the `benchmark` package's `amr-adapt` cell sets it; it goes
+    /// in the next `benchmark` change.
     pub seed: u64,
 }
 
@@ -273,7 +275,7 @@ impl ReplicatedMesh {
         Arc::clone(self.memo.base_parts.get_or_init(|| Arc::new(rcb())))
     }
 
-    /// [`partition_active`] on this generation's dual graph. `inherited`
+    /// `partition_active` on this generation's dual graph. `inherited`
     /// is identical on every PE by determinism; a replica that asks a
     /// different question than the one answered fails here by name.
     pub fn partition(

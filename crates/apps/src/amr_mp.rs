@@ -35,7 +35,7 @@ pub fn run_opts(machine: Arc<Machine>, cfg: &AmrConfig, opts: crate::RunOpts) ->
     let memo = MeshMemo::new(cfg);
     let snap = Snapshotter::new(&opts, App::Amr, Model::Mp, &machine, &format!("{cfg:?}"));
     // sim:end
-    let team = opts.configure(Team::new(machine).seed(cfg.seed));
+    let team = opts.configure(Team::new(machine));
     let run = team.run_resumed(snap.team_resume(), |ctx| {
         rank_main(ctx, &world, cfg, &memo, &snap)
     });

@@ -39,7 +39,7 @@ pub fn run_opts(machine: Arc<Machine>, cfg: &AmrConfig, opts: crate::RunOpts) ->
     let snap = Snapshotter::new(&opts, App::Amr, Model::Shmem, &machine, &format!("{cfg:?}"));
     snap.import_world(|b| world.import_state_bytes(b));
     // sim:end
-    let team = opts.configure(Team::new(machine).seed(cfg.seed));
+    let team = opts.configure(Team::new(machine));
     let run = team.run_resumed(snap.team_resume(), |ctx| {
         pe_main(ctx, &world, cfg, &memo, &snap)
     });

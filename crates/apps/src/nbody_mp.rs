@@ -46,7 +46,7 @@ pub fn run_opts(machine: Arc<Machine>, cfg: &NBodyConfig, opts: crate::RunOpts) 
     let memo = StartupMemo::default();
     let snap = Snapshotter::new(&opts, App::NBody, Model::Mp, &machine, &format!("{cfg:?}"));
     // sim:end
-    let team = opts.configure(Team::new(machine).seed(cfg.seed));
+    let team = opts.configure(Team::new(machine));
     let run = team.run_resumed(snap.team_resume(), |ctx| {
         rank_main(ctx, &world, cfg, &memo, &snap)
     });

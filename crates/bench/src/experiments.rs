@@ -71,7 +71,7 @@ impl Env {
     }
 
     /// A bare team (microbenchmarks that drive a runtime directly),
-    /// configured exactly as [`Env::opts`] configures the apps' teams.
+    /// configured exactly as [`Env`]'s `opts` configure the apps' teams.
     pub fn team(&self, machine: Arc<Machine>) -> Team {
         self.opts().configure(Team::new(machine))
     }
@@ -85,8 +85,8 @@ impl Env {
         }
     }
 
-    /// [`Env::opts`] pinned to the deterministic schedule, for cells whose
-    /// comparison another interleaving would confound.
+    /// This environment's `opts` pinned to the deterministic schedule, for
+    /// cells whose comparison another interleaving would confound.
     pub fn det(&self) -> RunOpts {
         RunOpts {
             sched: Some(SchedPolicy::Det),

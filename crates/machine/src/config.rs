@@ -129,8 +129,6 @@ pub struct MachineConfig {
     // --- synchronisation ---
     /// Cost per tree level of a barrier / collective.
     pub sync_hop: u64,
-    /// Uncontended lock acquire/release cost.
-    pub lock_overhead: u64,
 
     // --- interconnect contention ---
     /// Whether transfers queue on shared links (see [`ContentionMode`]).
@@ -167,7 +165,6 @@ impl MachineConfig {
             shmem_get_overhead: 500,
             shmem_amo_overhead: 300,
             sync_hop: 400,
-            lock_overhead: 240,
             contention: ContentionMode::Off,
             fault: FaultMode::Off,
         }
@@ -225,7 +222,6 @@ impl MachineConfig {
             shmem_get_overhead: 20,
             shmem_amo_overhead: 10,
             sync_hop: 8,
-            lock_overhead: 6,
             contention: ContentionMode::Off,
             fault: FaultMode::Off,
         }

@@ -3,7 +3,7 @@
 //! This is the one price list of the three programming models: the only
 //! code that turns `MachineConfig` latencies, overheads and bandwidth into
 //! virtual time. The `mp`, `shmem` and `sas` runtimes, `serve`, and
-//! `parallel`'s barrier, lock and blackboard broadcast charge a `cost::`
+//! `parallel`'s barrier and blackboard broadcast charge a `cost::`
 //! result plus at most the fabric's queueing delay (`Ctx::net_delay_*`,
 //! zero under `ContentionMode::Off`), and price nothing themselves, so the
 //! models stay mutually consistent. DESIGN §4's price table lists every
@@ -150,12 +150,6 @@ pub fn tree_step(config: &MachineConfig, depth: u32, bytes: usize, max_hops: u32
     u64::from(depth) * (config.transfer_ns(bytes) + u64::from(max_hops) * config.lat_hop)
 }
 
-/// Uncontended lock acquire (or release) cost; contention is charged by the
-/// runtime on top via waiting time.
-pub fn lock(config: &MachineConfig, hops: u32) -> SimTime {
-    config.lock_overhead + 2 * u64::from(hops) * config.lat_hop
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,13 +218,6 @@ mod tests {
     fn amo_more_expensive_with_distance() {
         let c = cfg();
         assert!(amo(&c, 3) > amo(&c, 0));
-    }
-
-    #[test]
-    fn lock_round_trips() {
-        let c = cfg();
-        assert_eq!(lock(&c, 0), c.lock_overhead);
-        assert_eq!(lock(&c, 2), c.lock_overhead + 4 * c.lat_hop);
     }
 }
 

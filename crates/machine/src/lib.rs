@@ -92,7 +92,7 @@ fn check_setting<T>(
     parse(raw).ok_or_else(|| format!("{var}={raw:?} is not valid (accepted: {accepted})"))
 }
 
-/// Read setting `var` from the environment through [`check_setting`]:
+/// Read setting `var` from the environment through `check_setting`:
 /// `Ok(None)` when unset, `Err` when set to something `parse` rejects.
 pub fn env_setting<T>(
     var: &str,

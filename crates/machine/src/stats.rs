@@ -75,7 +75,9 @@ counters! {
     // --- synchronisation ---
     /// Barrier episodes.
     barriers,
-    /// Lock acquisitions.
+    /// Lock acquisitions: always 0, no runtime takes a lock. Kept because
+    /// the `benchmark` package reports it as `parallel.lock_acquires`; it
+    /// goes with that metric in the next `benchmark` change.
     lock_acquires,
     /// Cooperative-scheduler floor handoffs at this PE's yield points.
     sched_handoffs,

@@ -18,7 +18,7 @@ pub enum TimeCat {
     Local,
     /// Remote communication: messages, puts/gets, remote cache misses.
     Remote,
-    /// Waiting at barriers, locks, or for messages to arrive.
+    /// Waiting at barriers or for messages to arrive.
     Sync,
 }
 

@@ -8,7 +8,7 @@ use parallel::{Ctx, Dep, EventKind, Payload};
 
 use crate::payload::{decode_into, encode_into, WordPool};
 
-/// Message tag. User tags must stay below [`Tag::COLLECTIVE_BASE`]; the
+/// Message tag. User tags must stay below [`MpWorld::COLLECTIVE_BASE`]; the
 /// collective algorithms reserve the space above it.
 pub type Tag = u32;
 

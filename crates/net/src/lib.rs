@@ -197,7 +197,7 @@ impl NetStats {
 }
 
 /// A transfer could not be routed: every path to the destination crosses a
-/// dead link. Returned by [`NetSim::try_route`]; [`NetSim::route`] panics
+/// dead link. Returned by [`NetSim::try_route_many`]; [`NetSim::route`] panics
 /// with the same diagnostic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Unreachable {
@@ -693,7 +693,7 @@ impl NetSim {
     /// node's shared bus once, under `queued` it returns a zero [`Route`].
     ///
     /// Panics with the [`Unreachable`] diagnostic if a dead link severs
-    /// every path; use [`NetSim::try_route`] to handle that case.
+    /// every path; use [`NetSim::try_route_many`] to handle that case.
     pub fn route(
         &self,
         pe: u32,
@@ -800,7 +800,7 @@ impl NetSim {
 
     /// Charge a whole run of transfers — `(dst_node, bytes)` per item, all
     /// departing from `src_node` on behalf of `pe` — under **one**
-    /// state-lock acquisition. [`NetSim::try_route`] is its one-item
+    /// state-lock acquisition. `NetSim::try_route` is its one-item
     /// spelling.
     ///
     /// The arithmetic is item-for-item identical to one call per item with
@@ -906,7 +906,7 @@ impl NetSim {
     }
 
     /// Mark the start of a named phase; subsequent traffic is attributed to
-    /// it in [`NetSim::phase_hotspots`].
+    /// it in `NetSim::phase_hotspots`.
     pub fn begin_phase(&self, name: &str) {
         let mut st = self.lock();
         let at_start = st.res.iter().map(Res::snap).collect();
@@ -1058,7 +1058,7 @@ impl NetSim {
         (names, st.spans.clone())
     }
 
-    /// Spans dropped after [`MAX_SPANS`] (0 in any reasonable run).
+    /// Spans dropped after `MAX_SPANS` (0 in any reasonable run).
     pub fn spans_dropped(&self) -> u64 {
         self.lock().spans_dropped
     }

@@ -6,14 +6,11 @@ use std::sync::Arc;
 use machine::{cost, Clock, Counters, Machine, SimTime, TimeCat};
 use o2k_sched::CoopSched;
 use o2k_trace::{Dep, Event, EventKind, Recorder};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 use crate::team::{PeReport, TeamShared};
 
 /// Everything one simulated PE needs during a team run: identity, virtual
-/// clock, counters, deterministic RNG, event recorder, and team
-/// synchronisation plumbing.
+/// clock, counters, event recorder, and team synchronisation plumbing.
 pub struct Ctx {
     pe: usize,
     machine: Arc<Machine>,
@@ -21,13 +18,10 @@ pub struct Ctx {
     clock: Clock,
     counters: Counters,
     recorder: Recorder,
-    rng: SmallRng,
     /// Count of team-wide barriers this PE has passed; two accesses with
     /// different global epochs are separated by a barrier (used by the
     /// race detector's happens-before approximation).
     global_epoch: u64,
-    /// Stack of currently-held [`SimLock`](crate::SimLock) ids.
-    locks_held: Vec<u64>,
     /// Queueing delay already returned by routes whose charge the runtime
     /// has not yet applied to the clock. A runtime that issues several
     /// transfers before advancing (e.g. the CC-SAS invalidation sweep)
@@ -44,11 +38,8 @@ impl Ctx {
         pe: usize,
         machine: Arc<Machine>,
         shared: Arc<TeamShared>,
-        seed: u64,
         trace: bool,
     ) -> Self {
-        // Distinct, reproducible stream per PE: golden-ratio mixing.
-        let pe_seed = seed ^ (pe as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         Ctx {
             pe,
             machine,
@@ -56,32 +47,19 @@ impl Ctx {
             clock: Clock::new(),
             counters: Counters::new(),
             recorder: Recorder::new(trace),
-            rng: SmallRng::seed_from_u64(pe_seed),
             global_epoch: 0,
-            locks_held: Vec::new(),
             net_pending: 0,
         }
     }
 
     /// Capture this PE's substrate state for a checkpoint: clock,
-    /// counters, RNG stream, barrier epochs and pending network backlog.
-    /// Only valid at a quiescence point — in particular no lock may be
-    /// held, since locksets are not part of the snapshot.
-    ///
-    /// # Panics
-    /// Panics if this PE holds a [`SimLock`](crate::SimLock).
+    /// counters, barrier epochs and pending network backlog. Only valid at
+    /// a quiescence point.
     pub fn export_core(&self) -> o2k_snap::PeCore {
-        assert!(
-            self.locks_held.is_empty(),
-            "PE {} snapshot with {} lock(s) held — not a quiescence point",
-            self.pe,
-            self.locks_held.len()
-        );
         o2k_snap::PeCore {
             now: self.clock.now(),
             breakdown: self.clock.breakdown(),
             counters: self.counters.clone(),
-            rng_state: self.rng.state(),
             global_epoch: self.global_epoch,
             net_pending: self.net_pending,
         }
@@ -92,7 +70,6 @@ impl Ctx {
     pub(crate) fn apply_core(&mut self, core: &o2k_snap::PeCore) {
         self.clock = Clock::restore(core.now, core.breakdown);
         self.counters = core.counters.clone();
-        self.rng = SmallRng::from_state(core.rng_state);
         self.global_epoch = core.global_epoch;
         self.net_pending = core.net_pending;
     }
@@ -236,23 +213,6 @@ impl Ctx {
         self.global_epoch
     }
 
-    /// Ids of the [`SimLock`](crate::SimLock)s this PE currently holds
-    /// (lockset for race classification).
-    #[inline]
-    pub fn lockset(&self) -> &[u64] {
-        &self.locks_held
-    }
-
-    pub(crate) fn lockset_push(&mut self, id: u64) {
-        self.locks_held.push(id);
-    }
-
-    pub(crate) fn lockset_pop(&mut self, id: u64) {
-        if let Some(i) = self.locks_held.iter().rposition(|&l| l == id) {
-            self.locks_held.remove(i);
-        }
-    }
-
     /// This PE's index in `0..npes`.
     #[inline]
     pub fn pe(&self) -> usize {
@@ -379,12 +339,6 @@ impl Ctx {
             self.record_span(t0, kind, TimeCat::Sync, 0, peer, dep);
         }
         self.sched_point();
-    }
-
-    /// Draw a uniform `u64` from this PE's deterministic stream.
-    #[inline]
-    pub fn rng_u64(&mut self) -> u64 {
-        self.rng.gen()
     }
 
     /// Clock-synchronising barrier: all PEs' clocks advance to the team

@@ -4,9 +4,9 @@
 //! (PE) — a coroutine on the event core, or an OS thread under
 //! [`ExecMode::Thread`] — and its [`sched::CoopSched`] lets exactly one of
 //! them hold the floor at a time. Each PE receives a [`Ctx`] holding its
-//! virtual [`machine::Clock`], event [`machine::Counters`], a
-//! deterministic per-PE RNG, and access to team-wide synchronisation
-//! plumbing (clock-synchronising barriers and a blackboard broadcast).
+//! virtual [`machine::Clock`], event [`machine::Counters`], and access to
+//! team-wide synchronisation plumbing (clock-synchronising barriers and a
+//! blackboard broadcast).
 //!
 //! The three programming-model runtimes (`mp`, `shmem`, `sas`) all build on
 //! this crate: they add their own shared state (mailboxes, symmetric heap,
@@ -32,13 +32,11 @@
 
 mod ctx;
 mod element;
-mod lock;
 mod regions;
 mod team;
 
 pub use ctx::Ctx;
 pub use element::{Element, IntElement, Payload};
-pub use lock::{SimLock, SimLockGuard};
 pub use regions::Regions;
 pub use team::{PeReport, Team, TeamResume, TeamRun, THREAD_PE_CAP};
 

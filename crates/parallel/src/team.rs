@@ -178,7 +178,6 @@ pub struct TeamResume {
 #[derive(Clone)]
 pub struct Team {
     machine: Arc<Machine>,
-    seed: u64,
     sink: Option<o2k_trace::TraceSink>,
     sched: SchedPolicy,
     exec: ExecMode,
@@ -193,17 +192,10 @@ impl Team {
     pub fn new(machine: Arc<Machine>) -> Self {
         Team {
             machine,
-            seed: 0x5EED_0816,
             sink: None,
             sched: o2k_sched::default_policy(),
             exec: o2k_sched::default_exec(),
         }
-    }
-
-    /// Set the seed for the per-PE deterministic RNGs.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 
     /// Set the scheduling policy for this team's runs (see
@@ -313,13 +305,7 @@ impl Team {
         let body = |pe: usize, slot: &mut Option<(R, PeReport)>| {
             let guard = PoisonOnPanic { coop: &coop, pe };
             coop.register(pe);
-            let mut ctx = Ctx::new(
-                pe,
-                Arc::clone(&self.machine),
-                Arc::clone(&shared),
-                self.seed,
-                trace,
-            );
+            let mut ctx = Ctx::new(pe, Arc::clone(&self.machine), Arc::clone(&shared), trace);
             if let Some(res) = &resume {
                 ctx.apply_core(&res.cores[pe]);
             }
@@ -479,20 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn rng_is_deterministic_across_runs() {
-        let draws = |seed: u64| {
-            Team::new(Arc::new(Machine::new(3, MachineConfig::test_tiny())))
-                .seed(seed)
-                .run(|ctx| ctx.rng_u64())
-                .results
-        };
-        assert_eq!(draws(7), draws(7));
-        assert_ne!(draws(7), draws(8));
-        let d = draws(7);
-        assert_ne!(d[0], d[1], "per-PE streams must differ");
-    }
-
-    #[test]
     fn sync_time_charged_while_waiting() {
         let t = team(2);
         let run = t.run(|ctx| {
@@ -506,18 +478,24 @@ mod tests {
         assert_eq!(run.reports[0].finish, run.reports[1].finish);
     }
 
-    /// A det workload exercising compute, barriers, RNG and locks — run
-    /// it on both backends and the whole TeamRun must agree.
     /// Every PE's time breakdown, in PE order.
     fn breakdowns<R>(run: &TeamRun<R>) -> Vec<TimeBreakdown> {
         run.reports.iter().map(|r| r.breakdown).collect()
     }
 
+    /// A PE- and round-dependent value, standing in for per-PE data.
+    fn pe_value(pe: usize, round: u64) -> u64 {
+        (pe as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ round.wrapping_mul(0xBF58_476D_1CE4_E5B9)
+    }
+
+    /// A det workload exercising compute and barriers — run it on both
+    /// backends and the whole TeamRun must agree.
     fn backend_pair(pes: usize) -> (TeamRun<u64>, TeamRun<u64>) {
         let body = |ctx: &mut Ctx| {
             let mut acc = 0u64;
             for round in 0..4 {
-                acc = acc.wrapping_mul(31).wrapping_add(ctx.rng_u64());
+                acc = acc.wrapping_mul(31).wrapping_add(pe_value(ctx.pe(), round));
                 ctx.compute(100 + (ctx.pe() as u64 * 13 + round * 7) % 50);
                 ctx.barrier();
             }
@@ -595,10 +573,12 @@ mod tests {
         assert!(msg.contains("pe 1 exploded"), "wrong payload: {msg}");
     }
 
-    /// One round of the resume-test workload: an RNG draw, a PE- and
-    /// round-dependent compute, a barrier.
+    /// One round of the resume-test workload: a PE- and round-dependent
+    /// value and compute, a barrier.
     fn resume_round(ctx: &mut Ctx, acc: u64, round: usize) -> u64 {
-        let acc = acc.wrapping_mul(31).wrapping_add(ctx.rng_u64());
+        let acc = acc
+            .wrapping_mul(31)
+            .wrapping_add(pe_value(ctx.pe(), round as u64));
         ctx.compute(100 + (ctx.pe() as u64 * 13 + round as u64 * 7) % 50);
         ctx.barrier();
         acc

@@ -24,8 +24,10 @@
 //!   the line's **first-touch page home**; writes invalidate sharers and pay
 //!   per-sharer invalidation cost; reads of dirty lines pay a
 //!   cache-to-cache forwarding penalty.
-//! * Synchronisation is locks ([`parallel::SimLock`]) and barriers, exactly
-//!   the primitives the paper's SAS codes used.
+//! * Synchronisation is barriers ([`SasWorld::barrier`]) and atomic
+//!   fetch-add ([`SasPe::fadd`]): all the CC-SAS programs here need. The
+//!   paper's SAS codes also took locks; a program that needs one brings a
+//!   virtual-time lock back with it.
 //!
 //! The payoff mirrors the paper: SAS application code contains *no explicit
 //! communication at all* — no sends, no puts, no repartitioning copies —
@@ -58,6 +60,6 @@ pub mod race;
 mod world;
 
 pub use cache::CacheSim;
-pub use parallel::{Element, IntElement, SimLock, SimLockGuard};
+pub use parallel::{Element, IntElement};
 pub use race::{AccessClass, RaceKind, RaceReport};
 pub use world::{SasPe, SasSlice, SasWorld};

@@ -1,12 +1,11 @@
 //! Lightweight happens-before race detection for shared regions.
 //!
 //! An Eraser-style detector at cache-line granularity: every costed access
-//! records `(word, class, barrier epoch, lockset)`, and two accesses to the
-//! same line by different PEs **conflict** when
+//! records `(word, class, barrier epoch)`, and two accesses to the same line
+//! by different PEs **conflict** when
 //!
-//! * neither is ordered before the other by a barrier (same epoch),
-//! * they are not both reads and not both atomics, and
-//! * their locksets are disjoint (no common [`parallel::SimLock`] held).
+//! * neither is ordered before the other by a barrier (same epoch), and
+//! * they are not both reads and not both atomics.
 //!
 //! A conflict on the *same word* is a [`RaceKind::DataRace`]; on different
 //! words of one line it is [`RaceKind::FalseSharing`] — not a correctness
@@ -62,8 +61,6 @@ struct AccessRec {
     class: AccessClass,
     /// Barrier epoch at access time.
     gepoch: u64,
-    /// Lock ids held at access time.
-    locks: Vec<u64>,
 }
 
 /// Shared detector state, attached to every region of a world built with
@@ -103,7 +100,6 @@ impl RaceDetector {
 
     /// Record `pe`'s access and flag conflicts against other PEs' most
     /// recent accesses to the same line.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn record(
         &self,
         region: u32,
@@ -112,13 +108,11 @@ impl RaceDetector {
         class: AccessClass,
         pe: usize,
         gepoch: u64,
-        locks: &[u64],
     ) {
         let rec = AccessRec {
             word,
             class,
             gepoch,
-            locks: locks.to_vec(),
         };
         let mut state = self.state();
         let RaceState {
@@ -141,9 +135,6 @@ impl RaceDetector {
                 continue;
             }
             if o.class == AccessClass::Atomic && rec.class == AccessClass::Atomic {
-                continue;
-            }
-            if o.locks.iter().any(|l| rec.locks.contains(l)) {
                 continue;
             }
             let kind = if o.word == rec.word {

@@ -172,7 +172,7 @@ impl SasWorld {
         }
     }
 
-    /// Team barrier (locks + barriers are the SAS synchronisation story).
+    /// Team barrier (with `fadd`, the SAS synchronisation story).
     pub fn barrier(&self, ctx: &mut Ctx) {
         ctx.barrier();
     }
@@ -495,7 +495,7 @@ impl SasPe {
 
     /// Atomic fetch-add on a shared integer element (LL/SC-style: costs an
     /// exclusive write access). Atomic because the floor holder alone runs
-    /// until its next sched point (see [`RegionData`]).
+    /// until its next sched point (see `RegionData`).
     pub fn fadd<T: IntElement>(
         &mut self,
         ctx: &mut Ctx,
@@ -550,15 +550,7 @@ impl SasPe {
         // including first-touch page claims.
         ctx.sched_point();
         if let Some(rd) = &r.races {
-            rd.record(
-                r.id,
-                line,
-                word,
-                class,
-                ctx.pe(),
-                ctx.epoch(),
-                ctx.lockset(),
-            );
+            rd.record(r.id, line, word, class, ctx.pe(), ctx.epoch());
         }
         let write = class != AccessClass::Read;
         let tag = line_tag(r.id, line as u64);
@@ -1306,28 +1298,21 @@ mod tests {
     }
 
     #[test]
-    fn race_detector_lockset_and_atomics_suppress_reports() {
-        use parallel::{SchedPolicy, SimLock};
+    fn race_detector_atomics_suppress_reports() {
+        use parallel::SchedPolicy;
         let machine = Arc::new(Machine::new(2, MachineConfig::test_tiny()));
         let w = Arc::new(SasWorld::new(Arc::clone(&machine)).detect_races());
-        let lock = SimLock::new(0);
         Team::new(Arc::clone(&machine))
             .sched(SchedPolicy::Det)
             .run(|ctx| {
                 let counters = w.alloc::<u64>(ctx, 8);
-                let guarded = w.alloc::<u64>(ctx, 8);
                 let mut pe = w.pe();
                 // Atomic RMWs never race with each other.
                 let _ = pe.fadd(ctx, &counters, 0, 1u64);
-                // Lock-guarded writes share a lockset.
-                let g = lock.acquire(ctx);
-                let v = pe.read(ctx, &guarded, 0);
-                pe.write(ctx, &guarded, 0, v + 1);
-                g.release(ctx);
             });
         assert!(
             w.race_reports().is_empty(),
-            "atomics and common locks must suppress reports: {:?}",
+            "atomics must suppress reports: {:?}",
             w.race_reports()
         );
     }

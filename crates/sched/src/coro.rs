@@ -11,7 +11,7 @@
 //!
 //! * [`Coro::resume`] switches from the driver onto the task's stack
 //!   (first entering through a bootstrap frame that `ret`s into
-//!   [`trampoline`], later returning into whatever frame the task
+//!   `trampoline`, later returning into whatever frame the task
 //!   suspended in);
 //! * [`yield_current`] switches from the task back to whoever resumed it;
 //! * `Tasks::transfer` switches from the running task straight into a
@@ -30,7 +30,7 @@
 //! returns.
 //!
 //! Panics never unwind across a switch: the task's panic runs down its own
-//! stack into the `catch_unwind` in [`trampoline`], is parked as a
+//! stack into the `catch_unwind` in `trampoline`, is parked as a
 //! payload, and the driver decides what to propagate — mirroring what
 //! `JoinHandle::join` gives the thread backend.
 //!

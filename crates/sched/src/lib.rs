@@ -29,7 +29,7 @@
 //! The scheduler itself is a [`CoopSched`]: one mutex-protected table of
 //! per-PE states plus one condvar per PE. PEs `register` at spawn (the
 //! first pick happens once everyone arrived), `yield_now` at instrumented
-//! points, `block`/`unblock` around mailbox and lock waits, rendezvous on
+//! points, `block`/`unblock` around mailbox waits, rendezvous on
 //! `gate_wait` (barriers), and `finish` at the end. A panicking PE
 //! `poison`s the scheduler so every blocked peer wakes and unwinds
 //! instead of hanging the team.
@@ -56,7 +56,7 @@
 //!
 //! At most one PE runs at a time under either policy, so the two
 //! backends execute the *same* logical schedule: the pick sequence is
-//! produced by the same [`CoopSched::hand_off`] code either way, and
+//! produced by the same `CoopSched::hand_off` code either way, and
 //! `det` runs are bitwise identical between backends (enforced by the
 //! cross-backend golden tests).
 
@@ -247,8 +247,6 @@ pub fn set_default_policy(p: SchedPolicy) {
 pub enum BlockReason {
     /// Waiting at the team-wide rendezvous gate.
     Gate,
-    /// Waiting for a [`SimLock`](../parallel) holder to release.
-    Lock,
     /// Waiting for a matching message to arrive in the mailbox.
     Mailbox,
     /// The PE's transfer hit a dead interconnect link with no detour (a
@@ -307,7 +305,7 @@ fn key_clock(k: HeapKey) -> SimTime {
 /// at construction and never reallocated:
 ///
 /// * `heap` — the live entries in binary-heap order, each packed into one
-///   [`HeapKey`]; at most one per PE, so capacity `npes` suffices forever.
+///   `HeapKey`; at most one per PE, so capacity `npes` suffices forever.
 /// * `pos` — per-PE slot index into `heap` (`HEAP_ABSENT` when the PE has
 ///   no entry), the classic indexed-heap back-pointer that makes
 ///   [`PeHeap::remove`] and in-place reschedule O(log P) with *exact*
@@ -667,7 +665,7 @@ fn fold_pick(fingerprint: u64, pe: usize) -> u64 {
 /// [`Self::yield_now`] returns after folding the self-pick into the
 /// fingerprint: no lock, no heap traffic, and the pick sequence, switch
 /// count and fingerprint are those of the locked path. The horizon is
-/// held shut at [`HORIZON_SHUT`] where a yield must not be skipped: under
+/// held shut at `HORIZON_SHUT` where a yield must not be skipped: under
 /// [`SchedPolicy::Explore`] (every yield draws one RNG value) and while a
 /// [`Self::preseed_resume`] grant is pending (no PE runs before the first
 /// hand-off consumes it).
@@ -1108,8 +1106,8 @@ impl CoopSched {
     }
 
     /// Give up the floor until [`Self::unblock`] is called with the same
-    /// `reason` class (`Lock` or `Mailbox`). Spurious wakeups are
-    /// possible; callers re-check their condition in a loop.
+    /// `reason` class. Spurious wakeups are possible; callers re-check
+    /// their condition in a loop.
     pub fn block(&self, pe: usize, clock: SimTime, reason: BlockReason) {
         let mut inner = self.lock();
         inner.clock[pe] = clock;
@@ -1119,10 +1117,10 @@ impl CoopSched {
     }
 
     /// Make `pe` runnable again if it is blocked for `reason`. `hint` is
-    /// the virtual time of the enabling event (message arrival, lock
-    /// release): the sleeper's advisory clock is raised to it so the
-    /// deterministic chooser orders the wakeup faithfully. Called by the
-    /// floor holder; does not yield.
+    /// the virtual time of the enabling event (a message arrival): the
+    /// sleeper's advisory clock is raised to it so the deterministic
+    /// chooser orders the wakeup faithfully. Called by the floor holder;
+    /// does not yield.
     pub fn unblock(&self, pe: usize, hint: SimTime, reason: BlockReason) {
         let mut inner = self.lock();
         if inner.status[pe] == Status::Blocked(reason) {
@@ -1511,7 +1509,7 @@ mod tests {
                 scope.spawn(move || {
                     sched.register(1);
                     // Wrong class: must not wake PE 0.
-                    sched.unblock(0, 5, BlockReason::Lock);
+                    sched.unblock(0, 5, BlockReason::DeadLink);
                     sched.yield_now(1, 1);
                     order.lock().unwrap().push("pe1-sent");
                     sched.unblock(0, 5, BlockReason::Mailbox);
@@ -1542,7 +1540,7 @@ mod tests {
                 let sched = Arc::clone(&sched);
                 scope.spawn(move || {
                     sched.register(1);
-                    sched.block(1, 0, BlockReason::Lock);
+                    sched.block(1, 0, BlockReason::Mailbox);
                 })
             };
             (h0.join(), h1.join())
@@ -1738,12 +1736,8 @@ mod tests {
                     if exploding && pe == 2 {
                         panic!("PE 2 exploded");
                     }
-                    let reason = if pe % 2 == 0 {
-                        BlockReason::Mailbox
-                    } else {
-                        BlockReason::Lock
-                    };
-                    sched.block(pe, clock, reason); // nobody will unblock us
+                    // Nobody will unblock us.
+                    sched.block(pe, clock, BlockReason::Mailbox);
                 })
             })
             .collect();

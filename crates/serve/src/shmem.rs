@@ -37,7 +37,7 @@ pub(crate) fn run_opts(machine: Arc<Machine>, cfg: &ServeConfig, opts: RunOpts) 
         &format!("{cfg:?}"),
     );
     snap.import_world(|b| world.import_state_bytes(b));
-    let team = opts.configure(Team::new(machine).seed(cfg.seed));
+    let team = opts.configure(Team::new(machine));
     let run = team.run_resumed(snap.team_resume(), |ctx| {
         rank_main(ctx, &world, cfg, &plan, &snap)
     });

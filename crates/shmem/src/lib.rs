@@ -40,4 +40,3 @@ mod heap;
 
 pub use heap::{SymSlice, SymWorld};
 pub use parallel::{Element, IntElement};
-pub use parallel::{SimLock, SimLockGuard};

@@ -14,8 +14,8 @@
 //! barrier** (a zero-cost snap gate the apps place at their phase
 //! boundaries). At such a gate:
 //!
-//! * every PE's virtual clock, counters, RNG stream and epochs are in its
-//!   `Ctx` (captured as a [`PeCore`]);
+//! * every PE's virtual clock, counters and epochs are in its `Ctx`
+//!   (captured as a [`PeCore`]);
 //! * the scheduler's pick-sequence state is an
 //!   [`o2k_sched::SchedResume`] — exported by the floor holder right
 //!   *after* the gate released, so the release pick is already accounted;
@@ -58,8 +58,10 @@ use wire::{WireReader, WireWriter};
 /// v4: a CC-SAS PE's cache words (`CacheSim::export_words`) carry no
 /// hit / miss statistics. v5: the fabric, CC-SAS and SHMEM sections lose
 /// their own leading version words. v6: every `app/<pe>` section starts
-/// with its gate's index word (the serving workload's had none).
-pub const FORMAT_VERSION: u64 = 6;
+/// with its gate's index word (the serving workload's had none). v7:
+/// `core/<pe>` has no RNG word (PEs carry no RNG stream), and the machine
+/// digest moves because `MachineConfig` lost its lock-cost field.
+pub const FORMAT_VERSION: u64 = 7;
 
 /// File magic: 8 bytes at offset zero.
 pub const MAGIC: &[u8; 8] = b"O2KSNAP1";
@@ -289,8 +291,6 @@ pub struct PeCore {
     pub breakdown: TimeBreakdown,
     /// Event counters.
     pub counters: Counters,
-    /// Raw state of the per-PE RNG stream.
-    pub rng_state: u64,
     /// Barrier epoch (team-wide).
     pub global_epoch: u64,
     /// Queueing delay routed but not yet charged (`Ctx`'s `net_pending`).
@@ -300,7 +300,7 @@ pub struct PeCore {
 impl PeCore {
     /// Serialise into `w`: the clock, its breakdown, every counter in
     /// [`Counters`]' declaration order (scalars, then histogram buckets),
-    /// then the RNG state, epoch and pending backlog.
+    /// then the epoch and pending backlog.
     pub fn encode(&self, w: &mut WireWriter) {
         w.u64(self.now);
         w.u64(self.breakdown.busy);
@@ -311,7 +311,6 @@ impl PeCore {
         for v in c.scalars().into_iter().chain(c.msg_size_hist) {
             w.u64(v);
         }
-        w.u64(self.rng_state);
         w.u64(self.global_epoch);
         w.u64(self.net_pending);
     }
@@ -346,7 +345,6 @@ impl PeCore {
             now,
             breakdown,
             counters: c,
-            rng_state: r.u64()?,
             global_epoch: r.u64()?,
             net_pending: r.u64()?,
         })
@@ -531,7 +529,6 @@ mod tests {
                 sync: 4,
             },
             counters,
-            rng_state: 0xdead_beef,
             global_epoch: 5,
             net_pending: 99,
         }
@@ -564,14 +561,14 @@ mod tests {
         assert_eq!(back, core);
     }
 
-    /// The `core/<pe>` layout is fixed: these bytes were produced by the
-    /// field-by-field codec the counter list replaced. A new counter
-    /// changes the layout, so it bumps [`FORMAT_VERSION`] and re-pins.
+    /// The `core/<pe>` layout is fixed: clock, breakdown, counters, epoch,
+    /// backlog. A new counter changes the layout, so it bumps
+    /// [`FORMAT_VERSION`] and re-pins.
     #[test]
     fn the_core_section_bytes_are_pinned() {
         let bytes = encoded(&distinct_core());
-        assert_eq!(bytes.len(), 8 * (5 + 24 + 5 + 3));
-        assert_eq!(fnv1a(&bytes), 0x1dda_37a1_2319_cf45);
+        assert_eq!(bytes.len(), 8 * (5 + 24 + 5 + 2));
+        assert_eq!(fnv1a(&bytes), 0x3131_34f7_5db1_630b);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Critical-path analysis over a [`Trace`].
 //!
 //! Walks backward from the last event in the trace. Within a PE it
-//! descends through contiguous spans; at a span carrying a [`Dep`] wait
-//! edge (recv → matching send, barrier → last arrival, lock → previous
-//! holder) it hops to the dependency's PE at the dependency's completion
+//! descends through contiguous spans; at a span carrying a
+//! [`Dep`](crate::Dep) wait edge (recv → matching send, barrier → last
+//! arrival) it hops to the dependency's PE at the dependency's completion
 //! time. Every step attributes exactly the walked interval, so the
 //! attributions sum to the end-to-end simulated time: the result is the
 //! chain of operations that actually determined the finish time.
@@ -310,12 +310,7 @@ mod proptests {
                     2 => TimeCat::Remote,
                     _ => TimeCat::Sync,
                 };
-                let mut kind = EventKind::ALL[sel as usize % EventKind::ALL.len()];
-                if kind == EventKind::SchedHandoff {
-                    // Handoffs are instant markers recorded separately; a
-                    // duration-bearing span of that kind would not validate.
-                    kind = EventKind::Other;
-                }
+                let kind = EventKind::ALL[sel as usize % EventKind::ALL.len()];
                 let dep = if wait && !seqs.is_empty() {
                     Some(Dep {
                         pe: (pe as u32 + 1) % seqs.len() as u32,

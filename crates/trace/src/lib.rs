@@ -42,10 +42,6 @@ pub enum EventKind {
     Barrier,
     /// One log-depth transfer step of a blackboard collective.
     CollStep,
-    /// Waiting for the previous lock holder to release.
-    LockWait,
-    /// Distance-priced lock acquisition round trip.
-    LockAcquire,
     /// Message-passing send overhead.
     Send,
     /// Waiting for a message to arrive (includes network transit).
@@ -66,11 +62,6 @@ pub enum EventKind {
     MissRemote,
     /// Dirty-line writeback on eviction.
     Writeback,
-    /// Cooperative-scheduler floor handoff (instant marker, `t1 == t0`):
-    /// the PE yielded here and another PE ran before it resumed. No
-    /// runtime records it yet (a deterministic CC-SAS run can switch at
-    /// nearly every miss); the exporters and critical-path code accept it.
-    SchedHandoff,
     /// One served client request of the `o2k-serve` workload: the span is
     /// the server-side service time, `bytes` the value payload, and `peer`
     /// the shard owner the lookup resolved to.
@@ -83,14 +74,12 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, for tabulation.
-    pub const ALL: [EventKind; 20] = [
+    pub const ALL: [EventKind; 17] = [
         EventKind::Compute,
         EventKind::Other,
         EventKind::BarrierWait,
         EventKind::Barrier,
         EventKind::CollStep,
-        EventKind::LockWait,
-        EventKind::LockAcquire,
         EventKind::Send,
         EventKind::RecvWait,
         EventKind::Recv,
@@ -101,7 +90,6 @@ impl EventKind {
         EventKind::MissLocal,
         EventKind::MissRemote,
         EventKind::Writeback,
-        EventKind::SchedHandoff,
         EventKind::Request,
         EventKind::Steal,
     ];
@@ -114,8 +102,6 @@ impl EventKind {
             EventKind::BarrierWait => "barrier_wait",
             EventKind::Barrier => "barrier",
             EventKind::CollStep => "coll_step",
-            EventKind::LockWait => "lock_wait",
-            EventKind::LockAcquire => "lock_acquire",
             EventKind::Send => "send",
             EventKind::RecvWait => "recv_wait",
             EventKind::Recv => "recv",
@@ -126,7 +112,6 @@ impl EventKind {
             EventKind::MissLocal => "miss_local",
             EventKind::MissRemote => "miss_remote",
             EventKind::Writeback => "writeback",
-            EventKind::SchedHandoff => "sched_handoff",
             EventKind::Request => "request",
             EventKind::Steal => "steal",
         }
@@ -172,9 +157,7 @@ pub struct Event {
     pub pe: u32,
     /// Span start (virtual ns).
     pub t0: SimTime,
-    /// Span end (virtual ns); `t1 > t0` for every recorded span. The one
-    /// exception is [`EventKind::SchedHandoff`], an instant marker with
-    /// `t1 == t0`.
+    /// Span end (virtual ns); `t1 > t0` for every recorded span.
     pub t1: SimTime,
     /// Semantic label.
     pub kind: EventKind,
@@ -364,14 +347,7 @@ impl Trace {
                 if e.pe as usize != pe {
                     return Err(format!("PE {pe} event {i} tagged pe={}", e.pe));
                 }
-                let instant = e.kind == EventKind::SchedHandoff;
-                if instant && e.t1 != e.t0 {
-                    return Err(format!(
-                        "PE {pe} event {i} sched_handoff with duration [{}, {}]",
-                        e.t0, e.t1
-                    ));
-                }
-                if !instant && e.t1 <= e.t0 {
+                if e.t1 <= e.t0 {
                     return Err(format!("PE {pe} event {i} empty span [{}, {}]", e.t0, e.t1));
                 }
                 if e.t0 < prev_end {
@@ -507,31 +483,6 @@ mod tests {
         );
         assert_eq!(sink.drain().len(), 1);
         assert!(sink.drain().is_empty());
-    }
-
-    #[test]
-    fn sched_handoff_instants_validate() {
-        let t = Trace::new(vec![vec![
-            ev(0, 0, 10, EventKind::Compute, TimeCat::Busy),
-            ev(0, 10, 10, EventKind::SchedHandoff, TimeCat::Sync),
-            ev(0, 10, 20, EventKind::Compute, TimeCat::Busy),
-        ]]);
-        assert!(t.validate().is_ok(), "{:?}", t.validate());
-        // Instants contribute no time.
-        assert_eq!(t.pe_breakdown(0).busy, 20);
-        assert_eq!(t.pe_breakdown(0).sync, 0);
-    }
-
-    #[test]
-    fn validate_rejects_nonzero_duration_handoff() {
-        let t = Trace::new(vec![vec![ev(
-            0,
-            0,
-            5,
-            EventKind::SchedHandoff,
-            TimeCat::Sync,
-        )]]);
-        assert!(t.validate().is_err());
     }
 
     #[test]

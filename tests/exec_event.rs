@@ -195,15 +195,17 @@ mod properties {
             let policy = SchedPolicy::Explore { seed };
             let go = |exec: ExecMode| {
                 Team::new(machine(p))
-                    .seed(7)
                     .sched(policy)
                     .exec(exec)
                     .run(|ctx| {
-                        for _ in 0..4 {
+                        let mut acc = 0u64;
+                        for round in 0..4u64 {
+                            let v = (ctx.pe() as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                            acc = acc.wrapping_mul(31).wrapping_add(v ^ round);
                             ctx.compute(50 + ctx.pe() as u64 * 11);
                             ctx.barrier();
                         }
-                        ctx.rng_u64()
+                        acc
                     })
             };
             let e1 = go(ExecMode::Event);
@@ -237,7 +239,6 @@ mod properties {
                 ));
                 let world = Arc::new(mp::MpWorld::new(Arc::clone(&mach)));
                 Team::new(mach)
-                    .seed(payload)
                     .sched(SchedPolicy::Det)
                     .exec(exec)
                     .run(move |ctx| {

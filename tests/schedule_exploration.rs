@@ -12,7 +12,6 @@
 //!   fingerprints are almost all distinct);
 //! * barriers separate epochs (pre-barrier writes visible after, clocks
 //!   aligned);
-//! * locks provide mutual exclusion and every contender gets through;
 //! * shmem puts complete before the barrier-separated reader looks;
 //! * the race detector stays quiet on the barrier/atomic-clean AMR step.
 
@@ -20,8 +19,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use origin2k::machine::TimeCat;
-use origin2k::parallel::{SimLock, Team};
+use origin2k::parallel::Team;
 use origin2k::prelude::*;
 
 fn tiny(p: usize) -> std::sync::Arc<Machine> {
@@ -111,43 +109,6 @@ fn barriers_separate_epochs_under_all_schedules() {
             assert!(
                 run.results.iter().all(|&(_, t)| t == t0),
                 "P={p} seed={seed}: barrier must align clocks"
-            );
-        }
-    }
-}
-
-/// Lock mutual exclusion and progress: a non-atomic read-modify-write
-/// under the lock never loses an update, the critical sections never
-/// overlap, and every PE gets the lock every round (no starvation).
-#[test]
-fn locks_exclude_and_admit_everyone_under_all_schedules() {
-    const ROUNDS: usize = 3;
-    for p in [2usize, 4, 8] {
-        for seed in 0..34u64 {
-            let lock = SimLock::new(0);
-            let counter = AtomicU64::new(0);
-            let in_crit = AtomicU64::new(0);
-            explore_team(p, seed).run(|ctx| {
-                for round in 0..ROUNDS {
-                    ctx.compute(13 * ((ctx.pe() + round) as u64 % 4 + 1));
-                    let g = lock.acquire(ctx);
-                    assert_eq!(
-                        in_crit.fetch_add(1, Ordering::SeqCst),
-                        0,
-                        "P={p} seed={seed}: overlapping critical sections"
-                    );
-                    // Deliberately racy RMW — only safe if the lock works.
-                    let v = counter.load(Ordering::Relaxed);
-                    ctx.advance(21, TimeCat::Busy);
-                    counter.store(v + 1, Ordering::Relaxed);
-                    in_crit.fetch_sub(1, Ordering::SeqCst);
-                    g.release(ctx);
-                }
-            });
-            assert_eq!(
-                counter.load(Ordering::SeqCst),
-                (p * ROUNDS) as u64,
-                "P={p} seed={seed}: lost update under lock"
             );
         }
     }
