@@ -419,7 +419,7 @@ mod tests {
                 o2k_snap::FORMAT_VERSION,
                 machine_digest(&MachineConfig::origin2000())
             ),
-            (7, 0x0214_f4ef_907a_e45a),
+            (8, 0x0214_f4ef_907a_e45a),
             "MachineConfig's Debug text changed, which renames every snapshot file: \
              bump o2k_snap::FORMAT_VERSION and re-pin both values, so an old capture \
              fails its restore by name (`snapshot format vN unsupported`) instead of \

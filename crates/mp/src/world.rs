@@ -183,8 +183,7 @@ impl MpWorld {
         self.mailbox(dst).push_back(env);
         // Wake the receiver where `wait_match` parks it, in the scheduler;
         // the arrival time is its clock hint.
-        ctx.coop()
-            .unblock(dst, arrival, parallel::sched::BlockReason::Mailbox);
+        ctx.coop().unblock(dst, arrival);
     }
 
     /// Blocking typed receive matching `spec`. Returns `(src, tag, data)`.

@@ -7,6 +7,13 @@
 //! against the directory, and counted once, in `machine::Counters`. A
 //! cached copy whose directory version has moved on was invalidated by
 //! another PE's write: the runtime purges it and the access misses.
+//!
+//! LRU is an order, not a clock: each set keeps its valid lines most
+//! recent first, its invalid ways after them. A hit moves its line to way
+//! 0 (a no-op when it is there already, as it is for a PE that keeps
+//! touching one line), an insert enters at way 0, and the victim of a
+//! full set is its last way — the line a per-access tick would have
+//! found with the oldest stamp, since no two stamps are equal.
 
 /// Identity of a cached line: region id in the high bits, line index low.
 pub type LineTag = u64;
@@ -17,16 +24,30 @@ pub fn line_tag(region: u32, line: u64) -> LineTag {
     (u64::from(region) << 40) | (line & 0xFF_FFFF_FFFF)
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Entry {
+/// A way's `state` bit: the way holds a line.
+const VALID: u64 = 0b01;
+/// A way's `state` bit: this PE wrote the line and holds it exclusively.
+const DIRTY: u64 = 0b10;
+
+/// One way, 16 bytes: the line and `version << 2 | dirty << 1 | valid`,
+/// where `version` is the directory version the copy corresponds to. An
+/// invalid way is all zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Way {
     tag: LineTag,
-    /// Directory version this copy corresponds to.
-    version: u64,
-    /// This PE wrote the line and holds it exclusively.
-    dirty: bool,
-    /// LRU timestamp.
-    used: u64,
-    valid: bool,
+    state: u64,
+}
+
+impl Way {
+    #[inline]
+    fn holds(self, tag: LineTag) -> bool {
+        self.tag == tag && self.state & VALID != 0
+    }
+
+    #[inline]
+    fn is_valid(self) -> bool {
+        self.state & VALID != 0
+    }
 }
 
 /// Result of probing the cache for a line.
@@ -47,6 +68,16 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
+/// Make way `i` the first of `ways`, the ways before it moving back one.
+/// Swaps, not a `copy_within`: a set is too few ways to pay a `memmove`
+/// call for.
+#[inline]
+fn to_front(ways: &mut [Way], i: usize) {
+    for k in (1..=i).rev() {
+        ways.swap(k, k - 1);
+    }
+}
+
 /// The set `tag` maps to among `num_sets` (a power of two): a
 /// multiplicative hash spreads region/line structure across sets.
 #[inline]
@@ -65,15 +96,15 @@ fn set_index(tag: LineTag, num_sets: usize) -> usize {
 /// one group of empty ways that every untouched set shares.
 #[derive(Debug)]
 pub struct CacheSim {
-    /// Per set: which `assoc`-entry group of `ways` holds it. `0` — the
+    /// Per set: the offset in `ways` of its `assoc` ways. `0` — the
     /// shared empty group — until a line lands in the set.
     slot: Vec<u32>,
     /// Group 0 is `assoc` ways that are never written (all invalid, all
-    /// zero); group `k > 0` is the `k`-th set to have been inserted into.
-    ways: Vec<Entry>,
+    /// zero); group `k > 0` is the `k`-th set to have been inserted into,
+    /// its valid ways most recent first.
+    ways: Vec<Way>,
     num_sets: usize,
     assoc: usize,
-    tick: u64,
 }
 
 impl CacheSim {
@@ -81,7 +112,8 @@ impl CacheSim {
     /// The number of sets is rounded down to a power of two (at least 1).
     ///
     /// # Panics
-    /// Panics if the geometry has more than `u32::MAX` sets.
+    /// Panics if the geometry has `2³²` or more ways in all (sets × ways):
+    /// `slot` holds 32-bit way offsets.
     pub fn new(capacity_bytes: usize, line_bytes: usize, assoc: usize) -> Self {
         let lines = (capacity_bytes / line_bytes.max(1)).max(1);
         let assoc = assoc.clamp(1, lines);
@@ -93,16 +125,16 @@ impl CacheSim {
             raw_sets.next_power_of_two() / 2
         };
         assert!(
-            num_sets <= u32::MAX as usize,
+            num_sets * assoc <= u32::MAX as usize,
             "cache_bytes {capacity_bytes} / line_bytes {line_bytes} / {assoc} ways is \
-             {num_sets} sets; the set table indexes with 32 bits"
+             {num_sets} sets of {assoc} ways; a set's way offset is 32 bits, so \
+             num_sets × assoc must be below 2³²"
         );
         CacheSim {
             slot: vec![0; num_sets],
-            ways: vec![Entry::default(); assoc],
+            ways: vec![Way::default(); assoc],
             num_sets,
             assoc,
-            tick: 0,
         }
     }
 
@@ -114,14 +146,14 @@ impl CacheSim {
     /// The ways of `set` — the shared empty group while no line has landed
     /// in it, so only [`Self::materialise`]'s result may be written to.
     #[inline]
-    fn ways_of(&mut self, set: usize) -> &mut [Entry] {
-        let at = self.slot[set] as usize * self.assoc;
+    fn ways_of(&mut self, set: usize) -> &mut [Way] {
+        let at = self.slot[set] as usize;
         &mut self.ways[at..at + self.assoc]
     }
 
     /// The ways of `set`, given a group of their own on the first insert.
     #[inline]
-    fn materialise(&mut self, set: usize) -> &mut [Entry] {
+    fn materialise(&mut self, set: usize) -> &mut [Way] {
         if self.slot[set] == 0 {
             self.add_group(set);
         }
@@ -130,153 +162,171 @@ impl CacheSim {
 
     #[cold]
     fn add_group(&mut self, set: usize) {
-        // At most `num_sets` groups after group 0; `new` checked that fits.
-        self.slot[set] = (self.ways.len() / self.assoc) as u32;
+        // At most `num_sets` groups after group 0; `new` checked that the
+        // last one's offset fits.
+        self.slot[set] = self.ways.len() as u32;
         self.ways
-            .extend(std::iter::repeat_n(Entry::default(), self.assoc));
+            .extend(std::iter::repeat_n(Way::default(), self.assoc));
     }
 
-    /// Look for `tag`, refreshing its LRU tick on a hit.
+    /// Look for `tag`; a hit makes it the most recent line of its set.
+    #[inline]
     pub fn probe(&mut self, tag: LineTag) -> Probe {
-        self.tick += 1;
-        let tick = self.tick;
         let set = self.set_of(tag);
-        if let Some(e) = self
-            .ways_of(set)
-            .iter_mut()
-            .find(|e| e.valid && e.tag == tag)
-        {
-            e.used = tick;
-            return Probe::Hit {
-                version: e.version,
-                dirty: e.dirty,
-            };
+        let ways = self.ways_of(set);
+        let Some(i) = ways.iter().position(|w| w.holds(tag)) else {
+            return Probe::Miss;
+        };
+        let hit = ways[i];
+        to_front(ways, i);
+        Probe::Hit {
+            version: hit.state >> 2,
+            dirty: hit.state & DIRTY != 0,
         }
-        Probe::Miss
     }
 
-    /// Insert (or update) `tag` at `version`; returns any displaced line.
+    /// Insert (or update) `tag` at `version` as the most recent line of
+    /// its set; returns any displaced line. Versions are below 2⁶².
     pub fn insert(&mut self, tag: LineTag, version: u64, dirty: bool) -> Option<Evicted> {
-        self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_of(tag);
-        let set = self.materialise(set);
-        // Update in place if present.
-        if let Some(e) = set.iter_mut().find(|e| e.valid && e.tag == tag) {
-            e.version = version;
-            e.dirty = dirty;
-            e.used = tick;
-            return None;
-        }
-        let fresh = Entry {
+        debug_assert!(version < 1 << 62, "version {version} does not fit 62 bits");
+        let fresh = Way {
             tag,
-            version,
-            dirty,
-            used: tick,
-            valid: true,
+            state: (version << 2) | (u64::from(dirty) << 1) | VALID,
         };
-        // Free way?
-        if let Some(e) = set.iter_mut().find(|e| !e.valid) {
-            *e = fresh;
-            return None;
-        }
-        // Evict LRU.
-        let victim = set
-            .iter_mut()
-            .min_by_key(|e| e.used)
-            .expect("non-empty set");
-        let evicted = Evicted {
-            tag: victim.tag,
-            dirty: victim.dirty,
+        let set = self.set_of(tag);
+        let ways = self.materialise(set);
+        // The line itself if present, else the last way: a free one while
+        // the set has room (invalid ways trail), its LRU line once full.
+        let (i, evicted) = match ways.iter().position(|w| w.holds(tag)) {
+            Some(i) => (i, None),
+            None => {
+                let last = ways[ways.len() - 1];
+                let evicted = last.is_valid().then_some(Evicted {
+                    tag: last.tag,
+                    dirty: last.state & DIRTY != 0,
+                });
+                (ways.len() - 1, evicted)
+            }
         };
-        *victim = fresh;
-        Some(evicted)
+        to_front(ways, i);
+        ways[0] = fresh;
+        evicted
     }
 
     /// Drop `tag` if present (used when the runtime observes a stale
     /// version: the copy is conceptually invalid).
     pub fn purge(&mut self, tag: LineTag) {
         let set = self.set_of(tag);
-        if let Some(e) = self
-            .ways_of(set)
-            .iter_mut()
-            .find(|e| e.valid && e.tag == tag)
-        {
-            e.valid = false;
+        let ways = self.ways_of(set);
+        if let Some(i) = ways.iter().position(|w| w.holds(tag)) {
+            ways.copy_within(i + 1.., i);
+            ways[ways.len() - 1] = Way::default();
         }
     }
 
     /// Invalidate everything (e.g. between timed phases).
     pub fn clear(&mut self) {
-        for e in &mut self.ways {
-            e.valid = false;
-        }
+        self.ways.fill(Way::default());
     }
 
-    /// Number of words [`CacheSim::export_words`] writes for this geometry.
-    fn export_len(&self) -> usize {
-        3 + self.num_sets * self.assoc * 4
-    }
-
-    /// Dump the complete cache state — geometry, LRU clock, and every way
-    /// of every set in set order, a set no line has landed in as the
-    /// `assoc` empty ways it shares — as plain words, for checkpoints.
-    /// Restoring with [`CacheSim::import_words`] makes the post-restore
-    /// probe answers bitwise-identical to an uninterrupted run's.
+    /// Dump the cache state as plain words, for checkpoints: the geometry
+    /// (sets, ways), then each set that holds a valid line, in ascending
+    /// set order, as its index, its line count `n`, and `n` `(tag, state)`
+    /// pairs most recent first. The words are canonical: two caches that
+    /// answer every probe and evict alike export the same words. Restoring
+    /// with [`CacheSim::import_words`] makes the post-restore probe answers
+    /// bitwise-identical to an uninterrupted run's.
     pub fn export_words(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.export_len());
-        out.push(self.num_sets as u64);
-        out.push(self.assoc as u64);
-        out.push(self.tick);
-        for &group in &self.slot {
-            let at = group as usize * self.assoc;
-            for e in &self.ways[at..at + self.assoc] {
-                out.push(e.tag);
-                out.push(e.version);
-                out.push((u64::from(e.dirty) << 1) | u64::from(e.valid));
-                out.push(e.used);
+        let mut out = vec![self.num_sets as u64, self.assoc as u64];
+        for (set, &at) in self.slot.iter().enumerate() {
+            let at = at as usize;
+            let ways = &self.ways[at..at + self.assoc];
+            let n = ways.iter().take_while(|w| w.is_valid()).count();
+            if n > 0 {
+                out.extend([set as u64, n as u64]);
+                out.extend(ways[..n].iter().flat_map(|w| [w.tag, w.state]));
             }
         }
         out
     }
 
-    /// Restore state captured by [`CacheSim::export_words`]. A set whose
-    /// words are all zero stays unmaterialised.
+    /// Restore state captured by [`CacheSim::export_words`]. Only the sets
+    /// the words list are materialised.
     ///
     /// # Errors
-    /// Errors (leaving the cache untouched) if the word count or the
-    /// recorded geometry disagrees with this cache's configuration.
+    /// Errors (leaving the cache untouched) on a geometry that disagrees
+    /// with this cache's, on words that are not canonical — a set past the
+    /// table, sets out of ascending order, a set listing no line or more
+    /// than `assoc`, a way that is not valid, a tag that does not hash to
+    /// its set, a tag listed twice — and on truncated or trailing words.
     pub fn import_words(&mut self, words: &[u64]) -> Result<(), String> {
-        let expect = self.export_len();
-        if words.len() != expect {
+        let &[sets, assoc, ref rest @ ..] = words else {
             return Err(format!(
-                "cache snapshot has {} words, expected {expect}",
+                "cache snapshot has {} words, expected its geometry",
                 words.len()
             ));
-        }
-        if words[0] != self.num_sets as u64 || words[1] != self.assoc as u64 {
+        };
+        if (sets, assoc) != (self.num_sets as u64, self.assoc as u64) {
             return Err(format!(
-                "cache snapshot geometry {}x{}, cache is {}x{}",
-                words[0], words[1], self.num_sets, self.assoc
+                "cache snapshot geometry {sets}x{assoc}, cache is {}x{}",
+                self.num_sets, self.assoc
             ));
         }
-        self.tick = words[2];
-        self.slot.fill(0);
-        self.ways.truncate(self.assoc);
-        for (set, group) in words[3..].chunks_exact(self.assoc * 4).enumerate() {
-            if group.iter().all(|&w| w == 0) {
-                continue;
+        let mut slot = vec![0u32; self.num_sets];
+        let mut ways = vec![Way::default(); self.assoc];
+        let (mut rest, mut prev) = (rest, None);
+        while !rest.is_empty() {
+            let &[set, n, ref tail @ ..] = rest else {
+                return Err("cache snapshot ends inside a set's header".into());
+            };
+            if set >= self.num_sets as u64 {
+                return Err(format!(
+                    "cache snapshot set {set} is past the cache's {} sets",
+                    self.num_sets
+                ));
             }
-            for (e, chunk) in self.materialise(set).iter_mut().zip(group.chunks_exact(4)) {
-                *e = Entry {
-                    tag: chunk[0],
-                    version: chunk[1],
-                    dirty: chunk[2] & 0b10 != 0,
-                    valid: chunk[2] & 0b01 != 0,
-                    used: chunk[3],
-                };
+            if let Some(prev) = prev.filter(|&p| set <= p) {
+                return Err(format!(
+                    "cache snapshot set {set} follows set {prev}: sets must ascend"
+                ));
             }
+            if n == 0 || n > self.assoc as u64 {
+                return Err(format!(
+                    "cache snapshot set {set} lists {n} lines, a set holds 1 to {}",
+                    self.assoc
+                ));
+            }
+            let Some((held, after)) = tail.split_at_checked(2 * n as usize) else {
+                return Err(format!("cache snapshot set {set} is truncated"));
+            };
+            let group = ways.len();
+            for (k, pair) in held.chunks_exact(2).enumerate() {
+                let (tag, state) = (pair[0], pair[1]);
+                if state & VALID == 0 {
+                    return Err(format!(
+                        "cache snapshot set {set} way {k}: state {state:#x} is not a valid line"
+                    ));
+                }
+                let home = set_index(tag, self.num_sets);
+                if home as u64 != set {
+                    return Err(format!(
+                        "cache snapshot set {set} way {k}: tag {tag:#x} belongs to set {home}"
+                    ));
+                }
+                if ways[group..].iter().any(|w| w.tag == tag) {
+                    return Err(format!(
+                        "cache snapshot set {set} way {k}: tag {tag:#x} is listed twice"
+                    ));
+                }
+                ways.push(Way { tag, state });
+            }
+            ways.resize(group + self.assoc, Way::default());
+            slot[set as usize] = group as u32;
+            prev = Some(set);
+            rest = after;
         }
+        self.slot = slot;
+        self.ways = ways;
         Ok(())
     }
 }
@@ -441,24 +491,36 @@ mod tests {
         for line in 0..5 {
             c.insert(line_tag(1, line), line + 1, line % 2 == 0);
         }
-        c.purge(line_tag(1, 3)); // an invalid way that still has its words
+        c.purge(line_tag(1, 3)); // a touched set may hold no line now
         assert_eq!(c.probe(line_tag(7, 7)), Probe::Miss); // a set still absent
         let held = c.ways.len();
         assert!(held <= (1 + 5) * c.assoc, "only the touched sets exist");
 
+        // Only the sets holding a line are written: index, count, and a
+        // (tag, state) pair per line.
+        let sets: std::collections::BTreeSet<usize> =
+            [0, 1, 2, 4].map(|line| c.set_of(line_tag(1, line))).into();
         let words = c.export_words();
-        assert_eq!(words.len(), 3 + 16_384 * 2 * 4, "the dense wire format");
+        assert_eq!(
+            words.len(),
+            2 + 2 * sets.len() + 2 * 4,
+            "the sparse wire format"
+        );
         let mut d = geometry();
         d.import_words(&words).unwrap();
-        assert_eq!(d.ways.len(), held, "absent sets stay absent on import");
+        assert_eq!(
+            d.ways.len(),
+            (1 + sets.len()) * d.assoc,
+            "only listed sets exist"
+        );
         assert_eq!(d.export_words(), words);
 
-        // `clear` keeps the invalidated ways' words, as the dense table did.
+        // A cleared cache is its geometry alone, and imports as untouched.
         c.clear();
         let cleared = c.export_words();
-        assert_ne!(cleared, words);
+        assert_eq!(cleared, [16_384, 2]);
         d.import_words(&cleared).unwrap();
-        assert_eq!(d.export_words(), cleared);
+        assert_eq!(d.ways.len(), d.assoc);
         assert_eq!(d.probe(line_tag(1, 0)), Probe::Miss);
         // Importing over a populated cache forgets what it held.
         d.insert(line_tag(9, 9), 1, true);
@@ -466,18 +528,114 @@ mod tests {
         assert_eq!(d.export_words(), words);
     }
 
-    #[test]
-    #[cfg(target_pointer_width = "64")]
-    #[should_panic(expected = "cache_bytes")]
-    fn a_geometry_past_the_set_table_is_refused() {
-        CacheSim::new(1 << 40, 64, 2);
+    /// A `tiny()` line's state word at version 1, clean.
+    const CLEAN_V1: u64 = (1 << 2) | VALID;
+
+    /// The first `n` tags of region 0 that hash to `set` of `tiny()`.
+    fn tags_in(set: usize, n: usize) -> Vec<LineTag> {
+        (0..)
+            .map(|line| line_tag(0, line))
+            .filter(|&t| set_index(t, 4) == set)
+            .take(n)
+            .collect()
     }
 
-    /// The dense table [`CacheSim`] replaced — every way of every set
-    /// exists from construction — kept as the reference the sparse one
-    /// must answer like, word for word.
+    /// The error `tiny()` gives importing `words` over a cache that holds a
+    /// line; the refused import must leave that cache as it was.
+    fn refused(words: &[u64]) -> String {
+        let mut c = tiny();
+        c.insert(line_tag(5, 5), 2, true);
+        let before = c.export_words();
+        let err = c.import_words(words).unwrap_err();
+        assert_eq!(c.export_words(), before, "a refused import changes nothing");
+        err
+    }
+
+    #[test]
+    fn import_refuses_a_set_past_the_table() {
+        let err = refused(&[4, 2, 4, 1, tags_in(0, 1)[0], CLEAN_V1]);
+        assert_eq!(err, "cache snapshot set 4 is past the cache's 4 sets");
+    }
+
+    #[test]
+    fn import_refuses_sets_out_of_ascending_order() {
+        let (lo, hi) = (tags_in(1, 1)[0], tags_in(2, 1)[0]);
+        let err = refused(&[4, 2, 2, 1, hi, CLEAN_V1, 1, 1, lo, CLEAN_V1]);
+        assert_eq!(err, "cache snapshot set 1 follows set 2: sets must ascend");
+        // A set listed twice is out of order too.
+        let err = refused(&[4, 2, 1, 1, lo, CLEAN_V1, 1, 1, lo, CLEAN_V1]);
+        assert_eq!(err, "cache snapshot set 1 follows set 1: sets must ascend");
+    }
+
+    #[test]
+    fn import_refuses_more_ways_than_a_set_has() {
+        let t = tags_in(3, 3);
+        let err = refused(&[4, 2, 3, 3, t[0], CLEAN_V1, t[1], CLEAN_V1, t[2], CLEAN_V1]);
+        assert_eq!(
+            err,
+            "cache snapshot set 3 lists 3 lines, a set holds 1 to 2"
+        );
+    }
+
+    #[test]
+    fn import_refuses_a_tag_that_hashes_to_another_set() {
+        let t = tags_in(2, 1)[0];
+        let err = refused(&[4, 2, 0, 1, t, CLEAN_V1]);
+        assert_eq!(
+            err,
+            format!("cache snapshot set 0 way 0: tag {t:#x} belongs to set 2")
+        );
+    }
+
+    #[test]
+    fn import_refuses_a_duplicate_tag() {
+        let t = tags_in(1, 1)[0];
+        let err = refused(&[4, 2, 1, 2, t, CLEAN_V1, t, DIRTY | CLEAN_V1]);
+        assert_eq!(
+            err,
+            format!("cache snapshot set 1 way 1: tag {t:#x} is listed twice")
+        );
+    }
+
+    #[test]
+    fn import_refuses_an_empty_set_or_an_invalid_way() {
+        let err = refused(&[4, 2, 1, 0]);
+        assert_eq!(
+            err,
+            "cache snapshot set 1 lists 0 lines, a set holds 1 to 2"
+        );
+        let err = refused(&[4, 2, 1, 1, tags_in(1, 1)[0], 1 << 2]);
+        assert_eq!(
+            err,
+            "cache snapshot set 1 way 0: state 0x4 is not a valid line"
+        );
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "num_sets × assoc must be below 2³²")]
+    fn a_geometry_past_the_set_table_is_refused() {
+        // 2³⁰ sets of 4 ways: the set count fits 32 bits, its way offsets
+        // do not.
+        CacheSim::new(1 << 38, 64, 4);
+    }
+
+    /// A way of the tick-LRU table [`CacheSim`] replaced.
+    #[derive(Clone, Copy, Default)]
+    struct DenseEntry {
+        tag: LineTag,
+        version: u64,
+        dirty: bool,
+        /// LRU timestamp.
+        used: u64,
+        valid: bool,
+    }
+
+    /// The dense, tick-LRU table [`CacheSim`] replaced — every way of every
+    /// set exists from construction, and every probe and insert stamps a
+    /// clock — kept as the reference the recency order must answer like.
     struct Dense {
-        sets: Vec<Entry>,
+        sets: Vec<DenseEntry>,
         assoc: usize,
         tick: u64,
     }
@@ -485,13 +643,13 @@ mod tests {
     impl Dense {
         fn like(c: &CacheSim) -> Self {
             Dense {
-                sets: vec![Entry::default(); c.num_sets * c.assoc],
+                sets: vec![DenseEntry::default(); c.num_sets * c.assoc],
                 assoc: c.assoc,
                 tick: 0,
             }
         }
 
-        fn set(&mut self, tag: LineTag) -> &mut [Entry] {
+        fn set(&mut self, tag: LineTag) -> &mut [DenseEntry] {
             let set = set_index(tag, self.sets.len() / self.assoc);
             &mut self.sets[set * self.assoc..(set + 1) * self.assoc]
         }
@@ -511,7 +669,7 @@ mod tests {
 
         fn insert(&mut self, tag: LineTag, version: u64, dirty: bool) -> Option<Evicted> {
             self.tick += 1;
-            let fresh = Entry {
+            let fresh = DenseEntry {
                 tag,
                 version,
                 dirty,
@@ -539,21 +697,25 @@ mod tests {
             }
         }
 
+        /// [`CacheSim::export_words`]' layout, each set's valid lines
+        /// ordered by their stamps, newest first.
         fn export_words(&self) -> Vec<u64> {
-            let mut out = vec![
-                (self.sets.len() / self.assoc) as u64,
-                self.assoc as u64,
-                self.tick,
-            ];
-            for e in &self.sets {
-                let flags = (u64::from(e.dirty) << 1) | u64::from(e.valid);
-                out.extend([e.tag, e.version, flags, e.used]);
+            let mut out = vec![(self.sets.len() / self.assoc) as u64, self.assoc as u64];
+            for (set, ways) in self.sets.chunks(self.assoc).enumerate() {
+                let mut held: Vec<_> = ways.iter().filter(|e| e.valid).collect();
+                held.sort_by_key(|e| std::cmp::Reverse(e.used));
+                if !held.is_empty() {
+                    out.extend([set as u64, held.len() as u64]);
+                }
+                for e in held {
+                    out.extend([e.tag, (e.version << 2) | (u64::from(e.dirty) << 1) | VALID]);
+                }
             }
             out
         }
     }
 
-    mod sparse_matches_dense {
+    mod recency_order_matches_tick_lru {
         use super::*;
         use proptest::prelude::*;
 
@@ -568,12 +730,23 @@ mod tests {
             (64 << 10, 64, 2),
         ];
 
+        /// Every group's valid ways come first and its invalid ways are
+        /// all zero, the shared empty group included.
+        fn invalid_ways_trail(c: &CacheSim) -> bool {
+            c.ways.chunks(c.assoc).all(|g| {
+                let n = g.iter().take_while(|w| w.is_valid()).count();
+                g[n..].iter().all(|w| *w == Way::default())
+            })
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(96))]
 
-            /// Random probe / insert / purge / clear streams answer
-            /// identically and leave identical snapshot words, at every
-            /// step, whether or not absent sets are stored.
+            /// Random probe / insert / purge / clear streams give the tick
+            /// LRU's probe answers and eviction victims, and leave each
+            /// set's valid lines in its stamp order, at every step; half
+            /// way through, the cache is swapped for its own export
+            /// imported into a fresh one.
             #[test]
             fn at_every_step(
                 geometry in 0usize..GEOMETRIES.len(),
@@ -582,42 +755,47 @@ mod tests {
                     1..250,
                 ),
             ) {
-                let (capacity, line, assoc) = GEOMETRIES[geometry];
-                let mut sparse = CacheSim::new(capacity, line, assoc);
-                let mut dense = Dense::like(&sparse);
-                for (op, region, line, version, dirty) in ops {
+                let (capacity, line_bytes, assoc) = GEOMETRIES[geometry];
+                let mut sim = CacheSim::new(capacity, line_bytes, assoc);
+                let mut dense = Dense::like(&sim);
+                let half = ops.len() / 2;
+                for (step, (op, region, line, version, dirty)) in ops.into_iter().enumerate() {
+                    if step == half {
+                        let words = sim.export_words();
+                        let mut restored = CacheSim::new(capacity, line_bytes, assoc);
+                        restored.import_words(&words).unwrap();
+                        prop_assert!(restored.ways.len() <= sim.ways.len());
+                        prop_assert_eq!(restored.export_words(), words);
+                        sim = restored;
+                    }
                     let tag = line_tag(region, line);
                     match op {
                         0..=6 => {
-                            let got = sparse.probe(tag);
+                            let got = sim.probe(tag);
                             prop_assert_eq!(got, dense.probe(tag));
                             // The runtime's invalidation miss: a stale hit
                             // is purged.
                             if op == 6 && got != Probe::Miss {
-                                sparse.purge(tag);
+                                sim.purge(tag);
                                 dense.purge(tag);
                             }
                         }
                         7..=12 => prop_assert_eq!(
-                            sparse.insert(tag, version, dirty),
+                            sim.insert(tag, version, dirty),
                             dense.insert(tag, version, dirty)
                         ),
                         13 | 14 => {
-                            sparse.purge(tag);
+                            sim.purge(tag);
                             dense.purge(tag);
                         }
                         _ => {
-                            sparse.clear();
+                            sim.clear();
                             dense.sets.iter_mut().for_each(|e| e.valid = false);
                         }
                     }
-                    prop_assert_eq!(sparse.export_words(), dense.export_words());
+                    prop_assert_eq!(sim.export_words(), dense.export_words());
+                    prop_assert!(invalid_ways_trail(&sim));
                 }
-                let words = sparse.export_words();
-                let mut restored = CacheSim::new(capacity, line, assoc);
-                restored.import_words(&words).unwrap();
-                prop_assert!(restored.ways.len() <= sparse.ways.len());
-                prop_assert_eq!(restored.export_words(), words);
             }
         }
     }

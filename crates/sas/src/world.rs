@@ -396,10 +396,12 @@ impl<T: Element> SasSlice<T> {
 ///
 /// Every costed access is one [`Ctx::sched_point`] plus one cache-simulator
 /// probe per covered line; a hit stops there (one load of the line's
-/// record, no allocation).
+/// record, no allocation), tested inline at the access, and everything a
+/// miss does is one out-of-line call.
 /// [`SasPe::read_into`] is the bulk read primitive — it fills the
-/// caller's buffer, and [`SasPe::read_range`] wraps it for callers that
-/// want an owned `Vec` — with [`SasPe::write_range`] its store-side twin.
+/// caller's buffer through one slice of the region's storage, and
+/// [`SasPe::read_range`] wraps it for callers that want an owned `Vec` —
+/// with [`SasPe::write_range`] its store-side twin.
 pub struct SasPe {
     machine: Arc<Machine>,
     cache: CacheSim,
@@ -453,9 +455,13 @@ impl SasPe {
         start: usize,
         out: &mut [T],
     ) {
-        self.touch_range(ctx, &s.region, start, start + out.len(), AccessClass::Read);
-        for (i, v) in out.iter_mut().enumerate() {
-            *v = s.read_raw(start + i);
+        if out.is_empty() {
+            return; // no line is touched, wherever `start` is
+        }
+        let end = start + out.len();
+        self.touch_range(ctx, &s.region, start, end, AccessClass::Read);
+        for (v, cell) in out.iter_mut().zip(&s.region.storage[start..end]) {
+            *v = T::from_bits(cell.load(Ordering::Relaxed));
         }
     }
 
@@ -481,15 +487,13 @@ impl SasPe {
         start: usize,
         data: &[T],
     ) {
-        self.touch_range(
-            ctx,
-            &s.region,
-            start,
-            start + data.len(),
-            AccessClass::Write,
-        );
-        for (i, v) in data.iter().enumerate() {
-            s.write_raw(start + i, *v);
+        if data.is_empty() {
+            return;
+        }
+        let end = start + data.len();
+        self.touch_range(ctx, &s.region, start, end, AccessClass::Write);
+        for (cell, v) in s.region.storage[start..end].iter().zip(data) {
+            cell.store(v.to_bits(), Ordering::Relaxed);
         }
     }
 
@@ -518,15 +522,13 @@ impl SasPe {
         end: usize,
         class: AccessClass,
     ) {
-        if start >= end {
-            return;
-        }
-        let first = r.line_of(start);
-        let last = r.line_of(end - 1);
-        for line in first..=last {
-            // Representative word: the first word of the span in this line.
-            let word = start.max(line * r.words_per_line);
+        // Each line's representative word is the first word of the span
+        // in it: `start`, then the first word of every later line.
+        let (mut line, mut word) = (r.line_of(start), start);
+        while word < end {
             self.access_line(ctx, r, line, word, class);
+            line += 1;
+            word = line * r.words_per_line;
         }
     }
 
@@ -535,8 +537,11 @@ impl SasPe {
         self.access_line(ctx, r, r.line_of(word), word, class);
     }
 
-    /// The heart of the model: classify one line access as hit / upgrade /
-    /// local miss / remote miss, charge it, and update coherence state.
+    /// The heart of the model: one line access. A hit — a current copy
+    /// for a read, an exclusive current one for a write — is decided and
+    /// counted here, inline at the access; everything else is
+    /// [`Self::miss_line`].
+    #[inline]
     fn access_line(
         &mut self,
         ctx: &mut Ctx,
@@ -552,25 +557,41 @@ impl SasPe {
         if let Some(rd) = &r.races {
             rd.record(r.id, line, word, class, ctx.pe(), ctx.epoch());
         }
-        let write = class != AccessClass::Read;
         let tag = line_tag(r.id, line as u64);
-        let pe = ctx.pe();
-        let meta = &r.meta[line];
-
         // Single cache probe, then one load of the line's record.
         let probe = self.cache.probe(tag);
-        let m = meta.load(Ordering::Relaxed);
+        let m = r.meta[line].load(Ordering::Relaxed);
         if let Probe::Hit { version, dirty } = probe {
-            if !write && m >> 17 == version {
-                ctx.counters_mut().cache_hits += 1;
-                return;
-            }
-            if write && dirty && m == pack_meta(version, pe as u32, true) {
+            let hit = match class {
+                AccessClass::Read => m >> 17 == version,
+                _ => dirty && m == pack_meta(version, ctx.pe() as u32, true),
+            };
+            if hit {
                 ctx.counters_mut().cache_hits += 1;
                 return;
             }
         }
+        self.miss_line(ctx, r, line, probe, m, class);
+    }
 
+    /// The rest of [`Self::access_line`], for an access that did not hit:
+    /// classify it as upgrade / local miss / remote miss, charge it, and
+    /// update coherence state. `probe` and `m` are the access's cache
+    /// probe and line record.
+    #[inline(never)]
+    fn miss_line(
+        &mut self,
+        ctx: &mut Ctx,
+        r: &RegionData,
+        line: usize,
+        probe: Probe,
+        m: u64,
+        class: AccessClass,
+    ) {
+        let write = class != AccessClass::Read;
+        let tag = line_tag(r.id, line as u64);
+        let pe = ctx.pe();
+        let meta = &r.meta[line];
         let (mut version, owner, mut dirty) = (m >> 17, (m >> 1) & 0xFFFF, m & 1 != 0);
         let cached = match probe {
             Probe::Hit { version: v, .. } if v == version => true,
@@ -591,11 +612,11 @@ impl SasPe {
         let mut charge_local = 0u64;
         let mut charge_remote = 0u64;
         let mut fill_home: Option<u32> = None;
-        // Everything from the sched_point above to the advances below is
-        // one scheduling window: the fill, the owner forward and the whole
-        // invalidation sweep collect in `net_items` and hit the fabric in
-        // one `net_delay_many` call (in queue order, so the arithmetic is
-        // bitwise the per-transfer calls').
+        // Everything from `access_line`'s sched_point to the advances
+        // below is one scheduling window: the fill, the owner forward and
+        // the whole invalidation sweep collect in `net_items` and hit the
+        // fabric in one `net_delay_many` call (in queue order, so the
+        // arithmetic is bitwise the per-transfer calls').
         debug_assert!(self.net_items.is_empty());
 
         if !cached {

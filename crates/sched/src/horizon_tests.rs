@@ -216,7 +216,7 @@ fn run_real(seed: u64, npes: usize, rounds: usize) -> (Log, u64, u64) {
                             sched.yield_now(pe, c);
                         }
                         Op::Block(c) => sched.block(pe, c, BlockReason::Mailbox),
-                        Op::Unblock(q, hint) => sched.unblock(q, hint, BlockReason::Mailbox),
+                        Op::Unblock(q, hint) => sched.unblock(q, hint),
                         Op::Gate(c) => sched.gate_wait(pe, c),
                         Op::Finish(c) => return sched.finish(pe, c),
                     }

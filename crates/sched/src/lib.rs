@@ -1105,9 +1105,11 @@ impl CoopSched {
         floor != Floor::Kept
     }
 
-    /// Give up the floor until [`Self::unblock`] is called with the same
-    /// `reason` class. Spurious wakeups are possible; callers re-check
-    /// their condition in a loop.
+    /// Give up the floor for `reason`. A [`BlockReason::Mailbox`] sleeper
+    /// wakes at the next [`Self::unblock`], a [`BlockReason::Gate`] one
+    /// when the gate opens, and a [`BlockReason::DeadLink`] one never.
+    /// Spurious wakeups are possible; callers re-check their condition in
+    /// a loop.
     pub fn block(&self, pe: usize, clock: SimTime, reason: BlockReason) {
         let mut inner = self.lock();
         inner.clock[pe] = clock;
@@ -1116,14 +1118,14 @@ impl CoopSched {
         self.wait_for_floor(inner, pe, floor);
     }
 
-    /// Make `pe` runnable again if it is blocked for `reason`. `hint` is
-    /// the virtual time of the enabling event (a message arrival): the
-    /// sleeper's advisory clock is raised to it so the deterministic
-    /// chooser orders the wakeup faithfully. Called by the floor holder;
-    /// does not yield.
-    pub fn unblock(&self, pe: usize, hint: SimTime, reason: BlockReason) {
+    /// Make `pe` runnable again if it is blocked on its mailbox; a PE at
+    /// the gate or on a dead link stays blocked. `hint` is the virtual
+    /// time of the enabling event (a message arrival): the sleeper's
+    /// advisory clock is raised to it so the deterministic chooser orders
+    /// the wakeup faithfully. Called by the floor holder; does not yield.
+    pub fn unblock(&self, pe: usize, hint: SimTime) {
         let mut inner = self.lock();
-        if inner.status[pe] == Status::Blocked(reason) {
+        if inner.status[pe] == Status::Blocked(BlockReason::Mailbox) {
             inner.clock[pe] = inner.clock[pe].max(hint);
             inner.make_runnable(pe);
             self.publish_horizon(&inner);
@@ -1487,8 +1489,12 @@ mod tests {
         });
     }
 
+    /// `unblock` wakes a mailbox sleeper only: a PE at the gate or on a
+    /// dead link stays blocked. Each wrong wake carries hint 0 and PE 1
+    /// then yields at clock 100, so a PE it had woken would run first.
     #[test]
     fn block_unblock_wrong_reason_is_ignored() {
+        // At the gate: PE 0 passes only once PE 1 arrives.
         let sched = Arc::new(CoopSched::new(2, SchedPolicy::Det));
         let order = Arc::new(Mutex::new(Vec::new()));
         std::thread::scope(|scope| {
@@ -1497,10 +1503,9 @@ mod tests {
                 let order = Arc::clone(&order);
                 scope.spawn(move || {
                     sched.register(0);
-                    order.lock().unwrap().push("pe0-blocking");
-                    sched.block(0, 0, BlockReason::Mailbox);
-                    order.lock().unwrap().push("pe0-woke");
-                    sched.finish(0, 10);
+                    sched.gate_wait(0, 0);
+                    order.lock().unwrap().push("pe0-through");
+                    sched.finish(0, 200);
                 });
             }
             {
@@ -1508,20 +1513,47 @@ mod tests {
                 let order = Arc::clone(&order);
                 scope.spawn(move || {
                     sched.register(1);
-                    // Wrong class: must not wake PE 0.
-                    sched.unblock(0, 5, BlockReason::DeadLink);
-                    sched.yield_now(1, 1);
-                    order.lock().unwrap().push("pe1-sent");
-                    sched.unblock(0, 5, BlockReason::Mailbox);
-                    sched.yield_now(1, 2);
-                    sched.finish(1, 10);
+                    sched.yield_now(1, 1); // PE 0 is at the gate
+                    sched.unblock(0, 0);
+                    sched.yield_now(1, 100);
+                    order.lock().unwrap().push("pe1-at-gate");
+                    sched.gate_wait(1, 100);
+                    sched.finish(1, 200);
                 });
             }
         });
         let order = order.lock().unwrap().clone();
-        let woke = order.iter().position(|s| *s == "pe0-woke").unwrap();
-        let sent = order.iter().position(|s| *s == "pe1-sent").unwrap();
-        assert!(sent < woke, "PE 0 woke before the real unblock: {order:?}");
+        assert_eq!(order, ["pe1-at-gate", "pe0-through"]);
+
+        // On a dead link: PE 0 never wakes, and the team ends as a
+        // partition once PE 1 is done.
+        let sched = Arc::new(CoopSched::new(2, SchedPolicy::Det));
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let (r0, r1) = std::thread::scope(|scope| {
+            let h0 = {
+                let sched = Arc::clone(&sched);
+                let order = Arc::clone(&order);
+                scope.spawn(move || {
+                    sched.register(0);
+                    sched.block(0, 0, BlockReason::DeadLink);
+                    order.lock().unwrap().push("pe0-woke");
+                    sched.finish(0, 200);
+                })
+            };
+            let sched = Arc::clone(&sched);
+            let order = Arc::clone(&order);
+            let h1 = scope.spawn(move || {
+                sched.register(1);
+                sched.yield_now(1, 1); // PE 0 is on its dead link
+                sched.unblock(0, 0);
+                sched.yield_now(1, 100);
+                order.lock().unwrap().push("pe1-done");
+                sched.finish(1, 200);
+            });
+            (h0.join(), h1.join())
+        });
+        assert!(r0.is_err() && r1.is_err(), "both PEs unwind");
+        assert_eq!(*order.lock().unwrap(), ["pe1-done"]);
     }
 
     #[test]

@@ -58,6 +58,8 @@ pub struct MitPlan {
     hot: Vec<usize>,
     /// Helper PEs per hot shard (same order as `hot`), owner excluded.
     helpers: Vec<Vec<usize>>,
+    /// The most hot shards any one PE helps.
+    replica_width: usize,
     /// Dense owner → index into `hot` / `helpers`.
     hot_index: Vec<Option<u32>>,
     seed: u64,
@@ -70,6 +72,7 @@ impl MitPlan {
             mitigation: Mitigation::Off,
             hot: Vec::new(),
             helpers: Vec::new(),
+            replica_width: 0,
             hot_index: Vec::new(),
             seed: 0,
         }
@@ -112,6 +115,11 @@ impl MitPlan {
             .iter()
             .map(|&s| pick_helpers(s, want, pes, &is_hot))
             .collect();
+        let mut helps = vec![0usize; pes];
+        for &t in helpers.iter().flatten() {
+            helps[t] += 1;
+        }
+        let replica_width = helps.into_iter().max().unwrap_or(0);
         let mut hot_index = vec![None; pes];
         for (i, &s) in hot.iter().enumerate() {
             hot_index[s] = Some(i as u32);
@@ -120,6 +128,7 @@ impl MitPlan {
             mitigation: cfg.mitigation,
             hot,
             helpers,
+            replica_width,
             hot_index,
             seed: cfg.seed,
         }
@@ -152,6 +161,25 @@ impl MitPlan {
     /// Helper PEs for hot shard number `h` (in `hot_shards` order).
     pub fn helpers(&self, h: usize) -> &[usize] {
         &self.helpers[h]
+    }
+
+    /// Replica slots in a PE's copy of a symmetric replica region: the
+    /// most hot shards any one PE helps — 1 unless two hot shards' helper
+    /// rings meet at a PE, 0 for an empty plan. Not one slot per hot
+    /// shard: a helper stores only the shards it helps.
+    pub fn replica_width(&self) -> usize {
+        self.replica_width
+    }
+
+    /// The replica slot in which helper `pe` keeps hot shard number `h`'s
+    /// copy — the shard's rank among those `pe` helps, in hot-shard order
+    /// — or `None` if `pe` does not help it.
+    pub fn replica_slot(&self, h: usize, pe: usize) -> Option<usize> {
+        self.helpers[h].contains(&pe).then(|| {
+            (self.helpers[..h].iter())
+                .filter(|hs| hs.contains(&pe))
+                .count()
+        })
     }
 
     /// Hot owners PE `me` helps (its steal victims / replica sources),
@@ -285,6 +313,34 @@ mod tests {
             max < 4_000 * 2 / n_targets as u64,
             "demand hash must spread, not pile ({per_target:?})"
         );
+    }
+
+    #[test]
+    fn a_helper_keeps_each_shard_it_helps_in_a_slot_of_its_own() {
+        let plan = MitPlan::build(&skewed_cfg(Mitigation::Replicate { replicas: 3 }), 16);
+        assert!(plan.replica_width() >= 1);
+        for pe in 0..16 {
+            let slots: Vec<usize> = (0..plan.hot_shards().len())
+                .filter_map(|h| plan.replica_slot(h, pe))
+                .collect();
+            assert_eq!(slots, (0..slots.len()).collect::<Vec<_>>(), "PE {pe}");
+            assert!(slots.len() <= plan.replica_width());
+        }
+        // Two hot shards whose helper rings meet at PE 5: it keeps shard
+        // 0's copy in slot 0 and shard 4's in slot 1; everyone else uses
+        // slot 0.
+        let met = MitPlan {
+            mitigation: Mitigation::Replicate { replicas: 2 },
+            hot: vec![0, 4],
+            helpers: vec![vec![2, 5], vec![5, 7]],
+            replica_width: 2,
+            hot_index: vec![Some(0), None, None, None, Some(1), None, None, None],
+            seed: 0,
+        };
+        assert_eq!(met.replica_slot(0, 5), Some(0));
+        assert_eq!(met.replica_slot(1, 5), Some(1));
+        assert_eq!(met.replica_slot(1, 7), Some(0));
+        assert_eq!(met.replica_slot(1, 2), None, "PE 2 does not help shard 4");
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! the local service compute, so the tail is shaped entirely by fabric
 //! contention on the owner's node, not by server queueing.
 //!
-//! Under [`Mitigation::Replicate`] a second symmetric region holds one
-//! slot per hot shard; each helper PE pulls the hot owner's shard into
-//! its slot during the build (the copy traffic runs inside a `replica`
-//! net phase and is gated by a `barrier_all` epoch before the warm
-//! point), and clients fan hot lookups over `{owner} ∪ helpers` by the
-//! plan's demand hash, issuing the same one-sided get against whichever
-//! PE the hash picks.
+//! Under [`Mitigation::Replicate`] a second symmetric region holds
+//! [`MitPlan::replica_width`] slots — as many as the most hot shards one
+//! PE helps, one in practice, not one per hot shard; each helper PE pulls
+//! the hot owner's shard into its [`MitPlan::replica_slot`] during the
+//! build (the copy traffic runs inside a `replica` net phase and is gated
+//! by a `barrier_all` epoch before the warm point), and clients fan hot
+//! lookups over `{owner} ∪ helpers` by the plan's demand hash, issuing
+//! the same one-sided get against whichever PE the hash picks.
 
 use std::sync::Arc;
 
@@ -78,19 +79,19 @@ fn rank_main(
         ctx.compute_units((len * v) as u64, BUILD_NS_PER_WORD);
         world.barrier_all(ctx);
     }
-    // Replica region: one `slot`-wide copy per hot shard, pulled by the
-    // helper PEs and refreshed behind a barrier epoch gate.
+    // Replica region: a `slot`-wide copy per hot shard a PE helps,
+    // pulled by the helper PEs and refreshed behind a barrier epoch gate.
     let repl = if replicate {
         if !resume {
             ctx.net_phase("replica");
         }
-        let repl = world.alloc::<u64>(ctx, plan.hot_shards().len() * slot * v);
+        let repl = world.alloc::<u64>(ctx, plan.replica_width() * slot * v);
         if !resume {
             for (h, &s) in plan.hot_shards().iter().enumerate() {
-                if plan.helpers(h).contains(&me) {
+                if let Some(k) = plan.replica_slot(h, me) {
                     let rl = clients::shard_len(s, cfg.keys, p) * v;
                     let copy = table.get(ctx, s, 0, rl);
-                    repl.write_local(ctx, h * slot * v, &copy);
+                    repl.write_local(ctx, k * slot * v, &copy);
                     ctx.counters_mut().replica_bytes += (rl * 8) as u64;
                 }
             }
@@ -127,7 +128,9 @@ fn rank_main(
             }
         } else {
             let repl = repl.as_ref().expect("hot route needs the replica region");
-            let roff = plan.hot_index(owner).expect("routed shard is hot") * slot * v + off;
+            let h = plan.hot_index(owner).expect("routed shard is hot");
+            let k = plan.replica_slot(h, target).expect("routed to a helper");
+            let roff = k * slot * v + off;
             if target == me {
                 repl.read_local1(ctx, roff)
             } else {

@@ -60,8 +60,12 @@ use wire::{WireReader, WireWriter};
 /// their own leading version words. v6: every `app/<pe>` section starts
 /// with its gate's index word (the serving workload's had none). v7:
 /// `core/<pe>` has no RNG word (PEs carry no RNG stream), and the machine
-/// digest moves because `MachineConfig` lost its lock-cost field.
-pub const FORMAT_VERSION: u64 = 7;
+/// digest moves because `MachineConfig` lost its lock-cost field. v8: a
+/// CC-SAS PE's cache words are sparse and canonical — the geometry, then
+/// only the sets holding a valid line, ascending, each as its index, its
+/// line count and `(tag, state)` pairs most recent first — with no LRU
+/// clock (`CacheSim` keeps recency as way order).
+pub const FORMAT_VERSION: u64 = 8;
 
 /// File magic: 8 bytes at offset zero.
 pub const MAGIC: &[u8; 8] = b"O2KSNAP1";

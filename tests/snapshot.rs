@@ -306,9 +306,9 @@ fn hostile_length_prefixes_are_errors_in_every_decoder() {
 
     // A container carrying another format version is refused by name,
     // never mis-decoded.
-    let v6 = [&container[..8], &words(&[6]), &container[16..]].concat();
-    let err = Snapshot::from_bytes(&v6).unwrap_err();
-    assert_eq!(err, "snapshot format v6 unsupported (this build reads v7)");
+    let v7 = [&container[..8], &words(&[7]), &container[16..]].concat();
+    let err = Snapshot::from_bytes(&v7).unwrap_err();
+    assert_eq!(err, "snapshot format v7 unsupported (this build reads v8)");
 
     net.import_state_bytes(&fabric).expect("untouched export");
     for cut in [1, 9, container.len() / 2] {
@@ -400,12 +400,12 @@ fn a_truncated_or_foreign_version_file_fails_the_run_naming_it() {
     assert!(msg.contains(&path.display().to_string()), "{msg}");
     assert!(msg.contains("truncated snapshot"), "{msg}");
 
-    let v6 = [&good[..8], &6u64.to_le_bytes(), &good[16..]].concat();
-    std::fs::write(&path, v6).unwrap();
+    let v7 = [&good[..8], &7u64.to_le_bytes(), &good[16..]].concat();
+    std::fs::write(&path, v7).unwrap();
     let msg = restore_panics(&dir, m(), App::NBody, Model::Mp);
     assert!(msg.contains(&path.display().to_string()), "{msg}");
     assert!(
-        msg.ends_with("snapshot format v6 unsupported (this build reads v7)"),
+        msg.ends_with("snapshot format v7 unsupported (this build reads v8)"),
         "{msg}"
     );
     let _ = std::fs::remove_dir_all(&dir);
