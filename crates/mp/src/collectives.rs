@@ -196,28 +196,26 @@ impl MpWorld {
         out
     }
 
-    /// Personalised all-to-all: `sends[d]` goes to rank `d`; returns the
-    /// chunks received, indexed by source. The self-chunk moves locally for
-    /// free (a memory copy, charged as Busy).
-    pub fn alltoallv<T: Payload>(&self, ctx: &mut Ctx, mut sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
+    /// Personalised all-to-all: `chunks[d]` goes to rank `d`; returns the
+    /// chunks received, indexed by source. The self-chunk stays where it
+    /// is, free of charge. Each received chunk is decoded into the buffer
+    /// that was sent to its source, so a caller that hands the result back
+    /// in allocates nothing once every buffer is large enough.
+    pub fn alltoallv<T: Payload>(&self, ctx: &mut Ctx, mut chunks: Vec<Vec<T>>) -> Vec<Vec<T>> {
         let p = self.size();
-        assert_eq!(sends.len(), p, "alltoallv needs one chunk per rank");
+        assert_eq!(chunks.len(), p, "alltoallv needs one chunk per rank");
         let tag = self.tag_block(ctx.pe());
         let me = ctx.pe();
-        let mut recvs: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-        recvs[me] = std::mem::take(&mut sends[me]);
         // Stagger destinations to avoid hot-spotting rank 0.
         for k in 1..p {
             let dst = (me + k) % p;
-            let chunk = std::mem::take(&mut sends[dst]);
-            self.send_impl(ctx, dst, tag, &chunk);
+            self.send_impl(ctx, dst, tag, &chunks[dst]);
         }
         for k in 1..p {
             let src = (me + p - k) % p;
-            let (_, _, d) = self.recv::<T>(ctx, RecvSpec::from(src, tag));
-            recvs[src] = d;
+            self.recv_into(ctx, RecvSpec::from(src, tag), &mut chunks[src]);
         }
-        recvs
+        chunks
     }
 }
 

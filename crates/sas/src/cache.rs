@@ -86,19 +86,26 @@ fn set_index(tag: LineTag, num_sets: usize) -> usize {
     (h as usize) & (num_sets - 1)
 }
 
+/// The most sets a [`CacheSim`] has: 2¹⁵, the largest power of two whose
+/// last group number — `num_sets`, once every set holds a line — fits
+/// `slot`'s 16 bits. An 8 MiB cache at 128 B lines and 2 ways.
+const MAX_SETS: usize = 1 << 15;
+
 /// A set-associative, LRU, version-tagged cache model.
 ///
 /// Only the sets a line has landed in are stored: a 4 MiB cache is 16 384
 /// sets, a PE of a P = 256 serving run touches about a thousand, and a set
 /// no line ever reached answers every probe with a miss whether or not
-/// its ways exist. `slot` holds one word per set; the ways of the sets that
-/// have been inserted into live in `ways`, in first-touch order, behind
-/// one group of empty ways that every untouched set shares.
+/// its ways exist. `slot` holds two bytes per set, its group number; the
+/// ways of the sets that have been inserted into live in `ways`, in
+/// first-touch order, behind one group of empty ways that every untouched
+/// set shares.
 #[derive(Debug)]
 pub struct CacheSim {
-    /// Per set: the offset in `ways` of its `assoc` ways. `0` — the
-    /// shared empty group — until a line lands in the set.
-    slot: Vec<u32>,
+    /// Per set: the number of its group of `assoc` ways in `ways`, which
+    /// start at `group × assoc`. `0` — the shared empty group — until a
+    /// line lands in the set.
+    slot: Vec<u16>,
     /// Group 0 is `assoc` ways that are never written (all invalid, all
     /// zero); group `k > 0` is the `k`-th set to have been inserted into,
     /// its valid ways most recent first.
@@ -112,8 +119,8 @@ impl CacheSim {
     /// The number of sets is rounded down to a power of two (at least 1).
     ///
     /// # Panics
-    /// Panics if the geometry has `2³²` or more ways in all (sets × ways):
-    /// `slot` holds 32-bit way offsets.
+    /// Panics if the geometry has more than 2¹⁵ sets: `slot` holds 16-bit
+    /// group numbers.
     pub fn new(capacity_bytes: usize, line_bytes: usize, assoc: usize) -> Self {
         let lines = (capacity_bytes / line_bytes.max(1)).max(1);
         let assoc = assoc.clamp(1, lines);
@@ -125,10 +132,10 @@ impl CacheSim {
             raw_sets.next_power_of_two() / 2
         };
         assert!(
-            num_sets * assoc <= u32::MAX as usize,
+            num_sets <= MAX_SETS,
             "cache_bytes {capacity_bytes} / line_bytes {line_bytes} / {assoc} ways is \
-             {num_sets} sets of {assoc} ways; a set's way offset is 32 bits, so \
-             num_sets × assoc must be below 2³²"
+             {num_sets} sets; a set's group number is 16 bits, so a cache has at most \
+             {MAX_SETS} sets"
         );
         CacheSim {
             slot: vec![0; num_sets],
@@ -147,7 +154,7 @@ impl CacheSim {
     /// in it, so only [`Self::materialise`]'s result may be written to.
     #[inline]
     fn ways_of(&mut self, set: usize) -> &mut [Way] {
-        let at = self.slot[set] as usize;
+        let at = usize::from(self.slot[set]) * self.assoc;
         &mut self.ways[at..at + self.assoc]
     }
 
@@ -163,8 +170,8 @@ impl CacheSim {
     #[cold]
     fn add_group(&mut self, set: usize) {
         // At most `num_sets` groups after group 0; `new` checked that the
-        // last one's offset fits.
-        self.slot[set] = self.ways.len() as u32;
+        // last one's number fits.
+        self.slot[set] = (self.ways.len() / self.assoc) as u16;
         self.ways
             .extend(std::iter::repeat_n(Way::default(), self.assoc));
     }
@@ -238,8 +245,8 @@ impl CacheSim {
     /// bitwise-identical to an uninterrupted run's.
     pub fn export_words(&self) -> Vec<u64> {
         let mut out = vec![self.num_sets as u64, self.assoc as u64];
-        for (set, &at) in self.slot.iter().enumerate() {
-            let at = at as usize;
+        for (set, &group) in self.slot.iter().enumerate() {
+            let at = usize::from(group) * self.assoc;
             let ways = &self.ways[at..at + self.assoc];
             let n = ways.iter().take_while(|w| w.is_valid()).count();
             if n > 0 {
@@ -272,7 +279,7 @@ impl CacheSim {
                 self.num_sets, self.assoc
             ));
         }
-        let mut slot = vec![0u32; self.num_sets];
+        let mut slot = vec![0u16; self.num_sets];
         let mut ways = vec![Way::default(); self.assoc];
         let (mut rest, mut prev) = (rest, None);
         while !rest.is_empty() {
@@ -321,7 +328,7 @@ impl CacheSim {
                 ways.push(Way { tag, state });
             }
             ways.resize(group + self.assoc, Way::default());
-            slot[set as usize] = group as u32;
+            slot[set as usize] = (group / self.assoc) as u16;
             prev = Some(set);
             rest = after;
         }
@@ -613,11 +620,62 @@ mod tests {
 
     #[test]
     #[cfg(target_pointer_width = "64")]
-    #[should_panic(expected = "num_sets × assoc must be below 2³²")]
+    #[should_panic(expected = "a cache has at most 32768 sets")]
     fn a_geometry_past_the_set_table_is_refused() {
-        // 2³⁰ sets of 4 ways: the set count fits 32 bits, its way offsets
-        // do not.
+        // 2³⁰ sets of 4 ways: refused before a slot is allocated.
         CacheSim::new(1 << 38, 64, 4);
+    }
+
+    #[test]
+    fn the_largest_set_table_holds_a_line_in_every_set() {
+        // 2¹⁵ sets: 8 MiB at 128 B lines and 2 ways, the last group's
+        // number is 2¹⁵ and still fits a slot.
+        let geometry = || CacheSim::new(8 << 20, 128, 2);
+        let mut c = geometry();
+        assert_eq!(c.num_sets, MAX_SETS);
+        // The first line of region 3 to land in each set, at version 1 + set.
+        let mut first = vec![None; c.num_sets];
+        let mut filled = 0;
+        for line in 0.. {
+            let tag = line_tag(3, line);
+            let set = c.set_of(tag);
+            if first[set].is_none() {
+                assert_eq!(c.insert(tag, 1 + set as u64, set % 2 == 0), None);
+                first[set] = Some(tag);
+                filled += 1;
+                if filled == c.num_sets {
+                    break;
+                }
+            }
+        }
+        assert_eq!(
+            c.ways.len(),
+            (1 + MAX_SETS) * c.assoc,
+            "every set materialised"
+        );
+        assert_eq!(c.slot.iter().copied().max(), Some(MAX_SETS as u16));
+        let probe_all = |c: &mut CacheSim| {
+            for (set, tag) in first.iter().enumerate() {
+                let want = Probe::Hit {
+                    version: 1 + set as u64,
+                    dirty: set % 2 == 0,
+                };
+                assert_eq!(c.probe(tag.unwrap()), want, "set {set}");
+            }
+        };
+        probe_all(&mut c);
+        let words = c.export_words();
+        assert_eq!(words.len(), 2 + 4 * MAX_SETS, "one line in every set");
+        let mut d = geometry();
+        d.import_words(&words).unwrap();
+        assert_eq!(d.export_words(), words);
+        probe_all(&mut d);
+    }
+
+    #[test]
+    #[should_panic(expected = "is 65536 sets; a set's group number is 16 bits")]
+    fn twice_the_largest_set_table_is_refused() {
+        CacheSim::new(16 << 20, 128, 2);
     }
 
     /// A way of the tick-LRU table [`CacheSim`] replaced.

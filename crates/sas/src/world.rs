@@ -43,11 +43,15 @@ const VERSION_LIMIT: u64 = 1 << 47;
 /// access is one scheduling window — it starts with a sched point and
 /// ends before the next — so its read-modify-writes of a record see no
 /// other PE's.
+///
+/// Lines and pages are powers of two, so a word's line and page are
+/// shifts, not divisions: `line_shift` and `page_shift` are the log₂ of
+/// their sizes in words.
 pub(crate) struct RegionData {
     id: u32,
     len: usize,
-    words_per_line: usize,
-    words_per_page: usize,
+    line_shift: u32,
+    page_shift: u32,
     /// `ceil(pes / 64)`: one row of the sharer matrix.
     sharer_words: usize,
     storage: Box<[AtomicU64]>,
@@ -61,13 +65,26 @@ pub(crate) struct RegionData {
 impl RegionData {
     #[inline]
     fn line_of(&self, word: usize) -> usize {
-        word / self.words_per_line
+        word >> self.line_shift
     }
 
     #[inline]
     fn page_of(&self, word: usize) -> usize {
-        word / self.words_per_page
+        word >> self.page_shift
     }
+}
+
+/// log₂ of the 8-byte words in a `bytes`-byte line or page (at least one
+/// word).
+///
+/// # Panics
+/// Panics naming `field` unless `bytes` is a power of two.
+fn word_shift(field: &str, bytes: usize) -> u32 {
+    assert!(
+        bytes.is_power_of_two(),
+        "{field} {bytes} is not a power of two: CC-SAS finds a word's line and page by shifting"
+    );
+    (bytes / 8).max(1).trailing_zeros()
 }
 
 /// The CC-SAS "world": registry of shared regions on one machine, whose
@@ -133,10 +150,10 @@ impl SasWorld {
 
     fn build_region(&self, id: u32, len: usize) -> RegionData {
         let cfg = &self.machine.config;
-        let words_per_line = (cfg.line_bytes / 8).max(1);
-        let words_per_page = (cfg.page_bytes / 8).max(1);
-        let n_lines = len.div_ceil(words_per_line).max(1);
-        let n_pages = len.div_ceil(words_per_page).max(1);
+        let line_shift = word_shift("line_bytes", cfg.line_bytes);
+        let page_shift = word_shift("page_bytes", cfg.page_bytes);
+        let n_lines = len.div_ceil(1 << line_shift).max(1);
+        let n_pages = len.div_ceil(1 << page_shift).max(1);
         let nodes = self.machine.topology.nodes() as u32;
         let page_home: Box<[AtomicU32]> = (0..n_pages)
             .map(|p| match cfg.page_policy {
@@ -148,8 +165,8 @@ impl SasWorld {
         RegionData {
             id,
             len,
-            words_per_line,
-            words_per_page,
+            line_shift,
+            page_shift,
             sharer_words,
             storage: (0..len).map(|_| AtomicU64::new(0)).collect(),
             page_home,
@@ -194,8 +211,9 @@ impl SasWorld {
         w.u64(regions.len() as u64);
         for r in &regions {
             w.u64(r.len as u64);
-            w.u64(r.words_per_line as u64);
-            w.u64(r.words_per_page as u64);
+            // Words per line and per page.
+            w.u64(1 << r.line_shift);
+            w.u64(1 << r.page_shift);
             for cell in r.storage.iter() {
                 w.u64(cell.load(Ordering::Relaxed));
             }
@@ -252,13 +270,13 @@ impl SasWorld {
         let mut imported = Vec::with_capacity(n_regions);
         for idx in 0..n_regions {
             let len = rd.count(8)?;
-            let wpl = rd.u64()? as usize;
-            let wpp = rd.u64()? as usize;
+            let wpl = rd.u64()?;
+            let wpp = rd.u64()?;
             let region = self.build_region(idx as u32, len);
-            if wpl != region.words_per_line || wpp != region.words_per_page {
+            let (my_wpl, my_wpp) = (1u64 << region.line_shift, 1u64 << region.page_shift);
+            if (wpl, wpp) != (my_wpl, my_wpp) {
                 return Err(format!(
-                    "sas snapshot line/page geometry {wpl}/{wpp} words, machine gives {}/{}",
-                    region.words_per_line, region.words_per_page
+                    "sas snapshot line/page geometry {wpl}/{wpp} words, machine gives {my_wpl}/{my_wpp}"
                 ));
             }
             for cell in region.storage.iter() {
@@ -528,7 +546,7 @@ impl SasPe {
         while word < end {
             self.access_line(ctx, r, line, word, class);
             line += 1;
-            word = line * r.words_per_line;
+            word = line << r.line_shift;
         }
     }
 
@@ -722,7 +740,7 @@ impl SasPe {
     }
 
     fn home_node(&self, r: &RegionData, line: usize, my_node: usize) -> usize {
-        let word = line * r.words_per_line;
+        let word = line << r.line_shift;
         let page = r.page_of(word.min(r.len.saturating_sub(1)));
         let cell = &r.page_home[page];
         let h = cell.load(Ordering::Relaxed);
@@ -780,6 +798,25 @@ mod tests {
         assert_eq!(run.results, vec![2.5, 2.5]);
     }
 
+    /// A world on `test_tiny` hardware with `cfg` edited by `edit`.
+    fn world_with(edit: impl FnOnce(&mut MachineConfig)) -> SasWorld {
+        let mut cfg = MachineConfig::test_tiny();
+        edit(&mut cfg);
+        SasWorld::new(Arc::new(Machine::new(2, cfg)))
+    }
+
+    #[test]
+    #[should_panic(expected = "line_bytes 96 is not a power of two")]
+    fn a_line_that_is_not_a_power_of_two_is_refused() {
+        world_with(|c| c.line_bytes = 96).build_region(0, 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "page_bytes 768 is not a power of two")]
+    fn a_page_that_is_not_a_power_of_two_is_refused() {
+        world_with(|c| c.page_bytes = 768).build_region(0, 16);
+    }
+
     #[test]
     fn second_read_is_a_hit() {
         let (w, t) = setup(1);
@@ -788,7 +825,7 @@ mod tests {
             let mut pe = w.pe();
             let _ = pe.read(ctx, &s, 0);
             let t0 = ctx.now();
-            let _ = pe.read(ctx, &s, 1); // same line (words_per_line = 8)
+            let _ = pe.read(ctx, &s, 1); // same line (8 words a line)
             (ctx.now() - t0, ctx.counters().clone())
         });
         let (dt, c) = &run.results[0];
@@ -870,7 +907,7 @@ mod tests {
         let w = Arc::new(SasWorld::new(Arc::clone(&machine)));
         let t = Team::new(machine);
         let run = t.run(|ctx| {
-            // words_per_page = 256/8 = 32 → pages every 32 elements.
+            // 256 B pages are 32 words → pages every 32 elements.
             let s = w.alloc::<u64>(ctx, 128);
             (s.home_of(0), s.home_of(32), s.home_of(64))
         });
@@ -1348,7 +1385,7 @@ mod tests {
             .run(|ctx| {
                 let s = w.alloc::<u64>(ctx, 8);
                 let mut pe = w.pe();
-                // Distinct words of one line (words_per_line = 8).
+                // Distinct words of one line (8 words a line).
                 pe.write(ctx, &s, ctx.pe(), 1);
             });
         let reports = w.race_reports();

@@ -123,10 +123,13 @@ const BUILD_NS_PER_WORD: f64 = 2.0;
 /// One PE's serving outcome, merged into [`apps::ServeStats`] by the
 /// driver: the client-side bookkeeping the three implementations share.
 ///
-/// `shard_counts` is sparse — `(shard, count)` pairs in first-hit order.
+/// `shard_counts` is sparse — `(shard, count)` pairs in shard order.
 /// A client touches at most `min(P, its requests)` distinct shards, a
 /// handful at P = 1024, where a dense per-PE vector would cost O(P²)
-/// zeroing and merging across the team for a few requests each.
+/// zeroing and merging across the team for a few requests each. Every
+/// request is counted against its key's owner, shed or not, so the counts
+/// are a function of the PE's stream alone: `PeOut::count_shards` takes
+/// them once, when the PE is done, not request by request.
 #[derive(Debug, Clone)]
 pub struct PeOut {
     checksum: u64,
@@ -149,24 +152,10 @@ impl PeOut {
         }
     }
 
-    /// Admit `req` targeting shard `owner`. Returns `true` when the
-    /// request is shed by the admission deadline (no work must be done).
-    pub(crate) fn admit(
-        &mut self,
-        now: SimTime,
-        req: &Request,
-        owner: usize,
-        cfg: &ServeConfig,
-    ) -> bool {
+    /// Admit `req`. Returns `true` when the request is shed by the
+    /// admission deadline (no work must be done).
+    pub(crate) fn admit(&mut self, now: SimTime, req: &Request, cfg: &ServeConfig) -> bool {
         self.issued += 1;
-        match self
-            .shard_counts
-            .iter_mut()
-            .find(|entry| entry.0 == owner as u32)
-        {
-            Some(entry) => entry.1 += 1,
-            None => self.shard_counts.push((owner as u32, 1)),
-        }
         if let Some(d) = cfg.deadline_ns {
             if now.saturating_sub(req.arrival) > d {
                 self.failed += 1;
@@ -187,6 +176,22 @@ impl PeOut {
         self.completed += 1;
         self.checksum = self.checksum.wrapping_add(val0);
         self.hist.record(now - req.arrival);
+    }
+
+    /// Count the PE's whole `stream` against the shards that own its keys,
+    /// once every request in it has been admitted.
+    pub(crate) fn count_shards(&mut self, stream: &[Request], cfg: &ServeConfig, pes: usize) {
+        let mut owners: Vec<u32> = stream
+            .iter()
+            .map(|req| clients::owner_of(req.key, cfg.keys, pes) as u32)
+            .collect();
+        owners.sort_unstable();
+        for owner in owners {
+            match self.shard_counts.last_mut() {
+                Some(last) if last.0 == owner => last.1 += 1,
+                _ => self.shard_counts.push((owner, 1)),
+            }
+        }
     }
 }
 
@@ -422,6 +427,38 @@ mod tests {
             hot > 2 * mean,
             "skew 3.0 must overload shard 0 ({hot} vs mean {mean})"
         );
+    }
+
+    /// A PE's shard counts taken from its whole stream at the end are the
+    /// counts a first-hit scan at each admission gave, in shard order.
+    #[test]
+    fn shard_counts_from_the_stream_match_per_request_counting() {
+        for (pes, skew) in [(1, 1.0), (8, 1.0), (8, 3.0), (256, 1.0), (256, 3.0)] {
+            let cfg = ServeConfig {
+                keys: 64 * pes,
+                requests: 48 * pes as u64,
+                skew,
+                ..ServeConfig::small()
+            };
+            for pe in [0, pes / 2, pes - 1] {
+                let stream = clients::stream(&cfg, pe, pes);
+                let mut reference: Vec<(u32, u64)> = Vec::new();
+                for req in &stream {
+                    let owner = clients::owner_of(req.key, cfg.keys, pes) as u32;
+                    match reference.iter_mut().find(|entry| entry.0 == owner) {
+                        Some(entry) => entry.1 += 1,
+                        None => reference.push((owner, 1)),
+                    }
+                }
+                reference.sort_unstable();
+                let mut out = PeOut::new();
+                out.count_shards(&stream, &cfg, pes);
+                assert_eq!(
+                    out.shard_counts, reference,
+                    "P = {pes}, skew {skew}, PE {pe}"
+                );
+            }
+        }
     }
 
     /// Every mitigation mode serves exactly the same data: checksums and

@@ -217,7 +217,7 @@ fn rank_main(
         }
         drain(ctx, world, &shard, cfg, &mut dones, &mut msg);
         let owner = clients::owner_of(req.key, cfg.keys, p);
-        if log.admit(ctx.now(), req, owner, cfg) {
+        if log.admit(ctx.now(), req, cfg) {
             continue; // shed: no message, no work
         }
         // Replication fans hot-shard lookups over owner ∪ helpers; the
@@ -273,6 +273,7 @@ fn rank_main(
         }
     }
     ctx.barrier();
+    log.count_shards(&stream, cfg, p);
     log
 }
 

@@ -106,7 +106,7 @@ fn rank_main(
     for req in &stream {
         await_arrival(ctx, req);
         let owner = clients::owner_of(req.key, cfg.keys, p);
-        if log.admit(ctx.now(), req, owner, cfg) {
+        if log.admit(ctx.now(), req, cfg) {
             continue;
         }
         pe.read_into(ctx, &table, req.key * v, &mut val);
@@ -115,6 +115,7 @@ fn rank_main(
         log.complete(ctx.now(), req, val0, cfg);
     }
     ctx.barrier();
+    log.count_shards(&stream, cfg, p);
     log
 }
 

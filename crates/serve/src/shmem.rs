@@ -114,7 +114,7 @@ fn rank_main(
     for req in &stream {
         await_arrival(ctx, req);
         let owner = clients::owner_of(req.key, cfg.keys, p);
-        if log.admit(ctx.now(), req, owner, cfg) {
+        if log.admit(ctx.now(), req, cfg) {
             continue;
         }
         let off = (req.key - clients::shard_start(owner, cfg.keys, p)) * v;
@@ -142,5 +142,6 @@ fn rank_main(
         log.complete(ctx.now(), req, val0, cfg);
     }
     world.barrier_all(ctx);
+    log.count_shards(&stream, cfg, p);
     log
 }

@@ -1,9 +1,10 @@
 //! A large team pays for what it touches.
 //!
 //! Its own test binary (like `hit_path.rs`) so it can install a counting
-//! `#[global_allocator]`: a P = 256 CC-SAS serving run must fit in 64 MiB
+//! `#[global_allocator]`: a P = 256 CC-SAS serving run must fit in 24 MiB
 //! of live heap — each PE's cache simulator used to be a dense 1 MiB
-//! table, 256 MiB for the team, whatever the PE touched. Live bytes are
+//! table, 256 MiB for the team, whatever the PE touched, and then a 64 KiB
+//! table of 4-byte set slots, 16 MiB for the team. Live bytes are
 //! counted per thread; the event core runs every PE on the calling
 //! thread, so the other tests in this binary never show up in the figure.
 //! A symmetric SHMEM region is held to the same rule: the hot-shard
@@ -59,13 +60,15 @@ fn serve_cfg(pes: usize, model: Model, opts: RunOpts, rest: ServeConfig) -> RunM
     run
 }
 
+/// The run peaks at 20.8 MiB with a cache's sets in 2-byte slots, 32 KiB
+/// a PE; it peaked at 28.9 MiB with 4-byte slots.
 #[test]
-fn a_p256_sas_serve_run_fits_in_64_mib_of_heap() {
+fn a_p256_sas_serve_run_fits_in_24_mib_of_heap() {
     const MIB: usize = 1 << 20;
     let (run, peak) = peak_live_bytes(|| serve(256, Model::Sas, RunOpts::det_event()));
     assert!(run.counters.cache_hits > 0, "the caches were in use");
     assert!(
-        peak < 64 * MIB,
+        peak < 24 * MIB,
         "P = 256 CC-SAS serve held {} MiB of heap at once",
         peak / MIB
     );

@@ -70,6 +70,26 @@ fn mp_ping_pongs_through_recv_into_allocate_nothing() {
     );
 }
 
+#[test]
+fn an_alltoallv_into_the_last_ones_buffers_allocates_nothing() {
+    const P: usize = 8;
+    let m = fabric_machine(P);
+    let w = MpWorld::new(Arc::clone(&m));
+    let run = Team::new(m).run(|ctx| {
+        let me = ctx.pe() as u64;
+        // Eight values to each rank and eight from each: the chunks one
+        // call returns have room for what the next one receives.
+        let sent: Vec<Vec<u64>> = (0..P as u64).map(|d| vec![me * 8 + d; 8]).collect();
+        let mut chunks = w.alltoallv(ctx, sent.clone());
+        let n = allocs_of(|| chunks = w.alltoallv(ctx, std::mem::take(&mut chunks)));
+        // A transpose of a transpose: every PE holds what it first sent.
+        assert_eq!(chunks, sent);
+        n
+    });
+    assert_eq!(run.reports[0].counters.msgs_sent, 2 * (P as u64 - 1));
+    assert!(run.results.iter().all(|&n| n == 0), "{:?}", run.results);
+}
+
 /// Routes batches of 16 transfers from node `t / 50` on a P = 256 fabric
 /// under `fault`: one warm-up batch from node 0, then 1 999 measured ones,
 /// most of whose pairs it has not routed before, so a per-pair memo would
